@@ -27,6 +27,10 @@ class NotSealed(EmulatorError):
     """A copy-on-write fork was attempted on a zygote with writable pages."""
 
 
+class BaseInUse(EmulatorError):
+    """A sealed page table was released while CoW views still alias it."""
+
+
 # -- monitor -----------------------------------------------------------------
 
 class ConfigInvalid(EmulatorError):

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import (
+    BaseInUse,
     ConfigInvalid,
     DoubleMap,
     NotSealed,
@@ -158,6 +159,13 @@ class CostModel:
         return self.hash_us(nbytes)
 
 
+def _grown(arr: np.ndarray, n: int) -> np.ndarray:
+    """A zero-filled copy of arr extended to n elements."""
+    out = np.zeros(n, dtype=arr.dtype)
+    out[: len(arr)] = arr
+    return out
+
+
 class Frame:
     """One 4 KiB physical frame. Bytes are materialized on first touch."""
 
@@ -183,15 +191,28 @@ class Frame:
 class FrameStore:
     """Owns all frames, their reference counts, and the global copy counter.
 
-    Reference counts live in a numpy array indexed by frame id so that CoW
-    forks of multi-hundred-MiB zygotes stay O(pages) at C speed.  A frame's
-    ref_count equals the number of page-table entries (including CoW view
-    entries) that map it.
+    A frame's reference count is the number of page-table entries, CoW view
+    entries included, that map it.  It is kept in two parts.  Explicit
+    counts live in a numpy array indexed by frame id and move with every
+    local mapping.  A sealed table's frames are registered once as a
+    *base*; each CoW view of it adds one to the base's view count instead
+    of touching every frame, so forking and releasing a view cost
+    O(local overrides), not O(base pages).  ``ref``, ``refs_of`` and
+    ``total_refs`` add the two parts.  A view that stops aliasing a base
+    page takes one explicit reference off its frame, so an explicit count
+    may go negative while the total stays exact.
     """
 
     def __init__(self) -> None:
         self._frames: dict[int, Frame] = {}
         self._ref = np.zeros(1024, dtype=np.int64)
+        # Base id of each frame; 0 means the frame belongs to no base.
+        self._base_of = np.zeros(1024, dtype=np.int32)
+        # Per base id: live view count and registered frame count.  Slot 0
+        # stays zero so frames of no base add nothing.
+        self._views = np.zeros(8, dtype=np.int64)
+        self._base_size = np.zeros(8, dtype=np.int64)
+        self._next_base = 1
         self._next_fid = 0
         # Ranges of lazily-reserved frame ids created in validated state.
         self._validated_ranges: list[tuple[int, int]] = []
@@ -205,9 +226,8 @@ class FrameStore:
         self._next_fid += n
         if self._next_fid > len(self._ref):
             new_len = max(self._next_fid, len(self._ref) * 2)
-            grown = np.zeros(new_len, dtype=np.int64)
-            grown[: len(self._ref)] = self._ref
-            self._ref = grown
+            self._ref = _grown(self._ref, new_len)
+            self._base_of = _grown(self._base_of, new_len)
         if validated and n > 0:
             self._validated_ranges.append((start, start + n))
         return start, start + n
@@ -227,19 +247,63 @@ class FrameStore:
     def exists(self, fid: int) -> bool:
         return 0 <= fid < self._next_fid
 
+    def n_frames(self) -> int:
+        """Number of frame ids reserved so far; every id is below it."""
+        return self._next_fid
+
+    # -- shared bases --
+
+    def register_base(self, fids: np.ndarray) -> int:
+        """Register a sealed table's frames as one base; returns its id.
+
+        Each frame may appear once, and in no other live base, so that one
+        view count stands for exactly one mapping per frame.
+        """
+        if len(fids):
+            ordered = np.sort(fids)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise DoubleMap("a sealed table maps one frame twice")
+            if self._base_of[fids].any():
+                raise DoubleMap("frame already belongs to another sealed table")
+        base = self._next_base
+        self._next_base += 1
+        if base >= len(self._views):
+            self._views = _grown(self._views, 2 * base)
+            self._base_size = _grown(self._base_size, 2 * base)
+        self._base_of[fids] = base
+        self._base_size[base] = len(fids)
+        return base
+
+    def unregister_base(self, base: int, fids: np.ndarray) -> None:
+        """Forget a base with no live views; its frames count explicitly."""
+        if self._views[base]:
+            raise BaseInUse(
+                f"base {base} still has {int(self._views[base])} live views")
+        self._base_of[fids] = 0
+        self._base_size[base] = 0
+
+    def add_view(self, base: int) -> None:
+        self._views[base] += 1
+
+    def drop_view(self, base: int) -> None:
+        if self._views[base] <= 0:
+            raise AssertionError(f"view underflow on base {base}")
+        self._views[base] -= 1
+
     # -- reference counting --
 
     def ref(self, fid: int) -> int:
-        return int(self._ref[fid])
+        return int(self._ref[fid] + self._views[self._base_of[fid]])
 
     def incref(self, fid: int) -> None:
         self._ref[fid] += 1
 
     def decref(self, fid: int) -> int:
         self._ref[fid] -= 1
-        if self._ref[fid] < 0:
+        ref = self.ref(fid)
+        if ref < 0:
             raise AssertionError(f"ref underflow on frame {fid}")
-        return int(self._ref[fid])
+        return ref
 
     def bulk_incref(self, fids: np.ndarray) -> None:
         # add.at accumulates duplicate ids correctly, unlike fancy indexing.
@@ -249,10 +313,13 @@ class FrameStore:
         np.add.at(self._ref, fids, -1)
 
     def refs_of(self, fids: np.ndarray) -> np.ndarray:
-        return self._ref[fids]
+        return self._ref[fids] + self._views[self._base_of[fids]]
 
     def total_refs(self) -> int:
-        return int(self._ref[: self._next_fid].sum())
+        # Per base rather than per frame: callers check this after every
+        # step of long randomized runs.
+        return int(self._ref[: self._next_fid].sum()
+                   + (self._views * self._base_size).sum())
 
     # -- byte access (monitor-side, uncharged) --
 
@@ -282,10 +349,18 @@ class PageTable:
     """Per-process virtual address space.
 
     A table either owns all of its entries, or is a copy-on-write *view*
-    over a sealed base table: lookups fall through to the base unless a
-    local override exists.  Views let a 147 MiB zygote be forked hundreds
-    of times without duplicating page-table entries; frame reference counts
-    are still exact.
+    over a sealed base table: lookups fall through to the base unless the
+    view has stopped aliasing that page.  ``_hidden`` holds exactly the
+    base vpns the view no longer aliases, because it unmapped them, broke
+    their sharing, or overrode their permissions with a local entry.
+    Views let a 147 MiB zygote be forked hundreds of times without
+    duplicating page-table entries or touching its frames' counts: the
+    frame store counts a base's views once (see ``FrameStore``), and
+    frame reference counts stay exact.
+
+    A sealed table is frozen: every mutation is refused, so the PL1 write
+    grants ``seal`` strips cannot come back and every view sees the same
+    read-only base.
     """
 
     def __init__(self, store: FrameStore, owner: int,
@@ -298,6 +373,7 @@ class PageTable:
         self.entries: dict[int, PageEntry] = {}
         self._hidden: set[int] = set()
         self.sealed = False
+        self._base_id: Optional[int] = None  # set while forkable
         self._sealed_fids: Optional[np.ndarray] = None
         self._sealed_pl1_fids: Optional[np.ndarray] = None
         self._next_vpn = base.next_unused_vpn() if base is not None else 0
@@ -312,25 +388,25 @@ class PageTable:
             return self.base.entries.get(vpn)
         return None
 
+    def _aliases(self, vpn: int) -> bool:
+        return (self.base is not None and vpn not in self._hidden
+                and vpn in self.base.entries)
+
     def mapped_vpns(self) -> Iterator[int]:
         if self.base is not None:
             for vpn in self.base.entries:
-                if vpn not in self._hidden and vpn not in self.entries:
+                if vpn not in self._hidden:
                     yield vpn
         yield from self.entries
 
     def n_entries(self) -> int:
-        return self._n_aliased() + len(self.entries)
-
-    def _n_aliased(self) -> int:
-        if self.base is None:
-            return 0
-        return sum(1 for vpn in self.base.entries
-                   if vpn not in self._hidden and vpn not in self.entries)
+        return self.n_aliased() + len(self.entries)
 
     def n_aliased(self) -> int:
         """Entries served by the base table rather than local overrides."""
-        return self._n_aliased()
+        if self.base is None:
+            return 0
+        return len(self.base.entries) - len(self._hidden)
 
     def next_unused_vpn(self) -> int:
         return self._next_vpn
@@ -342,6 +418,9 @@ class PageTable:
         return vpns
 
     def local_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
+        """Frames of this table's own entries; a sealed table's are cached."""
+        if self.sealed:
+            return self._sealed_pl1_fids if pl1_only else self._sealed_fids
         if pl1_only:
             it = (e.frame_id for e in self.entries.values()
                   if e.perms.pl1_accessible())
@@ -351,35 +430,37 @@ class PageTable:
 
     def _aliased_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
         assert self.base is not None
-        if not self._hidden and not any(vpn in self.base.entries
-                                        for vpn in self.entries):
-            return self.base.sealed_frame_ids(pl1_only=pl1_only)
+        if not self._hidden:
+            return self.base.local_frame_ids(pl1_only=pl1_only)
         it = (e.frame_id for vpn, e in self.base.entries.items()
-              if vpn not in self._hidden and vpn not in self.entries
+              if vpn not in self._hidden
               and (not pl1_only or e.perms.pl1_accessible()))
         return np.fromiter(it, dtype=np.int64)
 
     def frame_id_parts(self, pl1_only: bool = False) -> list[np.ndarray]:
         """Arrays jointly covering every mapped frame.
 
-        Forks without local overrides of base pages return the base's
-        cached array object, so callers can deduplicate by identity.
+        Views that still alias every base page return the base's cached
+        array object, so callers can deduplicate by identity.
         """
         parts = [self.local_frame_ids(pl1_only=pl1_only)]
         if self.base is not None:
             parts.append(self._aliased_frame_ids(pl1_only=pl1_only))
         return parts
 
-    # -- mutation (PL0 only) --
+    # -- mutation (PL0 only; a sealed table refuses all of it) --
+
+    def _require_mutable(self, caller: PrivilegeLevel, action: str) -> None:
+        if caller is not PL0:
+            raise PermissionDenied(f"{caller.name} may not {action}")
+        if self.sealed:
+            raise NotSealed(
+                f"table of process {self.owner} is sealed; templates are frozen")
 
     def map_page(self, vpn: int, frame_id: int, perms: PagePerms,
                  caller: PrivilegeLevel = PL0) -> None:
         """Install a mapping. Only the monitor manages page tables."""
-        if caller is not PL0:
-            raise PermissionDenied(f"{caller.name} may not map pages")
-        if self.sealed:
-            raise NotSealed(
-                f"table of process {self.owner} is sealed; templates are frozen")
+        self._require_mutable(caller, "map pages")
         if not self.store.exists(frame_id):
             raise KeyError(f"unknown frame {frame_id}")
         if self.lookup(vpn) is not None:
@@ -396,12 +477,10 @@ class PageTable:
 
     def unmap_page(self, vpn: int, caller: PrivilegeLevel = PL0) -> int:
         """Remove a mapping and return the frame's new reference count."""
-        if caller is not PL0:
-            raise PermissionDenied(f"{caller.name} may not unmap pages")
+        self._require_mutable(caller, "unmap pages")
         entry = self.entries.pop(vpn, None)
         if entry is None:
-            if (self.base is not None and vpn not in self._hidden
-                    and vpn in self.base.entries):
+            if self._aliases(vpn):
                 self._hidden.add(vpn)
                 return self.store.decref(self.base.entries[vpn].frame_id)
             raise KeyError(f"vpn {vpn} not mapped")
@@ -409,37 +488,38 @@ class PageTable:
 
     def set_perms(self, vpn: int, perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> None:
-        if caller is not PL0:
-            raise PermissionDenied(f"{caller.name} may not change permissions")
-        if self.sealed:
-            raise NotSealed(
-                f"table of process {self.owner} is sealed; templates are frozen")
+        self._require_mutable(caller, "change permissions")
         entry = self.entries.get(vpn)
         if entry is not None:
             entry.perms = perms
             return
-        base_entry = self.base.entries.get(vpn) if self.base is not None else None
-        if base_entry is None or vpn in self._hidden:
+        if not self._aliases(vpn):
             raise KeyError(f"vpn {vpn} not mapped")
-        # Materialize a local override so the shared base stays pristine.
-        # The frame is already counted for this table via the fork.
-        self.entries[vpn] = PageEntry(base_entry.frame_id, perms)
+        # A local override keeps the shared base pristine.  Hiding the
+        # alias drops one reference and the local entry adds it back.
+        self._hidden.add(vpn)
+        self.entries[vpn] = PageEntry(self.base.entries[vpn].frame_id, perms)
 
     def seal(self, caller: PrivilegeLevel = PL0) -> None:
-        """Strip PL1 write everywhere and freeze the table for forking."""
+        """Strip PL1 write everywhere and freeze the table for forking.
+
+        The frames are registered with the store as one base here, once,
+        so that forks need not touch them.
+        """
         if caller is not PL0:
             raise PermissionDenied(f"{caller.name} may not seal")
+        if self.sealed:
+            return
+        if self.base is not None:
+            raise NotSealed("a copy-on-write view cannot be sealed")
         for entry in self.entries.values():
             if PL1 in entry.perms.write:
                 entry.perms = entry.perms.without_pl1_write()
+        fids = self.local_frame_ids()
+        pl1_fids = self.local_frame_ids(pl1_only=True)
+        self._base_id = self.store.register_base(fids)
+        self._sealed_fids, self._sealed_pl1_fids = fids, pl1_fids
         self.sealed = True
-        self._sealed_fids = self.local_frame_ids()
-        self._sealed_pl1_fids = self.local_frame_ids(pl1_only=True)
-
-    def sealed_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
-        if self.sealed:
-            return self._sealed_pl1_fids if pl1_only else self._sealed_fids
-        return self.local_frame_ids(pl1_only=pl1_only)
 
     # -- access (any level; faults are return values) --
 
@@ -478,14 +558,15 @@ class PageTable:
     # -- forking --
 
     def fork_cow(self, new_owner: int) -> "PageTable":
-        """Create a CoW alias of this sealed table; zero bytes are copied."""
-        if not self.sealed:
+        """Create a CoW alias of this sealed table: O(1), zero bytes copied.
+
+        Sealing stripped every PL1 write grant and the sealed table
+        refuses mutation, so the view inherits a read-only base.
+        """
+        if self._base_id is None:
             raise NotSealed(f"zygote table of process {self.owner} is not sealed")
-        for entry in self.entries.values():
-            if PL1 in entry.perms.write:
-                raise NotSealed("sealed table retains a PL1-writable entry")
         child = PageTable(self.store, new_owner, base=self)
-        self.store.bulk_incref(self.sealed_frame_ids())
+        self.store.add_view(self._base_id)
         return child
 
     def resolve_cow(self, vpn: int, pool: "MemoryPool",
@@ -494,6 +575,7 @@ class PageTable:
 
         Returns (new frame id, simulated charge in microseconds).
         """
+        self._require_mutable(PL0, "resolve faults")
         entry = self.lookup(vpn)
         if entry is None:
             raise KeyError(f"vpn {vpn} not mapped")
@@ -504,30 +586,38 @@ class PageTable:
         old_fid = entry.frame_id
         self.store.copy_frame(old_fid, new_fid)
         charge += model.copy_us(1)
+        if self._aliases(vpn):
+            self._hidden.add(vpn)
         self.entries[vpn] = PageEntry(new_fid, PagePerms.process_rw())
         self.store.incref(new_fid)
         self.store.decref(old_fid)
         return new_fid, charge
 
     def release_all(self) -> list[int]:
-        """Unmap everything; returns frame ids whose ref_count reached 0."""
-        freed: set[int] = set()
+        """Unmap everything; returns frame ids whose ref_count reached 0.
+
+        Costs O(local entries + hidden vpns): the local frames are decref'd,
+        the hidden base frames get back the reference hiding took, and the
+        base loses one view.  A sealed table with live views is refused
+        with ``BaseInUse``; its views must be released first.
+        """
         local = self.local_frame_ids()
-        if len(local):
-            self.store.bulk_decref(local)
-            freed.update(int(f) for f in local[self.store.refs_of(local) == 0])
+        if self._base_id is not None:
+            self.store.unregister_base(self._base_id, local)
+            self._base_id = None
+            self._sealed_fids = self._sealed_pl1_fids = np.empty(0, np.int64)
+        self.store.bulk_decref(local)
+        freed = sorted({int(f) for f in local[self.store.refs_of(local) == 0]})
         if self.base is not None:
-            aliased = np.fromiter(
-                (e.frame_id for vpn, e in self.base.entries.items()
-                 if vpn not in self._hidden and vpn not in self.entries),
-                dtype=np.int64)
-            if len(aliased):
-                self.store.bulk_decref(aliased)
-                freed.update(int(f) for f in
-                             aliased[self.store.refs_of(aliased) == 0])
-            self._hidden = set(self.base.entries)
+            hidden = np.fromiter(
+                (self.base.entries[vpn].frame_id for vpn in self._hidden),
+                dtype=np.int64, count=len(self._hidden))
+            self.store.bulk_incref(hidden)
+            self.store.drop_view(self.base._base_id)
+            self.base = None
+            self._hidden = set()
         self.entries.clear()
-        return sorted(freed)
+        return freed
 
 
 class MemoryPool:
@@ -644,8 +734,9 @@ def accounting(tables: Iterable[PageTable]) -> MemoryAccounting:
     shared: frames referenced by more than one entry, counted once.
     exclusive: singly-referenced frames granted any PL1 access.
     Base arrays shared between sibling CoW views are deduplicated by object
-    identity before the value-level unique pass, keeping the computation
-    O(distinct frames) even with hundreds of forks.
+    identity, and the distinct frame ids are found with a boolean mask over
+    all frame ids rather than a sort or hash, keeping the computation
+    O(distinct frames + reserved frames) even with hundreds of forks.
     """
     tables = list(tables)
     if not tables:
@@ -653,14 +744,14 @@ def accounting(tables: Iterable[PageTable]) -> MemoryAccounting:
     store = tables[0].store
 
     def unique_fids(pl1_only: bool) -> np.ndarray:
+        seen = np.zeros(store.n_frames(), dtype=bool)
         parts: dict[int, np.ndarray] = {}
         for table in tables:
             for arr in table.frame_id_parts(pl1_only=pl1_only):
-                if len(arr):
-                    parts[id(arr)] = arr
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(list(parts.values())))
+                parts[id(arr)] = arr
+        for arr in parts.values():
+            seen[arr] = True
+        return np.flatnonzero(seen)
 
     mapped = unique_fids(pl1_only=False)
     if not len(mapped):

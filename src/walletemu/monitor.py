@@ -35,6 +35,7 @@ from .errors import (
     NoSession,
     NotCoLocated,
     NotFound,
+    OutOfMemory,
     PermissionDenied,
     PolicyViolation,
     StaleNonce,
@@ -428,11 +429,11 @@ class Monitor:
         return self.policy
 
     def descriptors(self) -> list[ProcessDescriptor]:
+        """Descriptors of the live processes; terminated ones are dropped."""
         return list(self._procs.values())
 
     def live_tables(self) -> list[PageTable]:
-        return [p.page_table for p in self._procs.values()
-                if p.state is not ProcState.TERMINATED]
+        return [p.page_table for p in self._procs.values()]
 
     # -- attestation handshake ---------------------------------------------------
 
@@ -560,6 +561,7 @@ class Monitor:
         freed = proc.page_table.release_all()
         self.pool.release(freed)
         proc.transition(ProcState.TERMINATED)
+        self._procs.pop(proc.pid, None)
         self._handles.pop(handle, None)
         self._last_output.pop(proc.pid, None)
 
@@ -632,9 +634,14 @@ class Monitor:
         fn_pages = pages_for(len(fn_bytes))
         excl_pages = max(pages_for(self.config.trustlet_exclusive_bytes),
                          fn_pages)
-        fids, excl_alloc_us = alloc_frames(
-            self.pool, excl_pages, self.model,
-            owner_level=PrivilegeLevel.PL1_PROCESS)
+        try:
+            fids, excl_alloc_us = alloc_frames(
+                self.pool, excl_pages, self.model,
+                owner_level=PrivilegeLevel.PL1_PROCESS)
+        except OutOfMemory:
+            # Give back the fork, or the zygote could never be deleted.
+            self.pool.release(table.release_all())
+            raise
         self._charge(excl_alloc_us)
         vpns = table.take_vpns(excl_pages)
         fn_view = memoryview(fn_bytes)
@@ -821,18 +828,23 @@ class Monitor:
                         response_key: bytes) -> tuple[int, bool]:
         """Apply the per-user rule to a chain's consumer at handoff.
 
-        A consumer last used by another user is recreated before it is
-        given the chain object, as ``submit_invocation`` does for a plain
-        request.  If it is still working for that user (mid-invocation, or
-        holding a handed-off input it has not run) it is not recreated and
-        TrustletBusy is raised.  Returns (consumer handle, recreated).
+        A consumer still holding a handed-off input it has not run refuses
+        a second one, from any user, with TrustletBusy: it has one input
+        slot, and overwriting it would lose the first input.  A consumer
+        last used by another user is recreated before it is given the
+        chain object, as ``submit_invocation`` does for a plain request,
+        unless it is mid-invocation for that user, which also raises
+        TrustletBusy.  Returns (consumer handle, recreated).
         """
         consumer = self._procs[consumer_pid]
         handle = self._handle_of(consumer_pid)
+        if consumer_pid in self._chain_inbox:
+            raise TrustletBusy(
+                f"chain consumer {handle} holds a handed-off input it has not run")
         user = _user_of(response_key)
         recreated = False
         if consumer.last_user is not None and consumer.last_user != user:
-            if self._busy(consumer_pid) or consumer_pid in self._chain_inbox:
+            if self._busy(consumer_pid):
                 raise TrustletBusy(
                     f"chain consumer {handle} is still serving another user")
             consumer = self._recreate(handle, consumer)
@@ -862,8 +874,8 @@ class Monitor:
             seq, ticket = heapq.heappop(self._ready)
             if ticket.finished:
                 continue
-            proc = self._procs[ticket.pid]
-            if proc.state is ProcState.TERMINATED:
+            proc = self._procs.get(ticket.pid)
+            if proc is None:  # terminated
                 continue
             self._run_ticket(ticket, proc)
             return proc.pid
@@ -949,9 +961,9 @@ class Monitor:
     def _deliver_one_io(self) -> None:
         """Complete one suspended external file read, FIFO."""
         ticket, path = self._pending_io.pop(0)
-        if ticket.finished:
+        proc = self._procs.get(ticket.pid)
+        if ticket.finished or proc is None:
             return
-        proc = self._procs[ticket.pid]
         raw = self.guest.read_file(path)
         if raw is None:
             ticket.run.fail_file(path, NotFound(f"external file {path} absent"))

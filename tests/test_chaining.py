@@ -312,6 +312,37 @@ class TestChainAcrossUsers:
             == b"second++"
         assert_refs_conserved(m)
 
+    def test_second_handoff_to_consumer_holding_one_is_refused(self):
+        # One user, two handoffs before the consumer runs: the second must
+        # not overwrite the first.
+        rig, functions = relay_rig(2)
+        m = rig.monitor
+        free_after_zygote = m.pool.free_count
+        handles = [m.create_trustlet(rig.zygote.handle, fn).handle
+                   for fn in functions]
+        m.link_chain(handles[0], handles[1])
+        first = rig.user.make_request(functions[0].digest(), b"first")
+        pending = m.invoke_trustlet(handles[0], first.ciphertext)
+        m.link_chain(handles[0], handles[1])
+        second = rig.user.make_request(functions[0].digest(), b"second")
+        with pytest.raises(TrustletBusy):
+            m.invoke_trustlet(handles[0], second.ciphertext)
+        final = m.invoke_chained(pending.handoff)
+        assert rig.user.decrypt_response(first, final.output_ciphertext) \
+            == b"first++"
+        # The refused link stayed pending; a retry now hands off.
+        retry = rig.user.make_request(functions[0].digest(), b"second")
+        result = m.invoke_trustlet(handles[0], retry.ciphertext)
+        final = m.invoke_chained(result.handoff)
+        assert not final.recreated
+        assert rig.user.decrypt_response(retry, final.output_ciphertext) \
+            == b"second++"
+        assert_refs_conserved(m)
+        for handle in handles:
+            m.delete_trustlet(handle)
+        assert not m.objects.objects
+        assert m.pool.free_count == free_after_zygote
+
     def test_handoff_to_consumer_mid_invocation_for_another_user_is_refused(
             self):
         rig, functions, handles = relay_chain_rig(2)

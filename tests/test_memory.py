@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from walletemu.errors import (
+    BaseInUse,
     ConfigInvalid,
     DoubleMap,
     NotSealed,
@@ -218,6 +220,30 @@ class TestForkCow:
         with pytest.raises(NotSealed):
             table.fork_cow(2)
 
+    def test_fork_and_release_never_touch_base_frames(self, store, model,
+                                                      monkeypatch):
+        # Size-independence guard: an override-free view costs O(1) in
+        # the store, however large its zygote.
+        pool = make_pool(store, frames=8192, prevalidated=True)
+        zygote = build_zygote_table(store, pool, model, pages=4096)
+        base_fids = set(int(f) for f in zygote.local_frame_ids())
+        passed: list[int] = []
+
+        def recording(method):
+            def wrapper(ids):
+                passed.extend(np.atleast_1d(ids).tolist())
+                return method(ids)
+            return wrapper
+
+        for name in ("incref", "decref", "bulk_incref", "bulk_decref"):
+            monkeypatch.setattr(store, name, recording(getattr(store, name)))
+        child = zygote.fork_cow(2)
+        assert store.ref(zygote.entries[0].frame_id) == 2
+        assert child.release_all() == []
+        assert not base_fids.intersection(passed)
+        assert store.ref(zygote.entries[0].frame_id) == 1
+        assert store.total_refs() == zygote.n_entries() == 4096
+
 
 class TestResolveCow:
     def test_child_and_zygote_diverge_after_resolution(self, store, pool, model):
@@ -302,6 +328,39 @@ class TestAccounting:
         assert usage.total_resident_bytes == (128 + 7500) * PAGE_SIZE
 
 
+class TestSealedTables:
+    def test_sealed_table_refuses_unmap_and_resolve(self, store, pool, model):
+        zygote = build_zygote_table(store, pool, model, pages=4)
+        zygote.fork_cow(2)
+        with pytest.raises(NotSealed):
+            zygote.unmap_page(0)
+        with pytest.raises(NotSealed):
+            zygote.resolve_cow(0, pool, model)
+        assert zygote.n_entries() == 4
+
+    def test_base_with_live_views_cannot_be_released(self, store, pool,
+                                                     model):
+        zygote = build_zygote_table(store, pool, model, pages=4)
+        child = zygote.fork_cow(2)
+        with pytest.raises(BaseInUse):
+            zygote.release_all()
+        assert zygote.n_entries() == 4
+        assert store.total_refs() == 8
+        child.release_all()
+        assert len(zygote.release_all()) == 4
+        assert store.total_refs() == 0
+        with pytest.raises(NotSealed):
+            zygote.fork_cow(3)
+
+    def test_sealed_frames_must_be_distinct(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        table = PageTable(store, 1)
+        table.map_page(0, fids[0], PagePerms.process_ro())
+        table.map_page(1, fids[0], PagePerms.process_ro())
+        with pytest.raises(DoubleMap):
+            table.seal()
+
+
 class TestInvariants:
     def test_refcount_conservation_over_random_ops(self, store, model):
         pool = make_pool(store, frames=8192, prevalidated=True)
@@ -330,6 +389,65 @@ class TestInvariants:
                 t = tables.pop(rng.randrange(1, len(tables)))
                 pool.release(t.release_all())
             assert store.total_refs() == total_entries()
+
+    def test_refcounts_match_brute_force_mapping_count(self, store, model):
+        # Oracle: after every step, each frame's count equals the number of
+        # live mappings of it, counted entry by entry.
+        pool = make_pool(store, frames=4096, prevalidated=True)
+        rng = random.Random(11)
+        zygote = build_zygote_table(store, pool, model, pages=24)
+        views: list[PageTable] = []
+
+        def check():
+            counts = np.zeros(store.n_frames(), dtype=np.int64)
+            for table in [zygote] + views:
+                vpns = list(table.mapped_vpns())
+                assert len(vpns) == len(set(vpns)) == table.n_entries()
+                for vpn in vpns:
+                    counts[table.lookup(vpn).frame_id] += 1
+            every = np.arange(store.n_frames())
+            assert (store.refs_of(every) == counts).all()
+            assert [store.ref(f) for f in every] == counts.tolist()
+            assert store.total_refs() == counts.sum()
+
+        for step in range(400):
+            op = rng.randrange(6)
+            if op == 0 or not views:
+                views.append(zygote.fork_cow(10 + step))
+                check()
+                continue
+            view = rng.choice(views)
+            aliased = [v for v in view.mapped_vpns() if v in zygote.entries
+                       and v not in view.entries]
+            if op == 1:
+                fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+                view.map_page(view.take_vpns(1)[0], fids[0],
+                              PagePerms.process_rw())
+            elif op == 2:
+                shared = [v for v in view.mapped_vpns()
+                          if store.ref(view.lookup(v).frame_id) > 1]
+                if shared:
+                    view.resolve_cow(rng.choice(shared), pool, model)
+            elif op == 3 and aliased:
+                view.set_perms(rng.choice(aliased), PagePerms.process_ro())
+            elif op == 4:
+                mapped = list(view.mapped_vpns())
+                if mapped:
+                    vpn = rng.choice(mapped)
+                    frame = view.lookup(vpn).frame_id
+                    if view.unmap_page(vpn) == 0:
+                        pool.release([frame])
+            elif op == 5:
+                views.remove(view)
+                freed = view.release_all()
+                assert all(store.ref(f) == 0 for f in freed)
+                pool.release(freed)
+            check()
+        for view in views:
+            pool.release(view.release_all())
+        pool.release(zygote.release_all())
+        assert store.total_refs() == 0
+        assert pool.free_count == 4096
 
     def test_cost_determinism(self, model):
         def run():

@@ -170,6 +170,18 @@ class TestZygoteLifecycle:
 
 
 class TestTrustletCreation:
+    def test_fork_out_of_memory_leaves_zygote_deletable(self):
+        image = small_image()
+        rig = make_rig(image=image, functions=[echo_fn()],
+                       prealloc=len(image.canonical_bytes))
+        m = rig.monitor
+        assert m.pool.free_count == 0
+        with pytest.raises(OutOfMemory):
+            m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        m.delete_zygote(rig.zygote.handle)
+        assert m.store.total_refs() == 0
+        assert m.pool.free_count == m.store.n_frames()
+
     def test_small_function_on_warm_pool_under_point_two_ms(self, rig):
         fn = rig.functions[0]
         assert len(fn.canonical_bytes) < 4096
@@ -262,6 +274,18 @@ class TestInvocation:
         assert r1.descriptor_id != r2.descriptor_id
         assert r2.recreated and not r3.recreated
         assert r2.descriptor_id == r3.descriptor_id
+
+    def test_recreations_keep_only_live_descriptors(self, rig):
+        m = rig.monitor
+        fn = rig.functions[0]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        users = [rig.user, UserAgent(Rng(77), rig.provider.public_key())]
+        for i in range(101):
+            result = m.invoke_trustlet(t.handle, users[i % 2].make_request(
+                fn.digest(), b"x").ciphertext)
+            assert result.recreated == (i > 0)
+        assert len(m.descriptors()) == len(m.live_tables()) == 2
+        assert {p.state for p in m.descriptors()} == {ProcState.READY}
 
     def test_function_error_propagates(self, rig):
         fn = rig.functions[3]  # reader
