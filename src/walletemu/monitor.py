@@ -324,20 +324,21 @@ class InvokeResult:
 class _Ticket:
     """One submitted invocation moving through the scheduler."""
 
-    def __init__(self, seq: int, handle: int, pid: int,
-                 request: InvocationRequest, chain_prefix: list,
-                 charges: InvokeCharges):
+    def __init__(self, seq: int, handle: int, pid: int, response_key: bytes,
+                 nonce: bytes, chain_prefix: list, charges: InvokeCharges,
+                 recreated: bool):
         self.seq = seq
         self.handle = handle
         self.pid = pid
-        self.request = request
+        self.response_key = response_key
+        self.nonce = nonce
         self.chain_prefix = chain_prefix
         self.charges = charges
+        self.recreated = recreated
         self.run: Optional[PipelineRun] = None
         self.input_bytes: bytes = b""
         self.result: Optional[InvokeResult] = None
         self.error: Optional[Exception] = None
-        self.recreated = False
 
     @property
     def finished(self) -> bool:
@@ -399,10 +400,11 @@ class Monitor:
         self._active: dict[int, _Ticket] = {}  # pid -> in-flight ticket
         self._next_seq = 0
         self._last_output: dict[int, int] = {}  # pid -> newest output obj
-        # producer pid -> (consumer pid, chain obj id)
+        # Chain state is keyed by trustlet handle, which survives recreation.
+        # producer handle -> (consumer handle, chain obj id)
         self._chain_edges: dict[int, tuple[int, int]] = {}
-        # consumer pid -> (input obj id, chain measurements, response_key,
-        #                  nonce, consumer recreated at handoff)
+        # consumer handle -> (input obj id, chain measurements, response_key,
+        #                     nonce, consumer recreated at handoff)
         self._chain_inbox: dict[int, tuple] = {}
         self.edge_crypto_ops = 0
         self.completion_log: list[int] = []
@@ -537,15 +539,26 @@ class Monitor:
         return terminated + 1
 
     def _terminate(self, handle: int, proc: ProcessDescriptor) -> None:
-        """Delete a process: abort its invocation, free its memory.
+        """Delete a process: drop its chain state, then tear it down.
 
-        Every piece of chain state still keyed by its pid is dropped: its
-        pending outgoing link, links into it, and a handed-off input it has
-        not run.  Their chain objects are retired here, while the writer's
-        and reader's grants are still mapped, so their frames are released
-        exactly once.  ``_recreate`` lifts out what it carries over before
-        calling this.
+        Its pending outgoing link, links into it, and a handed-off input it
+        has not run are forgotten.  Their chain objects are retired first,
+        while the writer's and reader's grants are still mapped, so their
+        frames are released exactly once.
         """
+        edge = self._chain_edges.pop(handle, None)
+        if edge is not None:
+            self.objects.retire(edge[1])
+        for producer in [p for p, (consumer, _obj) in self._chain_edges.items()
+                         if consumer == handle]:
+            self.objects.retire(self._chain_edges.pop(producer)[1])
+        inbox = self._chain_inbox.pop(handle, None)
+        if inbox is not None:
+            self.objects.retire(inbox[0])
+        self._teardown(handle, proc)
+
+    def _teardown(self, handle: int, proc: ProcessDescriptor) -> None:
+        """Abort the process's invocation, free its memory, forget it."""
         ticket = self._active.pop(proc.pid, None)
         if ticket is not None and not ticket.finished:
             ticket.error = InvocationAborted(
@@ -555,8 +568,6 @@ class Monitor:
             self._pending_io = [(t, p) for t, p in self._pending_io
                                 if t is not ticket]
             self._release_input(proc.pid)  # monitor-staged input of the abort
-        for obj_id in self._drop_chain_state(proc.pid):
-            self.objects.retire(obj_id)
         self.objects.reclaim(proc.pid, proc.page_table)
         freed = proc.page_table.release_all()
         self.pool.release(freed)
@@ -564,23 +575,6 @@ class Monitor:
         self._procs.pop(proc.pid, None)
         self._handles.pop(handle, None)
         self._last_output.pop(proc.pid, None)
-
-    def _drop_chain_state(self, pid: int) -> list[int]:
-        """Forget pid's chain links and pending input; returns their objects."""
-        obj_ids = []
-        edge = self._chain_edges.pop(pid, None)
-        if edge is not None:
-            obj_ids.append(edge[1])
-        for producer in self._producers_into(pid):
-            obj_ids.append(self._chain_edges.pop(producer)[1])
-        inbox = self._chain_inbox.pop(pid, None)
-        if inbox is not None:
-            obj_ids.append(inbox[0])
-        return obj_ids
-
-    def _producers_into(self, pid: int) -> list[int]:
-        return [p for p, (consumer, _obj) in self._chain_edges.items()
-                if consumer == pid]
 
     # -- trustlet lifecycle ----------------------------------------------------------
 
@@ -679,70 +673,11 @@ class Monitor:
         on) completes.  For chained producers the result is a handoff to the
         consumer instead of a user-facing ciphertext.
         """
-        ticket = self.submit_invocation(handle, ciphertext)
-        self.run_pending()
-        return self._collect(ticket)
+        return self._drive(self.submit_invocation(handle, ciphertext))
 
     def invoke_chained(self, handle: int) -> InvokeResult:
         """Invoke a trustlet whose input was handed off from a producer."""
-        ticket = self.submit_chained(handle)
-        self.run_pending()
-        return self._collect(ticket)
-
-    def _collect(self, ticket: _Ticket) -> InvokeResult:
-        if ticket.error is not None:
-            raise ticket.error
-        assert ticket.result is not None
-        return ticket.result
-
-    def submit_invocation(self, handle: int, ciphertext: bytes) -> _Ticket:
-        """Decrypt a request and queue its invocation.
-
-        A request from another user than the trustlet's previous one runs
-        in a recreated descriptor.  While the trustlet holds a chained
-        input handed off for its previous user, another user's request is
-        refused with TrustletBusy instead; the same user may still invoke it.
-        """
-        proc = self._proc(handle)
-        if proc.kind is not ProcKind.TRUSTLET:
-            raise UnknownHandle(f"handle {handle} is not a trustlet")
-        if self._busy(proc.pid):
-            raise TrustletBusy(f"trustlet {handle} is mid-invocation")
-        policy = self._require_policy()
-        self.guest.observe(ciphertext)
-
-        charges = InvokeCharges()
-        try:
-            plaintext = policy.function_key.box.decrypt(ciphertext)
-        except DecryptFailed:
-            raise
-        request = InvocationRequest.from_bytes(plaintext)
-        charges.decrypt_us = self._charge(self.model.crypto_us(len(ciphertext)))
-        self.edge_crypto_ops += 1
-
-        recreated = False
-        user = _user_of(request.response_key)
-        if proc.last_user is not None and proc.last_user != user:
-            if proc.pid in self._chain_inbox:
-                # Recreating would discard the previous user's pending
-                # chained input; the trustlet stays theirs until it runs.
-                raise TrustletBusy(
-                    f"trustlet {handle} holds another user's chained input")
-            proc = self._recreate(handle, proc)
-            recreated = True
-        proc.last_user = user
-
-        obj_id, charge = self.objects.create(MONITOR_PID, None,
-                                             max(1, len(request.input_bytes)),
-                                             ObjectType.INPUT)
-        charges.input_us += self._charge(charge)
-        charges.input_us += self._charge(
-            self.objects.write_monitor(obj_id, request.input_bytes))
-        self.objects.bind_input(proc.pid, obj_id)
-
-        ticket = self._make_ticket(handle, proc, request, [], charges)
-        ticket.recreated = recreated
-        return ticket
+        return self._drive(self.submit_chained(handle))
 
     def invoke_with_input(self, handle: int, input_bytes: bytes,
                           response_key: bytes, nonce: bytes,
@@ -752,118 +687,131 @@ class Monitor:
         Used for fallback transfers, where the payload was decrypted and
         staged by the receiving monitor; bypasses request decryption.
         """
-        proc = self._proc(handle)
-        if proc.kind is not ProcKind.TRUSTLET:
-            raise UnknownHandle(f"handle {handle} is not a trustlet")
-        if self._busy(proc.pid):
-            raise TrustletBusy(f"trustlet {handle} is mid-invocation")
-        self._require_policy()
-        charges = InvokeCharges()
-        obj_id, charge = self.objects.create(MONITOR_PID, None,
-                                             max(1, len(input_bytes)),
-                                             ObjectType.INPUT)
-        charges.input_us += self._charge(charge)
-        charges.input_us += self._charge(
-            self.objects.write_monitor(obj_id, input_bytes))
-        self.objects.bind_input(proc.pid, obj_id)
-        request = InvocationRequest(proc.measurement or b"\x00" * 64,
-                                    input_bytes, response_key, nonce)
-        ticket = self._make_ticket(handle, proc, request,
-                                   list(chain_prefix), charges)
-        self.run_pending()
-        return self._collect(ticket)
+        return self._drive(self._submit(
+            handle, (input_bytes, response_key, nonce), chain_prefix))
+
+    def submit_invocation(self, handle: int, ciphertext: bytes) -> _Ticket:
+        """Decrypt a request and queue its invocation."""
+        return self._submit(handle, ciphertext)
 
     def submit_chained(self, handle: int) -> _Ticket:
+        """Queue a trustlet's invocation on its handed-off chained input."""
+        return self._submit(handle, None)
+
+    def _drive(self, ticket: _Ticket) -> InvokeResult:
+        """Run the scheduler until every submitted invocation settles, then
+        return the ticket's result or raise its error."""
+        self.run_pending()
+        if ticket.error is not None:
+            raise ticket.error
+        assert ticket.result is not None
+        return ticket.result
+
+    def _submit(self, handle: int, source, prefix: Sequence = ()) -> _Ticket:
+        """Queue one invocation; the single path of every entry point.
+
+        source is a sealed request (bytes), plaintext staged by this
+        monitor as an (input bytes, response key, nonce) triple, or None for
+        the input a chain producer handed off (its prefix comes with it).
+        A sealed request for another function than the trustlet's is
+        refused with PolicyViolation before any input object exists.  Every
+        source then goes through the per-user rule (``_claim``).
+        """
         proc = self._proc(handle)
         if proc.kind is not ProcKind.TRUSTLET:
             raise UnknownHandle(f"handle {handle} is not a trustlet")
         if self._busy(proc.pid):
             raise TrustletBusy(f"trustlet {handle} is mid-invocation")
-        inbox = self._chain_inbox.pop(proc.pid, None)
-        if inbox is None:
-            raise NoInput(f"no chained input pending for trustlet {handle}")
-        obj_id, prefix, response_key, nonce, recreated = inbox
+        policy = self._require_policy()
+        charges = InvokeCharges()
+        recreated = False
+        if source is None:
+            inbox = self._chain_inbox.pop(handle, None)
+            if inbox is None:
+                raise NoInput(f"no chained input pending for trustlet {handle}")
+            obj_id, prefix, response_key, nonce, recreated = inbox
+        else:
+            if not isinstance(source, tuple):
+                self.guest.observe(source)
+                request = InvocationRequest.from_bytes(
+                    policy.function_key.box.decrypt(source))
+                charges.decrypt_us = self._charge(
+                    self.model.crypto_us(len(source)))
+                self.edge_crypto_ops += 1
+                if request.function_digest != proc.measurement:
+                    raise PolicyViolation(
+                        f"request is sealed for another function than "
+                        f"trustlet {handle}'s")
+                source = (request.input_bytes, request.response_key,
+                          request.nonce)
+            input_bytes, response_key, nonce = source
+        proc, claimed = self._claim(handle, response_key)
+        if source is not None:
+            obj_id, charge = self.objects.create(MONITOR_PID, None,
+                                                 max(1, len(input_bytes)),
+                                                 ObjectType.INPUT)
+            charges.input_us += self._charge(charge)
+            charges.input_us += self._charge(
+                self.objects.write_monitor(obj_id, input_bytes))
         self.objects.bind_input(proc.pid, obj_id)
-        request = InvocationRequest(proc.measurement or b"\x00" * 64,
-                                    b"", response_key, nonce)
-        ticket = self._make_ticket(handle, proc, request, prefix,
-                                   InvokeCharges())
-        ticket.recreated = recreated
+
+        ticket = _Ticket(self._next_seq, handle, proc.pid, response_key,
+                         nonce, list(prefix), charges, recreated or claimed)
+        self._next_seq += 1
+        self._active[proc.pid] = ticket
+        heapq.heappush(self._ready, (ticket.seq, ticket))
         return ticket
+
+    def _claim(self, handle: int,
+               response_key: bytes) -> tuple[ProcessDescriptor, bool]:
+        """The per-user rule, for every input source and at chain handoff.
+
+        A trustlet last used by another user is recreated before it takes
+        this user's input.  While it is mid-invocation or holds a chained
+        input handed off for its previous user it stays theirs, and the new
+        user is refused with TrustletBusy; the same user may still invoke
+        it.  Returns the trustlet's descriptor and whether it was recreated.
+        """
+        proc = self._proc(handle)
+        user = _user_of(response_key)
+        recreated = proc.last_user is not None and proc.last_user != user
+        if recreated:
+            if self._busy(proc.pid) or handle in self._chain_inbox:
+                raise TrustletBusy(
+                    f"trustlet {handle} is still serving another user")
+            proc = self._recreate(handle, proc)
+        proc.last_user = user
+        return proc, recreated
 
     def _recreate(self, handle: int, proc: ProcessDescriptor) -> ProcessDescriptor:
         """Per-user trustlet recreation: fresh descriptor, same handle.
 
         Resets any residual state from the previous user's invocations.
-        Recreation is not a deletion, so the trustlet's pending chain links
-        move to the new pid: its outgoing link gets a fresh chain object,
-        written by the new descriptor and reserved for the same consumer
-        (the old object is retired with the old descriptor), and links into
-        it, with their objects' designated reader, point at the new pid.
-        A handed-off input is never pending here: a trustlet holding one is
-        not recreated for another user (see ``submit_invocation`` and
-        ``_claim_consumer``).
+        Recreation is not a deletion, and chain state is keyed by handle,
+        so the trustlet's pending links stay: its outgoing link gets a fresh
+        chain object, written by the new descriptor (the old one is retired
+        with the old descriptor), and the objects of links into it are
+        reserved for the new pid.  A handed-off input is never pending
+        here: ``_claim`` does not recreate a trustlet holding one.
         """
         assert proc.fn is not None and proc.measurement is not None
-        assert proc.pid not in self._chain_inbox
+        assert handle not in self._chain_inbox
         zygote = self._procs[proc.base_zygote]
-        fn, digest = proc.fn, proc.measurement
-        outgoing = self._chain_edges.get(proc.pid)
-        incoming = {p: self._chain_edges.pop(p)[1]
-                    for p in self._producers_into(proc.pid)}
-        self._terminate(handle, proc)
-        pid, _clone_us, _load_us = self._spawn_trustlet(zygote, fn, digest)
+        edge = self._chain_edges.get(handle)
+        if edge is not None:
+            self.objects.retire(edge[1])
+        self._teardown(handle, proc)
+        pid, _clone_us, _load_us = self._spawn_trustlet(
+            zygote, proc.fn, proc.measurement)
         self._handles[handle] = pid
         fresh = self._procs[pid]
-        if outgoing is not None:
-            consumer_pid = outgoing[0]
-            self._chain_edges[pid] = (
-                consumer_pid, self._chain_object(fresh, consumer_pid))
-        for producer, obj_id in incoming.items():
-            self.objects.get(obj_id).designated_reader = pid
-            self._chain_edges[producer] = (pid, obj_id)
+        if edge is not None:
+            self._chain_edges[handle] = (
+                edge[0], self._chain_object(fresh, edge[0]))
+        for consumer, obj_id in self._chain_edges.values():
+            if consumer == handle:
+                self.objects.designate(obj_id, pid)
         return fresh
-
-    def _claim_consumer(self, consumer_pid: int,
-                        response_key: bytes) -> tuple[int, bool]:
-        """Apply the per-user rule to a chain's consumer at handoff.
-
-        A consumer still holding a handed-off input it has not run refuses
-        a second one, from any user, with TrustletBusy: it has one input
-        slot, and overwriting it would lose the first input.  A consumer
-        last used by another user is recreated before it is given the
-        chain object, as ``submit_invocation`` does for a plain request,
-        unless it is mid-invocation for that user, which also raises
-        TrustletBusy.  Returns (consumer handle, recreated).
-        """
-        consumer = self._procs[consumer_pid]
-        handle = self._handle_of(consumer_pid)
-        if consumer_pid in self._chain_inbox:
-            raise TrustletBusy(
-                f"chain consumer {handle} holds a handed-off input it has not run")
-        user = _user_of(response_key)
-        recreated = False
-        if consumer.last_user is not None and consumer.last_user != user:
-            if self._busy(consumer_pid):
-                raise TrustletBusy(
-                    f"chain consumer {handle} is still serving another user")
-            consumer = self._recreate(handle, consumer)
-            recreated = True
-        consumer.last_user = user
-        return handle, recreated
-
-    def _handle_of(self, pid: int) -> int:
-        return next(h for h, p in self._handles.items() if p == pid)
-
-    def _make_ticket(self, handle: int, proc: ProcessDescriptor,
-                     request: InvocationRequest, prefix: list,
-                     charges: InvokeCharges) -> _Ticket:
-        ticket = _Ticket(self._next_seq, handle, proc.pid, request,
-                         prefix, charges)
-        self._next_seq += 1
-        self._active[proc.pid] = ticket
-        heapq.heappush(self._ready, (ticket.seq, ticket))
-        return ticket
 
     # -- scheduler ------------------------------------------------------------------
 
@@ -933,15 +881,9 @@ class Monitor:
         persists while read-attached and is retired here too: the reader
         has just exited its run-to-completion execution.
         """
-        obj_id = self.objects._current_input.get(pid)
-        self.objects.clear_input(pid)
-        if obj_id is None:
-            return
-        obj = self.objects.objects.get(obj_id)
-        if obj is None:
-            return
-        if obj.otype in (ObjectType.INPUT, ObjectType.CHAIN):
-            self.objects.retire(obj_id)
+        obj = self.objects.objects.get(self.objects.clear_input(pid))
+        if obj is not None and obj.otype in (ObjectType.INPUT, ObjectType.CHAIN):
+            self.objects.retire(obj.obj_id)
 
     def _retire_previous_output(self, pid: int, new_obj_id: int) -> None:
         """Keep only the most recent output object per trustlet.
@@ -989,28 +931,33 @@ class Monitor:
         charges = ticket.charges
         charges.exec_us += self._charge(ticket.run.charge_us())
 
-        if proc.pid in self._chain_edges:
+        edge = self._chain_edges.get(ticket.handle)
+        if edge is not None:
+            consumer_handle, obj_id = edge
             try:
-                consumer_handle, consumer_recreated = self._claim_consumer(
-                    self._chain_edges[proc.pid][0],
-                    ticket.request.response_key)
+                # One input slot: a second handoff would lose the first.
+                if consumer_handle in self._chain_inbox:
+                    raise TrustletBusy(
+                        f"chain consumer {consumer_handle} holds a handed-off "
+                        f"input it has not run")
+                consumer, consumer_recreated = self._claim(
+                    consumer_handle, ticket.response_key)
             except TrustletBusy as exc:
                 self._fail(ticket, proc, exc)  # the link stays pending
                 return
-            consumer_pid, obj_id = self._chain_edges.pop(proc.pid)
+            del self._chain_edges[ticket.handle]
             self.objects.ensure_capacity(obj_id, len(output))
             charges.output_us += self._charge(self.objects.write_through(
                 proc.pid, proc.page_table, obj_id, output))
             self.objects.set_output(proc.pid, obj_id)
             self.objects.seal(obj_id)
-            consumer = self._procs[consumer_pid]
-            self.objects.attach_reader(consumer_pid, consumer.page_table,
+            self.objects.attach_reader(consumer.pid, consumer.page_table,
                                        obj_id, writer_table=proc.page_table)
             measurements = ticket.chain_prefix + [self._measurements_for(
                 proc, ticket.input_bytes, output)]
-            self._chain_inbox[consumer_pid] = (
-                obj_id, measurements, ticket.request.response_key,
-                ticket.request.nonce, consumer_recreated)
+            self._chain_inbox[consumer_handle] = (
+                obj_id, measurements, ticket.response_key, ticket.nonce,
+                consumer_recreated)
             result = InvokeResult(ticket.handle, proc.pid, None, None,
                                   charges, recreated=ticket.recreated,
                                   handoff=consumer_handle,
@@ -1032,12 +979,12 @@ class Monitor:
             measurements = ticket.chain_prefix + [self._measurements_for(
                 proc, ticket.input_bytes, retrieved)]
             report, report_us = att.build_report(
-                self.cache, ticket.request.nonce, measurements,
+                self.cache, ticket.nonce, measurements,
                 self.boot_report, self._require_policy().function_key.signer,
                 self.model, self.clock_us)
             charges.report_us += self._charge(report_us)
 
-            ciphertext = symmetric_encrypt(ticket.request.response_key,
+            ciphertext = symmetric_encrypt(ticket.response_key,
                                            retrieved, self.rng)
             charges.response_us += self._charge(
                 self.model.crypto_us(len(retrieved)))
@@ -1080,11 +1027,11 @@ class Monitor:
         if not policy.chain_adjacent(producer.measurement, consumer.measurement):
             raise PolicyViolation("function pair is not adjacent in any "
                                   "policy chain")
-        if producer.pid in self._chain_edges:
+        if producer_handle in self._chain_edges:
             raise AlreadyAttached("producer already has a pending chain link")
         # Cycle detection over the pending chain graph.
-        seen = {producer.pid}
-        cursor = consumer.pid
+        seen = {producer_handle}
+        cursor = consumer_handle
         while cursor is not None:
             if cursor in seen:
                 raise PolicyViolation("circular chain rejected")
@@ -1092,18 +1039,18 @@ class Monitor:
             nxt = self._chain_edges.get(cursor)
             cursor = nxt[0] if nxt is not None else None
 
-        obj_id = self._chain_object(producer, consumer.pid)
-        self._chain_edges[producer.pid] = (consumer.pid, obj_id)
+        obj_id = self._chain_object(producer, consumer_handle)
+        self._chain_edges[producer_handle] = (consumer_handle, obj_id)
         return obj_id
 
     def _chain_object(self, producer: ProcessDescriptor,
-                      consumer_pid: int) -> int:
+                      consumer_handle: int) -> int:
         """A chain object written by producer, reserved for the consumer."""
         obj_id, charge = self.objects.create(
             producer.pid, producer.page_table,
             self.config.chain_capacity_bytes, ObjectType.CHAIN)
         self._charge(charge)
-        self.objects.get(obj_id).designated_reader = consumer_pid
+        self.objects.designate(obj_id, self._handles[consumer_handle])
         return obj_id
 
     # -- trap interface ----------------------------------------------------------------

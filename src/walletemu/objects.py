@@ -110,6 +110,7 @@ class ObjectStore:
         self._owned_bytes: dict[int, int] = {}
         self._current_input: dict[int, int] = {}
         self._attached: dict[int, set[int]] = {}
+        self._designated: dict[int, set[int]] = {}
 
     def attached_view(self, pid: int) -> set[int]:
         """Live set of object ids attached to pid (descriptor's view)."""
@@ -207,12 +208,21 @@ class ObjectStore:
         obj.frames.extend(fids)
         return charge
 
+    def designate(self, obj_id: int, pid: int) -> None:
+        """Reserve obj_id's reader side for pid; the object outlives its
+        writer until pid exits (see reclaim)."""
+        obj = self.get(obj_id)
+        self._designated.get(obj.designated_reader, set()).discard(obj_id)
+        obj.designated_reader = pid
+        self._designated.setdefault(pid, set()).add(obj_id)
+
     def bind_input(self, pid: int, obj_id: int) -> None:
         """Designate obj_id as pid's current invocation input."""
         self._current_input[pid] = obj_id
 
-    def clear_input(self, pid: int) -> None:
-        self._current_input.pop(pid, None)
+    def clear_input(self, pid: int) -> Optional[int]:
+        """Unbind pid's current input; returns its object id, if any."""
+        return self._current_input.pop(pid, None)
 
     def get_input(self, caller_pid: int,
                   caller_table: Optional[PageTable]) -> tuple[int, int]:
@@ -340,6 +350,7 @@ class ObjectStore:
                     table.unmap_page(vpn)
         for pid in list(obj.attachments()):
             self._attached.get(pid, set()).discard(obj.obj_id)
+        self._designated.get(obj.designated_reader, set()).discard(obj.obj_id)
         obj.writer = obj.reader = obj.designated_reader = None
         obj.writer_vpns = []
         obj.reader_vpns = []
@@ -347,22 +358,25 @@ class ObjectStore:
         self._release_object(obj)
 
     def reclaim(self, pid: int, table: Optional[PageTable] = None) -> list[int]:
-        """Drop pid's attachments; release objects nobody can still reach.
+        """Drop pid's attachments and reservations, and every per-pid
+        entry; release objects nobody can still reach.
 
-        Chain objects with a surviving (or designated) reader persist until
-        that reader exits.  Idempotent.  Returns released object ids.
+        Visits only the objects attached to or designated for pid, in
+        creation order.  Chain objects with a surviving (or designated)
+        reader persist until that reader exits.  Idempotent.  Returns
+        released object ids.
         """
         released = []
-        for obj in list(self.objects.values()):
-            was_writer = obj.writer == pid
+        visit = self._attached.pop(pid, set()) | self._designated.pop(pid, set())
+        for obj_id in sorted(visit):
+            obj = self.objects[obj_id]
             self.detach(pid, obj)
-            if was_writer:
-                self._owned_counts[pid] = max(0, self._owned_counts.get(pid, 0) - 1)
-                self._owned_bytes[pid] = max(0, self._owned_bytes.get(pid, 0) - obj.length)
             if not obj.attachments() and obj.designated_reader is None:
                 self._release_object(obj)
-                released.append(obj.obj_id)
-        self._current_input.pop(pid, None)
+                released.append(obj_id)
+        for per_pid in (self._owned_counts, self._owned_bytes,
+                        self._current_input):
+            per_pid.pop(pid, None)
         return released
 
     def _release_object(self, obj: DataObject) -> None:
@@ -372,11 +386,6 @@ class ObjectStore:
         free = [fid for fid in obj.frames if store.ref(fid) == 0]
         self.pool.release(free)
         del self.objects[obj.obj_id]
-
-    def release_orphan_frames(self, obj_id: int) -> None:
-        obj = self.objects.get(obj_id)
-        if obj is not None and not obj.attachments():
-            self._release_object(obj)
 
     def dump(self) -> list[dict]:
         """Debug view of the live object table (JSON-serializable)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from walletemu.crypto import Rng
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
@@ -11,6 +12,12 @@ from walletemu.monitor import Monitor, MonitorConfig
 from walletemu.provider import FunctionProvider, UserAgent
 
 MIB = 1048576
+
+# One profile for every property test: examples are drawn from a fixed
+# seed, so each run gives the same verdict, and there is no per-example
+# deadline to trip on a loaded machine.
+settings.register_profile("walletemu", derandomize=True, deadline=None)
+settings.load_profile("walletemu")
 
 
 @pytest.fixture

@@ -206,6 +206,35 @@ class TestFallbackPath:
         out = rig.user.decrypt_response(request, final.output_ciphertext)
         assert out == b"payload++"
 
+    def test_fallback_hops_of_two_users_recreate_the_trustlet(self):
+        rig, functions, handles = relay_chain_rig(2)
+        m = rig.monitor
+        other = other_user(rig)
+        results = []
+        for user in (rig.user, other):
+            request = user.make_request(functions[0].digest(), b"data")
+            results.append(m.invoke_with_input(
+                handles[1], b"data+", request.response_key, request.nonce))
+        assert [r.recreated for r in results] == [False, True]
+        assert results[1].descriptor_id != results[0].descriptor_id
+        assert other.decrypt_response(request, results[1].output_ciphertext) \
+            == b"data++"
+
+    def test_fallback_hop_refused_while_another_users_input_is_pending(self):
+        rig, functions, handles = relay_chain_rig(2)
+        m = rig.monitor
+        m.link_chain(handles[0], handles[1])
+        request = rig.user.make_request(functions[0].digest(), b"data")
+        pending = m.invoke_trustlet(handles[0], request.ciphertext)
+        intruder = other_user(rig).make_request(functions[0].digest(), b"x")
+        with pytest.raises(TrustletBusy):
+            m.invoke_with_input(handles[1], b"x+", intruder.response_key,
+                                intruder.nonce)
+        final = m.invoke_chained(pending.handoff)
+        assert not final.recreated
+        assert rig.user.decrypt_response(request, final.output_ciphertext) \
+            == b"data++"
+
 
 class TestChainAcrossUsers:
     """Per-user recreation keeps pending chain links on the new descriptor."""

@@ -121,7 +121,7 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             PipelineOp.sleep(-1)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(name=st.text(max_size=20),
            exec_ms=st.floats(min_value=0, max_value=1e6),
            literals=st.lists(st.binary(max_size=64), max_size=8))

@@ -36,6 +36,7 @@ from walletemu.monitor import (
     ProcKind,
     ProcState,
 )
+from walletemu.objects import MONITOR_PID
 from walletemu.provider import FunctionProvider, UserAgent
 
 SHA512_EMPTY = bytes.fromhex(
@@ -286,6 +287,35 @@ class TestInvocation:
             assert result.recreated == (i > 0)
         assert len(m.descriptors()) == len(m.live_tables()) == 2
         assert {p.state for p in m.descriptors()} == {ProcState.READY}
+
+    def test_recreations_leave_no_object_store_entries_of_dead_pids(self, rig):
+        m = rig.monitor
+        fn = rig.functions[0]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        users = [rig.user, UserAgent(Rng(77), rig.provider.public_key())]
+        for i in range(101):
+            m.invoke_trustlet(t.handle, users[i % 2].make_request(
+                fn.digest(), b"x").ciphertext)
+        live = {p.pid for p in m.descriptors()} | {MONITOR_PID}
+        store = m.objects
+        for per_pid in (store._attached, store._owned_counts,
+                        store._owned_bytes, store._current_input):
+            assert set(per_pid) <= live
+
+    def test_request_sealed_for_another_function_is_refused(self, rig):
+        m = rig.monitor
+        echo, shout = rig.functions[0], rig.functions[1]
+        t = m.create_trustlet(rig.zygote.handle, shout)
+        misrouted = rig.user.make_request(echo.digest(), b"misrouted")
+        objects_before = m.objects.dump()
+        with pytest.raises(PolicyViolation):
+            m.invoke_trustlet(t.handle, misrouted.ciphertext)
+        assert m.objects.dump() == objects_before  # no input object made
+        assert m.completion_log == []
+        routed = rig.user.make_request(shout.digest(), b"routed")
+        result = m.invoke_trustlet(t.handle, routed.ciphertext)
+        assert rig.user.decrypt_response(routed, result.output_ciphertext) \
+            == b"ROUTED!"
 
     def test_function_error_propagates(self, rig):
         fn = rig.functions[3]  # reader

@@ -135,6 +135,14 @@ class TestInputBinding:
             objects.get_input(2, reader)
 
 
+    def test_clear_input_returns_the_unbound_object(self, env):
+        objects, _, _ = env
+        obj_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
+        objects.bind_input(1, obj_id)
+        assert objects.clear_input(1) == obj_id
+        assert objects.clear_input(1) is None
+
+
 class TestSetOutput:
     def test_writer_sets_own_object(self, env):
         objects, writer, _ = env
@@ -237,6 +245,41 @@ class TestReclaim:
         writer.release_all()
         objects.reclaim(1, writer)
         assert obj_id in objects.objects
+
+    def test_designated_reader_exit_releases_a_writerless_object(self, env):
+        objects, writer, reader = env
+        obj_id, _ = objects.create(1, writer, 8)
+        objects.designate(obj_id, 2)
+        writer.release_all()
+        objects.reclaim(1, writer)
+        assert obj_id in objects.objects  # reserved for pid 2
+        free_before = objects.pool.free_count
+        objects.reclaim(2, reader)
+        assert obj_id not in objects.objects
+        assert objects.pool.free_count == free_before + 1
+
+    def test_reclaim_forgets_every_entry_of_the_pid(self, env):
+        objects, writer, _ = env
+        obj_id, _ = objects.create(1, writer, 8)
+        input_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
+        objects.bind_input(1, input_id)
+        writer.release_all()
+        objects.reclaim(1, writer)
+        for per_pid in (objects._attached, objects._owned_counts,
+                        objects._owned_bytes, objects._current_input):
+            assert 1 not in per_pid
+
+    def test_reclaim_visits_only_the_pids_objects(self, env, monkeypatch):
+        objects, writer, reader = env
+        mine, _ = objects.create(1, writer, 8)
+        for _ in range(5):
+            objects.create(2, reader, 8)
+        visited = []
+        detach = objects.detach
+        monkeypatch.setattr(objects, "detach", lambda pid, obj: (
+            visited.append(obj.obj_id), detach(pid, obj)))
+        objects.reclaim(1, writer)
+        assert visited == [mine]
 
 
 class TestTwoPartyBound:

@@ -81,7 +81,7 @@ class TestExecPipeline:
         with pytest.raises(FunctionError):
             exec_pipeline(fn, b"", plain_fs())
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.binary(max_size=128),
            literals=st.lists(st.binary(max_size=16), max_size=6),
            ops=st.lists(st.sampled_from(["identity", "sha512", "uppercase",
@@ -138,7 +138,7 @@ class TestNestedFs:
         assert not isinstance(clean, TaintedBytes)
         assert type(clean) is bytes
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(embedded=st.dictionaries(
                st.text(min_size=1, max_size=8), st.binary(max_size=32),
                max_size=6),

@@ -1,0 +1,291 @@
+"""Model-based test: arbitrary interleavings of monitor commands.
+
+A Hypothesis state machine drives one monitor through trustlet churn,
+invocations as random users on every input source (sealed requests,
+fallback hops, chained inputs), chain links, external-file reads and
+zygote deletion.  A small model predicts each command's outcome: its
+output, whether it recreates the trustlet, hands off to a chain consumer
+or is refused.  The monitor's global invariants are checked after every
+step, and at the end every frame must be back in the pool.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from conftest import EXTERNAL_CONTENT, MIB, make_rig
+from walletemu import attestation as att
+from walletemu.crypto import Rng
+from walletemu.errors import (
+    AlreadyAttached,
+    InvocationAborted,
+    NoInput,
+    PolicyViolation,
+    TrustletBusy,
+)
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
+from walletemu.memory import PL2, AccessKind, PageFault
+from walletemu.monitor import ProcState
+from walletemu.objects import MONITOR_PID
+from walletemu.provider import UserAgent
+
+STAGES = 3  # stage-0 -> stage-1 -> stage-2 is the policy's one chain
+READER = STAGES  # function index of the external-file reader
+MAX_TRUSTLETS = 8
+
+users = st.integers(0, 2)
+payloads = st.binary(max_size=32)
+
+
+class MonitorMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.functions = [FunctionSpec(f"stage-{i}",
+                                       [PipelineOp.append(b"-%d" % i)], 0.0)
+                          for i in range(STAGES)]
+        self.functions.append(FunctionSpec(
+            "reader", [PipelineOp.read_file("/ext/blob")], 0.0))
+        chain = tuple(fn.digest() for fn in self.functions[:STAGES])
+        image = ZygoteImage(
+            "model-rt", 0, [("/noop", b"-")],
+            manifest=[manifest_entry("/ext/blob", EXTERNAL_CONTENT)])
+        self.rig = make_rig(seed=7, prealloc=16 * MIB, image=image,
+                            functions=self.functions, chains=(chain,))
+        self.m = self.rig.monitor
+        self.users = [self.rig.user] + [
+            UserAgent(Rng(100 + i), self.rig.provider.public_key())
+            for i in range(2)]
+        # Every frame the pool holds before the first zygote comes back.
+        self.m.delete_zygote(self.rig.zygote.handle)
+        self.free_at_boot = self.m.pool.free_count
+        self.zygote = self.m.create_zygote(image).handle
+        self.image = image
+        # The model: live trustlets (handle -> function index), the user
+        # each last served, pending links, and handed-off inputs not yet
+        # run (consumer -> user, request, data, hops so far, recreated).
+        self.trustlets: dict[int, int] = {}
+        self.last_user: dict[int, int] = {}
+        self.links: dict[int, int] = {}
+        self.pending: dict[int, tuple] = {}
+        for f in range(len(self.functions)):
+            self.create_trustlet(f)
+
+    # -- helpers ------------------------------------------------------------
+
+    def _pick(self, data, which=None) -> int:
+        handles = sorted(h for h, f in self.trustlets.items()
+                         if which is None or f == which)
+        return data.draw(st.sampled_from(handles))
+
+    def _output(self, handle: int, data: bytes) -> bytes:
+        f = self.trustlets[handle]
+        return EXTERNAL_CONTENT if f == READER else data + b"-%d" % f
+
+    def _forget(self, handle: int) -> None:
+        self.trustlets.pop(handle)
+        self.last_user.pop(handle, None)
+        self.links.pop(handle, None)
+        self.links = {p: c for p, c in self.links.items() if c != handle}
+        self.pending.pop(handle, None)
+
+    def _adjacent_pairs(self) -> list[tuple[int, int]]:
+        return sorted((p, c) for p, pf in self.trustlets.items()
+                      for c, cf in self.trustlets.items() if cf == pf + 1 < STAGES)
+
+    def _link(self, producer: int, consumer: int) -> None:
+        pf, cf = self.trustlets[producer], self.trustlets[consumer]
+        if cf != pf + 1 or cf >= STAGES:
+            with pytest.raises(PolicyViolation):
+                self.m.link_chain(producer, consumer)
+        elif producer in self.links:
+            with pytest.raises(AlreadyAttached):
+                self.m.link_chain(producer, consumer)
+        else:
+            self.m.link_chain(producer, consumer)
+            self.links[producer] = consumer
+
+    def _refused_at_claim(self, handle: int, u: int) -> bool:
+        pending = self.pending.get(handle)
+        return pending is not None and pending[0] != u
+
+    def _hop(self, handle, u, call, data, hops, request, recreated):
+        """Run call() (trustlet handle as user u) and check the model.
+
+        Every chain started either hands off to its consumer or raises.
+        """
+        consumer = self.links.get(handle)
+        if consumer is not None and consumer in self.pending:
+            with pytest.raises(TrustletBusy):  # the link stays pending
+                call()
+            return
+        result = call()
+        assert result.recreated == recreated
+        out = self._output(handle, data)
+        if consumer is not None:
+            assert result.handoff == consumer
+            assert result.output_ciphertext is None
+            del self.links[handle]
+            last = self.last_user.get(consumer)
+            self.last_user[consumer] = u
+            self.pending[consumer] = (u, request, out, hops + 1,
+                                      last is not None and last != u)
+            return
+        assert result.handoff is None
+        user = self.users[u]
+        assert user.decrypt_response(request, result.output_ciphertext) == out
+        assert len(result.report.chain_entries) == hops + 1
+        assert att.verify_report(result.report,
+                                 self.rig.expectations(request, user))
+
+    def _invoke(self, handle, u, payload, fallback) -> None:
+        fn = self.functions[self.trustlets[handle]]
+        request = self.users[u].make_request(fn.digest(), payload)
+        if fallback:
+            def call():
+                return self.m.invoke_with_input(
+                    handle, payload, request.response_key, request.nonce)
+        else:
+            def call():
+                return self.m.invoke_trustlet(handle, request.ciphertext)
+        if self._refused_at_claim(handle, u):
+            with pytest.raises(TrustletBusy):
+                call()
+            return
+        last = self.last_user.get(handle)
+        self.last_user[handle] = u
+        self._hop(handle, u, call, payload, 0, request,
+                  last is not None and last != u)
+
+    def _run_chained(self, handle) -> None:
+        u, request, chained, hops, recreated = self.pending.pop(handle)
+        self._hop(handle, u, lambda: self.m.invoke_chained(handle),
+                  chained, hops, request, recreated)
+
+    # -- rules ----------------------------------------------------------------
+
+    @precondition(lambda self: len(self.trustlets) < MAX_TRUSTLETS)
+    @rule(f=st.integers(0, READER))
+    def create_trustlet(self, f):
+        handle = self.m.create_trustlet(self.zygote, self.functions[f]).handle
+        self.trustlets[handle] = f
+
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), u=users, mid_invocation=st.booleans())
+    def delete_trustlet(self, data, u, mid_invocation):
+        handle = self._pick(data)
+        ticket = None
+        if mid_invocation and not self._refused_at_claim(handle, u):
+            fn = self.functions[self.trustlets[handle]]
+            ticket = self.m.submit_invocation(handle, self.users[u].make_request(
+                fn.digest(), b"doomed").ciphertext)
+        self.m.delete_trustlet(handle)
+        self._forget(handle)
+        if ticket is not None:
+            self.m.run_pending()
+            assert isinstance(ticket.error, InvocationAborted)
+
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), u=users, payload=payloads)
+    def invoke(self, data, u, payload):
+        self._invoke(self._pick(data), u, payload, fallback=False)
+
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), u=users, payload=payloads)
+    def fallback_hop(self, data, u, payload):
+        self._invoke(self._pick(data), u, payload, fallback=True)
+
+    @precondition(lambda self: READER in self.trustlets.values())
+    @rule(data=st.data(), u=users)
+    def read_external_file(self, data, u):
+        self._invoke(self._pick(data, READER), u, b"", fallback=False)
+
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), adjacent=st.booleans())
+    def link_chain(self, data, adjacent):
+        if adjacent and self._adjacent_pairs():
+            producer, consumer = data.draw(st.sampled_from(self._adjacent_pairs()))
+        else:
+            producer, consumer = self._pick(data), self._pick(data)
+        self._link(producer, consumer)
+
+    @precondition(lambda self: self._adjacent_pairs())
+    @rule(data=st.data(), u=users, payload=payloads, fallback=st.booleans(),
+          follow=st.booleans())
+    def start_chain(self, data, u, payload, fallback, follow):
+        producer, consumer = data.draw(st.sampled_from(self._adjacent_pairs()))
+        self._link(producer, consumer)
+        tail = consumer
+        while nexts := [c for p, c in self._adjacent_pairs() if p == tail]:
+            tail, previous = data.draw(st.sampled_from(nexts)), tail
+            self._link(previous, tail)
+        self._invoke(producer, u, payload, fallback)
+        while follow and consumer in self.pending:
+            consumer, stage = self.links.get(consumer), consumer
+            self._run_chained(stage)
+
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), pending=st.booleans())
+    def invoke_chained(self, data, pending):
+        handle = data.draw(st.sampled_from(
+            sorted(self.pending if pending and self.pending else self.trustlets)))
+        if handle in self.pending:
+            self._run_chained(handle)
+        else:
+            with pytest.raises(NoInput):
+                self.m.invoke_chained(handle)
+
+    @rule()
+    def recreate_zygote(self):
+        self.m.delete_zygote(self.zygote)
+        for handle in list(self.trustlets):
+            self._forget(handle)
+        self.zygote = self.m.create_zygote(self.image).handle
+
+    # -- invariants -------------------------------------------------------------
+
+    @invariant()
+    def descriptors_match_the_model(self):
+        assert len(self.m.descriptors()) == len(self.trustlets) + 1
+
+    @invariant()
+    def refs_conserved(self):
+        assert self.m.store.total_refs() == sum(
+            t.page_table.n_entries() for t in self.m.descriptors())
+
+    @invariant()
+    def nothing_running_between_commands(self):
+        assert all(p.state is not ProcState.RUNNING
+                   for p in self.m.descriptors())
+
+    @invariant()
+    def guest_cannot_read_process_pages(self):
+        for proc in self.m.descriptors():
+            for vpn in list(proc.page_table.mapped_vpns())[:4]:
+                assert isinstance(
+                    proc.page_table.access(PL2, vpn, AccessKind.READ),
+                    PageFault)
+
+    @invariant()
+    def object_store_keys_live_pids_only(self):
+        live = {p.pid for p in self.m.descriptors()} | {MONITOR_PID}
+        store = self.m.objects
+        for per_pid in (store._attached, store._designated,
+                        store._owned_counts, store._owned_bytes,
+                        store._current_input):
+            assert set(per_pid) <= live
+
+    def teardown(self):
+        self.m.delete_zygote(self.zygote)
+        assert not self.m.objects.objects
+        assert self.m.store.total_refs() == 0
+        assert self.m.pool.free_count == self.free_at_boot
+
+
+TestMonitorModel = MonitorMachine.TestCase
+TestMonitorModel.settings = settings(max_examples=25, stateful_step_count=30)

@@ -140,7 +140,7 @@ class TestRoundTrip:
         write_trace(trace, path)
         assert load_trace(path) == trace
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(rows=st.lists(
         st.tuples(st.integers(0, 50), st.integers(0, 5), st.integers(0, 9),
                   st.floats(0, 1e6, allow_nan=False),
