@@ -333,34 +333,34 @@ def _selected_profiles(args) -> dict:
     return profiles
 
 
-def _load_or_generate_trace(args):
-    if args.trace:
-        return load_trace(args.trace)
+def _generator_spec(args) -> GeneratorSpec:
     if args.gen_spec:
         spec = GeneratorSpec.from_json(
             Path(args.gen_spec).read_text(encoding="utf-8"))
     else:
-        spec = GeneratorSpec(seed=args.seed)
+        spec = GeneratorSpec()
     spec.seed = args.seed
-    return generate_trace(spec)
+    return spec
+
+
+def _load_or_generate_trace(args):
+    if args.trace:
+        return load_trace(args.trace)
+    return generate_trace(_generator_spec(args))
+
+
+def _sim_config(args, nodes: int) -> SimConfig:
+    return SimConfig(nodes=nodes, slots=args.slots, cache_size=args.cache,
+                     profiles=_selected_profiles(args), seed=args.seed,
+                     jitter_sigma=args.jitter)
 
 
 def _sweep_worker(payload: dict) -> tuple[int, list]:
     """Run one node-count point of a sweep in a worker process."""
     import argparse
     args = argparse.Namespace(**payload["args"])
-    if args.trace:
-        trace = load_trace(args.trace)
-    else:
-        spec = GeneratorSpec.from_json(payload["spec_json"]) \
-            if payload["spec_json"] else GeneratorSpec(seed=args.seed)
-        spec.seed = args.seed
-        trace = generate_trace(spec)
-    config = SimConfig(nodes=payload["nodes"], slots=args.slots,
-                       cache_size=args.cache,
-                       profiles=_selected_profiles(args),
-                       seed=args.seed, jitter_sigma=args.jitter)
-    results = simulate(trace, config)
+    results = simulate(_load_or_generate_trace(args),
+                       _sim_config(args, payload["nodes"]))
     return payload["nodes"], [stats.to_row() for stats in results.values()]
 
 
@@ -368,10 +368,7 @@ def cmd_simulate(args) -> dict:
     if args.sweep_nodes:
         from concurrent.futures import ProcessPoolExecutor
         node_counts = sorted(int(n) for n in args.sweep_nodes.split(","))
-        spec_json = None
-        if not args.trace and args.gen_spec:
-            spec_json = Path(args.gen_spec).read_text(encoding="utf-8")
-        payload_args = {"trace": args.trace,
+        payload_args = {"trace": args.trace, "gen_spec": args.gen_spec,
                         "seed": args.seed, "slots": args.slots,
                         "cache": args.cache, "variant": args.variant,
                         "jitter": args.jitter}
@@ -379,8 +376,7 @@ def cmd_simulate(args) -> dict:
         with ProcessPoolExecutor(max_workers=min(4, len(node_counts))) as pool:
             for nodes, rows in pool.map(
                     _sweep_worker,
-                    [{"args": payload_args, "nodes": n,
-                      "spec_json": spec_json} for n in node_counts]):
+                    [{"args": payload_args, "nodes": n} for n in node_counts]):
                 sweep[str(nodes)] = sorted(rows, key=lambda r: r["variant"])
         doc = {"sweep_nodes": sweep}
         if args.out:
@@ -394,11 +390,7 @@ def cmd_simulate(args) -> dict:
         return doc
 
     trace = _load_or_generate_trace(args)
-    config = SimConfig(nodes=args.nodes, slots=args.slots,
-                       cache_size=args.cache,
-                       profiles=_selected_profiles(args),
-                       seed=args.seed, jitter_sigma=args.jitter)
-    results = simulate(trace, config)
+    results = simulate(trace, _sim_config(args, args.nodes))
     rows = [stats.to_row() for stats in results.values()]
     if args.out:
         write_stats(rows, args.out, args.format)
@@ -426,13 +418,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_gen_trace(args) -> dict:
-    if args.gen_spec:
-        spec = GeneratorSpec.from_json(
-            Path(args.gen_spec).read_text(encoding="utf-8"))
-    else:
-        spec = GeneratorSpec()
-    spec.seed = args.seed
-    trace = generate_trace(spec)
+    trace = generate_trace(_generator_spec(args))
     if not args.out:
         raise EmulatorError("gen-trace requires --out")
     write_trace(trace, args.out)

@@ -7,7 +7,12 @@ a sibling function of the same application, then the lowest-id free node;
 otherwise the request queues FIFO and re-runs node preference when a slot
 frees.  Determinism: arrivals are processed in (arrival, invocation_id)
 order, completions in (time, invocation_id) order, and completions precede
-arrivals at equal times.
+arrivals at equal times.  :func:`simulate` refuses a trace that is not
+sorted by (arrival_ms, invocation_id); ``load_trace`` and
+``generate_trace`` produce that order.
+
+Each variant runs as one event loop over locals (``_VariantRun._loop``),
+with the node sets it intersects held as Python-int bitmasks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 from ..errors import EmptyTrace, InvariantError
 from ..traceio import TraceEvent
@@ -87,32 +93,20 @@ class SimStats:
     makespan_ms: float
     occupancy_log: list[tuple[float, int, int]]
 
-    def _delays(self) -> list[float]:
-        return sorted(o.delay_ms for o in self.outcomes)
-
-    def _slowdowns(self) -> list[float]:
-        return sorted(o.slowdown for o in self.outcomes)
-
     def boot_counts(self) -> dict[str, int]:
-        counts = {b.value: 0 for b in BootType}
-        for o in self.outcomes:
-            counts[o.boot_type.value] += 1
-        return counts
-
-    def percentile_delay(self, q: float) -> float:
-        return nearest_rank(self._delays(), q)
-
-    def percentile_slowdown(self, q: float) -> float:
-        return nearest_rank(self._slowdowns(), q)
+        types = [o.boot_type for o in self.outcomes]
+        return {b.value: types.count(b) for b in BootType}
 
     def to_row(self) -> dict:
+        delays = sorted([o.delay_ms for o in self.outcomes])
+        slowdowns = sorted([o.slowdown for o in self.outcomes])
         counts = self.boot_counts()
         return {
             "variant": self.variant,
-            "p50_delay_ms": self.percentile_delay(0.50),
-            "p99_delay_ms": self.percentile_delay(0.99),
-            "p50_slowdown": self.percentile_slowdown(0.50),
-            "p99_slowdown": self.percentile_slowdown(0.99),
+            "p50_delay_ms": nearest_rank(delays, 0.50),
+            "p99_delay_ms": nearest_rank(delays, 0.99),
+            "p50_slowdown": nearest_rank(slowdowns, 0.50),
+            "p99_slowdown": nearest_rank(slowdowns, 0.99),
             "cold": counts["cold"],
             "lukewarm": counts["lukewarm"],
             "warm": counts["warm"],
@@ -128,170 +122,183 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[idx - 1])
 
 
-def classify_boot(node: Node, event: TraceEvent,
-                  profile: VariantProfile) -> BootType:
-    """Warm if the exact function is cached; lukewarm (when the profile has
-    the tier) if a sibling function of the same app is; else cold."""
-    if (event.app_id, event.function_id) in node.cache:
-        return BootType.WARM
-    if profile.lukewarm_boot is not None:
-        for app_id, _fn in node.cache:
-            if app_id == event.app_id:
-                return BootType.LUKEWARM
-    return BootType.COLD
-
-
 class _VariantRun:
-    """Mutable state of one variant's simulation pass."""
+    """One variant's simulation pass.
+
+    The pass is one generator, ``_loop``, that applies one completion or
+    arrival per iteration: :meth:`step` advances it by one event and
+    :meth:`run` drains it, so stepwise and whole runs share every line.
+    ``queue``, ``completions``, ``outcomes``, ``nodes`` and ``makespan``
+    stay current between steps.
+    """
 
     def __init__(self, trace: Sequence[TraceEvent], profile: VariantProfile,
                  config: SimConfig):
         self.trace = trace
         self.profile = profile
-        self.cap = profile.per_node_instance_cap
+        self.config = config
         self.rng = random.Random(config.seed)
-        self.record_occupancy = config.record_occupancy
         self.nodes = [Node(i, config.slots, config.cache_size)
                       for i in range(config.nodes)]
-        self.eligible: set[int] = {n.node_id for n in self.nodes
-                                   if n.eligible(self.cap)}
-        # (app, fn) -> node ids caching it; app -> {node id -> entry count}
-        self.fn_index: dict[tuple[int, int], set[int]] = {}
-        self.app_index: dict[int, dict[int, int]] = {}
         self.queue: deque[TraceEvent] = deque()
-        self.completions: list[tuple[float, int, int]] = []  # (t, inv, node)
-        self.inflight: dict[int, TraceEvent] = {}
+        # (finish, invocation_id, node_id, (app, fn)); ids break time ties
+        self.completions: list[tuple[float, int, int, tuple[int, int]]] = []
         self.outcomes: list[InvocationOutcome] = []
         self.occupancy: list[tuple[float, int, int]] = []
         self.makespan = 0.0
-        self._next_arrival = 0
+        self._events = self._loop()
 
-    # -- index upkeep --
+    def _loop(self) -> Iterator[bool]:
+        """The event loop; yields once per applied event.
 
-    def _refresh(self, node: Node) -> None:
-        if node.eligible(self.cap):
-            self.eligible.add(node.node_id)
-        else:
-            self.eligible.discard(node.node_id)
+        Node sets are Python-int bitmasks (bit i is node i): ``eligible``,
+        ``fn_nodes[(app, fn)]`` (nodes caching the function) and
+        ``app_nodes[app]`` (nodes caching any function of the app, kept
+        for the lukewarm tier only).  A node choice is an AND of two masks
+        and its lowest set bit.  The mask that supplied the node gives the
+        tier: a node from ``fn_nodes`` caches the function (warm), one from
+        ``app_nodes`` caches a sibling of the same app (lukewarm), and one
+        from ``eligible`` alone caches neither (cold), because an eligible
+        node that did would have come from an earlier mask.  The eligibility
+        test is :meth:`Node.eligible`, inlined.
+        """
+        trace, profile, config = self.trace, self.profile, self.config
+        n_arrivals = len(trace)
+        rng = self.rng
+        record = config.record_occupancy
+        slots, cache_size = config.slots, config.cache_size
+        cap = profile.per_node_instance_cap
+        nodes, queue, outcomes = self.nodes, self.queue, self.outcomes
+        completions, occupancy = self.completions, self.occupancy
+        heappush, heappop = heapq.heappush, heapq.heappop
+        WARM, LUKEWARM, COLD = BootType.WARM, BootType.LUKEWARM, BootType.COLD
 
-    def _cache_touch(self, node: Node, key: tuple[int, int]) -> None:
-        if key in node.cache:
-            del node.cache[key]
-            node.cache[key] = True  # refreshed recency; indexes unchanged
-            return
-        node.cache[key] = True
-        self.fn_index.setdefault(key, set()).add(node.node_id)
-        per_app = self.app_index.setdefault(key[0], {})
-        per_app[node.node_id] = per_app.get(node.node_id, 0) + 1
-        # Warm instances are shed LRU-first when over the cache size or the
-        # per-node instance cap (an instance key freed by dropping warmth).
-        while len(node.cache) > node.cache_size or (
-                self.cap is not None
-                and len(node.cache) + node.busy > self.cap):
-            victim = next(iter(node.cache))
-            del node.cache[victim]
-            self._index_remove(node.node_id, victim)
-        self._refresh(node)
+        eligible = 0
+        for node in nodes:
+            if node.eligible(cap):
+                eligible |= 1 << node.node_id
+        # A node holds at most slots + cache_size instances, so an absent
+        # cap becomes one that never binds.
+        if cap is None:
+            cap = slots + cache_size + 1
+        cold_dist, warm_dist = profile.cold_boot, profile.warm_boot
+        luke_dist = profile.lukewarm_boot
+        lukewarm = luke_dist is not None
+        tiers = [d for d in (cold_dist, warm_dist, luke_dist) if d is not None]
+        # Jittered runs sample every dispatch in order, as the rng stream
+        # requires; point masses are constants.
+        jittered = not all(d.is_point_mass for d in tiers)
+        cold_ms, warm_ms = cold_dist.mean_ms, warm_dist.mean_ms
+        luke_ms = luke_dist.mean_ms if lukewarm else 0.0
+        fn_nodes: dict[tuple[int, int], int] = {}
+        app_nodes: dict[int, int] = {}
+        app_counts: list[dict[int, int]] = [{} for _ in nodes]  # app -> fns
 
-    def _index_remove(self, node_id: int, key: tuple[int, int]) -> None:
-        nodes = self.fn_index.get(key)
-        if nodes is not None:
-            nodes.discard(node_id)
-            if not nodes:
-                del self.fn_index[key]
-        per_app = self.app_index.get(key[0])
-        if per_app is not None:
-            count = per_app.get(node_id, 0) - 1
-            if count <= 0:
-                per_app.pop(node_id, None)
-                if not per_app:
-                    del self.app_index[key[0]]
+        ai = 0
+        next_arrival = trace[0].arrival_ms if n_arrivals else math.inf
+        makespan = self.makespan
+        while True:
+            # Completions win ties against arrivals.
+            if completions and completions[0][0] <= next_arrival:
+                now, _, node_id, key = heappop(completions)
+                delta = -1
+                if now > makespan:
+                    makespan = self.makespan = now
+            elif ai < n_arrivals:
+                event = trace[ai]
+                ai += 1
+                next_arrival = (trace[ai].arrival_ms if ai < n_arrivals
+                                else math.inf)
+                queue.append(event)
+                if len(queue) > 1:  # FIFO: it waits behind the queue
+                    yield True
+                    continue
+                now = event.arrival_ms
+                node_id = -1
             else:
-                per_app[node_id] = count
-
-    # -- scheduling --
-
-    def pick_node(self, event: TraceEvent) -> Optional[Node]:
-        key = (event.app_id, event.function_id)
-        exact = self.fn_index.get(key)
-        if exact:
-            candidates = exact & self.eligible
-            if candidates:
-                return self.nodes[min(candidates)]
-        if self.profile.lukewarm_boot is not None:
-            per_app = self.app_index.get(event.app_id)
-            if per_app:
-                candidates = per_app.keys() & self.eligible
-                if candidates:
-                    return self.nodes[min(candidates)]
-        if self.eligible:
-            return self.nodes[min(self.eligible)]
-        return None
-
-    def dispatch(self, event: TraceEvent, node: Node, now: float) -> None:
-        boot_type = classify_boot(node, event, self.profile)
-        boot = self.profile.boot_dist(boot_type).sample(self.rng)
-        wait = now - event.arrival_ms
-        delay = wait + boot
-        adjusted = event.duration_ms + boot
-        finish = now + adjusted
-        slowdown = (delay + adjusted) / event.duration_ms
-        node.busy += 1
-        self._refresh(node)
-        self._cache_touch(node, (event.app_id, event.function_id))
-        heapq.heappush(self.completions,
-                       (finish, event.invocation_id, node.node_id))
-        self.inflight[event.invocation_id] = event
-        if self.record_occupancy:
-            self.occupancy.append((now, node.node_id, +1))
-        self.outcomes.append(InvocationOutcome(
-            event.invocation_id, node.node_id, boot_type, delay, slowdown,
-            now, finish))
-
-    def arrive(self, event: TraceEvent) -> None:
-        node = self.pick_node(event) if not self.queue else None
-        if node is None:
-            self.queue.append(event)
-        else:
-            self.dispatch(event, node, event.arrival_ms)
-
-    def complete(self, finish: float, invocation_id: int, node_id: int) -> None:
-        node = self.nodes[node_id]
-        node.busy -= 1
-        self._refresh(node)
-        event = self.inflight.pop(invocation_id)
-        self._cache_touch(node, (event.app_id, event.function_id))
-        if self.record_occupancy:
-            self.occupancy.append((finish, node_id, -1))
-        self.makespan = max(self.makespan, finish)
-        while self.queue:
-            head = self.queue[0]
-            target = self.pick_node(head)
-            if target is None:
-                break
-            self.queue.popleft()
-            self.dispatch(head, target, finish)
+                return
+            # Settle the node the last completion or dispatch touched, then
+            # place the queue head, until the queue empties or finds no node.
+            while True:
+                if node_id >= 0:
+                    node = nodes[node_id]
+                    bit = 1 << node_id
+                    busy = node.busy = node.busy + delta
+                    cache = node.cache
+                    if key in cache:
+                        del cache[key]
+                        cache[key] = True  # refreshed recency
+                    else:
+                        cache[key] = True
+                        fn_nodes[key] = fn_nodes.get(key, 0) | bit
+                        if lukewarm:
+                            counts = app_counts[node_id]
+                            app = key[0]
+                            n = counts.get(app, 0)
+                            counts[app] = n + 1
+                            if not n:
+                                app_nodes[app] = app_nodes.get(app, 0) | bit
+                        # Warm instances are shed LRU-first when over the
+                        # cache size or the per-node instance cap.
+                        while (len(cache) > cache_size
+                               or len(cache) + busy > cap):
+                            victim = next(iter(cache))
+                            del cache[victim]
+                            fn_nodes[victim] ^= bit
+                            if lukewarm:
+                                app = victim[0]
+                                n = counts[app] - 1
+                                if n:
+                                    counts[app] = n
+                                else:
+                                    del counts[app]
+                                    app_nodes[app] ^= bit
+                    if busy < slots and len(cache) + busy < cap:
+                        eligible |= bit
+                    else:
+                        eligible &= ~bit
+                    if record:
+                        occupancy.append((now, node_id, delta))
+                if not queue:
+                    break
+                event = queue[0]
+                key = (event.app_id, event.function_id)
+                found = fn_nodes.get(key, 0) & eligible
+                if found:
+                    boot_type = WARM
+                    boot = warm_dist.sample(rng) if jittered else warm_ms
+                elif lukewarm and (found := app_nodes.get(key[0], 0)
+                                   & eligible):
+                    boot_type = LUKEWARM
+                    boot = luke_dist.sample(rng) if jittered else luke_ms
+                elif eligible:
+                    found = eligible
+                    boot_type = COLD
+                    boot = cold_dist.sample(rng) if jittered else cold_ms
+                else:
+                    break
+                queue.popleft()
+                node_id = (found & -found).bit_length() - 1  # lowest id
+                delta = 1
+                duration = event.duration_ms
+                delay = now - event.arrival_ms + boot
+                adjusted = duration + boot
+                finish = now + adjusted
+                heappush(completions,
+                         (finish, event.invocation_id, node_id, key))
+                outcomes.append(InvocationOutcome(
+                    event.invocation_id, node_id, boot_type, delay,
+                    (delay + adjusted) / duration, now, finish))
+            yield True
 
     def step(self) -> bool:
-        """Apply the next event; completions win ties against arrivals."""
-        ai = self._next_arrival
-        have_arrival = ai < len(self.trace)
-        if self.completions and (
-                not have_arrival
-                or self.completions[0][0] <= self.trace[ai].arrival_ms):
-            finish, invocation_id, node_id = heapq.heappop(self.completions)
-            self.complete(finish, invocation_id, node_id)
-            return True
-        if have_arrival:
-            self.arrive(self.trace[ai])
-            self._next_arrival = ai + 1
-            return True
-        return False
+        """Apply the next event; False once none is left."""
+        return next(self._events, False)
 
     def run(self) -> SimStats:
-        while self.step():
+        for _ in self._events:
             pass
-        self.outcomes.sort(key=lambda o: o.invocation_id)
+        self.outcomes.sort(key=attrgetter("invocation_id"))
         return SimStats(self.profile.name, self.outcomes, self.makespan,
                         self.occupancy)
 
@@ -316,11 +323,14 @@ def simulate(trace: Sequence[TraceEvent],
         raise InvariantError("simulation needs at least one node and slot")
     if config.cache_size < 0:
         raise InvariantError("cache size must be non-negative")
-    last = None
+    last_arrival, last_id = -math.inf, -math.inf
     for event in trace:
-        if last is not None and event.arrival_ms < last:
-            raise InvariantError("trace must be sorted by arrival time")
-        last = event.arrival_ms
+        arrival = event.arrival_ms
+        if arrival < last_arrival or (arrival == last_arrival
+                                      and event.invocation_id < last_id):
+            raise InvariantError(
+                "trace must be sorted by (arrival_ms, invocation_id)")
+        last_arrival, last_id = arrival, event.invocation_id
     results = {}
     for name in sorted(config.profiles):
         profile = config.profiles[name]

@@ -41,8 +41,13 @@ class BootDist:
         if self.mean_ms < 0 or self.sigma < 0:
             raise ValueError("boot distribution parameters must be >= 0")
 
+    @property
+    def is_point_mass(self) -> bool:
+        """True when every sample is ``mean_ms`` and sampling draws no rng."""
+        return self.sigma == 0.0 or self.mean_ms == 0.0
+
     def sample(self, rng: random.Random) -> float:
-        if self.sigma == 0.0 or self.mean_ms == 0.0:
+        if self.is_point_mass:
             return self.mean_ms
         # mu chosen so the log-normal mean equals mean_ms.
         mu = math.log(self.mean_ms) - self.sigma ** 2 / 2.0

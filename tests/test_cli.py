@@ -160,6 +160,22 @@ class TestSimulateAndGenTrace:
         assert len(lines) > 1
 
 
+    def test_sweep_rows_equal_plain_runs(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_functions": 12, "n_apps": 3, "duration_minutes": 0.2,
+            "arrival_rate_per_s": 30, "seed": 0}))
+        common = ["--gen-spec", str(spec), "--slots", "2", "--cache", "3",
+                  "--seed", "5", "--variant", "Wallet,CVM"]
+        sweep = run_json(["simulate", "--sweep-nodes", "3,2"] + common,
+                         tmp_path / "sweep.json")["sweep_nodes"]
+        assert sorted(sweep) == ["2", "3"]
+        for nodes in ("2", "3"):
+            plain = run_json(["simulate", "--nodes", nodes] + common,
+                             tmp_path / f"plain{nodes}.json")
+            assert sweep[nodes] == plain
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, artifacts):
         config = artifacts["tmp"] / "run.json"

@@ -1,11 +1,15 @@
 """Scale-out simulator tests: classification, scheduling, oracle agreement."""
 
+import dataclasses
+import hashlib
+import json
 import random
 from collections import defaultdict
+from operator import attrgetter
 
 import pytest
 
-from walletemu.errors import EmptyTrace
+from walletemu.errors import EmptyTrace, InvariantError
 from walletemu.sim import (
     BootDist,
     BootType,
@@ -16,8 +20,8 @@ from walletemu.sim import (
     oracle_simulate,
     simulate,
 )
-from walletemu.sim.engine import advance, classify_boot, make_run, nearest_rank
-from walletemu.traceio import TraceEvent
+from walletemu.sim.engine import advance, make_run, nearest_rank
+from walletemu.traceio import GeneratorSpec, TraceEvent, generate_trace
 
 
 def ev(i, app, fn, arrival, duration):
@@ -44,23 +48,22 @@ def random_trace(rng, n, apps=4, fns=10, span=3000, max_dur=400):
 
 
 class TestClassifyBoot:
+    """The tier of the second of two spaced invocations on one node."""
+
+    def second_boot(self, fn, profile):
+        trace = [ev(0, 1, 5, 0, 10), ev(1, 1, fn, 5000, 10)]
+        config = SimConfig(nodes=1, slots=4, cache_size=8,
+                           profiles={profile.name: profile}, seed=0)
+        return simulate(trace, config)[profile.name].outcomes[1].boot_type
+
     def test_cached_function_is_warm(self):
-        node = Node(0, 4, 8)
-        node.cache[(1, 5)] = True
-        assert classify_boot(node, ev(0, 1, 5, 0, 10),
-                             wallet_profile()) is BootType.WARM
+        assert self.second_boot(5, wallet_profile()) is BootType.WARM
 
     def test_sibling_app_is_lukewarm_for_wallet(self):
-        node = Node(0, 4, 8)
-        node.cache[(1, 6)] = True
-        assert classify_boot(node, ev(0, 1, 5, 0, 10),
-                             wallet_profile()) is BootType.LUKEWARM
+        assert self.second_boot(6, wallet_profile()) is BootType.LUKEWARM
 
     def test_sibling_app_is_cold_without_lukewarm_tier(self):
-        node = Node(0, 4, 8)
-        node.cache[(1, 6)] = True
-        assert classify_boot(node, ev(0, 1, 5, 0, 10),
-                             cvm_profile()) is BootType.COLD
+        assert self.second_boot(6, cvm_profile()) is BootType.COLD
 
 
 class TestProfiles:
@@ -161,6 +164,36 @@ class TestAdvance:
         assert len(run.queue) == 1
         assert len(run.outcomes) == 1
 
+    def test_stepwise_run_equals_simulate_on_queueing_traces(self):
+        rng = random.Random(11)
+        queued = 0
+        for trial in range(6):
+            trace = random_trace(rng, 150, apps=3, fns=8, span=20000)
+            config = SimConfig(nodes=rng.randint(2, 4),
+                               slots=rng.randint(1, 2),
+                               cache_size=rng.randint(1, 4), seed=trial,
+                               jitter_sigma=rng.choice([0.0, 0.4]))
+            whole = simulate(trace, config)
+            for name, profile in config.profiles.items():
+                if config.jitter_sigma > 0:
+                    profile = profile.with_jitter(config.jitter_sigma)
+                run = make_run(trace, profile, config)
+                steps = 0
+                while advance(run):
+                    steps += 1
+                assert not advance(run)
+                # One event per arrival and one per completion.
+                assert steps == 2 * len(trace)
+                assert not run.queue and not run.completions
+                stepped = sorted(run.outcomes,
+                                 key=attrgetter("invocation_id"))
+                assert stepped == whole[name].outcomes
+                assert run.makespan == whole[name].makespan_ms
+                arrival = {e.invocation_id: e.arrival_ms for e in trace}
+                queued += sum(o.start_ms > arrival[o.invocation_id]
+                              for o in stepped)
+        assert queued > 0
+
     def test_final_event_records_makespan(self):
         trace = [ev(0, 0, 0, 0, 100)]
         config = SimConfig(nodes=1, slots=1, cache_size=2,
@@ -175,12 +208,27 @@ class TestSimulate:
             simulate([], SimConfig())
 
     def test_degenerate_configs_rejected(self):
-        from walletemu.errors import InvariantError
         trace = [ev(0, 0, 0, 0, 10)]
         with pytest.raises(InvariantError):
             simulate(trace, SimConfig(nodes=0))
         with pytest.raises(InvariantError):
             simulate(trace, SimConfig(slots=0))
+
+    def test_traces_out_of_arrival_id_order_rejected(self):
+        config = SimConfig(nodes=1, slots=1, cache_size=2,
+                           profiles={"CVM": cvm_profile(cold=0.0)}, seed=0)
+        with pytest.raises(InvariantError):
+            simulate([ev(0, 0, 0, 10, 5), ev(1, 0, 0, 5, 5)], config)
+        # Equal arrivals must come in id order, the order the oracle uses.
+        trace = [TraceEvent(1, 0, 1, 0.0, 100.0),
+                 TraceEvent(0, 0, 0, 0.0, 100.0)]
+        with pytest.raises(InvariantError):
+            simulate(trace, config)
+        ordered = trace[::-1]
+        for stats in (simulate(ordered, config)["CVM"],
+                      oracle_simulate(ordered, config)["CVM"]):
+            assert {o.invocation_id: o.delay_ms
+                    for o in stats.outcomes} == {0: 0.0, 1: 100.0}
 
     def test_single_invocation_delay_is_one_cold_boot(self):
         trace = [ev(0, 0, 0, 0, 10)]
@@ -268,6 +316,59 @@ class TestSimulate:
         assert stats.outcomes[1].slowdown == 1.0
 
 
+def outputs_sha256(results) -> str:
+    """SHA-256 over every variant's row and every outcome's fields."""
+    h = hashlib.sha256()
+    for name in sorted(results):
+        stats = results[name]
+        h.update(json.dumps(stats.to_row(), sort_keys=True).encode())
+        for o in stats.outcomes:
+            h.update(repr((o.invocation_id, o.node_id, o.boot_type.value,
+                           o.delay_ms, o.slowdown, o.start_ms,
+                           o.finish_ms)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Outputs of about 20 k generated invocations, pinned bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace(GeneratorSpec(
+            n_functions=400, n_apps=40, duration_minutes=1.0,
+            arrival_rate_per_s=330.0, seed=11))
+
+    def three_variants(self):
+        profiles = default_profiles()
+        return {name: profiles[name] for name in ("Wallet", "VM", "CVM")}
+
+    def test_default_variants(self, trace):
+        config = SimConfig(nodes=20, slots=8, cache_size=8,
+                           profiles=self.three_variants(), seed=11)
+        assert outputs_sha256(simulate(trace, config)) == (
+            "96719b4c635f356a341081adf4181952860b1dad001f7d378038e5fc540ce7b0")
+
+    def test_jittered_boots(self, trace):
+        config = SimConfig(nodes=20, slots=8, cache_size=8,
+                           profiles=self.three_variants(), seed=12,
+                           jitter_sigma=0.5)
+        assert outputs_sha256(simulate(trace, config)) == (
+            "8a577b001a9bbb94eb665843fdb265cf5a551eb5002467c93d1e9c479ae4add5")
+
+    def test_binding_cap_on_more_nodes_than_a_word(self, trace):
+        profiles = self.three_variants()
+        profiles = {"Wallet": profiles["Wallet"],
+                    "CVM": dataclasses.replace(profiles["CVM"],
+                                               per_node_instance_cap=6)}
+        config = SimConfig(nodes=80, slots=4, cache_size=8,
+                           profiles=profiles, seed=13)
+        results = simulate(trace, config)
+        for stats in results.values():
+            assert max(o.node_id for o in stats.outcomes) >= 64
+        assert outputs_sha256(results) == (
+            "acf1a6dbe3657175350bc87057a912774c309805ff3db1a200a9b59ca3e5cbfd")
+
+
 class TestNearestRank:
     def test_examples(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -302,6 +403,34 @@ class TestOracle:
                     assert a.invocation_id == b.invocation_id
                     assert abs(a.delay_ms - b.delay_ms) <= 1.0
                     assert a.boot_type == b.boot_type
+
+    def test_agreement_on_wide_clusters(self):
+        # More concurrent invocations than 64 one-slot nodes, so node
+        # choices land above the first machine word of the node masks.
+        rng = random.Random(12)
+        for trial in range(3):
+            nodes = rng.randint(65, 130)
+            trace = random_trace(rng, nodes + 60, apps=6, fns=20, span=200,
+                                 max_dur=300)
+            profiles = {
+                "Wallet": wallet_profile(cold=float(rng.randint(10, 800)),
+                                         lukewarm=float(rng.randint(1, 30)),
+                                         warm=float(rng.randint(0, 5))),
+                "CVM": cvm_profile(cold=float(rng.randint(10, 1500)),
+                                   warm=float(rng.randint(0, 10)),
+                                   cap=rng.choice([None, 2])),
+            }
+            config = SimConfig(nodes=nodes, slots=1,
+                               cache_size=rng.randint(1, 3),
+                               profiles=profiles, seed=0)
+            engine = simulate(trace, config)
+            oracle = oracle_simulate(trace, config)
+            for name in profiles:
+                fields = attrgetter("invocation_id", "node_id", "boot_type",
+                                    "delay_ms")
+                assert [fields(o) for o in engine[name].outcomes] == \
+                    [fields(o) for o in oracle[name].outcomes]
+                assert max(o.node_id for o in engine[name].outcomes) >= 64
 
     def test_unqueued_trace_delays_equal_boot_samples(self):
         trace = [ev(i, 0, i, i * 1000, 10) for i in range(5)]
