@@ -105,7 +105,6 @@ class ProcessDescriptor:
     base_zygote: Optional[int] = None
     objects: set = field(default_factory=set)
     measurement: Optional[bytes] = None
-    registers: dict = field(default_factory=lambda: {"step_index": 0})
     image: Optional[ZygoteImage] = None
     fn: Optional[FunctionSpec] = None
     fs: Optional[NestedFs] = None
@@ -326,7 +325,7 @@ class _Ticket:
 
     def __init__(self, seq: int, handle: int, pid: int, response_key: bytes,
                  nonce: bytes, chain_prefix: list, charges: InvokeCharges,
-                 recreated: bool):
+                 recreated: bool, chained: bool):
         self.seq = seq
         self.handle = handle
         self.pid = pid
@@ -335,6 +334,7 @@ class _Ticket:
         self.chain_prefix = chain_prefix
         self.charges = charges
         self.recreated = recreated
+        self.chained = chained  # runs on a handed-off chained input
         self.run: Optional[PipelineRun] = None
         self.input_bytes: bytes = b""
         self.result: Optional[InvokeResult] = None
@@ -406,7 +406,6 @@ class Monitor:
         # consumer handle -> (input obj id, chain measurements, response_key,
         #                     nonce, consumer recreated at handoff)
         self._chain_inbox: dict[int, tuple] = {}
-        self.edge_crypto_ops = 0
         self.completion_log: list[int] = []
 
     # -- small helpers ---------------------------------------------------------
@@ -726,7 +725,7 @@ class Monitor:
         charges = InvokeCharges()
         recreated = False
         if source is None:
-            inbox = self._chain_inbox.pop(handle, None)
+            inbox = self._chain_inbox.get(handle)
             if inbox is None:
                 raise NoInput(f"no chained input pending for trustlet {handle}")
             obj_id, prefix, response_key, nonce, recreated = inbox
@@ -737,7 +736,6 @@ class Monitor:
                     policy.function_key.box.decrypt(source))
                 charges.decrypt_us = self._charge(
                     self.model.crypto_us(len(source)))
-                self.edge_crypto_ops += 1
                 if request.function_digest != proc.measurement:
                     raise PolicyViolation(
                         f"request is sealed for another function than "
@@ -756,7 +754,8 @@ class Monitor:
         self.objects.bind_input(proc.pid, obj_id)
 
         ticket = _Ticket(self._next_seq, handle, proc.pid, response_key,
-                         nonce, list(prefix), charges, recreated or claimed)
+                         nonce, list(prefix), charges, recreated or claimed,
+                         chained=source is None)
         self._next_seq += 1
         self._active[proc.pid] = ticket
         heapq.heappush(self._ready, (ticket.seq, ticket))
@@ -790,9 +789,9 @@ class Monitor:
         Recreation is not a deletion, and chain state is keyed by handle,
         so the trustlet's pending links stay: its outgoing link gets a fresh
         chain object, written by the new descriptor (the old one is retired
-        with the old descriptor), and the objects of links into it are
-        reserved for the new pid.  A handed-off input is never pending
-        here: ``_claim`` does not recreate a trustlet holding one.
+        with the old descriptor), and links into it need nothing, as their
+        objects are written by the producers.  A handed-off input is never
+        pending here: ``_claim`` does not recreate a trustlet holding one.
         """
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
@@ -806,11 +805,7 @@ class Monitor:
         self._handles[handle] = pid
         fresh = self._procs[pid]
         if edge is not None:
-            self._chain_edges[handle] = (
-                edge[0], self._chain_object(fresh, edge[0]))
-        for consumer, obj_id in self._chain_edges.values():
-            if consumer == handle:
-                self.objects.designate(obj_id, pid)
+            self._chain_edges[handle] = (edge[0], self._chain_object(fresh))
         return fresh
 
     # -- scheduler ------------------------------------------------------------------
@@ -848,7 +843,6 @@ class Monitor:
         run = ticket.run
         while True:
             outcome = run.step()
-            proc.registers["step_index"] = run.step_index
             if outcome is None:
                 continue
             if isinstance(outcome, NeedFile):
@@ -856,18 +850,28 @@ class Monitor:
                 self._pending_io.append((ticket, outcome.path))
                 return
             if isinstance(outcome, Failed):
-                self._fail(ticket, proc, outcome.error)
+                self._settle(ticket, proc, error=outcome.error)
                 return
             assert isinstance(outcome, Done)
             self._complete(ticket, proc, outcome.output)
             return
 
-    def _fail(self, ticket: _Ticket, proc: ProcessDescriptor,
-              error: Exception) -> None:
+    def _settle(self, ticket: _Ticket, proc: ProcessDescriptor,
+                result: Optional[InvokeResult] = None,
+                error: Optional[Exception] = None) -> None:
+        """End an invocation with its result or error: the one place that
+        consumes a handed-off input, which a failed hop keeps for a retry."""
         proc.transition(ProcState.READY)
-        ticket.error = error
+        ticket.result, ticket.error = result, error
         self._active.pop(proc.pid, None)
+        if ticket.chained and error is not None:
+            self.objects.clear_input(proc.pid)
+            return
+        if ticket.chained:
+            del self._chain_inbox[ticket.handle]
         self._release_input(proc.pid)
+        if result is not None:
+            self.completion_log.append(proc.pid)
 
     def _read_input(self, proc: ProcessDescriptor) -> bytes:
         """Runtime prologue: getInputObject + page reads via the grant."""
@@ -875,15 +879,11 @@ class Monitor:
         return self.objects.read_through(proc.pid, proc.page_table, obj_id)
 
     def _release_input(self, pid: int) -> None:
-        """Retire the invocation's consumed input object.
-
-        Plain inputs are monitor-staged and single-use.  A chain object
-        persists while read-attached and is retired here too: the reader
-        has just exited its run-to-completion execution.
-        """
-        obj = self.objects.objects.get(self.objects.clear_input(pid))
-        if obj is not None and obj.otype in (ObjectType.INPUT, ObjectType.CHAIN):
-            self.objects.retire(obj.obj_id)
+        """Unbind and retire the invocation's input object: one staged by
+        the monitor, or the chain object of a consumed handoff."""
+        obj_id = self.objects.clear_input(pid)
+        if obj_id is not None:
+            self.objects.retire(obj_id)
 
     def _retire_previous_output(self, pid: int, new_obj_id: int) -> None:
         """Keep only the most recent output object per trustlet.
@@ -928,6 +928,8 @@ class Monitor:
 
     def _complete(self, ticket: _Ticket, proc: ProcessDescriptor,
                   output: bytes) -> None:
+        """Write the output object, then hand it off along a pending link or
+        answer the user with the report and the encrypted response."""
         charges = ticket.charges
         charges.exec_us += self._charge(ticket.run.charge_us())
 
@@ -943,14 +945,21 @@ class Monitor:
                 consumer, consumer_recreated = self._claim(
                     consumer_handle, ticket.response_key)
             except TrustletBusy as exc:
-                self._fail(ticket, proc, exc)  # the link stays pending
+                self._settle(ticket, proc, error=exc)  # the link stays pending
                 return
             del self._chain_edges[ticket.handle]
-            self.objects.ensure_capacity(obj_id, len(output))
-            charges.output_us += self._charge(self.objects.write_through(
-                proc.pid, proc.page_table, obj_id, output))
-            self.objects.set_output(proc.pid, obj_id)
-            self.objects.seal(obj_id)
+            charge = self.objects.ensure_capacity(obj_id, len(output))
+        else:
+            obj_id, charge = self.objects.create(
+                proc.pid, proc.page_table, max(1, len(output)),
+                ObjectType.PLAIN)
+        charges.output_us += self._charge(charge)
+        charges.output_us += self._charge(self.objects.write_through(
+            proc.pid, proc.page_table, obj_id, output))
+        self.objects.set_output(proc.pid, obj_id)
+        self.objects.seal(obj_id)
+
+        if edge is not None:
             self.objects.attach_reader(consumer.pid, consumer.page_table,
                                        obj_id, writer_table=proc.page_table)
             measurements = ticket.chain_prefix + [self._measurements_for(
@@ -963,14 +972,6 @@ class Monitor:
                                   handoff=consumer_handle,
                                   output_obj_id=obj_id)
         else:
-            obj_id, charge = self.objects.create(
-                proc.pid, proc.page_table, max(1, len(output)),
-                ObjectType.PLAIN)
-            charges.output_us += self._charge(charge)
-            charges.output_us += self._charge(self.objects.write_through(
-                proc.pid, proc.page_table, obj_id, output))
-            self.objects.set_output(proc.pid, obj_id)
-            self.objects.seal(obj_id)
             self._retire_previous_output(proc.pid, obj_id)
             # Retrieve the result from the output object, not the run state.
             retrieved = self.objects.read_monitor(obj_id)
@@ -988,20 +989,13 @@ class Monitor:
                                            retrieved, self.rng)
             charges.response_us += self._charge(
                 self.model.crypto_us(len(retrieved)))
-            self.edge_crypto_ops += 1
             self.guest.observe(ciphertext)
             self.guest.observe(report.to_bytes())
             result = InvokeResult(ticket.handle, proc.pid, ciphertext, report,
                                   charges, recreated=ticket.recreated,
                                   output_obj_id=obj_id,
                                   bytes_hashed=self.cache.bytes_hashed - before_hashed)
-
-        proc.transition(ProcState.READY)
-        proc.registers["step_index"] = 0
-        ticket.result = result
-        self._active.pop(proc.pid, None)
-        self._release_input(proc.pid)
-        self.completion_log.append(proc.pid)
+        self._settle(ticket, proc, result=result)
 
     def _measurements_for(self, proc: ProcessDescriptor, input_bytes: bytes,
                           output: bytes) -> att.InvocationMeasurements:
@@ -1039,18 +1033,16 @@ class Monitor:
             nxt = self._chain_edges.get(cursor)
             cursor = nxt[0] if nxt is not None else None
 
-        obj_id = self._chain_object(producer, consumer_handle)
+        obj_id = self._chain_object(producer)
         self._chain_edges[producer_handle] = (consumer_handle, obj_id)
         return obj_id
 
-    def _chain_object(self, producer: ProcessDescriptor,
-                      consumer_handle: int) -> int:
-        """A chain object written by producer, reserved for the consumer."""
+    def _chain_object(self, producer: ProcessDescriptor) -> int:
+        """A chain object written by producer; only the monitor retires it."""
         obj_id, charge = self.objects.create(
             producer.pid, producer.page_table,
             self.config.chain_capacity_bytes, ObjectType.CHAIN)
         self._charge(charge)
-        self.objects.designate(obj_id, self._handles[consumer_handle])
         return obj_id
 
     # -- trap interface ----------------------------------------------------------------

@@ -56,8 +56,8 @@ class CopyCounter:
     producers' own writes plus fallback copies.  Monitor-side population of
     the initial request input is charged simulated time but not counted, so
     a co-located k-chain with payload p shows exactly k*|p|.  crypto_ops
-    counts only object-path cipher operations; request/response crypto at
-    the user edge is tracked separately by the monitor.
+    counts only object-path cipher operations, not request/response crypto
+    at the user edge.
     """
 
     payload_bytes_copied: int = 0
@@ -83,7 +83,7 @@ class DataObject:
     writer: Optional[int] = None
     reader: Optional[int] = None
     sealed: bool = False
-    designated_reader: Optional[int] = None
+    charged_bytes: int = 0  # counted against the writer's byte quota
     writer_vpns: list[int] = field(default_factory=list)
     reader_vpns: list[int] = field(default_factory=list)
     writer_table: Optional[PageTable] = None
@@ -110,7 +110,6 @@ class ObjectStore:
         self._owned_bytes: dict[int, int] = {}
         self._current_input: dict[int, int] = {}
         self._attached: dict[int, set[int]] = {}
-        self._designated: dict[int, set[int]] = {}
 
     def attached_view(self, pid: int) -> set[int]:
         """Live set of object ids attached to pid (descriptor's view)."""
@@ -137,7 +136,8 @@ class ObjectStore:
         pages = pages_for(length)
         fids, charge = alloc_frames(self.pool, pages, self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
-        obj = DataObject(self._next_id, length, otype, fids, writer=caller_pid)
+        obj = DataObject(self._next_id, length, otype, fids, writer=caller_pid,
+                         charged_bytes=length)
         self._next_id += 1
         if caller_table is not None and caller_pid != MONITOR_PID:
             vpns = caller_table.take_vpns(pages)
@@ -193,7 +193,8 @@ class ObjectStore:
         return obj
 
     def ensure_capacity(self, obj_id: int, length: int) -> int:
-        """Grow an object (and the writer's grants) to hold length bytes."""
+        """Grow an object, the writer's grants and its quota use to hold
+        length bytes; returns charge_us."""
         obj = self.get(obj_id)
         needed = pages_for(max(1, length)) - len(obj.frames)
         if needed <= 0:
@@ -206,18 +207,13 @@ class ObjectStore:
                 obj.writer_table.map_page(vpn, fid, PagePerms.process_wo())
             obj.writer_vpns.extend(vpns)
         obj.frames.extend(fids)
+        if obj.writer is not None and obj.writer != MONITOR_PID:
+            obj.charged_bytes += needed * PAGE_SIZE
+            self._owned_bytes[obj.writer] += needed * PAGE_SIZE
         return charge
 
-    def designate(self, obj_id: int, pid: int) -> None:
-        """Reserve obj_id's reader side for pid; the object outlives its
-        writer until pid exits (see reclaim)."""
-        obj = self.get(obj_id)
-        self._designated.get(obj.designated_reader, set()).discard(obj_id)
-        obj.designated_reader = pid
-        self._designated.setdefault(pid, set()).add(obj_id)
-
     def bind_input(self, pid: int, obj_id: int) -> None:
-        """Designate obj_id as pid's current invocation input."""
+        """Bind obj_id as pid's current invocation input."""
         self._current_input[pid] = obj_id
 
     def clear_input(self, pid: int) -> Optional[int]:
@@ -326,21 +322,17 @@ class ObjectStore:
             obj.reader = None
             obj.reader_vpns = []
             obj.reader_table = None
-        if obj.designated_reader == pid:
-            obj.designated_reader = None
 
     def retire(self, obj_id: int) -> None:
         """Fully release one object: unmap grants, drop attachments, free
-        frames.  Used for consumed inputs and superseded outputs; chain
-        objects instead live until their reader exits (see reclaim)."""
+        frames, and give back the writer's quota.  Used for consumed inputs,
+        superseded outputs and chain objects."""
         obj = self.objects.get(obj_id)
         if obj is None:
             return
         if obj.writer is not None and obj.writer != MONITOR_PID:
-            self._owned_counts[obj.writer] = max(
-                0, self._owned_counts.get(obj.writer, 0) - 1)
-            self._owned_bytes[obj.writer] = max(
-                0, self._owned_bytes.get(obj.writer, 0) - obj.length)
+            self._owned_counts[obj.writer] -= 1
+            self._owned_bytes[obj.writer] -= obj.charged_bytes
         for table, vpns in ((obj.writer_table, obj.writer_vpns),
                             (obj.reader_table, obj.reader_vpns)):
             if table is None:
@@ -349,29 +341,23 @@ class ObjectStore:
                 if table.lookup(vpn) is not None:
                     table.unmap_page(vpn)
         for pid in list(obj.attachments()):
-            self._attached.get(pid, set()).discard(obj.obj_id)
-        self._designated.get(obj.designated_reader, set()).discard(obj.obj_id)
-        obj.writer = obj.reader = obj.designated_reader = None
-        obj.writer_vpns = []
-        obj.reader_vpns = []
-        obj.writer_table = obj.reader_table = None
+            self.detach(pid, obj)
         self._release_object(obj)
 
     def reclaim(self, pid: int, table: Optional[PageTable] = None) -> list[int]:
-        """Drop pid's attachments and reservations, and every per-pid
-        entry; release objects nobody can still reach.
+        """Drop pid's attachments and every per-pid entry; release objects
+        nobody is still attached to.
 
-        Visits only the objects attached to or designated for pid, in
-        creation order.  Chain objects with a surviving (or designated)
-        reader persist until that reader exits.  Idempotent.  Returns
-        released object ids.
+        Visits only the objects attached to pid, in creation order.  An
+        object with a surviving attachment persists until that party exits
+        or the monitor retires it.  Idempotent.  Returns released object
+        ids.
         """
         released = []
-        visit = self._attached.pop(pid, set()) | self._designated.pop(pid, set())
-        for obj_id in sorted(visit):
+        for obj_id in sorted(self._attached.pop(pid, set())):
             obj = self.objects[obj_id]
             self.detach(pid, obj)
-            if not obj.attachments() and obj.designated_reader is None:
+            if not obj.attachments():
                 self._release_object(obj)
                 released.append(obj_id)
         for per_pid in (self._owned_counts, self._owned_bytes,
@@ -397,7 +383,6 @@ class ObjectStore:
                 "pages": len(obj.frames),
                 "writer": obj.writer,
                 "reader": obj.reader,
-                "designated_reader": obj.designated_reader,
                 "sealed": obj.sealed,
             }
             for obj_id, obj in sorted(self.objects.items())

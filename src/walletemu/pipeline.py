@@ -92,8 +92,7 @@ class PipelineRun:
     step() executes one pipeline op.  read_file ops that miss the embedded
     filesystem suspend the run with NeedFile; the monitor delivers the raw
     bytes via deliver_file(), where they are digest-checked before any op
-    sees them.  step_index mirrors the descriptor's instruction-pointer
-    analog.
+    sees them.  step_index counts the ops executed so far.
     """
 
     def __init__(self, fn: FunctionSpec, fs: NestedFs, input_bytes: bytes):

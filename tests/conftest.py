@@ -98,12 +98,13 @@ class Rig:
 def make_rig(seed: int = 0, prealloc: int = 64 * MIB, cow: bool = True,
              image: ZygoteImage | None = None,
              functions: list[FunctionSpec] | None = None,
-             chains: tuple = ()) -> Rig:
+             chains: tuple = (), **config) -> Rig:
+    """config overrides further MonitorConfig fields (pool_frames, ...)."""
     image = image if image is not None else small_image()
     functions = functions if functions is not None else [
         echo_fn(), shout_fn(), hash_fn(), reader_fn()]
-    config = MonitorConfig(prealloc_bytes=prealloc, pool_frames=0,
-                           cow_enabled=cow, seed=seed)
+    config = MonitorConfig(**{"prealloc_bytes": prealloc, "pool_frames": 0,
+                              "cow_enabled": cow, "seed": seed, **config})
     monitor = Monitor(config)
     monitor.guest.put_file("/ext/blob", EXTERNAL_CONTENT)
     provider = FunctionProvider(Rng(seed + 1), [image.digest()],

@@ -12,24 +12,25 @@ from walletemu.errors import (
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
-from walletemu.monitor import ProcState
+from walletemu.memory import PAGE_SIZE
+from walletemu.monitor import MonitorConfig, ProcState
 from walletemu.objects import fallback_transfer
 from walletemu.provider import UserAgent
 
 
-def relay_rig(k: int, seed: int = 0):
+def relay_rig(k: int, seed: int = 0, **config):
     """A provisioned rig whose policy chains k relay functions; no trustlets."""
     functions = [FunctionSpec(f"stage-{i}", [PipelineOp.append(b"+")], 0.0)
                  for i in range(k)]
     chain = tuple(fn.digest() for fn in functions)
     image = ZygoteImage("chain-rt", 0, [("/noop", b"-")])
     rig = make_rig(seed=seed, image=image, functions=functions,
-                   chains=(chain,))
+                   chains=(chain,), **config)
     return rig, functions
 
 
-def relay_chain_rig(k: int, seed: int = 0):
-    rig, functions = relay_rig(k, seed)
+def relay_chain_rig(k: int, seed: int = 0, **config):
+    rig, functions = relay_rig(k, seed, **config)
     handles = [rig.monitor.create_trustlet(rig.zygote.handle, fn).handle
                for fn in functions]
     return rig, functions, handles
@@ -173,7 +174,9 @@ class TestChainSecrecy:
 
 class TestChainLifecycle:
     def test_repeated_chain_runs_do_not_exhaust_quotas(self):
-        rig, functions, handles = relay_chain_rig(2)
+        # A byte quota of a few chain objects: a per-run drift shows early.
+        rig, functions, handles = relay_chain_rig(
+            2, quota_bytes=4 * MonitorConfig().chain_capacity_bytes)
         m = rig.monitor
         for round_no in range(3 * m.objects.quota_objects):
             m.link_chain(handles[0], handles[1])
@@ -184,6 +187,57 @@ class TestChainLifecycle:
             assert result.report is not None
         # Consumed chain objects are retired when their reader exits.
         assert len(m.objects.objects) <= 2
+
+    def test_chain_object_growth_is_charged(self):
+        # An unvalidated pool: every fresh frame costs a validation charge.
+        rig, functions, handles = relay_chain_rig(
+            2, prealloc=0, pool_frames=4096, chain_capacity_bytes=PAGE_SIZE)
+        m = rig.monitor
+        m.link_chain(handles[0], handles[1])
+        payload = b"g" * (2 * PAGE_SIZE)
+        request = rig.user.make_request(functions[0].digest(), payload)
+        clock_before = m.clock_us
+        result = m.invoke_trustlet(handles[0], request.ciphertext)
+        # The 3-page output grows the 1-page chain object by 2 fresh frames.
+        assert result.charges.output_us == (
+            m.model.validation_us(2) + m.model.transfer_us(len(payload) + 1))
+        assert m.clock_us - clock_before == result.charges.total_us
+        final = m.invoke_chained(result.handoff)
+        assert rig.user.decrypt_response(request, final.output_ciphertext) \
+            == payload + b"++"
+
+    def test_refused_mid_chain_hop_keeps_its_input(self):
+        rig, functions = relay_rig(3)
+        m = rig.monitor
+        free_after_zygote = m.pool.free_count
+        a, b, c = [m.create_trustlet(rig.zygote.handle, fn).handle
+                   for fn in functions]
+        first = rig.user.make_request(functions[0].digest(), b"first")
+        m.link_chain(a, b)
+        m.link_chain(b, c)
+        m.invoke_trustlet(a, first.ciphertext)
+        assert m.invoke_chained(b).handoff == c  # c holds an unrun input
+        second = rig.user.make_request(functions[0].digest(), b"second")
+        m.link_chain(a, b)
+        m.link_chain(b, c)
+        m.invoke_trustlet(a, second.ciphertext)
+        with pytest.raises(TrustletBusy):
+            m.invoke_chained(b)
+        final = m.invoke_chained(c)
+        assert rig.user.decrypt_response(first, final.output_ciphertext) \
+            == b"first+++"
+        # The refused hop kept its handed-off input: a retry hands off.
+        assert m.invoke_chained(b).handoff == c
+        final = m.invoke_chained(c)
+        assert len(final.report.chain_entries) == 3
+        assert att.verify_report(final.report, rig.expectations(second))
+        assert rig.user.decrypt_response(second, final.output_ciphertext) \
+            == b"second+++"
+        assert_refs_conserved(m)
+        for handle in (a, b, c):
+            m.delete_trustlet(handle)
+        assert not m.objects.objects
+        assert m.pool.free_count == free_after_zygote
 
 
 class TestFallbackPath:
@@ -394,15 +448,16 @@ class TestChainAcrossUsers:
         assert other.decrypt_response(retry, final.output_ciphertext) \
             == b"data++"
 
-    def test_deleting_linked_trustlets_frees_every_frame_once(self):
+    @pytest.mark.parametrize("first", [0, 1], ids=["producer", "consumer"])
+    def test_deleting_linked_trustlets_frees_every_frame_once(self, first):
         rig, functions = relay_rig(2)
         m = rig.monitor
         free_after_zygote = m.pool.free_count
         handles = [m.create_trustlet(rig.zygote.handle, fn).handle
                    for fn in functions]
         m.link_chain(handles[0], handles[1])
-        m.delete_trustlet(handles[0])  # the pending link dies with it
-        m.delete_trustlet(handles[1])
+        m.delete_trustlet(handles[first])  # the pending link dies with it
+        m.delete_trustlet(handles[1 - first])
         assert not m.objects.objects
         assert_refs_conserved(m)
         assert m.pool.free_count == free_after_zygote

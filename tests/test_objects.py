@@ -238,26 +238,6 @@ class TestReclaim:
         objects.reclaim(1, writer)
         assert not objects.objects
 
-    def test_designated_reader_keeps_object_alive(self, env):
-        objects, writer, reader = env
-        obj_id, _ = objects.create(1, writer, 8)
-        objects.get(obj_id).designated_reader = 2
-        writer.release_all()
-        objects.reclaim(1, writer)
-        assert obj_id in objects.objects
-
-    def test_designated_reader_exit_releases_a_writerless_object(self, env):
-        objects, writer, reader = env
-        obj_id, _ = objects.create(1, writer, 8)
-        objects.designate(obj_id, 2)
-        writer.release_all()
-        objects.reclaim(1, writer)
-        assert obj_id in objects.objects  # reserved for pid 2
-        free_before = objects.pool.free_count
-        objects.reclaim(2, reader)
-        assert obj_id not in objects.objects
-        assert objects.pool.free_count == free_before + 1
-
     def test_reclaim_forgets_every_entry_of_the_pid(self, env):
         objects, writer, _ = env
         obj_id, _ = objects.create(1, writer, 8)

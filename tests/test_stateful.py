@@ -114,16 +114,17 @@ class MonitorMachine(RuleBasedStateMachine):
         pending = self.pending.get(handle)
         return pending is not None and pending[0] != u
 
-    def _hop(self, handle, u, call, data, hops, request, recreated):
+    def _hop(self, handle, u, call, data, hops, request, recreated) -> bool:
         """Run call() (trustlet handle as user u) and check the model.
 
         Every chain started either hands off to its consumer or raises.
+        Returns False when the handoff is refused.
         """
         consumer = self.links.get(handle)
         if consumer is not None and consumer in self.pending:
             with pytest.raises(TrustletBusy):  # the link stays pending
                 call()
-            return
+            return False
         result = call()
         assert result.recreated == recreated
         out = self._output(handle, data)
@@ -135,13 +136,14 @@ class MonitorMachine(RuleBasedStateMachine):
             self.last_user[consumer] = u
             self.pending[consumer] = (u, request, out, hops + 1,
                                       last is not None and last != u)
-            return
+            return True
         assert result.handoff is None
         user = self.users[u]
         assert user.decrypt_response(request, result.output_ciphertext) == out
         assert len(result.report.chain_entries) == hops + 1
         assert att.verify_report(result.report,
                                  self.rig.expectations(request, user))
+        return True
 
     def _invoke(self, handle, u, payload, fallback) -> None:
         fn = self.functions[self.trustlets[handle]]
@@ -163,9 +165,11 @@ class MonitorMachine(RuleBasedStateMachine):
                   last is not None and last != u)
 
     def _run_chained(self, handle) -> None:
-        u, request, chained, hops, recreated = self.pending.pop(handle)
-        self._hop(handle, u, lambda: self.m.invoke_chained(handle),
-                  chained, hops, request, recreated)
+        """A refused hop keeps its handed-off input for a retry."""
+        u, request, chained, hops, recreated = self.pending[handle]
+        if self._hop(handle, u, lambda: self.m.invoke_chained(handle),
+                     chained, hops, request, recreated):
+            del self.pending[handle]
 
     # -- rules ----------------------------------------------------------------
 
@@ -275,10 +279,21 @@ class MonitorMachine(RuleBasedStateMachine):
     def object_store_keys_live_pids_only(self):
         live = {p.pid for p in self.m.descriptors()} | {MONITOR_PID}
         store = self.m.objects
-        for per_pid in (store._attached, store._designated,
-                        store._owned_counts, store._owned_bytes,
-                        store._current_input):
+        for per_pid in (store._attached, store._owned_counts,
+                        store._owned_bytes, store._current_input):
             assert set(per_pid) <= live
+
+    @invariant()
+    def quotas_count_exactly_the_live_objects(self):
+        store = self.m.objects
+        counts, charged = {}, {}
+        for obj in store.objects.values():
+            if obj.writer not in (None, MONITOR_PID):
+                counts[obj.writer] = counts.get(obj.writer, 0) + 1
+                charged[obj.writer] = charged.get(obj.writer, 0) \
+                    + obj.charged_bytes
+        assert {p: n for p, n in store._owned_counts.items() if n} == counts
+        assert {p: n for p, n in store._owned_bytes.items() if n} == charged
 
     def teardown(self):
         self.m.delete_zygote(self.zygote)
