@@ -66,10 +66,6 @@ class AuthFailed(EmulatorError):
     """An encrypted blob did not authenticate under the session key."""
 
 
-class UnknownService(EmulatorError):
-    """A trap requested a service the monitor does not implement."""
-
-
 class InvocationAborted(EmulatorError):
     """The trustlet was torn down (e.g. zygote deletion) mid-invocation."""
 

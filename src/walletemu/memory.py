@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -326,6 +326,14 @@ class FrameStore:
     def write_bytes(self, fid: int, offset: int, data: bytes) -> None:
         self.get(fid).data[offset : offset + len(data)] = data
 
+    def write_range(self, fids: Sequence[int], data: bytes) -> None:
+        """Write data across fids, one page per frame from its start."""
+        if len(data) > len(fids) * PAGE_SIZE:
+            raise ValueError("data exceeds the frames' capacity")
+        view = memoryview(data)
+        for i in range(0, len(data), PAGE_SIZE):
+            self.write_bytes(fids[i // PAGE_SIZE], 0, view[i : i + PAGE_SIZE])
+
     def read_bytes(self, fid: int) -> bytes:
         return bytes(self.get(fid).data)
 
@@ -475,6 +483,16 @@ class PageTable:
         self.store.incref(frame_id)
         self._next_vpn = max(self._next_vpn, vpn + 1)
 
+    def map_range(self, fids: Sequence[int], perms: PagePerms,
+                  caller: PrivilegeLevel = PL0) -> list[int]:
+        """Map fids at fresh consecutive vpns, all with perms; returns the
+        vpns.  Makes every check of ``map_page``."""
+        self._require_mutable(caller, "map pages")
+        vpns = self.take_vpns(len(fids))
+        for vpn, fid in zip(vpns, fids):
+            self.map_page(vpn, fid, perms)
+        return vpns
+
     def unmap_page(self, vpn: int, caller: PrivilegeLevel = PL0) -> int:
         """Remove a mapping and return the frame's new reference count."""
         self._require_mutable(caller, "unmap pages")
@@ -485,6 +503,16 @@ class PageTable:
                 return self.store.decref(self.base.entries[vpn].frame_id)
             raise KeyError(f"vpn {vpn} not mapped")
         return self.store.decref(entry.frame_id)
+
+    def unmap_range(self, vpns: Iterable[int],
+                    caller: PrivilegeLevel = PL0) -> list[int]:
+        """Remove the mappings at vpns; returns the frames left unmapped."""
+        freed = []
+        for vpn in vpns:
+            entry = self.lookup(vpn)
+            if self.unmap_page(vpn, caller) == 0:
+                freed.append(entry.frame_id)
+        return freed
 
     def set_perms(self, vpn: int, perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> None:

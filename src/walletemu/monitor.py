@@ -1,5 +1,5 @@
-"""The trusted monitor: process lifecycle, system calls, policy enforcement,
-run-to-completion scheduling, and the trap interface.
+"""The trusted monitor: process lifecycle, system calls, policy enforcement
+and run-to-completion scheduling.
 
 All state mutation flows through this object's methods (the serialized
 command queue of the design); execution is deterministic given identical
@@ -36,17 +36,15 @@ from .errors import (
     NotCoLocated,
     NotFound,
     OutOfMemory,
-    PermissionDenied,
     PolicyViolation,
+    QuotaExceeded,
     StaleNonce,
     TrustletBusy,
     UnknownHandle,
-    UnknownService,
 )
 from .guest import GuestBroker
 from .images import FunctionSpec, ZygoteImage
 from .memory import (
-    PAGE_SIZE,
     CostModel,
     FrameStore,
     MemoryPool,
@@ -337,6 +335,7 @@ class _Ticket:
         self.chained = chained  # runs on a handed-off chained input
         self.run: Optional[PipelineRun] = None
         self.input_bytes: bytes = b""
+        self.file_vpns: list[int] = []  # pages of the external files read
         self.result: Optional[InvokeResult] = None
         self.error: Optional[Exception] = None
 
@@ -421,8 +420,7 @@ class Monitor:
         return self._procs[pid]
 
     def _busy(self, pid: int) -> bool:
-        ticket = self._active.get(pid)
-        return ticket is not None and not ticket.finished
+        return pid in self._active  # settled tickets leave it
 
     def _require_policy(self) -> ProviderPolicy:
         if self.policy is None:
@@ -465,7 +463,7 @@ class Monitor:
         """Install the provider policy delivered over the session channel.
 
         The decrypted function private key lives only in monitor (PL0)
-        state; it is never exposed through any trap or mapped page.
+        state; no trustlet service returns it and no page maps it.
         """
         if self._session_dh is None:
             raise NoSession("no attestation handshake in progress")
@@ -496,10 +494,8 @@ class Monitor:
         fids, alloc_us = alloc_frames(self.pool, n_pages, self.model,
                                       owner_level=PrivilegeLevel.PL1_PROCESS)
         self._charge(alloc_us)
-        view = memoryview(content)
-        for i, fid in enumerate(fids):
-            table.map_page(i, fid, PagePerms.process_rw())
-            self.store.write_bytes(fid, 0, view[i * PAGE_SIZE : (i + 1) * PAGE_SIZE])
+        table.map_range(fids, PagePerms.process_rw())
+        self.store.write_range(fids, content)
         populate_us = self._charge(self.model.transfer_us(len(content)))
 
         proc.transition(ProcState.INITIALIZED)
@@ -507,8 +503,7 @@ class Monitor:
         table.seal()
         proc.transition(ProcState.READY)
 
-        proc.fs = NestedFs(dict(image.embedded_fs), dict(image.manifest),
-                           external_provider=self.guest.read_file)
+        proc.fs = NestedFs(dict(image.embedded_fs), dict(image.manifest))
         proc.objects = self.objects.attached_view(pid)
         self._procs[pid] = proc
         handle = self._next_handle
@@ -557,15 +552,14 @@ class Monitor:
         self._teardown(handle, proc)
 
     def _teardown(self, handle: int, proc: ProcessDescriptor) -> None:
-        """Abort the process's invocation, free its memory, forget it."""
+        """Abort the process's invocation, free its memory, forget it.
+
+        The scheduler skips the aborted ticket wherever it is still queued.
+        """
         ticket = self._active.pop(proc.pid, None)
-        if ticket is not None and not ticket.finished:
+        if ticket is not None:
             ticket.error = InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation")
-            self._ready = [(s, t) for s, t in self._ready if t is not ticket]
-            heapq.heapify(self._ready)
-            self._pending_io = [(t, p) for t, p in self._pending_io
-                                if t is not ticket]
             self._release_input(proc.pid)  # monitor-staged input of the abort
         self.objects.reclaim(proc.pid, proc.page_table)
         freed = proc.page_table.release_all()
@@ -636,13 +630,8 @@ class Monitor:
             self.pool.release(table.release_all())
             raise
         self._charge(excl_alloc_us)
-        vpns = table.take_vpns(excl_pages)
-        fn_view = memoryview(fn_bytes)
-        for i, (vpn, fid) in enumerate(zip(vpns, fids)):
-            table.map_page(vpn, fid, PagePerms.process_rw())
-            if i < fn_pages:
-                self.store.write_bytes(
-                    fid, 0, fn_view[i * PAGE_SIZE : (i + 1) * PAGE_SIZE])
+        table.map_range(fids, PagePerms.process_rw())
+        self.store.write_range(fids, fn_bytes)
         setup_us = self._charge(self.model.copy_us(excl_pages))
         load_us = self._charge(self.model.transfer_us(len(fn_bytes)))
         page_load_us = zygote_copy_us + excl_alloc_us + setup_us + load_us
@@ -771,16 +760,24 @@ class Monitor:
         user is refused with TrustletBusy; the same user may still invoke
         it.  Returns the trustlet's descriptor and whether it was recreated.
         """
-        proc = self._proc(handle)
         user = _user_of(response_key)
-        recreated = proc.last_user is not None and proc.last_user != user
+        recreated = self._must_recreate(handle, user)
+        proc = self._proc(handle)
         if recreated:
-            if self._busy(proc.pid) or handle in self._chain_inbox:
-                raise TrustletBusy(
-                    f"trustlet {handle} is still serving another user")
             proc = self._recreate(handle, proc)
         proc.last_user = user
         return proc, recreated
+
+    def _must_recreate(self, handle: int, user: bytes) -> bool:
+        """Whether ``_claim`` recreates the trustlet for user; raises
+        TrustletBusy where it would refuse, and changes nothing."""
+        proc = self._proc(handle)
+        if proc.last_user is None or proc.last_user == user:
+            return False
+        if self._busy(proc.pid) or handle in self._chain_inbox:
+            raise TrustletBusy(
+                f"trustlet {handle} is still serving another user")
+        return True
 
     def _recreate(self, handle: int, proc: ProcessDescriptor) -> ProcessDescriptor:
         """Per-user trustlet recreation: fresh descriptor, same handle.
@@ -811,8 +808,9 @@ class Monitor:
     # -- scheduler ------------------------------------------------------------------
 
     def schedule(self) -> Optional[int]:
-        """Dispatch the oldest ready invocation; run until exit or a trap
-        suspension.  Returns the descriptor pid, or None when idle."""
+        """Dispatch the oldest ready invocation; run until exit or an
+        external-file suspension.  Returns the descriptor pid, or None when
+        idle."""
         while self._ready:
             seq, ticket = heapq.heappop(self._ready)
             if ticket.finished:
@@ -860,10 +858,12 @@ class Monitor:
                 result: Optional[InvokeResult] = None,
                 error: Optional[Exception] = None) -> None:
         """End an invocation with its result or error: the one place that
-        consumes a handed-off input, which a failed hop keeps for a retry."""
+        consumes a handed-off input, which a failed hop keeps for a retry,
+        and releases the pages its external files were copied into."""
         proc.transition(ProcState.READY)
         ticket.result, ticket.error = result, error
         self._active.pop(proc.pid, None)
+        self.pool.release(proc.page_table.unmap_range(ticket.file_vpns))
         if ticket.chained and error is not None:
             self.objects.clear_input(proc.pid)
             return
@@ -910,17 +910,15 @@ class Monitor:
         if raw is None:
             ticket.run.fail_file(path, NotFound(f"external file {path} absent"))
         else:
-            # Copy the file into trustlet memory before the LibOS sees it.
+            # Copy the file into trustlet memory before the LibOS sees it;
+            # ``_settle`` releases these pages.
             n_pages = pages_for(len(raw)) or 1
             fids, alloc_us = alloc_frames(self.pool, n_pages, self.model,
                                           owner_level=PrivilegeLevel.PL1_PROCESS)
             self._charge(alloc_us)
-            vpns = proc.page_table.take_vpns(n_pages)
-            view = memoryview(bytes(raw))
-            for i, (vpn, fid) in enumerate(zip(vpns, fids)):
-                proc.page_table.map_page(vpn, fid, PagePerms.process_rw())
-                self.store.write_bytes(fid, 0,
-                                       view[i * PAGE_SIZE : (i + 1) * PAGE_SIZE])
+            ticket.file_vpns += proc.page_table.map_range(
+                fids, PagePerms.process_rw())
+            self.store.write_range(fids, raw)
             ticket.charges.input_us += self._charge(
                 self.model.transfer_us(len(raw)))
             ticket.run.deliver_file(path, raw)
@@ -934,25 +932,29 @@ class Monitor:
         charges.exec_us += self._charge(ticket.run.charge_us())
 
         edge = self._chain_edges.get(ticket.handle)
-        if edge is not None:
-            consumer_handle, obj_id = edge
-            try:
+        try:
+            if edge is not None:
+                consumer_handle, obj_id = edge
                 # One input slot: a second handoff would lose the first.
                 if consumer_handle in self._chain_inbox:
                     raise TrustletBusy(
                         f"chain consumer {consumer_handle} holds a handed-off "
                         f"input it has not run")
-                consumer, consumer_recreated = self._claim(
-                    consumer_handle, ticket.response_key)
-            except TrustletBusy as exc:
-                self._settle(ticket, proc, error=exc)  # the link stays pending
-                return
+                self._must_recreate(consumer_handle,
+                                    _user_of(ticket.response_key))
+                charge = self.objects.ensure_capacity(obj_id, len(output))
+            else:
+                obj_id, charge = self.objects.create(
+                    proc.pid, proc.page_table, max(1, len(output)),
+                    ObjectType.PLAIN)
+        except (TrustletBusy, QuotaExceeded, OutOfMemory) as exc:
+            # A pending link stays pending; its consumer is left as it was.
+            self._settle(ticket, proc, error=exc)
+            return
+        if edge is not None:
             del self._chain_edges[ticket.handle]
-            charge = self.objects.ensure_capacity(obj_id, len(output))
-        else:
-            obj_id, charge = self.objects.create(
-                proc.pid, proc.page_table, max(1, len(output)),
-                ObjectType.PLAIN)
+            consumer, consumer_recreated = self._claim(
+                consumer_handle, ticket.response_key)
         charges.output_us += self._charge(charge)
         charges.output_us += self._charge(self.objects.write_through(
             proc.pid, proc.page_table, obj_id, output))
@@ -1044,61 +1046,6 @@ class Monitor:
             self.config.chain_capacity_bytes, ObjectType.CHAIN)
         self._charge(charge)
         return obj_id
-
-    # -- trap interface ----------------------------------------------------------------
-
-    def trap(self, handle: int, service: str, **args):
-        """Trustlet -> monitor service request channel.
-
-        Only the running trustlet may trap; unknown services are rejected
-        the way unrecognized trap leaves fall through.
-        """
-        proc = self._proc(handle)
-        if proc.state is not ProcState.RUNNING:
-            raise PermissionDenied("only the running trustlet may trap")
-        if service == "mem_alloc":
-            nbytes = args["nbytes"]
-            n_pages = pages_for(nbytes)
-            fids, charge = alloc_frames(self.pool, n_pages, self.model,
-                                        owner_level=PrivilegeLevel.PL1_PROCESS)
-            self._charge(charge)
-            vpns = proc.page_table.take_vpns(n_pages)
-            for vpn, fid in zip(vpns, fids):
-                proc.page_table.map_page(vpn, fid, PagePerms.process_rw())
-            return vpns
-        if service == "file_read":
-            path = args["path"]
-            raw = self.guest.read_file(path)
-            if raw is None:
-                raise NotFound(f"external file {path} absent")
-            self._charge(self.model.transfer_us(len(raw)))
-            return raw
-        if service == "obj_create":
-            obj_id, charge = self.objects.create(proc.pid, proc.page_table,
-                                                 args["length"])
-            self._charge(charge)
-            return obj_id
-        if service == "obj_get":
-            obj = self.objects.attach_reader(proc.pid, proc.page_table,
-                                             args["obj_id"])
-            return obj.obj_id, obj.length
-        if service == "obj_get_input":
-            return self.objects.get_input(proc.pid, proc.page_table)
-        if service == "obj_set_output":
-            self.objects.set_output(proc.pid, args["obj_id"])
-            return None
-        if service == "exit":
-            proc.transition(ProcState.READY)
-            return None
-        raise UnknownService(f"trap service {service!r} is not implemented")
-
-    def compromise(self) -> dict:
-        """Adversarial-harness hook: leak the secrets this agent holds."""
-        secrets: dict = {}
-        if self.policy is not None:
-            secrets["function_private_key"] = \
-                self.policy.function_key.private_bytes()
-        return secrets
 
     # -- reports about processes ---------------------------------------------------------
 

@@ -140,10 +140,7 @@ class ObjectStore:
                          charged_bytes=length)
         self._next_id += 1
         if caller_table is not None and caller_pid != MONITOR_PID:
-            vpns = caller_table.take_vpns(pages)
-            for vpn, fid in zip(vpns, fids):
-                caller_table.map_page(vpn, fid, PagePerms.process_wo())
-            obj.writer_vpns = vpns
+            obj.writer_vpns = caller_table.map_range(fids, PagePerms.process_wo())
             obj.writer_table = caller_table
         self.objects[obj.obj_id] = obj
         self.attached_view(caller_pid).add(obj.obj_id)
@@ -185,10 +182,8 @@ class ObjectStore:
         obj.reader = caller_pid
         self.attached_view(caller_pid).add(obj.obj_id)
         if caller_table is not None and caller_pid != MONITOR_PID:
-            vpns = caller_table.take_vpns(len(obj.frames))
-            for vpn, fid in zip(vpns, obj.frames):
-                caller_table.map_page(vpn, fid, PagePerms.process_ro())
-            obj.reader_vpns = vpns
+            obj.reader_vpns = caller_table.map_range(obj.frames,
+                                                     PagePerms.process_ro())
             obj.reader_table = caller_table
         return obj
 
@@ -202,10 +197,8 @@ class ObjectStore:
         fids, charge = alloc_frames(self.pool, needed, self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
         if obj.writer_table is not None and obj.writer_vpns:
-            vpns = obj.writer_table.take_vpns(needed)
-            for vpn, fid in zip(vpns, fids):
-                obj.writer_table.map_page(vpn, fid, PagePerms.process_wo())
-            obj.writer_vpns.extend(vpns)
+            obj.writer_vpns += obj.writer_table.map_range(
+                fids, PagePerms.process_wo())
         obj.frames.extend(fids)
         if obj.writer is not None and obj.writer != MONITOR_PID:
             obj.charged_bytes += needed * PAGE_SIZE
@@ -292,12 +285,7 @@ class ObjectStore:
     def write_monitor(self, obj_id: int, data: bytes) -> int:
         """Monitor (PL0) populates an object directly; charged, not counted."""
         obj = self.get(obj_id)
-        if len(data) > len(obj.frames) * PAGE_SIZE:
-            raise ValueError("data exceeds object capacity")
-        store = self.pool.store
-        for i in range(0, len(data), PAGE_SIZE):
-            store.write_bytes(obj.frames[i // PAGE_SIZE], 0,
-                              data[i : i + PAGE_SIZE])
+        self.pool.store.write_range(obj.frames, data)
         obj.length = len(data)
         return self.model.transfer_us(len(data))
 

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import FunctionError, IntegrityError, NotFound
 from .images import FunctionSpec, OpKind
-
-# External fetches may return wrapped bytes that carry a taint marker (see
-# guest.TaintedBytes); they are only unwrapped after the digest check.
-ExternalProvider = Callable[[str], Optional[bytes]]
 
 
 class NestedFs:
@@ -26,13 +22,12 @@ class NestedFs:
 
     Lookup order: the embedded filesystem wins; otherwise the path must
     appear in the manifest and the fetched bytes must match its digest.
+    The monitor fetches them while the run is suspended (``NeedFile``).
     """
 
-    def __init__(self, embedded: dict[str, bytes], manifest: dict[str, bytes],
-                 external_provider: Optional[ExternalProvider] = None):
+    def __init__(self, embedded: dict[str, bytes], manifest: dict[str, bytes]):
         self.embedded = dict(embedded)
         self.manifest = dict(manifest)
-        self.external_provider = external_provider
 
     def lookup_embedded(self, path: str) -> Optional[bytes]:
         return self.embedded.get(path)
@@ -41,27 +36,14 @@ class NestedFs:
         return self.manifest.get(path)
 
     def verify_external(self, path: str, raw: bytes) -> bytes:
-        """Digest-check fetched bytes; unwrap them only on success."""
+        """Digest-check fetched bytes, which may be guest-tainted
+        (``guest.TaintedBytes``); unwrap them only on success."""
         expected = self.manifest.get(path)
         if expected is None:
             raise NotFound(f"{path} is not in the manifest")
         if hashlib.sha512(raw).digest() != expected:
             raise IntegrityError(f"digest mismatch for external file {path}")
         return bytes(raw)
-
-    def open_read(self, path: str) -> bytes:
-        """Synchronous read: embedded bytes, else verified external bytes."""
-        content = self.embedded.get(path)
-        if content is not None:
-            return content
-        if path not in self.manifest:
-            raise NotFound(f"{path} not found in embedded fs or manifest")
-        if self.external_provider is None:
-            raise NotFound(f"no external provider for {path}")
-        raw = self.external_provider(path)
-        if raw is None:
-            raise NotFound(f"external file {path} is absent")
-        return self.verify_external(path, raw)
 
 
 # -- step outcomes -----------------------------------------------------------
@@ -180,11 +162,11 @@ class PipelineRun:
 
 def exec_pipeline(fn: FunctionSpec, input_bytes: bytes,
                   fs: NestedFs) -> tuple[bytes, int]:
-    """Run a pipeline to completion with synchronous external reads.
+    """Run a pipeline to completion without a monitor.
 
     Returns (output bytes, simulated execution charge in microseconds).
-    Raises FunctionError when a read fails.  The scheduler-aware path uses
-    PipelineRun directly; this shares the same interpreter.
+    Raises FunctionError when a read fails; external files, which only the
+    monitor fetches, fail as not found.
     """
     run = PipelineRun(fn, fs, input_bytes)
     while True:
@@ -192,16 +174,8 @@ def exec_pipeline(fn: FunctionSpec, input_bytes: bytes,
         if outcome is None:
             continue
         if isinstance(outcome, NeedFile):
-            if fs.external_provider is None:
-                run.fail_file(outcome.path, NotFound(
-                    f"no external provider for {outcome.path}"))
-                continue
-            raw = fs.external_provider(outcome.path)
-            if raw is None:
-                run.fail_file(outcome.path, NotFound(
-                    f"external file {outcome.path} is absent"))
-            else:
-                run.deliver_file(outcome.path, raw)
+            run.fail_file(outcome.path, NotFound(
+                f"external file {outcome.path} needs the monitor"))
             continue
         if isinstance(outcome, Done):
             return outcome.output, run.charge_us()

@@ -7,9 +7,9 @@ a sibling function of the same application, then the lowest-id free node;
 otherwise the request queues FIFO and re-runs node preference when a slot
 frees.  Determinism: arrivals are processed in (arrival, invocation_id)
 order, completions in (time, invocation_id) order, and completions precede
-arrivals at equal times.  :func:`simulate` refuses a trace that is not
-sorted by (arrival_ms, invocation_id); ``load_trace`` and
-``generate_trace`` produce that order.
+arrivals at equal times.  :func:`simulate` and :func:`make_run` refuse a
+trace that is not sorted by (arrival_ms, invocation_id); ``load_trace``
+and ``generate_trace`` produce that order.
 
 Each variant runs as one event loop over locals (``_VariantRun._loop``),
 with the node sets it intersects held as Python-int bitmasks.
@@ -308,9 +308,22 @@ def advance(run: _VariantRun) -> bool:
     return run.step()
 
 
+def _require_sorted(trace: Sequence[TraceEvent]) -> None:
+    """Refuse a trace out of (arrival_ms, invocation_id) order."""
+    last_arrival, last_id = -math.inf, -math.inf
+    for event in trace:
+        arrival = event.arrival_ms
+        if arrival < last_arrival or (arrival == last_arrival
+                                      and event.invocation_id < last_id):
+            raise InvariantError(
+                "trace must be sorted by (arrival_ms, invocation_id)")
+        last_arrival, last_id = arrival, event.invocation_id
+
+
 def make_run(trace: Sequence[TraceEvent], profile: VariantProfile,
              config: SimConfig) -> _VariantRun:
     """Construct a stepwise run for one variant (test hook)."""
+    _require_sorted(trace)
     return _VariantRun(trace, profile, config)
 
 
@@ -323,14 +336,7 @@ def simulate(trace: Sequence[TraceEvent],
         raise InvariantError("simulation needs at least one node and slot")
     if config.cache_size < 0:
         raise InvariantError("cache size must be non-negative")
-    last_arrival, last_id = -math.inf, -math.inf
-    for event in trace:
-        arrival = event.arrival_ms
-        if arrival < last_arrival or (arrival == last_arrival
-                                      and event.invocation_id < last_id):
-            raise InvariantError(
-                "trace must be sorted by (arrival_ms, invocation_id)")
-        last_arrival, last_id = arrival, event.invocation_id
+    _require_sorted(trace)
     results = {}
     for name in sorted(config.profiles):
         profile = config.profiles[name]

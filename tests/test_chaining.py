@@ -8,11 +8,12 @@ from walletemu.crypto import Rng
 from walletemu.errors import (
     AlreadyAttached,
     NotCoLocated,
+    OutOfMemory,
     PolicyViolation,
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
-from walletemu.memory import PAGE_SIZE
+from walletemu.memory import PAGE_SIZE, pages_for
 from walletemu.monitor import MonitorConfig, ProcState
 from walletemu.objects import fallback_transfer
 from walletemu.provider import UserAgent
@@ -238,6 +239,34 @@ class TestChainLifecycle:
             m.delete_trustlet(handle)
         assert not m.objects.objects
         assert m.pool.free_count == free_after_zygote
+
+    def test_failed_chain_growth_keeps_the_link_and_the_consumer(self):
+        rig, functions, handles = relay_chain_rig(
+            2, chain_capacity_bytes=PAGE_SIZE)
+        m = rig.monitor
+        producer, consumer = handles
+        # The consumer last served another user, so a handoff recreates it.
+        warm = other_user(rig).make_request(functions[0].digest(), b"warm")
+        m.invoke_with_input(consumer, b"warm+", warm.response_key, warm.nonce)
+        consumer_pid = m._handles[consumer]
+        m.link_chain(producer, consumer)
+        payload = b"g" * (2 * PAGE_SIZE)
+        # Frames for the input object, none to grow the 1-page chain object.
+        drained = m.pool.take(m.pool.free_count - pages_for(len(payload)))
+        request = rig.user.make_request(functions[0].digest(), payload)
+        with pytest.raises(OutOfMemory):
+            m.invoke_trustlet(producer, request.ciphertext)
+        assert m._proc(producer).state is ProcState.READY
+        assert producer in m._chain_edges  # the link is still pending
+        assert m._handles[consumer] == consumer_pid  # not recreated
+        m.pool.release(drained)
+        request = rig.user.make_request(functions[0].digest(), payload)
+        result = m.invoke_trustlet(producer, request.ciphertext)
+        final = m.invoke_chained(result.handoff)
+        assert final.recreated
+        assert rig.user.decrypt_response(request, final.output_ciphertext) \
+            == payload + b"++"
+        assert_refs_conserved(m)
 
 
 class TestFallbackPath:

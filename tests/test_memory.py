@@ -169,6 +169,71 @@ class TestMapPage:
             table.map_page(0, fids[0], PagePerms.guest_rw())
 
 
+class TestMapRange:
+    def test_maps_fresh_vpns_writable_by_the_process(self, store, pool,
+                                                      model):
+        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        table = PageTable(store, 7)
+        table.map_page(4, fids[0], PagePerms.process_ro())
+        vpns = table.map_range(fids[1:], PagePerms.process_rw())
+        assert vpns == [5, 6]
+        for vpn, fid in zip(vpns, fids[1:]):
+            assert table.lookup(vpn).frame_id == fid
+            assert store.ref(fid) == 1
+            assert table.access(PL1, vpn, AccessKind.WRITE, b"ok") is None
+
+    @pytest.mark.parametrize("level", [PL1, PL2])
+    def test_lower_levels_may_not_map(self, store, pool, model, level):
+        fids, _ = alloc_frames(pool, 2, model)
+        table = PageTable(store, 7)
+        with pytest.raises(PermissionDenied):
+            table.map_range(fids, PagePerms.process_rw(), caller=level)
+        assert table.n_entries() == 0 and table.next_unused_vpn() == 0
+
+    def test_sealed_table_refuses(self, store, pool, model):
+        zygote = build_zygote_table(store, pool, model, pages=2)
+        fids, _ = alloc_frames(pool, 1, model)
+        with pytest.raises(NotSealed):
+            zygote.map_range(fids, PagePerms.process_ro())
+
+    def test_unknown_frame_rejected(self, store):
+        with pytest.raises(KeyError):
+            PageTable(store, 7).map_range([123], PagePerms.process_ro())
+
+    def test_pl1_frames_cannot_be_exposed_to_guest(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        with pytest.raises(PermissionDenied):
+            PageTable(store, 9).map_range(fids, PagePerms.guest_rw())
+
+    def test_unmap_range_returns_the_frames_left_unmapped(self, store, pool,
+                                                          model):
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        table, other = PageTable(store, 1), PageTable(store, 2)
+        vpns = table.map_range(fids, PagePerms.process_rw())
+        other.map_page(0, fids[1], PagePerms.process_ro())
+        assert table.unmap_range(vpns) == [fids[0]]
+        assert table.n_entries() == 0 and store.ref(fids[1]) == 1
+
+
+class TestWriteRange:
+    def test_data_spans_frames_from_their_start(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 3, model)
+        data = bytes(range(256)) * 40  # 10240 bytes: two full pages and a bit
+        store.write_range(fids, data)
+        out = b"".join(store.read_bytes(fid) for fid in fids)
+        assert out[: len(data)] == data
+        assert out[len(data):] == bytes(3 * PAGE_SIZE - len(data))
+
+    def test_data_beyond_the_frames_rejected(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 1, model)
+        with pytest.raises(ValueError):
+            store.write_range(fids, bytes(PAGE_SIZE + 1))
+
+    def test_unknown_frame_rejected(self, store):
+        with pytest.raises(KeyError):
+            store.write_range([123], b"x")
+
+
 class TestAccess:
     def test_write_to_exclusive_writable_page(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)

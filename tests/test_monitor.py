@@ -1,5 +1,8 @@
 """Trusted-monitor tests: lifecycle, policy, scheduling, invocation."""
 
+import hashlib
+import struct
+
 import pytest
 
 from conftest import (
@@ -21,22 +24,21 @@ from walletemu.errors import (
     NoSession,
     AuthFailed,
     OutOfMemory,
-    PermissionDenied,
     PolicyViolation,
+    QuotaExceeded,
     StaleNonce,
     TrustletBusy,
     UnknownHandle,
-    UnknownService,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
-from walletemu.memory import PL1, PL2, AccessKind, PageFault, preallocate
+from walletemu.memory import PL2, AccessKind, PageFault, preallocate
 from walletemu.monitor import (
     Monitor,
     MonitorConfig,
     ProcKind,
     ProcState,
 )
-from walletemu.objects import MONITOR_PID
+from walletemu.objects import MONITOR_PID, fallback_transfer
 from walletemu.provider import FunctionProvider, UserAgent
 
 SHA512_EMPTY = bytes.fromhex(
@@ -341,6 +343,36 @@ class TestInvocation:
         out = rig.user.decrypt_response(request, result.output_ciphertext)
         assert out == EXTERNAL_CONTENT
 
+    def test_warm_external_reads_release_their_file_pages(self, rig):
+        m = rig.monitor
+        fn = rig.functions[3]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+
+        def read():
+            request = rig.user.make_request(fn.digest(), b"")
+            m.invoke_trustlet(t.handle, request.ciphertext)
+
+        read()
+        table = m._proc(t.handle).page_table
+        free, entries = m.pool.free_count, table.n_entries()
+        for _ in range(10):
+            read()
+        assert (m.pool.free_count, table.n_entries()) == (free, entries)
+
+    def test_output_over_quota_fails_and_leaves_the_trustlet_ready(self):
+        rig = make_rig(quota_bytes=4096)
+        m = rig.monitor
+        fn = rig.functions[0]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        big = rig.user.make_request(fn.digest(), b"x" * 5000)
+        with pytest.raises(QuotaExceeded):
+            m.invoke_trustlet(t.handle, big.ciphertext)
+        assert m._proc(t.handle).state is ProcState.READY
+        request = rig.user.make_request(fn.digest(), b"small")
+        result = m.invoke_trustlet(t.handle, request.ciphertext)
+        assert rig.user.decrypt_response(
+            request, result.output_ciphertext) == b"small"
+
     def test_long_warm_trustlet_stays_within_object_quota(self, rig):
         fn = rig.functions[0]
         t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
@@ -371,44 +403,6 @@ class TestInvocation:
         request = rig.user.make_request(fn.digest(), b"warm input 123")
         result = rig.monitor.invoke_trustlet(t.handle, request.ciphertext)
         assert result.bytes_hashed == len(b"warm input 123") * 2  # echo
-
-
-class TestTraps:
-    def make_running(self, rig):
-        fn = rig.functions[0]
-        t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
-        proc = rig.monitor._proc(t.handle)
-        proc.transition(ProcState.RUNNING)
-        return t.handle, proc
-
-    def test_mem_alloc_maps_writable_pages(self, rig):
-        handle, proc = self.make_running(rig)
-        vpns = rig.monitor.trap(handle, "mem_alloc", nbytes=8192)
-        assert len(vpns) == 2
-        for vpn in vpns:
-            assert proc.page_table.access(PL1, vpn, AccessKind.WRITE,
-                                          b"ok") is None
-
-    def test_file_read_delivers_external_bytes(self, rig):
-        handle, proc = self.make_running(rig)
-        raw = rig.monitor.trap(handle, "file_read", path="/ext/blob")
-        assert bytes(raw) == EXTERNAL_CONTENT
-
-    def test_unknown_service_rejected(self, rig):
-        handle, _ = self.make_running(rig)
-        with pytest.raises(UnknownService):
-            rig.monitor.trap(handle, "launch_missiles")
-
-    def test_trap_requires_running_caller(self, rig):
-        fn = rig.functions[0]
-        t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
-        with pytest.raises(PermissionDenied):
-            rig.monitor.trap(t.handle, "mem_alloc", nbytes=4096)
-
-    def test_exit_returns_to_ready(self, rig):
-        handle, proc = self.make_running(rig)
-        rig.monitor.trap(handle, "exit")
-        assert proc.state is ProcState.READY
 
 
 class TestScheduling:
@@ -558,3 +552,81 @@ class TestDeterminism:
             return (result.report.to_bytes(), result.output_ciphertext)
 
         assert run() == run()
+
+
+def _pin(h, monitor, result) -> None:
+    """Feed one invocation's simulated outputs into h."""
+    c = result.charges
+    h.update(struct.pack(">6q", c.decrypt_us, c.input_us, c.exec_us,
+                         c.output_us, c.report_us, c.response_us))
+    h.update(result.report.to_bytes() if result.report is not None else b"-")
+    h.update(result.output_ciphertext or b"-")
+    h.update(struct.pack(">q", monitor.clock_us))
+
+
+class TestPinnedOutputs:
+    """Charges, reports, ciphertexts and the clock of a fixed script,
+    pinned by SHA-256 so that a refactor keeps them bit for bit."""
+
+    def rig_functions(self, h, rig, users, rounds=1):
+        """Every rig function for every user in turn; a second user
+        recreates each trustlet."""
+        m = rig.monitor
+        handles = [m.create_trustlet(rig.zygote.handle, fn).handle
+                   for fn in rig.functions]
+        for user in users:
+            for _ in range(rounds):
+                for fn, handle in zip(rig.functions, handles):
+                    request = user.make_request(fn.digest(), b"pinned input")
+                    _pin(h, m, m.invoke_trustlet(handle, request.ciphertext))
+        return handles
+
+    def digest(self, **rig_config) -> str:
+        h = hashlib.sha256()
+        rig = make_rig(**rig_config)
+        users = [rig.user, UserAgent(Rng(77), rig.provider.public_key())]
+        self.rig_functions(h, rig, users, rounds=2)
+        return h.hexdigest()
+
+    def test_rig_functions_for_two_users(self):
+        assert self.digest() == (
+            "8642fc329f3fadc9231aae439048dddc2bc0cc59575b26c9863c91b2397cafe6")
+
+    def test_without_prealloc(self):
+        assert self.digest(prealloc=0, pool_frames=65536) == (
+            "dc894f23297807c33375752ef329a612f6db8eaac7ebfb3f7339372bce677a67")
+
+    def test_without_cow(self):
+        assert self.digest(cow=False) == (
+            "cbcd21f291eb0f27be6c49a1c87163a88e7073686c621e4a77f7f306c22ddf30")
+
+    def test_chain_and_fallback_hop(self):
+        h = hashlib.sha256()
+        functions = [FunctionSpec(f"stage-{i}", [PipelineOp.append(b"+")], 0.5)
+                     for i in range(3)]
+        rig = make_rig(image=ZygoteImage("chain-rt", 0, [("/noop", b"-")]),
+                       functions=functions,
+                       chains=(tuple(fn.digest() for fn in functions),))
+        m = rig.monitor
+        handles = [m.create_trustlet(rig.zygote.handle, fn).handle
+                   for fn in functions]
+        for payload in (b"x" * 10, b"y" * 9000):
+            for producer, consumer in zip(handles, handles[1:]):
+                m.link_chain(producer, consumer)
+            request = rig.user.make_request(functions[0].digest(), payload)
+            result = m.invoke_trustlet(handles[0], request.ciphertext)
+            _pin(h, m, result)
+            while result.handoff is not None:
+                result = m.invoke_chained(result.handoff)
+                _pin(h, m, result)
+        request = rig.user.make_request(functions[0].digest(), b"fallback")
+        first = m.invoke_trustlet(handles[0], request.ciphertext)
+        _pin(h, m, first)
+        _, delivered, transfer_us = fallback_transfer(
+            m.objects, first.output_obj_id, m.objects, Rng(5).bytes(32),
+            m.guest, m.rng, colocated=True)
+        h.update(struct.pack(">q", transfer_us))
+        _pin(h, m, m.invoke_with_input(handles[1], delivered,
+                                       request.response_key, request.nonce))
+        assert h.hexdigest() == (
+            "56735c7361c1e3a7d04b0b9e18b6c783b805ed51256a1ae4ef4bdb5516bc09b0")

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walletemu.errors import FunctionError, IntegrityError, NotFound
+from walletemu.errors import FunctionError, NotFound
 from walletemu.guest import GuestBroker, TaintedBytes
 from walletemu.images import FunctionSpec, OpKind, PipelineOp, manifest_entry
-from walletemu.pipeline import Done, NeedFile, NestedFs, PipelineRun, exec_pipeline
+from walletemu.pipeline import (
+    Done,
+    Failed,
+    NeedFile,
+    NestedFs,
+    PipelineRun,
+    exec_pipeline,
+)
 
 # Published SHA-512 test vector for the empty string (independent of the
 # interpreter's own hashing path).
@@ -99,36 +106,57 @@ class TestExecPipeline:
         assert len(runs) == 1
 
 
+def read_via_monitor_path(fs: NestedFs, path: str, broker: GuestBroker):
+    """Run a one-op read_file pipeline the way the monitor drives it: on
+    NeedFile, fetch the bytes from the guest and deliver them to the run."""
+    run = PipelineRun(FunctionSpec("r", [PipelineOp.read_file(path)]), fs, b"")
+    while True:
+        outcome = run.step()
+        if isinstance(outcome, NeedFile):
+            raw = broker.read_file(outcome.path)
+            if raw is None:
+                run.fail_file(outcome.path, NotFound(outcome.path))
+            else:
+                run.deliver_file(outcome.path, raw)
+        elif outcome is not None:
+            return outcome
+
+
 class TestNestedFs:
     def make_external(self, content=b"external-bytes"):
         broker = GuestBroker()
         broker.put_file("/ext/a", content)
         fs = NestedFs({"/data/x": b"embedded"},
-                      dict([manifest_entry("/ext/a", content)]),
-                      external_provider=broker.read_file)
+                      dict([manifest_entry("/ext/a", content)]))
         return broker, fs
 
     def test_embedded_hit_issues_no_external_fetch(self):
         broker, fs = self.make_external()
-        assert fs.open_read("/data/x") == b"embedded"
+        assert read_via_monitor_path(fs, "/data/x", broker) == Done(b"embedded")
         assert broker.file_reads == []
 
     def test_external_honest_fetch_verifies(self):
         broker, fs = self.make_external()
-        assert fs.open_read("/ext/a") == b"external-bytes"
+        outcome = read_via_monitor_path(fs, "/ext/a", broker)
+        assert outcome == Done(b"external-bytes")
+        assert type(outcome.output) is bytes
         assert broker.file_reads == ["/ext/a"]
 
     def test_external_tampered_byte_rejected(self):
         broker, fs = self.make_external()
         broker.tamper_file("/ext/a", lambda c: b"X" + c[1:])
-        with pytest.raises(IntegrityError):
-            fs.open_read("/ext/a")
+        outcome = read_via_monitor_path(fs, "/ext/a", broker)
+        assert isinstance(outcome, Failed)
+        assert isinstance(outcome.error, FunctionError)
+        assert "digest mismatch" in str(outcome.error)
 
     def test_path_absent_from_manifest_is_not_found(self):
         broker, fs = self.make_external()
         broker.put_file("/ext/unlisted", b"contraband")
-        with pytest.raises(NotFound):
-            fs.open_read("/ext/unlisted")
+        outcome = read_via_monitor_path(fs, "/ext/unlisted", broker)
+        assert isinstance(outcome, Failed)
+        assert "not found" in str(outcome.error)
+        assert broker.file_reads == []  # gated before any fetch
 
     def test_verified_bytes_are_untainted(self):
         broker, fs = self.make_external()
@@ -151,13 +179,15 @@ class TestNestedFs:
         # prefer embedded content.
         manifest = {p: hashlib.sha512(c).digest()
                     for p, c in external.items() if p not in embedded}
-        provider_map = dict(external)
-        fs = NestedFs(embedded, manifest,
-                      external_provider=lambda p: provider_map.get(p))
+        broker = GuestBroker()
+        for path, content in external.items():
+            broker.put_file(path, content)
+        fs = NestedFs(embedded, manifest)
         for path, content in embedded.items():
-            assert fs.open_read(path) == content
+            assert read_via_monitor_path(fs, path, broker) == Done(content)
+        assert broker.file_reads == []
         for path in manifest:
-            assert fs.open_read(path) == external[path]
+            assert read_via_monitor_path(fs, path, broker) == Done(external[path])
 
 
 class TestStepMachine:

@@ -144,7 +144,7 @@ class TestScheduling:
 
 class TestAdvance:
     def test_equal_time_completions_by_invocation_id(self):
-        trace = [ev(1, 0, 1, 0, 100), ev(0, 0, 0, 0, 100)]
+        trace = [ev(0, 0, 0, 0, 100), ev(1, 0, 1, 0, 100)]
         config = SimConfig(nodes=2, slots=1, cache_size=2,
                            profiles={"CVM": cvm_profile(cold=0.0)}, seed=0)
         run = make_run(trace, config.profiles["CVM"], config)
@@ -153,6 +153,13 @@ class TestAdvance:
         finishes = sorted((o.finish_ms, o.invocation_id)
                           for o in run.outcomes)
         assert [f[1] for f in finishes] == [0, 1]
+
+    def test_unsorted_trace_refused(self):
+        trace = [ev(1, 0, 1, 0, 100), ev(0, 0, 0, 0, 100)]
+        config = SimConfig(nodes=2, slots=1, cache_size=2,
+                           profiles={"CVM": cvm_profile(cold=0.0)}, seed=0)
+        with pytest.raises(InvariantError):
+            make_run(trace, config.profiles["CVM"], config)
 
     def test_arrival_during_full_occupancy_only_queues(self):
         trace = [ev(0, 0, 0, 0, 100), ev(1, 0, 1, 10, 100)]
