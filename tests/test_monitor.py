@@ -31,7 +31,7 @@ from walletemu.errors import (
     UnknownHandle,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
-from walletemu.memory import PL2, AccessKind, PageFault, preallocate
+from walletemu.memory import PL1, PL2, AccessKind, PageFault, preallocate
 from walletemu.monitor import (
     Monitor,
     MonitorConfig,
@@ -403,6 +403,29 @@ class TestInvocation:
         request = rig.user.make_request(fn.digest(), b"warm input 123")
         result = rig.monitor.invoke_trustlet(t.handle, request.ciphertext)
         assert result.bytes_hashed == len(b"warm input 123") * 2  # echo
+
+
+class TestTraps:
+    """A suspended external-file read is the one request a running
+    trustlet makes of the monitor."""
+
+    def test_file_read_delivers_external_bytes(self, rig):
+        m = rig.monitor
+        fn = rig.functions[3]  # reader
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        request = rig.user.make_request(fn.digest(), b"")
+        ticket = m.submit_invocation(t.handle, request.ciphertext)
+        assert m.schedule() == ticket.pid  # suspends on the external read
+        assert ticket.file_vpns == [] and not ticket.finished
+        m._deliver_one_io()
+        table = m._proc(t.handle).page_table
+        pages = [table.access(PL1, vpn, AccessKind.READ)
+                 for vpn in ticket.file_vpns]
+        assert b"".join(pages)[:len(EXTERNAL_CONTENT)] == EXTERNAL_CONTENT
+        m.run_pending()
+        out = rig.user.decrypt_response(request,
+                                        ticket.result.output_ciphertext)
+        assert out == EXTERNAL_CONTENT
 
 
 class TestScheduling:
