@@ -23,6 +23,7 @@ from .monitor import Monitor, MonitorConfig
 from .objects import fallback_transfer
 from .provider import FunctionProvider, UserAgent
 from .sim import SimConfig, default_profiles, simulate
+from .sim.engine import BOOT_TIERS
 from .traceio import GeneratorSpec, generate_trace, load_trace, write_stats, write_trace
 
 MIB = 1048576
@@ -403,11 +404,15 @@ def cmd_simulate(args) -> dict:
             writer = csv.writer(fh)
             writer.writerow(["variant", "invocation_id", "node_id",
                              "boot_type", "delay_ms", "slowdown"])
+            tier_names = [tier.value for tier in BOOT_TIERS]
             for name in sorted(results):
-                for o in results[name].outcomes:
-                    writer.writerow([name, o.invocation_id, o.node_id,
-                                     o.boot_type.value,
-                                     repr(o.delay_ms), repr(o.slowdown)])
+                stats = results[name]
+                for inv, node, code, delay, slowdown in zip(
+                        stats.invocation_id.tolist(), stats.node_id.tolist(),
+                        stats.boot_code.tolist(), stats.delay_ms.tolist(),
+                        stats.slowdown.tolist()):
+                    writer.writerow([name, inv, node, tier_names[code],
+                                     repr(delay), repr(slowdown)])
     doc = {"n_invocations": len(trace), "stats": sorted(
         rows, key=lambda r: r["variant"])}
     for row in doc["stats"]:

@@ -1,13 +1,12 @@
 """Deterministic discrete-event scale-out simulator."""
 
-from .engine import BootType, Node, SimConfig, SimStats, simulate
+from .engine import BootType, SimConfig, SimStats, simulate
 from .oracle import oracle_simulate
 from .profiles import BootDist, VariantProfile, default_profiles
 
 __all__ = [
     "BootDist",
     "BootType",
-    "Node",
     "SimConfig",
     "SimStats",
     "VariantProfile",

@@ -12,7 +12,10 @@ trace that is not sorted by (arrival_ms, invocation_id); ``load_trace``
 and ``generate_trace`` produce that order.
 
 Each variant runs as one event loop over locals (``_VariantRun._loop``),
-with the node sets it intersects held as Python-int bitmasks.
+with the node sets it intersects held as Python-int bitmasks.  The loop
+indexes the trace's columns by position and writes each dispatch into
+per-position lists; :class:`SimStats` holds the outcomes as numpy columns
+in invocation-id order.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from ..errors import EmptyTrace, InvariantError
-from ..traceio import TraceEvent
+from ..traceio import Trace, TraceEvent, as_trace
 from .profiles import BootType, VariantProfile, default_profiles
 
 
@@ -41,39 +45,10 @@ class SimConfig:
     record_occupancy: bool = False
 
 
-class Node:
-    """One worker node.
-
-    The cache dict's insertion order encodes recency (touch = delete +
-    re-insert), so eviction order is strictly by last use with insertion
-    order breaking ties.  Toward the per-node instance cap, each in-flight
-    invocation and each cached instance counts (conservative when a running
-    function is also cached).
-    """
-
-    __slots__ = ("node_id", "slots", "cache_size", "busy", "cache")
-
-    def __init__(self, node_id: int, slots: int, cache_size: int):
-        self.node_id = node_id
-        self.slots = slots
-        self.cache_size = cache_size
-        self.busy = 0
-        self.cache: dict[tuple[int, int], bool] = {}
-
-    def resident_instances(self) -> int:
-        return len(self.cache) + self.busy
-
-    def eligible(self, cap: Optional[int]) -> bool:
-        if self.busy >= self.slots:
-            return False
-        return cap is None or self.resident_instances() < cap
-
-    def memory_resident(self, per_function_memory: int) -> int:
-        return self.resident_instances() * per_function_memory
-
-
 @dataclass(slots=True)
 class InvocationOutcome:
+    """One invocation's result; a row view of :class:`SimStats`."""
+
     invocation_id: int
     node_id: int
     boot_type: BootType
@@ -83,23 +58,65 @@ class InvocationOutcome:
     finish_ms: float
 
 
-@dataclass
+# A boot-tier code is an index into BOOT_TIERS.
+BOOT_TIERS = (BootType.COLD, BootType.LUKEWARM, BootType.WARM)
+COLD, LUKEWARM, WARM = range(3)
+
+
+@dataclass(eq=False)
 class SimStats:
-    """Per-variant results; delay = queue wait + boot,
-    slowdown = (delay + adjusted duration) / duration."""
+    """Per-variant results as numpy columns, one entry per invocation in
+    invocation-id order; delay = queue wait + boot,
+    slowdown = (delay + adjusted duration) / duration.
+
+    ``boot_code`` indexes :data:`BOOT_TIERS`.  ``outcomes`` is a row view
+    built on each access.
+    """
 
     variant: str
-    outcomes: list[InvocationOutcome]
+    invocation_id: np.ndarray
+    node_id: np.ndarray
+    boot_code: np.ndarray
+    delay_ms: np.ndarray
+    slowdown: np.ndarray
+    start_ms: np.ndarray
+    finish_ms: np.ndarray
     makespan_ms: float
     occupancy_log: list[tuple[float, int, int]]
 
+    @classmethod
+    def from_outcomes(cls, variant: str,
+                      outcomes: Sequence[InvocationOutcome],
+                      makespan_ms: float) -> "SimStats":
+        """Columns of row outcomes, already in invocation-id order."""
+        def column(attr, dtype):
+            return np.array([getattr(o, attr) for o in outcomes], dtype=dtype)
+
+        return cls(variant, column("invocation_id", np.int64),
+                   column("node_id", np.int64),
+                   np.array([BOOT_TIERS.index(o.boot_type) for o in outcomes],
+                            dtype=np.int8),
+                   column("delay_ms", np.float64),
+                   column("slowdown", np.float64),
+                   column("start_ms", np.float64),
+                   column("finish_ms", np.float64), makespan_ms, [])
+
+    @property
+    def outcomes(self) -> list[InvocationOutcome]:
+        tiers = map(BOOT_TIERS.__getitem__, self.boot_code.tolist())
+        return list(map(InvocationOutcome, self.invocation_id.tolist(),
+                        self.node_id.tolist(), tiers, self.delay_ms.tolist(),
+                        self.slowdown.tolist(), self.start_ms.tolist(),
+                        self.finish_ms.tolist()))
+
     def boot_counts(self) -> dict[str, int]:
-        types = [o.boot_type for o in self.outcomes]
-        return {b.value: types.count(b) for b in BootType}
+        counts = np.bincount(self.boot_code, minlength=len(BOOT_TIERS))
+        return {tier.value: int(counts[code])
+                for code, tier in enumerate(BOOT_TIERS)}
 
     def to_row(self) -> dict:
-        delays = sorted([o.delay_ms for o in self.outcomes])
-        slowdowns = sorted([o.slowdown for o in self.outcomes])
+        delays = np.sort(self.delay_ms)
+        slowdowns = np.sort(self.slowdown)
         counts = self.boot_counts()
         return {
             "variant": self.variant,
@@ -114,12 +131,40 @@ class SimStats:
         }
 
 
-def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+def nearest_rank(sorted_values: Sequence[float] | np.ndarray,
+                 q: float) -> float:
     """Nearest-rank percentile: the ceil(q*n)-th order statistic."""
-    if not sorted_values:
+    if len(sorted_values) == 0:
         return 0.0
     idx = max(1, math.ceil(q * len(sorted_values)))
     return float(sorted_values[idx - 1])
+
+
+@dataclass(frozen=True)
+class _LoopColumns:
+    """A trace as the plain lists the loop indexes, built once per
+    :func:`simulate` call and shared by its variants.
+
+    ``key[pos]`` is a dense code for the (app, function) pair at trace
+    position ``pos`` and ``key_app[key]`` a dense code for its app.
+    """
+
+    invocation_id: list[int]
+    arrival_ms: list[float]
+    duration_ms: list[float]
+    key: list[int]
+    key_app: list[int]
+    n_apps: int
+
+    @classmethod
+    def of(cls, trace: Trace) -> "_LoopColumns":
+        apps, app_code = np.unique(trace.app_id, return_inverse=True)
+        fns, fn_code = np.unique(trace.function_id, return_inverse=True)
+        pairs, key = np.unique(app_code * len(fns) + fn_code,
+                               return_inverse=True)
+        return cls(trace.invocation_id.tolist(), trace.arrival_ms.tolist(),
+                   trace.duration_ms.tolist(), key.tolist(),
+                   (pairs // len(fns)).tolist(), len(apps))
 
 
 class _VariantRun:
@@ -128,22 +173,31 @@ class _VariantRun:
     The pass is one generator, ``_loop``, that applies one completion or
     arrival per iteration: :meth:`step` advances it by one event and
     :meth:`run` drains it, so stepwise and whole runs share every line.
-    ``queue``, ``completions``, ``outcomes``, ``nodes`` and ``makespan``
-    stay current between steps.
+    ``queue`` (trace positions), ``completions``, ``busy``, ``caches``
+    and ``makespan`` stay current between steps, and so do the
+    per-position outcome lists ``out_node``, ``out_code``, ``out_start``
+    and ``out_boot`` (``out_node`` is -1 until dispatch).
     """
 
-    def __init__(self, trace: Sequence[TraceEvent], profile: VariantProfile,
-                 config: SimConfig):
+    def __init__(self, trace: Trace, profile: VariantProfile,
+                 config: SimConfig, columns: _LoopColumns):
         self.trace = trace
+        self.columns = columns
         self.profile = profile
         self.config = config
         self.rng = random.Random(config.seed)
-        self.nodes = [Node(i, config.slots, config.cache_size)
-                      for i in range(config.nodes)]
-        self.queue: deque[TraceEvent] = deque()
-        # (finish, invocation_id, node_id, (app, fn)); ids break time ties
-        self.completions: list[tuple[float, int, int, tuple[int, int]]] = []
-        self.outcomes: list[InvocationOutcome] = []
+        self.busy = [0] * config.nodes
+        # Each cache dict's insertion order encodes recency (touch =
+        # delete + re-insert), so eviction is strictly by last use.
+        self.caches: list[dict[int, bool]] = [{} for _ in range(config.nodes)]
+        self.queue: deque[int] = deque()
+        # (finish, invocation_id, node_id, key); ids break time ties
+        self.completions: list[tuple[float, int, int, int]] = []
+        n = len(trace)
+        self.out_node = [-1] * n
+        self.out_code = [0] * n
+        self.out_start = [0.0] * n
+        self.out_boot = [0.0] * n
         self.occupancy: list[tuple[float, int, int]] = []
         self.makespan = 0.0
         self._events = self._loop()
@@ -152,35 +206,38 @@ class _VariantRun:
         """The event loop; yields once per applied event.
 
         Node sets are Python-int bitmasks (bit i is node i): ``eligible``,
-        ``fn_nodes[(app, fn)]`` (nodes caching the function) and
+        ``fn_nodes[key]`` (nodes caching the function) and
         ``app_nodes[app]`` (nodes caching any function of the app, kept
         for the lukewarm tier only).  A node choice is an AND of two masks
         and its lowest set bit.  The mask that supplied the node gives the
         tier: a node from ``fn_nodes`` caches the function (warm), one from
         ``app_nodes`` caches a sibling of the same app (lukewarm), and one
         from ``eligible`` alone caches neither (cold), because an eligible
-        node that did would have come from an earlier mask.  The eligibility
-        test is :meth:`Node.eligible`, inlined.
+        node that did would have come from an earlier mask.  A node is
+        eligible while it has a free slot and, toward the per-node
+        instance cap, fewer in-flight plus cached instances than the cap
+        (conservative when a running function is also cached).
         """
-        trace, profile, config = self.trace, self.profile, self.config
-        n_arrivals = len(trace)
+        profile, config, columns = self.profile, self.config, self.columns
+        ids, arrival = columns.invocation_id, columns.arrival_ms
+        duration, keys, key_app = (columns.duration_ms, columns.key,
+                                   columns.key_app)
+        n_arrivals = len(ids)
         rng = self.rng
         record = config.record_occupancy
         slots, cache_size = config.slots, config.cache_size
         cap = profile.per_node_instance_cap
-        nodes, queue, outcomes = self.nodes, self.queue, self.outcomes
+        busy_of, caches, queue = self.busy, self.caches, self.queue
+        out_node, out_code = self.out_node, self.out_code
+        out_start, out_boot = self.out_start, self.out_boot
         completions, occupancy = self.completions, self.occupancy
         heappush, heappop = heapq.heappush, heapq.heappop
-        WARM, LUKEWARM, COLD = BootType.WARM, BootType.LUKEWARM, BootType.COLD
 
-        eligible = 0
-        for node in nodes:
-            if node.eligible(cap):
-                eligible |= 1 << node.node_id
         # A node holds at most slots + cache_size instances, so an absent
         # cap becomes one that never binds.
         if cap is None:
             cap = slots + cache_size + 1
+        eligible = (1 << config.nodes) - 1 if slots > 0 and cap > 0 else 0
         cold_dist, warm_dist = profile.cold_boot, profile.warm_boot
         luke_dist = profile.lukewarm_boot
         lukewarm = luke_dist is not None
@@ -190,12 +247,12 @@ class _VariantRun:
         jittered = not all(d.is_point_mass for d in tiers)
         cold_ms, warm_ms = cold_dist.mean_ms, warm_dist.mean_ms
         luke_ms = luke_dist.mean_ms if lukewarm else 0.0
-        fn_nodes: dict[tuple[int, int], int] = {}
-        app_nodes: dict[int, int] = {}
-        app_counts: list[dict[int, int]] = [{} for _ in nodes]  # app -> fns
+        fn_nodes = [0] * len(key_app)
+        app_nodes = [0] * columns.n_apps
+        app_counts: list[dict[int, int]] = [{} for _ in busy_of]  # app -> fns
 
         ai = 0
-        next_arrival = trace[0].arrival_ms if n_arrivals else math.inf
+        next_arrival = arrival[0] if n_arrivals else math.inf
         makespan = self.makespan
         while True:
             # Completions win ties against arrivals.
@@ -205,15 +262,14 @@ class _VariantRun:
                 if now > makespan:
                     makespan = self.makespan = now
             elif ai < n_arrivals:
-                event = trace[ai]
+                pos = ai
                 ai += 1
-                next_arrival = (trace[ai].arrival_ms if ai < n_arrivals
-                                else math.inf)
-                queue.append(event)
+                next_arrival = arrival[ai] if ai < n_arrivals else math.inf
+                queue.append(pos)
                 if len(queue) > 1:  # FIFO: it waits behind the queue
                     yield True
                     continue
-                now = event.arrival_ms
+                now = arrival[pos]
                 node_id = -1
             else:
                 return
@@ -221,23 +277,22 @@ class _VariantRun:
             # place the queue head, until the queue empties or finds no node.
             while True:
                 if node_id >= 0:
-                    node = nodes[node_id]
                     bit = 1 << node_id
-                    busy = node.busy = node.busy + delta
-                    cache = node.cache
+                    busy = busy_of[node_id] = busy_of[node_id] + delta
+                    cache = caches[node_id]
                     if key in cache:
                         del cache[key]
                         cache[key] = True  # refreshed recency
                     else:
                         cache[key] = True
-                        fn_nodes[key] = fn_nodes.get(key, 0) | bit
+                        fn_nodes[key] |= bit
                         if lukewarm:
                             counts = app_counts[node_id]
-                            app = key[0]
+                            app = key_app[key]
                             n = counts.get(app, 0)
                             counts[app] = n + 1
                             if not n:
-                                app_nodes[app] = app_nodes.get(app, 0) | bit
+                                app_nodes[app] |= bit
                         # Warm instances are shed LRU-first when over the
                         # cache size or the per-node instance cap.
                         while (len(cache) > cache_size
@@ -246,7 +301,7 @@ class _VariantRun:
                             del cache[victim]
                             fn_nodes[victim] ^= bit
                             if lukewarm:
-                                app = victim[0]
+                                app = key_app[victim]
                                 n = counts[app] - 1
                                 if n:
                                     counts[app] = n
@@ -261,46 +316,68 @@ class _VariantRun:
                         occupancy.append((now, node_id, delta))
                 if not queue:
                     break
-                event = queue[0]
-                key = (event.app_id, event.function_id)
-                found = fn_nodes.get(key, 0) & eligible
+                pos = queue[0]
+                key = keys[pos]
+                found = fn_nodes[key] & eligible
                 if found:
-                    boot_type = WARM
+                    code = WARM
                     boot = warm_dist.sample(rng) if jittered else warm_ms
-                elif lukewarm and (found := app_nodes.get(key[0], 0)
+                elif lukewarm and (found := app_nodes[key_app[key]]
                                    & eligible):
-                    boot_type = LUKEWARM
+                    code = LUKEWARM
                     boot = luke_dist.sample(rng) if jittered else luke_ms
                 elif eligible:
                     found = eligible
-                    boot_type = COLD
+                    code = COLD
                     boot = cold_dist.sample(rng) if jittered else cold_ms
                 else:
                     break
                 queue.popleft()
                 node_id = (found & -found).bit_length() - 1  # lowest id
                 delta = 1
-                duration = event.duration_ms
-                delay = now - event.arrival_ms + boot
-                adjusted = duration + boot
-                finish = now + adjusted
-                heappush(completions,
-                         (finish, event.invocation_id, node_id, key))
-                outcomes.append(InvocationOutcome(
-                    event.invocation_id, node_id, boot_type, delay,
-                    (delay + adjusted) / duration, now, finish))
+                heappush(completions, (now + (duration[pos] + boot),
+                                       ids[pos], node_id, key))
+                out_node[pos] = node_id
+                out_code[pos] = code
+                out_start[pos] = now
+                out_boot[pos] = boot
             yield True
 
     def step(self) -> bool:
         """Apply the next event; False once none is left."""
         return next(self._events, False)
 
+    def stats(self) -> SimStats:
+        """The outcomes of the invocations dispatched so far, as columns.
+
+        Finish, delay and slowdown are derived from each dispatch's start
+        and boot with the float operations the loop uses for the finish
+        time it queues: adjusted = duration + boot, finish = start +
+        adjusted, delay = start - arrival + boot.
+        """
+        trace = self.trace
+        node = np.array(self.out_node, dtype=np.int64)
+        done = np.flatnonzero(node >= 0)
+        pos = done[np.argsort(trace.invocation_id[done], kind="stable")]
+        start = np.array(self.out_start, dtype=np.float64)[pos]
+        boot = np.array(self.out_boot, dtype=np.float64)[pos]
+        duration = trace.duration_ms[pos]
+        adjusted = duration + boot
+        delay = start - trace.arrival_ms[pos] + boot
+        return SimStats(self.profile.name, trace.invocation_id[pos],
+                        node[pos], np.array(self.out_code, dtype=np.int8)[pos],
+                        delay, (delay + adjusted) / duration, start,
+                        start + adjusted, self.makespan, self.occupancy)
+
+    @property
+    def outcomes(self) -> list[InvocationOutcome]:
+        """Row view of the outcomes so far, built on each access."""
+        return self.stats().outcomes
+
     def run(self) -> SimStats:
         for _ in self._events:
             pass
-        self.outcomes.sort(key=attrgetter("invocation_id"))
-        return SimStats(self.profile.name, self.outcomes, self.makespan,
-                        self.occupancy)
+        return self.stats()
 
 
 def advance(run: _VariantRun) -> bool:
@@ -308,39 +385,44 @@ def advance(run: _VariantRun) -> bool:
     return run.step()
 
 
-def _require_sorted(trace: Sequence[TraceEvent]) -> None:
+def _require_sorted(trace: Trace) -> None:
     """Refuse a trace out of (arrival_ms, invocation_id) order."""
-    last_arrival, last_id = -math.inf, -math.inf
-    for event in trace:
-        arrival = event.arrival_ms
-        if arrival < last_arrival or (arrival == last_arrival
-                                      and event.invocation_id < last_id):
-            raise InvariantError(
-                "trace must be sorted by (arrival_ms, invocation_id)")
-        last_arrival, last_id = arrival, event.invocation_id
+    arrival, ids = trace.arrival_ms, trace.invocation_id
+    later, earlier = arrival[1:], arrival[:-1]
+    if ((later < earlier)
+            | ((later == earlier) & (ids[1:] < ids[:-1]))).any():
+        raise InvariantError(
+            "trace must be sorted by (arrival_ms, invocation_id)")
 
 
-def make_run(trace: Sequence[TraceEvent], profile: VariantProfile,
+def make_run(trace: Trace | Sequence[TraceEvent], profile: VariantProfile,
              config: SimConfig) -> _VariantRun:
     """Construct a stepwise run for one variant (test hook)."""
+    trace = as_trace(trace)
     _require_sorted(trace)
-    return _VariantRun(trace, profile, config)
+    return _VariantRun(trace, profile, config, _LoopColumns.of(trace))
 
 
-def simulate(trace: Sequence[TraceEvent],
+def simulate(trace: Trace | Sequence[TraceEvent],
              config: SimConfig) -> dict[str, SimStats]:
-    """Run every configured variant over the same trace with the same seed."""
-    if not trace:
+    """Run every configured variant over the same trace with the same seed.
+
+    A sequence of :class:`TraceEvent` is converted to a :class:`Trace`
+    once, on entry.
+    """
+    trace = as_trace(trace)
+    if not len(trace):
         raise EmptyTrace("simulate requires at least one trace event")
     if config.nodes < 1 or config.slots < 1:
         raise InvariantError("simulation needs at least one node and slot")
     if config.cache_size < 0:
         raise InvariantError("cache size must be non-negative")
     _require_sorted(trace)
+    columns = _LoopColumns.of(trace)
     results = {}
     for name in sorted(config.profiles):
         profile = config.profiles[name]
         if config.jitter_sigma > 0:
             profile = profile.with_jitter(config.jitter_sigma)
-        results[name] = _VariantRun(trace, profile, config).run()
+        results[name] = _VariantRun(trace, profile, config, columns).run()
     return results

@@ -156,7 +156,7 @@ def _oracle_variant(trace: Sequence[TraceEvent], profile: VariantProfile,
         t += 1
 
     outcomes.sort(key=lambda o: o.invocation_id)
-    return SimStats(profile.name, outcomes, float(makespan), [])
+    return SimStats.from_outcomes(profile.name, outcomes, float(makespan))
 
 
 def oracle_simulate(trace: Sequence[TraceEvent],

@@ -2,7 +2,9 @@
 
 Trace CSV format (UTF-8, header required):
     invocation_id,app_id,function_id,arrival_ms,duration_ms
-with arrival/duration as non-negative decimals in milliseconds.
+with arrival/duration as finite decimals in milliseconds, arrivals
+non-negative and durations positive.  In memory a trace is a
+:class:`Trace` of five numpy columns.
 
 The synthetic generator stands in for production traces: Zipf-distributed
 function popularity, Poisson arrivals, log-normal durations clipped to
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,24 +31,86 @@ TRACE_HEADER = ["invocation_id", "app_id", "function_id",
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
+    """One invocation; iterating or indexing a :class:`Trace` yields these."""
+
     invocation_id: int
     app_id: int
     function_id: int
     arrival_ms: float
     duration_ms: float
 
-    def validate(self) -> None:
-        if self.arrival_ms < 0:
+
+class Trace:
+    """An invocation trace as five equal-length numpy columns.
+
+    ``invocation_id``, ``app_id`` and ``function_id`` are int64;
+    ``arrival_ms`` and ``duration_ms`` are float64, finite, with arrivals
+    non-negative and durations positive (else :class:`InvariantError`).
+    Iterating or indexing yields :class:`TraceEvent` row views, built on
+    each access.
+    """
+
+    __slots__ = tuple(TRACE_HEADER)
+
+    def __init__(self, invocation_id, app_id, function_id, arrival_ms,
+                 duration_ms):
+        self.invocation_id = np.asarray(invocation_id, dtype=np.int64)
+        self.app_id = np.asarray(app_id, dtype=np.int64)
+        self.function_id = np.asarray(function_id, dtype=np.int64)
+        self.arrival_ms = np.asarray(arrival_ms, dtype=np.float64)
+        self.duration_ms = np.asarray(duration_ms, dtype=np.float64)
+        shape = self.invocation_id.shape
+        if len(shape) != 1 or any(c.shape != shape for c in self.columns()):
             raise InvariantError(
-                f"invocation {self.invocation_id}: negative arrival")
-        if self.duration_ms <= 0:
-            raise InvariantError(
-                f"invocation {self.invocation_id}: duration must be positive")
+                "trace columns must be one-dimensional and equally long")
+        arrival, duration = self.arrival_ms, self.duration_ms
+        for bad, what in ((~(np.isfinite(arrival) & np.isfinite(duration)),
+                           "non-finite time"),
+                          (arrival < 0, "negative arrival"),
+                          (duration <= 0, "duration must be positive")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise InvariantError(
+                    f"invocation {self.invocation_id[i]}: {what}")
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns, in ``TRACE_HEADER`` order."""
+        return (self.invocation_id, self.app_id, self.function_id,
+                self.arrival_ms, self.duration_ms)
+
+    def __len__(self) -> int:
+        return len(self.invocation_id)
+
+    def __iter__(self):
+        return map(TraceEvent, *(c.tolist() for c in self.columns()))
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        return TraceEvent(*(c[index].item() for c in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self.columns(), other.columns()))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} invocations)"
+
+
+def as_trace(events: Trace | Iterable[TraceEvent]) -> Trace:
+    """A ``Trace`` as is, or the columns of a sequence of events."""
+    if isinstance(events, Trace):
+        return events
+    rows = list(events)
+    return Trace(*([getattr(e, name) for e in rows] for name in TRACE_HEADER))
 
 
 @dataclass
 class GeneratorSpec:
-    """Synthetic-trace parameters; all counts positive, sigma >= 0."""
+    """Synthetic-trace parameters; all counts positive, sigma >= 0, every
+    real parameter finite."""
 
     n_functions: int = 4000
     n_apps: int = 200
@@ -58,6 +122,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        reals = (self.duration_minutes, self.arrival_rate_per_s,
+                 self.popularity_zipf_s, self.duration_lognormal_mu,
+                 self.duration_lognormal_sigma)
+        if not all(math.isfinite(v) for v in reals):
+            raise InvariantError("generator parameters must be finite")
         if self.n_functions <= 0 or self.n_apps <= 0:
             raise InvariantError("function and app counts must be positive")
         if self.duration_minutes <= 0 or self.arrival_rate_per_s <= 0:
@@ -70,15 +139,28 @@ class GeneratorSpec:
         try:
             doc = json.loads(text)
             spec = GeneratorSpec(**doc)
-        except (json.JSONDecodeError, TypeError) as exc:
+            spec.validate()
+        except (json.JSONDecodeError, TypeError, InvariantError) as exc:
             raise ParseError(f"bad generator spec: {exc}") from exc
-        spec.validate()
         return spec
 
 
-def load_trace(path) -> list[TraceEvent]:
-    """Parse and validate a trace CSV; events sorted by (arrival, id)."""
-    events: list[TraceEvent] = []
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def load_trace(path) -> Trace:
+    """Parse and validate a trace CSV; rows sorted by (arrival, id).
+
+    Each row is checked as it is read, and a failure names its line: a
+    malformed field, a non-finite time, an id outside 64 bits or a
+    duplicate id is a ``ParseError``; a negative arrival or a non-positive
+    duration an ``InvariantError``.
+    """
+    ids: list[int] = []
+    apps: list[int] = []
+    fns: list[int] = []
+    arrivals: list[float] = []
+    durations: list[float] = []
     seen: set[int] = set()
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -98,32 +180,52 @@ def load_trace(path) -> list[TraceEvent]:
             if len(row) != 5:
                 raise ParseError(f"{path}:{lineno}: expected 5 columns")
             try:
-                event = TraceEvent(int(row[0]), int(row[1]), int(row[2]),
-                                   float(row[3]), float(row[4]))
+                inv, app, fn = int(row[0]), int(row[1]), int(row[2])
+                arrival, duration = float(row[3]), float(row[4])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if event.invocation_id in seen:
+            if not (math.isfinite(arrival) and math.isfinite(duration)):
+                raise ParseError(f"{path}:{lineno}: non-finite time")
+            if not (_INT64_MIN <= inv <= _INT64_MAX
+                    and _INT64_MIN <= app <= _INT64_MAX
+                    and _INT64_MIN <= fn <= _INT64_MAX):
+                raise ParseError(f"{path}:{lineno}: id outside 64 bits")
+            if inv in seen:
                 raise ParseError(
-                    f"{path}:{lineno}: duplicate invocation_id "
-                    f"{event.invocation_id}")
-            seen.add(event.invocation_id)
-            event.validate()
-            events.append(event)
-    events.sort(key=lambda e: (e.arrival_ms, e.invocation_id))
-    return events
+                    f"{path}:{lineno}: duplicate invocation_id {inv}")
+            seen.add(inv)
+            if arrival < 0:
+                raise InvariantError(
+                    f"{path}:{lineno}: invocation {inv}: negative arrival")
+            if duration <= 0:
+                raise InvariantError(f"{path}:{lineno}: invocation {inv}: "
+                                     "duration must be positive")
+            ids.append(inv)
+            apps.append(app)
+            fns.append(fn)
+            arrivals.append(arrival)
+            durations.append(duration)
+    id_col = np.array(ids, dtype=np.int64)
+    arrival_col = np.array(arrivals, dtype=np.float64)
+    order = np.lexsort((id_col, arrival_col))
+    return Trace(id_col[order], np.array(apps, dtype=np.int64)[order],
+                 np.array(fns, dtype=np.int64)[order], arrival_col[order],
+                 np.array(durations, dtype=np.float64)[order])
 
 
-def write_trace(events: Sequence[TraceEvent], path) -> None:
+def write_trace(trace: Trace | Iterable[TraceEvent], path) -> None:
+    trace = as_trace(trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for e in events:
-            writer.writerow([e.invocation_id, e.app_id, e.function_id,
-                             repr(float(e.arrival_ms)),
-                             repr(float(e.duration_ms))])
+        writer.writerows(zip(trace.invocation_id.tolist(),
+                             trace.app_id.tolist(),
+                             trace.function_id.tolist(),
+                             map(repr, trace.arrival_ms.tolist()),
+                             map(repr, trace.duration_ms.tolist())))
 
 
-def generate_trace(spec: GeneratorSpec) -> list[TraceEvent]:
+def generate_trace(spec: GeneratorSpec) -> Trace:
     """Seeded synthetic trace; see module docstring for the model."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -155,13 +257,8 @@ def generate_trace(spec: GeneratorSpec) -> list[TraceEvent]:
     durations = rng.lognormal(spec.duration_lognormal_mu,
                               spec.duration_lognormal_sigma, size=count)
     durations = np.maximum(durations, 1.0)
-
-    events = [
-        TraceEvent(i, int(functions[i]) % spec.n_apps, int(functions[i]),
-                   float(arrival_ms[i]), float(durations[i]))
-        for i in range(count)
-    ]
-    return events
+    return Trace(np.arange(count), functions % spec.n_apps, functions,
+                 arrival_ms, durations)
 
 
 def write_stats(stats: Sequence[dict], path, fmt: str = "json") -> None:

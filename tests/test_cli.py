@@ -1,11 +1,12 @@
 """CLI surface tests: commands, exit codes, seeded reproducibility."""
 
+import hashlib
 import json
 
 import pytest
 
 from walletemu.cli import build_sized_image, main
-from walletemu.errors import EXIT_CODES, PolicyViolation
+from walletemu.errors import EXIT_CODES, ParseError, PolicyViolation
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 
 MIB = 1048576
@@ -159,6 +160,26 @@ class TestSimulateAndGenTrace:
         assert lines[0].startswith("variant,invocation_id")
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("doc", [
+        {"duration_minutes": float("nan")},
+        {"arrival_rate_per_s": float("inf")},
+        {"popularity_zipf_s": float("nan")},
+    ])
+    def test_non_finite_spec_exits_with_parse_error(self, tmp_path, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))  # NaN / Infinity literals
+        assert main(["gen-trace", "--gen-spec", str(spec),
+                     "--out", str(tmp_path / "t.csv")]) == \
+            EXIT_CODES[ParseError]
+
+    def test_non_finite_trace_exits_with_parse_error(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms\n"
+            "0,0,0,nan,1.0\n1,0,0,2.0,nan\n2,0,0,inf,1.0\n")
+        assert main(["simulate", "--trace", str(trace), "--nodes", "1",
+                     "--out", str(tmp_path / "s.json")]) == \
+            EXIT_CODES[ParseError]
 
     def test_sweep_rows_equal_plain_runs(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -174,6 +195,49 @@ class TestSimulateAndGenTrace:
             plain = run_json(["simulate", "--nodes", nodes] + common,
                              tmp_path / f"plain{nodes}.json")
             assert sweep[nodes] == plain
+
+
+class TestPinnedSimulatorOutputs:
+    """SHA-256 of the simulator's CLI artifacts, pinned bit for bit.
+
+    Every float is written with ``repr`` of a Python float; a numpy scalar
+    would print as ``np.float64(...)`` and change the hashes.
+    """
+
+    PINS = {
+        "trace.csv":
+            "f514e0c1a3e2519a3c0e8759d79560e04a8c9ff154ca50ce9a71e53b558fe21c",
+        "s0.json":
+            "341ac85174fb1fb3616bfa1105c614d529a9abf1ed349b893edd8526117becd7",
+        "p0.csv":
+            "d048a4a940fef8e7a34bb3a4799872a442d0a3e9a5fb9340dd6d464c51804ec1",
+        "s3.json":
+            "f707e9f9d40ee07a93ee9446cb77434f13c41a242891e4c8d8f4fa146bbf4391",
+        "p3.csv":
+            "9ef220e40b2760c1458d0b905adbba11fbddf1adfa556908d11d2dd67bfff5f4",
+    }
+
+    def test_gen_trace_and_simulate_artifacts(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_functions": 40, "n_apps": 8, "duration_minutes": 0.5,
+            "arrival_rate_per_s": 40, "seed": 0}))
+        cluster = ["--nodes", "8", "--slots", "4", "--cache", "4",
+                   "--variant", "Wallet,VM,CVM"]
+        out = {name: str(tmp_path / name) for name in self.PINS}
+        assert main(["gen-trace", "--gen-spec", str(spec), "--seed", "0",
+                     "--out", out["trace.csv"]]) == 0
+        # Seed 0 generates its trace; seed 3 loads the written one.
+        assert main(["simulate", "--gen-spec", str(spec), *cluster,
+                     "--seed", "0", "--out", out["s0.json"],
+                     "--per-invocation", out["p0.csv"]]) == 0
+        assert main(["simulate", "--trace", out["trace.csv"], *cluster,
+                     "--seed", "3", "--jitter", "0.3",
+                     "--out", out["s3.json"],
+                     "--per-invocation", out["p3.csv"]]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.PINS}
+        assert digests == self.PINS
 
 
 class TestConfigFile:

@@ -3,25 +3,38 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from collections import defaultdict
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from walletemu.errors import EmptyTrace, InvariantError
 from walletemu.sim import (
     BootDist,
     BootType,
-    Node,
     SimConfig,
     VariantProfile,
     default_profiles,
     oracle_simulate,
     simulate,
 )
-from walletemu.sim.engine import advance, make_run, nearest_rank
-from walletemu.traceio import GeneratorSpec, TraceEvent, generate_trace
+from walletemu.sim.engine import (
+    BOOT_TIERS,
+    InvocationOutcome,
+    advance,
+    make_run,
+    nearest_rank,
+)
+from walletemu.traceio import (
+    GeneratorSpec,
+    TraceEvent,
+    generate_trace,
+    load_trace,
+    write_trace,
+)
 
 
 def ev(i, app, fn, arrival, duration):
@@ -123,14 +136,22 @@ class TestScheduling:
         assert outcomes[2].delay_ms > 0.0
 
     def test_node_at_509_residents_is_ineligible_despite_free_slots(self):
-        node = Node(0, slots=1024, cache_size=1024)
-        node.busy = 500
-        for i in range(9):
-            node.cache[(0, i)] = True
-        assert node.resident_instances() == 509
-        assert node.busy < node.slots           # slots are free
-        assert not node.eligible(509)           # the key cap binds anyway
-        assert node.memory_resident(336 * 1048576) == 509 * 336 * 1048576
+        # Each running invocation counts twice toward the CVM key cap: in
+        # flight and as the instance it caches.  After 255 dispatches the
+        # node holds 255 running + 254 cached = 509 instances, so the
+        # 256th arrival queues though 769 of its 1024 slots are free.
+        trace = [ev(i, 0, i, 0, 100) for i in range(256)]
+        profile = default_profiles()["CVM"]
+        assert profile.per_node_instance_cap == 509
+        uncapped = dataclasses.replace(profile, per_node_instance_cap=None)
+        starts = {}
+        for name, p in (("capped", profile), ("uncapped", uncapped)):
+            config = SimConfig(nodes=1, slots=1024, cache_size=1024,
+                               profiles={"CVM": p}, seed=0)
+            starts[name] = simulate(trace, config)["CVM"].start_ms
+        assert (starts["capped"] == 0.0).sum() == 255
+        assert starts["capped"][255] > 0.0
+        assert (starts["uncapped"] == 0.0).all()
 
     def test_lukewarm_tier_prefers_same_app_node(self):
         # Second arrival lands after the first completed (cold 1000 + 10).
@@ -336,6 +357,77 @@ def outputs_sha256(results) -> str:
     return h.hexdigest()
 
 
+class TestColumns:
+    """The simulator's data path builds no row objects; rows are views."""
+
+    @pytest.fixture
+    def trace(self):
+        return generate_trace(GeneratorSpec(
+            n_functions=60, n_apps=6, duration_minutes=0.2,
+            arrival_rate_per_s=60.0, seed=3))
+
+    CONFIG = dict(nodes=4, slots=2, cache_size=3, seed=3,
+                  profiles={name: default_profiles()[name]
+                            for name in ("Wallet", "VM", "CVM")})
+
+    def test_data_path_builds_no_row_objects(self, trace, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("row object built on the data path")
+
+        monkeypatch.setattr(TraceEvent, "__init__", refuse)
+        monkeypatch.setattr(InvocationOutcome, "__init__", refuse)
+        generated = generate_trace(GeneratorSpec(
+            n_functions=60, n_apps=6, duration_minutes=0.2,
+            arrival_rate_per_s=60.0, seed=3))
+        loaded = load_trace(path)
+        assert loaded == generated
+        for jitter in (0.0, 0.3):
+            config = SimConfig(**self.CONFIG, jitter_sigma=jitter)
+            for stats in simulate(loaded, config).values():
+                assert stats.to_row()["cold"] > 0
+        # The row views themselves are what the patch refuses.
+        with pytest.raises(AssertionError, match="row object"):
+            loaded[0]
+        with pytest.raises(AssertionError, match="row object"):
+            stats.outcomes
+
+    def test_event_list_equals_trace(self, trace):
+        config = SimConfig(**self.CONFIG)
+        assert outputs_sha256(simulate(list(trace), config)) == \
+            outputs_sha256(simulate(trace, config))
+
+    def test_outcomes_is_a_fresh_list_per_access(self, trace):
+        stats = simulate(trace, SimConfig(**self.CONFIG))["Wallet"]
+        first = stats.outcomes
+        assert first is not stats.outcomes
+        assert first == stats.outcomes
+        first.clear()
+        assert len(stats.outcomes) == len(trace)
+
+    def test_columns_match_row_views(self, trace):
+        stats = simulate(trace, SimConfig(**self.CONFIG))["CVM"]
+        rows = stats.outcomes
+        assert stats.invocation_id.tolist() == \
+            [o.invocation_id for o in rows] == list(range(len(trace)))
+        assert [BOOT_TIERS[c] for c in stats.boot_code] == \
+            [o.boot_type for o in rows]
+        assert stats.finish_ms.tolist() == [o.finish_ms for o in rows]
+        assert stats.boot_counts() == {
+            tier.value: sum(o.boot_type is tier for o in rows)
+            for tier in BootType}
+
+    def test_non_finite_event_times_refused(self):
+        config = SimConfig(nodes=1, slots=1, cache_size=2,
+                           profiles={"CVM": cvm_profile(cold=0.0)}, seed=0)
+        for bad in (ev(1, 0, 0, math.nan, 1), ev(1, 0, 0, 1, math.inf)):
+            with pytest.raises(InvariantError):
+                simulate([ev(0, 0, 0, 0, 1), bad], config)
+
+
 class TestPinnedOutputs:
     """Outputs of about 20 k generated invocations, pinned bit for bit."""
 
@@ -383,6 +475,15 @@ class TestNearestRank:
         assert nearest_rank(values, 0.99) == 4.0
         assert nearest_rank(values, 0.01) == 1.0
         assert nearest_rank([], 0.5) == 0.0
+
+    def test_arrays(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        assert nearest_rank(values, 0.50) == 2.0
+        assert nearest_rank(values, 0.99) == 4.0
+        assert nearest_rank(values, 0.01) == 1.0
+        assert type(nearest_rank(values, 0.5)) is float
+        assert nearest_rank(np.array([7.5]), 0.99) == 7.5
+        assert nearest_rank(np.array([]), 0.5) == 0.0
 
 
 class TestOracle:

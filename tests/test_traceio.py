@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from walletemu.errors import InvariantError, ParseError
 from walletemu.traceio import (
     GeneratorSpec,
+    Trace,
     TraceEvent,
+    as_trace,
     generate_trace,
     load_trace,
     write_stats,
@@ -83,6 +86,55 @@ class TestLoadTrace:
             load_trace(path)
 
 
+    def test_non_finite_times_rejected_with_line(self, tmp_path):
+        # Loaded, these rows made simulate drop two of the three
+        # invocations from the boot counts and report NaN percentiles.
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "0,0,0,nan,1.0",
+            "1,0,0,2.0,nan",
+            "2,0,0,inf,1.0",
+        ])
+        with pytest.raises(ParseError, match=r":2: non-finite"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("field", ["arrival", "duration"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN",
+                                       "Infinity"])
+    def test_each_non_finite_time_names_its_line(self, tmp_path, field,
+                                                 value):
+        arrival, duration = ((value, "1.0") if field == "arrival"
+                             else ("1.0", value))
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "0,0,0,1.0,1.0",
+            f"1,0,0,{arrival},{duration}",
+        ])
+        with pytest.raises(ParseError, match=":3"):
+            load_trace(path)
+
+    def test_id_outside_64_bits_rejected_with_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            f"{2 ** 63},0,0,1.0,1.0",
+        ])
+        with pytest.raises(ParseError, match=":2"):
+            load_trace(path)
+
+    def test_negative_arrival_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "0,0,0,1.0,1.0",
+            "1,0,0,-1.0,1.0",
+        ])
+        with pytest.raises(InvariantError, match=":3"):
+            load_trace(path)
+
+
 class TestGenerateTrace:
     def test_deterministic_under_seed(self):
         spec = GeneratorSpec(n_functions=20, n_apps=4, duration_minutes=0.2,
@@ -126,9 +178,77 @@ class TestGenerateTrace:
         with pytest.raises(ParseError):
             GeneratorSpec.from_json("not json at all")
 
+    @pytest.mark.parametrize("field,value", [
+        ("duration_minutes", math.nan),
+        ("arrival_rate_per_s", math.inf),
+        ("popularity_zipf_s", math.nan),
+        ("duration_lognormal_mu", math.inf),
+        ("duration_lognormal_sigma", math.nan),
+    ])
+    def test_non_finite_spec_rejected(self, field, value):
+        params = {"n_functions": 5, "n_apps": 2, "duration_minutes": 0.1,
+                  field: value}
+        spec = GeneratorSpec(**params)
+        with pytest.raises(InvariantError, match="finite"):
+            spec.validate()
+        with pytest.raises(InvariantError):
+            generate_trace(spec)
+
+    @pytest.mark.parametrize("text", [
+        '{"duration_minutes": NaN}',
+        '{"arrival_rate_per_s": Infinity}',
+        '{"popularity_zipf_s": NaN}',
+        '{"n_functions": 0}',
+    ])
+    def test_invalid_spec_json_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            GeneratorSpec.from_json(text)
+
     def test_missing_trace_file_is_parse_error(self):
         with pytest.raises(ParseError):
             load_trace("/definitely/not/there.csv")
+
+
+class TestTrace:
+    EVENTS = [TraceEvent(0, 1, 2, 0.0, 5.0), TraceEvent(1, 1, 3, 0.5, 2.5),
+              TraceEvent(7, 0, 2, 4.0, 1.0)]
+
+    def test_row_views_round_trip_events(self):
+        trace = as_trace(self.EVENTS)
+        assert len(trace) == 3
+        assert list(trace) == self.EVENTS
+        assert trace[1] == self.EVENTS[1]
+        assert trace[-1] == self.EVENTS[-1]
+        assert as_trace(trace) is trace
+
+    def test_row_views_hold_python_scalars(self):
+        event = as_trace(self.EVENTS)[0]
+        assert type(event.invocation_id) is int
+        assert type(event.arrival_ms) is float
+        assert repr(event) == repr(self.EVENTS[0])
+
+    def test_columns_are_typed_arrays(self):
+        trace = as_trace(self.EVENTS)
+        assert trace.invocation_id.dtype == np.int64
+        assert trace.arrival_ms.dtype == np.float64
+        assert trace.duration_ms.tolist() == [5.0, 2.5, 1.0]
+
+    @pytest.mark.parametrize("arrival,duration", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+        (-1.0, 1.0), (1.0, 0.0)])
+    def test_bad_times_refused(self, arrival, duration):
+        events = self.EVENTS + [TraceEvent(9, 0, 0, arrival, duration)]
+        with pytest.raises(InvariantError, match="invocation 9"):
+            as_trace(events)
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(InvariantError):
+            Trace([0, 1], [0, 0], [0, 0], [0.0, 1.0], [1.0])
+
+    def test_empty(self):
+        trace = as_trace([])
+        assert len(trace) == 0 and not trace
+        assert list(trace) == []
 
 
 class TestRoundTrip:
@@ -154,7 +274,7 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "h.csv"
             write_trace(trace, path)
-            assert load_trace(path) == trace
+            assert list(load_trace(path)) == trace
 
 
 class TestWriteStats:
