@@ -7,13 +7,15 @@ hashing, and data transfers.  Simulated time is an explicit integer
 accumulator; nothing here touches the wall clock, so all timing assertions
 are deterministic.
 
-Frame contents are real bytes (lazily materialized zero pages) so that
-measurement digests over memory are genuine, while multi-GiB pools stay
-cheap to reserve.
+Per-frame facts are numpy columns in ``FrameStore``, and page tables map,
+unmap, allocate and free a run of frames in one step.  Frame contents are
+real bytes, materialized only for written frames, so that measurement
+digests over memory are genuine while multi-GiB pools stay cheap to reserve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -46,9 +48,6 @@ class PrivilegeLevel(IntEnum):
     PL1_PROCESS = 1
     PL2_GUEST = 2
 
-    def outranks(self, other: "PrivilegeLevel") -> bool:
-        return self < other
-
 
 PL0 = PrivilegeLevel.PL0_MONITOR
 PL1 = PrivilegeLevel.PL1_PROCESS
@@ -77,37 +76,14 @@ class PageFault:
 
 @dataclass(frozen=True)
 class PagePerms:
-    """Per-privilege-level read/write grants for one mapping."""
+    """Per-privilege-level read/write grants for one mapping.
+
+    Mappings use only the interned constants below (``PagePerms.PROCESS_RW``
+    and so on), so thousands of entries share five objects.
+    """
 
     read: frozenset
     write: frozenset
-
-    @staticmethod
-    def make(read: Iterable[PrivilegeLevel] = (),
-             write: Iterable[PrivilegeLevel] = ()) -> "PagePerms":
-        return PagePerms(frozenset(read), frozenset(write))
-
-    @staticmethod
-    def monitor_private() -> "PagePerms":
-        return PagePerms.make(read=[PL0], write=[PL0])
-
-    @staticmethod
-    def process_rw() -> "PagePerms":
-        return PagePerms.make(read=[PL0, PL1], write=[PL0, PL1])
-
-    @staticmethod
-    def process_ro() -> "PagePerms":
-        return PagePerms.make(read=[PL0, PL1], write=[PL0])
-
-    @staticmethod
-    def process_wo() -> "PagePerms":
-        # Write-only object grant: the writer streams data out but cannot
-        # read it back through this mapping.
-        return PagePerms.make(read=[PL0], write=[PL0, PL1])
-
-    @staticmethod
-    def guest_rw() -> "PagePerms":
-        return PagePerms.make(read=[PL0, PL2], write=[PL0, PL2])
 
     def can(self, level: PrivilegeLevel, kind: AccessKind) -> bool:
         grants = self.read if kind is AccessKind.READ else self.write
@@ -117,7 +93,19 @@ class PagePerms:
         return PL1 in self.read or PL1 in self.write
 
     def without_pl1_write(self) -> "PagePerms":
-        return PagePerms(self.read, self.write - {PL1})
+        if PL1 not in self.write:
+            return self
+        return _interned(self.read, self.write - {PL1})
+
+
+_interned = functools.cache(PagePerms)  # one object per distinct pair
+PagePerms.MONITOR_PRIVATE = _interned(frozenset({PL0}), frozenset({PL0}))
+PagePerms.PROCESS_RW = _interned(frozenset({PL0, PL1}), frozenset({PL0, PL1}))
+PagePerms.PROCESS_RO = _interned(frozenset({PL0, PL1}), frozenset({PL0}))
+# Write-only object grant: the writer streams data out but cannot read it
+# back through this mapping.
+PagePerms.PROCESS_WO = _interned(frozenset({PL0}), frozenset({PL0, PL1}))
+PagePerms.GUEST_RW = _interned(frozenset({PL0, PL2}), frozenset({PL0, PL2}))
 
 
 @dataclass
@@ -159,44 +147,32 @@ class CostModel:
         return self.hash_us(nbytes)
 
 
-def _grown(arr: np.ndarray, n: int) -> np.ndarray:
-    """A zero-filled copy of arr extended to n elements."""
-    out = np.zeros(n, dtype=arr.dtype)
+def _grown(arr: np.ndarray, n: int, fill: int = 0) -> np.ndarray:
+    """A copy of arr extended to n elements, the new ones set to fill."""
+    out = np.full(n, fill, dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
 
 
-class Frame:
-    """One 4 KiB physical frame. Bytes are materialized on first touch."""
-
-    __slots__ = ("fid", "validated", "owner_level", "_data")
-
-    def __init__(self, fid: int, validated: bool = False,
-                 owner_level: Optional[PrivilegeLevel] = None):
-        self.fid = fid
-        self.validated = validated
-        self.owner_level = owner_level
-        self._data: Optional[bytearray] = None
-
-    @property
-    def data(self) -> bytearray:
-        if self._data is None:
-            self._data = bytearray(PAGE_SIZE)
-        return self._data
-
-    def scrub(self) -> None:
-        self._data = None
+# Owner-column values besides the levels: a frame in a pool's free list,
+# and a handed-out frame that no level owns.
+FREE, NO_OWNER = -2, -1
 
 
 class FrameStore:
-    """Owns all frames, their reference counts, and the global copy counter.
+    """Owns every frame: its facts, its bytes and the copy counter.
+
+    Each per-frame fact is a numpy column indexed by frame id, grown by
+    ``reserve``: reference count, base id, validated, and owner level
+    (``FREE`` while in a pool, ``NO_OWNER`` for none).  Contents are
+    materialized lazily, in a dict from frame id to ``bytearray`` holding
+    only written frames; any other frame reads as zeros.
 
     A frame's reference count is the number of page-table entries, CoW view
-    entries included, that map it.  It is kept in two parts.  Explicit
-    counts live in a numpy array indexed by frame id and move with every
-    local mapping.  A sealed table's frames are registered once as a
-    *base*; each CoW view of it adds one to the base's view count instead
-    of touching every frame, so forking and releasing a view cost
+    entries included, that map it, kept in two parts.  Explicit counts move
+    with every local mapping.  A sealed table's frames are registered once
+    as a *base*; each CoW view of it adds one to the base's view count
+    instead of touching every frame, so forking and releasing a view cost
     O(local overrides), not O(base pages).  ``ref``, ``refs_of`` and
     ``total_refs`` add the two parts.  A view that stops aliasing a base
     page takes one explicit reference off its frame, so an explicit count
@@ -204,52 +180,67 @@ class FrameStore:
     """
 
     def __init__(self) -> None:
-        self._frames: dict[int, Frame] = {}
         self._ref = np.zeros(1024, dtype=np.int64)
         # Base id of each frame; 0 means the frame belongs to no base.
         self._base_of = np.zeros(1024, dtype=np.int32)
+        self._validated = np.zeros(1024, dtype=bool)
+        self._owner = np.full(1024, FREE, dtype=np.int8)
+        self._data: dict[int, bytearray] = {}
         # Per base id: live view count and registered frame count.  Slot 0
         # stays zero so frames of no base add nothing.
         self._views = np.zeros(8, dtype=np.int64)
         self._base_size = np.zeros(8, dtype=np.int64)
         self._next_base = 1
         self._next_fid = 0
-        # Ranges of lazily-reserved frame ids created in validated state.
-        self._validated_ranges: list[tuple[int, int]] = []
         self.copied_bytes_total = 0
 
     # -- frame lifecycle --
 
     def reserve(self, n: int, validated: bool) -> tuple[int, int]:
-        """Reserve n fresh frame ids without materializing Frame objects."""
+        """Reserve n fresh, free frame ids; no page bytes are allocated."""
         start = self._next_fid
         self._next_fid += n
         if self._next_fid > len(self._ref):
             new_len = max(self._next_fid, len(self._ref) * 2)
             self._ref = _grown(self._ref, new_len)
             self._base_of = _grown(self._base_of, new_len)
-        if validated and n > 0:
-            self._validated_ranges.append((start, start + n))
-        return start, start + n
-
-    def _reserved_validated(self, fid: int) -> bool:
-        return any(lo <= fid < hi for lo, hi in self._validated_ranges)
-
-    def get(self, fid: int) -> Frame:
-        frame = self._frames.get(fid)
-        if frame is None:
-            if not 0 <= fid < self._next_fid:
-                raise KeyError(f"unknown frame {fid}")
-            frame = Frame(fid, validated=self._reserved_validated(fid))
-            self._frames[fid] = frame
-        return frame
-
-    def exists(self, fid: int) -> bool:
-        return 0 <= fid < self._next_fid
+            self._validated = _grown(self._validated, new_len)
+            self._owner = _grown(self._owner, new_len, FREE)
+        self._validated[start : self._next_fid] = validated
+        return start, self._next_fid
 
     def n_frames(self) -> int:
         """Number of frame ids reserved so far; every id is below it."""
         return self._next_fid
+
+    def hand_out(self, lo: int, hi: int) -> None:
+        """Mark the free frames lo..hi-1 as handed out by a pool."""
+        self._owner[lo:hi] = NO_OWNER
+
+    def claim(self, fids: np.ndarray, owner_level: Optional[PrivilegeLevel]) -> int:
+        """Validate fids and record their owner; returns how many were
+        not validated before."""
+        fresh = len(fids) - int(np.count_nonzero(self._validated[fids]))
+        self._validated[fids] = True
+        self._owner[fids] = NO_OWNER if owner_level is None else owner_level
+        return fresh
+
+    def take_back(self, fids: np.ndarray) -> None:
+        """Return distinct, handed-out, unmapped fids to the free state and
+        drop their bytes."""
+        if np.count_nonzero(self._owner[fids] == FREE):
+            raise AssertionError("frame released while free")
+        if np.count_nonzero(self.refs_of(fids)):
+            raise AssertionError("frame released while mapped")
+        for fid in fids.tolist():
+            self._data.pop(fid, None)
+        self._owner[fids] = FREE
+
+    def validated_of(self, fids: np.ndarray) -> np.ndarray:
+        return self._validated[fids]
+
+    def owners_of(self, fids: np.ndarray) -> np.ndarray:
+        return self._owner[fids]
 
     # -- shared bases --
 
@@ -309,8 +300,13 @@ class FrameStore:
         # add.at accumulates duplicate ids correctly, unlike fancy indexing.
         np.add.at(self._ref, fids, 1)
 
-    def bulk_decref(self, fids: np.ndarray) -> None:
+    def bulk_decref(self, fids: np.ndarray) -> np.ndarray:
+        """Drop one reference per entry of fids; returns their new counts."""
         np.add.at(self._ref, fids, -1)
+        refs = self.refs_of(fids)
+        if np.count_nonzero(refs < 0):
+            raise AssertionError(f"ref underflow on frames {fids.tolist()}")
+        return refs
 
     def refs_of(self, fids: np.ndarray) -> np.ndarray:
         return self._ref[fids] + self._views[self._base_of[fids]]
@@ -324,7 +320,12 @@ class FrameStore:
     # -- byte access (monitor-side, uncharged) --
 
     def write_bytes(self, fid: int, offset: int, data: bytes) -> None:
-        self.get(fid).data[offset : offset + len(data)] = data
+        page = self._data.get(fid)
+        if page is None:
+            if not 0 <= fid < self._next_fid:
+                raise KeyError(f"unknown frame {fid}")
+            page = self._data[fid] = bytearray(PAGE_SIZE)
+        page[offset : offset + len(data)] = data
 
     def write_range(self, fids: Sequence[int], data: bytes) -> None:
         """Write data across fids, one page per frame from its start."""
@@ -335,15 +336,15 @@ class FrameStore:
             self.write_bytes(fids[i // PAGE_SIZE], 0, view[i : i + PAGE_SIZE])
 
     def read_bytes(self, fid: int) -> bytes:
-        return bytes(self.get(fid).data)
+        page = self._data.get(fid)
+        return bytes(PAGE_SIZE) if page is None else bytes(page)
 
     def copy_frame(self, src_fid: int, dst_fid: int) -> None:
-        src = self._frames.get(src_fid)
-        dst = self.get(dst_fid)
-        if src is None or src._data is None:
-            dst.scrub()  # source never touched: both are zero pages
+        page = self._data.get(src_fid)
+        if page is None:
+            self._data.pop(dst_fid, None)  # both are zero pages
         else:
-            dst._data = bytearray(src._data)
+            self._data[dst_fid] = bytearray(page)
         self.copied_bytes_total += PAGE_SIZE
 
 
@@ -390,11 +391,9 @@ class PageTable:
 
     def lookup(self, vpn: int) -> Optional[PageEntry]:
         entry = self.entries.get(vpn)
-        if entry is not None:
-            return entry
-        if self.base is not None and vpn not in self._hidden:
-            return self.base.entries.get(vpn)
-        return None
+        if entry is None and self.base is not None and vpn not in self._hidden:
+            entry = self.base.entries.get(vpn)
+        return entry
 
     def _aliases(self, vpn: int) -> bool:
         return (self.base is not None and vpn not in self._hidden
@@ -402,9 +401,7 @@ class PageTable:
 
     def mapped_vpns(self) -> Iterator[int]:
         if self.base is not None:
-            for vpn in self.base.entries:
-                if vpn not in self._hidden:
-                    yield vpn
+            yield from (v for v in self.base.entries if v not in self._hidden)
         yield from self.entries
 
     def n_entries(self) -> int:
@@ -468,51 +465,72 @@ class PageTable:
     def map_page(self, vpn: int, frame_id: int, perms: PagePerms,
                  caller: PrivilegeLevel = PL0) -> None:
         """Install a mapping. Only the monitor manages page tables."""
-        self._require_mutable(caller, "map pages")
-        if not self.store.exists(frame_id):
-            raise KeyError(f"unknown frame {frame_id}")
-        if self.lookup(vpn) is not None:
-            raise DoubleMap(f"vpn {vpn} already mapped in process {self.owner}")
-        frame = self.store.get(frame_id)
-        grants_pl2 = PL2 in perms.read or PL2 in perms.write
-        if grants_pl2 and frame.owner_level in (PL0, PL1):
-            raise PermissionDenied(
-                f"frame {frame_id} owned at {frame.owner_level.name} cannot "
-                "be exposed to the guest")
-        self.entries[vpn] = PageEntry(frame_id, perms)
-        self.store.incref(frame_id)
-        self._next_vpn = max(self._next_vpn, vpn + 1)
+        self._map_run(vpn, [frame_id], perms, caller)
 
     def map_range(self, fids: Sequence[int], perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> list[int]:
         """Map fids at fresh consecutive vpns, all with perms; returns the
-        vpns.  Makes every check of ``map_page``."""
+        vpns."""
+        vpn = self._next_vpn
+        self._map_run(vpn, fids, perms, caller)
+        return list(range(vpn, vpn + len(fids)))
+
+    def _map_run(self, vpn: int, fids: Sequence[int], perms: PagePerms,
+                 caller: PrivilegeLevel) -> None:
+        """Map fids at vpn, vpn + 1, ...: all of them, or, if any check
+        fails, none."""
         self._require_mutable(caller, "map pages")
-        vpns = self.take_vpns(len(fids))
-        for vpn, fid in zip(vpns, fids):
-            self.map_page(vpn, fid, perms)
-        return vpns
+        if len(fids) and (min(fids) < 0 or max(fids) >= self.store.n_frames()):
+            raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
+        if PL2 in perms.read or PL2 in perms.write:
+            arr = np.array(fids, dtype=np.int64)
+            held = arr[np.isin(self.store.owners_of(arr), (PL0, PL1))]
+            if len(held):
+                raise PermissionDenied(f"frame {held[0]} is owned by PL0 or "
+                                       "PL1 and cannot be exposed to the guest")
+        vpns = range(vpn, vpn + len(fids))
+        taken = self.entries.keys() & vpns
+        if self.base is not None:
+            taken |= (self.base.entries.keys() & vpns) - self._hidden
+        if taken:
+            raise DoubleMap(f"vpn {min(taken)} already mapped in process {self.owner}")
+        self.store.bulk_incref(fids)
+        self.entries.update(zip(vpns, (PageEntry(f, perms) for f in fids)))
+        self._next_vpn = max(self._next_vpn, vpns.stop)
 
     def unmap_page(self, vpn: int, caller: PrivilegeLevel = PL0) -> int:
         """Remove a mapping and return the frame's new reference count."""
-        self._require_mutable(caller, "unmap pages")
-        entry = self.entries.pop(vpn, None)
-        if entry is None:
-            if self._aliases(vpn):
-                self._hidden.add(vpn)
-                return self.store.decref(self.base.entries[vpn].frame_id)
-            raise KeyError(f"vpn {vpn} not mapped")
-        return self.store.decref(entry.frame_id)
+        return int(self._unmap_run([vpn], caller)[1][0])
 
-    def unmap_range(self, vpns: Iterable[int],
+    def unmap_range(self, vpns: Sequence[int],
                     caller: PrivilegeLevel = PL0) -> list[int]:
         """Remove the mappings at vpns; returns the frames left unmapped."""
-        freed = []
-        for vpn in vpns:
-            entry = self.lookup(vpn)
-            if self.unmap_page(vpn, caller) == 0:
-                freed.append(entry.frame_id)
-        return freed
+        if not vpns:  # the common case of an invocation that staged no files
+            return []
+        fids, refs = self._unmap_run(vpns, caller)
+        return sorted(set(fids[refs == 0].tolist()))
+
+    def _unmap_run(self, vpns: Sequence[int],
+                   caller: PrivilegeLevel) -> tuple[np.ndarray, np.ndarray]:
+        """Remove the mappings at vpns: all of them, or, if any is not
+        mapped, none.  Returns their frames and the frames' new counts."""
+        self._require_mutable(caller, "unmap pages")
+        wanted = set(vpns)
+        if len(wanted) != len(vpns):
+            raise KeyError("a vpn is unmapped twice")
+        local = self.entries.keys() & wanted
+        aliased = set()
+        if self.base is not None:
+            aliased = ((wanted - local) & self.base.entries.keys()) - self._hidden
+        missing = wanted - local - aliased
+        if missing:
+            raise KeyError(f"vpn {min(missing)} not mapped")
+        fids = np.fromiter(
+            (self.entries.pop(v).frame_id if v in local
+             else self.base.entries[v].frame_id for v in vpns),
+            dtype=np.int64, count=len(vpns))
+        self._hidden |= aliased
+        return fids, self.store.bulk_decref(fids)
 
     def set_perms(self, vpn: int, perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> None:
@@ -541,8 +559,7 @@ class PageTable:
         if self.base is not None:
             raise NotSealed("a copy-on-write view cannot be sealed")
         for entry in self.entries.values():
-            if PL1 in entry.perms.write:
-                entry.perms = entry.perms.without_pl1_write()
+            entry.perms = entry.perms.without_pl1_write()
         fids = self.local_frame_ids()
         pl1_fids = self.local_frame_ids(pl1_only=True)
         self._base_id = self.store.register_base(fids)
@@ -616,7 +633,7 @@ class PageTable:
         charge += model.copy_us(1)
         if self._aliases(vpn):
             self._hidden.add(vpn)
-        self.entries[vpn] = PageEntry(new_fid, PagePerms.process_rw())
+        self.entries[vpn] = PageEntry(new_fid, PagePerms.PROCESS_RW)
         self.store.incref(new_fid)
         self.store.decref(old_fid)
         return new_fid, charge
@@ -651,8 +668,9 @@ class PageTable:
 class MemoryPool:
     """Free-frame pool, optionally prevalidated at boot.
 
-    Free frames are tracked as id ranges so a 16 GiB pool costs O(1) host
-    memory until frames are actually touched.
+    Free frames are id ranges, taken from the front and given back at the
+    end; the store's owner column marks them ``FREE``.  Host memory grows
+    with the frame columns, and with page bytes only as frames are written.
     """
 
     def __init__(self, store: FrameStore, prevalidated: bool = False):
@@ -673,39 +691,30 @@ class MemoryPool:
         if n > self.free_count:
             raise OutOfMemory(f"requested {n} frames, {self.free_count} free")
         out: list[int] = []
-        while n > 0:
-            lo, hi = self._ranges[0]
-            grab = min(n, hi - lo)
-            out.extend(range(lo, lo + grab))
-            if lo + grab == hi:
-                self._ranges.pop(0)
-            else:
-                self._ranges[0] = (lo + grab, hi)
-            n -= grab
-            self.free_count -= grab
+        while len(out) < n:
+            lo, hi = self._ranges.pop(0)
+            mid = min(hi, lo + n - len(out))
+            self.store.hand_out(lo, mid)
+            out.extend(range(lo, mid))
+            if mid < hi:
+                self._ranges.insert(0, (mid, hi))
+        self.free_count -= n
         return out
 
-    def _push_range(self, lo: int, hi: int) -> None:
-        self._ranges.append((lo, hi))
-        self.free_count += hi - lo
-
     def release(self, fids: Iterable[int]) -> None:
-        fids = sorted(int(f) for f in fids)
-        if not fids:
+        """Give back distinct frames that are handed out and unmapped; a
+        frame that is free or still mapped fails an assertion."""
+        ordered = sorted(int(f) for f in fids)
+        if not ordered:
             return
-        run_start = prev = fids[0]
-        for fid in fids[1:]:
-            if fid == prev + 1:
-                prev = fid
-                continue
-            self._push_range(run_start, prev + 1)
-            run_start = prev = fid
-        self._push_range(run_start, prev + 1)
-        for fid in fids:
-            frame = self.store._frames.get(fid)
-            if frame is not None:
-                frame.scrub()
-                frame.owner_level = None
+        if len(set(ordered)) != len(ordered):
+            raise AssertionError("frame released twice")
+        self.store.take_back(np.array(ordered))
+        cuts = [i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1]
+        bounds = [0, *cuts, len(ordered)]  # the runs of consecutive ids
+        self._ranges.extend((ordered[lo], ordered[hi - 1] + 1)
+                            for lo, hi in zip(bounds, bounds[1:]))
+        self.free_count += len(ordered)
 
 
 def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
@@ -716,18 +725,8 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
     frame is validated now at validation_us_per_page.
     """
     fids = pool.take(n)
-    charge = 0
-    if not pool.prevalidated:
-        unvalidated = 0
-        for fid in fids:
-            frame = pool.store.get(fid)
-            if not frame.validated:
-                frame.validated = True
-                unvalidated += 1
-        charge = model.validation_us(unvalidated)
-    if owner_level is not None:
-        for fid in fids:
-            pool.store.get(fid).owner_level = owner_level
+    fresh = pool.store.claim(np.array(fids, dtype=np.int64), owner_level)
+    charge = 0 if pool.prevalidated else model.validation_us(fresh)
     pool.clock_charged_us += charge
     return fids, charge
 
@@ -735,8 +734,8 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
 def preallocate(pool: MemoryPool, nbytes: int, model: CostModel) -> int:
     """Grow the pool by ceil(nbytes/4096) validated frames at boot.
 
-    Returns the validation charge added to the boot time.  Host memory is
-    only consumed when frames are later touched.
+    Returns the validation charge added to the boot time.  Page bytes are
+    only allocated when frames are later written.
     """
     pages = pages_for(nbytes)
     try:

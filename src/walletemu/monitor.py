@@ -494,7 +494,7 @@ class Monitor:
         fids, alloc_us = alloc_frames(self.pool, n_pages, self.model,
                                       owner_level=PrivilegeLevel.PL1_PROCESS)
         self._charge(alloc_us)
-        table.map_range(fids, PagePerms.process_rw())
+        table.map_range(fids, PagePerms.PROCESS_RW)
         self.store.write_range(fids, content)
         populate_us = self._charge(self.model.transfer_us(len(content)))
 
@@ -612,7 +612,7 @@ class Monitor:
             for (vpn, entry), fid in zip(sorted(src_table.entries.items()),
                                          fids):
                 self.store.copy_frame(entry.frame_id, fid)
-                table.map_page(vpn, fid, PagePerms.process_ro())
+                table.map_page(vpn, fid, PagePerms.PROCESS_RO)
             zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
 
         # The trustlet's exclusive region holds the function image plus
@@ -630,7 +630,7 @@ class Monitor:
             self.pool.release(table.release_all())
             raise
         self._charge(excl_alloc_us)
-        table.map_range(fids, PagePerms.process_rw())
+        table.map_range(fids, PagePerms.PROCESS_RW)
         self.store.write_range(fids, fn_bytes)
         setup_us = self._charge(self.model.copy_us(excl_pages))
         load_us = self._charge(self.model.transfer_us(len(fn_bytes)))
@@ -917,7 +917,7 @@ class Monitor:
                                           owner_level=PrivilegeLevel.PL1_PROCESS)
             self._charge(alloc_us)
             ticket.file_vpns += proc.page_table.map_range(
-                fids, PagePerms.process_rw())
+                fids, PagePerms.PROCESS_RW)
             self.store.write_range(fids, raw)
             ticket.charges.input_us += self._charge(
                 self.model.transfer_us(len(raw)))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .crypto import Rng, symmetric_decrypt, symmetric_encrypt
 from .errors import (
     AlreadyAttached,
@@ -140,7 +142,7 @@ class ObjectStore:
                          charged_bytes=length)
         self._next_id += 1
         if caller_table is not None and caller_pid != MONITOR_PID:
-            obj.writer_vpns = caller_table.map_range(fids, PagePerms.process_wo())
+            obj.writer_vpns = caller_table.map_range(fids, PagePerms.PROCESS_WO)
             obj.writer_table = caller_table
         self.objects[obj.obj_id] = obj
         self.attached_view(caller_pid).add(obj.obj_id)
@@ -176,14 +178,12 @@ class ObjectStore:
         writer_table = writer_table or obj.writer_table
         if obj.writer_vpns and writer_table is not None:
             for vpn in obj.writer_vpns:
-                entry = writer_table.lookup(vpn)
-                if entry is not None:
-                    writer_table.set_perms(vpn, PagePerms.process_ro())
+                writer_table.set_perms(vpn, PagePerms.PROCESS_RO)
         obj.reader = caller_pid
         self.attached_view(caller_pid).add(obj.obj_id)
         if caller_table is not None and caller_pid != MONITOR_PID:
             obj.reader_vpns = caller_table.map_range(obj.frames,
-                                                     PagePerms.process_ro())
+                                                     PagePerms.PROCESS_RO)
             obj.reader_table = caller_table
         return obj
 
@@ -198,7 +198,7 @@ class ObjectStore:
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
         if obj.writer_table is not None and obj.writer_vpns:
             obj.writer_vpns += obj.writer_table.map_range(
-                fids, PagePerms.process_wo())
+                fids, PagePerms.PROCESS_WO)
         obj.frames.extend(fids)
         if obj.writer is not None and obj.writer != MONITOR_PID:
             obj.charged_bytes += needed * PAGE_SIZE
@@ -292,11 +292,7 @@ class ObjectStore:
     def read_monitor(self, obj_id: int) -> bytes:
         """Monitor (PL0) reads an object's content directly."""
         obj = self.get(obj_id)
-        store = self.pool.store
-        out = bytearray()
-        for fid in obj.frames:
-            out.extend(store.read_bytes(fid))
-        return bytes(out[: obj.length])
+        return b"".join(map(self.pool.store.read_bytes, obj.frames))[: obj.length]
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -323,11 +319,8 @@ class ObjectStore:
             self._owned_bytes[obj.writer] -= obj.charged_bytes
         for table, vpns in ((obj.writer_table, obj.writer_vpns),
                             (obj.reader_table, obj.reader_vpns)):
-            if table is None:
-                continue
-            for vpn in vpns:
-                if table.lookup(vpn) is not None:
-                    table.unmap_page(vpn)
+            if table is not None:
+                table.unmap_range(vpns)
         for pid in list(obj.attachments()):
             self.detach(pid, obj)
         self._release_object(obj)
@@ -356,9 +349,8 @@ class ObjectStore:
     def _release_object(self, obj: DataObject) -> None:
         # Table mappings of detached parties are torn down with their
         # descriptors; here only monitor-held frames remain to release.
-        store = self.pool.store
-        free = [fid for fid in obj.frames if store.ref(fid) == 0]
-        self.pool.release(free)
+        frames = np.array(obj.frames, dtype=np.int64)
+        self.pool.release(frames[self.pool.store.refs_of(frames) == 0].tolist())
         del self.objects[obj.obj_id]
 
     def dump(self) -> list[dict]:

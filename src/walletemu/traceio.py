@@ -109,8 +109,8 @@ def as_trace(events: Trace | Iterable[TraceEvent]) -> Trace:
 
 @dataclass
 class GeneratorSpec:
-    """Synthetic-trace parameters; all counts positive, sigma >= 0, every
-    real parameter finite."""
+    """Synthetic-trace parameters; counts positive integers, seed a
+    non-negative integer, sigma >= 0, every real parameter finite."""
 
     n_functions: int = 4000
     n_apps: int = 200
@@ -127,8 +127,13 @@ class GeneratorSpec:
                  self.duration_lognormal_sigma)
         if not all(math.isfinite(v) for v in reals):
             raise InvariantError("generator parameters must be finite")
+        ints = (self.n_functions, self.n_apps, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
+            raise InvariantError("counts and seed must be integers")
         if self.n_functions <= 0 or self.n_apps <= 0:
             raise InvariantError("function and app counts must be positive")
+        if self.seed < 0:
+            raise InvariantError("seed must be non-negative")
         if self.duration_minutes <= 0 or self.arrival_rate_per_s <= 0:
             raise InvariantError("duration and arrival rate must be positive")
         if self.duration_lognormal_sigma < 0:

@@ -383,7 +383,7 @@ def test_criterion_10_memory_property_suites():
     zygote = PageTable(store, 1)
     fids, _ = alloc_frames(pool, 64, model, owner_level=PL1)
     for vpn, fid in enumerate(fids):
-        zygote.map_page(vpn, fid, PagePerms.process_rw())
+        zygote.map_page(vpn, fid, PagePerms.PROCESS_RW)
         store.write_bytes(fid, 0, rng.randbytes(PAGE_SIZE))
     zygote.seal()
     snapshot = [store.read_bytes(e.frame_id)
@@ -410,7 +410,7 @@ def test_criterion_10_memory_property_suites():
     zygote = PageTable(store, 1)
     fids, _ = alloc_frames(pool, 16, model, owner_level=PL1)
     for vpn, fid in enumerate(fids):
-        zygote.map_page(vpn, fid, PagePerms.process_rw())
+        zygote.map_page(vpn, fid, PagePerms.PROCESS_RW)
     zygote.seal()
     tables = [zygote]
     for step in range(10_000):
@@ -421,7 +421,7 @@ def test_criterion_10_memory_property_suites():
             table = rng.choice(tables[1:])
             new_fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
             table.map_page(table.take_vpns(1)[0], new_fids[0],
-                           PagePerms.process_rw())
+                           PagePerms.PROCESS_RW)
         elif op == 2 and len(tables) > 1:
             table = rng.choice(tables[1:])
             shared = [v for v in table.mapped_vpns()
@@ -445,9 +445,9 @@ def test_criterion_10_memory_property_suites():
     process_table = PageTable(store, 1)
     guest_table = PageTable(store, 99)
     for vpn, fid in enumerate(process_fids):
-        process_table.map_page(vpn, fid, PagePerms.process_rw())
+        process_table.map_page(vpn, fid, PagePerms.PROCESS_RW)
     for vpn, fid in enumerate(guest_fids):
-        guest_table.map_page(vpn, fid, PagePerms.guest_rw())
+        guest_table.map_page(vpn, fid, PagePerms.GUEST_RW)
     protected = set(process_fids) | set(monitor_fids)
     denials = 0
     for _ in range(10_000):
@@ -458,9 +458,9 @@ def test_criterion_10_memory_property_suites():
             if action == 0:
                 table.map_page(table.take_vpns(1)[0],
                                rng.choice(list(protected)),
-                               PagePerms.guest_rw(), caller=level)
+                               PagePerms.GUEST_RW, caller=level)
             elif action == 1:
-                table.set_perms(rng.randrange(8), PagePerms.guest_rw(),
+                table.set_perms(rng.randrange(8), PagePerms.GUEST_RW,
                                 caller=level)
             else:
                 table.access(level, rng.randrange(40), AccessKind.READ)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from walletemu.cli import build_sized_image, main
-from walletemu.errors import EXIT_CODES, ParseError, PolicyViolation
+from walletemu.errors import EXIT_CODES, InvariantError, ParseError, PolicyViolation
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 
 MIB = 1048576
@@ -171,6 +171,11 @@ class TestSimulateAndGenTrace:
         assert main(["gen-trace", "--gen-spec", str(spec),
                      "--out", str(tmp_path / "t.csv")]) == \
             EXIT_CODES[ParseError]
+
+    def test_negative_seed_exits_with_invariant_error(self, tmp_path):
+        assert main(["gen-trace", "--seed", "-1",
+                     "--out", str(tmp_path / "t.csv")]) == \
+            EXIT_CODES[InvariantError]
 
     def test_non_finite_trace_exits_with_parse_error(self, tmp_path):
         trace = tmp_path / "t.csv"

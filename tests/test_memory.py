@@ -42,7 +42,7 @@ def build_zygote_table(store, pool, model, pages, owner=1, fill=b"\xAB"):
     fids, _ = alloc_frames(pool, pages, model, owner_level=PL1)
     table = PageTable(store, owner)
     for vpn, fid in enumerate(fids):
-        table.map_page(vpn, fid, PagePerms.process_rw())
+        table.map_page(vpn, fid, PagePerms.PROCESS_RW)
         store.write_bytes(fid, 0, fill * PAGE_SIZE)
     table.seal()
     return table
@@ -91,6 +91,24 @@ class TestAllocFrames:
         assert sorted(refids) == sorted(fids)
         assert second == 0  # frames stay validated across release
 
+    def test_double_release_refused(self, store, model):
+        pool = make_pool(store, frames=16)
+        fids, _ = alloc_frames(pool, 2, model)
+        pool.release(fids)
+        with pytest.raises(AssertionError):
+            pool.release(fids)
+        with pytest.raises(AssertionError):
+            pool.release([fids[0], fids[0]])
+        assert pool.free_count == 16
+
+    def test_release_of_a_mapped_frame_refused(self, store, model):
+        pool = make_pool(store, frames=16)
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        PageTable(store, 1).map_range(fids, PagePerms.PROCESS_RW)
+        with pytest.raises(AssertionError):
+            pool.release(fids)
+        assert pool.free_count == 14
+
     def test_out_of_memory(self, store, model):
         pool = make_pool(store, frames=2)
         with pytest.raises(OutOfMemory):
@@ -125,14 +143,14 @@ class TestPreallocate:
         preallocate(pool, 8192, model)
         fids, charge = alloc_frames(pool, 2, model)
         assert charge == 0
-        assert all(store.get(f).validated for f in fids)
+        assert store.validated_of(np.array(fids)).all()
 
 
 class TestMapPage:
     def test_monitor_maps_page(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 7)
-        table.map_page(10, fids[0], PagePerms.process_rw())
+        table.map_page(10, fids[0], PagePerms.PROCESS_RW)
         assert table.lookup(10).frame_id == fids[0]
         assert store.ref(fids[0]) == 1
 
@@ -141,22 +159,22 @@ class TestMapPage:
         fids, _ = alloc_frames(pool, 1, model)
         table = PageTable(store, 7)
         with pytest.raises(PermissionDenied):
-            table.map_page(0, fids[0], PagePerms.process_rw(), caller=level)
+            table.map_page(0, fids[0], PagePerms.PROCESS_RW, caller=level)
 
     def test_double_map_rejected(self, store, pool, model):
         fids, _ = alloc_frames(pool, 2, model)
         table = PageTable(store, 7)
-        table.map_page(0, fids[0], PagePerms.process_ro())
+        table.map_page(0, fids[0], PagePerms.PROCESS_RO)
         with pytest.raises(DoubleMap):
-            table.map_page(0, fids[1], PagePerms.process_ro())
+            table.map_page(0, fids[1], PagePerms.PROCESS_RO)
 
     def test_shared_read_only_mapping_sees_same_bytes(self, store, pool, model):
         # CoW sharing oracle: both readers observe identical frame content.
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         store.write_bytes(fids[0], 0, b"shared-bytes")
         t1, t2 = PageTable(store, 1), PageTable(store, 2)
-        t1.map_page(0, fids[0], PagePerms.process_ro())
-        t2.map_page(0, fids[0], PagePerms.process_ro())
+        t1.map_page(0, fids[0], PagePerms.PROCESS_RO)
+        t2.map_page(0, fids[0], PagePerms.PROCESS_RO)
         assert store.ref(fids[0]) == 2
         r1 = t1.access(PL1, 0, AccessKind.READ)
         r2 = t2.access(PL1, 0, AccessKind.READ)
@@ -166,7 +184,7 @@ class TestMapPage:
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 9)
         with pytest.raises(PermissionDenied):
-            table.map_page(0, fids[0], PagePerms.guest_rw())
+            table.map_page(0, fids[0], PagePerms.GUEST_RW)
 
 
 class TestMapRange:
@@ -174,8 +192,8 @@ class TestMapRange:
                                                       model):
         fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
         table = PageTable(store, 7)
-        table.map_page(4, fids[0], PagePerms.process_ro())
-        vpns = table.map_range(fids[1:], PagePerms.process_rw())
+        table.map_page(4, fids[0], PagePerms.PROCESS_RO)
+        vpns = table.map_range(fids[1:], PagePerms.PROCESS_RW)
         assert vpns == [5, 6]
         for vpn, fid in zip(vpns, fids[1:]):
             assert table.lookup(vpn).frame_id == fid
@@ -187,30 +205,47 @@ class TestMapRange:
         fids, _ = alloc_frames(pool, 2, model)
         table = PageTable(store, 7)
         with pytest.raises(PermissionDenied):
-            table.map_range(fids, PagePerms.process_rw(), caller=level)
+            table.map_range(fids, PagePerms.PROCESS_RW, caller=level)
         assert table.n_entries() == 0 and table.next_unused_vpn() == 0
 
     def test_sealed_table_refuses(self, store, pool, model):
         zygote = build_zygote_table(store, pool, model, pages=2)
         fids, _ = alloc_frames(pool, 1, model)
         with pytest.raises(NotSealed):
-            zygote.map_range(fids, PagePerms.process_ro())
+            zygote.map_range(fids, PagePerms.PROCESS_RO)
 
     def test_unknown_frame_rejected(self, store):
         with pytest.raises(KeyError):
-            PageTable(store, 7).map_range([123], PagePerms.process_ro())
+            PageTable(store, 7).map_range([123], PagePerms.PROCESS_RO)
 
     def test_pl1_frames_cannot_be_exposed_to_guest(self, store, pool, model):
         fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
         with pytest.raises(PermissionDenied):
-            PageTable(store, 9).map_range(fids, PagePerms.guest_rw())
+            PageTable(store, 9).map_range(fids, PagePerms.GUEST_RW)
+
+    def test_refused_run_maps_nothing(self, store, pool, model):
+        guest_fids, _ = alloc_frames(pool, 2, model, owner_level=PL2)
+        pl1_fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        table = PageTable(store, 9)
+        with pytest.raises(PermissionDenied):
+            table.map_range(guest_fids + pl1_fids, PagePerms.GUEST_RW)
+        assert table.entries == {} and store.total_refs() == 0
+        assert table.next_unused_vpn() == 0
+
+    def test_refused_unmap_run_unmaps_nothing(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        table = PageTable(store, 1)
+        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        with pytest.raises(KeyError):
+            table.unmap_range(vpns + [vpns[-1] + 1])
+        assert table.n_entries() == 2 and store.total_refs() == 2
 
     def test_unmap_range_returns_the_frames_left_unmapped(self, store, pool,
                                                           model):
         fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
         table, other = PageTable(store, 1), PageTable(store, 2)
-        vpns = table.map_range(fids, PagePerms.process_rw())
-        other.map_page(0, fids[1], PagePerms.process_ro())
+        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        other.map_page(0, fids[1], PagePerms.PROCESS_RO)
         assert table.unmap_range(vpns) == [fids[0]]
         assert table.n_entries() == 0 and store.ref(fids[1]) == 1
 
@@ -238,14 +273,14 @@ class TestAccess:
     def test_write_to_exclusive_writable_page(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 3)
-        table.map_page(0, fids[0], PagePerms.process_rw())
+        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
         assert table.access(PL1, 0, AccessKind.WRITE, b"data") is None
         assert table.access(PL1, 0, AccessKind.READ)[:4] == b"data"
 
     def test_guest_read_of_process_frame_faults(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 3)
-        table.map_page(0, fids[0], PagePerms.process_rw())
+        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
         fault = table.access(PL2, 0, AccessKind.READ)
         assert isinstance(fault, PageFault)
         assert fault.kind is FaultKind.PERMISSION_VIOLATION
@@ -281,7 +316,7 @@ class TestForkCow:
     def test_fork_of_unsealed_table_rejected(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 1)
-        table.map_page(0, fids[0], PagePerms.process_rw())
+        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
         with pytest.raises(NotSealed):
             table.fork_cow(2)
 
@@ -366,7 +401,7 @@ class TestAccounting:
         child = zygote.fork_cow(2)
         fids, _ = alloc_frames(pool, 15, model, owner_level=PL1)
         for vpn, fid in zip(child.take_vpns(15), fids):
-            child.map_page(vpn, fid, PagePerms.process_rw())
+            child.map_page(vpn, fid, PagePerms.PROCESS_RW)
         usage = accounting([zygote, child])
         assert usage.shared_bytes == 64 * PAGE_SIZE
         assert usage.exclusive_bytes == 15 * PAGE_SIZE
@@ -385,7 +420,7 @@ class TestAccounting:
             child = zygote.fork_cow(owner)
             fids, _ = alloc_frames(pool, 15, model, owner_level=PL1)
             for vpn, fid in zip(child.take_vpns(15), fids):
-                child.map_page(vpn, fid, PagePerms.process_rw())
+                child.map_page(vpn, fid, PagePerms.PROCESS_RW)
             tables.append(child)
         usage = accounting(tables)
         assert usage.shared_bytes == 128 * PAGE_SIZE
@@ -420,8 +455,8 @@ class TestSealedTables:
     def test_sealed_frames_must_be_distinct(self, store, pool, model):
         fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 1)
-        table.map_page(0, fids[0], PagePerms.process_ro())
-        table.map_page(1, fids[0], PagePerms.process_ro())
+        table.map_page(0, fids[0], PagePerms.PROCESS_RO)
+        table.map_page(1, fids[0], PagePerms.PROCESS_RO)
         with pytest.raises(DoubleMap):
             table.seal()
 
@@ -443,7 +478,7 @@ class TestInvariants:
             elif op == 1 and len(tables) > 1:
                 t = rng.choice(tables[1:])  # sealed templates are frozen
                 fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
-                t.map_page(t.take_vpns(1)[0], fids[0], PagePerms.process_rw())
+                t.map_page(t.take_vpns(1)[0], fids[0], PagePerms.PROCESS_RW)
             elif op == 2 and len(tables) > 1:
                 t = rng.choice(tables[1:])
                 shared = [v for v in t.mapped_vpns()
@@ -487,14 +522,14 @@ class TestInvariants:
             if op == 1:
                 fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
                 view.map_page(view.take_vpns(1)[0], fids[0],
-                              PagePerms.process_rw())
+                              PagePerms.PROCESS_RW)
             elif op == 2:
                 shared = [v for v in view.mapped_vpns()
                           if store.ref(view.lookup(v).frame_id) > 1]
                 if shared:
                     view.resolve_cow(rng.choice(shared), pool, model)
             elif op == 3 and aliased:
-                view.set_perms(rng.choice(aliased), PagePerms.process_ro())
+                view.set_perms(rng.choice(aliased), PagePerms.PROCESS_RO)
             elif op == 4:
                 mapped = list(view.mapped_vpns())
                 if mapped:

@@ -199,6 +199,10 @@ class TestGenerateTrace:
         '{"arrival_rate_per_s": Infinity}',
         '{"popularity_zipf_s": NaN}',
         '{"n_functions": 0}',
+        '{"n_functions": 2.5}',
+        '{"seed": -1}',
+        '{"n_apps": 0.5}',
+        '{"n_functions": true}',
     ])
     def test_invalid_spec_json_is_parse_error(self, text):
         with pytest.raises(ParseError):
