@@ -19,10 +19,11 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .crypto import Rng, SigningKey, verify_signature
 from .errors import NoPolicyKey
+from .images import FunctionSpec, ZygoteImage
 from .memory import CostModel
 
 DIGEST_LEN = 64
@@ -68,6 +69,26 @@ class MeasurementCache:
     def measure(self, kind: SubjectKind, content_id: str, content: bytes,
                 model: CostModel, now_us: int = 0) -> tuple[Measurement, int]:
         """Return (measurement, simulated hash charge in microseconds)."""
+        return self._measure(kind, content_id, content,
+                             lambda: sha512(content), model, now_us)
+
+    def measure_image(self, kind: SubjectKind,
+                      image: ZygoteImage | FunctionSpec,
+                      model: CostModel,
+                      now_us: int = 0) -> tuple[Measurement, int]:
+        """Measure a zygote image or function spec under its uid.
+
+        A miss takes the digest the object keeps over its own canonical
+        bytes, so the measurement binds exactly the bytes that are mapped
+        and the host hashes them at most once.  The charge and the bytes
+        counted are those of a full hash all the same.
+        """
+        return self._measure(kind, image.uid, image.canonical_bytes,
+                             image.digest, model, now_us)
+
+    def _measure(self, kind: SubjectKind, content_id: str, content: bytes,
+                 digest_of: Callable[[], bytes], model: CostModel,
+                 now_us: int) -> tuple[Measurement, int]:
         key = (kind, content_id)
         cached = self.entries.get(key)
         if cached is not None:
@@ -75,7 +96,7 @@ class MeasurementCache:
             return cached, 0
         self.misses += 1
         self.bytes_hashed += len(content)
-        measurement = Measurement(sha512(content), kind, now_us)
+        measurement = Measurement(digest_of(), kind, now_us)
         self.entries[key] = measurement
         return measurement, model.hash_us(len(content))
 

@@ -221,6 +221,3 @@ class FunctionPublicKey:
     def __init__(self, box_public: bytes, verify_public: bytes):
         self.box_public = box_public
         self.verify_public = verify_public
-
-    def fingerprint(self) -> bytes:
-        return hashlib.sha512(self.box_public + self.verify_public).digest()

@@ -172,7 +172,8 @@ class FunctionSpec:
     """A named, deterministic pipeline with a simulated execution time.
 
     canonical_bytes is uniquely determined by (name, steps, exec_time_ms)
-    and is the content SHA-512 measurements bind to.
+    and is the content SHA-512 measurements bind to.  It and its digest()
+    are built once per spec and then kept.
     """
 
     def __init__(self, name: str, steps: Sequence[PipelineOp],
@@ -184,6 +185,7 @@ class FunctionSpec:
             raise ValueError("exec_time_ms must be non-negative")
         self.uid = f"fn:{next(_uid_counter)}"
         self._canonical: Optional[bytes] = None
+        self._digest: Optional[bytes] = None
 
     @property
     def canonical_bytes(self) -> bytes:
@@ -199,7 +201,10 @@ class FunctionSpec:
         return self._canonical
 
     def digest(self) -> bytes:
-        return hashlib.sha512(self.canonical_bytes).digest()
+        """SHA-512 of canonical_bytes, computed once per object."""
+        if self._digest is None:
+            self._digest = hashlib.sha512(self.canonical_bytes).digest()
+        return self._digest
 
     @staticmethod
     def from_canonical(data: bytes) -> "FunctionSpec":
@@ -253,6 +258,9 @@ class FunctionSpec:
 class ZygoteImage:
     """A sealed-template image: runtime id, embedded files, and a manifest
     of external-file digests.  Manifest paths must not shadow embedded ones.
+
+    canonical_bytes and its digest() are built once per image and then
+    kept, so measuring and mapping an image read the same immutable bytes.
     """
 
     def __init__(self, runtime_id: str, init_cost_ms: int = 0,
@@ -275,6 +283,7 @@ class ZygoteImage:
             raise ValueError(f"manifest paths shadow embedded files: {overlap}")
         self.uid = f"zy:{next(_uid_counter)}"
         self._canonical: Optional[bytes] = None
+        self._digest: Optional[bytes] = None
 
     @property
     def canonical_bytes(self) -> bytes:
@@ -296,7 +305,10 @@ class ZygoteImage:
         return self._canonical
 
     def digest(self) -> bytes:
-        return hashlib.sha512(self.canonical_bytes).digest()
+        """SHA-512 of canonical_bytes, computed once per object."""
+        if self._digest is None:
+            self._digest = hashlib.sha512(self.canonical_bytes).digest()
+        return self._digest
 
     def size_bytes(self) -> int:
         return len(self.canonical_bytes)

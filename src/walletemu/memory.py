@@ -9,8 +9,11 @@ are deterministic.
 
 Per-frame facts are numpy columns in ``FrameStore``, and page tables map,
 unmap, allocate and free a run of frames in one step.  Frame contents are
-real bytes, materialized only for written frames, so that measurement
-digests over memory are genuine while multi-GiB pools stay cheap to reserve.
+real bytes, held only for written frames, so that measurement digests over
+memory are genuine while multi-GiB pools stay cheap to reserve.  A page is
+either a private ``bytearray`` or a read-only view of the immutable bytes
+it was populated from, so a zygote image is mapped without copying it; the
+first write to a viewed page gives the frame its own copy.
 """
 
 from __future__ import annotations
@@ -164,9 +167,14 @@ class FrameStore:
 
     Each per-frame fact is a numpy column indexed by frame id, grown by
     ``reserve``: reference count, base id, validated, and owner level
-    (``FREE`` while in a pool, ``NO_OWNER`` for none).  Contents are
-    materialized lazily, in a dict from frame id to ``bytearray`` holding
-    only written frames; any other frame reads as zeros.
+    (``FREE`` while in a pool, ``NO_OWNER`` for none).  Contents live in a
+    dict holding only written frames; any other frame reads as zeros.  A
+    page there is a ``bytearray`` the frame owns, or a read-only
+    ``memoryview`` slice of a ``bytes`` object it was populated from by
+    ``write_range`` (copied frames share the view).  ``write_bytes`` swaps
+    a view for a private ``bytearray`` before its first write, and
+    ``take_back`` drops it, so the backing object is freed with the last
+    frame that views it.
 
     A frame's reference count is the number of page-table entries, CoW view
     entries included, that map it, kept in two parts.  Explicit counts move
@@ -185,7 +193,7 @@ class FrameStore:
         self._base_of = np.zeros(1024, dtype=np.int32)
         self._validated = np.zeros(1024, dtype=bool)
         self._owner = np.full(1024, FREE, dtype=np.int8)
-        self._data: dict[int, bytearray] = {}
+        self._data: dict[int, bytearray | memoryview] = {}
         # Per base id: live view count and registered frame count.  Slot 0
         # stays zero so frames of no base add nothing.
         self._views = np.zeros(8, dtype=np.int64)
@@ -225,12 +233,13 @@ class FrameStore:
         self._owner[fids] = NO_OWNER if owner_level is None else owner_level
         return fresh
 
-    def take_back(self, fids: np.ndarray) -> None:
-        """Return distinct, handed-out, unmapped fids to the free state and
-        drop their bytes."""
+    def take_back(self, fids: np.ndarray, refs: np.ndarray) -> None:
+        """Return distinct, handed-out fids to the free state and drop their
+        bytes.  refs are the fids' reference counts, read once by the
+        caller (``refs_of``); a mapped frame fails an assertion."""
         if np.count_nonzero(self._owner[fids] == FREE):
             raise AssertionError("frame released while free")
-        if np.count_nonzero(self.refs_of(fids)):
+        if np.count_nonzero(refs):
             raise AssertionError("frame released while mapped")
         for fid in fids.tolist():
             self._data.pop(fid, None)
@@ -321,30 +330,47 @@ class FrameStore:
 
     def write_bytes(self, fid: int, offset: int, data: bytes) -> None:
         page = self._data.get(fid)
-        if page is None:
-            if not 0 <= fid < self._next_fid:
+        if type(page) is not bytearray:  # unwritten, or a read-only view
+            if page is None and not 0 <= fid < self._next_fid:
                 raise KeyError(f"unknown frame {fid}")
-            page = self._data[fid] = bytearray(PAGE_SIZE)
+            page = self._data[fid] = bytearray(
+                PAGE_SIZE if page is None else page)
         page[offset : offset + len(data)] = data
 
     def write_range(self, fids: Sequence[int], data: bytes) -> None:
-        """Write data across fids, one page per frame from its start."""
+        """Write data across fids, one page per frame from its start.
+
+        Each full page of an immutable ``bytes`` object is kept as a
+        read-only view of it rather than copied; a ``bytearray`` or
+        ``memoryview``, which its owner may change later, is copied, and
+        so is a partial last page.
+        """
         if len(data) > len(fids) * PAGE_SIZE:
             raise ValueError("data exceeds the frames' capacity")
+        if len(data) and (min(fids) < 0 or max(fids) >= self._next_fid):
+            raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
         view = memoryview(data)
-        for i in range(0, len(data), PAGE_SIZE):
-            self.write_bytes(fids[i // PAGE_SIZE], 0, view[i : i + PAGE_SIZE])
+        page_of = (lambda chunk: chunk) if type(data) is bytes else bytearray
+        full = len(data) // PAGE_SIZE
+        self._data.update(
+            (fids[i], page_of(view[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]))
+            for i in range(full))
+        if len(data) > full * PAGE_SIZE:
+            self.write_bytes(fids[full], 0, view[full * PAGE_SIZE :])
 
     def read_bytes(self, fid: int) -> bytes:
         page = self._data.get(fid)
         return bytes(PAGE_SIZE) if page is None else bytes(page)
 
     def copy_frame(self, src_fid: int, dst_fid: int) -> None:
+        """Copy a page; a read-only view is shared, since a write to
+        either frame gives that frame a private page first."""
         page = self._data.get(src_fid)
         if page is None:
             self._data.pop(dst_fid, None)  # both are zero pages
         else:
-            self._data[dst_fid] = bytearray(page)
+            self._data[dst_fid] = (page if type(page) is memoryview
+                                   else bytearray(page))
         self.copied_bytes_total += PAGE_SIZE
 
 
@@ -651,8 +677,8 @@ class PageTable:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
             self._sealed_fids = self._sealed_pl1_fids = np.empty(0, np.int64)
-        self.store.bulk_decref(local)
-        freed = sorted({int(f) for f in local[self.store.refs_of(local) == 0]})
+        refs = self.store.bulk_decref(local)
+        freed = sorted(set(local[refs == 0].tolist()))
         if self.base is not None:
             hidden = np.fromiter(
                 (self.base.entries[vpn].frame_id for vpn in self._hidden),
@@ -701,15 +727,29 @@ class MemoryPool:
         self.free_count -= n
         return out
 
-    def release(self, fids: Iterable[int]) -> None:
+    def release(self, fids: Sequence[int]) -> None:
         """Give back distinct frames that are handed out and unmapped; a
         frame that is free or still mapped fails an assertion."""
-        ordered = sorted(int(f) for f in fids)
+        if not len(fids):
+            return
+        arr = np.array(fids, dtype=np.int64)
+        self._give_back(arr, self.store.refs_of(arr))
+
+    def release_unmapped(self, fids: Sequence[int]) -> None:
+        """Give back those of the distinct, handed-out fids that no page
+        table maps; the others stay handed out."""
+        arr = np.array(fids, dtype=np.int64)
+        refs = self.store.refs_of(arr)
+        unmapped = refs == 0
+        self._give_back(arr[unmapped], refs[unmapped])
+
+    def _give_back(self, fids: np.ndarray, refs: np.ndarray) -> None:
+        ordered = sorted(fids.tolist())
         if not ordered:
             return
         if len(set(ordered)) != len(ordered):
             raise AssertionError("frame released twice")
-        self.store.take_back(np.array(ordered))
+        self.store.take_back(fids, refs)
         cuts = [i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1]
         bounds = [0, *cuts, len(ordered)]  # the runs of consecutive ids
         self._ranges.extend((ordered[lo], ordered[hi - 1] + 1)

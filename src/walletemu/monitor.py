@@ -478,8 +478,8 @@ class Monitor:
     def create_zygote(self, image: ZygoteImage) -> ZygoteCreation:
         policy = self._require_policy()
         self.guest.observe(image.canonical_bytes)
-        measurement, measure_us = self.cache.measure(
-            att.SubjectKind.ZYGOTE, image.uid, image.canonical_bytes, self.model)
+        measurement, measure_us = self.cache.measure_image(
+            att.SubjectKind.ZYGOTE, image, self.model)
         self._charge(measure_us)
         if measurement.digest not in policy.allowed_zygotes:
             raise PolicyViolation("zygote digest is not in the provider policy")
@@ -578,8 +578,8 @@ class Monitor:
             raise UnknownHandle(f"handle {zhandle} is not a zygote")
         if zygote.state is not ProcState.READY or not zygote.page_table.sealed:
             raise PolicyViolation("zygote must be sealed and ready")
-        measurement, measure_us = self.cache.measure(
-            att.SubjectKind.FUNCTION, fn.uid, fn.canonical_bytes, self.model)
+        measurement, measure_us = self.cache.measure_image(
+            att.SubjectKind.FUNCTION, fn, self.model)
         self._charge(measure_us)
         if measurement.digest not in policy.allowed_functions:
             raise PolicyViolation("function digest is not in the provider policy")

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .crypto import Rng, symmetric_decrypt, symmetric_encrypt
 from .errors import (
     AlreadyAttached,
@@ -349,8 +347,7 @@ class ObjectStore:
     def _release_object(self, obj: DataObject) -> None:
         # Table mappings of detached parties are torn down with their
         # descriptors; here only monitor-held frames remain to release.
-        frames = np.array(obj.frames, dtype=np.int64)
-        self.pool.release(frames[self.pool.store.refs_of(frames) == 0].tolist())
+        self.pool.release_unmapped(obj.frames)
         del self.objects[obj.obj_id]
 
     def dump(self) -> list[dict]:

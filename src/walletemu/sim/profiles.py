@@ -70,14 +70,6 @@ class VariantProfile:
             raise ValueError(
                 "the lukewarm tier exists exactly for the Wallet variant")
 
-    def boot_dist(self, boot_type: BootType) -> BootDist:
-        if boot_type is BootType.WARM:
-            return self.warm_boot
-        if boot_type is BootType.LUKEWARM:
-            assert self.lukewarm_boot is not None
-            return self.lukewarm_boot
-        return self.cold_boot
-
     def with_jitter(self, sigma: float) -> "VariantProfile":
         def jitter(dist: Optional[BootDist]) -> Optional[BootDist]:
             if dist is None:

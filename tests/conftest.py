@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import settings
 
@@ -18,6 +20,19 @@ MIB = 1048576
 # deadline to trip on a loaded machine.
 settings.register_profile("walletemu", derandomize=True, deadline=None)
 settings.load_profile("walletemu")
+
+
+def counting_sha512(monkeypatch) -> list:
+    """Patch hashlib.sha512 to record the length of every input it hashes."""
+    lengths = []
+    real = hashlib.sha512
+
+    def sha512(data=b"", **kwargs):
+        lengths.append(len(data))
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha512", sha512)
+    return lengths
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_sha512
 from walletemu.images import (
     FunctionSpec,
     OpKind,
@@ -33,6 +34,31 @@ def hand_packed_zygote(runtime_id: str, init_cost_ms: int,
         p = path.encode()
         out += struct.pack(">I", len(p)) + p + digest
     return out
+
+
+def _zygote_and_parsed():
+    image = ZygoteImage("py-rt", 3, [("/data/x", b"42" * 3000)],
+                        [manifest_entry("/ext/a", b"AAAA")])
+    return image, ZygoteImage.from_bytes(image.canonical_bytes)
+
+
+def _spec_and_parsed():
+    fn = FunctionSpec("mix", [PipelineOp.append(b"!" * 100),
+                              PipelineOp.sha512()], 1.5)
+    return fn, FunctionSpec.from_canonical(fn.canonical_bytes)
+
+
+@pytest.mark.parametrize("make", [_zygote_and_parsed, _spec_and_parsed],
+                         ids=["zygote", "function"])
+def test_digest_is_hashed_once_per_object(make, monkeypatch):
+    # Each object hashes its canonical bytes on the first digest() and
+    # returns the kept value after that, also when parsed from its bytes.
+    original, parsed = make()
+    lengths = counting_sha512(monkeypatch)
+    for obj in (original, parsed):
+        expected = hashlib.new("sha512", obj.canonical_bytes).digest()
+        assert [obj.digest() for _ in range(3)] == [expected] * 3
+    assert lengths == [len(original.canonical_bytes)] * 2
 
 
 class TestZygoteImage:

@@ -1,6 +1,7 @@
 """Memory-model tests: frames, permissions, CoW forking, cost charges."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -39,11 +40,13 @@ def make_pool(store, frames=4096, prevalidated=False):
 
 
 def build_zygote_table(store, pool, model, pages, owner=1, fill=b"\xAB"):
+    # Populated from one immutable bytes object, as the monitor populates a
+    # zygote, so its pages are read-only views until written.
     fids, _ = alloc_frames(pool, pages, model, owner_level=PL1)
     table = PageTable(store, owner)
     for vpn, fid in enumerate(fids):
         table.map_page(vpn, fid, PagePerms.PROCESS_RW)
-        store.write_bytes(fid, 0, fill * PAGE_SIZE)
+    store.write_range(fids, fill * (pages * PAGE_SIZE))
     table.seal()
     return table
 
@@ -267,6 +270,50 @@ class TestWriteRange:
     def test_unknown_frame_rejected(self, store):
         with pytest.raises(KeyError):
             store.write_range([123], b"x")
+
+    def test_bytes_are_viewed_until_a_frame_is_released(self, store, pool,
+                                                         model):
+        # Full pages of an immutable bytes object are kept as views of it,
+        # not copies: the frames hold the object until the last one goes.
+        fids, _ = alloc_frames(pool, 3, model)
+        data = bytes(range(256)) * 40  # two full pages and a partial one
+        baseline = sys.getrefcount(data)
+        store.write_range(fids, data)
+        assert sys.getrefcount(data) > baseline
+        pool.release(fids[:1])
+        assert sys.getrefcount(data) > baseline
+        pool.release(fids[1:])
+        assert sys.getrefcount(data) == baseline
+        assert all(store.read_bytes(fid) == bytes(PAGE_SIZE) for fid in fids)
+
+    def test_write_after_populate_touches_no_other_frame(self, store, pool,
+                                                         model):
+        fids, _ = alloc_frames(pool, 3, model)
+        data = bytes(range(256)) * 32  # two full pages
+        store.write_range(fids[:2], data)
+        store.copy_frame(fids[0], fids[2])  # a sibling sharing the view
+        store.write_bytes(fids[0], 10, b"zz")
+        store.write_bytes(fids[2], 0, b"yy")
+        assert data == bytes(range(256)) * 32
+        assert store.read_bytes(fids[0]) == data[:10] + b"zz" + data[12:PAGE_SIZE]
+        assert store.read_bytes(fids[2]) == b"yy" + data[2:PAGE_SIZE]
+        assert store.read_bytes(fids[1]) == data[PAGE_SIZE:]
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_mutable_source_is_copied(self, store, pool, model, kind):
+        fids, _ = alloc_frames(pool, 2, model)
+        source = bytearray(b"\x11" * (PAGE_SIZE + 100))
+        store.write_range(fids, kind(source))
+        source[:] = b"\x22" * len(source)
+        assert store.read_bytes(fids[0]) == b"\x11" * PAGE_SIZE
+        assert store.read_bytes(fids[1]) == b"\x11" * 100 + bytes(PAGE_SIZE - 100)
+
+    def test_copy_of_a_viewed_page_is_counted(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 2, model)
+        store.write_range(fids[:1], b"\x33" * PAGE_SIZE)
+        store.copy_frame(fids[0], fids[1])
+        assert store.copied_bytes_total == PAGE_SIZE
+        assert store.read_bytes(fids[1]) == b"\x33" * PAGE_SIZE
 
 
 class TestAccess:

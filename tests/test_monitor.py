@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     EXTERNAL_CONTENT,
     MIB,
+    counting_sha512,
     echo_fn,
     hash_fn,
     make_rig,
@@ -121,6 +122,22 @@ class TestZygoteLifecycle:
         creation = rig.monitor.create_zygote(image)
         expected = rig.monitor.model.hash_us(len(image.canonical_bytes))
         assert creation.measure_us == expected
+
+    def test_create_takes_the_digest_the_image_keeps(self, rig, monkeypatch):
+        # A zygote whose image was already measured on the host (as a
+        # provider does for its policy) is not hashed a second time; the
+        # charge and the counters still read as one full hash.
+        image = small_image()
+        size = len(image.canonical_bytes)
+        lengths = counting_sha512(monkeypatch)
+        digest = image.digest()
+        hashed_before = rig.monitor.cache.bytes_hashed
+        creation = rig.monitor.create_zygote(image)
+        assert lengths.count(size) == 1
+        assert creation.measure_us == rig.monitor.model.hash_us(size)
+        assert rig.monitor.cache.bytes_hashed - hashed_before == size
+        assert rig.monitor._proc(creation.handle).measurement == digest
+        assert digest == hashlib.new("sha512", image.canonical_bytes).digest()
 
     def test_flipped_byte_is_policy_violation(self, rig):
         image = small_image()
