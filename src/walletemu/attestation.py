@@ -13,14 +13,12 @@ exposing the gen/verif/getD black-box:
 from __future__ import annotations
 
 import hashlib
-import io
-import itertools
 import json
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
+from . import wire
 from .crypto import Rng, SigningKey, verify_signature
 from .errors import NoPolicyKey
 from .images import FunctionSpec, ZygoteImage
@@ -57,8 +55,6 @@ class MeasurementCache:
     function instance), mirroring digests being cached alongside the
     process state they describe.
     """
-
-    _transient = itertools.count()
 
     def __init__(self) -> None:
         self.entries: dict[tuple[SubjectKind, str], Measurement] = {}
@@ -160,25 +156,16 @@ class PlatformReport:
         return self.machine_id + self.monitor_measurement + self.user_data
 
     def to_bytes(self) -> bytes:
-        out = io.BytesIO()
-        for part in (self.machine_id, self.monitor_measurement,
-                     self.user_data, self.signature):
-            out.write(struct.pack(">I", len(part)))
-            out.write(part)
-        return out.getvalue()
+        return b"".join((*wire.lp(self.machine_id),
+                         *wire.lp(self.monitor_measurement),
+                         *wire.lp(self.user_data), *wire.lp(self.signature)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "PlatformReport":
-        parts = []
-        pos = 0
-        for _ in range(4):
-            (n,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            parts.append(data[pos : pos + n])
-            pos += n
-        if pos != len(data):
-            raise ValueError("trailing bytes after platform report")
-        return PlatformReport(*parts)
+        r = wire.Reader(data)
+        report = PlatformReport(r.lp(), r.lp(), r.lp(), r.lp())
+        r.finish("platform report")
+        return report
 
 
 def asp_gen(machine_key: MachineKey, monitor_measurement: bytes,
@@ -227,12 +214,6 @@ class ChainEntry:
         return (self.zygote_digest + self.function_digest
                 + self.input_digest + self.output_digest)
 
-    @staticmethod
-    def from_bytes(data: bytes) -> "ChainEntry":
-        if len(data) != 4 * DIGEST_LEN:
-            raise ValueError("chain entry must be 256 bytes")
-        return ChainEntry(data[0:64], data[64:128], data[128:192], data[192:256])
-
 
 @dataclass(frozen=True)
 class AttestationReport:
@@ -244,45 +225,27 @@ class AttestationReport:
     signature: bytes
 
     def signed_message(self) -> bytes:
-        out = io.BytesIO()
-        platform = self.platform.to_bytes()
-        out.write(struct.pack(">I", len(platform)))
-        out.write(platform)
-        out.write(struct.pack(">I", len(self.nonce)))
-        out.write(self.nonce)
-        out.write(struct.pack(">I", len(self.chain_entries)))
-        for entry in self.chain_entries:
-            out.write(entry.to_bytes())
-        return out.getvalue()
+        parts = [*wire.lp(self.platform.to_bytes()), *wire.lp(self.nonce),
+                 wire.u32(len(self.chain_entries))]
+        for e in self.chain_entries:
+            parts += (e.zygote_digest, e.function_digest, e.input_digest,
+                      e.output_digest)
+        return b"".join(parts)
 
     def to_bytes(self) -> bytes:
-        signed = self.signed_message()
-        return signed + struct.pack(">I", len(self.signature)) + self.signature
+        return b"".join((self.signed_message(), *wire.lp(self.signature)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationReport":
-        pos = 0
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        platform = PlatformReport.from_bytes(data[pos : pos + n])
-        pos += n
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        nonce = data[pos : pos + n]
-        pos += n
-        (count,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        entries = []
-        for _ in range(count):
-            entries.append(ChainEntry.from_bytes(data[pos : pos + 256]))
-            pos += 256
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        signature = data[pos : pos + n]
-        pos += n
-        if pos != len(data):
-            raise ValueError("trailing bytes after attestation report")
-        return AttestationReport(platform, nonce, tuple(entries), signature)
+        r = wire.Reader(data)
+        platform = PlatformReport.from_bytes(r.lp())
+        nonce = r.lp()
+        entries = tuple(ChainEntry(r.take(DIGEST_LEN), r.take(DIGEST_LEN),
+                                   r.take(DIGEST_LEN), r.take(DIGEST_LEN))
+                        for _ in range(r.count(4 * DIGEST_LEN)))
+        report = AttestationReport(platform, nonce, entries, r.lp())
+        r.finish("attestation report")
+        return report
 
     def to_json(self) -> str:
         """Debug rendering; the binary form is canonical."""

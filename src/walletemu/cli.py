@@ -58,11 +58,14 @@ def _monitor_config(args, prevalidate_default: bool = True) -> MonitorConfig:
 def _load_policy_digests(args, image: ZygoteImage,
                          functions) -> tuple[list, list, list]:
     if getattr(args, "policy", None):
-        doc = json.loads(Path(args.policy).read_text(encoding="utf-8"))
-        zygotes = [bytes.fromhex(d) for d in doc["allowed_zygotes"]]
-        fns = [bytes.fromhex(d) for d in doc["allowed_functions"]]
-        chains = [tuple(bytes.fromhex(d) for d in chain)
-                  for chain in doc.get("chains", [])]
+        try:
+            doc = json.loads(Path(args.policy).read_text(encoding="utf-8"))
+            zygotes = [bytes.fromhex(d) for d in doc["allowed_zygotes"]]
+            fns = [bytes.fromhex(d) for d in doc["allowed_functions"]]
+            chains = [tuple(bytes.fromhex(d) for d in chain)
+                      for chain in doc.get("chains", [])]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad policy file: {exc}") from exc
         return zygotes, fns, chains
     return ([image.digest()], [fn.digest() for fn in functions], [])
 
@@ -74,12 +77,9 @@ def cmd_emulate(args) -> dict:
     if not args.zygote or not args.function:
         raise ParseError("emulate requires --zygote and --function "
                          "(flags or config file)")
-    try:
-        image = ZygoteImage.from_bytes(Path(args.zygote).read_bytes())
-        functions = [FunctionSpec.from_json(
-            Path(p).read_text(encoding="utf-8")) for p in args.function]
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"unreadable input file: {exc}") from exc
+    image = ZygoteImage.from_bytes(Path(args.zygote).read_bytes())
+    functions = [FunctionSpec.from_json(Path(p).read_bytes())
+                 for p in args.function]
     zygotes, fns, chains = _load_policy_digests(args, image, functions)
 
     monitor = Monitor(_monitor_config(args))

@@ -126,8 +126,10 @@ class IntegrityError(EmulatorError):
 
 # -- trace I/O ---------------------------------------------------------------
 
-class ParseError(EmulatorError):
-    """A trace or config file is malformed; message carries the line number."""
+class ParseError(EmulatorError, ValueError):
+    """A trace, config or spec file, or a binary image, policy, request or
+    report, is malformed.  A trace's message carries the line number; every
+    binary format is parsed, and refused, by ``walletemu.wire.Reader``."""
 
 
 class InvariantError(EmulatorError):

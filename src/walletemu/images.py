@@ -31,48 +31,19 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import io
 import itertools
 import json
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
+
+from . import wire
+from .errors import ParseError
 
 ZYGOTE_MAGIC = b"WZYG"
 ZYGOTE_VERSION = 1
 
 _uid_counter = itertools.count(1)
-
-
-def _pack_bytes(out: io.BytesIO, data: bytes) -> None:
-    out.write(struct.pack(">I", len(data)))
-    out.write(data)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._buf = memoryview(data)
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._buf):
-            raise ValueError("truncated input")
-        out = bytes(self._buf[self._pos : self._pos + n])
-        self._pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def done(self) -> bool:
-        return self._pos == len(self._buf)
 
 
 class OpKind(str, Enum):
@@ -181,8 +152,9 @@ class FunctionSpec:
         self.name = name
         self.steps = tuple(steps)
         self.exec_time_ms = float(exec_time_ms)
-        if self.exec_time_ms < 0:
-            raise ValueError("exec_time_ms must be non-negative")
+        if not 0 <= self.exec_time_ms * 1000 < 2 ** 64:  # also refuses NaN
+            raise ValueError("exec_time_ms must be non-negative and its "
+                             "microseconds must fit in a u64")
         self.uid = f"fn:{next(_uid_counter)}"
         self._canonical: Optional[bytes] = None
         self._digest: Optional[bytes] = None
@@ -190,14 +162,12 @@ class FunctionSpec:
     @property
     def canonical_bytes(self) -> bytes:
         if self._canonical is None:
-            out = io.BytesIO()
-            _pack_bytes(out, self.name.encode("utf-8"))
-            out.write(struct.pack(">Q", int(round(self.exec_time_ms * 1000))))
-            out.write(struct.pack(">I", len(self.steps)))
+            parts = [*wire.lp(self.name.encode("utf-8")),
+                     wire.u64(int(round(self.exec_time_ms * 1000))),
+                     wire.u32(len(self.steps))]
             for step in self.steps:
-                out.write(bytes([_OP_TAGS[step.op]]))
-                _pack_bytes(out, step.arg or b"")
-            self._canonical = out.getvalue()
+                parts += (bytes([_OP_TAGS[step.op]]), *wire.lp(step.arg or b""))
+            self._canonical = b"".join(parts)
         return self._canonical
 
     def digest(self) -> bytes:
@@ -208,20 +178,22 @@ class FunctionSpec:
 
     @staticmethod
     def from_canonical(data: bytes) -> "FunctionSpec":
-        r = _Reader(data)
-        name = r.lp_bytes().decode("utf-8")
+        """Parse canonical bytes; anything malformed is a ParseError, also
+        an argument on an op that takes none."""
+        r = wire.Reader(data)
+        name = r.text()
         exec_time_ms = r.u64() / 1000.0
         steps = []
-        for _ in range(r.u32()):
+        for _ in range(r.count(5)):
             tag = r.take(1)[0]
-            if tag not in _TAG_OPS:
-                raise ValueError(f"unknown op tag {tag:#x}")
-            arg = r.lp_bytes()
-            op = _TAG_OPS[tag]
-            steps.append(PipelineOp(op, arg if op in _ARG_OPS else None))
-        if not r.done():
-            raise ValueError("trailing bytes after function spec")
-        return FunctionSpec(name, steps, exec_time_ms)
+            op = _TAG_OPS.get(tag)
+            if op is None:
+                raise ParseError(f"unknown op tag {tag:#x}")
+            arg = r.lp()
+            steps.append(wire.checked(PipelineOp, op,
+                                      arg if op in _ARG_OPS or arg else None))
+        r.finish("function spec")
+        return wire.checked(FunctionSpec, name, steps, exec_time_ms)
 
     # -- JSON file format --
 
@@ -238,17 +210,20 @@ class FunctionSpec:
             indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "FunctionSpec":
-        doc = json.loads(text)
-        steps = []
-        for entry in doc["steps"]:
-            op = OpKind(entry["op"])
-            arg = None
-            if "arg" in entry and entry["arg"] is not None:
-                arg = base64.b64decode(entry["arg"])
-            steps.append(PipelineOp(op, arg))
-        return FunctionSpec(doc["name"], steps,
-                            float(doc.get("exec_time_ms", 0.0)))
+    def from_json(text: str | bytes) -> "FunctionSpec":
+        """Parse a spec file; a malformed or mistyped one is a ParseError."""
+        try:
+            doc = json.loads(text)
+            steps = [PipelineOp(OpKind(entry["op"]),
+                                None if entry.get("arg") is None
+                                else base64.b64decode(entry["arg"]))
+                     for entry in doc["steps"]]
+            if not isinstance(doc["name"], str):
+                raise ParseError("name must be a string")
+            return FunctionSpec(doc["name"], steps,
+                                float(doc.get("exec_time_ms", 0.0)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad function spec: {exc}") from exc
 
     def __repr__(self) -> str:
         return (f"FunctionSpec(name={self.name!r}, steps={len(self.steps)}, "
@@ -288,20 +263,16 @@ class ZygoteImage:
     @property
     def canonical_bytes(self) -> bytes:
         if self._canonical is None:
-            out = io.BytesIO()
-            out.write(ZYGOTE_MAGIC)
-            out.write(struct.pack(">I", ZYGOTE_VERSION))
-            _pack_bytes(out, self.runtime_id.encode("utf-8"))
-            out.write(struct.pack(">Q", self.init_cost_ms))
-            out.write(struct.pack(">I", len(self.embedded_fs)))
+            parts = [ZYGOTE_MAGIC, wire.u32(ZYGOTE_VERSION),
+                     *wire.lp(self.runtime_id.encode("utf-8")),
+                     wire.u64(self.init_cost_ms),
+                     wire.u32(len(self.embedded_fs))]
             for path, content in self.embedded_fs:
-                _pack_bytes(out, path.encode("utf-8"))
-                _pack_bytes(out, content)
-            out.write(struct.pack(">I", len(self.manifest)))
+                parts += (*wire.lp(path.encode("utf-8")), *wire.lp(content))
+            parts.append(wire.u32(len(self.manifest)))
             for path, digest in self.manifest:
-                _pack_bytes(out, path.encode("utf-8"))
-                out.write(digest)
-            self._canonical = out.getvalue()
+                parts += (*wire.lp(path.encode("utf-8")), digest)
+            self._canonical = b"".join(parts)
         return self._canonical
 
     def digest(self) -> bytes:
@@ -315,27 +286,20 @@ class ZygoteImage:
 
     @staticmethod
     def from_bytes(data: bytes) -> "ZygoteImage":
-        r = _Reader(data)
+        """Parse the on-disk image; anything malformed is a ParseError."""
+        r = wire.Reader(data)
         if r.take(4) != ZYGOTE_MAGIC:
-            raise ValueError("bad zygote magic")
+            raise ParseError("bad zygote magic")
         version = r.u32()
         if version != ZYGOTE_VERSION:
-            raise ValueError(f"unsupported zygote version {version}")
-        runtime_id = r.lp_bytes().decode("utf-8")
+            raise ParseError(f"unsupported zygote version {version}")
+        runtime_id = r.text()
         init_cost_ms = r.u64()
-        embedded = []
-        for _ in range(r.u32()):
-            path = r.lp_bytes().decode("utf-8")
-            content = r.lp_bytes()
-            embedded.append((path, content))
-        manifest = []
-        for _ in range(r.u32()):
-            path = r.lp_bytes().decode("utf-8")
-            digest = r.take(64)
-            manifest.append((path, digest))
-        if not r.done():
-            raise ValueError("trailing bytes after zygote image")
-        return ZygoteImage(runtime_id, init_cost_ms, embedded, manifest)
+        embedded = [(r.text(), r.lp()) for _ in range(r.count(8))]
+        manifest = [(r.text(), r.take(64)) for _ in range(r.count(4 + 64))]
+        r.finish("zygote image")
+        return wire.checked(ZygoteImage, runtime_id, init_cost_ms, embedded,
+                            manifest)
 
     def __repr__(self) -> str:
         return (f"ZygoteImage(runtime_id={self.runtime_id!r}, "

@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import attestation as att
+from . import wire
 from .crypto import (
     DhKey,
     FunctionKey,
@@ -36,6 +36,7 @@ from .errors import (
     NotCoLocated,
     NotFound,
     OutOfMemory,
+    ParseError,
     PolicyViolation,
     QuotaExceeded,
     StaleNonce,
@@ -144,46 +145,28 @@ class ProviderPolicy:
         return False
 
     def to_bytes(self) -> bytes:
-        def pack_set(digests: Iterable[bytes]) -> bytes:
-            items = sorted(digests)
-            return struct.pack(">I", len(items)) + b"".join(items)
-
-        out = [self.function_key.private_bytes(),
-               pack_set(self.allowed_zygotes),
-               pack_set(self.allowed_functions),
-               struct.pack(">I", len(self.chains))]
+        parts = [self.function_key.private_bytes()]
+        for digests in (sorted(self.allowed_zygotes),
+                        sorted(self.allowed_functions)):
+            parts += (wire.u32(len(digests)), *digests)
+        parts.append(wire.u32(len(self.chains)))
         for chain in self.chains:
-            out.append(struct.pack(">I", len(chain)) + b"".join(chain))
-        return b"".join(out)
+            parts += (wire.u32(len(chain)), *chain)
+        return b"".join(parts)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ProviderPolicy":
-        pos = 64
-        key = FunctionKey.from_bytes(data[:64])
+        r = wire.Reader(data)
+        key = FunctionKey.from_bytes(r.take(64))
 
-        def unpack_set() -> frozenset:
-            nonlocal pos
-            (n,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            items = frozenset(data[pos + 64 * i : pos + 64 * (i + 1)]
-                              for i in range(n))
-            pos += 64 * n
-            return items
+        def digests() -> list[bytes]:
+            return [r.take(att.DIGEST_LEN)
+                    for _ in range(r.count(att.DIGEST_LEN))]
 
-        zygotes = unpack_set()
-        functions = unpack_set()
-        (n_chains,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        chains = []
-        for _ in range(n_chains):
-            (n,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            chains.append(tuple(data[pos + 64 * i : pos + 64 * (i + 1)]
-                                for i in range(n)))
-            pos += 64 * n
-        if pos != len(data):
-            raise ValueError("trailing bytes after policy")
-        return ProviderPolicy(zygotes, functions, key, tuple(chains))
+        zygotes, functions = frozenset(digests()), frozenset(digests())
+        chains = tuple(tuple(digests()) for _ in range(r.count(4)))
+        r.finish("policy")
+        return ProviderPolicy(zygotes, functions, key, chains)
 
 
 @dataclass
@@ -196,21 +179,21 @@ class InvocationRequest:
     nonce: bytes
 
     def to_bytes(self) -> bytes:
-        return (self.function_digest + self.nonce + self.response_key
-                + struct.pack(">I", len(self.input_bytes)) + self.input_bytes)
+        return b"".join((self.function_digest, self.nonce, self.response_key,
+                         *wire.lp(self.input_bytes)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "InvocationRequest":
-        if len(data) < 64 + NONCE_LEN + RESPONSE_KEY_LEN + 4:
-            raise DecryptFailed("request plaintext too short")
-        digest = data[:64]
-        nonce = data[64 : 64 + NONCE_LEN]
-        key = data[80 : 80 + RESPONSE_KEY_LEN]
-        (n,) = struct.unpack_from(">I", data, 112)
-        payload = data[116 : 116 + n]
-        if len(payload) != n:
-            raise DecryptFailed("request payload truncated")
-        return InvocationRequest(digest, payload, key, nonce)
+        """Parse a decrypted request; a malformed one is DecryptFailed."""
+        r = wire.Reader(data)
+        try:  # keywords in wire order: digest, nonce, key, payload
+            request = InvocationRequest(
+                function_digest=r.take(att.DIGEST_LEN), nonce=r.take(NONCE_LEN),
+                response_key=r.take(RESPONSE_KEY_LEN), input_bytes=r.lp())
+            r.finish("request")
+        except ParseError as exc:
+            raise DecryptFailed(f"malformed request plaintext: {exc}") from exc
+        return request
 
     @staticmethod
     def encrypt(function_public, function_digest: bytes, input_bytes: bytes,
@@ -561,7 +544,7 @@ class Monitor:
             ticket.error = InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation")
             self._release_input(proc.pid)  # monitor-staged input of the abort
-        self.objects.reclaim(proc.pid, proc.page_table)
+        self.objects.reclaim(proc.pid)
         freed = proc.page_table.release_all()
         self.pool.release(freed)
         proc.transition(ProcState.TERMINATED)
@@ -609,10 +592,11 @@ class Monitor:
                 self.pool, n, self.model,
                 owner_level=PrivilegeLevel.PL1_PROCESS)
             self._charge(zc_alloc_us)
-            for (vpn, entry), fid in zip(sorted(src_table.entries.items()),
-                                         fids):
-                self.store.copy_frame(entry.frame_id, fid)
-                table.map_page(vpn, fid, PagePerms.PROCESS_RO)
+            # create_zygote maps a zygote at vpns 0..n-1, so one run on the
+            # fresh table puts every copy at its page's vpn.
+            for vpn, fid in enumerate(fids):
+                self.store.copy_frame(src_table.entries[vpn].frame_id, fid)
+            table.map_range(fids, PagePerms.PROCESS_RO)
             zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
 
         # The trustlet's exclusive region holds the function image plus

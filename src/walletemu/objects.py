@@ -323,7 +323,7 @@ class ObjectStore:
             self.detach(pid, obj)
         self._release_object(obj)
 
-    def reclaim(self, pid: int, table: Optional[PageTable] = None) -> list[int]:
+    def reclaim(self, pid: int) -> list[int]:
         """Drop pid's attachments and every per-pid entry; release objects
         nobody is still attached to.
 

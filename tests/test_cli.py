@@ -72,6 +72,31 @@ class TestEmulate:
                      "--policy", str(artifacts["policy"]), "-n", "1"])
         assert code == EXIT_CODES[PolicyViolation]
 
+    @pytest.mark.parametrize("doc", [
+        [{"name": "echo", "steps": []}],
+        {"name": "echo", "steps": 5},
+        {"name": "echo", "steps": [{"op": "append", "arg": 5}]},
+        {"name": 5, "steps": []},
+    ], ids=["top-level-list", "steps-number", "arg-number", "name-number"])
+    def test_malformed_function_spec_reports_parse_error(self, artifacts, doc):
+        bad = artifacts["tmp"] / "bad_fn.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["emulate", "--zygote", str(artifacts["zygote"]),
+                     "--function", str(bad)])
+        assert code == EXIT_CODES[ParseError]
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"allowed_zygotes": ["zz"], "allowed_functions": []},
+    ], ids=["top-level-list", "not-hex"])
+    def test_malformed_policy_file_reports_parse_error(self, artifacts, doc):
+        bad = artifacts["tmp"] / "bad_policy.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["emulate", "--zygote", str(artifacts["zygote"]),
+                     "--function", str(artifacts["echo"]),
+                     "--policy", str(bad)])
+        assert code == EXIT_CODES[ParseError]
+
     def test_seeded_outputs_bit_identical(self, artifacts):
         out1 = artifacts["tmp"] / "a.json"
         out2 = artifacts["tmp"] / "b.json"

@@ -213,11 +213,11 @@ class TestReclaim:
         obj_id, _ = objects.create(1, writer, 8)
         objects.write_through(1, writer, obj_id, b"chained!")
         objects.attach_reader(2, reader, obj_id)
-        objects.reclaim(1, writer)
+        objects.reclaim(1)
         assert obj_id in objects.objects  # reader still attached
         assert objects.read_through(2, reader, obj_id) == b"chained!"
         writer.release_all()
-        objects.reclaim(2, reader)
+        objects.reclaim(2)
         reader.release_all()
         assert obj_id not in objects.objects
 
@@ -226,7 +226,7 @@ class TestReclaim:
         obj_id, _ = objects.create(1, writer, 8)
         free_before = objects.pool.free_count
         writer.release_all()
-        objects.reclaim(1, writer)
+        objects.reclaim(1)
         assert obj_id not in objects.objects
         assert objects.pool.free_count == free_before + 1
 
@@ -234,8 +234,8 @@ class TestReclaim:
         objects, writer, _ = env
         objects.create(1, writer, 8)
         writer.release_all()
-        objects.reclaim(1, writer)
-        objects.reclaim(1, writer)
+        objects.reclaim(1)
+        objects.reclaim(1)
         assert not objects.objects
 
     def test_reclaim_forgets_every_entry_of_the_pid(self, env):
@@ -244,7 +244,7 @@ class TestReclaim:
         input_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
         objects.bind_input(1, input_id)
         writer.release_all()
-        objects.reclaim(1, writer)
+        objects.reclaim(1)
         for per_pid in (objects._attached, objects._owned_counts,
                         objects._owned_bytes, objects._current_input):
             assert 1 not in per_pid
@@ -258,7 +258,7 @@ class TestReclaim:
         detach = objects.detach
         monkeypatch.setattr(objects, "detach", lambda pid, obj: (
             visited.append(obj.obj_id), detach(pid, obj)))
-        objects.reclaim(1, writer)
+        objects.reclaim(1)
         assert visited == [mine]
 
 
