@@ -142,19 +142,27 @@ class PipelineOp:
 class FunctionSpec:
     """A named, deterministic pipeline with a simulated execution time.
 
-    canonical_bytes is uniquely determined by (name, steps, exec_time_ms)
+    canonical_bytes is uniquely determined by (name, steps, exec_time_us)
     and is the content SHA-512 measurements bind to.  It and its digest()
-    are built once per spec and then kept.
+    are built once per spec and then kept.  exec_time_us is exec_time_ms
+    rounded to microseconds, or, for a spec parsed from canonical bytes,
+    their exact u64 (which a float of milliseconds may not hold).
     """
 
     def __init__(self, name: str, steps: Sequence[PipelineOp],
-                 exec_time_ms: float = 0.0):
+                 exec_time_ms: float = 0.0, *,
+                 exec_time_us: Optional[int] = None):
         self.name = name
         self.steps = tuple(steps)
-        self.exec_time_ms = float(exec_time_ms)
-        if not 0 <= self.exec_time_ms * 1000 < 2 ** 64:  # also refuses NaN
-            raise ValueError("exec_time_ms must be non-negative and its "
-                             "microseconds must fit in a u64")
+        if exec_time_us is None:
+            exec_time_ms = float(exec_time_ms)
+            if not 0 <= exec_time_ms * 1000 < 2 ** 64:  # also refuses NaN
+                raise ValueError("exec_time_ms must be non-negative and its "
+                                 "microseconds must fit in a u64")
+            exec_time_us = int(round(exec_time_ms * 1000))
+        else:
+            exec_time_ms = exec_time_us / 1000
+        self.exec_time_ms, self.exec_time_us = exec_time_ms, exec_time_us
         self.uid = f"fn:{next(_uid_counter)}"
         self._canonical: Optional[bytes] = None
         self._digest: Optional[bytes] = None
@@ -163,7 +171,7 @@ class FunctionSpec:
     def canonical_bytes(self) -> bytes:
         if self._canonical is None:
             parts = [*wire.lp(self.name.encode("utf-8")),
-                     wire.u64(int(round(self.exec_time_ms * 1000))),
+                     wire.u64(self.exec_time_us),
                      wire.u32(len(self.steps))]
             for step in self.steps:
                 parts += (bytes([_OP_TAGS[step.op]]), *wire.lp(step.arg or b""))
@@ -182,7 +190,7 @@ class FunctionSpec:
         an argument on an op that takes none."""
         r = wire.Reader(data)
         name = r.text()
-        exec_time_ms = r.u64() / 1000.0
+        exec_time_us = r.u64()
         steps = []
         for _ in range(r.count(5)):
             tag = r.take(1)[0]
@@ -193,7 +201,7 @@ class FunctionSpec:
             steps.append(wire.checked(PipelineOp, op,
                                       arg if op in _ARG_OPS or arg else None))
         r.finish("function spec")
-        return wire.checked(FunctionSpec, name, steps, exec_time_ms)
+        return FunctionSpec(name, steps, exec_time_us=exec_time_us)
 
     # -- JSON file format --
 

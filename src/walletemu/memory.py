@@ -7,22 +7,24 @@ hashing, and data transfers.  Simulated time is an explicit integer
 accumulator; nothing here touches the wall clock, so all timing assertions
 are deterministic.
 
-Per-frame facts are numpy columns in ``FrameStore``, and page tables map,
-unmap, allocate and free a run of frames in one step.  Frame contents are
-real bytes, held only for written frames, so that measurement digests over
-memory are genuine while multi-GiB pools stay cheap to reserve.  A page is
-either a private ``bytearray`` or a read-only view of the immutable bytes
-it was populated from, so a zygote image is mapped without copying it; the
-first write to a viewed page gives the frame its own copy.
+Per-frame facts are numpy columns in ``FrameStore``; a page table is two
+plain lists, frame id and grants code per vpn, and a copy-on-write view
+reads its sealed base's lists until it first changes a base vpn.  Tables
+map, unmap, check and move data a run of pages at a time.  Frame contents
+are real bytes, held only for written frames, so that measurement digests
+are genuine while multi-GiB pools stay cheap to reserve.  A page is either
+a private ``bytearray`` or a read-only view of the immutable bytes it was
+populated from, copied on its first write.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .errors import (
 )
 
 PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 def pages_for(nbytes: int) -> int:
@@ -92,14 +95,6 @@ class PagePerms:
         grants = self.read if kind is AccessKind.READ else self.write
         return level in grants
 
-    def pl1_accessible(self) -> bool:
-        return PL1 in self.read or PL1 in self.write
-
-    def without_pl1_write(self) -> "PagePerms":
-        if PL1 not in self.write:
-            return self
-        return _interned(self.read, self.write - {PL1})
-
 
 _interned = functools.cache(PagePerms)  # one object per distinct pair
 PagePerms.MONITOR_PRIVATE = _interned(frozenset({PL0}), frozenset({PL0}))
@@ -129,10 +124,9 @@ class CostModel:
     transfer_us_per_mb: float = 1089.0
 
     def __post_init__(self) -> None:
-        for name in ("validation_us_per_page", "hash_mb_per_s",
-                     "cow_copy_us_per_page", "transfer_us_per_mb"):
-            if getattr(self, name) <= 0:
-                raise ConfigInvalid(f"{name} must be strictly positive")
+        for rate in fields(self):
+            if getattr(self, rate.name) <= 0:
+                raise ConfigInvalid(f"{rate.name} must be strictly positive")
 
     def validation_us(self, pages: int) -> int:
         return int(round(pages * self.validation_us_per_page))
@@ -168,27 +162,22 @@ class FrameStore:
     Each per-frame fact is a numpy column indexed by frame id, grown by
     ``reserve``: reference count, base id, validated, and owner level
     (``FREE`` while in a pool, ``NO_OWNER`` for none).  Contents live in a
-    dict holding only written frames; any other frame reads as zeros.  A
-    page there is a ``bytearray`` the frame owns, or a read-only
-    ``memoryview`` slice of a ``bytes`` object it was populated from by
-    ``write_range`` (copied frames share the view).  ``write_bytes`` swaps
-    a view for a private ``bytearray`` before its first write, and
-    ``take_back`` drops it, so the backing object is freed with the last
-    frame that views it.
+    dict holding only written frames, the others read as zeros: a
+    ``bytearray`` the frame owns, or a read-only ``memoryview`` of the
+    ``bytes`` that ``write_range`` populated it from, which copies share
+    and the frame's first write or release drops.
 
     A frame's reference count is the number of page-table entries, CoW view
-    entries included, that map it, kept in two parts.  Explicit counts move
-    with every local mapping.  A sealed table's frames are registered once
-    as a *base*; each CoW view of it adds one to the base's view count
-    instead of touching every frame, so forking and releasing a view cost
-    O(local overrides), not O(base pages).  ``ref``, ``refs_of`` and
-    ``total_refs`` add the two parts.  A view that stops aliasing a base
-    page takes one explicit reference off its frame, so an explicit count
-    may go negative while the total stays exact.
+    entries included, that map it, in two parts.  Explicit counts move with
+    every table's own mappings.  A sealed table's frames are registered
+    once as a *base*, and each CoW view adds one to the base's view count
+    instead of touching every frame; a view that stops mapping a base frame
+    takes an explicit reference off it, which may go negative.
     """
 
     def __init__(self) -> None:
         self._ref = np.zeros(1024, dtype=np.int64)
+        self._ref_sum = 0  # of _ref, which only the bulk calls change
         # Base id of each frame; 0 means the frame belongs to no base.
         self._base_of = np.zeros(1024, dtype=np.int32)
         self._validated = np.zeros(1024, dtype=bool)
@@ -295,23 +284,15 @@ class FrameStore:
     def ref(self, fid: int) -> int:
         return int(self._ref[fid] + self._views[self._base_of[fid]])
 
-    def incref(self, fid: int) -> None:
-        self._ref[fid] += 1
-
-    def decref(self, fid: int) -> int:
-        self._ref[fid] -= 1
-        ref = self.ref(fid)
-        if ref < 0:
-            raise AssertionError(f"ref underflow on frame {fid}")
-        return ref
-
     def bulk_incref(self, fids: np.ndarray) -> None:
         # add.at accumulates duplicate ids correctly, unlike fancy indexing.
         np.add.at(self._ref, fids, 1)
+        self._ref_sum += len(fids)
 
     def bulk_decref(self, fids: np.ndarray) -> np.ndarray:
         """Drop one reference per entry of fids; returns their new counts."""
         np.add.at(self._ref, fids, -1)
+        self._ref_sum -= len(fids)
         refs = self.refs_of(fids)
         if np.count_nonzero(refs < 0):
             raise AssertionError(f"ref underflow on frames {fids.tolist()}")
@@ -323,8 +304,7 @@ class FrameStore:
     def total_refs(self) -> int:
         # Per base rather than per frame: callers check this after every
         # step of long randomized runs.
-        return int(self._ref[: self._next_fid].sum()
-                   + (self._views * self._base_size).sum())
+        return self._ref_sum + int((self._views * self._base_size).sum())
 
     # -- byte access (monitor-side, uncharged) --
 
@@ -359,8 +339,18 @@ class FrameStore:
             self.write_bytes(fids[full], 0, view[full * PAGE_SIZE :])
 
     def read_bytes(self, fid: int) -> bytes:
-        page = self._data.get(fid)
-        return bytes(PAGE_SIZE) if page is None else bytes(page)
+        return bytes(self._data.get(fid, _ZERO_PAGE))
+
+    def read_range(self, fids: Sequence[int], nbytes: int) -> bytes:
+        """The first nbytes held by fids, one page per frame from its start."""
+        if nbytes > len(fids) * PAGE_SIZE:
+            raise ValueError("nbytes exceeds the frames' capacity")
+        full, rest = divmod(nbytes, PAGE_SIZE)
+        get = self._data.get
+        pages = [get(fid, _ZERO_PAGE) for fid in fids[:full]]
+        if rest:
+            pages.append(memoryview(get(fids[full], _ZERO_PAGE))[:rest])
+        return b"".join(pages)
 
     def copy_frame(self, src_fid: int, dst_fid: int) -> None:
         """Copy a page; a read-only view is shared, since a write to
@@ -374,28 +364,44 @@ class FrameStore:
         self.copied_bytes_total += PAGE_SIZE
 
 
-@dataclass
-class PageEntry:
+class PageEntry(NamedTuple):
+    """One mapping, as ``PageTable.lookup`` reports it."""
+
     frame_id: int
     perms: PagePerms
+
+
+# A table stores a mapping's grants as a code: 0-4 index the five interned
+# grants, and ``seal`` turns code c into c + 5, the same grants without PL1
+# write.  Views read codes 5-9 as inherited unchanged from their base: only
+# a sealed table makes them, and every change a view makes writes 0-4.
+_GRANTS = (PagePerms.MONITOR_PRIVATE, PagePerms.PROCESS_RW,
+           PagePerms.PROCESS_RO, PagePerms.PROCESS_WO, PagePerms.GUEST_RW)
+_SEALED = len(_GRANTS)
+_PERMS = _GRANTS + tuple(_interned(p.read, p.write - {PL1}) for p in _GRANTS)
+# Per level, the codes whose grants allow a read, and those allowing a write.
+_READABLE, _WRITABLE = ([frozenset(c for c, p in enumerate(_PERMS) if p.can(level, kind))
+                         for level in PrivilegeLevel] for kind in AccessKind)
+_PL1_CODES = np.array([PL1 in p.read | p.write for p in _PERMS])
 
 
 class PageTable:
     """Per-process virtual address space.
 
-    A table either owns all of its entries, or is a copy-on-write *view*
-    over a sealed base table: lookups fall through to the base unless the
-    view has stopped aliasing that page.  ``_hidden`` holds exactly the
-    base vpns the view no longer aliases, because it unmapped them, broke
-    their sharing, or overrode their permissions with a local entry.
-    Views let a 147 MiB zygote be forked hundreds of times without
-    duplicating page-table entries or touching its frames' counts: the
-    frame store counts a base's views once (see ``FrameStore``), and
-    frame reference counts stay exact.
+    Two plain lists indexed by ``vpn - _lo`` hold the mappings: ``_fid``,
+    the frame id or -1, and ``_perm``, the grants' code (see ``_PERMS``).
+    A copy-on-write *view* of a sealed base starts its lists at the base's
+    ``next_unused_vpn()`` and reads the vpns below from the base, so a fork
+    allocates nothing per page; its first change below that point copies
+    the base's lists into its own.  A vpn is *inherited* while it keeps
+    its sealed code: a PL1 write to it is a resolvable ``COW_FAULT``, and
+    after the monitor changed the vpn a ``PERMISSION_VIOLATION``.  The
+    store counts a base's views once (see ``FrameStore``); releasing a view
+    that copied its base gives each base frame back its reference.
 
-    A sealed table is frozen: every mutation is refused, so the PL1 write
-    grants ``seal`` strips cannot come back and every view sees the same
-    read-only base.
+    ``read_run`` and ``write_run`` check every page of a run first, then
+    make one ``FrameStore`` call; ``access`` is the one-page case.  A
+    sealed table refuses every mutation.
     """
 
     def __init__(self, store: FrameStore, owner: int,
@@ -405,39 +411,48 @@ class PageTable:
         self.store = store
         self.owner = owner
         self.base = base
-        self.entries: dict[int, PageEntry] = {}
-        self._hidden: set[int] = set()
         self.sealed = False
         self._base_id: Optional[int] = None  # set while forkable
-        self._sealed_fids: Optional[np.ndarray] = None
-        self._sealed_pl1_fids: Optional[np.ndarray] = None
+        self._sealed_fids = self._sealed_pl1_fids = np.empty(0, np.int64)
         self._next_vpn = base.next_unused_vpn() if base is not None else 0
+        self._lo = self._next_vpn  # nonzero only in a view that reads its base
+        self._fid, self._perm = [], []  # frame id and grants code per vpn
+        self._n = 0  # mapped entries in the two lists
 
     # -- lookup helpers --
 
-    def lookup(self, vpn: int) -> Optional[PageEntry]:
-        entry = self.entries.get(vpn)
-        if entry is None and self.base is not None and vpn not in self._hidden:
-            entry = self.base.entries.get(vpn)
-        return entry
+    def _slot(self, vpn: int) -> tuple[int, int]:
+        """(frame id, grants code) at vpn; frame id -1 if unmapped."""
+        i = vpn - self._lo
+        if 0 <= i < len(self._fid):
+            return self._fid[i], self._perm[i]
+        if i < 0 and self._lo:
+            return self.base._slot(vpn)
+        return -1, 0
 
-    def _aliases(self, vpn: int) -> bool:
-        return (self.base is not None and vpn not in self._hidden
-                and vpn in self.base.entries)
+    def _slots(self, vpns: Sequence[int]) -> tuple[list[int], list[int]]:
+        lo, fid, perm = self._lo, self._fid, self._perm
+        if vpns and lo <= min(vpns) and max(vpns) < lo + len(fid):
+            return [fid[v - lo] for v in vpns], [perm[v - lo] for v in vpns]
+        slots = [self._slot(v) for v in vpns]
+        return [f for f, _ in slots], [c for _, c in slots]
+
+    def lookup(self, vpn: int) -> Optional[PageEntry]:
+        i = vpn - self._lo
+        if i < 0:
+            return self.base.lookup(vpn) if self._lo else None
+        if i < len(self._fid) and self._fid[i] >= 0:
+            # tuple.__new__ skips the NamedTuple constructor's argument parsing.
+            return tuple.__new__(PageEntry, (self._fid[i], _PERMS[self._perm[i]]))
+        return None
 
     def mapped_vpns(self) -> Iterator[int]:
-        if self.base is not None:
-            yield from (v for v in self.base.entries if v not in self._hidden)
-        yield from self.entries
+        own = itertools.compress(range(self._lo, self._lo + len(self._fid)),
+                                 map((-1).__lt__, self._fid))  # fid >= 0
+        return itertools.chain(self.base.mapped_vpns(), own) if self._lo else own
 
     def n_entries(self) -> int:
-        return self.n_aliased() + len(self.entries)
-
-    def n_aliased(self) -> int:
-        """Entries served by the base table rather than local overrides."""
-        if self.base is None:
-            return 0
-        return len(self.base.entries) - len(self._hidden)
+        return self._n + (self.base.n_entries() if self._lo else 0)
 
     def next_unused_vpn(self) -> int:
         return self._next_vpn
@@ -449,34 +464,21 @@ class PageTable:
         return vpns
 
     def local_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
-        """Frames of this table's own entries; a sealed table's are cached."""
+        """Frames in this table's own lists, in vpn order (cached if sealed)."""
         if self.sealed:
             return self._sealed_pl1_fids if pl1_only else self._sealed_fids
+        fids = np.array(self._fid, dtype=np.int64)
+        keep = fids >= 0
         if pl1_only:
-            it = (e.frame_id for e in self.entries.values()
-                  if e.perms.pl1_accessible())
-        else:
-            it = (e.frame_id for e in self.entries.values())
-        return np.fromiter(it, dtype=np.int64)
-
-    def _aliased_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
-        assert self.base is not None
-        if not self._hidden:
-            return self.base.local_frame_ids(pl1_only=pl1_only)
-        it = (e.frame_id for vpn, e in self.base.entries.items()
-              if vpn not in self._hidden
-              and (not pl1_only or e.perms.pl1_accessible()))
-        return np.fromiter(it, dtype=np.int64)
+            keep &= _PL1_CODES[np.array(self._perm, dtype=np.int64)]
+        return fids[keep]
 
     def frame_id_parts(self, pl1_only: bool = False) -> list[np.ndarray]:
-        """Arrays jointly covering every mapped frame.
-
-        Views that still alias every base page return the base's cached
-        array object, so callers can deduplicate by identity.
-        """
+        """Arrays jointly covering every mapped frame; a view reading its base
+        returns the base's cached array, which callers dedupe by identity."""
         parts = [self.local_frame_ids(pl1_only=pl1_only)]
-        if self.base is not None:
-            parts.append(self._aliased_frame_ids(pl1_only=pl1_only))
+        if self._lo:
+            parts.append(self.base.local_frame_ids(pl1_only=pl1_only))
         return parts
 
     # -- mutation (PL0 only; a sealed table refuses all of it) --
@@ -487,6 +489,17 @@ class PageTable:
         if self.sealed:
             raise NotSealed(
                 f"table of process {self.owner} is sealed; templates are frozen")
+
+    def _own(self, vpn: int) -> int:
+        """vpn's index in the lists, first copying a view's base lists under
+        its own if vpn is below them (the view count covers their frames)."""
+        if vpn < self._lo:
+            base, gap = self.base, self._lo - len(self.base._fid)
+            self._fid = base._fid + [-1] * gap + self._fid
+            self._perm = base._perm + [0] * gap + self._perm
+            self._n += base._n
+            self._lo = 0
+        return vpn - self._lo
 
     def map_page(self, vpn: int, frame_id: int, perms: PagePerms,
                  caller: PrivilegeLevel = PL0) -> None:
@@ -506,77 +519,72 @@ class PageTable:
         """Map fids at vpn, vpn + 1, ...: all of them, or, if any check
         fails, none."""
         self._require_mutable(caller, "map pages")
-        if len(fids) and (min(fids) < 0 or max(fids) >= self.store.n_frames()):
-            raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
+        code = _GRANTS.index(perms)
+        if vpn < 0 or len(fids) and (min(fids) < 0
+                                     or max(fids) >= self.store.n_frames()):
+            raise KeyError(f"vpn {vpn} or a frame is out of range")
         if PL2 in perms.read or PL2 in perms.write:
             arr = np.array(fids, dtype=np.int64)
             held = arr[np.isin(self.store.owners_of(arr), (PL0, PL1))]
             if len(held):
                 raise PermissionDenied(f"frame {held[0]} is owned by PL0 or "
                                        "PL1 and cannot be exposed to the guest")
-        vpns = range(vpn, vpn + len(fids))
-        taken = self.entries.keys() & vpns
-        if self.base is not None:
-            taken |= (self.base.entries.keys() & vpns) - self._hidden
+        stop = vpn + len(fids)
+        taken = [v for v in range(vpn, min(stop, self._lo + len(self._fid)))
+                 if self._slot(v)[0] >= 0]
         if taken:
-            raise DoubleMap(f"vpn {min(taken)} already mapped in process {self.owner}")
+            raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
+        i = self._own(vpn)
+        j = i + len(fids)
+        if j > len(self._fid):
+            self._fid += [-1] * (j - len(self._fid))
+            self._perm += [0] * (j - len(self._perm))
+        self._fid[i:j] = fids
+        self._perm[i:j] = [code] * len(fids)
         self.store.bulk_incref(fids)
-        self.entries.update(zip(vpns, (PageEntry(f, perms) for f in fids)))
-        self._next_vpn = max(self._next_vpn, vpns.stop)
-
-    def unmap_page(self, vpn: int, caller: PrivilegeLevel = PL0) -> int:
-        """Remove a mapping and return the frame's new reference count."""
-        return int(self._unmap_run([vpn], caller)[1][0])
+        self._n += len(fids)
+        self._next_vpn = max(self._next_vpn, stop)
 
     def unmap_range(self, vpns: Sequence[int],
                     caller: PrivilegeLevel = PL0) -> list[int]:
-        """Remove the mappings at vpns; returns the frames left unmapped."""
+        """Remove the mappings at vpns: all of them, or, if any is not
+        mapped, none.  Returns the frames left unmapped."""
         if not vpns:  # the common case of an invocation that staged no files
             return []
-        fids, refs = self._unmap_run(vpns, caller)
+        self._require_mutable(caller, "unmap pages")
+        if len(set(vpns)) != len(vpns):
+            raise KeyError("a vpn is unmapped twice")
+        fids = np.array(self._mapped_or_refuse(vpns), dtype=np.int64)
+        for vpn in vpns:
+            self._fid[vpn - self._lo] = -1
+        self._n -= len(vpns)
+        refs = self.store.bulk_decref(fids)
         return sorted(set(fids[refs == 0].tolist()))
 
-    def _unmap_run(self, vpns: Sequence[int],
-                   caller: PrivilegeLevel) -> tuple[np.ndarray, np.ndarray]:
-        """Remove the mappings at vpns: all of them, or, if any is not
-        mapped, none.  Returns their frames and the frames' new counts."""
-        self._require_mutable(caller, "unmap pages")
-        wanted = set(vpns)
-        if len(wanted) != len(vpns):
-            raise KeyError("a vpn is unmapped twice")
-        local = self.entries.keys() & wanted
-        aliased = set()
-        if self.base is not None:
-            aliased = ((wanted - local) & self.base.entries.keys()) - self._hidden
-        missing = wanted - local - aliased
-        if missing:
-            raise KeyError(f"vpn {min(missing)} not mapped")
-        fids = np.fromiter(
-            (self.entries.pop(v).frame_id if v in local
-             else self.base.entries[v].frame_id for v in vpns),
-            dtype=np.int64, count=len(vpns))
-        self._hidden |= aliased
-        return fids, self.store.bulk_decref(fids)
+    def _mapped_or_refuse(self, vpns: Sequence[int]) -> list[int]:
+        """The frames at vpns; KeyError if one is not mapped."""
+        fids, _ = self._slots(vpns)
+        if -1 in fids:
+            raise KeyError(f"vpn {vpns[fids.index(-1)]} not mapped")
+        if vpns:
+            self._own(min(vpns))
+        return fids
 
-    def set_perms(self, vpn: int, perms: PagePerms,
+    def set_perms(self, vpns: Sequence[int], perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> None:
+        """Give the mappings at vpns perms: all of them, or, if any is not
+        mapped, none."""
         self._require_mutable(caller, "change permissions")
-        entry = self.entries.get(vpn)
-        if entry is not None:
-            entry.perms = perms
-            return
-        if not self._aliases(vpn):
-            raise KeyError(f"vpn {vpn} not mapped")
-        # A local override keeps the shared base pristine.  Hiding the
-        # alias drops one reference and the local entry adds it back.
-        self._hidden.add(vpn)
-        self.entries[vpn] = PageEntry(self.base.entries[vpn].frame_id, perms)
+        code = _GRANTS.index(perms)
+        self._mapped_or_refuse(vpns)
+        for vpn in vpns:
+            self._perm[vpn - self._lo] = code
 
     def seal(self, caller: PrivilegeLevel = PL0) -> None:
         """Strip PL1 write everywhere and freeze the table for forking.
 
         The frames are registered with the store as one base here, once,
-        so that forks need not touch them.
+        so that forks need not touch them.  A refused seal changes nothing.
         """
         if caller is not PL0:
             raise PermissionDenied(f"{caller.name} may not seal")
@@ -584,56 +592,78 @@ class PageTable:
             return
         if self.base is not None:
             raise NotSealed("a copy-on-write view cannot be sealed")
-        for entry in self.entries.values():
-            entry.perms = entry.perms.without_pl1_write()
         fids = self.local_frame_ids()
-        pl1_fids = self.local_frame_ids(pl1_only=True)
         self._base_id = self.store.register_base(fids)
-        self._sealed_fids, self._sealed_pl1_fids = fids, pl1_fids
+        self._perm = [code + _SEALED for code in self._perm]
+        self._sealed_fids = fids
+        self._sealed_pl1_fids = self.local_frame_ids(pl1_only=True)
         self.sealed = True
 
     # -- access (any level; faults are return values) --
 
     def access(self, level: PrivilegeLevel, vpn: int, kind: AccessKind,
-               data: Optional[bytes] = None, offset: int = 0):
-        """Read or write one page.
-
-        Returns page bytes for a successful read, None for a successful
-        write, or a PageFault value.  Writes additionally require the frame
-        to be exclusively mapped (ref_count == 1); a write to a shared frame
-        yields a COW_FAULT for the monitor to resolve.
-        """
+               data: Optional[bytes] = None):
+        """Read or write one page, checked as a page of a run is: returns
+        page bytes for a read, None for a write, or the PageFault."""
         kind = AccessKind(kind)
-        entry = self.lookup(vpn)
-        if entry is None:
-            return PageFault(FaultKind.NOT_MAPPED, vpn, level)
-        aliased = vpn not in self.entries and self.base is not None
-        if not entry.perms.can(level, kind):
-            if kind is AccessKind.WRITE and aliased and level is PL1:
-                # The page is inherited read-only from the sealed template:
-                # the owner's write attempt is a resolvable CoW fault, not a
-                # plain permission error.
-                return PageFault(FaultKind.COW_FAULT, vpn, level)
-            return PageFault(FaultKind.PERMISSION_VIOLATION, vpn, level)
+        fids = self._checked(level, [vpn], kind)
+        if isinstance(fids, PageFault):
+            return fids
         if kind is AccessKind.READ:
-            return self.store.read_bytes(entry.frame_id)
-        if self.store.ref(entry.frame_id) > 1:
-            return PageFault(FaultKind.COW_FAULT, vpn, level)
-        if data is None:
-            raise ValueError("write access requires data")
-        if offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses page boundary")
-        self.store.write_bytes(entry.frame_id, offset, data)
+            return self.store.read_bytes(fids[0])
+        if data is None or len(data) > PAGE_SIZE:
+            raise ValueError("a page write needs data of at most one page")
+        self.store.write_bytes(fids[0], 0, data)
         return None
+
+    def read_run(self, level: PrivilegeLevel, vpns: Sequence[int],
+                 nbytes: int):
+        """Read the first nbytes held by the pages at vpns, after checking
+        every page: returns the bytes, or the first page's PageFault."""
+        fids = self._checked(level, vpns, AccessKind.READ)
+        return (fids if isinstance(fids, PageFault)
+                else self.store.read_range(fids, nbytes))
+
+    def write_run(self, level: PrivilegeLevel, vpns: Sequence[int],
+                  data: bytes) -> Optional[PageFault]:
+        """Write data from the start of the pages at vpns, after checking
+        every page: returns None, or the first page's PageFault having
+        written nothing.  A write to a shared frame is a COW_FAULT."""
+        fids = self._checked(level, vpns, AccessKind.WRITE)
+        if isinstance(fids, PageFault):
+            return fids
+        self.store.write_range(fids, data)
+        return None
+
+    def _checked(self, level: PrivilegeLevel, vpns: Sequence[int],
+                 kind: AccessKind):
+        """The frames at vpns if every page allows the access, else the
+        first failing page's fault."""
+        write = kind is AccessKind.WRITE
+        allowed = (_WRITABLE if write else _READABLE)[level]
+        fids, codes = self._slots(vpns)
+        if -1 not in fids and allowed.issuperset(codes) and (
+                not write or max(map(self.store.ref, fids), default=0) <= 1):
+            return fids
+        for vpn, fid, code in zip(vpns, fids, codes):
+            if fid < 0:
+                return PageFault(FaultKind.NOT_MAPPED, vpn, level)
+            if code not in allowed:
+                if (write and level is PL1 and code >= _SEALED
+                        and self.base is not None):
+                    # Inherited read-only from the sealed template: the
+                    # owner's write is a resolvable CoW fault.
+                    return PageFault(FaultKind.COW_FAULT, vpn, level)
+                return PageFault(FaultKind.PERMISSION_VIOLATION, vpn, level)
+            if write and self.store.ref(fid) > 1:
+                return PageFault(FaultKind.COW_FAULT, vpn, level)
+        raise AssertionError("no page of the run faults")
 
     # -- forking --
 
     def fork_cow(self, new_owner: int) -> "PageTable":
-        """Create a CoW alias of this sealed table: O(1), zero bytes copied.
-
-        Sealing stripped every PL1 write grant and the sealed table
-        refuses mutation, so the view inherits a read-only base.
-        """
+        """Create a CoW view of this sealed table: O(1), zero bytes copied.
+        Sealing stripped every PL1 write grant, so the base is read-only."""
         if self._base_id is None:
             raise NotSealed(f"zygote table of process {self.owner} is not sealed")
         child = PageTable(self.store, new_owner, base=self)
@@ -647,30 +677,24 @@ class PageTable:
         Returns (new frame id, simulated charge in microseconds).
         """
         self._require_mutable(PL0, "resolve faults")
-        entry = self.lookup(vpn)
-        if entry is None:
+        old_fid, _ = self._slot(vpn)
+        if old_fid < 0:
             raise KeyError(f"vpn {vpn} not mapped")
-        if self.store.ref(entry.frame_id) <= 1:
+        if self.store.ref(old_fid) <= 1:
             raise ValueError(f"vpn {vpn} is not shared; nothing to resolve")
         new_fids, charge = alloc_frames(pool, 1, model, owner_level=PL1)
-        new_fid = new_fids[0]
-        old_fid = entry.frame_id
-        self.store.copy_frame(old_fid, new_fid)
-        charge += model.copy_us(1)
-        if self._aliases(vpn):
-            self._hidden.add(vpn)
-        self.entries[vpn] = PageEntry(new_fid, PagePerms.PROCESS_RW)
-        self.store.incref(new_fid)
-        self.store.decref(old_fid)
-        return new_fid, charge
+        self.store.copy_frame(old_fid, new_fids[0])
+        i = self._own(vpn)
+        self._fid[i], self._perm[i] = new_fids[0], _GRANTS.index(PagePerms.PROCESS_RW)
+        self.store.bulk_incref(new_fids)
+        self.store.bulk_decref(np.array([old_fid]))
+        return new_fids[0], charge + model.copy_us(1)
 
     def release_all(self) -> list[int]:
         """Unmap everything; returns frame ids whose ref_count reached 0.
 
-        Costs O(local entries + hidden vpns): the local frames are decref'd,
-        the hidden base frames get back the reference hiding took, and the
-        base loses one view.  A sealed table with live views is refused
-        with ``BaseInUse``; its views must be released first.
+        Costs O(own list entries), not O(base pages).  A sealed table with
+        live views is refused with ``BaseInUse``; release them first.
         """
         local = self.local_frame_ids()
         if self._base_id is not None:
@@ -680,14 +704,11 @@ class PageTable:
         refs = self.store.bulk_decref(local)
         freed = sorted(set(local[refs == 0].tolist()))
         if self.base is not None:
-            hidden = np.fromiter(
-                (self.base.entries[vpn].frame_id for vpn in self._hidden),
-                dtype=np.int64, count=len(self._hidden))
-            self.store.bulk_incref(hidden)
+            if not self._lo:
+                self.store.bulk_incref(self.base.local_frame_ids())
             self.store.drop_view(self.base._base_id)
             self.base = None
-            self._hidden = set()
-        self.entries.clear()
+        self._fid, self._perm, self._n, self._lo = [], [], 0, 0
         return freed
 
 
@@ -740,8 +761,7 @@ class MemoryPool:
         table maps; the others stay handed out."""
         arr = np.array(fids, dtype=np.int64)
         refs = self.store.refs_of(arr)
-        unmapped = refs == 0
-        self._give_back(arr[unmapped], refs[unmapped])
+        self._give_back(arr[refs == 0], refs[refs == 0])
 
     def _give_back(self, fids: np.ndarray, refs: np.ndarray) -> None:
         ordered = sorted(fids.tolist())
@@ -810,22 +830,14 @@ def accounting(tables: Iterable[PageTable]) -> MemoryAccounting:
         return MemoryAccounting(0, 0, 0)
     store = tables[0].store
 
-    def unique_fids(pl1_only: bool) -> np.ndarray:
+    def refs_of_mapped(pl1_only: bool) -> np.ndarray:
         seen = np.zeros(store.n_frames(), dtype=bool)
-        parts: dict[int, np.ndarray] = {}
-        for table in tables:
-            for arr in table.frame_id_parts(pl1_only=pl1_only):
-                parts[id(arr)] = arr
+        parts = {id(arr): arr for table in tables
+                 for arr in table.frame_id_parts(pl1_only=pl1_only)}
         for arr in parts.values():
             seen[arr] = True
-        return np.flatnonzero(seen)
+        return store.refs_of(np.flatnonzero(seen))
 
-    mapped = unique_fids(pl1_only=False)
-    if not len(mapped):
-        return MemoryAccounting(0, 0, 0)
-    shared = int((store.refs_of(mapped) > 1).sum()) * PAGE_SIZE
-    pl1_mapped = unique_fids(pl1_only=True)
-    exclusive = 0
-    if len(pl1_mapped):
-        exclusive = int((store.refs_of(pl1_mapped) == 1).sum()) * PAGE_SIZE
+    shared = int((refs_of_mapped(False) > 1).sum()) * PAGE_SIZE
+    exclusive = int((refs_of_mapped(True) == 1).sum()) * PAGE_SIZE
     return MemoryAccounting(shared, exclusive, shared + exclusive)

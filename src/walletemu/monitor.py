@@ -594,8 +594,8 @@ class Monitor:
             self._charge(zc_alloc_us)
             # create_zygote maps a zygote at vpns 0..n-1, so one run on the
             # fresh table puts every copy at its page's vpn.
-            for vpn, fid in enumerate(fids):
-                self.store.copy_frame(src_table.entries[vpn].frame_id, fid)
+            for src, fid in zip(src_table.local_frame_ids().tolist(), fids):
+                self.store.copy_frame(src, fid)
             table.map_range(fids, PagePerms.PROCESS_RO)
             zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
 

@@ -11,6 +11,7 @@ path models the conventional network route.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -27,7 +28,6 @@ from .errors import (
 from .guest import GuestBroker
 from .memory import (
     PAGE_SIZE,
-    AccessKind,
     CostModel,
     MemoryPool,
     PageFault,
@@ -66,12 +66,7 @@ class CopyCounter:
     colocated_fallbacks: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "payload_bytes_copied": self.payload_bytes_copied,
-            "crypto_ops": self.crypto_ops,
-            "fallback_copies": self.fallback_copies,
-            "colocated_fallbacks": self.colocated_fallbacks,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -175,8 +170,7 @@ class ObjectStore:
                 f"process {caller_pid} already attached as writer")
         writer_table = writer_table or obj.writer_table
         if obj.writer_vpns and writer_table is not None:
-            for vpn in obj.writer_vpns:
-                writer_table.set_perms(vpn, PagePerms.PROCESS_RO)
+            writer_table.set_perms(obj.writer_vpns, PagePerms.PROCESS_RO)
         obj.reader = caller_pid
         self.attached_view(caller_pid).add(obj.obj_id)
         if caller_table is not None and caller_pid != MONITOR_PID:
@@ -251,14 +245,11 @@ class ObjectStore:
                 f"process {caller_pid} is not the writer of object {obj_id}")
         if len(data) > len(obj.frames) * PAGE_SIZE:
             raise ValueError("data exceeds object capacity")
-        for i in range(0, len(data), PAGE_SIZE):
-            vpn = obj.writer_vpns[i // PAGE_SIZE]
-            chunk = data[i : i + PAGE_SIZE]
-            result = caller_table.access(PrivilegeLevel.PL1_PROCESS, vpn,
-                                         AccessKind.WRITE, chunk)
-            if isinstance(result, PageFault):
-                raise PermissionError(
-                    f"object write faulted: {result.kind.value}")
+        fault = caller_table.write_run(
+            PrivilegeLevel.PL1_PROCESS,
+            obj.writer_vpns[: pages_for(len(data))], data)
+        if fault is not None:
+            raise PermissionError(f"object write faulted: {fault.kind.value}")
         obj.length = len(data)
         self.counter.payload_bytes_copied += len(data)
         return self.model.transfer_us(len(data))
@@ -270,15 +261,12 @@ class ObjectStore:
         if obj.reader != caller_pid:
             raise UnknownObject(
                 f"process {caller_pid} has no read grant on object {obj_id}")
-        out = bytearray()
-        for i, vpn in enumerate(obj.reader_vpns):
-            result = caller_table.access(PrivilegeLevel.PL1_PROCESS, vpn,
-                                         AccessKind.READ)
-            if isinstance(result, PageFault):
-                raise PermissionError(
-                    f"object read faulted: {result.kind.value}")
-            out.extend(result)
-        return bytes(out[: obj.length])
+        data = caller_table.read_run(
+            PrivilegeLevel.PL1_PROCESS,
+            obj.reader_vpns[: pages_for(obj.length)], obj.length)
+        if isinstance(data, PageFault):
+            raise PermissionError(f"object read faulted: {data.kind.value}")
+        return data
 
     def write_monitor(self, obj_id: int, data: bytes) -> int:
         """Monitor (PL0) populates an object directly; charged, not counted."""
@@ -290,7 +278,7 @@ class ObjectStore:
     def read_monitor(self, obj_id: int) -> bytes:
         """Monitor (PL0) reads an object's content directly."""
         obj = self.get(obj_id)
-        return b"".join(map(self.pool.store.read_bytes, obj.frames))[: obj.length]
+        return self.pool.store.read_range(obj.frames, obj.length)
 
     # -- lifecycle -------------------------------------------------------------------
 

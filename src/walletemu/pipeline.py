@@ -96,7 +96,7 @@ class PipelineRun:
 
     def charge_us(self) -> int:
         """Total simulated execution charge for this run."""
-        return int(round(self.fn.exec_time_ms * 1000)) + self.extra_sleep_us
+        return self.fn.exec_time_us + self.extra_sleep_us
 
     def deliver_file(self, path: str, raw: bytes) -> None:
         """Resume a NeedFile suspension with broker-provided bytes."""

@@ -386,8 +386,8 @@ def test_criterion_10_memory_property_suites():
         zygote.map_page(vpn, fid, PagePerms.PROCESS_RW)
         store.write_bytes(fid, 0, rng.randbytes(PAGE_SIZE))
     zygote.seal()
-    snapshot = [store.read_bytes(e.frame_id)
-                for _, e in sorted(zygote.entries.items())]
+    snapshot = [store.read_bytes(zygote.lookup(v).frame_id)
+                for v in sorted(zygote.mapped_vpns())]
     children = [zygote.fork_cow(owner) for owner in range(2, 6)]
     for _ in range(10_000):
         child = rng.choice(children)
@@ -398,8 +398,8 @@ def test_criterion_10_memory_property_suites():
             assert outcome.kind is FaultKind.COW_FAULT
             child.resolve_cow(vpn, pool, model)
             assert child.access(PL1, vpn, AccessKind.WRITE, data) is None
-    after = [store.read_bytes(e.frame_id)
-             for _, e in sorted(zygote.entries.items())]
+    after = [store.read_bytes(zygote.lookup(v).frame_id)
+             for v in sorted(zygote.mapped_vpns())]
     assert snapshot == after
 
     # Ref-count conservation after every one of 10^4 random operations.
@@ -460,15 +460,15 @@ def test_criterion_10_memory_property_suites():
                                rng.choice(list(protected)),
                                PagePerms.GUEST_RW, caller=level)
             elif action == 1:
-                table.set_perms(rng.randrange(8), PagePerms.GUEST_RW,
+                table.set_perms([rng.randrange(8)], PagePerms.GUEST_RW,
                                 caller=level)
             else:
                 table.access(level, rng.randrange(40), AccessKind.READ)
         except Exception:
             denials += 1
         for check_table in (process_table, guest_table):
-            for vpn in check_table.entries:
-                entry = check_table.entries[vpn]
+            for vpn in check_table.mapped_vpns():
+                entry = check_table.lookup(vpn)
                 if entry.frame_id in protected:
                     assert PL2 not in entry.perms.read
                     assert PL2 not in entry.perms.write

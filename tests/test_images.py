@@ -134,6 +134,16 @@ class TestFunctionSpec:
         parsed = FunctionSpec.from_json(fn.to_json())
         assert parsed.canonical_bytes == fn.canonical_bytes
 
+    @pytest.mark.parametrize("exec_us", [2 ** 53 + 1, 2 ** 64 - 1])
+    def test_exec_time_beyond_a_float_round_trips(self, exec_us):
+        # A float of milliseconds cannot hold these microseconds exactly.
+        data = (struct.pack(">I", 3) + b"big" + struct.pack(">Q", exec_us)
+                + struct.pack(">I", 0))
+        parsed = FunctionSpec.from_canonical(data)
+        assert parsed.exec_time_us == exec_us
+        assert parsed.canonical_bytes == data
+        assert parsed.digest() == hashlib.sha512(data).digest()
+
     def test_digest_depends_on_exec_time(self):
         a = FunctionSpec("f", [PipelineOp.identity()], 1.0)
         b = FunctionSpec("f", [PipelineOp.identity()], 2.0)

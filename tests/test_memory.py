@@ -2,9 +2,19 @@
 
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from walletemu.errors import (
     BaseInUse,
@@ -232,7 +242,7 @@ class TestMapRange:
         table = PageTable(store, 9)
         with pytest.raises(PermissionDenied):
             table.map_range(guest_fids + pl1_fids, PagePerms.GUEST_RW)
-        assert table.entries == {} and store.total_refs() == 0
+        assert table.n_entries() == 0 and store.total_refs() == 0
         assert table.next_unused_vpn() == 0
 
     def test_refused_unmap_run_unmaps_nothing(self, store, pool, model):
@@ -344,6 +354,54 @@ class TestAccess:
         fault = table.access(PL1, 99, AccessKind.READ)
         assert fault.kind is FaultKind.NOT_MAPPED
 
+    def test_view_page_the_monitor_changed_is_no_cow_fault(self, store, pool,
+                                                          model):
+        # A page inherited unchanged is a resolvable CoW fault; once the
+        # monitor has set its perms, even to the grants it inherited, a
+        # PL1 write is a plain permission error.
+        zygote = build_zygote_table(store, pool, model, pages=4)
+        child = zygote.fork_cow(2)
+        child.set_perms([0], PagePerms.PROCESS_RO)
+        assert child.lookup(0) == zygote.lookup(0)
+        fault = child.access(PL1, 0, AccessKind.WRITE, b"x")
+        assert fault.kind is FaultKind.PERMISSION_VIOLATION
+        fault = child.access(PL1, 1, AccessKind.WRITE, b"x")
+        assert fault.kind is FaultKind.COW_FAULT
+
+
+class TestRuns:
+    def test_run_reads_and_writes_across_pages(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        table = PageTable(store, 3)
+        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        data = bytes(range(256)) * 40  # two full pages and a bit
+        assert table.write_run(PL1, vpns, data) is None
+        assert table.read_run(PL1, vpns, len(data)) == data
+        assert table.read_run(PL1, vpns[:1], 10) == data[:10]
+
+    def test_refused_write_writes_nothing(self, store, pool, model):
+        # The first page that fails decides the fault, and no page of the
+        # run is written, not even the ones before it.
+        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        table, other = PageTable(store, 3), PageTable(store, 4)
+        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        table.set_perms(vpns[2:], PagePerms.PROCESS_RO)
+        other.map_page(0, fids[1], PagePerms.PROCESS_RO)
+        fault = table.write_run(PL1, vpns, b"\x77" * (3 * PAGE_SIZE))
+        assert fault == PageFault(FaultKind.COW_FAULT, vpns[1], PL1)
+        assert table.read_run(PL0, vpns, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
+        fault = table.write_run(PL1, vpns[2:] + [99], b"x")
+        assert fault.kind is FaultKind.PERMISSION_VIOLATION
+        assert table.write_run(PL1, [99] + vpns, b"x").kind is FaultKind.NOT_MAPPED
+
+    def test_read_checks_every_page_of_the_run(self, store, pool, model):
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        table = PageTable(store, 3)
+        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        table.set_perms(vpns[1:], PagePerms.MONITOR_PRIVATE)
+        fault = table.read_run(PL1, vpns, 10)
+        assert fault == PageFault(FaultKind.PERMISSION_VIOLATION, vpns[1], PL1)
+
 
 class TestForkCow:
     def test_fork_aliases_everything_with_zero_copies(self, store, pool, model):
@@ -351,13 +409,14 @@ class TestForkCow:
         before = store.copied_bytes_total
         child = zygote.fork_cow(new_owner=2)
         assert store.copied_bytes_total - before == 0
-        assert child.n_aliased() == zygote.n_entries() == 300
+        assert child.n_entries() == zygote.n_entries() == 300
+        assert all(child.lookup(v) == zygote.lookup(v) for v in range(300))
 
     def test_double_fork_shares_at_refcount_three(self, store, pool, model):
         zygote = build_zygote_table(store, pool, model, pages=8)
         zygote.fork_cow(2)
         zygote.fork_cow(3)
-        fid = zygote.entries[0].frame_id
+        fid = zygote.lookup(0).frame_id
         assert store.ref(fid) == 3
 
     def test_fork_of_unsealed_table_rejected(self, store, pool, model):
@@ -382,13 +441,13 @@ class TestForkCow:
                 return method(ids)
             return wrapper
 
-        for name in ("incref", "decref", "bulk_incref", "bulk_decref"):
+        for name in ("bulk_incref", "bulk_decref"):
             monkeypatch.setattr(store, name, recording(getattr(store, name)))
         child = zygote.fork_cow(2)
-        assert store.ref(zygote.entries[0].frame_id) == 2
+        assert store.ref(zygote.lookup(0).frame_id) == 2
         assert child.release_all() == []
         assert not base_fids.intersection(passed)
-        assert store.ref(zygote.entries[0].frame_id) == 1
+        assert store.ref(zygote.lookup(0).frame_id) == 1
         assert store.total_refs() == zygote.n_entries() == 4096
 
 
@@ -406,8 +465,8 @@ class TestResolveCow:
         # after 1000 random child writes through CoW resolution.
         pool = make_pool(store, frames=4096, prevalidated=True)
         zygote = build_zygote_table(store, pool, model, pages=16, fill=b"\x5A")
-        snapshot = [store.read_bytes(e.frame_id)
-                    for _, e in sorted(zygote.entries.items())]
+        snapshot = [store.read_bytes(zygote.lookup(v).frame_id)
+                    for v in sorted(zygote.mapped_vpns())]
         child = zygote.fork_cow(2)
         rng = random.Random(7)
         for _ in range(1000):
@@ -418,8 +477,8 @@ class TestResolveCow:
                 assert result.kind is FaultKind.COW_FAULT
                 child.resolve_cow(vpn, pool, model)
                 assert child.access(PL1, vpn, AccessKind.WRITE, data) is None
-        after = [store.read_bytes(e.frame_id)
-                 for _, e in sorted(zygote.entries.items())]
+        after = [store.read_bytes(zygote.lookup(v).frame_id)
+                 for v in sorted(zygote.mapped_vpns())]
         assert snapshot == after
 
     def test_hundred_faults_on_warm_pool_cost_200_us(self, store, model):
@@ -433,7 +492,7 @@ class TestResolveCow:
     def test_refcount_drops_on_old_frame(self, store, pool, model):
         zygote = build_zygote_table(store, pool, model, pages=2)
         child = zygote.fork_cow(2)
-        old_fid = zygote.entries[0].frame_id
+        old_fid = zygote.lookup(0).frame_id
         assert store.ref(old_fid) == 2
         child.resolve_cow(0, pool, model)
         assert store.ref(old_fid) == 1
@@ -480,7 +539,7 @@ class TestSealedTables:
         zygote = build_zygote_table(store, pool, model, pages=4)
         zygote.fork_cow(2)
         with pytest.raises(NotSealed):
-            zygote.unmap_page(0)
+            zygote.unmap_range([0])
         with pytest.raises(NotSealed):
             zygote.resolve_cow(0, pool, model)
         assert zygote.n_entries() == 4
@@ -564,8 +623,8 @@ class TestInvariants:
                 check()
                 continue
             view = rng.choice(views)
-            aliased = [v for v in view.mapped_vpns() if v in zygote.entries
-                       and v not in view.entries]
+            aliased = [v for v in view.mapped_vpns()
+                       if view.lookup(v) == zygote.lookup(v)]
             if op == 1:
                 fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
                 view.map_page(view.take_vpns(1)[0], fids[0],
@@ -576,14 +635,11 @@ class TestInvariants:
                 if shared:
                     view.resolve_cow(rng.choice(shared), pool, model)
             elif op == 3 and aliased:
-                view.set_perms(rng.choice(aliased), PagePerms.PROCESS_RO)
+                view.set_perms([rng.choice(aliased)], PagePerms.PROCESS_RO)
             elif op == 4:
                 mapped = list(view.mapped_vpns())
                 if mapped:
-                    vpn = rng.choice(mapped)
-                    frame = view.lookup(vpn).frame_id
-                    if view.unmap_page(vpn) == 0:
-                        pool.release([frame])
+                    pool.release(view.unmap_range([rng.choice(mapped)]))
             elif op == 5:
                 views.remove(view)
                 freed = view.release_all()
@@ -609,3 +665,522 @@ class TestInvariants:
             return charges
 
         assert run() == run()
+
+
+# -- model-based test ---------------------------------------------------------
+
+PERMS = [PagePerms.MONITOR_PRIVATE, PagePerms.PROCESS_RW, PagePerms.PROCESS_RO,
+         PagePerms.PROCESS_WO, PagePerms.GUEST_RW]
+LEVELS = [PL0, PL1, PL2]
+POOL_FRAMES = 40
+ZERO_PAGE = bytes(PAGE_SIZE)
+picks = st.integers(0, 1 << 20)  # an index, taken modulo the choices
+
+
+class _ModelTable:
+    """The model of one page table: vpn -> (frame, perms, inherited)."""
+
+    def __init__(self, real, base=None):
+        self.real = real
+        self.base = base
+        self.sealed = False
+        self.views = 0
+        self.pages = {} if base is None else {
+            vpn: (fid, perms, True) for vpn, (fid, perms, _) in base.pages.items()}
+
+
+class MemoryMachine(RuleBasedStateMachine):
+    """Arbitrary interleavings of memory-layer operations on one pool.
+
+    The model is plain Python: each table's pages, each handed-out frame's
+    expected bytes, owner and validation, the free frames, and the bytes
+    sources that frames still view.  Every refused operation must leave
+    the tables, counts, pages and pool exactly as they were.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.cost = CostModel()
+        self.store = FrameStore()
+        self.pool = MemoryPool(self.store)
+        self.pool.grow(POOL_FRAMES, validated=False)
+        self.free = set(range(POOL_FRAMES))
+        self.held: list[int] = []  # handed-out frames, mapped or not
+        self.content: dict[int, bytes] = {}
+        self.owner: dict[int, object] = {}
+        self.validated: set[int] = set()
+        self.viewing: dict[int, int] = {}  # frame -> index into sources
+        self.sources: list[tuple] = []  # (written object, its bytes)
+        self.copied = 0
+        self.tables = [_ModelTable(PageTable(self.store, 1))]
+        self.next_owner = 2
+
+    # -- helpers --
+
+    def _pick(self, items, i):
+        return items[i % len(items)]
+
+    def _held_run(self, i, n):
+        """n distinct handed-out frames, starting at a picked one."""
+        start = i % len(self.held)
+        return [self.held[(start + k) % len(self.held)]
+                for k in range(min(n, len(self.held)))]
+
+    def _counts(self):
+        counts = Counter()
+        for t in self.tables:
+            counts.update(fid for fid, _, _ in t.pages.values())
+        return counts
+
+    def _live_bases(self):
+        return {fid for t in self.tables if t.sealed
+                for fid, _, _ in t.pages.values()}
+
+    def _state(self):
+        tables = [(sorted((v, t.real.lookup(v).frame_id, t.real.lookup(v).perms)
+                          for v in t.real.mapped_vpns()),
+                   t.real.n_entries(), t.real.next_unused_vpn())
+                  for t in self.tables]
+        every = np.arange(POOL_FRAMES)
+        return (tables, self.store.refs_of(every).tolist(),
+                [self.store.read_bytes(f) for f in range(POOL_FRAMES)],
+                self.pool.free_count, self.store.total_refs(),
+                self.store.copied_bytes_total)
+
+    def _refused(self, exc, fn, *args, **kwargs):
+        before = self._state()
+        with pytest.raises(exc):
+            fn(*args, **kwargs)
+        assert self._state() == before
+
+    def _viewed_by_frames(self, k):
+        # getrefcount's own argument and self.sources hold two references;
+        # each frame page viewing the object holds more.
+        return sys.getrefcount(self.sources[k][0]) > 2
+
+    def _vpn(self, table, chosen, unmapped):
+        """A picked mapped vpn of table, or an unmapped one."""
+        mapped = sorted(table.pages)
+        if unmapped or not mapped:
+            return table.real.next_unused_vpn()
+        return self._pick(mapped, chosen)
+
+    def _mutation_refusal(self, t, caller):
+        if caller is not PL0:
+            return PermissionDenied
+        if t.sealed:
+            return NotSealed
+        return None
+
+    def _write_model(self, fids, raw, source_index):
+        """Model a write of raw from the start of fids' pages."""
+        full = len(raw) // PAGE_SIZE
+        for k in range(full):
+            self.content[fids[k]] = raw[k * PAGE_SIZE : (k + 1) * PAGE_SIZE]
+            if source_index is None:
+                self.viewing.pop(fids[k], None)
+            else:
+                self.viewing[fids[k]] = source_index
+        if len(raw) > full * PAGE_SIZE:
+            fid, tail = fids[full], raw[full * PAGE_SIZE :]
+            self.content[fid] = tail + self.content[fid][len(tail):]
+            self.viewing.pop(fid, None)
+
+    @initialize(pages=st.integers(1, 4), perms=st.sampled_from(PERMS),
+                seed=st.integers(0, 255))
+    def sealed_zygote(self, pages, perms, seed):
+        # Start as the monitor does, from a populated, sealed table that
+        # views can be forked from, next to an empty table.
+        self.alloc(pages, None)
+        self.write_range(0, pages, pages * PAGE_SIZE - 100, bytes, seed)
+        self.map_range(0, 0, pages, perms, PL0)
+        self.seal(0, PL0)
+        assert self.tables[0].sealed
+        self.new_table()
+
+    # -- frames --
+
+    @rule(n=st.integers(1, 6), owner=st.sampled_from([None, PL0, PL1, PL2]))
+    def alloc(self, n, owner):
+        if n > len(self.free):
+            self._refused(OutOfMemory, alloc_frames, self.pool, n, self.cost,
+                          owner_level=owner)
+            return
+        fids, charge = alloc_frames(self.pool, n, self.cost, owner_level=owner)
+        assert len(set(fids)) == n and set(fids) <= self.free
+        assert charge == self.cost.validation_us(
+            len(set(fids) - self.validated))
+        self.free -= set(fids)
+        self.validated |= set(fids)
+        self.held += fids
+        for fid in fids:
+            self.content[fid] = ZERO_PAGE
+            self.owner[fid] = owner
+
+    @precondition(lambda self: self.held)
+    @rule(i=picks, n=st.integers(1, 3), size=st.integers(0, 3 * PAGE_SIZE + 1),
+          kind=st.sampled_from([bytes, bytearray, memoryview]),
+          seed=st.integers(0, 255))
+    def write_range(self, i, n, size, kind, seed):
+        fids = self._held_run(i, n)
+        raw = (bytes(range(seed, 256)) + bytes(range(seed))) * (size // 256 + 1)
+        raw = raw[:size]
+        if size > len(fids) * PAGE_SIZE:
+            self._refused(ValueError, self.store.write_range, fids, raw)
+            return
+        # A distinct object, so that only frames and self.sources refer to it.
+        source = bytes(bytearray(raw)) if kind is bytes else bytearray(raw)
+        self.sources.append((source, raw))
+        self.store.write_range(fids, source if kind is not memoryview
+                               else memoryview(source))
+        self._write_model(fids, raw, len(self.sources) - 1
+                          if kind is bytes else None)
+
+    @precondition(lambda self: self.held)
+    @rule(i=picks, offset=st.integers(0, PAGE_SIZE - 1),
+          data=st.binary(min_size=1, max_size=64))
+    def write_bytes(self, i, offset, data):
+        fid = self._pick(self.held, i)
+        data = data[: PAGE_SIZE - offset]
+        self.store.write_bytes(fid, offset, data)
+        old = self.content[fid]
+        self.content[fid] = old[:offset] + data + old[offset + len(data):]
+        self.viewing.pop(fid, None)
+
+    @precondition(lambda self: self.held)
+    @rule(i=picks, j=picks)
+    def copy_frame(self, i, j):
+        src, dst = self._pick(self.held, i), self._pick(self.held, j)
+        self.store.copy_frame(src, dst)
+        self.copied += PAGE_SIZE
+        self.content[dst] = self.content[src]
+        if src in self.viewing:
+            self.viewing[dst] = self.viewing[src]
+        else:
+            self.viewing.pop(dst, None)
+
+    @precondition(lambda self: self.held)
+    @rule(i=picks, n=st.integers(1, 3),
+          extra=st.sampled_from([None, "twice", "free"]))
+    def release(self, i, n, extra):
+        fids = self._held_run(i, n)
+        if extra == "twice":
+            fids.append(fids[0])
+        elif extra == "free" and self.free:
+            fids.append(min(self.free))
+        counts = self._counts()
+        if (len(set(fids)) < len(fids) or not set(fids) <= set(self.held)
+                or any(counts[f] for f in fids)):
+            self._refused(AssertionError, self.pool.release, fids)
+            return
+        self.pool.release(fids)
+        for fid in fids:
+            self.held.remove(fid)
+            self.free.add(fid)
+            self.content.pop(fid)
+            self.viewing.pop(fid, None)
+
+    # -- tables --
+
+    @precondition(lambda self: self.held)
+    @rule(t=picks, i=picks, n=st.integers(1, 3),
+          perms=st.sampled_from(PERMS), caller=st.sampled_from(LEVELS))
+    def map_range(self, t, i, n, perms, caller):
+        table = self._pick(self.tables, t)
+        fids = self._held_run(i, n)
+        refusal = self._mutation_refusal(table, caller)
+        if refusal is None and PL2 in perms.read | perms.write and any(
+                self.owner[f] in (PL0, PL1) for f in fids):
+            refusal = PermissionDenied
+        if refusal is not None:
+            self._refused(refusal, table.real.map_range, fids, perms,
+                          caller=caller)
+            return
+        first = table.real.next_unused_vpn()
+        vpns = table.real.map_range(fids, perms, caller=caller)
+        assert vpns == list(range(first, first + len(fids)))
+        table.pages.update((v, (f, perms, False)) for v, f in zip(vpns, fids))
+
+    @precondition(lambda self: self.held)
+    @rule(t=picks, i=picks, vpn=picks, perms=st.sampled_from(PERMS))
+    def map_page(self, t, i, vpn, perms):
+        table = self._pick(self.tables, t)
+        vpn %= table.real.next_unused_vpn() + 2
+        fid = self._pick(self.held, i)
+        refusal = self._mutation_refusal(table, PL0)
+        if refusal is None and PL2 in perms.read | perms.write and \
+                self.owner[fid] in (PL0, PL1):
+            refusal = PermissionDenied
+        if refusal is None and vpn in table.pages:
+            refusal = DoubleMap
+        if refusal is not None:
+            self._refused(refusal, table.real.map_page, vpn, fid, perms)
+            return
+        table.real.map_page(vpn, fid, perms)
+        table.pages[vpn] = (fid, perms, False)
+
+    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
+          extra=st.sampled_from([None, "twice", "unmapped"]),
+          caller=st.sampled_from([PL0, PL0, PL1]))
+    def unmap_range(self, t, chosen, extra, caller):
+        table = self._pick(self.tables, t)
+        mapped = sorted(table.pages)
+        vpns = sorted({self._pick(mapped, c) for c in chosen}) if mapped else []
+        if extra == "twice" and vpns:
+            vpns.append(vpns[0])
+        elif extra == "unmapped":
+            vpns.append(table.real.next_unused_vpn() + 1)
+        if not vpns:  # an empty run is no change, whoever asks
+            assert table.real.unmap_range(vpns, caller=caller) == []
+            return
+        refusal = self._mutation_refusal(table, caller)
+        if refusal is None and (len(set(vpns)) < len(vpns)
+                                or not set(vpns) <= set(table.pages)):
+            refusal = KeyError
+        if refusal is not None:
+            self._refused(refusal, table.real.unmap_range, vpns, caller=caller)
+            return
+        fids = [table.pages.pop(v)[0] for v in vpns]
+        counts = self._counts()
+        assert table.real.unmap_range(vpns) == sorted(
+            {f for f in fids if not counts[f]})
+
+    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
+          unmapped_at=st.none() | picks, perms=st.sampled_from(PERMS),
+          caller=st.sampled_from([PL0, PL0, PL1]))
+    def set_perms(self, t, chosen, unmapped_at, perms, caller):
+        table = self._pick(self.tables, t)
+        vpns = self._run(table, chosen, unmapped_at)
+        refusal = self._mutation_refusal(table, caller)
+        if refusal is None and not set(vpns) <= set(table.pages):
+            refusal = KeyError
+        if refusal is not None:
+            self._refused(refusal, table.real.set_perms, vpns, perms,
+                          caller=caller)
+            return
+        table.real.set_perms(vpns, perms, caller=caller)
+        for vpn in vpns:
+            table.pages[vpn] = (table.pages[vpn][0], perms, False)
+
+    @rule(t=picks, caller=st.sampled_from([PL0, PL0, PL2]))
+    def seal(self, t, caller):
+        table = self._pick(self.tables, t)
+        if caller is not PL0:
+            refusal = PermissionDenied
+        elif table.sealed:
+            table.real.seal()
+            return
+        elif table.base is not None:
+            refusal = NotSealed
+        else:
+            fids = [fid for fid, _, _ in table.pages.values()]
+            refusal = (DoubleMap if len(set(fids)) < len(fids)
+                       or set(fids) & self._live_bases() else None)
+        if refusal is not None:
+            self._refused(refusal, table.real.seal, caller=caller)
+            return
+        table.real.seal(caller=caller)
+        table.sealed = True
+        table.pages = {v: (f, PagePerms(p.read, p.write - {PL1}), False)
+                       for v, (f, p, _) in table.pages.items()}
+
+    @precondition(lambda self: len(self.tables) < 6)
+    @rule()
+    def new_table(self):
+        self.tables.append(_ModelTable(PageTable(self.store, self.next_owner)))
+        self.next_owner += 1
+
+    @precondition(lambda self: len(self.tables) < 6)
+    @rule(t=picks)
+    def fork_cow(self, t):
+        table = self._pick(self.tables, t)
+        if not table.sealed:
+            self._refused(NotSealed, table.real.fork_cow, self.next_owner)
+            return
+        before = self.store.copied_bytes_total
+        view = table.real.fork_cow(self.next_owner)
+        assert self.store.copied_bytes_total == before
+        self.next_owner += 1
+        table.views += 1
+        self.tables.append(_ModelTable(view, base=table))
+
+    @rule(t=picks, chosen=picks, unmapped=st.booleans())
+    def resolve_cow(self, t, chosen, unmapped):
+        table = self._pick(self.tables, t)
+        vpn = self._vpn(table, chosen, unmapped)
+        counts = self._counts()
+        if table.sealed:
+            refusal = NotSealed
+        elif vpn not in table.pages:
+            refusal = KeyError
+        elif counts[table.pages[vpn][0]] <= 1:
+            refusal = ValueError
+        elif not self.free:
+            refusal = OutOfMemory
+        else:
+            refusal = None
+        if refusal is not None:
+            self._refused(refusal, table.real.resolve_cow, vpn, self.pool,
+                          self.cost)
+            return
+        new, charge = table.real.resolve_cow(vpn, self.pool, self.cost)
+        assert new in self.free
+        assert charge == self.cost.copy_us(1) + self.cost.validation_us(
+            new not in self.validated)
+        old = table.pages[vpn][0]
+        self.free.discard(new)
+        self.validated.add(new)
+        self.held.append(new)
+        self.owner[new] = PL1
+        self.content[new] = self.content[old]
+        if old in self.viewing:
+            self.viewing[new] = self.viewing[old]
+        self.copied += PAGE_SIZE
+        table.pages[vpn] = (new, PagePerms.PROCESS_RW, False)
+
+    @rule(t=picks)
+    def release_all(self, t):
+        table = self._pick(self.tables, t)
+        if table.views:
+            self._refused(BaseInUse, table.real.release_all)
+            return
+        self.tables.remove(table)
+        if table.base is not None:
+            table.base.views -= 1
+        counts = self._counts()
+        local = {f for f, _, inherited in table.pages.values() if not inherited}
+        assert table.real.release_all() == sorted(
+            f for f in local if not counts[f])
+        if not self.tables:
+            self.tables.append(_ModelTable(PageTable(self.store,
+                                                     self.next_owner)))
+            self.next_owner += 1
+
+    # -- access --
+
+    def _fault(self, table, vpn, level, kind):
+        """The fault one page access should give, or None."""
+        if vpn not in table.pages:
+            return PageFault(FaultKind.NOT_MAPPED, vpn, level)
+        fid, perms, inherited = table.pages[vpn]
+        if not perms.can(level, kind):
+            if kind is AccessKind.WRITE and inherited and level is PL1:
+                return PageFault(FaultKind.COW_FAULT, vpn, level)
+            return PageFault(FaultKind.PERMISSION_VIOLATION, vpn, level)
+        if kind is AccessKind.WRITE and self._counts()[fid] > 1:
+            return PageFault(FaultKind.COW_FAULT, vpn, level)
+        return None
+
+    @rule(t=picks, chosen=picks, unmapped=st.booleans(),
+          level=st.sampled_from(LEVELS),
+          data=st.binary(min_size=1, max_size=PAGE_SIZE // 8))
+    def access_write(self, t, chosen, unmapped, level, data):
+        table = self._pick(self.tables, t)
+        vpn = self._vpn(table, chosen, unmapped)
+        fault = self._fault(table, vpn, level, AccessKind.WRITE)
+        if fault is not None:
+            before = self._state()
+            assert table.real.access(level, vpn, AccessKind.WRITE, data) == fault
+            assert self._state() == before
+            return
+        assert table.real.access(level, vpn, AccessKind.WRITE, data) is None
+        self._write_model([table.pages[vpn][0]], data, None)
+
+    def _run(self, table, chosen, unmapped_at):
+        """Distinct mapped vpns of table, with an unmapped one inserted at
+        a picked place if unmapped_at is not None."""
+        mapped = sorted(table.pages)
+        vpns = sorted({self._pick(mapped, c) for c in chosen}) if mapped else []
+        if unmapped_at is not None:
+            vpns.insert(unmapped_at % (len(vpns) + 1),
+                        table.real.next_unused_vpn())
+        return vpns
+
+    def _run_fault(self, table, vpns, level, kind):
+        return next(filter(None, (self._fault(table, v, level, kind)
+                                  for v in vpns)), None)
+
+    @rule(t=picks, chosen=st.lists(picks, max_size=3),
+          unmapped_at=st.none() | picks, level=st.sampled_from(LEVELS),
+          short=st.integers(0, PAGE_SIZE))
+    def read_run(self, t, chosen, unmapped_at, level, short):
+        table = self._pick(self.tables, t)
+        vpns = self._run(table, chosen, unmapped_at)
+        nbytes = max(0, len(vpns) * PAGE_SIZE - short)
+        fault = self._run_fault(table, vpns, level, AccessKind.READ)
+        got = table.real.read_run(level, vpns, nbytes)
+        if fault is not None:
+            assert got == fault
+            return
+        assert got == b"".join(self.content[table.pages[v][0]]
+                               for v in vpns)[:nbytes]
+
+    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
+          unmapped_at=st.none() | picks, level=st.sampled_from(LEVELS),
+          short=st.integers(0, PAGE_SIZE - 1), seed=st.integers(0, 255))
+    def write_run(self, t, chosen, unmapped_at, level, short, seed):
+        table = self._pick(self.tables, t)
+        vpns = self._run(table, chosen, unmapped_at)
+        if not vpns:
+            return
+        size = len(vpns) * PAGE_SIZE - short
+        raw = ((bytes(range(seed, 256)) + bytes(range(seed)))
+               * (size // 256 + 1))[:size]
+        fault = self._run_fault(table, vpns, level, AccessKind.WRITE)
+        source = bytes(bytearray(raw))
+        if fault is not None:
+            before = self._state()
+            assert table.real.write_run(level, vpns, source) == fault
+            assert self._state() == before
+            return
+        self.sources.append((source, raw))
+        assert table.real.write_run(level, vpns, source) is None
+        self._write_model([table.pages[v][0] for v in vpns], raw,
+                          len(self.sources) - 1)
+
+    # -- invariants --
+
+    @invariant()
+    def tables_match_the_model(self):
+        for t in self.tables:
+            assert sorted(t.real.mapped_vpns()) == sorted(t.pages)
+            assert t.real.n_entries() == len(t.pages)
+            assert t.real.lookup(t.real.next_unused_vpn()) is None
+            for vpn, (fid, perms, _) in t.pages.items():
+                entry = t.real.lookup(vpn)
+                assert (entry.frame_id, entry.perms) == (fid, perms)
+                for level in LEVELS:
+                    got = t.real.access(level, vpn, AccessKind.READ)
+                    assert got == (self._fault(t, vpn, level, AccessKind.READ)
+                                   or self.content[fid])
+                    # An empty write checks the page and changes nothing.
+                    got = t.real.write_run(level, [vpn], b"")
+                    assert got == self._fault(t, vpn, level, AccessKind.WRITE)
+
+    @invariant()
+    def counts_and_pool_match_the_model(self):
+        counts = self._counts()
+        every = np.arange(POOL_FRAMES)
+        assert self.store.refs_of(every).tolist() == [counts[f] for f in every]
+        assert [self.store.ref(f) for f in every] == self.store.refs_of(every).tolist()
+        assert self.store.total_refs() == sum(
+            t.real.n_entries() for t in self.tables) == sum(counts.values())
+        assert self.pool.free_count == len(self.free)
+        assert set(counts) <= set(self.held)
+        assert len(self.held) == len(set(self.held))
+        assert len(self.free) + len(self.held) == POOL_FRAMES
+        assert self.store.copied_bytes_total == self.copied
+        for fid in self.held:
+            assert self.store.read_bytes(fid) == self.content[fid]
+
+    @invariant()
+    def sources_are_untouched_and_freed(self):
+        viewed = set(self.viewing.values())
+        for k in range(len(self.sources)):
+            assert bytes(self.sources[k][0]) == self.sources[k][1]
+            if len(self.sources[k][1]) > 1:  # shorter bytes are shared
+                assert self._viewed_by_frames(k) == (k in viewed)
+
+
+TestMemoryModel = MemoryMachine.TestCase
+TestMemoryModel.settings = settings(max_examples=40, stateful_step_count=40)

@@ -83,6 +83,27 @@ class TestAttachments:
         assert objects.read_through(2, reader, obj_id) == b"x" * 64
         assert objects.pool.store.copied_bytes_total == copied_before
 
+    def test_reader_touches_only_the_pages_of_the_length(self, env,
+                                                         monkeypatch):
+        # A 1 MiB chain object holding 100 bytes is read from one page,
+        # whatever its capacity.
+        objects, writer, reader = env
+        store = objects.pool.store
+        obj_id, _ = objects.create(1, writer, MIB, ObjectType.CHAIN)
+        objects.write_through(1, writer, obj_id, b"c" * 100)
+        obj = objects.attach_reader(2, reader, obj_id)
+        assert len(obj.frames) == 256
+        touched: list[int] = []
+        read_range = store.read_range
+
+        def recording(fids, nbytes):
+            touched.extend(fids)
+            return read_range(fids, nbytes)
+
+        monkeypatch.setattr(store, "read_range", recording)
+        assert objects.read_through(2, reader, obj_id) == b"c" * 100
+        assert touched == obj.frames[:1]
+
     def test_second_reader_rejected(self, env):
         objects, writer, reader = env
         store = objects.pool.store
