@@ -44,7 +44,6 @@ class SubjectKind(str, Enum):
 class Measurement:
     digest: bytes
     subject: SubjectKind
-    cached_at: int  # simulated microseconds
 
 
 class MeasurementCache:
@@ -63,15 +62,14 @@ class MeasurementCache:
         self.bytes_hashed = 0
 
     def measure(self, kind: SubjectKind, content_id: str, content: bytes,
-                model: CostModel, now_us: int = 0) -> tuple[Measurement, int]:
+                model: CostModel) -> tuple[Measurement, int]:
         """Return (measurement, simulated hash charge in microseconds)."""
         return self._measure(kind, content_id, content,
-                             lambda: sha512(content), model, now_us)
+                             lambda: sha512(content), model)
 
     def measure_image(self, kind: SubjectKind,
                       image: ZygoteImage | FunctionSpec,
-                      model: CostModel,
-                      now_us: int = 0) -> tuple[Measurement, int]:
+                      model: CostModel) -> tuple[Measurement, int]:
         """Measure a zygote image or function spec under its uid.
 
         A miss takes the digest the object keeps over its own canonical
@@ -80,11 +78,11 @@ class MeasurementCache:
         counted are those of a full hash all the same.
         """
         return self._measure(kind, image.uid, image.canonical_bytes,
-                             image.digest, model, now_us)
+                             image.digest, model)
 
     def _measure(self, kind: SubjectKind, content_id: str, content: bytes,
-                 digest_of: Callable[[], bytes], model: CostModel,
-                 now_us: int) -> tuple[Measurement, int]:
+                 digest_of: Callable[[], bytes],
+                 model: CostModel) -> tuple[Measurement, int]:
         key = (kind, content_id)
         cached = self.entries.get(key)
         if cached is not None:
@@ -92,17 +90,16 @@ class MeasurementCache:
             return cached, 0
         self.misses += 1
         self.bytes_hashed += len(content)
-        measurement = Measurement(digest_of(), kind, now_us)
+        measurement = Measurement(digest_of(), kind)
         self.entries[key] = measurement
         return measurement, model.hash_us(len(content))
 
     def measure_transient(self, kind: SubjectKind, content: bytes,
-                          model: CostModel,
-                          now_us: int = 0) -> tuple[Measurement, int]:
+                          model: CostModel) -> tuple[Measurement, int]:
         """Measure mutable content (input/output); never served from cache."""
         self.misses += 1
         self.bytes_hashed += len(content)
-        return Measurement(sha512(content), kind, now_us), model.hash_us(len(content))
+        return Measurement(sha512(content), kind), model.hash_us(len(content))
 
 
 # -- simulated platform root of trust ------------------------------------------
@@ -286,8 +283,7 @@ def build_report(cache: MeasurementCache, nonce: bytes,
                  chain: Sequence[InvocationMeasurements],
                  platform: PlatformReport,
                  signer: Optional[SigningKey],
-                 model: CostModel,
-                 now_us: int = 0) -> tuple[AttestationReport, int]:
+                 model: CostModel) -> tuple[AttestationReport, int]:
     """Compose and sign a report; charge reflects only bytes actually hashed.
 
     Zygote and function digests come from the cache when present; input and
@@ -303,16 +299,16 @@ def build_report(cache: MeasurementCache, nonce: bytes,
     entries = []
     for link in chain:
         zygote, c = cache.measure(SubjectKind.ZYGOTE, link.zygote_id,
-                                  link.zygote_content, model, now_us)
+                                  link.zygote_content, model)
         charge += c
         function, c = cache.measure(SubjectKind.FUNCTION, link.function_id,
-                                    link.function_content, model, now_us)
+                                    link.function_content, model)
         charge += c
         inp, c = cache.measure_transient(SubjectKind.INPUT, link.input_bytes,
-                                         model, now_us)
+                                         model)
         charge += c
         out, c = cache.measure_transient(SubjectKind.OUTPUT, link.output_bytes,
-                                         model, now_us)
+                                         model)
         charge += c
         entries.append(ChainEntry(zygote.digest, function.digest,
                                   inp.digest, out.digest))

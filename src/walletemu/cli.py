@@ -41,10 +41,10 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _monitor_config(args, prevalidate_default: bool = True) -> MonitorConfig:
+def _monitor_config(args) -> MonitorConfig:
     cost = CostModel()
     prealloc = getattr(args, "prealloc", None)
-    if prealloc is None and prevalidate_default:
+    if prealloc is None:
         prealloc = 512 * MIB
     return MonitorConfig(
         prealloc_bytes=prealloc or 0,
@@ -222,8 +222,7 @@ def cmd_chain(args) -> dict:
     for hop in range(1, k):
         envelope, delivered, charge = fallback_transfer(
             monitor2.objects, result2.output_obj_id, monitor2.objects,
-            transport_key, monitor2.guest, monitor2.rng,
-            colocated=args.colocated)
+            transport_key, monitor2.guest, monitor2.rng, colocated=True)
         fb_latency_us += charge
         result2 = monitor2.invoke_with_input(
             handles2[hop], delivered, request2.response_key, request2.nonce)
@@ -243,7 +242,7 @@ def cmd_chain(args) -> dict:
     doc = {
         "k": k,
         "payload_bytes": len(payload),
-        "colocated": args.colocated,
+        "colocated": True,
         "chain": chain_stats,
         "fallback": fallback_stats,
         "speedup": speedup,
@@ -539,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--payload-size", type=int, default=4096)
-    p.add_argument("--colocated", action="store_true", default=True)
     p.add_argument("--no-cow", action="store_true")
     p.add_argument("--prealloc", type=int, default=None)
     p.add_argument("--dump-objects", help="write the object table JSON here")

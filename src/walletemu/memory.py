@@ -222,13 +222,12 @@ class FrameStore:
         self._owner[fids] = NO_OWNER if owner_level is None else owner_level
         return fresh
 
-    def take_back(self, fids: np.ndarray, refs: np.ndarray) -> None:
+    def take_back(self, fids: np.ndarray) -> None:
         """Return distinct, handed-out fids to the free state and drop their
-        bytes.  refs are the fids' reference counts, read once by the
-        caller (``refs_of``); a mapped frame fails an assertion."""
+        bytes; a mapped frame fails an assertion."""
         if np.count_nonzero(self._owner[fids] == FREE):
             raise AssertionError("frame released while free")
-        if np.count_nonzero(refs):
+        if np.count_nonzero(self.refs_of(fids)):
             raise AssertionError("frame released while mapped")
         for fid in fids.tolist():
             self._data.pop(fid, None)
@@ -753,23 +752,10 @@ class MemoryPool:
         frame that is free or still mapped fails an assertion."""
         if not len(fids):
             return
-        arr = np.array(fids, dtype=np.int64)
-        self._give_back(arr, self.store.refs_of(arr))
-
-    def release_unmapped(self, fids: Sequence[int]) -> None:
-        """Give back those of the distinct, handed-out fids that no page
-        table maps; the others stay handed out."""
-        arr = np.array(fids, dtype=np.int64)
-        refs = self.store.refs_of(arr)
-        self._give_back(arr[refs == 0], refs[refs == 0])
-
-    def _give_back(self, fids: np.ndarray, refs: np.ndarray) -> None:
-        ordered = sorted(fids.tolist())
-        if not ordered:
-            return
+        ordered = sorted(fids)
         if len(set(ordered)) != len(ordered):
             raise AssertionError("frame released twice")
-        self.store.take_back(fids, refs)
+        self.store.take_back(np.array(ordered, dtype=np.int64))
         cuts = [i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1]
         bounds = [0, *cuts, len(ordered)]  # the runs of consecutive ids
         self._ranges.extend((ordered[lo], ordered[hi - 1] + 1)

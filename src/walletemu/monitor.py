@@ -381,7 +381,6 @@ class Monitor:
         self._pending_io: list[tuple[_Ticket, str]] = []
         self._active: dict[int, _Ticket] = {}  # pid -> in-flight ticket
         self._next_seq = 0
-        self._last_output: dict[int, int] = {}  # pid -> newest output obj
         # Chain state is keyed by trustlet handle, which survives recreation.
         # producer handle -> (consumer handle, chain obj id)
         self._chain_edges: dict[int, tuple[int, int]] = {}
@@ -519,9 +518,7 @@ class Monitor:
         """Delete a process: drop its chain state, then tear it down.
 
         Its pending outgoing link, links into it, and a handed-off input it
-        has not run are forgotten.  Their chain objects are retired first,
-        while the writer's and reader's grants are still mapped, so their
-        frames are released exactly once.
+        has not run are forgotten, and their chain objects retired.
         """
         edge = self._chain_edges.pop(handle, None)
         if edge is not None:
@@ -543,14 +540,12 @@ class Monitor:
         if ticket is not None:
             ticket.error = InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation")
-            self._release_input(proc.pid)  # monitor-staged input of the abort
+            self.objects.release_input(proc.pid)  # the abort's staged input
         self.objects.reclaim(proc.pid)
-        freed = proc.page_table.release_all()
-        self.pool.release(freed)
+        self.pool.release(proc.page_table.release_all())
         proc.transition(ProcState.TERMINATED)
         self._procs.pop(proc.pid, None)
         self._handles.pop(handle, None)
-        self._last_output.pop(proc.pid, None)
 
     # -- trustlet lifecycle ----------------------------------------------------------
 
@@ -853,7 +848,7 @@ class Monitor:
             return
         if ticket.chained:
             del self._chain_inbox[ticket.handle]
-        self._release_input(proc.pid)
+        self.objects.release_input(proc.pid)
         if result is not None:
             self.completion_log.append(proc.pid)
 
@@ -861,28 +856,6 @@ class Monitor:
         """Runtime prologue: getInputObject + page reads via the grant."""
         obj_id, _length = self.objects.get_input(proc.pid, proc.page_table)
         return self.objects.read_through(proc.pid, proc.page_table, obj_id)
-
-    def _release_input(self, pid: int) -> None:
-        """Unbind and retire the invocation's input object: one staged by
-        the monitor, or the chain object of a consumed handoff."""
-        obj_id = self.objects.clear_input(pid)
-        if obj_id is not None:
-            self.objects.retire(obj_id)
-
-    def _retire_previous_output(self, pid: int, new_obj_id: int) -> None:
-        """Keep only the most recent output object per trustlet.
-
-        The previous output has been shipped (or fallback-transferred) by
-        the time a newer one exists; retiring it keeps long-running warm
-        trustlets inside their object quota while the latest output stays
-        available for a fallback transfer decision.
-        """
-        previous = self._last_output.get(pid)
-        if previous is not None and previous != new_obj_id:
-            obj = self.objects.objects.get(previous)
-            if obj is not None and obj.otype is ObjectType.OUTPUT:
-                self.objects.retire(previous)
-        self._last_output[pid] = new_obj_id
 
     def _deliver_one_io(self) -> None:
         """Complete one suspended external file read, FIFO."""
@@ -947,7 +920,7 @@ class Monitor:
 
         if edge is not None:
             self.objects.attach_reader(consumer.pid, consumer.page_table,
-                                       obj_id, writer_table=proc.page_table)
+                                       obj_id)
             measurements = ticket.chain_prefix + [self._measurements_for(
                 proc, ticket.input_bytes, output)]
             self._chain_inbox[consumer_handle] = (
@@ -958,7 +931,6 @@ class Monitor:
                                   handoff=consumer_handle,
                                   output_obj_id=obj_id)
         else:
-            self._retire_previous_output(proc.pid, obj_id)
             # Retrieve the result from the output object, not the run state.
             retrieved = self.objects.read_monitor(obj_id)
 
@@ -968,7 +940,7 @@ class Monitor:
             report, report_us = att.build_report(
                 self.cache, ticket.nonce, measurements,
                 self.boot_report, self._require_policy().function_key.signer,
-                self.model, self.clock_us)
+                self.model)
             charges.report_us += self._charge(report_us)
 
             ciphertext = symmetric_encrypt(ticket.response_key,

@@ -7,6 +7,14 @@ mappings, so no frame is ever PL1-writable while shared.  Chain objects
 bind a producer's output directly to a consumer's input with zero payload
 copies; when functions are not co-located the copy-and-encrypt fallback
 path models the conventional network route.
+
+The store owns an object from ``create`` to its release.  Detaching a
+party unmaps that party's grant from its table, and the store gives an
+object's frames back to the pool when its last attached process exits or
+the monitor retires it, so a page table only ever frees its own process's
+frames.  A writer's quota use is derived from the live objects it
+writes; a new output supersedes the writer's previous one, and a consumed
+input is retired.
 """
 
 from __future__ import annotations
@@ -101,14 +109,31 @@ class ObjectStore:
         self.objects: dict[int, DataObject] = {}
         self.counter = CopyCounter()
         self._next_id = 1
-        self._owned_counts: dict[int, int] = {}
-        self._owned_bytes: dict[int, int] = {}
         self._current_input: dict[int, int] = {}
         self._attached: dict[int, set[int]] = {}
 
     def attached_view(self, pid: int) -> set[int]:
         """Live set of object ids attached to pid (descriptor's view)."""
         return self._attached.setdefault(pid, set())
+
+    def _written_by(self, pid: int) -> list[DataObject]:
+        """pid's live objects as writer: at most quota_objects."""
+        return [obj for obj in map(self.objects.__getitem__,
+                                   self._attached.get(pid, ()))
+                if obj.writer == pid]
+
+    def _check_quota(self, pid: Optional[int], more_objects: int,
+                     more_bytes: int) -> None:
+        """Refuse with QuotaExceeded a writer's growth past its quota,
+        counted over the live objects it writes; the monitor has none."""
+        if pid in (None, MONITOR_PID):
+            return
+        owned = self._written_by(pid)
+        if len(owned) + more_objects > self.quota_objects:
+            raise QuotaExceeded(
+                f"process {pid} exceeds {self.quota_objects} objects")
+        if sum(obj.charged_bytes for obj in owned) + more_bytes > self.quota_bytes:
+            raise QuotaExceeded(f"process {pid} exceeds object byte quota")
 
     # -- creation ---------------------------------------------------------------
 
@@ -121,13 +146,7 @@ class ObjectStore:
         """
         if length <= 0:
             raise ValueError("object length must be positive")
-        if caller_pid != MONITOR_PID:
-            if self._owned_counts.get(caller_pid, 0) + 1 > self.quota_objects:
-                raise QuotaExceeded(
-                    f"process {caller_pid} exceeds {self.quota_objects} objects")
-            if self._owned_bytes.get(caller_pid, 0) + length > self.quota_bytes:
-                raise QuotaExceeded(
-                    f"process {caller_pid} exceeds object byte quota")
+        self._check_quota(caller_pid, 1, length)
         pages = pages_for(length)
         fids, charge = alloc_frames(self.pool, pages, self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
@@ -139,9 +158,6 @@ class ObjectStore:
             obj.writer_table = caller_table
         self.objects[obj.obj_id] = obj
         self.attached_view(caller_pid).add(obj.obj_id)
-        if caller_pid != MONITOR_PID:
-            self._owned_counts[caller_pid] = self._owned_counts.get(caller_pid, 0) + 1
-            self._owned_bytes[caller_pid] = self._owned_bytes.get(caller_pid, 0) + length
         return obj.obj_id, charge
 
     def get(self, obj_id: int) -> DataObject:
@@ -153,8 +169,7 @@ class ObjectStore:
     # -- attachment ---------------------------------------------------------------
 
     def attach_reader(self, caller_pid: int, caller_table: Optional[PageTable],
-                      obj_id: int,
-                      writer_table: Optional[PageTable] = None) -> DataObject:
+                      obj_id: int) -> DataObject:
         """Grant the caller read-only mappings; second reader is rejected.
 
         The writer's write grants (if any) are downgraded to read-only
@@ -168,9 +183,8 @@ class ObjectStore:
         if obj.writer == caller_pid:
             raise AlreadyAttached(
                 f"process {caller_pid} already attached as writer")
-        writer_table = writer_table or obj.writer_table
-        if obj.writer_vpns and writer_table is not None:
-            writer_table.set_perms(obj.writer_vpns, PagePerms.PROCESS_RO)
+        if obj.writer_vpns:
+            obj.writer_table.set_perms(obj.writer_vpns, PagePerms.PROCESS_RO)
         obj.reader = caller_pid
         self.attached_view(caller_pid).add(obj.obj_id)
         if caller_table is not None and caller_pid != MONITOR_PID:
@@ -181,20 +195,20 @@ class ObjectStore:
 
     def ensure_capacity(self, obj_id: int, length: int) -> int:
         """Grow an object, the writer's grants and its quota use to hold
-        length bytes; returns charge_us."""
+        length bytes; returns charge_us.  Growth past the writer's byte
+        quota is refused with QuotaExceeded before anything changes."""
         obj = self.get(obj_id)
         needed = pages_for(max(1, length)) - len(obj.frames)
         if needed <= 0:
             return 0
+        self._check_quota(obj.writer, 0, needed * PAGE_SIZE)
         fids, charge = alloc_frames(self.pool, needed, self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
         if obj.writer_table is not None and obj.writer_vpns:
             obj.writer_vpns += obj.writer_table.map_range(
                 fids, PagePerms.PROCESS_WO)
         obj.frames.extend(fids)
-        if obj.writer is not None and obj.writer != MONITOR_PID:
-            obj.charged_bytes += needed * PAGE_SIZE
-            self._owned_bytes[obj.writer] += needed * PAGE_SIZE
+        obj.charged_bytes += needed * PAGE_SIZE
         return charge
 
     def bind_input(self, pid: int, obj_id: int) -> None:
@@ -204,6 +218,13 @@ class ObjectStore:
     def clear_input(self, pid: int) -> Optional[int]:
         """Unbind pid's current input; returns its object id, if any."""
         return self._current_input.pop(pid, None)
+
+    def release_input(self, pid: int) -> None:
+        """Unbind and retire pid's current input, if any: one staged by the
+        monitor, or the chain object of a consumed handoff."""
+        obj_id = self.clear_input(pid)
+        if obj_id is not None:
+            self.retire(obj_id)
 
     def get_input(self, caller_pid: int,
                   caller_table: Optional[PageTable]) -> tuple[int, int]:
@@ -220,13 +241,24 @@ class ObjectStore:
         return obj_id, obj.length
 
     def set_output(self, caller_pid: int, obj_id: int) -> None:
-        """Mark the caller's object as its invocation output (last set wins)."""
+        """Mark the caller's object as its invocation output.
+
+        Last set wins: the caller's previous output object, shipped by the
+        time a newer one exists, is retired, which keeps a long-running
+        warm trustlet inside its object quota.  A chain object stays a
+        chain object and supersedes nothing.
+        """
         obj = self.get(obj_id)
         if obj.writer != caller_pid:
             raise NotWriter(
                 f"process {caller_pid} is not the writer of object {obj_id}")
-        if obj.otype is not ObjectType.CHAIN:
-            obj.otype = ObjectType.OUTPUT
+        if obj.otype is ObjectType.CHAIN:
+            return
+        previous = [old.obj_id for old in self._written_by(caller_pid)
+                    if old.otype is ObjectType.OUTPUT and old is not obj]
+        obj.otype = ObjectType.OUTPUT
+        for old_id in previous:
+            self.retire(old_id)
 
     def seal(self, obj_id: int) -> None:
         self.get(obj_id).sealed = True
@@ -283,59 +315,49 @@ class ObjectStore:
     # -- lifecycle -------------------------------------------------------------------
 
     def detach(self, pid: int, obj: DataObject) -> None:
+        """Drop pid's attachment to obj and unmap its grant from its table.
+
+        The frames stay the object's; it alone gives them back."""
         self._attached.get(pid, set()).discard(obj.obj_id)
         if obj.writer == pid:
-            obj.writer = None
-            obj.writer_vpns = []
-            obj.writer_table = None
+            if obj.writer_table is not None:
+                obj.writer_table.unmap_range(obj.writer_vpns)
+            obj.writer, obj.writer_vpns, obj.writer_table = None, [], None
         if obj.reader == pid:
-            obj.reader = None
-            obj.reader_vpns = []
-            obj.reader_table = None
+            if obj.reader_table is not None:
+                obj.reader_table.unmap_range(obj.reader_vpns)
+            obj.reader, obj.reader_vpns, obj.reader_table = None, [], None
 
     def retire(self, obj_id: int) -> None:
-        """Fully release one object: unmap grants, drop attachments, free
-        frames, and give back the writer's quota.  Used for consumed inputs,
-        superseded outputs and chain objects."""
+        """Fully release one object: detach every party, then give back its
+        frames.  Used for consumed inputs, superseded outputs and chain
+        objects; the writer's quota use drops with the object."""
         obj = self.objects.get(obj_id)
         if obj is None:
             return
-        if obj.writer is not None and obj.writer != MONITOR_PID:
-            self._owned_counts[obj.writer] -= 1
-            self._owned_bytes[obj.writer] -= obj.charged_bytes
-        for table, vpns in ((obj.writer_table, obj.writer_vpns),
-                            (obj.reader_table, obj.reader_vpns)):
-            if table is not None:
-                table.unmap_range(vpns)
-        for pid in list(obj.attachments()):
+        for pid in obj.attachments():
             self.detach(pid, obj)
         self._release_object(obj)
 
-    def reclaim(self, pid: int) -> list[int]:
-        """Drop pid's attachments and every per-pid entry; release objects
-        nobody is still attached to.
+    def reclaim(self, pid: int) -> None:
+        """Detach pid from its objects, forget every per-pid entry, and
+        release the objects nobody is still attached to.
 
-        Visits only the objects attached to pid, in creation order.  An
-        object with a surviving attachment persists until that party exits
-        or the monitor retires it.  Idempotent.  Returns released object
-        ids.
+        Runs before pid's page table is released, so it leaves no object
+        grant mapped there.  Visits only the objects attached to pid, in
+        creation order.  An object with a surviving attachment persists
+        until that party exits or the monitor retires it.  Idempotent.
         """
-        released = []
         for obj_id in sorted(self._attached.pop(pid, set())):
             obj = self.objects[obj_id]
             self.detach(pid, obj)
             if not obj.attachments():
                 self._release_object(obj)
-                released.append(obj_id)
-        for per_pid in (self._owned_counts, self._owned_bytes,
-                        self._current_input):
-            per_pid.pop(pid, None)
-        return released
+        self._current_input.pop(pid, None)
 
     def _release_object(self, obj: DataObject) -> None:
-        # Table mappings of detached parties are torn down with their
-        # descriptors; here only monitor-held frames remain to release.
-        self.pool.release_unmapped(obj.frames)
+        """Give back the frames of an object no party is attached to."""
+        self.pool.release(obj.frames)
         del self.objects[obj.obj_id]
 
     def dump(self) -> list[dict]:

@@ -42,7 +42,6 @@ class SimConfig:
     profiles: dict = field(default_factory=default_profiles)
     seed: int = 0
     jitter_sigma: float = 0.0
-    record_occupancy: bool = False
 
 
 @dataclass(slots=True)
@@ -82,7 +81,6 @@ class SimStats:
     start_ms: np.ndarray
     finish_ms: np.ndarray
     makespan_ms: float
-    occupancy_log: list[tuple[float, int, int]]
 
     @classmethod
     def from_outcomes(cls, variant: str,
@@ -99,7 +97,7 @@ class SimStats:
                    column("delay_ms", np.float64),
                    column("slowdown", np.float64),
                    column("start_ms", np.float64),
-                   column("finish_ms", np.float64), makespan_ms, [])
+                   column("finish_ms", np.float64), makespan_ms)
 
     @property
     def outcomes(self) -> list[InvocationOutcome]:
@@ -198,7 +196,6 @@ class _VariantRun:
         self.out_code = [0] * n
         self.out_start = [0.0] * n
         self.out_boot = [0.0] * n
-        self.occupancy: list[tuple[float, int, int]] = []
         self.makespan = 0.0
         self._events = self._loop()
 
@@ -224,13 +221,12 @@ class _VariantRun:
                                    columns.key_app)
         n_arrivals = len(ids)
         rng = self.rng
-        record = config.record_occupancy
         slots, cache_size = config.slots, config.cache_size
         cap = profile.per_node_instance_cap
         busy_of, caches, queue = self.busy, self.caches, self.queue
         out_node, out_code = self.out_node, self.out_code
         out_start, out_boot = self.out_start, self.out_boot
-        completions, occupancy = self.completions, self.occupancy
+        completions = self.completions
         heappush, heappop = heapq.heappush, heapq.heappop
 
         # A node holds at most slots + cache_size instances, so an absent
@@ -312,8 +308,6 @@ class _VariantRun:
                         eligible |= bit
                     else:
                         eligible &= ~bit
-                    if record:
-                        occupancy.append((now, node_id, delta))
                 if not queue:
                     break
                 pos = queue[0]
@@ -367,7 +361,7 @@ class _VariantRun:
         return SimStats(self.profile.name, trace.invocation_id[pos],
                         node[pos], np.array(self.out_code, dtype=np.int8)[pos],
                         delay, (delay + adjusted) / duration, start,
-                        start + adjusted, self.makespan, self.occupancy)
+                        start + adjusted, self.makespan)
 
     @property
     def outcomes(self) -> list[InvocationOutcome]:

@@ -10,6 +10,7 @@ from walletemu.errors import (
     NotCoLocated,
     OutOfMemory,
     PolicyViolation,
+    QuotaExceeded,
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
@@ -266,6 +267,37 @@ class TestChainLifecycle:
         assert final.recreated
         assert rig.user.decrypt_response(request, final.output_ciphertext) \
             == payload + b"++"
+        assert_refs_conserved(m)
+
+    def test_chain_growth_past_the_byte_quota_is_refused(self):
+        rig, functions, handles = relay_chain_rig(
+            2, chain_capacity_bytes=PAGE_SIZE, quota_bytes=4 * PAGE_SIZE)
+        m = rig.monitor
+        producer, consumer = handles
+        # The consumer last served another user, so a handoff recreates it.
+        warm = other_user(rig).make_request(functions[0].digest(), b"warm")
+        m.invoke_with_input(consumer, b"warm+", warm.response_key, warm.nonce)
+        consumer_pid = m._handles[consumer]
+        m.link_chain(producer, consumer)
+        # A 9-page output would grow the 1-page chain object past 4 pages.
+        request = rig.user.make_request(functions[0].digest(),
+                                        b"g" * (8 * PAGE_SIZE))
+        with pytest.raises(QuotaExceeded):
+            m.invoke_trustlet(producer, request.ciphertext)
+        assert m._proc(producer).state is ProcState.READY
+        assert producer in m._chain_edges  # the link is still pending
+        assert m._handles[consumer] == consumer_pid  # not recreated
+        assert consumer not in m._chain_inbox
+        producer_pid = m._handles[producer]
+        charged = sum(obj.charged_bytes for obj in m.objects.objects.values()
+                      if obj.writer == producer_pid)
+        assert charged == PAGE_SIZE <= m.objects.quota_bytes
+        request = rig.user.make_request(functions[0].digest(), b"fits")
+        result = m.invoke_trustlet(producer, request.ciphertext)
+        final = m.invoke_chained(result.handoff)
+        assert final.recreated
+        assert rig.user.decrypt_response(request, final.output_ciphertext) \
+            == b"fits++"
         assert_refs_conserved(m)
 
 

@@ -317,8 +317,7 @@ class TestInvocation:
                 fn.digest(), b"x").ciphertext)
         live = {p.pid for p in m.descriptors()} | {MONITOR_PID}
         store = m.objects
-        for per_pid in (store._attached, store._owned_counts,
-                        store._owned_bytes, store._current_input):
+        for per_pid in (store._attached, store._current_input):
             assert set(per_pid) <= live
 
     def test_request_sealed_for_another_function_is_refused(self, rig):

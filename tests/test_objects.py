@@ -1,5 +1,6 @@
 """Data-object store tests: attachments, grants, chaining accounting."""
 
+import numpy as np
 import pytest
 
 from walletemu.crypto import Rng
@@ -13,6 +14,7 @@ from walletemu.errors import (
 )
 from walletemu.guest import GuestBroker
 from walletemu.memory import (
+    FREE,
     PAGE_SIZE,
     PL1,
     PL2,
@@ -71,6 +73,20 @@ class TestCreate:
         objects.quota_bytes = 4096
         with pytest.raises(QuotaExceeded):
             objects.create(1, writer, 8192)
+
+    def test_growth_past_the_byte_quota_is_refused(self, env):
+        objects, writer, _ = env
+        objects.quota_bytes = 4 * PAGE_SIZE
+        obj_id, _ = objects.create(1, writer, PAGE_SIZE, ObjectType.CHAIN)
+        free_before = objects.pool.free_count
+        with pytest.raises(QuotaExceeded):
+            objects.ensure_capacity(obj_id, 4 * PAGE_SIZE + 1)
+        obj = objects.get(obj_id)
+        assert len(obj.frames) == len(obj.writer_vpns) == 1
+        assert obj.charged_bytes == PAGE_SIZE
+        assert objects.pool.free_count == free_before
+        objects.ensure_capacity(obj_id, 4 * PAGE_SIZE)  # exactly the quota
+        assert obj.charged_bytes == 4 * PAGE_SIZE
 
 
 class TestAttachments:
@@ -184,6 +200,18 @@ class TestSetOutput:
         objects.set_output(1, first)
         objects.set_output(1, second)
         assert objects.get(second).otype is ObjectType.OUTPUT
+        assert first not in objects.objects
+        objects.set_output(1, second)  # setting it again keeps it
+        assert objects.get(second).otype is ObjectType.OUTPUT
+
+    def test_chain_output_supersedes_nothing(self, env):
+        objects, writer, _ = env
+        output, _ = objects.create(1, writer, 8)
+        chain, _ = objects.create(1, writer, 8, ObjectType.CHAIN)
+        objects.set_output(1, output)
+        objects.set_output(1, chain)
+        assert objects.get(chain).otype is ObjectType.CHAIN
+        assert objects.get(output).otype is ObjectType.OUTPUT
 
 
 class TestFallbackTransfer:
@@ -246,16 +274,16 @@ class TestReclaim:
         objects, writer, _ = env
         obj_id, _ = objects.create(1, writer, 8)
         free_before = objects.pool.free_count
-        writer.release_all()
         objects.reclaim(1)
+        writer.release_all()
         assert obj_id not in objects.objects
         assert objects.pool.free_count == free_before + 1
 
     def test_reclaim_idempotent(self, env):
         objects, writer, _ = env
         objects.create(1, writer, 8)
-        writer.release_all()
         objects.reclaim(1)
+        writer.release_all()
         objects.reclaim(1)
         assert not objects.objects
 
@@ -264,11 +292,26 @@ class TestReclaim:
         obj_id, _ = objects.create(1, writer, 8)
         input_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
         objects.bind_input(1, input_id)
-        writer.release_all()
         objects.reclaim(1)
-        for per_pid in (objects._attached, objects._owned_counts,
-                        objects._owned_bytes, objects._current_input):
+        writer.release_all()
+        for per_pid in (objects._attached, objects._current_input):
             assert 1 not in per_pid
+
+    def test_reclaim_unmaps_the_grants_and_frees_the_frames(self, env):
+        # Before either table is released, each reclaim leaves that table
+        # mapping none of the object's pages; the last one frees them.
+        objects, writer, reader = env
+        obj_id, _ = objects.create(1, writer, 2 * PAGE_SIZE)
+        frames = np.array(objects.attach_reader(2, reader, obj_id).frames)
+        free_before = objects.pool.free_count
+        objects.reclaim(2)
+        assert reader.n_entries() == 0
+        assert obj_id in objects.objects  # the writer is still attached
+        objects.reclaim(1)
+        assert writer.n_entries() == 0
+        assert objects.pool.free_count == free_before + 2
+        assert (objects.pool.store.owners_of(frames) == FREE).all()
+        assert writer.release_all() == reader.release_all() == []
 
     def test_reclaim_visits_only_the_pids_objects(self, env, monkeypatch):
         objects, writer, reader = env

@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import random
-from collections import defaultdict
 from operator import attrgetter
 
 import numpy as np
@@ -298,15 +297,12 @@ class TestSimulate:
     def test_capacity_never_exceeded(self):
         rng = random.Random(7)
         trace = random_trace(rng, 300, span=1500)
-        config = SimConfig(nodes=3, slots=2, cache_size=3, seed=1,
-                           record_occupancy=True)
-        for stats in simulate(trace, config).values():
-            occupancy = defaultdict(int)
-            # At equal times the engine frees slots before re-filling them.
-            for _t, node_id, delta in sorted(stats.occupancy_log,
-                                             key=lambda x: (x[0], x[2])):
-                occupancy[node_id] += delta
-                assert 0 <= occupancy[node_id] <= config.slots
+        config = SimConfig(nodes=3, slots=2, cache_size=3, seed=1)
+        for profile in config.profiles.values():
+            run = make_run(trace, profile, config)
+            while advance(run):
+                assert all(0 <= busy <= config.slots for busy in run.busy)
+            assert len(run.stats().invocation_id) == len(trace)
 
     def test_warm_rate_ordering_wallet_vs_cvm(self):
         rng = random.Random(8)

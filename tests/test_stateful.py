@@ -9,6 +9,7 @@ or is refused.  The monitor's global invariants are checked after every
 step, and at the end every frame must be back in the pool.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from walletemu.errors import (
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
-from walletemu.memory import PL2, AccessKind, PageFault
+from walletemu.memory import FREE, PL2, AccessKind, PageFault
 from walletemu.monitor import ProcState
 from walletemu.objects import MONITOR_PID
 from walletemu.provider import UserAgent
@@ -279,12 +280,11 @@ class MonitorMachine(RuleBasedStateMachine):
     def object_store_keys_live_pids_only(self):
         live = {p.pid for p in self.m.descriptors()} | {MONITOR_PID}
         store = self.m.objects
-        for per_pid in (store._attached, store._owned_counts,
-                        store._owned_bytes, store._current_input):
+        for per_pid in (store._attached, store._current_input):
             assert set(per_pid) <= live
 
     @invariant()
-    def quotas_count_exactly_the_live_objects(self):
+    def live_writers_stay_within_their_quotas(self):
         store = self.m.objects
         counts, charged = {}, {}
         for obj in store.objects.values():
@@ -292,8 +292,25 @@ class MonitorMachine(RuleBasedStateMachine):
                 counts[obj.writer] = counts.get(obj.writer, 0) + 1
                 charged[obj.writer] = charged.get(obj.writer, 0) \
                     + obj.charged_bytes
-        assert {p: n for p, n in store._owned_counts.items() if n} == counts
-        assert {p: n for p, n in store._owned_bytes.items() if n} == charged
+        assert all(n <= store.quota_objects for n in counts.values())
+        assert all(n <= store.quota_bytes for n in charged.values())
+
+    @invariant()
+    def handed_out_frames_are_mapped_or_an_objects(self):
+        # A handed-out frame is mapped by a live table or is a live
+        # object's, and no live object's frame is free.
+        store = self.m.store
+        held = np.zeros(store.n_frames(), dtype=bool)
+        for table in self.m.live_tables():
+            for part in table.frame_id_parts():
+                held[part] = True
+        object_frames = np.array(
+            [fid for obj in self.m.objects.objects.values()
+             for fid in obj.frames], dtype=np.int64)
+        assert not (store.owners_of(object_frames) == FREE).any()
+        held[object_frames] = True
+        owners = store.owners_of(np.arange(store.n_frames()))
+        assert not ((owners != FREE) & ~held).any()
 
     def teardown(self):
         self.m.delete_zygote(self.zygote)
