@@ -8,10 +8,19 @@ exposing the gen/verif/getD black-box:
 
     verif(gen(m, d, u), m, d) = true
     getD(gen(m, d, u)) = u
+
+Every differential report embeds the monitor's constant boot-time platform
+report, so a verifier would otherwise check the same platform signature on
+every request.  That signature check is a pure function of (vendor key,
+signed message, signature), so its verdict is remembered: a platform
+report's signature is checked once per distinct (key, report) in a process.
+The machine-id and measurement comparisons, and the nonce-bound report
+signature, are checked on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -177,17 +186,34 @@ def asp_gen(machine_key: MachineKey, monitor_measurement: bytes,
                           report.user_data, signature)
 
 
+# A verifier sees few distinct platform reports (one per monitor boot or
+# handshake), so a small fixed bound covers them and caps the memory held.
+@functools.lru_cache(maxsize=64)
+def _platform_signature_ok(vendor_public: bytes, message: bytes,
+                           signature: bytes) -> bool:
+    """Memoized verdict of one platform-signature check; keyed on every
+    input, so a hit returns exactly what a fresh check would."""
+    return verify_signature(vendor_public, message, signature)
+
+
 def asp_verif(report: PlatformReport, machine_id: bytes,
               expected_measurement: bytes, vendor_public: bytes) -> bool:
-    """verif(report, m, d): signature + machine + measurement must all hold."""
+    """verif(report, m, d): signature + machine + measurement must all hold.
+
+    The machine and measurement comparisons run on every call; the
+    signature is checked once per distinct (key, report) in a process.
+    """
     if report.machine_id != machine_id:
         return False
     if machine_id_of(vendor_public) != machine_id:
         return False
     if report.monitor_measurement != expected_measurement:
         return False
-    return verify_signature(vendor_public, report.signed_message(),
-                            report.signature)
+    # bytes() keys the memo on values: a report parsed from a bytearray
+    # holds unhashable fields.  On bytes it returns the same object.
+    return _platform_signature_ok(bytes(vendor_public),
+                                  bytes(report.signed_message()),
+                                  bytes(report.signature))
 
 
 def asp_get_user_data(report: PlatformReport) -> bytes:
@@ -337,7 +363,10 @@ def verify_report(report: AttestationReport,
     """True iff the platform report, nonce, every chain digest, the submitted
     input digest, and the report signature all check out.
 
-    Interior chain links must consume the previous link's output.
+    Interior chain links must consume the previous link's output.  The
+    embedded platform report goes through `asp_verif`, whose signature
+    verdict is memoized; the report signature covers the nonce, so it is
+    unique per request and is checked on every call.
     """
     if not asp_verif(report.platform, expectations.machine_id,
                      expectations.monitor_digest, expectations.vendor_public):

@@ -100,10 +100,7 @@ class PreparedRequest:
     ciphertext: bytes
     response_key: bytes
     nonce: bytes
-    input_bytes: bytes
-
-    def input_digest(self) -> bytes:
-        return att.sha512(self.input_bytes)
+    input_digest: bytes  # SHA-512 of the input, taken once by make_request
 
 
 class UserAgent:
@@ -125,7 +122,7 @@ class UserAgent:
             self.function_public, function_digest, input_bytes,
             self.response_key, nonce, self.rng)
         return PreparedRequest(ciphertext, self.response_key, nonce,
-                               input_bytes)
+                               att.sha512(input_bytes))
 
     def decrypt_response(self, request: PreparedRequest,
                          ciphertext: bytes) -> bytes:
@@ -142,7 +139,7 @@ class UserAgent:
             allowed_zygote_digests=frozenset(allowed_zygotes),
             allowed_function_digests=frozenset(allowed_functions),
             nonce=request.nonce,
-            input_digest=request.input_digest(),
+            input_digest=request.input_digest,
             function_verify_public=self.function_public.verify_public)
 
     def compromise(self) -> dict:

@@ -7,6 +7,7 @@ import hashlib
 import pytest
 from hypothesis import settings
 
+from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
 from walletemu.memory import CostModel, FrameStore, MemoryPool
@@ -33,6 +34,20 @@ def counting_sha512(monkeypatch) -> list:
 
     monkeypatch.setattr(hashlib, "sha512", sha512)
     return lengths
+
+
+def counting_verifies(monkeypatch) -> list:
+    """Patch the attestation module's Ed25519 verify to record the
+    signature of every check it makes."""
+    signatures = []
+    real = att.verify_signature
+
+    def verify_signature(public, message, signature):
+        signatures.append(signature)
+        return real(public, message, signature)
+
+    monkeypatch.setattr(att, "verify_signature", verify_signature)
+    return signatures
 
 
 @pytest.fixture
@@ -113,14 +128,15 @@ class Rig:
 def make_rig(seed: int = 0, prealloc: int = 64 * MIB, cow: bool = True,
              image: ZygoteImage | None = None,
              functions: list[FunctionSpec] | None = None,
-             chains: tuple = (), **config) -> Rig:
-    """config overrides further MonitorConfig fields (pool_frames, ...)."""
+             chains: tuple = (), machine_key=None, **config) -> Rig:
+    """config overrides further MonitorConfig fields (pool_frames, ...);
+    machine_key replaces the one the monitor would derive from its seed."""
     image = image if image is not None else small_image()
     functions = functions if functions is not None else [
         echo_fn(), shout_fn(), hash_fn(), reader_fn()]
     config = MonitorConfig(**{"prealloc_bytes": prealloc, "pool_frames": 0,
                               "cow_enabled": cow, "seed": seed, **config})
-    monitor = Monitor(config)
+    monitor = Monitor(config, machine_key=machine_key)
     monitor.guest.put_file("/ext/blob", EXTERNAL_CONTENT)
     provider = FunctionProvider(Rng(seed + 1), [image.digest()],
                                 [fn.digest() for fn in functions], chains)

@@ -1,11 +1,15 @@
 """Measurement cache, platform report algebra, and report verification."""
 
+import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import counting_verifies, make_rig
 from walletemu import attestation as att
-from walletemu.crypto import Rng, SigningKey
+from walletemu.crypto import Rng, SigningKey, verify_signature
 from walletemu.errors import NoPolicyKey
 from walletemu.memory import CostModel
 
@@ -237,3 +241,120 @@ class TestVerifyReport:
                                      self.signer, self.model)
         exp = self.expectations(input_digest=att.sha512(b"a"))
         assert not att.verify_report(report, exp)
+
+
+def fresh_machine() -> att.MachineKey:
+    """A machine key drawn from OS entropy: no other test holds it, so the
+    platform-signature memo starts with no entry for its reports."""
+    return att.MachineKey.generate(Rng())
+
+
+def flip_signature_bit(report: att.PlatformReport) -> att.PlatformReport:
+    return dataclasses.replace(
+        report, signature=bytes([report.signature[0] ^ 1]) + report.signature[1:])
+
+
+class TestPlatformVerdictMemo:
+    def test_r_reports_from_one_monitor_cost_r_plus_one_verifies(
+            self, monkeypatch):
+        rig = make_rig(seed=140, machine_key=fresh_machine())
+        fn = rig.functions[0]
+        t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
+        verify_calls = counting_verifies(monkeypatch)  # after provisioning
+        requests = 5
+        for i in range(requests):
+            request = rig.user.make_request(fn.digest(), b"req %d" % i)
+            result = rig.monitor.invoke_trustlet(t.handle, request.ciphertext)
+            assert att.verify_report(result.report, rig.expectations(request))
+        # One check of the constant boot report, one per report signature.
+        assert len(verify_calls) == requests + 1
+        assert verify_calls.count(rig.monitor.boot_report.signature) == 1
+
+    def test_report_parsed_from_a_mutable_buffer_verifies(self):
+        machine = fresh_machine()
+        d = att.sha512(b"monitor")
+        report = att.asp_gen(machine, d, att.sha512(b"boot"))
+        parsed = att.PlatformReport.from_bytes(bytearray(report.to_bytes()))
+        assert att.asp_verif(parsed, machine.machine_id, d,
+                             bytearray(machine.public_bytes()))
+        assert not att.asp_verif(flip_signature_bit(parsed), machine.machine_id,
+                                 d, machine.public_bytes())
+
+    def _reports(self, machine):
+        """A genuine report and one whose platform signature has a flipped
+        bit but whose own signature is valid (the test holds the signer)."""
+        signer = SigningKey.generate(Rng(141))
+        monitor_digest = att.sha512(b"monitor-config")
+        platform = att.asp_gen(machine, monitor_digest, att.sha512(b"boot"))
+        nonce = Rng(142).bytes(16)
+        link = build_chain_link()
+
+        def report(p):
+            built, _ = att.build_report(att.MeasurementCache(), nonce, [link],
+                                        p, signer, CostModel())
+            return built
+
+        exp = att.VerifyExpectations(
+            machine_id=machine.machine_id,
+            vendor_public=machine.public_bytes(),
+            monitor_digest=monitor_digest,
+            allowed_zygote_digests=frozenset([att.sha512(link.zygote_content)]),
+            allowed_function_digests=frozenset(
+                [att.sha512(link.function_content)]),
+            nonce=nonce,
+            input_digest=att.sha512(link.input_bytes),
+            function_verify_public=signer.public_bytes())
+        return report(platform), report(flip_signature_bit(platform)), exp
+
+    def test_flipped_platform_signature_refused_before_and_after_memo(self):
+        genuine, forged, exp = self._reports(fresh_machine())
+        assert not att.verify_report(forged, exp)
+        # The memoized refusal does not poison the genuine check, and the
+        # memoized genuine verdict does not pass the forgery.
+        assert att.verify_report(genuine, exp)
+        assert not att.verify_report(forged, exp)
+        assert att.verify_report(genuine, exp)
+
+
+# More distinct genuine platform reports than the memo holds, over two
+# vendor keys, so a sequence through all of them forces evictions.
+MEMO_VENDORS = [att.MachineKey.generate(Rng(150 + i)) for i in range(2)]
+MEMO_INTRUDER = att.MachineKey.generate(Rng(152))
+MEMO_MEASUREMENT = att.sha512(b"memo monitor")
+MEMO_POOL = [att.asp_gen(MEMO_VENDORS[i % 2], MEMO_MEASUREMENT,
+                         att.sha512(b"boot %d" % i)) for i in range(80)]
+
+
+def tamper(report: att.PlatformReport, how: str) -> att.PlatformReport:
+    if how == "signature":
+        return flip_signature_bit(report)
+    if how == "user_data":
+        return dataclasses.replace(report, user_data=att.sha512(report.user_data))
+    if how == "measurement":
+        return dataclasses.replace(report, monitor_measurement=att.sha512(b"x"))
+    if how == "vendor":  # same claims, signed by another vendor's key
+        return dataclasses.replace(
+            report, signature=MEMO_INTRUDER.signer.sign(report.signed_message()))
+    return report
+
+
+@settings(max_examples=30)
+@given(first_pass=st.permutations(range(len(MEMO_POOL))),
+       steps=st.lists(st.tuples(
+           st.integers(0, len(MEMO_POOL) - 1),
+           st.sampled_from(["genuine", "signature", "user_data",
+                            "measurement", "vendor"])), max_size=60))
+def test_memo_changes_no_platform_verdict(first_pass, steps):
+    memo = att._platform_signature_ok
+    assert memo.cache_info().maxsize < len(MEMO_POOL)
+    for index, how in [(i, "genuine") for i in first_pass] + steps:
+        report = tamper(MEMO_POOL[index], how)
+        vendor = MEMO_VENDORS[index % 2]
+        verdict = att.asp_verif(report, vendor.machine_id, MEMO_MEASUREMENT,
+                                vendor.public_bytes())
+        assert verdict == verify_signature(vendor.public_bytes(),
+                                           report.signed_message(),
+                                           report.signature)
+        assert verdict == (how == "genuine")
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import make_rig, small_image, echo_fn
+from conftest import counting_verifies, echo_fn, make_rig, small_image
 from walletemu import attestation as att
 from walletemu.crypto import FunctionKey, Rng, seal_open
 from walletemu.errors import StaleNonce, VerifFailed
@@ -47,6 +47,30 @@ class TestHandshakeAdversaries:
             provider.complete_handshake(report1, dh1,
                                         monitor.machine_key.public_bytes(),
                                         monitor.monitor_digest)
+
+    def test_replay_under_same_nonce_refused_with_memoized_signature(
+            self, monkeypatch):
+        class StuckNonceRng(Rng):
+            """A provider nonce source that repeats: every nonce is zero."""
+
+            def bytes(self, n):
+                return bytes(n) if n == 16 else super().bytes(n)
+
+        monitor = Monitor(MonitorConfig(seed=14))
+        provider = FunctionProvider(StuckNonceRng(15), [small_image().digest()],
+                                    [echo_fn().digest()])
+        vendor = monitor.machine_key.public_bytes()
+        nonce = provider.begin_handshake()
+        report, dh = monitor.handshake_provider(nonce)
+        provider.complete_handshake(report, dh, vendor, monitor.monitor_digest)
+        # The adversary replays (report, dh) when the same nonce comes round;
+        # the report's signature verdict is served from the memo.
+        assert provider.begin_handshake() == nonce
+        verifies = counting_verifies(monkeypatch)
+        with pytest.raises(VerifFailed, match="replayed platform report"):
+            provider.complete_handshake(report, dh, vendor,
+                                        monitor.monitor_digest)
+        assert verifies == []
 
     def test_monitor_rejects_stale_provider_nonce(self):
         monitor = Monitor(MonitorConfig(seed=6))
