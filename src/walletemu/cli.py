@@ -517,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "explicit flags override it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write JSON/stats here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("emulate", help="end-to-end invocation scenario")
     common(p)
@@ -553,6 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="trace-driven scale-out simulation")
     common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="format of the --out stats file (a sweep "
+                        "always writes JSON)")
     p.add_argument("--trace", help="trace CSV path")
     p.add_argument("--gen-spec", help="generator spec JSON")
     p.add_argument("--nodes", type=int, default=100)

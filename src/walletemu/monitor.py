@@ -14,7 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from . import attestation as att
 from . import wire
@@ -30,11 +30,11 @@ from .errors import (
     AlreadyAttached,
     ConfigInvalid,
     DecryptFailed,
+    FunctionError,
     InvocationAborted,
     NoInput,
     NoSession,
     NotCoLocated,
-    NotFound,
     OutOfMemory,
     ParseError,
     PolicyViolation,
@@ -57,7 +57,7 @@ from .memory import (
     preallocate,
 )
 from .objects import MONITOR_PID, ObjectStore, ObjectType
-from .pipeline import Done, Failed, NeedFile, NestedFs, PipelineRun
+from .pipeline import NestedFs, run_pipeline
 
 NONCE_LEN = 16
 RESPONSE_KEY_LEN = 32
@@ -316,7 +316,10 @@ class _Ticket:
         self.charges = charges
         self.recreated = recreated
         self.chained = chained  # runs on a handed-off chained input
-        self.run: Optional[PipelineRun] = None
+        # The pipeline from its first dispatch (``run_pipeline``), and what
+        # its next resume sends it: a delivered file's bytes, else None.
+        self.run: Optional[Generator] = None
+        self.resume: Optional[bytes] = None
         self.input_bytes: bytes = b""
         self.file_vpns: list[int] = []  # pages of the external files read
         self.result: Optional[InvokeResult] = None
@@ -812,26 +815,23 @@ class Monitor:
             break
 
     def _run_ticket(self, ticket: _Ticket, proc: ProcessDescriptor) -> None:
+        """Resume the ticket's pipeline once: it suspends on an external
+        file, completes, or fails."""
         if ticket.run is None:
-            input_bytes = self._read_input(proc)
-            ticket.run = PipelineRun(proc.fn, proc.fs, input_bytes)
-            ticket.input_bytes = input_bytes
+            ticket.input_bytes = self._read_input(proc)
+            ticket.run = run_pipeline(proc.fn, proc.fs, ticket.input_bytes)
         proc.transition(ProcState.RUNNING)
-        run = ticket.run
-        while True:
-            outcome = run.step()
-            if outcome is None:
-                continue
-            if isinstance(outcome, NeedFile):
-                proc.transition(ProcState.READY)
-                self._pending_io.append((ticket, outcome.path))
-                return
-            if isinstance(outcome, Failed):
-                self._settle(ticket, proc, error=outcome.error)
-                return
-            assert isinstance(outcome, Done)
-            self._complete(ticket, proc, outcome.output)
-            return
+        sent, ticket.resume = ticket.resume, None
+        try:
+            path = ticket.run.send(sent)
+        except StopIteration as stop:
+            output, exec_us = stop.value
+            self._complete(ticket, proc, output, exec_us)
+        except FunctionError as exc:
+            self._settle(ticket, proc, error=exc)
+        else:
+            proc.transition(ProcState.READY)
+            self._pending_io.append((ticket, path))
 
     def _settle(self, ticket: _Ticket, proc: ProcessDescriptor,
                 result: Optional[InvokeResult] = None,
@@ -864,9 +864,7 @@ class Monitor:
         if ticket.finished or proc is None:
             return
         raw = self.guest.read_file(path)
-        if raw is None:
-            ticket.run.fail_file(path, NotFound(f"external file {path} absent"))
-        else:
+        if raw is not None:
             # Copy the file into trustlet memory before the LibOS sees it;
             # ``_settle`` releases these pages.
             n_pages = pages_for(len(raw)) or 1
@@ -878,15 +876,16 @@ class Monitor:
             self.store.write_range(fids, raw)
             ticket.charges.input_us += self._charge(
                 self.model.transfer_us(len(raw)))
-            ticket.run.deliver_file(path, raw)
+        ticket.resume = raw
         heapq.heappush(self._ready, (ticket.seq, ticket))
 
     def _complete(self, ticket: _Ticket, proc: ProcessDescriptor,
-                  output: bytes) -> None:
-        """Write the output object, then hand it off along a pending link or
-        answer the user with the report and the encrypted response."""
+                  output: bytes, exec_us: int) -> None:
+        """Charge the run's execution, write the output object, then hand it
+        off along a pending link or answer the user with the report and the
+        encrypted response."""
         charges = ticket.charges
-        charges.exec_us += self._charge(ticket.run.charge_us())
+        charges.exec_us += self._charge(exec_us)
 
         edge = self._chain_edges.get(ticket.handle)
         try:

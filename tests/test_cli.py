@@ -185,6 +185,28 @@ class TestSimulateAndGenTrace:
         assert lines[0].startswith("variant,invocation_id")
         assert len(lines) > 1
 
+    def test_csv_stats_have_a_header_and_a_row_per_variant(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_functions": 5, "n_apps": 2, "duration_minutes": 0.1,
+            "arrival_rate_per_s": 20, "seed": 0}))
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", "--gen-spec", str(spec), "--nodes", "2",
+                     "--slots", "2", "--cache", "2", "--seed", "1",
+                     "--variant", "Wallet,VM,CVM", "--format", "csv",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0].startswith("variant,p50_delay_ms,")
+        assert sorted(line.split(",")[0] for line in lines[1:]) == \
+            ["CVM", "VM", "Wallet"]
+
+    @pytest.mark.parametrize("command", ["emulate", "chain", "density",
+                                         "gen-trace", "attest-demo"])
+    def test_format_is_refused_outside_simulate(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("doc", [
         {"duration_minutes": float("nan")},
         {"arrival_rate_per_s": float("inf")},

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -31,8 +32,16 @@ from walletemu.errors import (
     TrustletBusy,
     UnknownHandle,
 )
-from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
-from walletemu.memory import PL1, PL2, AccessKind, PageFault, preallocate
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
+from walletemu.memory import (
+    FREE,
+    PL1,
+    PL2,
+    AccessKind,
+    PageFault,
+    pages_for,
+    preallocate,
+)
 from walletemu.monitor import (
     Monitor,
     MonitorConfig,
@@ -442,6 +451,105 @@ class TestTraps:
         out = rig.user.decrypt_response(request,
                                         ticket.result.output_ciphertext)
         assert out == EXTERNAL_CONTENT
+
+
+FILE_A = b"first external file, three pages long\n" * 300
+FILE_B = b"second external file, two pages\n" * 160
+
+
+def two_reads_rig():
+    """A rig whose function reads two external files, FILE_A then FILE_B,
+    next to echo as the quick function."""
+    image = ZygoteImage("two-files-rt", 5, [("/data/x", b"42")],
+                        manifest=[manifest_entry("/ext/a", FILE_A),
+                                  manifest_entry("/ext/b", FILE_B)])
+    reader = FunctionSpec("two-reads", [PipelineOp.read_file("/ext/a"),
+                                        PipelineOp.append(b"!"),
+                                        PipelineOp.read_file("/ext/b"),
+                                        PipelineOp.uppercase()], 0.0)
+    rig = make_rig(image=image, functions=[echo_fn(), reader])
+    rig.monitor.guest.put_file("/ext/a", FILE_A)
+    rig.monitor.guest.put_file("/ext/b", FILE_B)
+    return rig
+
+
+class TestTwoExternalReads:
+    """A pipeline that suspends twice, next to a quick ticket that
+    completes while it waits."""
+
+    def submit_both(self, rig):
+        m = rig.monitor
+        quick, reader = rig.functions
+        ta = m.create_trustlet(rig.zygote.handle, reader)
+        tb = m.create_trustlet(rig.zygote.handle, quick)
+        request = rig.user.make_request(reader.digest(), b"")
+        tka = m.submit_invocation(ta.handle, request.ciphertext)
+        tkb = m.submit_invocation(
+            tb.handle, rig.user.make_request(quick.digest(), b"x").ciphertext)
+        return ta, request, tka, tkb
+
+    def deliver_both(self, m, tka, tkb):
+        """Suspend on /ext/a, let the quick ticket finish, deliver /ext/a,
+        suspend on /ext/b and deliver it; returns the files' frame ids."""
+        assert m.schedule() == tka.pid  # suspends on /ext/a
+        assert m.schedule() == tkb.pid  # the quick ticket runs meanwhile
+        assert tkb.result is not None and not tka.finished
+        m._deliver_one_io()
+        assert m.schedule() == tka.pid  # suspends on /ext/b
+        assert not tka.finished
+        assert len(tka.file_vpns) == pages_for(len(FILE_A))
+        m._deliver_one_io()
+        assert len(tka.file_vpns) == pages_for(len(FILE_A)) + \
+            pages_for(len(FILE_B))
+        assert m.guest.file_reads == ["/ext/a", "/ext/b"]
+        table = m._proc(tka.handle).page_table
+        return [table.lookup(vpn).frame_id for vpn in tka.file_vpns]
+
+    def assert_files_released(self, m, tka, fids):
+        table = m._proc(tka.handle).page_table
+        for vpn in tka.file_vpns:
+            assert isinstance(table.access(PL1, vpn, AccessKind.READ),
+                              PageFault)
+        assert (m.store.owners_of(np.array(fids)) == FREE).all()
+
+    def test_each_resume_gets_its_own_file(self):
+        rig = two_reads_rig()
+        m = rig.monitor
+        ta, request, tka, tkb = self.submit_both(rig)
+        submitted_input_us = tka.charges.input_us
+        fids = self.deliver_both(m, tka, tkb)
+        # Both files stay mapped, each in its own pages, until settle.
+        table = m._proc(ta.handle).page_table
+        pages = [table.access(PL1, vpn, AccessKind.READ)
+                 for vpn in tka.file_vpns]
+        n_a = pages_for(len(FILE_A))
+        assert b"".join(pages[:n_a])[:len(FILE_A)] == FILE_A
+        assert b"".join(pages[n_a:])[:len(FILE_B)] == FILE_B
+        assert not (m.store.owners_of(np.array(fids)) == FREE).any()
+
+        assert m.schedule() == tka.pid  # completes
+        assert m.completion_log == [tkb.pid, tka.pid]
+        out = rig.user.decrypt_response(request,
+                                        tka.result.output_ciphertext)
+        assert out == FILE_B.upper()
+        transfers = [m.model.transfer_us(len(f)) for f in (FILE_A, FILE_B)]
+        assert all(transfers)  # each file's copy is charged a nonzero time
+        assert tka.result.charges.input_us == submitted_input_us + \
+            sum(transfers)
+        self.assert_files_released(m, tka, fids)
+
+    def test_tampered_second_file_fails_after_the_first_was_delivered(self):
+        rig = two_reads_rig()
+        m = rig.monitor
+        m.guest.tamper_file("/ext/b", lambda c: b"X" + c[1:])
+        ta, _request, tka, tkb = self.submit_both(rig)
+        fids = self.deliver_both(m, tka, tkb)
+        assert m.schedule() == tka.pid  # the digest check fails the run
+        assert isinstance(tka.error, FunctionError)
+        assert "digest mismatch for external file /ext/b" in str(tka.error)
+        assert m._proc(ta.handle).state is ProcState.READY
+        assert m.completion_log == [tkb.pid]
+        self.assert_files_released(m, tka, fids)
 
 
 class TestScheduling:

@@ -6,17 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walletemu.errors import FunctionError, NotFound
+from walletemu.errors import FunctionError
 from walletemu.guest import GuestBroker, TaintedBytes
 from walletemu.images import FunctionSpec, OpKind, PipelineOp, manifest_entry
-from walletemu.pipeline import (
-    Done,
-    Failed,
-    NeedFile,
-    NestedFs,
-    PipelineRun,
-    exec_pipeline,
-)
+from walletemu.pipeline import NestedFs, exec_pipeline, run_pipeline
 
 # Published SHA-512 test vector for the empty string (independent of the
 # interpreter's own hashing path).
@@ -88,6 +81,12 @@ class TestExecPipeline:
         with pytest.raises(FunctionError):
             exec_pipeline(fn, b"", plain_fs())
 
+    def test_external_file_fails_as_absent_without_monitor(self):
+        fs = NestedFs({}, dict([manifest_entry("/ext/f", b"remote")]))
+        fn = FunctionSpec("r", [PipelineOp.read_file("/ext/f")])
+        with pytest.raises(FunctionError, match="external file /ext/f absent"):
+            exec_pipeline(fn, b"", fs)
+
     @settings(max_examples=60)
     @given(data=st.binary(max_size=128),
            literals=st.lists(st.binary(max_size=16), max_size=6),
@@ -107,19 +106,17 @@ class TestExecPipeline:
 
 
 def read_via_monitor_path(fs: NestedFs, path: str, broker: GuestBroker):
-    """Run a one-op read_file pipeline the way the monitor drives it: on
-    NeedFile, fetch the bytes from the guest and deliver them to the run."""
-    run = PipelineRun(FunctionSpec("r", [PipelineOp.read_file(path)]), fs, b"")
-    while True:
-        outcome = run.step()
-        if isinstance(outcome, NeedFile):
-            raw = broker.read_file(outcome.path)
-            if raw is None:
-                run.fail_file(outcome.path, NotFound(outcome.path))
-            else:
-                run.deliver_file(outcome.path, raw)
-        elif outcome is not None:
-            return outcome
+    """Run a one-op read_file pipeline the way the monitor drives it: send
+    each yielded path's bytes from the guest (None when absent) back to the
+    run, and return its output."""
+    run = run_pipeline(FunctionSpec("r", [PipelineOp.read_file(path)]), fs, b"")
+    raw = None
+    try:
+        while True:
+            raw = broker.read_file(run.send(raw))
+    except StopIteration as stop:
+        output, _charge = stop.value
+        return output
 
 
 class TestNestedFs:
@@ -132,30 +129,27 @@ class TestNestedFs:
 
     def test_embedded_hit_issues_no_external_fetch(self):
         broker, fs = self.make_external()
-        assert read_via_monitor_path(fs, "/data/x", broker) == Done(b"embedded")
+        assert read_via_monitor_path(fs, "/data/x", broker) == b"embedded"
         assert broker.file_reads == []
 
     def test_external_honest_fetch_verifies(self):
         broker, fs = self.make_external()
-        outcome = read_via_monitor_path(fs, "/ext/a", broker)
-        assert outcome == Done(b"external-bytes")
-        assert type(outcome.output) is bytes
+        output = read_via_monitor_path(fs, "/ext/a", broker)
+        assert output == b"external-bytes"
+        assert type(output) is bytes
         assert broker.file_reads == ["/ext/a"]
 
     def test_external_tampered_byte_rejected(self):
         broker, fs = self.make_external()
         broker.tamper_file("/ext/a", lambda c: b"X" + c[1:])
-        outcome = read_via_monitor_path(fs, "/ext/a", broker)
-        assert isinstance(outcome, Failed)
-        assert isinstance(outcome.error, FunctionError)
-        assert "digest mismatch" in str(outcome.error)
+        with pytest.raises(FunctionError, match="digest mismatch"):
+            read_via_monitor_path(fs, "/ext/a", broker)
 
     def test_path_absent_from_manifest_is_not_found(self):
         broker, fs = self.make_external()
         broker.put_file("/ext/unlisted", b"contraband")
-        outcome = read_via_monitor_path(fs, "/ext/unlisted", broker)
-        assert isinstance(outcome, Failed)
-        assert "not found" in str(outcome.error)
+        with pytest.raises(FunctionError, match="not found"):
+            read_via_monitor_path(fs, "/ext/unlisted", broker)
         assert broker.file_reads == []  # gated before any fetch
 
     def test_verified_bytes_are_untainted(self):
@@ -184,10 +178,10 @@ class TestNestedFs:
             broker.put_file(path, content)
         fs = NestedFs(embedded, manifest)
         for path, content in embedded.items():
-            assert read_via_monitor_path(fs, path, broker) == Done(content)
+            assert read_via_monitor_path(fs, path, broker) == content
         assert broker.file_reads == []
         for path in manifest:
-            assert read_via_monitor_path(fs, path, broker) == Done(external[path])
+            assert read_via_monitor_path(fs, path, broker) == external[path]
 
 
 class TestStepMachine:
@@ -195,29 +189,18 @@ class TestStepMachine:
         content = b"remote"
         fs = NestedFs({}, dict([manifest_entry("/ext/f", content)]))
         fn = FunctionSpec("r", [PipelineOp.read_file("/ext/f"),
-                                PipelineOp.uppercase()])
-        run = PipelineRun(fn, fs, b"")
-        outcome = run.step()
-        assert isinstance(outcome, NeedFile) and outcome.path == "/ext/f"
-        assert run.step() == outcome  # still suspended until delivery
-        run.deliver_file("/ext/f", content)
-        while not run.finished:
-            run.step()
-        assert isinstance(run.result(), Done)
-        assert run.result().output == b"REMOTE"
+                                PipelineOp.uppercase()], exec_time_ms=2.0)
+        run = run_pipeline(fn, fs, b"")
+        assert next(run) == "/ext/f"  # suspended until the bytes are sent
+        with pytest.raises(StopIteration) as stop:
+            run.send(content)
+        assert stop.value.value == (b"REMOTE", 2000)
 
     def test_tampered_delivery_fails_the_run(self):
         fs = NestedFs({}, dict([manifest_entry("/ext/f", b"good")]))
         fn = FunctionSpec("r", [PipelineOp.read_file("/ext/f")])
-        run = PipelineRun(fn, fs, b"")
-        run.step()
-        run.deliver_file("/ext/f", b"evil")
-        outcome = run.result()
-        assert isinstance(outcome.error, FunctionError)
-
-    def test_step_index_tracks_progress(self):
-        fn = FunctionSpec("f", [PipelineOp.identity(), PipelineOp.identity()])
-        run = PipelineRun(fn, plain_fs(), b"")
-        assert run.step_index == 0
-        run.step()
-        assert run.step_index == 1
+        run = run_pipeline(fn, fs, b"")
+        assert next(run) == "/ext/f"
+        with pytest.raises(FunctionError,
+                           match="digest mismatch for external file /ext/f"):
+            run.send(b"evil")

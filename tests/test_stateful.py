@@ -2,10 +2,10 @@
 
 A Hypothesis state machine drives one monitor through trustlet churn,
 invocations as random users on every input source (sealed requests,
-fallback hops, chained inputs), chain links, external-file reads and
-zygote deletion.  A small model predicts each command's outcome: its
-output, whether it recreates the trustlet, hands off to a chain consumer
-or is refused.  The monitor's global invariants are checked after every
+fallback hops, chained inputs), chain links, external-file reads the
+guest serves honestly, tampered or not at all, and zygote deletion.  A
+small model predicts each command's outcome: its output, whether it
+recreates the trustlet, hands off to a chain consumer or is refused.  The monitor's global invariants are checked after every
 step, and at the end every frame must be back in the pool.
 """
 
@@ -25,6 +25,7 @@ from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.errors import (
     AlreadyAttached,
+    FunctionError,
     InvocationAborted,
     NoInput,
     PolicyViolation,
@@ -146,7 +147,8 @@ class MonitorMachine(RuleBasedStateMachine):
                                  self.rig.expectations(request, user))
         return True
 
-    def _invoke(self, handle, u, payload, fallback) -> None:
+    def _invoke(self, handle, u, payload, fallback, error=None) -> None:
+        """Invoke as user u; expect error instead of a result if given."""
         fn = self.functions[self.trustlets[handle]]
         request = self.users[u].make_request(fn.digest(), payload)
         if fallback:
@@ -162,6 +164,10 @@ class MonitorMachine(RuleBasedStateMachine):
             return
         last = self.last_user.get(handle)
         self.last_user[handle] = u
+        if error is not None:
+            with pytest.raises(error):
+                call()
+            return
         self._hop(handle, u, call, payload, 0, request,
                   last is not None and last != u)
 
@@ -181,14 +187,27 @@ class MonitorMachine(RuleBasedStateMachine):
         self.trustlets[handle] = f
 
     @precondition(lambda self: self.trustlets)
-    @rule(data=st.data(), u=users, mid_invocation=st.booleans())
+    @rule(data=st.data(), u=users,
+          mid_invocation=st.sampled_from([None, "queued", "suspended",
+                                          "delivered"]))
     def delete_trustlet(self, data, u, mid_invocation):
-        handle = self._pick(data)
+        """Delete a trustlet, optionally mid-invocation: queued, or for a
+        reader, suspended on its external read or with the file delivered
+        but the run not yet resumed."""
+        at_read = mid_invocation in ("suspended", "delivered") \
+            and READER in self.trustlets.values()
+        handle = self._pick(data, READER if at_read else None)
         ticket = None
         if mid_invocation and not self._refused_at_claim(handle, u):
             fn = self.functions[self.trustlets[handle]]
             ticket = self.m.submit_invocation(handle, self.users[u].make_request(
                 fn.digest(), b"doomed").ciphertext)
+            if at_read:
+                assert self.m.schedule() == ticket.pid
+                assert not ticket.finished
+            if at_read and mid_invocation == "delivered":
+                self.m._deliver_one_io()
+                assert ticket.file_vpns
         self.m.delete_trustlet(handle)
         self._forget(handle)
         if ticket is not None:
@@ -206,9 +225,23 @@ class MonitorMachine(RuleBasedStateMachine):
         self._invoke(self._pick(data), u, payload, fallback=True)
 
     @precondition(lambda self: READER in self.trustlets.values())
-    @rule(data=st.data(), u=users)
-    def read_external_file(self, data, u):
-        self._invoke(self._pick(data, READER), u, b"", fallback=False)
+    @rule(data=st.data(), u=users,
+          content=st.sampled_from(["honest", "tampered", "absent"]))
+    def read_external_file(self, data, u, content):
+        """The guest serves the reader's file as is, tampered or not at all."""
+        handle = self._pick(data, READER)
+        guest = self.m.guest
+        if content == "tampered":
+            guest.put_file("/ext/blob", b"X" + EXTERNAL_CONTENT[1:])
+        elif content == "absent":
+            del guest.files["/ext/blob"]
+        self._invoke(handle, u, b"", fallback=False,
+                     error=None if content == "honest" else FunctionError)
+        guest.put_file("/ext/blob", EXTERNAL_CONTENT)
+        if content != "honest":
+            # The failed run leaves the trustlet ready for its user.
+            assert self.m._proc(handle).state is ProcState.READY
+            self._invoke(handle, u, b"", fallback=False)
 
     @precondition(lambda self: self.trustlets)
     @rule(data=st.data(), adjacent=st.booleans())
@@ -320,4 +353,4 @@ class MonitorMachine(RuleBasedStateMachine):
 
 
 TestMonitorModel = MonitorMachine.TestCase
-TestMonitorModel.settings = settings(max_examples=25, stateful_step_count=30)
+TestMonitorModel.settings = settings(max_examples=50, stateful_step_count=30)
