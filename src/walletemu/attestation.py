@@ -73,7 +73,7 @@ class MeasurementCache:
     def measure(self, kind: SubjectKind, content_id: str, content: bytes,
                 model: CostModel) -> tuple[Measurement, int]:
         """Return (measurement, simulated hash charge in microseconds)."""
-        return self._measure(kind, content_id, content,
+        return self._measure(kind, content_id, len(content),
                              lambda: sha512(content), model)
 
     def measure_image(self, kind: SubjectKind,
@@ -82,14 +82,14 @@ class MeasurementCache:
         """Measure a zygote image or function spec under its uid.
 
         A miss takes the digest the object keeps over its own canonical
-        bytes, so the measurement binds exactly the bytes that are mapped
+        form, so the measurement binds exactly the bytes that are mapped
         and the host hashes them at most once.  The charge and the bytes
-        counted are those of a full hash all the same.
+        counted are those of a full hash of size_bytes() all the same.
         """
-        return self._measure(kind, image.uid, image.canonical_bytes,
+        return self._measure(kind, image.uid, image.size_bytes(),
                              image.digest, model)
 
-    def _measure(self, kind: SubjectKind, content_id: str, content: bytes,
+    def _measure(self, kind: SubjectKind, content_id: str, size: int,
                  digest_of: Callable[[], bytes],
                  model: CostModel) -> tuple[Measurement, int]:
         key = (kind, content_id)
@@ -98,10 +98,10 @@ class MeasurementCache:
             self.hits += 1
             return cached, 0
         self.misses += 1
-        self.bytes_hashed += len(content)
+        self.bytes_hashed += size
         measurement = Measurement(digest_of(), kind)
         self.entries[key] = measurement
-        return measurement, model.hash_us(len(content))
+        return measurement, model.hash_us(size)
 
     def measure_transient(self, kind: SubjectKind, content: bytes,
                           model: CostModel) -> tuple[Measurement, int]:
@@ -295,12 +295,12 @@ class AttestationReport:
 
 @dataclass
 class InvocationMeasurements:
-    """Content needed to measure one chain link when building a report."""
+    """What one chain link of a report measures: the zygote image and the
+    function spec, which the cache measures under their uids, and the
+    input and output bytes, hashed fresh."""
 
-    zygote_id: str
-    zygote_content: bytes
-    function_id: str
-    function_content: bytes
+    zygote: ZygoteImage
+    function: FunctionSpec
     input_bytes: bytes
     output_bytes: bytes
 
@@ -324,11 +324,10 @@ def build_report(cache: MeasurementCache, nonce: bytes,
     charge = 0
     entries = []
     for link in chain:
-        zygote, c = cache.measure(SubjectKind.ZYGOTE, link.zygote_id,
-                                  link.zygote_content, model)
+        zygote, c = cache.measure_image(SubjectKind.ZYGOTE, link.zygote, model)
         charge += c
-        function, c = cache.measure(SubjectKind.FUNCTION, link.function_id,
-                                    link.function_content, model)
+        function, c = cache.measure_image(SubjectKind.FUNCTION, link.function,
+                                          model)
         charge += c
         inp, c = cache.measure_transient(SubjectKind.INPUT, link.input_bytes,
                                          model)

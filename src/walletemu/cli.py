@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="trace-driven scale-out simulation")
     common(p)
     p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="format of the --out stats file (a sweep "
-                        "always writes JSON)")
+                   help="format of the --out stats file; a sweep writes "
+                        "JSON and refuses csv")
     p.add_argument("--trace", help="trace CSV path")
     p.add_argument("--gen-spec", help="generator spec JSON")
     p.add_argument("--nodes", type=int, default=100)
@@ -612,6 +612,9 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc) if isinstance(exc, EmulatorError) else 11
     args = parser.parse_args(argv)
+    if getattr(args, "sweep_nodes", None) and args.format != "json":
+        parser.error("simulate --sweep-nodes writes JSON; --format "
+                     f"{args.format} is refused")
     try:
         doc = args.func(args)
     except EmulatorError as exc:

@@ -3,8 +3,9 @@
 The guest brokers everything that crosses the trust boundary: external
 file reads, the handshake transcript, request/response ciphertexts, and
 fallback transfer envelopes.  Every byte string it observes is appended to
-a tap log so secrecy tests can scan for plaintext leakage.  Being the
-adversary-controlled component, it also exposes tamper hooks for tests.
+a tap log so secrecy tests can scan for plaintext leakage; a zygote image
+is one observation made of its canonical parts, kept by reference.  Being
+the adversary-controlled component, it also exposes tamper hooks for tests.
 """
 
 from __future__ import annotations
@@ -25,19 +26,27 @@ class GuestBroker:
 
     def __init__(self) -> None:
         self.files: dict[str, bytes] = {}
-        self.tap: list[bytes] = []
+        # One entry per observation: its bytes, or the tuple of its parts.
+        self.tap: list[bytes | tuple[bytes, ...]] = []
         self.file_reads: list[str] = []
         # Test hook: path -> function(bytes) -> bytes applied on read.
         self._tamper: dict[str, object] = {}
 
     # -- observation ----------------------------------------------------------
 
-    def observe(self, data: bytes) -> None:
-        if data:
-            self.tap.append(bytes(data))
+    def observe(self, *parts: bytes) -> None:
+        """Record one observation: a byte string, or the immutable parts
+        that end to end make it up, which are kept as they are."""
+        if len(parts) > 1:
+            self.tap.append(parts)
+        elif parts and parts[0]:
+            self.tap.append(bytes(parts[0]))
 
     def tap_contains(self, needle: bytes) -> bool:
-        return any(needle in blob for blob in self.tap)
+        """Whether needle occurs in an observation, also across the parts
+        of one; the parts are scanned, not joined."""
+        return any(needle in blob if isinstance(blob, bytes)
+                   else _spans(blob, needle) for blob in self.tap)
 
     # -- external filesystem ----------------------------------------------------
 
@@ -58,3 +67,18 @@ class GuestBroker:
             content = mutate(content)
         self.observe(content)
         return TaintedBytes(content)
+
+
+def _spans(parts: tuple[bytes, ...], needle: bytes) -> bool:
+    """Whether needle occurs in the parts joined end to end.
+
+    A match either lies inside one part, or starts in the len(needle) - 1
+    bytes before a part and ends in that part's first len(needle) - 1.
+    """
+    keep, tail = len(needle) - 1, b""  # the last keep bytes seen so far
+    for part in parts:
+        if needle in part or needle in tail + part[:keep]:
+            return True
+        if keep:
+            tail = (tail + part[-keep:])[-keep:]
+    return False

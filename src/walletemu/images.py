@@ -184,6 +184,9 @@ class FunctionSpec:
             self._digest = hashlib.sha512(self.canonical_bytes).digest()
         return self._digest
 
+    def size_bytes(self) -> int:
+        return len(self.canonical_bytes)
+
     @staticmethod
     def from_canonical(data: bytes) -> "FunctionSpec":
         """Parse canonical bytes; anything malformed is a ParseError, also
@@ -242,8 +245,13 @@ class ZygoteImage:
     """A sealed-template image: runtime id, embedded files, and a manifest
     of external-file digests.  Manifest paths must not shadow embedded ones.
 
-    canonical_bytes and its digest() are built once per image and then
-    kept, so measuring and mapping an image read the same immutable bytes.
+    The image keeps its canonical form as ``canonical_parts``: the header
+    fields, each file's length prefix and its content by reference, and
+    the manifest, which end to end are the canonical bytes.  digest()
+    streams those parts through one SHA-512 and is kept; size_bytes() sums
+    their lengths.  Measuring and mapping an image read the same immutable
+    parts, and neither joins them: canonical_bytes, for files and tests,
+    is joined on each access and not kept.
     """
 
     def __init__(self, runtime_id: str, init_cost_ms: int = 0,
@@ -265,32 +273,36 @@ class ZygoteImage:
         if overlap:
             raise ValueError(f"manifest paths shadow embedded files: {overlap}")
         self.uid = f"zy:{next(_uid_counter)}"
-        self._canonical: Optional[bytes] = None
+        parts = [ZYGOTE_MAGIC, wire.u32(ZYGOTE_VERSION),
+                 *wire.lp(self.runtime_id.encode("utf-8")),
+                 wire.u64(self.init_cost_ms),
+                 wire.u32(len(self.embedded_fs))]
+        for path, content in self.embedded_fs:
+            parts += (*wire.lp(path.encode("utf-8")), *wire.lp(content))
+        parts.append(wire.u32(len(self.manifest)))
+        for path, digest in self.manifest:
+            parts += (*wire.lp(path.encode("utf-8")), digest)
+        self.canonical_parts: tuple[bytes, ...] = tuple(parts)
+        self._size = sum(map(len, parts))
         self._digest: Optional[bytes] = None
 
     @property
     def canonical_bytes(self) -> bytes:
-        if self._canonical is None:
-            parts = [ZYGOTE_MAGIC, wire.u32(ZYGOTE_VERSION),
-                     *wire.lp(self.runtime_id.encode("utf-8")),
-                     wire.u64(self.init_cost_ms),
-                     wire.u32(len(self.embedded_fs))]
-            for path, content in self.embedded_fs:
-                parts += (*wire.lp(path.encode("utf-8")), *wire.lp(content))
-            parts.append(wire.u32(len(self.manifest)))
-            for path, digest in self.manifest:
-                parts += (*wire.lp(path.encode("utf-8")), digest)
-            self._canonical = b"".join(parts)
-        return self._canonical
+        """The canonical parts joined: a new copy on every access."""
+        return b"".join(self.canonical_parts)
 
     def digest(self) -> bytes:
-        """SHA-512 of canonical_bytes, computed once per object."""
+        """SHA-512 of the canonical bytes, streamed from the parts once per
+        object."""
         if self._digest is None:
-            self._digest = hashlib.sha512(self.canonical_bytes).digest()
+            h = hashlib.sha512()
+            for part in self.canonical_parts:
+                h.update(part)
+            self._digest = h.digest()
         return self._digest
 
     def size_bytes(self) -> int:
-        return len(self.canonical_bytes)
+        return self._size
 
     @staticmethod
     def from_bytes(data: bytes) -> "ZygoteImage":

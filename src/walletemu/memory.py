@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -210,9 +211,9 @@ class FrameStore:
         """Number of frame ids reserved so far; every id is below it."""
         return self._next_fid
 
-    def hand_out(self, lo: int, hi: int) -> None:
-        """Mark the free frames lo..hi-1 as handed out by a pool."""
-        self._owner[lo:hi] = NO_OWNER
+    def hand_out(self, fids: Sequence[int]) -> None:
+        """Mark free frames as handed out by a pool."""
+        self._owner[fids] = NO_OWNER
 
     def claim(self, fids: np.ndarray, owner_level: Optional[PrivilegeLevel]) -> int:
         """Validate fids and record their owner; returns how many were
@@ -316,26 +317,42 @@ class FrameStore:
                 PAGE_SIZE if page is None else page)
         page[offset : offset + len(data)] = data
 
-    def write_range(self, fids: Sequence[int], data: bytes) -> None:
-        """Write data across fids, one page per frame from its start.
+    def write_range(self, fids: Sequence[int], *chunks: bytes) -> None:
+        """Write the chunks end to end across fids, one page per frame from
+        its start; a single buffer is one chunk.
 
-        Each full page of an immutable ``bytes`` object is kept as a
-        read-only view of it rather than copied; a ``bytearray`` or
-        ``memoryview``, which its owner may change later, is copied, and
-        so is a partial last page.
+        Each full page inside an immutable ``bytes`` chunk is kept as a
+        read-only view of it rather than copied.  A page inside a
+        ``bytearray`` or ``memoryview``, which its owner may change later,
+        is copied, and so is a page that straddles two chunks and a
+        partial last page.
         """
-        if len(data) > len(fids) * PAGE_SIZE:
+        size = sum(map(len, chunks))
+        if size > len(fids) * PAGE_SIZE:
             raise ValueError("data exceeds the frames' capacity")
-        if len(data) and (min(fids) < 0 or max(fids) >= self._next_fid):
+        if size and (min(fids) < 0 or max(fids) >= self._next_fid):
             raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
-        view = memoryview(data)
-        page_of = (lambda chunk: chunk) if type(data) is bytes else bytearray
-        full = len(data) // PAGE_SIZE
-        self._data.update(
-            (fids[i], page_of(view[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]))
-            for i in range(full))
-        if len(data) > full * PAGE_SIZE:
-            self.write_bytes(fids[full], 0, view[full * PAGE_SIZE :])
+        pages = self._data
+        i, head = 0, []  # the next page's index in fids; its pieces so far
+        for chunk in chunks:
+            view = memoryview(chunk)
+            if head:  # the page straddling the chunks before this one
+                need = PAGE_SIZE - sum(map(len, head))
+                head.append(view[:need])
+                if len(view) < need:
+                    continue
+                pages[fids[i]] = bytearray(b"".join(head))
+                view, i, head = view[need:], i + 1, []
+            page_of = (lambda page: page) if type(chunk) is bytes else bytearray
+            full = len(view) // PAGE_SIZE
+            pages.update(
+                (fids[i + k], page_of(view[k * PAGE_SIZE : (k + 1) * PAGE_SIZE]))
+                for k in range(full))
+            i += full
+            if len(view) > full * PAGE_SIZE:
+                head = [view[full * PAGE_SIZE :]]
+        if head:
+            self.write_bytes(fids[i], 0, b"".join(head))
 
     def read_bytes(self, fid: int) -> bytes:
         return bytes(self._data.get(fid, _ZERO_PAGE))
@@ -714,36 +731,42 @@ class PageTable:
 class MemoryPool:
     """Free-frame pool, optionally prevalidated at boot.
 
-    Free frames are id ranges, taken from the front and given back at the
-    end; the store's owner column marks them ``FREE``.  Host memory grows
-    with the frame columns, and with page bytes only as frames are written.
+    Free frames are id runs in a deque, taken from the front and given back
+    at the end, where a run that starts at the last run's end joins it.
+    Frames are so handed out in the order they became free, the rest of
+    the boot range first, and a take costs O(frames taken) however many
+    runs the list holds.  On a pool that is not prevalidated, that order
+    decides which frames pay validation.  The store's owner column marks
+    free frames ``FREE``.  Host memory grows with the frame columns, and
+    with page bytes only as frames are written.
     """
 
     def __init__(self, store: FrameStore, prevalidated: bool = False):
         self.store = store
         self.prevalidated = prevalidated
-        self._ranges: list[tuple[int, int]] = []
+        self._ranges: deque[tuple[int, int]] = deque()
         self.free_count = 0
         self.clock_charged_us = 0
 
     def grow(self, n_frames: int, validated: bool) -> None:
         if n_frames <= 0:
             return
-        lo, hi = self.store.reserve(n_frames, validated=validated)
-        self._ranges.append((lo, hi))
+        self._give_back([self.store.reserve(n_frames, validated=validated)])
         self.free_count += n_frames
 
     def take(self, n: int) -> list[int]:
         if n > self.free_count:
             raise OutOfMemory(f"requested {n} frames, {self.free_count} free")
         out: list[int] = []
-        while len(out) < n:
-            lo, hi = self._ranges.pop(0)
-            mid = min(hi, lo + n - len(out))
-            self.store.hand_out(lo, mid)
-            out.extend(range(lo, mid))
-            if mid < hi:
-                self._ranges.insert(0, (mid, hi))
+        ranges, left = self._ranges, n
+        while left:
+            lo, hi = ranges.popleft()
+            if hi - lo > left:
+                ranges.appendleft((lo + left, hi))
+                hi = lo + left
+            out += range(lo, hi)
+            left -= hi - lo
+        self.store.hand_out(out)
         self.free_count -= n
         return out
 
@@ -758,9 +781,17 @@ class MemoryPool:
         self.store.take_back(np.array(ordered, dtype=np.int64))
         cuts = [i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1]
         bounds = [0, *cuts, len(ordered)]  # the runs of consecutive ids
-        self._ranges.extend((ordered[lo], ordered[hi - 1] + 1)
-                            for lo, hi in zip(bounds, bounds[1:]))
+        self._give_back([(ordered[lo], ordered[hi - 1] + 1)
+                         for lo, hi in zip(bounds, bounds[1:])])
         self.free_count += len(ordered)
+
+    def _give_back(self, runs: list[tuple[int, int]]) -> None:
+        """Append free runs, the first joining the last run if that ends
+        where it starts."""
+        ranges = self._ranges
+        if ranges and ranges[-1][1] == runs[0][0]:
+            ranges[-1] = (ranges[-1][0], runs.pop(0)[1])
+        ranges.extend(runs)
 
 
 def alloc_frames(pool: MemoryPool, n: int, model: CostModel,

@@ -462,7 +462,7 @@ class Monitor:
 
     def create_zygote(self, image: ZygoteImage) -> ZygoteCreation:
         policy = self._require_policy()
-        self.guest.observe(image.canonical_bytes)
+        self.guest.observe(*image.canonical_parts)
         measurement, measure_us = self.cache.measure_image(
             att.SubjectKind.ZYGOTE, image, self.model)
         self._charge(measure_us)
@@ -474,14 +474,13 @@ class Monitor:
         table = PageTable(self.store, pid)
         proc = ProcessDescriptor(pid, ProcKind.ZYGOTE, table,
                                  measurement=measurement.digest, image=image)
-        content = image.canonical_bytes
-        n_pages = pages_for(len(content))
-        fids, alloc_us = alloc_frames(self.pool, n_pages, self.model,
+        size = image.size_bytes()
+        fids, alloc_us = alloc_frames(self.pool, pages_for(size), self.model,
                                       owner_level=PrivilegeLevel.PL1_PROCESS)
         self._charge(alloc_us)
         table.map_range(fids, PagePerms.PROCESS_RW)
-        self.store.write_range(fids, content)
-        populate_us = self._charge(self.model.transfer_us(len(content)))
+        self.store.write_range(fids, *image.canonical_parts)
+        populate_us = self._charge(self.model.transfer_us(size))
 
         proc.transition(ProcState.INITIALIZED)
         init_us = self._charge(self._runtime_init(proc))
@@ -956,14 +955,9 @@ class Monitor:
 
     def _measurements_for(self, proc: ProcessDescriptor, input_bytes: bytes,
                           output: bytes) -> att.InvocationMeasurements:
-        zygote = self._procs[proc.base_zygote]
         return att.InvocationMeasurements(
-            zygote_id=zygote.image.uid,
-            zygote_content=zygote.image.canonical_bytes,
-            function_id=proc.fn.uid,
-            function_content=proc.fn.canonical_bytes,
-            input_bytes=input_bytes,
-            output_bytes=output)
+            zygote=self._procs[proc.base_zygote].image, function=proc.fn,
+            input_bytes=input_bytes, output_bytes=output)
 
     # -- chaining ---------------------------------------------------------------------
 

@@ -24,15 +24,25 @@ settings.load_profile("walletemu")
 
 
 def counting_sha512(monkeypatch) -> list:
-    """Patch hashlib.sha512 to record the length of every input it hashes."""
+    """Patch hashlib.sha512 to record, per hash object, how many bytes it
+    hashed: those it was made with plus those fed through update()."""
     lengths = []
     real = hashlib.sha512
 
-    def sha512(data=b"", **kwargs):
-        lengths.append(len(data))
-        return real(data, **kwargs)
+    class CountingSha512:
+        def __init__(self, data=b"", **kwargs):
+            self._hash = real(data, **kwargs)
+            self._at = len(lengths)
+            lengths.append(len(data))
 
-    monkeypatch.setattr(hashlib, "sha512", sha512)
+        def update(self, data):
+            lengths[self._at] += len(data)
+            self._hash.update(data)
+
+        def __getattr__(self, name):
+            return getattr(self._hash, name)
+
+    monkeypatch.setattr(hashlib, "sha512", CountingSha512)
     return lengths
 
 

@@ -11,6 +11,7 @@ from conftest import counting_verifies, make_rig
 from walletemu import attestation as att
 from walletemu.crypto import Rng, SigningKey, verify_signature
 from walletemu.errors import NoPolicyKey
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 from walletemu.memory import CostModel
 
 MIB = 1048576
@@ -105,9 +106,11 @@ class TestPlatformReportAlgebra:
         assert cert.strip() == machine.public_bytes().hex()
 
 
-def build_chain_link(zygote=b"Z" * 100, function=b"F" * 40,
-                     inp=b"in", out=b"out", zid="z", fid="f"):
-    return att.InvocationMeasurements(zid, zygote, fid, function, inp, out)
+def build_chain_link(blob=b"Z" * 100, inp=b"in", out=b"out"):
+    """A link over a fresh zygote image holding blob and a fresh function."""
+    return att.InvocationMeasurements(
+        ZygoteImage("rt", embedded_fs=[("/blob", blob)]),
+        FunctionSpec("f", [PipelineOp.append(b"F" * 40)]), inp, out)
 
 
 class TestBuildReport:
@@ -133,16 +136,16 @@ class TestBuildReport:
 
     def test_cold_path_dominated_by_zygote_hash(self):
         cache = att.MeasurementCache()
-        link = build_chain_link(zygote=bytes(60 * MIB))
+        link = build_chain_link(blob=bytes(60 * MIB))
         _, charge = att.build_report(cache, self.nonce, [link], self.platform,
                                      self.signer, self.model)
         assert charge == pytest.approx(self.model.hash_us(60 * MIB), rel=0.01)
 
     def test_three_link_chain_single_signature(self):
         cache = att.MeasurementCache()
-        links = [build_chain_link(inp=b"a", out=b"b", fid="f1"),
-                 build_chain_link(inp=b"b", out=b"c", fid="f2"),
-                 build_chain_link(inp=b"c", out=b"d", fid="f3")]
+        links = [build_chain_link(inp=b"a", out=b"b"),
+                 build_chain_link(inp=b"b", out=b"c"),
+                 build_chain_link(inp=b"c", out=b"d")]
         report, _ = att.build_report(cache, self.nonce, links, self.platform,
                                      self.signer, self.model)
         assert len(report.chain_entries) == 3
@@ -193,8 +196,8 @@ class TestVerifyReport:
             machine_id=self.machine.machine_id,
             vendor_public=self.machine.public_bytes(),
             monitor_digest=self.monitor_digest,
-            allowed_zygote_digests=frozenset([att.sha512(self.link.zygote_content)]),
-            allowed_function_digests=frozenset([att.sha512(self.link.function_content)]),
+            allowed_zygote_digests=frozenset([self.link.zygote.digest()]),
+            allowed_function_digests=frozenset([self.link.function.digest()]),
             nonce=self.nonce,
             input_digest=att.sha512(self.link.input_bytes),
             function_verify_public=self.signer.public_bytes(),
@@ -298,9 +301,8 @@ class TestPlatformVerdictMemo:
             machine_id=machine.machine_id,
             vendor_public=machine.public_bytes(),
             monitor_digest=monitor_digest,
-            allowed_zygote_digests=frozenset([att.sha512(link.zygote_content)]),
-            allowed_function_digests=frozenset(
-                [att.sha512(link.function_content)]),
+            allowed_zygote_digests=frozenset([link.zygote.digest()]),
+            allowed_function_digests=frozenset([link.function.digest()]),
             nonce=nonce,
             input_digest=att.sha512(link.input_bytes),
             function_verify_public=signer.public_bytes())

@@ -248,6 +248,15 @@ class TestSimulateAndGenTrace:
                              tmp_path / f"plain{nodes}.json")
             assert sweep[nodes] == plain
 
+    def test_sweep_refuses_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sweep-nodes", "2,3", "--format", "csv",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--format csv is refused" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPinnedSimulatorOutputs:
     """SHA-256 of the simulator's CLI artifacts, pinned bit for bit.

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -131,6 +131,86 @@ class TestAllocFrames:
         pool = make_pool(store)
         alloc_frames(pool, 10, model)
         assert pool.clock_charged_us == 240
+
+
+class _ListPool:
+    """The reference free list: runs in a plain list, taken from the front
+    with pop(0)/insert(0), and each released or grown run appended with no
+    merging."""
+
+    def __init__(self):
+        self.runs, self.next_fid = [], 0
+
+    def grow(self, n):
+        self.runs.append((self.next_fid, self.next_fid + n))
+        self.next_fid += n
+
+    def take(self, n):
+        out = []
+        while len(out) < n:
+            lo, hi = self.runs.pop(0)
+            mid = min(hi, lo + n - len(out))
+            out.extend(range(lo, mid))
+            if mid < hi:
+                self.runs.insert(0, (mid, hi))
+        return out
+
+    def release(self, fids):
+        ordered = sorted(fids)
+        lo = 0
+        for i in range(1, len(ordered) + 1):
+            if i == len(ordered) or ordered[i] != ordered[i - 1] + 1:
+                self.runs.append((ordered[lo], ordered[i - 1] + 1))
+                lo = i
+
+
+class TestFreeListOrder:
+    @given(prevalidated=st.booleans(),
+           ops=st.lists(st.tuples(st.sampled_from(["take", "release", "grow"]),
+                                  st.integers(1, 24), st.randoms()),
+                        max_size=40))
+    @settings(max_examples=150)
+    def test_hand_out_order_and_charges_match_a_list_of_runs(
+            self, prevalidated, ops):
+        # Frames come out in the reference order, the boot range first and
+        # then released runs in release order, so the same frames pay
+        # validation; a final drain compares the whole free list.
+        model = CostModel()
+        store = FrameStore()
+        pool, ref = MemoryPool(store, prevalidated=prevalidated), _ListPool()
+        validated, held = set(), []
+        for kind, n, rnd in [("grow", 32, None), *ops, ("drain", 0, None)]:
+            if kind == "grow":
+                fresh = rnd is not None and rnd.random() < 0.5
+                pool.grow(n, validated=prevalidated or fresh)
+                if prevalidated or fresh:
+                    validated |= set(range(ref.next_fid, ref.next_fid + n))
+                ref.grow(n)
+                continue
+            if kind == "release":
+                gone = rnd.sample(held, min(n, len(held)))
+                pool.release(gone)
+                ref.release(gone)
+                held = [f for f in held if f not in gone]
+                continue
+            n = pool.free_count if kind == "drain" else min(n, pool.free_count)
+            fids, charge = alloc_frames(pool, n, model)
+            assert fids == ref.take(n)
+            assert charge == (0 if prevalidated else
+                              model.validation_us(len(set(fids) - validated)))
+            validated |= set(fids)
+            held += fids
+        assert pool.free_count == 0
+        assert sorted(held) == list(range(store.n_frames()))
+
+    def test_released_run_joins_an_adjacent_last_run(self, store):
+        pool = make_pool(store, frames=8, prevalidated=True)
+        fids = pool.take(8)
+        pool.release(fids[2:4])
+        pool.release(fids[4:6])  # starts where the last run ends: one run
+        pool.release(fids[0:2])  # ends where the last run starts: its own
+        assert list(pool._ranges) == [(2, 6), (0, 2)]
+        assert pool.take(6) == [2, 3, 4, 5, 0, 1]
 
 
 class TestPreallocate:
@@ -317,6 +397,23 @@ class TestWriteRange:
         source[:] = b"\x22" * len(source)
         assert store.read_bytes(fids[0]) == b"\x11" * PAGE_SIZE
         assert store.read_bytes(fids[1]) == b"\x11" * 100 + bytes(PAGE_SIZE - 100)
+
+    def test_chunks_are_written_end_to_end(self, store, pool, model):
+        # Pages inside one bytes chunk are views of it; a page straddling
+        # chunks, one inside a bytearray, and the partial last page are
+        # copies, and the last keeps the bytes past the end of the data.
+        fids, _ = alloc_frames(pool, 6, model)
+        store.write_bytes(fids[5], 0, b"\x77" * PAGE_SIZE)
+        chunks = (b"a" * (PAGE_SIZE + 10), b"b" * 20, b"",
+                  bytearray(b"c" * 2 * PAGE_SIZE), b"d" * (2 * PAGE_SIZE - 25))
+        store.write_range(fids, *chunks)
+        data = b"".join(chunks)
+        assert store.read_range(fids, len(data)) == data
+        assert store.read_bytes(fids[5]) == b"d" * 5 + b"\x77" * (PAGE_SIZE - 5)
+        assert [type(store._data[fid]) for fid in fids] == [
+            memoryview, bytearray, bytearray, bytearray, memoryview, bytearray]
+        assert store._data[fids[0]].obj is chunks[0]
+        assert store._data[fids[4]].obj is chunks[4]
 
     def test_copy_of_a_viewed_page_is_counted(self, store, pool, model):
         fids, _ = alloc_frames(pool, 2, model)
@@ -772,11 +869,15 @@ class MemoryMachine(RuleBasedStateMachine):
             return NotSealed
         return None
 
-    def _write_model(self, fids, raw, source_index):
-        """Model a write of raw from the start of fids' pages."""
+    def _write_model(self, fids, raw, spans):
+        """Model a write of raw from the start of fids' pages, made of the
+        chunks at spans: (start, end, index into sources if bytes)."""
         full = len(raw) // PAGE_SIZE
         for k in range(full):
-            self.content[fids[k]] = raw[k * PAGE_SIZE : (k + 1) * PAGE_SIZE]
+            lo, hi = k * PAGE_SIZE, (k + 1) * PAGE_SIZE
+            self.content[fids[k]] = raw[lo:hi]
+            source_index = next((index for start, end, index in spans
+                                 if start <= lo and hi <= end), None)
             if source_index is None:
                 self.viewing.pop(fids[k], None)
             else:
@@ -792,7 +893,7 @@ class MemoryMachine(RuleBasedStateMachine):
         # Start as the monitor does, from a populated, sealed table that
         # views can be forked from, next to an empty table.
         self.alloc(pages, None)
-        self.write_range(0, pages, pages * PAGE_SIZE - 100, bytes, seed)
+        self.write_range(0, pages, pages * PAGE_SIZE - 100, [bytes], [], seed)
         self.map_range(0, 0, pages, perms, PL0)
         self.seal(0, PL0)
         assert self.tables[0].sealed
@@ -819,22 +920,34 @@ class MemoryMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.held)
     @rule(i=picks, n=st.integers(1, 3), size=st.integers(0, 3 * PAGE_SIZE + 1),
-          kind=st.sampled_from([bytes, bytearray, memoryview]),
+          kinds=st.lists(st.sampled_from([bytes, bytearray, memoryview]),
+                         min_size=1, max_size=3),
+          cuts=st.lists(st.integers(0, 3 * PAGE_SIZE + 1), max_size=3),
           seed=st.integers(0, 255))
-    def write_range(self, i, n, size, kind, seed):
+    def write_range(self, i, n, size, kinds, cuts, seed):
+        # The data goes in as chunks split at the cuts, of kinds in turn.
         fids = self._held_run(i, n)
         raw = (bytes(range(seed, 256)) + bytes(range(seed))) * (size // 256 + 1)
         raw = raw[:size]
+        bounds = [0, *sorted(min(c, size) for c in cuts), size]
+        chunks, spans = [], []
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            kind = kinds[j % len(kinds)]
+            # A distinct object, so that only frames and self.sources
+            # refer to it.
+            part = raw[lo:hi]
+            source = bytes(bytearray(part)) if kind is bytes else bytearray(part)
+            chunks.append(source if kind is not memoryview
+                          else memoryview(source))
+            if size <= len(fids) * PAGE_SIZE:
+                self.sources.append((source, part))
+                spans.append((lo, hi, len(self.sources) - 1
+                              if kind is bytes else None))
         if size > len(fids) * PAGE_SIZE:
-            self._refused(ValueError, self.store.write_range, fids, raw)
+            self._refused(ValueError, self.store.write_range, fids, *chunks)
             return
-        # A distinct object, so that only frames and self.sources refer to it.
-        source = bytes(bytearray(raw)) if kind is bytes else bytearray(raw)
-        self.sources.append((source, raw))
-        self.store.write_range(fids, source if kind is not memoryview
-                               else memoryview(source))
-        self._write_model(fids, raw, len(self.sources) - 1
-                          if kind is bytes else None)
+        self.store.write_range(fids, *chunks)
+        self._write_model(fids, raw, spans)
 
     @precondition(lambda self: self.held)
     @rule(i=picks, offset=st.integers(0, PAGE_SIZE - 1),
@@ -1136,7 +1249,7 @@ class MemoryMachine(RuleBasedStateMachine):
         self.sources.append((source, raw))
         assert table.real.write_run(level, vpns, source) is None
         self._write_model([table.pages[v][0] for v in vpns], raw,
-                          len(self.sources) - 1)
+                          [(0, size, len(self.sources) - 1)])
 
     # -- invariants --
 

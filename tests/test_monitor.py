@@ -1,7 +1,9 @@
 """Trusted-monitor tests: lifecycle, policy, scheduling, invocation."""
 
 import hashlib
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from walletemu.errors import (
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
 from walletemu.memory import (
     FREE,
+    PAGE_SIZE,
     PL1,
     PL2,
     AccessKind,
@@ -147,6 +150,60 @@ class TestZygoteLifecycle:
         assert rig.monitor.cache.bytes_hashed - hashed_before == size
         assert rig.monitor._proc(creation.handle).measurement == digest
         assert digest == hashlib.new("sha512", image.canonical_bytes).digest()
+
+    def test_create_and_invoke_make_no_copy_of_the_image(self):
+        # Creating a zygote, forking it and serving a request with a report
+        # view the image's parts and take its kept digest: together they
+        # allocate under an eighth of its 32 MiB blob (about 2.5 MB of page
+        # views and page-table slots), where one joined copy of the image
+        # would take all of it.
+        blob = bytes(range(256)) * (32 * MIB // 256)
+        rig = make_rig(image=ZygoteImage("rt", embedded_fs=[("/blob", blob)]),
+                       functions=[echo_fn()], prealloc=40 * MIB)
+        rig.monitor.delete_zygote(rig.zygote.handle)
+        image = ZygoteImage("rt", embedded_fs=[("/blob", blob)])  # a new uid
+        fn = rig.functions[0]
+        request = rig.user.make_request(fn.digest(), b"x")
+        tracemalloc.start()
+        try:
+            zygote = rig.monitor.create_zygote(image)
+            trustlet = rig.monitor.create_trustlet(zygote.handle, fn)
+            result = rig.monitor.invoke_trustlet(trustlet.handle,
+                                                 request.ciphertext)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert zygote.measure_us == rig.monitor.model.hash_us(image.size_bytes())
+        assert result.report.chain_entries[0].zygote_digest == image.digest()
+        assert peak < len(blob) // 8
+
+    def test_zygote_frames_hold_the_canonical_bytes(self):
+        # Files whose boundaries fall mid-page: a page wholly inside a file
+        # views it, a page straddling parts is a copy, and read back the
+        # frames are the canonical bytes.
+        files = [(f"/f{k}", bytes([64 + k]) * (k * PAGE_SIZE + 999 * k))
+                 for k in range(1, 5)]
+        image = ZygoteImage("rt", embedded_fs=files,
+                            manifest=[manifest_entry("/ext", b"e")])
+        rig = make_rig(image=image, functions=[echo_fn()])
+        store = rig.monitor.store
+        fids = rig.monitor._proc(rig.zygote.handle).page_table \
+            .local_frame_ids().tolist()
+        data = image.canonical_bytes
+        assert len(fids) == pages_for(len(data)) and len(data) % PAGE_SIZE
+        assert store.read_range(fids, len(data)) == data
+        ends = list(itertools.accumulate(map(len, image.canonical_parts)))
+        straddling = [p for p in range(len(fids))
+                      if any(p * PAGE_SIZE < end < (p + 1) * PAGE_SIZE
+                             for end in ends[:-1])]
+        assert len(straddling) > 2
+        for p in (straddling[0], straddling[-1]):
+            assert type(store._data[fids[p]]) is bytearray
+            page = data[p * PAGE_SIZE : (p + 1) * PAGE_SIZE]
+            assert store.read_bytes(fids[p]) == page.ljust(PAGE_SIZE, b"\0")
+        viewed = [p for p in range(len(fids))
+                  if type(store._data[fids[p]]) is memoryview]
+        assert viewed == [p for p in range(len(fids)) if p not in straddling]
 
     def test_flipped_byte_is_policy_violation(self, rig):
         image = small_image()
