@@ -174,6 +174,12 @@ class FrameStore:
     once as a *base*, and each CoW view adds one to the base's view count
     instead of touching every frame; a view that stops mapping a base frame
     takes an explicit reference off it, which may go negative.
+
+    Per base the store also keeps what ``resident_split`` needs to count
+    the base's frames without visiting each: its PL1-granted frame count,
+    a column marking those frames, and its *odd* frames, those whose
+    explicit count is not one, which the bulk calls keep current.  Every
+    other frame of a base counts ``1 + views``.
     """
 
     def __init__(self) -> None:
@@ -183,11 +189,16 @@ class FrameStore:
         self._base_of = np.zeros(1024, dtype=np.int32)
         self._validated = np.zeros(1024, dtype=bool)
         self._owner = np.full(1024, FREE, dtype=np.int8)
+        self._base_pl1 = np.zeros(1024, dtype=bool)  # its base grants PL1
         self._data: dict[int, bytearray | memoryview] = {}
-        # Per base id: live view count and registered frame count.  Slot 0
-        # stays zero so frames of no base add nothing.
+        # Per base id: live view count, registered frame count and how many
+        # of those its table grants PL1 access.  Slot 0 stays zero so frames
+        # of no base add nothing.
         self._views = np.zeros(8, dtype=np.int64)
         self._base_size = np.zeros(8, dtype=np.int64)
+        self._base_pl1_size = np.zeros(8, dtype=np.int64)
+        # Per live base id, its odd frames.
+        self._odd: dict[int, set[int]] = {}
         self._next_base = 1
         self._next_fid = 0
         self.copied_bytes_total = 0
@@ -204,6 +215,7 @@ class FrameStore:
             self._base_of = _grown(self._base_of, new_len)
             self._validated = _grown(self._validated, new_len)
             self._owner = _grown(self._owner, new_len, FREE)
+            self._base_pl1 = _grown(self._base_pl1, new_len)
         self._validated[start : self._next_fid] = validated
         return start, self._next_fid
 
@@ -242,11 +254,12 @@ class FrameStore:
 
     # -- shared bases --
 
-    def register_base(self, fids: np.ndarray) -> int:
+    def register_base(self, fids: np.ndarray, pl1_fids: np.ndarray) -> int:
         """Register a sealed table's frames as one base; returns its id.
 
         Each frame may appear once, and in no other live base, so that one
-        view count stands for exactly one mapping per frame.
+        view count stands for exactly one mapping per frame.  pl1_fids are
+        those of them that the table grants PL1 access.
         """
         if len(fids):
             ordered = np.sort(fids)
@@ -259,8 +272,12 @@ class FrameStore:
         if base >= len(self._views):
             self._views = _grown(self._views, 2 * base)
             self._base_size = _grown(self._base_size, 2 * base)
+            self._base_pl1_size = _grown(self._base_pl1_size, 2 * base)
         self._base_of[fids] = base
         self._base_size[base] = len(fids)
+        self._base_pl1_size[base] = len(pl1_fids)
+        self._base_pl1[pl1_fids] = True
+        self._odd[base] = set(fids[self._ref[fids] != 1].tolist())
         return base
 
     def unregister_base(self, base: int, fids: np.ndarray) -> None:
@@ -269,7 +286,9 @@ class FrameStore:
             raise BaseInUse(
                 f"base {base} still has {int(self._views[base])} live views")
         self._base_of[fids] = 0
-        self._base_size[base] = 0
+        self._base_pl1[fids] = False
+        self._base_size[base] = self._base_pl1_size[base] = 0
+        del self._odd[base]
 
     def add_view(self, base: int) -> None:
         self._views[base] += 1
@@ -284,19 +303,34 @@ class FrameStore:
     def ref(self, fid: int) -> int:
         return int(self._ref[fid] + self._views[self._base_of[fid]])
 
-    def bulk_incref(self, fids: np.ndarray) -> None:
+    def bulk_incref(self, fids: Sequence[int]) -> None:
         # add.at accumulates duplicate ids correctly, unlike fancy indexing.
         np.add.at(self._ref, fids, 1)
         self._ref_sum += len(fids)
+        bases = self._base_of[fids]
+        if np.count_nonzero(bases):
+            self._note_odd(np.asarray(fids), bases)
 
     def bulk_decref(self, fids: np.ndarray) -> np.ndarray:
         """Drop one reference per entry of fids; returns their new counts."""
         np.add.at(self._ref, fids, -1)
         self._ref_sum -= len(fids)
-        refs = self.refs_of(fids)
+        bases = self._base_of[fids]
+        refs = self._ref[fids] + self._views[bases]
         if np.count_nonzero(refs < 0):
             raise AssertionError(f"ref underflow on frames {fids.tolist()}")
+        if np.count_nonzero(bases):
+            self._note_odd(fids, bases)
         return refs
+
+    def _note_odd(self, fids: np.ndarray, bases: np.ndarray) -> None:
+        """Bring the odd sets of fids' bases up to date after a change to
+        fids' explicit counts; bases holds each entry's base id."""
+        for base in set(bases.tolist()) - {0}:
+            mine = fids[bases == base]
+            odd = self._ref[mine] != 1
+            self._odd[base].difference_update(mine[~odd].tolist())
+            self._odd[base].update(mine[odd].tolist())
 
     def refs_of(self, fids: np.ndarray) -> np.ndarray:
         return self._ref[fids] + self._views[self._base_of[fids]]
@@ -305,6 +339,40 @@ class FrameStore:
         # Per base rather than per frame: callers check this after every
         # step of long randomized runs.
         return self._ref_sum + int((self._views * self._base_size).sum())
+
+    def resident_split(self, bases: Sequence[int], fids: np.ndarray,
+                       pl1: np.ndarray) -> tuple[int, int]:
+        """(shared, exclusive) frame counts over the union of the distinct
+        bases' frames and fids, each frame counted once.
+
+        Shared frames are mapped by more than one entry, exclusive ones by
+        exactly one that grants PL1 access; pl1 marks the entries of fids
+        that do.  A base's frames count from its sizes and view count,
+        and only its odd frames one by one; entries of fids in one of the
+        bases are skipped, as the base counts them already.
+        """
+        ids = np.array(bases, dtype=np.int64)
+        views = self._views[ids]
+        shared = int(self._base_size[ids][views > 0].sum())
+        exclusive = int(self._base_pl1_size[ids][views == 0].sum())
+        odd = np.array([f for b in bases for f in self._odd[b]], dtype=np.int64)
+        if len(odd):  # counted above as 1 + views; correct them
+            odd_views = self._views[self._base_of[odd]]
+            refs = self._ref[odd] + odd_views
+            odd_pl1 = self._base_pl1[odd]
+            shared += (np.count_nonzero(refs > 1)
+                       - np.count_nonzero(odd_views > 0))
+            exclusive += (np.count_nonzero(odd_pl1 & (refs == 1))
+                          - np.count_nonzero(odd_pl1 & (odd_views == 0)))
+        counted = np.zeros(len(self._views), dtype=bool)
+        counted[ids] = True
+        keep = ~counted[self._base_of[fids]]
+        fids, pl1 = fids[keep], pl1[keep]
+        refs = self.refs_of(fids)
+        shared += len(set(fids[refs > 1].tolist()))
+        # A frame one entry maps is in fids once: no dedup needed.
+        exclusive += np.count_nonzero(pl1 & (refs == 1))
+        return int(shared), int(exclusive)
 
     # -- byte access (monitor-side, uncharged) --
 
@@ -401,6 +469,14 @@ _READABLE, _WRITABLE = ([frozenset(c for c, p in enumerate(_PERMS) if p.can(leve
 _PL1_CODES = np.array([PL1 in p.read | p.write for p in _PERMS])
 
 
+def _mapped(fid: Iterable[int], perm: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The mapped frames of a table's two lists, or of several tables'
+    lists end to end, and which of them their grants code gives PL1 access."""
+    fids = np.fromiter(fid, dtype=np.int64)
+    keep = fids >= 0
+    return fids[keep], _PL1_CODES[np.fromiter(perm, dtype=np.int64)[keep]]
+
+
 class PageTable:
     """Per-process virtual address space.
 
@@ -483,11 +559,18 @@ class PageTable:
         """Frames in this table's own lists, in vpn order (cached if sealed)."""
         if self.sealed:
             return self._sealed_pl1_fids if pl1_only else self._sealed_fids
-        fids = np.array(self._fid, dtype=np.int64)
-        keep = fids >= 0
         if pl1_only:
-            keep &= _PL1_CODES[np.array(self._perm, dtype=np.int64)]
-        return fids[keep]
+            fids, pl1 = _mapped(self._fid, self._perm)
+            return fids[pl1]
+        fids = np.array(self._fid, dtype=np.int64)
+        return fids[fids >= 0]
+
+    def base_counted(self) -> Optional[int]:
+        """Id of the base whose frames this table maps without own entries
+        for them: its own base if sealed, or the base a view still reads."""
+        if self.sealed:
+            return self._base_id
+        return self.base._base_id if self._lo else None
 
     def frame_id_parts(self, pl1_only: bool = False) -> list[np.ndarray]:
         """Arrays jointly covering every mapped frame; a view reading its base
@@ -608,11 +691,12 @@ class PageTable:
             return
         if self.base is not None:
             raise NotSealed("a copy-on-write view cannot be sealed")
-        fids = self.local_frame_ids()
-        self._base_id = self.store.register_base(fids)
-        self._perm = [code + _SEALED for code in self._perm]
-        self._sealed_fids = fids
-        self._sealed_pl1_fids = self.local_frame_ids(pl1_only=True)
+        sealed = [code + _SEALED for code in self._perm]
+        fids, pl1 = _mapped(self._fid, sealed)
+        pl1_fids = fids[pl1]
+        self._base_id = self.store.register_base(fids, pl1_fids)
+        self._perm = sealed
+        self._sealed_fids, self._sealed_pl1_fids = fids, pl1_fids
         self.sealed = True
 
     # -- access (any level; faults are return values) --
@@ -835,26 +919,27 @@ class MemoryAccounting:
 def accounting(tables: Iterable[PageTable]) -> MemoryAccounting:
     """Resident-memory split over a set of page tables.
 
-    shared: frames referenced by more than one entry, counted once.
-    exclusive: singly-referenced frames granted any PL1 access.
-    Base arrays shared between sibling CoW views are deduplicated by object
-    identity, and the distinct frame ids are found with a boolean mask over
-    all frame ids rather than a sort or hash, keeping the computation
-    O(distinct frames + reserved frames) even with hundreds of forks.
+    A frame that any of the tables maps counts once, however many of them
+    map it.  It is shared if more than one page-table entry maps it,
+    counting every live table's entries, not only those of the set; it is
+    exclusive if exactly one entry maps it and that entry grants PL1
+    access.  A frame that only tables outside the set map counts nothing.
+
+    Cost: O(entries in the own lists of the set's unsealed tables +
+    distinct sealed bases), however many pages a base holds.  A base that
+    a sealed table of the set is, or that a view of the set still reads,
+    is counted from the store's per-base state (see ``FrameStore``); the
+    unsealed tables' own frames are read once, those of a counted base
+    skipped.
     """
     tables = list(tables)
     if not tables:
         return MemoryAccounting(0, 0, 0)
     store = tables[0].store
-
-    def refs_of_mapped(pl1_only: bool) -> np.ndarray:
-        seen = np.zeros(store.n_frames(), dtype=bool)
-        parts = {id(arr): arr for table in tables
-                 for arr in table.frame_id_parts(pl1_only=pl1_only)}
-        for arr in parts.values():
-            seen[arr] = True
-        return store.refs_of(np.flatnonzero(seen))
-
-    shared = int((refs_of_mapped(False) > 1).sum()) * PAGE_SIZE
-    exclusive = int((refs_of_mapped(True) == 1).sum()) * PAGE_SIZE
-    return MemoryAccounting(shared, exclusive, shared + exclusive)
+    bases = sorted({t.base_counted() for t in tables} - {None})
+    own = [t for t in tables if not t.sealed]
+    fids, pl1 = _mapped(itertools.chain.from_iterable(t._fid for t in own),
+                        itertools.chain.from_iterable(t._perm for t in own))
+    shared, exclusive = store.resident_split(bases, fids, pl1)
+    return MemoryAccounting(shared * PAGE_SIZE, exclusive * PAGE_SIZE,
+                            (shared + exclusive) * PAGE_SIZE)

@@ -1,5 +1,6 @@
 """Memory-model tests: frames, permissions, CoW forking, cost charges."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -33,6 +34,7 @@ from walletemu.memory import (
     CostModel,
     FaultKind,
     FrameStore,
+    MemoryAccounting,
     MemoryPool,
     PageFault,
     PagePerms,
@@ -595,7 +597,101 @@ class TestResolveCow:
         assert store.ref(old_fid) == 1
 
 
+def reference_accounting(tables):
+    """The per-frame accounting(): mark every frame the tables map in a
+    mask over all frame ids, base arrays deduplicated by identity, then
+    read the marked frames' counts, once for all of them and once for
+    those granted PL1 access."""
+    tables = list(tables)
+    if not tables:
+        return MemoryAccounting(0, 0, 0)
+    store = tables[0].store
+
+    def refs_of_mapped(pl1_only):
+        seen = np.zeros(store.n_frames(), dtype=bool)
+        parts = {id(arr): arr for table in tables
+                 for arr in table.frame_id_parts(pl1_only=pl1_only)}
+        for arr in parts.values():
+            seen[arr] = True
+        return store.refs_of(np.flatnonzero(seen))
+
+    shared = int((refs_of_mapped(False) > 1).sum()) * PAGE_SIZE
+    exclusive = int((refs_of_mapped(True) == 1).sum()) * PAGE_SIZE
+    return MemoryAccounting(shared, exclusive, shared + exclusive)
+
+
+# Tables over which a base's frames stop counting alike: each builds them
+# on a fresh store and returns the ones to count.
+
+def _view_resolved_a_cow_fault(store, pool, model):
+    # Page 1 is left to the zygote alone, page 2 to the zygote and a view.
+    zygote = build_zygote_table(store, pool, model, pages=4)
+    views = [zygote.fork_cow(2), zygote.fork_cow(3)]
+    for view in views:
+        view.resolve_cow(1, pool, model)
+    views[0].resolve_cow(2, pool, model)
+    return [zygote, *views]
+
+
+def _base_frame_mapped_explicitly(store, pool, model):
+    zygote = build_zygote_table(store, pool, model, pages=4)
+    table = PageTable(store, 2)
+    table.map_range([zygote.lookup(2).frame_id], PagePerms.PROCESS_RO)
+    return [zygote, table]
+
+
+def _views_without_their_zygote(store, pool, model):
+    zygote = build_zygote_table(store, pool, model, pages=4)
+    views = [zygote.fork_cow(2), zygote.fork_cow(3)]
+    for view in views:
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        view.map_range(fids, PagePerms.PROCESS_RW)
+    return views
+
+
+def _copied_view_alone(store, pool, model):
+    zygote = build_zygote_table(store, pool, model, pages=4)
+    view = zygote.fork_cow(2)
+    view.set_perms([0], PagePerms.PROCESS_RW)  # copies the base's lists
+    pool.release(view.unmap_range([3]))
+    return [view]
+
+
+def _base_page_granted_pl1_elsewhere(store, pool, model):
+    # The other table maps the page before the zygote is sealed.
+    fids, _ = alloc_frames(pool, 3, model, owner_level=PL0)
+    table = PageTable(store, 2)
+    table.map_range(fids[:1], PagePerms.PROCESS_RW)
+    zygote = PageTable(store, 1)
+    zygote.map_range(fids[:1], PagePerms.MONITOR_PRIVATE)
+    zygote.map_range(fids[1:], PagePerms.PROCESS_RO)
+    zygote.seal()
+    return [zygote, table]
+
+
+def _zygote_after_its_last_view(store, pool, model):
+    zygote = build_zygote_table(store, pool, model, pages=4)
+    view = zygote.fork_cow(2)
+    view.resolve_cow(0, pool, model)
+    pool.release(view.release_all())
+    return [zygote]
+
+
 class TestAccounting:
+    @pytest.mark.parametrize("scenario", [
+        _view_resolved_a_cow_fault, _base_frame_mapped_explicitly,
+        _views_without_their_zygote, _copied_view_alone,
+        _base_page_granted_pl1_elsewhere, _zygote_after_its_last_view,
+    ], ids=lambda scenario: scenario.__name__.strip("_"))
+    def test_every_subset_matches_the_per_frame_count(self, store, pool,
+                                                      model, scenario):
+        tables = scenario(store, pool, model)
+        for k in range(1, len(tables) + 1):
+            for subset in itertools.combinations(tables, k):
+                usage = accounting(subset)
+                assert usage == reference_accounting(subset)
+                assert {type(v) for v in vars(usage).values()} == {int}
+
     def test_zygote_plus_one_trustlet(self, store, model):
         # Scaled version of the 147 MB + 60 KB example: shared counted
         # once, per-trustlet exclusive pages on top.
@@ -828,6 +924,18 @@ class MemoryMachine(RuleBasedStateMachine):
         for t in self.tables:
             counts.update(fid for fid, _, _ in t.pages.values())
         return counts
+
+    def _accounting(self, tables):
+        """accounting() of tables, from the model: a frame counts once,
+        as shared if more than one entry of any table maps it, and as
+        exclusive if one entry does and that entry grants PL1 access."""
+        counts = self._counts()
+        entries = [(fid, perms) for t in tables for fid, perms, _ in t.pages.values()]
+        shared = sum(counts[f] > 1 for f in {fid for fid, _ in entries})
+        exclusive = sum(counts[f] == 1 for f in {
+            fid for fid, perms in entries if PL1 in perms.read | perms.write})
+        return MemoryAccounting(shared * PAGE_SIZE, exclusive * PAGE_SIZE,
+                                (shared + exclusive) * PAGE_SIZE)
 
     def _live_bases(self):
         return {fid for t in self.tables if t.sealed
@@ -1251,7 +1359,18 @@ class MemoryMachine(RuleBasedStateMachine):
         self._write_model([table.pages[v][0] for v in vpns], raw,
                           [(0, size, len(self.sources) - 1)])
 
+    @rule(chosen=st.sets(picks, max_size=6))
+    def accounting_of_some_tables(self, chosen):
+        tables = list({id(t): t for t in (self._pick(self.tables, c)
+                                          for c in sorted(chosen))}.values())
+        assert accounting([t.real for t in tables]) == self._accounting(tables)
+
     # -- invariants --
+
+    @invariant()
+    def accounting_matches_the_model(self):
+        assert accounting([t.real for t in self.tables]) == \
+            self._accounting(self.tables)
 
     @invariant()
     def tables_match_the_model(self):

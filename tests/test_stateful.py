@@ -32,7 +32,16 @@ from walletemu.errors import (
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
-from walletemu.memory import FREE, PL2, AccessKind, PageFault
+from walletemu.memory import (
+    FREE,
+    PAGE_SIZE,
+    PL1,
+    PL2,
+    AccessKind,
+    MemoryAccounting,
+    PageFault,
+    accounting,
+)
 from walletemu.monitor import ProcState
 from walletemu.objects import MONITOR_PID
 from walletemu.provider import UserAgent
@@ -304,10 +313,27 @@ class MonitorMachine(RuleBasedStateMachine):
     @invariant()
     def guest_cannot_read_process_pages(self):
         for proc in self.m.descriptors():
-            for vpn in list(proc.page_table.mapped_vpns())[:4]:
+            for vpn in proc.page_table.mapped_vpns():
                 assert isinstance(
                     proc.page_table.access(PL2, vpn, AccessKind.READ),
                     PageFault)
+
+    @invariant()
+    def accounting_matches_the_mappings(self):
+        # A frame counts once: as shared if more than one entry maps it,
+        # as exclusive if one entry does and grants PL1 access.
+        store, mapped, pl1 = self.m.store, set(), set()
+        for table in self.m.live_tables():
+            for vpn in table.mapped_vpns():
+                entry = table.lookup(vpn)
+                mapped.add(entry.frame_id)
+                if PL1 in entry.perms.read | entry.perms.write:
+                    pl1.add(entry.frame_id)
+        shared = sum(store.ref(f) > 1 for f in mapped)
+        exclusive = sum(store.ref(f) == 1 for f in pl1)
+        assert accounting(self.m.live_tables()) == MemoryAccounting(
+            shared * PAGE_SIZE, exclusive * PAGE_SIZE,
+            (shared + exclusive) * PAGE_SIZE)
 
     @invariant()
     def object_store_keys_live_pids_only(self):
