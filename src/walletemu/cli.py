@@ -537,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--payload-size", type=int, default=4096)
-    p.add_argument("--no-cow", action="store_true")
     p.add_argument("--prealloc", type=int, default=None)
     p.add_argument("--dump-objects", help="write the object table JSON here")
     p.set_defaults(func=cmd_chain)

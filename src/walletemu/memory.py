@@ -505,7 +505,7 @@ class PageTable:
         self.base = base
         self.sealed = False
         self._base_id: Optional[int] = None  # set while forkable
-        self._sealed_fids = self._sealed_pl1_fids = np.empty(0, np.int64)
+        self._sealed_fids = np.empty(0, np.int64)
         self._next_vpn = base.next_unused_vpn() if base is not None else 0
         self._lo = self._next_vpn  # nonzero only in a view that reads its base
         self._fid, self._perm = [], []  # frame id and grants code per vpn
@@ -555,13 +555,10 @@ class PageTable:
         self._next_vpn += n
         return vpns
 
-    def local_frame_ids(self, pl1_only: bool = False) -> np.ndarray:
+    def local_frame_ids(self) -> np.ndarray:
         """Frames in this table's own lists, in vpn order (cached if sealed)."""
         if self.sealed:
-            return self._sealed_pl1_fids if pl1_only else self._sealed_fids
-        if pl1_only:
-            fids, pl1 = _mapped(self._fid, self._perm)
-            return fids[pl1]
+            return self._sealed_fids
         fids = np.array(self._fid, dtype=np.int64)
         return fids[fids >= 0]
 
@@ -571,14 +568,6 @@ class PageTable:
         if self.sealed:
             return self._base_id
         return self.base._base_id if self._lo else None
-
-    def frame_id_parts(self, pl1_only: bool = False) -> list[np.ndarray]:
-        """Arrays jointly covering every mapped frame; a view reading its base
-        returns the base's cached array, which callers dedupe by identity."""
-        parts = [self.local_frame_ids(pl1_only=pl1_only)]
-        if self._lo:
-            parts.append(self.base.local_frame_ids(pl1_only=pl1_only))
-        return parts
 
     # -- mutation (PL0 only; a sealed table refuses all of it) --
 
@@ -693,10 +682,9 @@ class PageTable:
             raise NotSealed("a copy-on-write view cannot be sealed")
         sealed = [code + _SEALED for code in self._perm]
         fids, pl1 = _mapped(self._fid, sealed)
-        pl1_fids = fids[pl1]
-        self._base_id = self.store.register_base(fids, pl1_fids)
+        self._base_id = self.store.register_base(fids, fids[pl1])
         self._perm = sealed
-        self._sealed_fids, self._sealed_pl1_fids = fids, pl1_fids
+        self._sealed_fids = fids
         self.sealed = True
 
     # -- access (any level; faults are return values) --
@@ -800,7 +788,7 @@ class PageTable:
         if self._base_id is not None:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
-            self._sealed_fids = self._sealed_pl1_fids = np.empty(0, np.int64)
+            self._sealed_fids = np.empty(0, np.int64)
         refs = self.store.bulk_decref(local)
         freed = sorted(set(local[refs == 0].tolist()))
         if self.base is not None:

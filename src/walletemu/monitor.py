@@ -14,7 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Generator, Optional, Sequence
+from typing import Generator, Optional
 
 from . import attestation as att
 from . import wire
@@ -102,7 +102,7 @@ class ProcessDescriptor:
     level: PrivilegeLevel = PrivilegeLevel.PL1_PROCESS
     state: ProcState = ProcState.CREATED
     base_zygote: Optional[int] = None
-    objects: set = field(default_factory=set)
+    output_obj: Optional[int] = None  # the newest output; the next retires it
     measurement: Optional[bytes] = None
     image: Optional[ZygoteImage] = None
     fn: Optional[FunctionSpec] = None
@@ -304,12 +304,13 @@ class InvokeResult:
 class _Ticket:
     """One submitted invocation moving through the scheduler."""
 
-    def __init__(self, seq: int, handle: int, pid: int, response_key: bytes,
-                 nonce: bytes, chain_prefix: list, charges: InvokeCharges,
-                 recreated: bool, chained: bool):
+    def __init__(self, seq: int, handle: int, pid: int, input_obj: int,
+                 response_key: bytes, nonce: bytes, chain_prefix: list,
+                 charges: InvokeCharges, recreated: bool, chained: bool):
         self.seq = seq
         self.handle = handle
         self.pid = pid
+        self.input_obj = input_obj  # staged input or handed-off chain object
         self.response_key = response_key
         self.nonce = nonce
         self.chain_prefix = chain_prefix
@@ -488,7 +489,6 @@ class Monitor:
         proc.transition(ProcState.READY)
 
         proc.fs = NestedFs(dict(image.embedded_fs), dict(image.manifest))
-        proc.objects = self.objects.attached_view(pid)
         self._procs[pid] = proc
         handle = self._next_handle
         self._next_handle += 1
@@ -542,7 +542,7 @@ class Monitor:
         if ticket is not None:
             ticket.error = InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation")
-            self.objects.release_input(proc.pid)  # the abort's staged input
+            self.objects.retire(ticket.input_obj)
         self.objects.reclaim(proc.pid)
         self.pool.release(proc.page_table.release_all())
         proc.transition(ProcState.TERMINATED)
@@ -621,7 +621,6 @@ class Monitor:
                                  base_zygote=zygote.pid,
                                  measurement=fn_digest, fn=fn,
                                  fs=zygote.fs, image=zygote.image)
-        proc.objects = self.objects.attached_view(pid)
         proc.transition(ProcState.INITIALIZED)
         proc.transition(ProcState.READY)
         self._procs[pid] = proc
@@ -646,26 +645,21 @@ class Monitor:
 
     def invoke_chained(self, handle: int) -> InvokeResult:
         """Invoke a trustlet whose input was handed off from a producer."""
-        return self._drive(self.submit_chained(handle))
+        return self._drive(self._submit(handle, None))
 
     def invoke_with_input(self, handle: int, input_bytes: bytes,
-                          response_key: bytes, nonce: bytes,
-                          chain_prefix: Sequence = ()) -> InvokeResult:
+                          response_key: bytes, nonce: bytes) -> InvokeResult:
         """Run a trustlet on already-delivered plaintext input.
 
         Used for fallback transfers, where the payload was decrypted and
         staged by the receiving monitor; bypasses request decryption.
         """
         return self._drive(self._submit(
-            handle, (input_bytes, response_key, nonce), chain_prefix))
+            handle, (input_bytes, response_key, nonce)))
 
     def submit_invocation(self, handle: int, ciphertext: bytes) -> _Ticket:
         """Decrypt a request and queue its invocation."""
         return self._submit(handle, ciphertext)
-
-    def submit_chained(self, handle: int) -> _Ticket:
-        """Queue a trustlet's invocation on its handed-off chained input."""
-        return self._submit(handle, None)
 
     def _drive(self, ticket: _Ticket) -> InvokeResult:
         """Run the scheduler until every submitted invocation settles, then
@@ -676,7 +670,7 @@ class Monitor:
         assert ticket.result is not None
         return ticket.result
 
-    def _submit(self, handle: int, source, prefix: Sequence = ()) -> _Ticket:
+    def _submit(self, handle: int, source) -> _Ticket:
         """Queue one invocation; the single path of every entry point.
 
         source is a sealed request (bytes), plaintext staged by this
@@ -693,7 +687,7 @@ class Monitor:
             raise TrustletBusy(f"trustlet {handle} is mid-invocation")
         policy = self._require_policy()
         charges = InvokeCharges()
-        recreated = False
+        recreated, prefix = False, ()
         if source is None:
             inbox = self._chain_inbox.get(handle)
             if inbox is None:
@@ -721,11 +715,10 @@ class Monitor:
             charges.input_us += self._charge(charge)
             charges.input_us += self._charge(
                 self.objects.write_monitor(obj_id, input_bytes))
-        self.objects.bind_input(proc.pid, obj_id)
 
-        ticket = _Ticket(self._next_seq, handle, proc.pid, response_key,
-                         nonce, list(prefix), charges, recreated or claimed,
-                         chained=source is None)
+        ticket = _Ticket(self._next_seq, handle, proc.pid, obj_id,
+                         response_key, nonce, list(prefix), charges,
+                         recreated or claimed, chained=source is None)
         self._next_seq += 1
         self._active[proc.pid] = ticket
         heapq.heappush(self._ready, (ticket.seq, ticket))
@@ -817,7 +810,7 @@ class Monitor:
         """Resume the ticket's pipeline once: it suspends on an external
         file, completes, or fails."""
         if ticket.run is None:
-            ticket.input_bytes = self._read_input(proc)
+            ticket.input_bytes = self._read_input(ticket, proc)
             ticket.run = run_pipeline(proc.fn, proc.fs, ticket.input_bytes)
         proc.transition(ProcState.RUNNING)
         sent, ticket.resume = ticket.resume, None
@@ -843,18 +836,19 @@ class Monitor:
         self._active.pop(proc.pid, None)
         self.pool.release(proc.page_table.unmap_range(ticket.file_vpns))
         if ticket.chained and error is not None:
-            self.objects.clear_input(proc.pid)
             return
         if ticket.chained:
             del self._chain_inbox[ticket.handle]
-        self.objects.release_input(proc.pid)
+        self.objects.retire(ticket.input_obj)
         if result is not None:
             self.completion_log.append(proc.pid)
 
-    def _read_input(self, proc: ProcessDescriptor) -> bytes:
-        """Runtime prologue: getInputObject + page reads via the grant."""
-        obj_id, _length = self.objects.get_input(proc.pid, proc.page_table)
-        return self.objects.read_through(proc.pid, proc.page_table, obj_id)
+    def _read_input(self, ticket: _Ticket, proc: ProcessDescriptor) -> bytes:
+        """Runtime prologue: getInputObject + page reads via the grant; a
+        handed-off chain object already has this reader attached."""
+        self.objects.attach_reader(proc.pid, proc.page_table, ticket.input_obj)
+        return self.objects.read_through(proc.pid, proc.page_table,
+                                         ticket.input_obj)
 
     def _deliver_one_io(self) -> None:
         """Complete one suspended external file read, FIFO."""
@@ -901,7 +895,7 @@ class Monitor:
             else:
                 obj_id, charge = self.objects.create(
                     proc.pid, proc.page_table, max(1, len(output)),
-                    ObjectType.PLAIN)
+                    ObjectType.OUTPUT)
         except (TrustletBusy, QuotaExceeded, OutOfMemory) as exc:
             # A pending link stays pending; its consumer is left as it was.
             self._settle(ticket, proc, error=exc)
@@ -913,7 +907,9 @@ class Monitor:
         charges.output_us += self._charge(charge)
         charges.output_us += self._charge(self.objects.write_through(
             proc.pid, proc.page_table, obj_id, output))
-        self.objects.set_output(proc.pid, obj_id)
+        if edge is None:  # a chain object supersedes no output
+            self.objects.retire(proc.output_obj)
+            proc.output_obj = obj_id
         self.objects.seal(obj_id)
 
         if edge is not None:

@@ -13,8 +13,8 @@ party unmaps that party's grant from its table, and the store gives an
 object's frames back to the pool when its last attached process exits or
 the monitor retires it, so a page table only ever frees its own process's
 frames.  A writer's quota use is derived from the live objects it
-writes; a new output supersedes the writer's previous one, and a consumed
-input is retired.
+writes.  Which object is an invocation's input or a process's current
+output is the monitor's to know; it retires each when done with it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Optional
 from .crypto import Rng, symmetric_decrypt, symmetric_encrypt
 from .errors import (
     AlreadyAttached,
-    NoInput,
     NoRoute,
     NotWriter,
     QuotaExceeded,
@@ -109,7 +108,6 @@ class ObjectStore:
         self.objects: dict[int, DataObject] = {}
         self.counter = CopyCounter()
         self._next_id = 1
-        self._current_input: dict[int, int] = {}
         self._attached: dict[int, set[int]] = {}
 
     def attached_view(self, pid: int) -> set[int]:
@@ -211,55 +209,6 @@ class ObjectStore:
         obj.charged_bytes += needed * PAGE_SIZE
         return charge
 
-    def bind_input(self, pid: int, obj_id: int) -> None:
-        """Bind obj_id as pid's current invocation input."""
-        self._current_input[pid] = obj_id
-
-    def clear_input(self, pid: int) -> Optional[int]:
-        """Unbind pid's current input; returns its object id, if any."""
-        return self._current_input.pop(pid, None)
-
-    def release_input(self, pid: int) -> None:
-        """Unbind and retire pid's current input, if any: one staged by the
-        monitor, or the chain object of a consumed handoff."""
-        obj_id = self.clear_input(pid)
-        if obj_id is not None:
-            self.retire(obj_id)
-
-    def get_input(self, caller_pid: int,
-                  caller_table: Optional[PageTable]) -> tuple[int, int]:
-        """Input object for the running invocation, with a read grant.
-
-        Idempotent: repeated calls return the same object id.
-        """
-        obj_id = self._current_input.get(caller_pid)
-        if obj_id is None:
-            raise NoInput(f"no input object bound for process {caller_pid}")
-        obj = self.get(obj_id)
-        if obj.reader != caller_pid:
-            self.attach_reader(caller_pid, caller_table, obj_id)
-        return obj_id, obj.length
-
-    def set_output(self, caller_pid: int, obj_id: int) -> None:
-        """Mark the caller's object as its invocation output.
-
-        Last set wins: the caller's previous output object, shipped by the
-        time a newer one exists, is retired, which keeps a long-running
-        warm trustlet inside its object quota.  A chain object stays a
-        chain object and supersedes nothing.
-        """
-        obj = self.get(obj_id)
-        if obj.writer != caller_pid:
-            raise NotWriter(
-                f"process {caller_pid} is not the writer of object {obj_id}")
-        if obj.otype is ObjectType.CHAIN:
-            return
-        previous = [old.obj_id for old in self._written_by(caller_pid)
-                    if old.otype is ObjectType.OUTPUT and old is not obj]
-        obj.otype = ObjectType.OUTPUT
-        for old_id in previous:
-            self.retire(old_id)
-
     def seal(self, obj_id: int) -> None:
         self.get(obj_id).sealed = True
 
@@ -328,10 +277,11 @@ class ObjectStore:
                 obj.reader_table.unmap_range(obj.reader_vpns)
             obj.reader, obj.reader_vpns, obj.reader_table = None, [], None
 
-    def retire(self, obj_id: int) -> None:
+    def retire(self, obj_id: Optional[int]) -> None:
         """Fully release one object: detach every party, then give back its
         frames.  Used for consumed inputs, superseded outputs and chain
-        objects; the writer's quota use drops with the object."""
+        objects; the writer's quota use drops with the object.  An id that
+        is no longer live, or None, is ignored."""
         obj = self.objects.get(obj_id)
         if obj is None:
             return
@@ -353,7 +303,6 @@ class ObjectStore:
             self.detach(pid, obj)
             if not obj.attachments():
                 self._release_object(obj)
-        self._current_input.pop(pid, None)
 
     def _release_object(self, obj: DataObject) -> None:
         """Give back the frames of an object no party is attached to."""

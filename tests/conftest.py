@@ -10,7 +10,14 @@ from hypothesis import settings
 from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
-from walletemu.memory import CostModel, FrameStore, MemoryPool
+from walletemu.memory import (
+    PAGE_SIZE,
+    PL1,
+    CostModel,
+    FrameStore,
+    MemoryAccounting,
+    MemoryPool,
+)
 from walletemu.monitor import Monitor, MonitorConfig
 from walletemu.provider import FunctionProvider, UserAgent
 
@@ -58,6 +65,22 @@ def counting_verifies(monkeypatch) -> list:
 
     monkeypatch.setattr(att, "verify_signature", verify_signature)
     return signatures
+
+
+def reference_accounting(tables) -> MemoryAccounting:
+    """The per-frame accounting(), read entry by entry: a frame any table
+    maps counts once, as shared if its count is above 1, as exclusive if
+    its count is 1 and some mapping grants it PL1 access."""
+    refs, pl1 = {}, set()
+    for table in tables:
+        for vpn in table.mapped_vpns():
+            entry = table.lookup(vpn)
+            refs[entry.frame_id] = table.store.ref(entry.frame_id)
+            if PL1 in entry.perms.read | entry.perms.write:
+                pl1.add(entry.frame_id)
+    shared = sum(n > 1 for n in refs.values()) * PAGE_SIZE
+    exclusive = sum(refs[fid] == 1 for fid in pl1) * PAGE_SIZE
+    return MemoryAccounting(shared, exclusive, shared + exclusive)
 
 
 @pytest.fixture

@@ -207,6 +207,12 @@ class TestSimulateAndGenTrace:
             main([command, "--format", "csv"])
         assert exc.value.code == 2
 
+    def test_no_cow_is_refused_by_chain(self):
+        # A chain run's output does not depend on how trustlets are forked.
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--no-cow"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("doc", [
         {"duration_minutes": float("nan")},
         {"arrival_rate_per_s": float("inf")},

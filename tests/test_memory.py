@@ -17,6 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from conftest import reference_accounting
 from walletemu.errors import (
     BaseInUse,
     ConfigInvalid,
@@ -595,29 +596,6 @@ class TestResolveCow:
         assert store.ref(old_fid) == 2
         child.resolve_cow(0, pool, model)
         assert store.ref(old_fid) == 1
-
-
-def reference_accounting(tables):
-    """The per-frame accounting(): mark every frame the tables map in a
-    mask over all frame ids, base arrays deduplicated by identity, then
-    read the marked frames' counts, once for all of them and once for
-    those granted PL1 access."""
-    tables = list(tables)
-    if not tables:
-        return MemoryAccounting(0, 0, 0)
-    store = tables[0].store
-
-    def refs_of_mapped(pl1_only):
-        seen = np.zeros(store.n_frames(), dtype=bool)
-        parts = {id(arr): arr for table in tables
-                 for arr in table.frame_id_parts(pl1_only=pl1_only)}
-        for arr in parts.values():
-            seen[arr] = True
-        return store.refs_of(np.flatnonzero(seen))
-
-    shared = int((refs_of_mapped(False) > 1).sum()) * PAGE_SIZE
-    exclusive = int((refs_of_mapped(True) == 1).sum()) * PAGE_SIZE
-    return MemoryAccounting(shared, exclusive, shared + exclusive)
 
 
 # Tables over which a base's frames stop counting alike: each builds them

@@ -382,9 +382,7 @@ class TestInvocation:
             m.invoke_trustlet(t.handle, users[i % 2].make_request(
                 fn.digest(), b"x").ciphertext)
         live = {p.pid for p in m.descriptors()} | {MONITOR_PID}
-        store = m.objects
-        for per_pid in (store._attached, store._current_input):
-            assert set(per_pid) <= live
+        assert set(m.objects._attached) <= live
 
     def test_request_sealed_for_another_function_is_refused(self, rig):
         m = rig.monitor

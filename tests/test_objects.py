@@ -6,7 +6,6 @@ import pytest
 from walletemu.crypto import Rng
 from walletemu.errors import (
     AlreadyAttached,
-    NoInput,
     NoRoute,
     NotWriter,
     QuotaExceeded,
@@ -129,6 +128,12 @@ class TestAttachments:
         with pytest.raises(AlreadyAttached):
             objects.attach_reader(3, third, obj_id)
 
+    def test_only_the_writer_writes_through(self, env):
+        objects, writer, reader = env
+        obj_id, _ = objects.create(1, writer, 8)
+        with pytest.raises(NotWriter):
+            objects.write_through(2, reader, obj_id, b"payload!")
+
     def test_reader_write_through_grant_faults(self, env):
         objects, writer, reader = env
         obj_id, _ = objects.create(1, writer, 8)
@@ -154,64 +159,6 @@ class TestAttachments:
         objects, _, reader = env
         with pytest.raises(UnknownObject):
             objects.attach_reader(2, reader, 999)
-
-
-class TestInputBinding:
-    def test_get_input_idempotent(self, env):
-        objects, _, reader = env
-        obj_id, _ = objects.create(MONITOR_PID, None, 5, ObjectType.INPUT)
-        objects.write_monitor(obj_id, b"hello")
-        objects.bind_input(2, obj_id)
-        first = objects.get_input(2, reader)
-        second = objects.get_input(2, reader)
-        assert first == second == (obj_id, 5)
-
-    def test_no_input_outside_invocation(self, env):
-        objects, _, reader = env
-        with pytest.raises(NoInput):
-            objects.get_input(2, reader)
-
-
-    def test_clear_input_returns_the_unbound_object(self, env):
-        objects, _, _ = env
-        obj_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
-        objects.bind_input(1, obj_id)
-        assert objects.clear_input(1) == obj_id
-        assert objects.clear_input(1) is None
-
-
-class TestSetOutput:
-    def test_writer_sets_own_object(self, env):
-        objects, writer, _ = env
-        obj_id, _ = objects.create(1, writer, 8)
-        objects.set_output(1, obj_id)
-        assert objects.get(obj_id).otype is ObjectType.OUTPUT
-
-    def test_non_writer_rejected(self, env):
-        objects, writer, _ = env
-        obj_id, _ = objects.create(1, writer, 8)
-        with pytest.raises(NotWriter):
-            objects.set_output(2, obj_id)
-
-    def test_last_set_wins(self, env):
-        objects, writer, _ = env
-        first, _ = objects.create(1, writer, 8)
-        second, _ = objects.create(1, writer, 8)
-        objects.set_output(1, first)
-        objects.set_output(1, second)
-        assert objects.get(second).otype is ObjectType.OUTPUT
-        assert first not in objects.objects
-        objects.set_output(1, second)  # setting it again keeps it
-        assert objects.get(second).otype is ObjectType.OUTPUT
-
-    def test_chain_output_supersedes_nothing(self, env):
-        objects, writer, _ = env
-        output, _ = objects.create(1, writer, 8)
-        chain, _ = objects.create(1, writer, 8, ObjectType.CHAIN)
-        objects.set_output(1, output)
-        objects.set_output(1, chain)
-        assert objects.get(chain).otype is ObjectType.CHAIN
-        assert objects.get(output).otype is ObjectType.OUTPUT
 
 
 class TestFallbackTransfer:
@@ -289,13 +236,13 @@ class TestReclaim:
 
     def test_reclaim_forgets_every_entry_of_the_pid(self, env):
         objects, writer, _ = env
-        obj_id, _ = objects.create(1, writer, 8)
+        objects.create(1, writer, 8)
         input_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
-        objects.bind_input(1, input_id)
+        objects.attach_reader(1, writer, input_id)
         objects.reclaim(1)
         writer.release_all()
-        for per_pid in (objects._attached, objects._current_input):
-            assert 1 not in per_pid
+        assert 1 not in objects._attached
+        assert objects.get(input_id).reader is None  # the monitor retires it
 
     def test_reclaim_unmaps_the_grants_and_frees_the_frames(self, env):
         # Before either table is released, each reclaim leaves that table

@@ -5,9 +5,14 @@ invocations as random users on every input source (sealed requests,
 fallback hops, chained inputs), chain links, external-file reads the
 guest serves honestly, tampered or not at all, and zygote deletion.  A
 small model predicts each command's outcome: its output, whether it
-recreates the trustlet, hands off to a chain consumer or is refused.  The monitor's global invariants are checked after every
-step, and at the end every frame must be back in the pool.
+recreates the trustlet, hands off to a chain consumer or is refused, and
+for a completed chain the report's stages.  The monitor's global
+invariants are checked after every step: among them, no payload reaches
+the guest, no PL1-writable frame is shared, and every live object has an
+owner.  At the end every frame must be back in the pool.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import EXTERNAL_CONTENT, MIB, make_rig
+from conftest import EXTERNAL_CONTENT, MIB, make_rig, reference_accounting
 from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.errors import (
@@ -34,11 +39,9 @@ from walletemu.errors import (
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
 from walletemu.memory import (
     FREE,
-    PAGE_SIZE,
     PL1,
     PL2,
     AccessKind,
-    MemoryAccounting,
     PageFault,
     accounting,
 )
@@ -79,11 +82,17 @@ class MonitorMachine(RuleBasedStateMachine):
         self.image = image
         # The model: live trustlets (handle -> function index), the user
         # each last served, pending links, and handed-off inputs not yet
-        # run (consumer -> user, request, data, hops so far, recreated).
+        # run (consumer -> user, request, data, the chain's payload and
+        # the function indexes of its hops so far, recreated).
         self.trustlets: dict[int, int] = {}
         self.last_user: dict[int, int] = {}
         self.links: dict[int, int] = {}
         self.pending: dict[int, tuple] = {}
+        # Every payload starts with a fresh sentinel; the guest's
+        # observations past tap_seen are not yet scanned for them.
+        self.sentinel_rng = Rng(1000)
+        self.sentinels: list[bytes] = []
+        self.tap_seen = 0
         for f in range(len(self.functions)):
             self.create_trustlet(f)
 
@@ -125,12 +134,14 @@ class MonitorMachine(RuleBasedStateMachine):
         pending = self.pending.get(handle)
         return pending is not None and pending[0] != u
 
-    def _hop(self, handle, u, call, data, hops, request, recreated) -> bool:
+    def _hop(self, handle, u, call, data, payload, stages, request,
+             recreated) -> bool:
         """Run call() (trustlet handle as user u) and check the model.
 
         Every chain started either hands off to its consumer or raises.
         Returns False when the handoff is refused.
         """
+        stages = stages + (self.trustlets[handle],)
         consumer = self.links.get(handle)
         if consumer is not None and consumer in self.pending:
             with pytest.raises(TrustletBusy):  # the link stays pending
@@ -145,19 +156,27 @@ class MonitorMachine(RuleBasedStateMachine):
             del self.links[handle]
             last = self.last_user.get(consumer)
             self.last_user[consumer] = u
-            self.pending[consumer] = (u, request, out, hops + 1,
+            self.pending[consumer] = (u, request, out, payload, stages,
                                       last is not None and last != u)
             return True
         assert result.handoff is None
         user = self.users[u]
         assert user.decrypt_response(request, result.output_ciphertext) == out
-        assert len(result.report.chain_entries) == hops + 1
+        # Chain order: one entry per hop, in hop order, the first one over
+        # the user's payload.
+        entries = result.report.chain_entries
+        assert [e.function_digest for e in entries] == [
+            self.functions[f].digest() for f in stages]
+        assert entries[0].input_digest == hashlib.sha512(payload).digest()
         assert att.verify_report(result.report,
                                  self.rig.expectations(request, user))
         return True
 
     def _invoke(self, handle, u, payload, fallback, error=None) -> None:
-        """Invoke as user u; expect error instead of a result if given."""
+        """Invoke as user u on payload behind a fresh sentinel; expect
+        error instead of a result if given."""
+        self.sentinels.append(self.sentinel_rng.bytes(16))
+        payload = self.sentinels[-1] + payload
         fn = self.functions[self.trustlets[handle]]
         request = self.users[u].make_request(fn.digest(), payload)
         if fallback:
@@ -177,14 +196,14 @@ class MonitorMachine(RuleBasedStateMachine):
             with pytest.raises(error):
                 call()
             return
-        self._hop(handle, u, call, payload, 0, request,
+        self._hop(handle, u, call, payload, payload, (), request,
                   last is not None and last != u)
 
     def _run_chained(self, handle) -> None:
         """A refused hop keeps its handed-off input for a retry."""
-        u, request, chained, hops, recreated = self.pending[handle]
+        u, request, chained, payload, stages, recreated = self.pending[handle]
         if self._hop(handle, u, lambda: self.m.invoke_chained(handle),
-                     chained, hops, request, recreated):
+                     chained, payload, stages, request, recreated):
             del self.pending[handle]
 
     # -- rules ----------------------------------------------------------------
@@ -320,27 +339,51 @@ class MonitorMachine(RuleBasedStateMachine):
 
     @invariant()
     def accounting_matches_the_mappings(self):
-        # A frame counts once: as shared if more than one entry maps it,
-        # as exclusive if one entry does and grants PL1 access.
-        store, mapped, pl1 = self.m.store, set(), set()
-        for table in self.m.live_tables():
-            for vpn in table.mapped_vpns():
-                entry = table.lookup(vpn)
-                mapped.add(entry.frame_id)
-                if PL1 in entry.perms.read | entry.perms.write:
-                    pl1.add(entry.frame_id)
-        shared = sum(store.ref(f) > 1 for f in mapped)
-        exclusive = sum(store.ref(f) == 1 for f in pl1)
-        assert accounting(self.m.live_tables()) == MemoryAccounting(
-            shared * PAGE_SIZE, exclusive * PAGE_SIZE,
-            (shared + exclusive) * PAGE_SIZE)
+        tables = self.m.live_tables()
+        assert accounting(tables) == reference_accounting(tables)
 
     @invariant()
     def object_store_keys_live_pids_only(self):
         live = {p.pid for p in self.m.descriptors()} | {MONITOR_PID}
-        store = self.m.objects
-        for per_pid in (store._attached, store._current_input):
-            assert set(per_pid) <= live
+        assert set(self.m.objects._attached) <= live
+
+    @invariant()
+    def every_live_object_has_an_owner(self):
+        # Being attached to a live process is not enough: a superseded
+        # output stays attached to its writer.
+        m = self.m
+        owned = {obj_id for _consumer, obj_id in m._chain_edges.values()}
+        owned |= {inbox[0] for inbox in m._chain_inbox.values()}
+        owned |= {ticket.input_obj for ticket in m._active.values()}
+        owned |= {p.output_obj for p in m.descriptors()}
+        assert set(m.objects.objects) <= owned
+
+    @invariant()
+    def no_payload_reaches_the_guest(self):
+        tap = self.m.guest.tap
+        for blob in tap[self.tap_seen:]:
+            seen = blob if isinstance(blob, bytes) else b"".join(blob)
+            assert not any(sentinel in seen for sentinel in self.sentinels)
+        self.tap_seen = len(tap)
+
+    @invariant()
+    def pl1_writable_frames_are_not_shared(self):
+        # Unless both tables' processes are attached to the object the
+        # frame is of.
+        mappers, writable = {}, []
+        for proc in self.m.descriptors():
+            table = proc.page_table
+            for vpn in table.mapped_vpns():
+                entry = table.lookup(vpn)
+                mappers.setdefault(entry.frame_id, set()).add(proc.pid)
+                if PL1 in entry.perms.write:
+                    writable.append((entry.frame_id, proc.pid))
+        objects = self.m.objects.objects.values()
+        for fid, pid in writable:
+            for other in mappers[fid] - {pid}:
+                assert any(fid in obj.frames
+                           and {pid, other} <= obj.attachments()
+                           for obj in objects)
 
     @invariant()
     def live_writers_stay_within_their_quotas(self):
@@ -361,8 +404,8 @@ class MonitorMachine(RuleBasedStateMachine):
         store = self.m.store
         held = np.zeros(store.n_frames(), dtype=bool)
         for table in self.m.live_tables():
-            for part in table.frame_id_parts():
-                held[part] = True
+            held[[table.lookup(vpn).frame_id
+                  for vpn in table.mapped_vpns()]] = True
         object_frames = np.array(
             [fid for obj in self.m.objects.objects.values()
              for fid in obj.frames], dtype=np.int64)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_rig
+from conftest import echo_fn, make_rig, shout_fn
 from walletemu.cli import main
 from walletemu.errors import ConfigInvalid
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
@@ -46,15 +46,29 @@ class TestRuntimeInit:
 
 
 class TestDescriptorObjects:
-    def test_descriptor_tracks_live_attachments(self, rig):
-        fn = rig.functions[0]
-        t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
-        proc = rig.monitor._proc(t.handle)
-        assert proc.objects == set()
-        request = rig.user.make_request(fn.digest(), b"track me")
-        result = rig.monitor.invoke_trustlet(t.handle, request.ciphertext)
-        # Input was consumed and retired; the newest output stays attached.
-        assert proc.objects == {result.output_obj_id}
+    def test_descriptor_tracks_live_attachments(self):
+        rig = make_rig(chains=((echo_fn().digest(), shout_fn().digest()),))
+        m = rig.monitor
+        echo, shout = rig.functions[:2]
+        t = m.create_trustlet(rig.zygote.handle, echo)
+        consumer = m.create_trustlet(rig.zygote.handle, shout)
+        proc = m._proc(t.handle)
+        assert m.objects.attached_view(proc.pid) == set()
+        first, second = (m.invoke_trustlet(t.handle, rig.user.make_request(
+            echo.digest(), b"track me").ciphertext) for _ in range(2))
+        # Each input was consumed and retired; the newest output supersedes
+        # the previous one and stays attached.
+        assert first.output_obj_id not in m.objects.objects
+        assert m.objects.attached_view(proc.pid) == {second.output_obj_id} \
+            == {proc.output_obj}
+        # A chain object supersedes nothing: the output stays current.
+        chain_obj = m.link_chain(t.handle, consumer.handle)
+        handoff = m.invoke_trustlet(t.handle, rig.user.make_request(
+            echo.digest(), b"hand me off").ciphertext)
+        assert handoff.output_obj_id == chain_obj
+        assert m.objects.attached_view(proc.pid) == {second.output_obj_id,
+                                                     chain_obj}
+        assert proc.output_obj == second.output_obj_id
 
 
 class TestObjectDump:
