@@ -307,6 +307,53 @@ class TestPinnedSimulatorOutputs:
         assert digests == self.PINS
 
 
+class TestPinnedEmulatorOutputs:
+    """SHA-256 of the emulator commands' stdout and object dumps at seed 0,
+    pinned bit for bit."""
+
+    PINS = {
+        "emulate":
+            "12cad555a3478cd98b12399a8abef757ed31b54bacd4dc92401ab9e25141fbf8",
+        "emulate-objects.json":
+            "0de5b8cf6b2f593ad6cf1498417d5e27e28d8ffa1f0027d1e4a559ddd6e9e7da",
+        "chain-k8":
+            "f5e810fd4d2e6c1d511160420f72ab2688187b9771cdce6056146e5e818e7e80",
+        "chain-k8-objects.json":
+            "26a7fedceeb88201a45e46b6257c6d399b6440cf984f819d0d376d3d7ba966aa",
+        "chain-k4-100000":
+            "9ef491b03989098de481e5799f61a50aea930443fd612e0d84888a286b78893f",
+        "density-500":
+            "d8b25bea5ab2e76e6cc64e0e6386d8c201e40876edd3877a1fca92b0259005a8",
+        "attest-demo":
+            "392adba4429132fee5a8d3691069462ee94d49dd7846cf02f4e1176da4ddaa71",
+    }
+
+    def test_stdout_and_object_dumps(self, artifacts, capsys):
+        tmp = artifacts["tmp"]
+        runs = {
+            "emulate": ["emulate", "--zygote", str(artifacts["zygote"]),
+                        "--function", str(artifacts["echo"]),
+                        "--function", str(artifacts["shout"]), "-n", "3",
+                        "--dump-objects", str(tmp / "emulate-objects.json")],
+            "chain-k8": ["chain", "--k", "8", "--dump-objects",
+                         str(tmp / "chain-k8-objects.json")],
+            "chain-k4-100000": ["chain", "--k", "4",
+                                "--payload-size", "100000"],
+            "density-500": ["density", "--n-functions", "500"],
+            "attest-demo": ["attest-demo"],
+        }
+        digests = {}
+        for name, argv in runs.items():
+            capsys.readouterr()
+            assert main(argv + ["--seed", "0"]) == 0
+            digests[name] = hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()
+        for name in ("emulate-objects.json", "chain-k8-objects.json"):
+            digests[name] = hashlib.sha256(
+                (tmp / name).read_bytes()).hexdigest()
+        assert digests == self.PINS
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, artifacts):
         config = artifacts["tmp"] / "run.json"
