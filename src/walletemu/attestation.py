@@ -45,14 +45,6 @@ class SubjectKind(str, Enum):
     MONITOR = "monitor"
     ZYGOTE = "zygote"
     FUNCTION = "function"
-    INPUT = "input"
-    OUTPUT = "output"
-
-
-@dataclass(frozen=True)
-class Measurement:
-    digest: bytes
-    subject: SubjectKind
 
 
 class MeasurementCache:
@@ -65,20 +57,20 @@ class MeasurementCache:
     """
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[SubjectKind, str], Measurement] = {}
+        self.entries: dict[tuple[SubjectKind, str], bytes] = {}
         self.hits = 0
         self.misses = 0
         self.bytes_hashed = 0
 
     def measure(self, kind: SubjectKind, content_id: str, content: bytes,
-                model: CostModel) -> tuple[Measurement, int]:
-        """Return (measurement, simulated hash charge in microseconds)."""
+                model: CostModel) -> tuple[bytes, int]:
+        """Return (digest, simulated hash charge in microseconds)."""
         return self._measure(kind, content_id, len(content),
                              lambda: sha512(content), model)
 
     def measure_image(self, kind: SubjectKind,
                       image: ZygoteImage | FunctionSpec,
-                      model: CostModel) -> tuple[Measurement, int]:
+                      model: CostModel) -> tuple[bytes, int]:
         """Measure a zygote image or function spec under its uid.
 
         A miss takes the digest the object keeps over its own canonical
@@ -91,7 +83,7 @@ class MeasurementCache:
 
     def _measure(self, kind: SubjectKind, content_id: str, size: int,
                  digest_of: Callable[[], bytes],
-                 model: CostModel) -> tuple[Measurement, int]:
+                 model: CostModel) -> tuple[bytes, int]:
         key = (kind, content_id)
         cached = self.entries.get(key)
         if cached is not None:
@@ -99,16 +91,15 @@ class MeasurementCache:
             return cached, 0
         self.misses += 1
         self.bytes_hashed += size
-        measurement = Measurement(digest_of(), kind)
-        self.entries[key] = measurement
-        return measurement, model.hash_us(size)
+        digest = self.entries[key] = digest_of()
+        return digest, model.hash_us(size)
 
-    def measure_transient(self, kind: SubjectKind, content: bytes,
-                          model: CostModel) -> tuple[Measurement, int]:
+    def measure_transient(self, content: bytes,
+                          model: CostModel) -> tuple[bytes, int]:
         """Measure mutable content (input/output); never served from cache."""
         self.misses += 1
         self.bytes_hashed += len(content)
-        return Measurement(sha512(content), kind), model.hash_us(len(content))
+        return sha512(content), model.hash_us(len(content))
 
 
 # -- simulated platform root of trust ------------------------------------------
@@ -329,14 +320,11 @@ def build_report(cache: MeasurementCache, nonce: bytes,
         function, c = cache.measure_image(SubjectKind.FUNCTION, link.function,
                                           model)
         charge += c
-        inp, c = cache.measure_transient(SubjectKind.INPUT, link.input_bytes,
-                                         model)
+        inp, c = cache.measure_transient(link.input_bytes, model)
         charge += c
-        out, c = cache.measure_transient(SubjectKind.OUTPUT, link.output_bytes,
-                                         model)
+        out, c = cache.measure_transient(link.output_bytes, model)
         charge += c
-        entries.append(ChainEntry(zygote.digest, function.digest,
-                                  inp.digest, out.digest))
+        entries.append(ChainEntry(zygote, function, inp, out))
     unsigned = AttestationReport(platform, bytes(nonce), tuple(entries), b"")
     signature = signer.sign(unsigned.signed_message())
     report = AttestationReport(platform, bytes(nonce), tuple(entries), signature)

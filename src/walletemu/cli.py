@@ -10,8 +10,10 @@ codes are 0 on success and one documented nonzero code per error class
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import attestation as att
@@ -29,10 +31,10 @@ from .traceio import GeneratorSpec, generate_trace, load_trace, write_stats, wri
 MIB = 1048576
 
 
-def _emit(doc, args) -> None:
+def _emit(doc, out) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -42,22 +44,40 @@ def _note(msg: str) -> None:
 
 
 def _monitor_config(args) -> MonitorConfig:
-    cost = CostModel()
-    prealloc = getattr(args, "prealloc", None)
-    if prealloc is None:
-        prealloc = 512 * MIB
+    prealloc = 512 * MIB if args.prealloc is None else args.prealloc
     return MonitorConfig(
-        prealloc_bytes=prealloc or 0,
+        prealloc_bytes=prealloc,
         pool_frames=0 if prealloc else 262144,
-        cost_model=cost,
+        cost_model=CostModel(),
         cow_enabled=not getattr(args, "no_cow", False),
         seed=args.seed,
     )
 
 
+def _provisioned(args, zygotes, functions,
+                 chains=()) -> tuple[Monitor, UserAgent]:
+    """Boot a monitor from the flags, provision a provider's policy into
+    it, and return the monitor with a user of that provider."""
+    monitor = Monitor(_monitor_config(args))
+    provider = FunctionProvider(Rng(args.seed + 1), zygotes, functions, chains)
+    provider.provision(monitor)
+    return monitor, UserAgent(Rng(args.seed + 2), provider.public_key())
+
+
+def _write_artifacts(args, monitor: Monitor) -> None:
+    """Write the --cert-out certificate and --dump-objects table asked for."""
+    if getattr(args, "cert_out", None):
+        Path(args.cert_out).write_text(monitor.machine_key.export_cert(),
+                                       encoding="utf-8")
+    if getattr(args, "dump_objects", None):
+        Path(args.dump_objects).write_text(
+            json.dumps(monitor.objects.dump(), indent=2) + "\n",
+            encoding="utf-8")
+
+
 def _load_policy_digests(args, image: ZygoteImage,
                          functions) -> tuple[list, list, list]:
-    if getattr(args, "policy", None):
+    if args.policy:
         try:
             doc = json.loads(Path(args.policy).read_text(encoding="utf-8"))
             zygotes = [bytes.fromhex(d) for d in doc["allowed_zygotes"]]
@@ -81,11 +101,7 @@ def cmd_emulate(args) -> dict:
     functions = [FunctionSpec.from_json(Path(p).read_bytes())
                  for p in args.function]
     zygotes, fns, chains = _load_policy_digests(args, image, functions)
-
-    monitor = Monitor(_monitor_config(args))
-    provider = FunctionProvider(Rng(args.seed + 1), zygotes, fns, chains)
-    provider.provision(monitor)
-    user = UserAgent(Rng(args.seed + 2), provider.public_key())
+    monitor, user = _provisioned(args, zygotes, fns, chains)
 
     invocations = []
     zygote_handle = None
@@ -121,14 +137,7 @@ def cmd_emulate(args) -> dict:
                 "setup_us": phase_us + result.charges.setup_us,
                 "exec_us": result.charges.exec_us,
                 "total_us": phase_us + result.charges.total_us,
-                "invoke": {
-                    "decrypt_us": result.charges.decrypt_us,
-                    "input_us": result.charges.input_us,
-                    "exec_us": result.charges.exec_us,
-                    "output_us": result.charges.output_us,
-                    "report_us": result.charges.report_us,
-                    "response_us": result.charges.response_us,
-                },
+                "invoke": dataclasses.asdict(result.charges),
                 "creation": creation,
                 "verified": verified,
                 "output_len": len(output),
@@ -140,13 +149,7 @@ def cmd_emulate(args) -> dict:
         "bytes_hashed": monitor.cache.bytes_hashed,
         "cache": {"hits": monitor.cache.hits, "misses": monitor.cache.misses},
     }
-    if args.cert_out:
-        Path(args.cert_out).write_text(monitor.machine_key.export_cert(),
-                                       encoding="utf-8")
-    if args.dump_objects:
-        Path(args.dump_objects).write_text(
-            json.dumps(monitor.objects.dump(), indent=2) + "\n",
-            encoding="utf-8")
+    _write_artifacts(args, monitor)
     labels = [i["label"] for i in invocations]
     _note(f"emulate: {len(invocations)} invocations {labels}; "
           f"all verified: {all(i['verified'] for i in invocations)}")
@@ -154,11 +157,6 @@ def cmd_emulate(args) -> dict:
 
 
 # -- chain ------------------------------------------------------------------------
-
-
-def _relay_functions(k: int) -> list[FunctionSpec]:
-    return [FunctionSpec(f"relay-{i}", [PipelineOp.identity()], 0.0)
-            for i in range(k)]
 
 
 def _comm_us(charges) -> int:
@@ -171,26 +169,31 @@ def _comm_us(charges) -> int:
     return charges.input_us + charges.exec_us + charges.output_us
 
 
+def _path_counts(monitor: Monitor, base: dict) -> dict:
+    """Copies, crypto ops and fallback copies on the path since base."""
+    now = monitor.objects.counter.snapshot()
+    return {name: now[name] - base[name] for name in
+            ("payload_bytes_copied", "crypto_ops", "fallback_copies")}
+
+
 def cmd_chain(args) -> dict:
     k = args.k
     payload = bytes((i * 37 + 11) % 251 for i in range(args.payload_size))
 
+    functions = [FunctionSpec(f"relay-{i}", [PipelineOp.identity()], 0.0)
+                 for i in range(k)]
+    image = ZygoteImage("relay-rt", 0, [("/etc/noop", b"relay")])
+    chain_digests = tuple(fn.digest() for fn in functions)
+
     def build():
-        functions = _relay_functions(k)
-        image = ZygoteImage("relay-rt", 0, [("/etc/noop", b"relay")])
-        chain_digests = tuple(fn.digest() for fn in functions)
-        monitor = Monitor(_monitor_config(args))
-        provider = FunctionProvider(Rng(args.seed + 1), [image.digest()],
-                                    list(chain_digests), [chain_digests])
-        provider.provision(monitor)
-        user = UserAgent(Rng(args.seed + 2), provider.public_key())
+        monitor, user = _provisioned(args, [image.digest()],
+                                     list(chain_digests), [chain_digests])
         zyg = monitor.create_zygote(image)
-        handles = [monitor.create_trustlet(zyg.handle, fn).handle
-                   for fn in functions]
-        return monitor, provider, user, functions, handles
+        return monitor, user, [monitor.create_trustlet(zyg.handle, fn).handle
+                               for fn in functions]
 
     # Chain (data-object) mode.
-    monitor, provider, user, functions, handles = build()
+    monitor, user, handles = build()
     for producer, consumer in zip(handles, handles[1:]):
         monitor.link_chain(producer, consumer)
     request = user.make_request(functions[0].digest(), payload)
@@ -200,21 +203,13 @@ def cmd_chain(args) -> dict:
     while result.handoff is not None:
         result = monitor.invoke_chained(result.handoff)
         latency_us += _comm_us(result.charges)
-    chain_counters = monitor.objects.counter.snapshot()
-    chain_stats = {
-        "payload_bytes_copied": chain_counters["payload_bytes_copied"]
-        - base["payload_bytes_copied"],
-        "crypto_ops": chain_counters["crypto_ops"] - base["crypto_ops"],
-        "fallback_copies": chain_counters["fallback_copies"]
-        - base["fallback_copies"],
-        "latency_us": latency_us,
-        "report_entries": len(result.report.chain_entries),
-    }
+    chain_stats = {**_path_counts(monitor, base), "latency_us": latency_us,
+                   "report_entries": len(result.report.chain_entries)}
     output = user.decrypt_response(request, result.output_ciphertext)
 
     # Fallback (copy-and-encrypt) mode over the same stages.
-    monitor2, provider2, user2, functions2, handles2 = build()
-    request2 = user2.make_request(functions2[0].digest(), payload)
+    monitor2, user2, handles2 = build()
+    request2 = user2.make_request(functions[0].digest(), payload)
     base2 = monitor2.objects.counter.snapshot()
     transport_key = Rng(args.seed + 3).bytes(32)
     result2 = monitor2.invoke_trustlet(handles2[0], request2.ciphertext)
@@ -227,16 +222,9 @@ def cmd_chain(args) -> dict:
         result2 = monitor2.invoke_with_input(
             handles2[hop], delivered, request2.response_key, request2.nonce)
         fb_latency_us += _comm_us(result2.charges)
-    fb_counters = monitor2.objects.counter.snapshot()
     fallback_stats = {
-        "payload_bytes_copied": fb_counters["payload_bytes_copied"]
-        - base2["payload_bytes_copied"],
-        "crypto_ops": fb_counters["crypto_ops"] - base2["crypto_ops"],
-        "fallback_copies": fb_counters["fallback_copies"]
-        - base2["fallback_copies"],
-        "colocated_fallbacks": fb_counters["colocated_fallbacks"],
-        "latency_us": fb_latency_us,
-    }
+        **_path_counts(monitor2, base2), "latency_us": fb_latency_us,
+        "colocated_fallbacks": monitor2.objects.counter.colocated_fallbacks}
 
     speedup = fallback_stats["latency_us"] / max(1, chain_stats["latency_us"])
     doc = {
@@ -248,10 +236,7 @@ def cmd_chain(args) -> dict:
         "speedup": speedup,
         "output_matches": output == payload,
     }
-    if args.dump_objects:
-        Path(args.dump_objects).write_text(
-            json.dumps(monitor.objects.dump(), indent=2) + "\n",
-            encoding="utf-8")
+    _write_artifacts(args, monitor)
     _note(f"chain k={k}: object path {chain_stats['latency_us']} us vs "
           f"fallback {fallback_stats['latency_us']} us ({speedup:.1f}x)")
     return doc
@@ -275,10 +260,7 @@ def cmd_density(args) -> dict:
     image = build_sized_image("density-rt", args.zygote_mib * MIB)
     fn = FunctionSpec("noop", [PipelineOp.identity()], 0.0)
 
-    monitor = Monitor(_monitor_config(args))
-    provider = FunctionProvider(Rng(args.seed + 1), [image.digest()],
-                                [fn.digest()])
-    provider.provision(monitor)
+    monitor, _ = _provisioned(args, [image.digest()], [fn.digest()])
     zyg = monitor.create_zygote(image)
     for _ in range(n):
         monitor.create_trustlet(zyg.handle, fn)
@@ -355,39 +337,26 @@ def _sim_config(args, nodes: int) -> SimConfig:
                      jitter_sigma=args.jitter)
 
 
-def _sweep_worker(payload: dict) -> tuple[int, list]:
+def _sweep_worker(args, nodes: int) -> list:
     """Run one node-count point of a sweep in a worker process."""
-    import argparse
-    args = argparse.Namespace(**payload["args"])
-    results = simulate(_load_or_generate_trace(args),
-                       _sim_config(args, payload["nodes"]))
-    return payload["nodes"], [stats.to_row() for stats in results.values()]
+    results = simulate(_load_or_generate_trace(args), _sim_config(args, nodes))
+    return sorted((stats.to_row() for stats in results.values()),
+                  key=lambda r: r["variant"])
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args) -> dict | None:
     if args.sweep_nodes:
         from concurrent.futures import ProcessPoolExecutor
         node_counts = sorted(int(n) for n in args.sweep_nodes.split(","))
-        payload_args = {"trace": args.trace, "gen_spec": args.gen_spec,
-                        "seed": args.seed, "slots": args.slots,
-                        "cache": args.cache, "variant": args.variant,
-                        "jitter": args.jitter}
-        sweep: dict[str, list] = {}
         with ProcessPoolExecutor(max_workers=min(4, len(node_counts))) as pool:
-            for nodes, rows in pool.map(
-                    _sweep_worker,
-                    [{"args": payload_args, "nodes": n} for n in node_counts]):
-                sweep[str(nodes)] = sorted(rows, key=lambda r: r["variant"])
-        doc = {"sweep_nodes": sweep}
-        if args.out:
-            Path(args.out).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+            sweep = {str(nodes): rows for nodes, rows in zip(
+                node_counts, pool.map(partial(_sweep_worker, args),
+                                      node_counts))}
         for nodes in node_counts:
             _note(f"  nodes={nodes}: " + ", ".join(
                 f"{r['variant']} p99d={r['p99_delay_ms']:.1f}ms"
                 for r in sweep[str(nodes)]))
-        return doc
+        return {"sweep_nodes": sweep}
 
     trace = _load_or_generate_trace(args)
     results = simulate(trace, _sim_config(args, args.nodes))
@@ -412,22 +381,20 @@ def cmd_simulate(args) -> dict:
                         stats.slowdown.tolist()):
                     writer.writerow([name, inv, node, tier_names[code],
                                      repr(delay), repr(slowdown)])
-    doc = {"n_invocations": len(trace), "stats": sorted(
-        rows, key=lambda r: r["variant"])}
-    for row in doc["stats"]:
+    rows = sorted(rows, key=lambda r: r["variant"])
+    for row in rows:
         _note(f"  {row['variant']:10s} p50 delay {row['p50_delay_ms']:.1f} ms  "
               f"p99 delay {row['p99_delay_ms']:.1f} ms  "
               f"cold/lukewarm/warm {row['cold']}/{row['lukewarm']}/{row['warm']}")
-    return doc
+    return None if args.out else {"n_invocations": len(trace), "stats": rows}
 
 
-def cmd_gen_trace(args) -> dict:
+def cmd_gen_trace(args) -> None:
     trace = generate_trace(_generator_spec(args))
     if not args.out:
         raise EmulatorError("gen-trace requires --out")
     write_trace(trace, args.out)
     _note(f"gen-trace: {len(trace)} invocations -> {args.out}")
-    return {"n_invocations": len(trace), "out": args.out}
 
 
 # -- attest-demo ---------------------------------------------------------------------
@@ -492,9 +459,7 @@ def cmd_attest_demo(args) -> dict:
         replay = type(exc).__name__
     transcript.append({"phase": "nonce-replay", "outcome": replay})
 
-    if args.cert_out:
-        Path(args.cert_out).write_text(monitor.machine_key.export_cert(),
-                                       encoding="utf-8")
+    _write_artifacts(args, monitor)
     doc = {"transcript": transcript}
     _note("attest-demo: honest verdicts "
           f"{[e.get('verdict') for e in transcript if 'verdict' in e]}, "
@@ -505,21 +470,22 @@ def cmd_attest_demo(args) -> dict:
 # -- argument parsing ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walletemu",
         description="Confidential-serverless runtime emulator and "
                     "scale-out simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file of flag defaults; "
-                                        "explicit flags override it")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=allow_abbrev)
+        p.add_argument("--config", help="JSON object of this command's "
+                                        "flags; explicit flags override it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write JSON/stats here instead of stdout")
+        return p
 
-    p = sub.add_parser("emulate", help="end-to-end invocation scenario")
-    common(p)
+    p = command("emulate", "end-to-end invocation scenario")
     p.add_argument("--zygote", help="zygote image file (WZYG)")
     p.add_argument("--function", action="append",
                    help="function spec JSON (repeatable)")
@@ -533,24 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-objects", help="write the object table JSON here")
     p.set_defaults(func=cmd_emulate)
 
-    p = sub.add_parser("chain", help="function-chain communication benchmark")
-    common(p)
+    p = command("chain", "function-chain communication benchmark")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--payload-size", type=int, default=4096)
     p.add_argument("--prealloc", type=int, default=None)
     p.add_argument("--dump-objects", help="write the object table JSON here")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("density", help="function-density memory accounting")
-    common(p)
+    p = command("density", "function-density memory accounting")
     p.add_argument("--n-functions", type=int, default=500)
     p.add_argument("--zygote-mib", type=int, default=147)
     p.add_argument("--no-cow", action="store_true")
     p.add_argument("--prealloc", type=int, default=None)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("simulate", help="trace-driven scale-out simulation")
-    common(p)
+    p = command("simulate", "trace-driven scale-out simulation")
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="format of the --out stats file; a sweep writes "
                         "JSON and refuses csv")
@@ -566,13 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated node counts; points run in parallel")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gen-trace", help="generate a synthetic trace CSV")
-    common(p)
+    p = command("gen-trace", "generate a synthetic trace CSV")
     p.add_argument("--gen-spec", help="generator spec JSON")
     p.set_defaults(func=cmd_gen_trace)
 
-    p = sub.add_parser("attest-demo", help="attestation workflow transcript")
-    common(p)
+    p = command("attest-demo", "attestation workflow transcript")
     p.add_argument("--input", default="attest me")
     p.add_argument("--prealloc", type=int, default=None)
     p.add_argument("--cert-out", help="write the vendor certificate here")
@@ -581,50 +542,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(parser, argv) -> None:
-    """Fold a --config JSON file into the parser defaults.
+def _config_flags(argv: list[str]) -> list[str]:
+    """The flags a --config JSON object stands for, to be given right after
+    the command name and so before (and overridden by) the explicit ones.
 
-    Keys use the flag spelling with dashes or underscores; values given
-    explicitly on the command line still win.
+    A key is a flag name with dashes or underscores; a list repeats its
+    flag, true sets a switch and false leaves it off.  Every key must be a
+    flag the command declares, spelled out in full.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    doc = json.loads(Path(known.config).read_text(encoding="utf-8"))
+    path = probe.parse_known_args(argv)[0].config
+    if not path:
+        return []
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
-        raise ParseError(f"{known.config}: config must be a JSON object")
-    defaults = {key.replace("-", "_"): value for key, value in doc.items()}
-    parser.set_defaults(**defaults)
-    for sub_action in parser._subparsers._group_actions:
-        for sub in sub_action.choices.values():
-            sub.set_defaults(**defaults)
+        raise ParseError(f"{path}: config must be a JSON object")
+    flags = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                flags.append(flag)
+            elif item is not False:
+                flags.append(f"{flag}={item}")
+    build_parser(allow_abbrev=False).parse_args(argv[:1] + flags)
+    return flags
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config_defaults(parser, argv if argv is not None
-                               else sys.argv[1:])
+        flags = _config_flags(argv)
     except (EmulatorError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc) if isinstance(exc, EmulatorError) else 11
-    args = parser.parse_args(argv)
-    if getattr(args, "sweep_nodes", None) and args.format != "json":
-        parser.error("simulate --sweep-nodes writes JSON; --format "
-                     f"{args.format} is refused")
+    parser = build_parser()
+    args = parser.parse_args(argv[:1] + flags + argv[1:])
+    if getattr(args, "sweep_nodes", None):
+        if args.format != "json":
+            parser.error("simulate --sweep-nodes writes JSON; --format "
+                         f"{args.format} is refused")
+        if args.per_invocation:
+            parser.error("simulate --sweep-nodes writes no per-invocation "
+                         "CSV; --per-invocation is refused")
     try:
         doc = args.func(args)
     except EmulatorError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    if args.command in ("simulate", "gen-trace"):
-        # These write their own --out artifact (stats / trace CSV).
-        if not args.out:
-            _emit(doc, args)
-    else:
-        _emit(doc, args)
+    if doc is not None:
+        _emit(doc, args.out)
     return 0
 
 

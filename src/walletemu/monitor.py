@@ -364,10 +364,9 @@ class Monitor:
             else att.MachineKey.generate(self.rng)
 
         monitor_bytes = config.canonical_bytes()
-        measurement, charge = self.cache.measure(
+        self.monitor_digest, charge = self.cache.measure(
             att.SubjectKind.MONITOR, "monitor", monitor_bytes, self.model)
         self.clock_us += charge
-        self.monitor_digest = measurement.digest
         self._monitor_bytes = monitor_bytes
         self.boot_report = att.asp_gen(self.machine_key, self.monitor_digest,
                                        att.sha512(monitor_bytes))
@@ -464,17 +463,17 @@ class Monitor:
     def create_zygote(self, image: ZygoteImage) -> ZygoteCreation:
         policy = self._require_policy()
         self.guest.observe(*image.canonical_parts)
-        measurement, measure_us = self.cache.measure_image(
+        digest, measure_us = self.cache.measure_image(
             att.SubjectKind.ZYGOTE, image, self.model)
         self._charge(measure_us)
-        if measurement.digest not in policy.allowed_zygotes:
+        if digest not in policy.allowed_zygotes:
             raise PolicyViolation("zygote digest is not in the provider policy")
 
         pid = self._next_pid
         self._next_pid += 1
         table = PageTable(self.store, pid)
         proc = ProcessDescriptor(pid, ProcKind.ZYGOTE, table,
-                                 measurement=measurement.digest, image=image)
+                                 measurement=digest, image=image)
         size = image.size_bytes()
         fids, alloc_us = alloc_frames(self.pool, pages_for(size), self.model,
                                       owner_level=PrivilegeLevel.PL1_PROCESS)
@@ -558,16 +557,16 @@ class Monitor:
             raise UnknownHandle(f"handle {zhandle} is not a zygote")
         if zygote.state is not ProcState.READY or not zygote.page_table.sealed:
             raise PolicyViolation("zygote must be sealed and ready")
-        measurement, measure_us = self.cache.measure_image(
+        digest, measure_us = self.cache.measure_image(
             att.SubjectKind.FUNCTION, fn, self.model)
         self._charge(measure_us)
-        if measurement.digest not in policy.allowed_functions:
+        if digest not in policy.allowed_functions:
             raise PolicyViolation("function digest is not in the provider policy")
 
         handle = self._next_handle
         self._next_handle += 1
         pid, clone_us, page_load_us = self._spawn_trustlet(
-            zygote, fn, measurement.digest)
+            zygote, fn, digest)
         self._handles[handle] = pid
         return TrustletCreation(handle, clone_us, page_load_us, measure_us)
 

@@ -44,16 +44,27 @@ class TestMeasurementCache:
         content = b"zygote bytes"
         cache.measure(att.SubjectKind.ZYGOTE, "z1", content, model)
         hashed_before = cache.bytes_hashed
-        m, charge = cache.measure(att.SubjectKind.ZYGOTE, "z1", content, model)
+        digest, charge = cache.measure(att.SubjectKind.ZYGOTE, "z1", content,
+                                       model)
         assert charge == 0
         assert cache.hits == 1
         assert cache.bytes_hashed == hashed_before
-        assert m.digest == hashlib.sha512(content).digest()
+        assert digest == hashlib.sha512(content).digest()
+        assert cache.entries == {(att.SubjectKind.ZYGOTE, "z1"): digest}
 
     def test_empty_content_matches_standard_vector(self, model):
         cache = att.MeasurementCache()
-        m, _ = cache.measure(att.SubjectKind.INPUT, "in", b"", model)
-        assert m.digest == SHA512_EMPTY
+        digest, _ = cache.measure_transient(b"", model)
+        assert digest == SHA512_EMPTY
+
+    def test_transient_content_is_hashed_every_time(self, model):
+        cache = att.MeasurementCache()
+        for _ in range(2):
+            digest, charge = cache.measure_transient(b"input", model)
+            assert digest == hashlib.sha512(b"input").digest()
+            assert charge == model.hash_us(5)
+        assert (cache.hits, cache.misses, cache.bytes_hashed) == (0, 2, 10)
+        assert cache.entries == {}
 
 
 class TestPlatformReportAlgebra:

@@ -263,6 +263,15 @@ class TestSimulateAndGenTrace:
         assert "--format csv is refused" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_refuses_per_invocation(self, tmp_path, capsys):
+        dump = tmp_path / "per.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sweep-nodes", "2,3",
+                  "--per-invocation", str(dump)])
+        assert exc.value.code == 2
+        assert "--per-invocation is refused" in capsys.readouterr().err
+        assert not dump.exists()
+
 
 class TestPinnedSimulatorOutputs:
     """SHA-256 of the simulator's CLI artifacts, pinned bit for bit.
@@ -377,6 +386,62 @@ class TestConfigFile:
                      "--zygote", str(artifacts["zygote"]),
                      "--function", str(artifacts["echo"])])
         assert code == 11  # ParseError
+
+    @pytest.mark.parametrize("doc", [
+        {"no-cow": True},      # declared by emulate and density, not chain
+        {"bogus-flag": 1},     # declared by no command
+        {"payload": 64},       # an abbreviation of --payload-size
+        {"k": "three"},        # not an int, as --k three is not
+        {"k": True},           # --k takes a value
+    ], ids=["other-command", "unknown", "abbreviation", "bad-type", "bare"])
+    def test_config_keys_are_refused_like_the_flags(self, tmp_path, doc):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--config", str(config)])
+        assert exc.value.code == 2
+
+    def test_config_values_go_through_the_flag_type(self, tmp_path):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({"k": "3", "payload_size": 512}))
+        doc = run_json(["chain", "--config", str(config)],
+                       tmp_path / "out.json")
+        assert doc["k"] == 3
+        assert doc["chain"]["report_entries"] == 3
+        assert doc["payload_bytes"] == 512
+        # An explicit flag still wins.
+        doc = run_json(["chain", "--config", str(config), "--k", "2"],
+                       tmp_path / "out.json")
+        assert doc["k"] == 2
+
+    def test_config_lists_repeat_and_switches_follow_booleans(self, artifacts):
+        config = artifacts["tmp"] / "run.json"
+        config.write_text(json.dumps({
+            "zygote": str(artifacts["zygote"]),
+            "function": [str(artifacts["echo"])],
+            "invocations": 1,
+            "no_cow": False,
+        }))
+        out = artifacts["tmp"] / "cfg.json"
+        # An explicit --function adds to the config's list.
+        doc = run_json(["emulate", "--config", str(config),
+                        "--function", str(artifacts["shout"])], out)
+        assert [i["function"] for i in doc["invocations"]] == ["echo", "shout"]
+        assert [i["label"] for i in doc["invocations"]] == ["cold", "lukewarm"]
+        # false leaves --no-cow off; true sets it, as the flag does.
+        cow = doc["invocations"][0]["creation"]["trustlet_us"]
+        config.write_text(json.dumps({
+            "zygote": str(artifacts["zygote"]),
+            "function": [str(artifacts["echo"])],
+            "invocations": 1,
+            "no-cow": True,
+        }))
+        no_cow = run_json(["emulate", "--config", str(config)], out)
+        flag = run_json(["emulate", "--zygote", str(artifacts["zygote"]),
+                         "--function", str(artifacts["echo"]), "-n", "1",
+                         "--no-cow"], out)
+        assert no_cow == flag
+        assert flag["invocations"][0]["creation"]["trustlet_us"] != cow
 
 
 class TestAttestDemo:

@@ -2,8 +2,9 @@
 
 A Hypothesis state machine drives one monitor through trustlet churn,
 invocations as random users on every input source (sealed requests,
-fallback hops, chained inputs), chain links, external-file reads the
-guest serves honestly, tampered or not at all, and zygote deletion.  A
+another trustlet's output shipped over the copy-and-encrypt fallback,
+chained inputs), chain links, external-file reads the guest serves
+honestly, tampered or not at all, and zygote deletion.  A
 small model predicts each command's outcome: its output, whether it
 recreates the trustlet, hands off to a chain consumer or is refused, and
 for a completed chain the report's stages.  The monitor's global
@@ -46,7 +47,7 @@ from walletemu.memory import (
     accounting,
 )
 from walletemu.monitor import ProcState
-from walletemu.objects import MONITOR_PID
+from walletemu.objects import MONITOR_PID, fallback_transfer
 from walletemu.provider import UserAgent
 
 STAGES = 3  # stage-0 -> stage-1 -> stage-2 is the policy's one chain
@@ -93,6 +94,7 @@ class MonitorMachine(RuleBasedStateMachine):
         self.sentinel_rng = Rng(1000)
         self.sentinels: list[bytes] = []
         self.tap_seen = 0
+        self.transport_key = Rng(2000).bytes(32)
         for f in range(len(self.functions)):
             self.create_trustlet(f)
 
@@ -135,18 +137,18 @@ class MonitorMachine(RuleBasedStateMachine):
         return pending is not None and pending[0] != u
 
     def _hop(self, handle, u, call, data, payload, stages, request,
-             recreated) -> bool:
+             recreated):
         """Run call() (trustlet handle as user u) and check the model.
 
         Every chain started either hands off to its consumer or raises.
-        Returns False when the handoff is refused.
+        Returns the result, or None when the handoff is refused.
         """
         stages = stages + (self.trustlets[handle],)
         consumer = self.links.get(handle)
         if consumer is not None and consumer in self.pending:
             with pytest.raises(TrustletBusy):  # the link stays pending
                 call()
-            return False
+            return None
         result = call()
         assert result.recreated == recreated
         out = self._output(handle, data)
@@ -158,7 +160,7 @@ class MonitorMachine(RuleBasedStateMachine):
             self.last_user[consumer] = u
             self.pending[consumer] = (u, request, out, payload, stages,
                                       last is not None and last != u)
-            return True
+            return result
         assert result.handoff is None
         user = self.users[u]
         assert user.decrypt_response(request, result.output_ciphertext) == out
@@ -170,40 +172,57 @@ class MonitorMachine(RuleBasedStateMachine):
         assert entries[0].input_digest == hashlib.sha512(payload).digest()
         assert att.verify_report(result.report,
                                  self.rig.expectations(request, user))
-        return True
+        return result
 
-    def _invoke(self, handle, u, payload, fallback, error=None) -> None:
-        """Invoke as user u on payload behind a fresh sentinel; expect
-        error instead of a result if given."""
-        self.sentinels.append(self.sentinel_rng.bytes(16))
-        payload = self.sentinels[-1] + payload
-        fn = self.functions[self.trustlets[handle]]
-        request = self.users[u].make_request(fn.digest(), payload)
-        if fallback:
-            def call():
-                return self.m.invoke_with_input(
-                    handle, payload, request.response_key, request.nonce)
-        else:
-            def call():
-                return self.m.invoke_trustlet(handle, request.ciphertext)
+    def _run(self, handle, u, call, payload, request, error=None):
+        """Run call() as the first hop of user u's invocation of handle on
+        payload; expect error instead of a result if given."""
         if self._refused_at_claim(handle, u):
             with pytest.raises(TrustletBusy):
                 call()
-            return
+            return None
         last = self.last_user.get(handle)
         self.last_user[handle] = u
         if error is not None:
             with pytest.raises(error):
                 call()
+            return None
+        return self._hop(handle, u, call, payload, payload, (), request,
+                         last is not None and last != u)
+
+    def _invoke(self, handle, u, payload, error=None):
+        """Invoke as user u on payload behind a fresh sentinel, with a
+        sealed request."""
+        self.sentinels.append(self.sentinel_rng.bytes(16))
+        payload = self.sentinels[-1] + payload
+        fn = self.functions[self.trustlets[handle]]
+        request = self.users[u].make_request(fn.digest(), payload)
+        return self._run(handle, u, lambda: self.m.invoke_trustlet(
+            handle, request.ciphertext), payload, request, error)
+
+    def _fallback(self, source, handle, u, payload) -> None:
+        """Invoke source as user u on payload; when it completes, ship its
+        output object over the copy-and-encrypt fallback, whose envelope
+        the guest sees, and invoke handle on the delivered copy."""
+        result = self._invoke(source, u, payload)
+        if result is None or result.handoff is not None:
             return
-        self._hop(handle, u, call, payload, payload, (), request,
-                  last is not None and last != u)
+        sent = self._output(source, self.sentinels[-1] + payload)
+        _envelope, delivered, _charge = fallback_transfer(
+            self.m.objects, result.output_obj_id, self.m.objects,
+            self.transport_key, self.m.guest, self.m.rng, colocated=True)
+        assert delivered == sent
+        fn = self.functions[self.trustlets[handle]]
+        request = self.users[u].make_request(fn.digest(), delivered)
+        self._run(handle, u, lambda: self.m.invoke_with_input(
+            handle, delivered, request.response_key, request.nonce),
+            delivered, request)
 
     def _run_chained(self, handle) -> None:
         """A refused hop keeps its handed-off input for a retry."""
         u, request, chained, payload, stages, recreated = self.pending[handle]
         if self._hop(handle, u, lambda: self.m.invoke_chained(handle),
-                     chained, payload, stages, request, recreated):
+                     chained, payload, stages, request, recreated) is not None:
             del self.pending[handle]
 
     # -- rules ----------------------------------------------------------------
@@ -245,12 +264,12 @@ class MonitorMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.trustlets)
     @rule(data=st.data(), u=users, payload=payloads)
     def invoke(self, data, u, payload):
-        self._invoke(self._pick(data), u, payload, fallback=False)
+        self._invoke(self._pick(data), u, payload)
 
     @precondition(lambda self: self.trustlets)
     @rule(data=st.data(), u=users, payload=payloads)
     def fallback_hop(self, data, u, payload):
-        self._invoke(self._pick(data), u, payload, fallback=True)
+        self._fallback(self._pick(data), self._pick(data), u, payload)
 
     @precondition(lambda self: READER in self.trustlets.values())
     @rule(data=st.data(), u=users,
@@ -263,13 +282,13 @@ class MonitorMachine(RuleBasedStateMachine):
             guest.put_file("/ext/blob", b"X" + EXTERNAL_CONTENT[1:])
         elif content == "absent":
             del guest.files["/ext/blob"]
-        self._invoke(handle, u, b"", fallback=False,
+        self._invoke(handle, u, b"",
                      error=None if content == "honest" else FunctionError)
         guest.put_file("/ext/blob", EXTERNAL_CONTENT)
         if content != "honest":
             # The failed run leaves the trustlet ready for its user.
             assert self.m._proc(handle).state is ProcState.READY
-            self._invoke(handle, u, b"", fallback=False)
+            self._invoke(handle, u, b"")
 
     @precondition(lambda self: self.trustlets)
     @rule(data=st.data(), adjacent=st.booleans())
@@ -290,7 +309,10 @@ class MonitorMachine(RuleBasedStateMachine):
         while nexts := [c for p, c in self._adjacent_pairs() if p == tail]:
             tail, previous = data.draw(st.sampled_from(nexts)), tail
             self._link(previous, tail)
-        self._invoke(producer, u, payload, fallback)
+        if fallback:  # the chain's input is another trustlet's output
+            self._fallback(self._pick(data), producer, u, payload)
+        else:
+            self._invoke(producer, u, payload)
         while follow and consumer in self.pending:
             consumer, stage = self.links.get(consumer), consumer
             self._run_chained(stage)
