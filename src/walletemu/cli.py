@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import attestation as att
 from .crypto import Rng
-from .errors import EmulatorError, ParseError, exit_code_for
+from .errors import EXIT_CODES, EmulatorError, ParseError, exit_code_for
 from .images import FunctionSpec, PipelineOp, ZygoteImage
 from .memory import CostModel, accounting
 from .monitor import Monitor, MonitorConfig
@@ -539,7 +539,25 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--cert-out", help="write the vendor certificate here")
     p.set_defaults(func=cmd_attest_demo)
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """Parse argv; what the chosen command refuses exits 2 with that
+    command's usage."""
+    args, extras = parser.parse_known_args(argv)
+    refuse = parser.commands[args.command].error
+    if extras:
+        refuse(f"unrecognized arguments: {' '.join(extras)}")
+    if getattr(args, "sweep_nodes", None):
+        if args.format != "json":
+            refuse("simulate --sweep-nodes writes JSON; --format "
+                   f"{args.format} is refused")
+        if args.per_invocation:
+            refuse("simulate --sweep-nodes writes no per-invocation CSV; "
+                   "--per-invocation is refused")
+    return args
 
 
 def _config_flags(argv: list[str]) -> list[str]:
@@ -566,33 +584,22 @@ def _config_flags(argv: list[str]) -> list[str]:
                 flags.append(flag)
             elif item is not False:
                 flags.append(f"{flag}={item}")
-    build_parser(allow_abbrev=False).parse_args(argv[:1] + flags)
+    _parse(build_parser(allow_abbrev=False), argv[:1] + flags)
     return flags
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        flags = _config_flags(argv)
-    except (EmulatorError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exit_code_for(exc) if isinstance(exc, EmulatorError) else 11
-    parser = build_parser()
-    args = parser.parse_args(argv[:1] + flags + argv[1:])
-    if getattr(args, "sweep_nodes", None):
-        if args.format != "json":
-            parser.error("simulate --sweep-nodes writes JSON; --format "
-                         f"{args.format} is refused")
-        if args.per_invocation:
-            parser.error("simulate --sweep-nodes writes no per-invocation "
-                         "CSV; --per-invocation is refused")
-    try:
+        args = _parse(build_parser(), argv[:1] + _config_flags(argv) + argv[1:])
         doc = args.func(args)
-    except EmulatorError as exc:
+        if doc is not None:
+            _emit(doc, args.out)
+    except (EmulatorError, OSError, UnicodeError, json.JSONDecodeError) as exc:
+        # A file that cannot be opened, read or parsed exits as a ParseError.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    if doc is not None:
-        _emit(doc, args.out)
+        return exit_code_for(exc) if isinstance(exc, EmulatorError) \
+            else EXIT_CODES[ParseError]
     return 0
 
 

@@ -11,10 +11,10 @@ Per-frame facts are numpy columns in ``FrameStore``; a page table is two
 plain lists, frame id and grants code per vpn, and a copy-on-write view
 reads its sealed base's lists until it first changes a base vpn.  Tables
 map, unmap, check and move data a run of pages at a time.  Frame contents
-are real bytes, held only for written frames, so that measurement digests
-are genuine while multi-GiB pools stay cheap to reserve.  A page is either
-a private ``bytearray`` or a read-only view of the immutable bytes it was
-populated from, copied on its first write.
+are real bytes, so that measurement digests are genuine, yet a multi-GiB
+pool stays cheap to reserve: every page is a slice of an immutable
+``bytes`` that two more ``FrameStore`` columns name, and a page never
+written reads as zeros.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class CostModel:
         return self.hash_us(nbytes)
 
 
-def _grown(arr: np.ndarray, n: int, fill: int = 0) -> np.ndarray:
+def _grown(arr: np.ndarray, n: int, fill: object = 0) -> np.ndarray:
     """A copy of arr extended to n elements, the new ones set to fill."""
     out = np.full(n, fill, dtype=arr.dtype)
     out[: len(arr)] = arr
@@ -161,12 +161,12 @@ class FrameStore:
     """Owns every frame: its facts, its bytes and the copy counter.
 
     Each per-frame fact is a numpy column indexed by frame id, grown by
-    ``reserve``: reference count, base id, validated, and owner level
-    (``FREE`` while in a pool, ``NO_OWNER`` for none).  Contents live in a
-    dict holding only written frames, the others read as zeros: a
-    ``bytearray`` the frame owns, or a read-only ``memoryview`` of the
-    ``bytes`` that ``write_range`` populated it from, which copies share
-    and the frame's first write or release drops.
+    ``reserve``: reference count, base id, validated, owner level (``FREE``
+    while in a pool, ``NO_OWNER`` for none), and the frame's page: the
+    immutable ``bytes`` it lies in (``None`` reads as zeros) and its offset
+    there.  Pages are never changed in place: a write points the frame at
+    new bytes, a copy points two frames at the same ones, and a buffer
+    lives while any frame refers to it.
 
     A frame's reference count is the number of page-table entries, CoW view
     entries included, that map it, in two parts.  Explicit counts move with
@@ -190,7 +190,8 @@ class FrameStore:
         self._validated = np.zeros(1024, dtype=bool)
         self._owner = np.full(1024, FREE, dtype=np.int8)
         self._base_pl1 = np.zeros(1024, dtype=bool)  # its base grants PL1
-        self._data: dict[int, bytearray | memoryview] = {}
+        self._src = np.full(1024, None, dtype=object)
+        self._off = np.zeros(1024, dtype=np.int64)
         # Per base id: live view count, registered frame count and how many
         # of those its table grants PL1 access.  Slot 0 stays zero so frames
         # of no base add nothing.
@@ -216,6 +217,8 @@ class FrameStore:
             self._validated = _grown(self._validated, new_len)
             self._owner = _grown(self._owner, new_len, FREE)
             self._base_pl1 = _grown(self._base_pl1, new_len)
+            self._src = _grown(self._src, new_len, None)
+            self._off = _grown(self._off, new_len)
         self._validated[start : self._next_fid] = validated
         return start, self._next_fid
 
@@ -242,8 +245,7 @@ class FrameStore:
             raise AssertionError("frame released while free")
         if np.count_nonzero(self.refs_of(fids)):
             raise AssertionError("frame released while mapped")
-        for fid in fids.tolist():
-            self._data.pop(fid, None)
+        self._src[fids] = None
         self._owner[fids] = FREE
 
     def validated_of(self, fids: np.ndarray) -> np.ndarray:
@@ -376,76 +378,77 @@ class FrameStore:
 
     # -- byte access (monitor-side, uncharged) --
 
+    def _page(self, fid: int) -> bytes | memoryview:
+        if not 0 <= fid < self._next_fid:
+            raise KeyError(f"unknown frame {fid}")
+        src = self._src[fid]
+        if src is None:
+            return _ZERO_PAGE
+        off = self._off[fid]
+        return memoryview(src)[off : off + PAGE_SIZE]
+
     def write_bytes(self, fid: int, offset: int, data: bytes) -> None:
-        page = self._data.get(fid)
-        if type(page) is not bytearray:  # unwritten, or a read-only view
-            if page is None and not 0 <= fid < self._next_fid:
-                raise KeyError(f"unknown frame {fid}")
-            page = self._data[fid] = bytearray(
-                PAGE_SIZE if page is None else page)
-        page[offset : offset + len(data)] = data
+        page = self._page(fid)
+        self._src[fid] = b"".join(
+            (page[:offset], data, page[offset + len(data) :]))
+        self._off[fid] = 0
 
     def write_range(self, fids: Sequence[int], *chunks: bytes) -> None:
         """Write the chunks end to end across fids, one page per frame from
         its start; a single buffer is one chunk.
 
-        Each full page inside an immutable ``bytes`` chunk is kept as a
-        read-only view of it rather than copied.  A page inside a
-        ``bytearray`` or ``memoryview``, which its owner may change later,
-        is copied, and so is a page that straddles two chunks and a
-        partial last page.
+        A ``bytes`` chunk is referred to as it is, and any other chunk,
+        which its owner may change later, is first copied into one.  A
+        page that straddles two chunks is joined into new bytes, and so is
+        a partial last page, which keeps the bytes past the data.
         """
         size = sum(map(len, chunks))
         if size > len(fids) * PAGE_SIZE:
             raise ValueError("data exceeds the frames' capacity")
         if size and (min(fids) < 0 or max(fids) >= self._next_fid):
             raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
-        pages = self._data
         i, head = 0, []  # the next page's index in fids; its pieces so far
         for chunk in chunks:
-            view = memoryview(chunk)
+            if type(chunk) is not bytes:
+                chunk = bytes(chunk)
+            start = 0
             if head:  # the page straddling the chunks before this one
-                need = PAGE_SIZE - sum(map(len, head))
-                head.append(view[:need])
-                if len(view) < need:
+                start = PAGE_SIZE - sum(map(len, head))
+                head.append(memoryview(chunk)[:start])
+                if len(chunk) < start:
                     continue
-                pages[fids[i]] = bytearray(b"".join(head))
-                view, i, head = view[need:], i + 1, []
-            page_of = (lambda page: page) if type(chunk) is bytes else bytearray
-            full = len(view) // PAGE_SIZE
-            pages.update(
-                (fids[i + k], page_of(view[k * PAGE_SIZE : (k + 1) * PAGE_SIZE]))
-                for k in range(full))
-            i += full
-            if len(view) > full * PAGE_SIZE:
-                head = [view[full * PAGE_SIZE :]]
+                self.write_bytes(fids[i], 0, b"".join(head))
+                i, head = i + 1, []
+            full = (len(chunk) - start) // PAGE_SIZE
+            end = start + full * PAGE_SIZE
+            if full:
+                self._src[fids[i : i + full]] = chunk
+                self._off[fids[i : i + full]] = np.arange(start, end, PAGE_SIZE)
+                i += full
+            if end < len(chunk):
+                head = [memoryview(chunk)[end:]]
         if head:
             self.write_bytes(fids[i], 0, b"".join(head))
 
     def read_bytes(self, fid: int) -> bytes:
-        return bytes(self._data.get(fid, _ZERO_PAGE))
+        return bytes(self._page(fid))
 
     def read_range(self, fids: Sequence[int], nbytes: int) -> bytes:
         """The first nbytes held by fids, one page per frame from its start."""
         if nbytes > len(fids) * PAGE_SIZE:
             raise ValueError("nbytes exceeds the frames' capacity")
-        full, rest = divmod(nbytes, PAGE_SIZE)
-        get = self._data.get
-        pages = [get(fid, _ZERO_PAGE) for fid in fids[:full]]
-        if rest:
-            pages.append(memoryview(get(fids[full], _ZERO_PAGE))[:rest])
+        pages = [self._page(fid) for fid in fids[: pages_for(nbytes)]]
+        if nbytes % PAGE_SIZE:
+            pages[-1] = pages[-1][: nbytes % PAGE_SIZE]
         return b"".join(pages)
 
-    def copy_frame(self, src_fid: int, dst_fid: int) -> None:
-        """Copy a page; a read-only view is shared, since a write to
-        either frame gives that frame a private page first."""
-        page = self._data.get(src_fid)
-        if page is None:
-            self._data.pop(dst_fid, None)  # both are zero pages
-        else:
-            self._data[dst_fid] = (page if type(page) is memoryview
-                                   else bytearray(page))
-        self.copied_bytes_total += PAGE_SIZE
+    def copy_frame(self, src_fids: int | Sequence[int],
+                   dst_fids: int | Sequence[int]) -> None:
+        """Copy a frame's page, or a run's pages: the copies refer to the
+        same bytes, since a write gives its frame new ones."""
+        self._src[dst_fids] = self._src[src_fids]
+        self._off[dst_fids] = self._off[src_fids]
+        self.copied_bytes_total += PAGE_SIZE * np.size(dst_fids)
 
 
 class PageEntry(NamedTuple):
@@ -818,7 +821,6 @@ class MemoryPool:
         self.prevalidated = prevalidated
         self._ranges: deque[tuple[int, int]] = deque()
         self.free_count = 0
-        self.clock_charged_us = 0
 
     def grow(self, n_frames: int, validated: bool) -> None:
         if n_frames <= 0:
@@ -876,7 +878,6 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
     fids = pool.take(n)
     fresh = pool.store.claim(np.array(fids, dtype=np.int64), owner_level)
     charge = 0 if pool.prevalidated else model.validation_us(fresh)
-    pool.clock_charged_us += charge
     return fids, charge
 
 
@@ -892,9 +893,7 @@ def preallocate(pool: MemoryPool, nbytes: int, model: CostModel) -> int:
     except MemoryError as exc:  # pragma: no cover - host-dependent
         raise OutOfHostMemory(str(exc)) from exc
     pool.prevalidated = True
-    charge = model.validation_us(pages)
-    pool.clock_charged_us += charge
-    return charge
+    return model.validation_us(pages)
 
 
 @dataclass

@@ -590,8 +590,7 @@ class Monitor:
             self._charge(zc_alloc_us)
             # create_zygote maps a zygote at vpns 0..n-1, so one run on the
             # fresh table puts every copy at its page's vpn.
-            for src, fid in zip(src_table.local_frame_ids().tolist(), fids):
-                self.store.copy_frame(src, fid)
+            self.store.copy_frame(src_table.local_frame_ids(), fids)
             table.map_range(fids, PagePerms.PROCESS_RO)
             zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
 
@@ -990,25 +989,6 @@ class Monitor:
             self.config.chain_capacity_bytes, ObjectType.CHAIN)
         self._charge(charge)
         return obj_id
-
-    # -- reports about processes ---------------------------------------------------------
-
-    def attest(self, handle: int, nonce: bytes = b"\x00" * NONCE_LEN) -> att.AttestationReport:
-        """Signed report over a trusted process's cached measurements."""
-        proc = self._proc(handle)
-        policy = self._require_policy()
-        empty = att.sha512(b"")
-        if proc.kind is ProcKind.ZYGOTE:
-            entry = att.ChainEntry(proc.measurement, b"\x00" * 64, empty, empty)
-        else:
-            zygote = self._procs[proc.base_zygote]
-            entry = att.ChainEntry(zygote.measurement, proc.measurement,
-                                   empty, empty)
-        unsigned = att.AttestationReport(self.boot_report, bytes(nonce),
-                                         (entry,), b"")
-        signature = policy.function_key.signer.sign(unsigned.signed_message())
-        return att.AttestationReport(self.boot_report, bytes(nonce),
-                                     (entry,), signature)
 
     # Wire-API aliases matching the documented monitor system-call names.
     createZygote = create_zygote

@@ -97,6 +97,17 @@ class TestEmulate:
                      "--policy", str(bad)])
         assert code == EXIT_CODES[ParseError]
 
+    @pytest.mark.parametrize("flag", ["--zygote", "--function", "--policy"])
+    def test_missing_input_file_exits_with_parse_error(self, artifacts, capsys,
+                                                       flag):
+        args = {"--zygote": str(artifacts["zygote"]),
+                "--function": str(artifacts["echo"])}
+        args[flag] = str(artifacts["tmp"] / "nonexistent")
+        code = main(["emulate", *(x for kv in args.items() for x in kv)])
+        assert code == EXIT_CODES[ParseError]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError")
+
     def test_seeded_outputs_bit_identical(self, artifacts):
         out1 = artifacts["tmp"] / "a.json"
         out2 = artifacts["tmp"] / "b.json"
@@ -271,6 +282,30 @@ class TestSimulateAndGenTrace:
         assert exc.value.code == 2
         assert "--per-invocation is refused" in capsys.readouterr().err
         assert not dump.exists()
+
+
+    def test_sweep_with_a_missing_spec_exits_with_parse_error(self, tmp_path,
+                                                              capsys):
+        code = main(["simulate", "--sweep-nodes", "3,2", "--gen-spec",
+                     str(tmp_path / "missing.json")])
+        assert code == EXIT_CODES[ParseError]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError")
+
+    @pytest.mark.parametrize("args", [
+        ["--sweep-nodes", "2,3", "--format", "csv"],
+        ["--sweep-nodes", "2,3", "--per-invocation", "per.csv"],
+        ["--bogus"],
+        ["--config", "chain.json"],  # a key that simulate does not declare
+    ], ids=["sweep-csv", "sweep-per-invocation", "flag", "config-key"])
+    def test_refusals_show_the_command_usage(self, tmp_path, monkeypatch,
+                                             capsys, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chain.json").write_text(json.dumps({"k": 3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *args])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: walletemu simulate")
 
 
 class TestPinnedSimulatorOutputs:

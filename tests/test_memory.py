@@ -54,7 +54,7 @@ def make_pool(store, frames=4096, prevalidated=False):
 
 def build_zygote_table(store, pool, model, pages, owner=1, fill=b"\xAB"):
     # Populated from one immutable bytes object, as the monitor populates a
-    # zygote, so its pages are read-only views until written.
+    # zygote, so its pages refer to that object until written.
     fids, _ = alloc_frames(pool, pages, model, owner_level=PL1)
     table = PageTable(store, owner)
     for vpn, fid in enumerate(fids):
@@ -130,10 +130,9 @@ class TestAllocFrames:
         with pytest.raises(OutOfMemory):
             alloc_frames(pool, 3, model)
 
-    def test_charge_accumulates_on_pool_clock(self, store, model):
+    def test_charge_is_returned(self, store, model):
         pool = make_pool(store)
-        alloc_frames(pool, 10, model)
-        assert pool.clock_charged_us == 240
+        assert alloc_frames(pool, 10, model)[1] == 240
 
 
 class _ListPool:
@@ -363,11 +362,16 @@ class TestWriteRange:
     def test_unknown_frame_rejected(self, store):
         with pytest.raises(KeyError):
             store.write_range([123], b"x")
+        for fid in (-1, 123):  # -1 must not read a frame from the end
+            with pytest.raises(KeyError):
+                store.read_bytes(fid)
+            with pytest.raises(KeyError):
+                store.read_range([fid], 1)
 
     def test_bytes_are_viewed_until_a_frame_is_released(self, store, pool,
                                                          model):
-        # Full pages of an immutable bytes object are kept as views of it,
-        # not copies: the frames hold the object until the last one goes.
+        # Full pages of an immutable bytes object refer to it, not to
+        # copies: the frames hold the object until the last one goes.
         fids, _ = alloc_frames(pool, 3, model)
         data = bytes(range(256)) * 40  # two full pages and a partial one
         baseline = sys.getrefcount(data)
@@ -384,7 +388,7 @@ class TestWriteRange:
         fids, _ = alloc_frames(pool, 3, model)
         data = bytes(range(256)) * 32  # two full pages
         store.write_range(fids[:2], data)
-        store.copy_frame(fids[0], fids[2])  # a sibling sharing the view
+        store.copy_frame(fids[0], fids[2])  # a sibling sharing the bytes
         store.write_bytes(fids[0], 10, b"zz")
         store.write_bytes(fids[2], 0, b"yy")
         assert data == bytes(range(256)) * 32
@@ -402,9 +406,9 @@ class TestWriteRange:
         assert store.read_bytes(fids[1]) == b"\x11" * 100 + bytes(PAGE_SIZE - 100)
 
     def test_chunks_are_written_end_to_end(self, store, pool, model):
-        # Pages inside one bytes chunk are views of it; a page straddling
-        # chunks, one inside a bytearray, and the partial last page are
-        # copies, and the last keeps the bytes past the end of the data.
+        # A page inside one bytes chunk refers to that chunk; a page
+        # straddling chunks, one inside a bytearray, and the partial last
+        # page are new bytes, and the last keeps the bytes past the data.
         fids, _ = alloc_frames(pool, 6, model)
         store.write_bytes(fids[5], 0, b"\x77" * PAGE_SIZE)
         chunks = (b"a" * (PAGE_SIZE + 10), b"b" * 20, b"",
@@ -413,10 +417,10 @@ class TestWriteRange:
         data = b"".join(chunks)
         assert store.read_range(fids, len(data)) == data
         assert store.read_bytes(fids[5]) == b"d" * 5 + b"\x77" * (PAGE_SIZE - 5)
-        assert [type(store._data[fid]) for fid in fids] == [
-            memoryview, bytearray, bytearray, bytearray, memoryview, bytearray]
-        assert store._data[fids[0]].obj is chunks[0]
-        assert store._data[fids[4]].obj is chunks[4]
+        assert store._src[fids[0]] is chunks[0]
+        assert store._src[fids[4]] is chunks[4]
+        assert not any(store._src[fids[p]] is chunk
+                       for p in (1, 2, 3, 5) for chunk in chunks)
 
     def test_copy_of_a_viewed_page_is_counted(self, store, pool, model):
         fids, _ = alloc_frames(pool, 2, model)

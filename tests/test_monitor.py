@@ -1,5 +1,6 @@
 """Trusted-monitor tests: lifecycle, policy, scheduling, invocation."""
 
+import gc
 import hashlib
 import itertools
 import struct
@@ -20,6 +21,7 @@ from conftest import (
     small_image,
 )
 from walletemu import attestation as att
+from walletemu.cli import build_sized_image
 from walletemu.crypto import Rng, symmetric_encrypt
 from walletemu.errors import (
     DecryptFailed,
@@ -153,10 +155,9 @@ class TestZygoteLifecycle:
 
     def test_create_and_invoke_make_no_copy_of_the_image(self):
         # Creating a zygote, forking it and serving a request with a report
-        # view the image's parts and take its kept digest: together they
-        # allocate under an eighth of its 32 MiB blob (about 2.5 MB of page
-        # views and page-table slots), where one joined copy of the image
-        # would take all of it.
+        # refer to the image's parts and take its kept digest: together
+        # they allocate under an eighth of its 32 MiB blob, where one joined
+        # copy of the image would take all of it.
         blob = bytes(range(256)) * (32 * MIB // 256)
         rig = make_rig(image=ZygoteImage("rt", embedded_fs=[("/blob", blob)]),
                        functions=[echo_fn()], prealloc=40 * MIB)
@@ -177,10 +178,33 @@ class TestZygoteLifecycle:
         assert result.report.chain_entries[0].zygote_digest == image.digest()
         assert peak < len(blob) // 8
 
+    def test_zygote_pages_cost_no_host_object_each(self):
+        # A 32 MiB zygote's 8 192 pages refer to the image's parts from two
+        # frame columns that the pool reserved at boot: creating it leaves
+        # under 1 MiB, its page-table lists and sealed-base state.
+        image = build_sized_image("rt", 32 * MIB)
+        rig = make_rig(image=image, functions=[echo_fn()], prealloc=40 * MIB)
+        monitor, store = rig.monitor, rig.monitor.store
+        monitor.delete_zygote(rig.zygote.handle)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            zygote = monitor.create_zygote(image)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < MIB
+        fids = monitor._proc(zygote.handle).page_table.local_frame_ids()
+        assert len(fids) == 32 * MIB // PAGE_SIZE
+        monitor.delete_zygote(zygote.handle)
+        assert all(src is None for src in store._src[fids])
+        assert store.read_range(fids.tolist(), 32 * MIB) == bytes(32 * MIB)
+
     def test_zygote_frames_hold_the_canonical_bytes(self):
         # Files whose boundaries fall mid-page: a page wholly inside a file
-        # views it, a page straddling parts is a copy, and read back the
-        # frames are the canonical bytes.
+        # refers to it, a page straddling parts is new bytes, and read back
+        # the frames are the canonical bytes.
         files = [(f"/f{k}", bytes([64 + k]) * (k * PAGE_SIZE + 999 * k))
                  for k in range(1, 5)]
         image = ZygoteImage("rt", embedded_fs=files,
@@ -197,12 +221,13 @@ class TestZygoteLifecycle:
                       if any(p * PAGE_SIZE < end < (p + 1) * PAGE_SIZE
                              for end in ends[:-1])]
         assert len(straddling) > 2
+        parts = {id(part) for part in image.canonical_parts}
         for p in (straddling[0], straddling[-1]):
-            assert type(store._data[fids[p]]) is bytearray
+            assert id(store._src[fids[p]]) not in parts
             page = data[p * PAGE_SIZE : (p + 1) * PAGE_SIZE]
             assert store.read_bytes(fids[p]) == page.ljust(PAGE_SIZE, b"\0")
         viewed = [p for p in range(len(fids))
-                  if type(store._data[fids[p]]) is memoryview]
+                  if id(store._src[fids[p]]) in parts]
         assert viewed == [p for p in range(len(fids)) if p not in straddling]
 
     def test_flipped_byte_is_policy_violation(self, rig):

@@ -15,7 +15,7 @@ class TestSyscallAliases:
     def test_table_names_are_exposed(self):
         for name in ("createZygote", "deleteZygote", "createTrustlet",
                      "deleteTrustlet", "invokeTrustlet", "attestMonitor",
-                     "attest", "loadPolicy"):
+                     "loadPolicy"):
             assert callable(getattr(Monitor, name))
 
     def test_alias_dispatches_to_the_same_behavior(self, rig):
