@@ -7,7 +7,9 @@ hashing, and data transfers.  Simulated time is an explicit integer
 accumulator; nothing here touches the wall clock, so all timing assertions
 are deterministic.
 
-Per-frame facts are numpy columns in ``FrameStore``; a page table is two
+Per-frame facts are typed columns in ``FrameStore`` (``array.array``,
+``bytearray`` and a list), which the run operations of an invocation index
+frame by frame without numpy's per-call cost; a page table is two
 plain lists, frame id and grants code per vpn, and a copy-on-write view
 reads its sealed base's lists until it first changes a base vpn.  Tables
 map, unmap, check and move data a run of pages at a time.  Frame contents
@@ -22,6 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
@@ -145,10 +149,12 @@ class CostModel:
         return self.hash_us(nbytes)
 
 
-def _grown(arr: np.ndarray, n: int, fill: object = 0) -> np.ndarray:
-    """A copy of arr extended to n elements, the new ones set to fill."""
-    out = np.full(n, fill, dtype=arr.dtype)
-    out[: len(arr)] = arr
+def _grown(col, n: int, fill: object = 0):
+    """A copy of the column col extended to n items, the new ones fill."""
+    unit = col[:0]  # empty, of col's type (and an array's typecode)
+    unit.append(fill)
+    out = unit * n
+    out[: len(col)] = col
     return out
 
 
@@ -160,13 +166,17 @@ FREE, NO_OWNER = -2, -1
 class FrameStore:
     """Owns every frame: its facts, its bytes and the copy counter.
 
-    Each per-frame fact is a numpy column indexed by frame id, grown by
-    ``reserve``: reference count, base id, validated, owner level (``FREE``
-    while in a pool, ``NO_OWNER`` for none), and the frame's page: the
-    immutable ``bytes`` it lies in (``None`` reads as zeros) and its offset
-    there.  Pages are never changed in place: a write points the frame at
-    new bytes, a copy points two frames at the same ones, and a buffer
-    lives while any frame refers to it.
+    Each per-frame fact is a column indexed by frame id, grown by
+    ``reserve``: reference count, base id and offset (``array.array``),
+    validated and base-grants-PL1 flags (``bytearray``), owner level
+    (signed bytes: ``FREE`` while in a pool, ``NO_OWNER`` for none), and
+    the immutable ``bytes`` holding the frame's page (a list; ``None``
+    reads as zeros).  Python indexes these at list speed, so a run
+    operation loops over its frames and pays no per-call numpy cost; the
+    few whole-column computations read them through ``np.frombuffer``
+    views made and dropped within one call.  Pages are never changed in
+    place: a write points the frame at new bytes, a copy points two frames
+    at the same ones, and a buffer lives while any frame refers to it.
 
     A frame's reference count is the number of page-table entries, CoW view
     entries included, that map it, in two parts.  Explicit counts move with
@@ -183,24 +193,23 @@ class FrameStore:
     """
 
     def __init__(self) -> None:
-        self._ref = np.zeros(1024, dtype=np.int64)
+        self._ref = array("q", [0]) * 1024
         self._ref_sum = 0  # of _ref, which only the bulk calls change
         # Base id of each frame; 0 means the frame belongs to no base.
-        self._base_of = np.zeros(1024, dtype=np.int32)
-        self._validated = np.zeros(1024, dtype=bool)
-        self._owner = np.full(1024, FREE, dtype=np.int8)
-        self._base_pl1 = np.zeros(1024, dtype=bool)  # its base grants PL1
-        self._src = np.full(1024, None, dtype=object)
-        self._off = np.zeros(1024, dtype=np.int64)
+        self._base_of = array("i", [0]) * 1024
+        self._validated = bytearray(1024)
+        self._owner = array("b", [FREE]) * 1024
+        self._base_pl1 = bytearray(1024)  # its base grants PL1
+        self._src: list[Optional[bytes]] = [None] * 1024
+        self._off = array("q", [0]) * 1024
         # Per base id: live view count, registered frame count and how many
         # of those its table grants PL1 access.  Slot 0 stays zero so frames
-        # of no base add nothing.
-        self._views = np.zeros(8, dtype=np.int64)
-        self._base_size = np.zeros(8, dtype=np.int64)
-        self._base_pl1_size = np.zeros(8, dtype=np.int64)
+        # of no base add nothing; the next base id is the lists' length.
+        self._views = [0]
+        self._base_size = [0]
+        self._base_pl1_size = [0]
         # Per live base id, its odd frames.
         self._odd: dict[int, set[int]] = {}
-        self._next_base = 1
         self._next_fid = 0
         self.copied_bytes_total = 0
 
@@ -219,40 +228,51 @@ class FrameStore:
             self._base_pl1 = _grown(self._base_pl1, new_len)
             self._src = _grown(self._src, new_len, None)
             self._off = _grown(self._off, new_len)
-        self._validated[start : self._next_fid] = validated
+        if validated:
+            self._validated[start : self._next_fid] = b"\1" * n
         return start, self._next_fid
 
     def n_frames(self) -> int:
         """Number of frame ids reserved so far; every id is below it."""
         return self._next_fid
 
-    def hand_out(self, fids: Sequence[int]) -> None:
+    def hand_out(self, fids: Iterable[int]) -> None:
         """Mark free frames as handed out by a pool."""
-        self._owner[fids] = NO_OWNER
+        owner = self._owner
+        for fid in fids:
+            owner[fid] = NO_OWNER
 
-    def claim(self, fids: np.ndarray, owner_level: Optional[PrivilegeLevel]) -> int:
+    def claim(self, fids: Sequence[int],
+              owner_level: Optional[PrivilegeLevel]) -> int:
         """Validate fids and record their owner; returns how many were
         not validated before."""
-        fresh = len(fids) - int(np.count_nonzero(self._validated[fids]))
-        self._validated[fids] = True
-        self._owner[fids] = NO_OWNER if owner_level is None else owner_level
+        validated, owner = self._validated, self._owner
+        level = NO_OWNER if owner_level is None else owner_level
+        fresh = len(fids) - sum(map(validated.__getitem__, fids))
+        if fresh:
+            for fid in fids:
+                validated[fid] = 1
+        for fid in fids:
+            owner[fid] = level
         return fresh
 
-    def take_back(self, fids: np.ndarray) -> None:
+    def take_back(self, fids: Sequence[int]) -> None:
         """Return distinct, handed-out fids to the free state and drop their
         bytes; a mapped frame fails an assertion."""
-        if np.count_nonzero(self._owner[fids] == FREE):
+        owner, src = self._owner, self._src
+        if FREE in map(owner.__getitem__, fids):
             raise AssertionError("frame released while free")
-        if np.count_nonzero(self.refs_of(fids)):
+        if any(self.refs_of(fids)):
             raise AssertionError("frame released while mapped")
-        self._src[fids] = None
-        self._owner[fids] = FREE
+        for fid in fids:
+            src[fid] = None
+            owner[fid] = FREE
 
-    def validated_of(self, fids: np.ndarray) -> np.ndarray:
-        return self._validated[fids]
+    def validated_of(self, fids: Sequence[int]) -> np.ndarray:
+        return np.frombuffer(self._validated, dtype=bool)[fids]
 
-    def owners_of(self, fids: np.ndarray) -> np.ndarray:
-        return self._owner[fids]
+    def owners_of(self, fids: Sequence[int]) -> np.ndarray:
+        return np.frombuffer(self._owner, dtype=np.int8)[fids]
 
     # -- shared bases --
 
@@ -267,28 +287,24 @@ class FrameStore:
             ordered = np.sort(fids)
             if (ordered[1:] == ordered[:-1]).any():
                 raise DoubleMap("a sealed table maps one frame twice")
-            if self._base_of[fids].any():
+            if np.frombuffer(self._base_of, dtype=np.int32)[fids].any():
                 raise DoubleMap("frame already belongs to another sealed table")
-        base = self._next_base
-        self._next_base += 1
-        if base >= len(self._views):
-            self._views = _grown(self._views, 2 * base)
-            self._base_size = _grown(self._base_size, 2 * base)
-            self._base_pl1_size = _grown(self._base_pl1_size, 2 * base)
-        self._base_of[fids] = base
-        self._base_size[base] = len(fids)
-        self._base_pl1_size[base] = len(pl1_fids)
-        self._base_pl1[pl1_fids] = True
-        self._odd[base] = set(fids[self._ref[fids] != 1].tolist())
+        base = len(self._views)
+        self._views.append(0)
+        self._base_size.append(len(fids))
+        self._base_pl1_size.append(len(pl1_fids))
+        np.frombuffer(self._base_of, dtype=np.int32)[fids] = base
+        np.frombuffer(self._base_pl1, dtype=bool)[pl1_fids] = True
+        odd = np.frombuffer(self._ref, dtype=np.int64)[fids] != 1
+        self._odd[base] = set(fids[odd].tolist())
         return base
 
-    def unregister_base(self, base: int, fids: np.ndarray) -> None:
+    def unregister_base(self, base: int, fids: Sequence[int]) -> None:
         """Forget a base with no live views; its frames count explicitly."""
         if self._views[base]:
-            raise BaseInUse(
-                f"base {base} still has {int(self._views[base])} live views")
-        self._base_of[fids] = 0
-        self._base_pl1[fids] = False
+            raise BaseInUse(f"base {base} still has {self._views[base]} live views")
+        np.frombuffer(self._base_of, dtype=np.int32)[fids] = 0
+        np.frombuffer(self._base_pl1, dtype=bool)[fids] = False
         self._base_size[base] = self._base_pl1_size[base] = 0
         del self._odd[base]
 
@@ -303,44 +319,56 @@ class FrameStore:
     # -- reference counting --
 
     def ref(self, fid: int) -> int:
-        return int(self._ref[fid] + self._views[self._base_of[fid]])
+        return self._ref[fid] + self._views[self._base_of[fid]]
 
     def bulk_incref(self, fids: Sequence[int]) -> None:
-        # add.at accumulates duplicate ids correctly, unlike fancy indexing.
-        np.add.at(self._ref, fids, 1)
+        ref = self._ref
+        for fid in fids:
+            ref[fid] += 1
         self._ref_sum += len(fids)
-        bases = self._base_of[fids]
-        if np.count_nonzero(bases):
-            self._note_odd(np.asarray(fids), bases)
+        if any(map(self._base_of.__getitem__, fids)):
+            self._note_odd(fids)
 
-    def bulk_decref(self, fids: np.ndarray) -> np.ndarray:
-        """Drop one reference per entry of fids; returns their new counts."""
-        np.add.at(self._ref, fids, -1)
+    def bulk_decref(self, fids: Sequence[int]) -> list[int]:
+        """Drop one reference per entry of fids; returns the frames this
+        left unmapped, distinct and in ascending order."""
+        ref, base_of, views = self._ref, self._base_of, self._views
+        for fid in fids:
+            ref[fid] -= 1
         self._ref_sum -= len(fids)
-        bases = self._base_of[fids]
-        refs = self._ref[fids] + self._views[bases]
-        if np.count_nonzero(refs < 0):
-            raise AssertionError(f"ref underflow on frames {fids.tolist()}")
-        if np.count_nonzero(bases):
-            self._note_odd(fids, bases)
-        return refs
+        freed = []
+        for fid in fids:
+            count = ref[fid] + views[base_of[fid]]
+            if count <= 0:
+                if count:
+                    raise AssertionError(f"ref underflow on frames {list(fids)}")
+                freed.append(fid)
+        if any(map(base_of.__getitem__, fids)):
+            self._note_odd(fids)
+        # A frame that fids holds twice is in freed twice.
+        return sorted(set(freed)) if len(freed) > 1 else freed
 
-    def _note_odd(self, fids: np.ndarray, bases: np.ndarray) -> None:
+    def _note_odd(self, fids: Iterable[int]) -> None:
         """Bring the odd sets of fids' bases up to date after a change to
-        fids' explicit counts; bases holds each entry's base id."""
-        for base in set(bases.tolist()) - {0}:
-            mine = fids[bases == base]
-            odd = self._ref[mine] != 1
-            self._odd[base].difference_update(mine[~odd].tolist())
-            self._odd[base].update(mine[odd].tolist())
+        fids' explicit counts."""
+        ref, base_of, odd = self._ref, self._base_of, self._odd
+        for fid in fids:
+            base = base_of[fid]
+            if not base:
+                continue
+            if ref[fid] == 1:
+                odd[base].discard(fid)
+            else:
+                odd[base].add(fid)
 
-    def refs_of(self, fids: np.ndarray) -> np.ndarray:
-        return self._ref[fids] + self._views[self._base_of[fids]]
+    def refs_of(self, fids: Iterable[int]) -> array:
+        ref, base_of, views = self._ref, self._base_of, self._views
+        return array("q", [ref[fid] + views[base_of[fid]] for fid in fids])
 
     def total_refs(self) -> int:
         # Per base rather than per frame: callers check this after every
         # step of long randomized runs.
-        return self._ref_sum + int((self._views * self._base_size).sum())
+        return self._ref_sum + sum(map(operator.mul, self._views, self._base_size))
 
     def resident_split(self, bases: Sequence[int], fids: np.ndarray,
                        pl1: np.ndarray) -> tuple[int, int]:
@@ -353,24 +381,26 @@ class FrameStore:
         and only its odd frames one by one; entries of fids in one of the
         bases are skipped, as the base counts them already.
         """
-        ids = np.array(bases, dtype=np.int64)
-        views = self._views[ids]
-        shared = int(self._base_size[ids][views > 0].sum())
-        exclusive = int(self._base_pl1_size[ids][views == 0].sum())
+        shared = sum(self._base_size[b] for b in bases if self._views[b])
+        exclusive = sum(self._base_pl1_size[b] for b in bases if not self._views[b])
+        ref = np.frombuffer(self._ref, dtype=np.int64)
+        base_of = np.frombuffer(self._base_of, dtype=np.int32)
+        base_pl1 = np.frombuffer(self._base_pl1, dtype=bool)
+        views = np.array(self._views, dtype=np.int64)
         odd = np.array([f for b in bases for f in self._odd[b]], dtype=np.int64)
         if len(odd):  # counted above as 1 + views; correct them
-            odd_views = self._views[self._base_of[odd]]
-            refs = self._ref[odd] + odd_views
-            odd_pl1 = self._base_pl1[odd]
+            odd_views = views[base_of[odd]]
+            refs = ref[odd] + odd_views
+            odd_pl1 = base_pl1[odd]
             shared += (np.count_nonzero(refs > 1)
                        - np.count_nonzero(odd_views > 0))
             exclusive += (np.count_nonzero(odd_pl1 & (refs == 1))
                           - np.count_nonzero(odd_pl1 & (odd_views == 0)))
-        counted = np.zeros(len(self._views), dtype=bool)
-        counted[ids] = True
-        keep = ~counted[self._base_of[fids]]
+        counted = np.zeros(len(views), dtype=bool)
+        counted[list(bases)] = True
+        keep = ~counted[base_of[fids]]
         fids, pl1 = fids[keep], pl1[keep]
-        refs = self.refs_of(fids)
+        refs = ref[fids] + views[base_of[fids]]
         shared += len(set(fids[refs > 1].tolist()))
         # A frame one entry maps is in fids once: no dedup needed.
         exclusive += np.count_nonzero(pl1 & (refs == 1))
@@ -407,6 +437,7 @@ class FrameStore:
             raise ValueError("data exceeds the frames' capacity")
         if size and (min(fids) < 0 or max(fids) >= self._next_fid):
             raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
+        src, off = self._src, self._off
         i, head = 0, []  # the next page's index in fids; its pieces so far
         for chunk in chunks:
             if type(chunk) is not bytes:
@@ -421,10 +452,10 @@ class FrameStore:
                 i, head = i + 1, []
             full = (len(chunk) - start) // PAGE_SIZE
             end = start + full * PAGE_SIZE
-            if full:
-                self._src[fids[i : i + full]] = chunk
-                self._off[fids[i : i + full]] = np.arange(start, end, PAGE_SIZE)
-                i += full
+            for fid, at in zip(fids[i : i + full], range(start, end, PAGE_SIZE)):
+                src[fid] = chunk
+                off[fid] = at
+            i += full
             if end < len(chunk):
                 head = [memoryview(chunk)[end:]]
         if head:
@@ -446,9 +477,13 @@ class FrameStore:
                    dst_fids: int | Sequence[int]) -> None:
         """Copy a frame's page, or a run's pages: the copies refer to the
         same bytes, since a write gives its frame new ones."""
-        self._src[dst_fids] = self._src[src_fids]
-        self._off[dst_fids] = self._off[src_fids]
-        self.copied_bytes_total += PAGE_SIZE * np.size(dst_fids)
+        if isinstance(dst_fids, int):
+            src_fids, dst_fids = (src_fids,), (dst_fids,)
+        src, off = self._src, self._off
+        for s, d in zip(src_fids, dst_fids):
+            src[d] = src[s]
+            off[d] = off[s]
+        self.copied_bytes_total += PAGE_SIZE * len(dst_fids)
 
 
 class PageEntry(NamedTuple):
@@ -470,6 +505,15 @@ _PERMS = _GRANTS + tuple(_interned(p.read, p.write - {PL1}) for p in _GRANTS)
 _READABLE, _WRITABLE = ([frozenset(c for c, p in enumerate(_PERMS) if p.can(level, kind))
                          for level in PrivilegeLevel] for kind in AccessKind)
 _PL1_CODES = np.array([PL1 in p.read | p.write for p in _PERMS])
+_GUEST_CODES = frozenset(c for c, p in enumerate(_GRANTS) if PL2 in p.read | p.write)
+_CODE_OF = {id(p): c for c, p in enumerate(_GRANTS)}
+
+
+def _code(perms: PagePerms) -> int:
+    """The grants code of perms: found by identity for the interned
+    constants, which mappings use, and by equality for any other."""
+    code = _CODE_OF.get(id(perms))
+    return _GRANTS.index(perms) if code is None else code
 
 
 def _mapped(fid: Iterable[int], perm: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +552,7 @@ class PageTable:
         self.base = base
         self.sealed = False
         self._base_id: Optional[int] = None  # set while forkable
-        self._sealed_fids = np.empty(0, np.int64)
+        self._sealed_fids = array("q")
         self._next_vpn = base.next_unused_vpn() if base is not None else 0
         self._lo = self._next_vpn  # nonzero only in a view that reads its base
         self._fid, self._perm = [], []  # frame id and grants code per vpn
@@ -558,12 +602,11 @@ class PageTable:
         self._next_vpn += n
         return vpns
 
-    def local_frame_ids(self) -> np.ndarray:
+    def local_frame_ids(self) -> array:
         """Frames in this table's own lists, in vpn order (cached if sealed)."""
         if self.sealed:
             return self._sealed_fids
-        fids = np.array(self._fid, dtype=np.int64)
-        return fids[fids >= 0]
+        return array("q", [fid for fid in self._fid if fid >= 0])
 
     def base_counted(self) -> Optional[int]:
         """Id of the base whose frames this table maps without own entries
@@ -610,21 +653,21 @@ class PageTable:
         """Map fids at vpn, vpn + 1, ...: all of them, or, if any check
         fails, none."""
         self._require_mutable(caller, "map pages")
-        code = _GRANTS.index(perms)
+        code = _code(perms)
         if vpn < 0 or len(fids) and (min(fids) < 0
                                      or max(fids) >= self.store.n_frames()):
             raise KeyError(f"vpn {vpn} or a frame is out of range")
-        if PL2 in perms.read or PL2 in perms.write:
-            arr = np.array(fids, dtype=np.int64)
-            held = arr[np.isin(self.store.owners_of(arr), (PL0, PL1))]
-            if len(held):
+        if code in _GUEST_CODES:
+            held = [fid for fid, owner in zip(fids, self.store.owners_of(fids))
+                    if owner in (PL0, PL1)]
+            if held:
                 raise PermissionDenied(f"frame {held[0]} is owned by PL0 or "
                                        "PL1 and cannot be exposed to the guest")
-        stop = vpn + len(fids)
-        taken = [v for v in range(vpn, min(stop, self._lo + len(self._fid)))
-                 if self._slot(v)[0] >= 0]
-        if taken:
-            raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
+        stop, end = vpn + len(fids), self._lo + len(self._fid)
+        if vpn < end:
+            taken = [v for v in range(vpn, min(stop, end)) if self._slot(v)[0] >= 0]
+            if taken:
+                raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
         i = self._own(vpn)
         j = i + len(fids)
         if j > len(self._fid):
@@ -634,7 +677,8 @@ class PageTable:
         self._perm[i:j] = [code] * len(fids)
         self.store.bulk_incref(fids)
         self._n += len(fids)
-        self._next_vpn = max(self._next_vpn, stop)
+        if stop > self._next_vpn:
+            self._next_vpn = stop
 
     def unmap_range(self, vpns: Sequence[int],
                     caller: PrivilegeLevel = PL0) -> list[int]:
@@ -645,12 +689,11 @@ class PageTable:
         self._require_mutable(caller, "unmap pages")
         if len(set(vpns)) != len(vpns):
             raise KeyError("a vpn is unmapped twice")
-        fids = np.array(self._mapped_or_refuse(vpns), dtype=np.int64)
+        fids = self._mapped_or_refuse(vpns)
         for vpn in vpns:
             self._fid[vpn - self._lo] = -1
         self._n -= len(vpns)
-        refs = self.store.bulk_decref(fids)
-        return sorted(set(fids[refs == 0].tolist()))
+        return self.store.bulk_decref(fids)
 
     def _mapped_or_refuse(self, vpns: Sequence[int]) -> list[int]:
         """The frames at vpns; KeyError if one is not mapped."""
@@ -666,7 +709,7 @@ class PageTable:
         """Give the mappings at vpns perms: all of them, or, if any is not
         mapped, none."""
         self._require_mutable(caller, "change permissions")
-        code = _GRANTS.index(perms)
+        code = _code(perms)
         self._mapped_or_refuse(vpns)
         for vpn in vpns:
             self._perm[vpn - self._lo] = code
@@ -687,7 +730,7 @@ class PageTable:
         fids, pl1 = _mapped(self._fid, sealed)
         self._base_id = self.store.register_base(fids, fids[pl1])
         self._perm = sealed
-        self._sealed_fids = fids
+        self._sealed_fids = array("q", fids.tobytes())
         self.sealed = True
 
     # -- access (any level; faults are return values) --
@@ -776,9 +819,9 @@ class PageTable:
         new_fids, charge = alloc_frames(pool, 1, model, owner_level=PL1)
         self.store.copy_frame(old_fid, new_fids[0])
         i = self._own(vpn)
-        self._fid[i], self._perm[i] = new_fids[0], _GRANTS.index(PagePerms.PROCESS_RW)
+        self._fid[i], self._perm[i] = new_fids[0], _code(PagePerms.PROCESS_RW)
         self.store.bulk_incref(new_fids)
-        self.store.bulk_decref(np.array([old_fid]))
+        self.store.bulk_decref([old_fid])
         return new_fids[0], charge + model.copy_us(1)
 
     def release_all(self) -> list[int]:
@@ -787,13 +830,13 @@ class PageTable:
         Costs O(own list entries), not O(base pages).  A sealed table with
         live views is refused with ``BaseInUse``; release them first.
         """
-        local = self.local_frame_ids()
+        local = (self._sealed_fids if self.sealed
+                 else [fid for fid in self._fid if fid >= 0])
         if self._base_id is not None:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
-            self._sealed_fids = np.empty(0, np.int64)
-        refs = self.store.bulk_decref(local)
-        freed = sorted(set(local[refs == 0].tolist()))
+            self._sealed_fids = array("q")
+        freed = self.store.bulk_decref(local)
         if self.base is not None:
             if not self._lo:
                 self.store.bulk_incref(self.base.local_frame_ids())
@@ -850,13 +893,18 @@ class MemoryPool:
         if not len(fids):
             return
         ordered = sorted(fids)
-        if len(set(ordered)) != len(ordered):
-            raise AssertionError("frame released twice")
-        self.store.take_back(np.array(ordered, dtype=np.int64))
-        cuts = [i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1]
-        bounds = [0, *cuts, len(ordered)]  # the runs of consecutive ids
-        self._give_back([(ordered[lo], ordered[hi - 1] + 1)
-                         for lo, hi in zip(bounds, bounds[1:])])
+        runs = []  # of consecutive ids
+        lo = last = ordered[0]
+        for fid in itertools.islice(ordered, 1, None):
+            if fid != last + 1:
+                if fid == last:
+                    raise AssertionError("frame released twice")
+                runs.append((lo, last + 1))
+                lo = fid
+            last = fid
+        runs.append((lo, last + 1))
+        self.store.take_back(ordered)
+        self._give_back(runs)
         self.free_count += len(ordered)
 
     def _give_back(self, runs: list[tuple[int, int]]) -> None:
@@ -876,7 +924,7 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
     frame is validated now at validation_us_per_page.
     """
     fids = pool.take(n)
-    fresh = pool.store.claim(np.array(fids, dtype=np.int64), owner_level)
+    fresh = pool.store.claim(fids, owner_level)
     charge = 0 if pool.prevalidated else model.validation_us(fresh)
     return fids, charge
 

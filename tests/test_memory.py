@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -233,6 +234,22 @@ class TestPreallocate:
         assert pool.prevalidated
         assert pool.free_count == 4_194_304
 
+    def test_reserved_frame_retains_at_most_34_host_bytes(self, store, model):
+        # A frame's facts are fixed-width columns: 8 B each for its count,
+        # page offset and page slot, 4 B for its base id and 1 B each for
+        # validated, owner and base grants, 31 B in all; a column wider
+        # than needed, such as an 8 B base id, passes 34 B.
+        pool = MemoryPool(store)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            preallocate(pool, 1024**3, model)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.free_count == 262_144
+        assert (after - before) / 262_144 <= 34
+
     def test_prevalidated_frames_are_validated(self, store, model):
         pool = MemoryPool(store)
         preallocate(pool, 8192, model)
@@ -317,6 +334,22 @@ class TestMapRange:
         fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
         with pytest.raises(PermissionDenied):
             PageTable(store, 9).map_range(fids, PagePerms.GUEST_RW)
+
+    def test_grants_equal_to_a_constant_map_as_that_constant(self, store,
+                                                             pool, model):
+        # Tables find a constant's code by identity; an equal object made
+        # apart from the constants takes the same code, and grants that
+        # are none of them are refused.
+        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        table = PageTable(store, 9)
+        ro = PagePerms(frozenset({PL0, PL1}), frozenset({PL0}))
+        assert ro == PagePerms.PROCESS_RO and ro is not PagePerms.PROCESS_RO
+        vpns = table.map_range(fids, ro)
+        assert table.lookup(vpns[0]).perms is PagePerms.PROCESS_RO
+        table.set_perms(vpns, PagePerms(frozenset({PL0, PL1}), frozenset({PL0, PL1})))
+        assert table.lookup(vpns[1]).perms is PagePerms.PROCESS_RW
+        with pytest.raises(ValueError):
+            table.set_perms(vpns, PagePerms(frozenset({PL1}), frozenset()))
 
     def test_refused_run_maps_nothing(self, store, pool, model):
         guest_fids, _ = alloc_frames(pool, 2, model, owner_level=PL2)

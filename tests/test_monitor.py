@@ -198,7 +198,7 @@ class TestZygoteLifecycle:
         fids = monitor._proc(zygote.handle).page_table.local_frame_ids()
         assert len(fids) == 32 * MIB // PAGE_SIZE
         monitor.delete_zygote(zygote.handle)
-        assert all(src is None for src in store._src[fids])
+        assert all(store._src[fid] is None for fid in fids)
         assert store.read_range(fids.tolist(), 32 * MIB) == bytes(32 * MIB)
 
     def test_zygote_frames_hold_the_canonical_bytes(self):
