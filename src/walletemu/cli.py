@@ -390,9 +390,9 @@ def cmd_simulate(args) -> dict | None:
 
 
 def cmd_gen_trace(args) -> None:
-    trace = generate_trace(_generator_spec(args))
     if not args.out:
         raise EmulatorError("gen-trace requires --out")
+    trace = generate_trace(_generator_spec(args))
     write_trace(trace, args.out)
     _note(f"gen-trace: {len(trace)} invocations -> {args.out}")
 

@@ -240,6 +240,10 @@ class MonitorConfig:
             raise ConfigInvalid("descriptor_clone_us must be non-negative")
         if self.trustlet_exclusive_bytes < 0:
             raise ConfigInvalid("trustlet_exclusive_bytes must be non-negative")
+        if self.chain_capacity_bytes <= 0:
+            raise ConfigInvalid("chain_capacity_bytes must be positive")
+        if self.quota_objects < 0 or self.quota_bytes < 0:
+            raise ConfigInvalid("object quotas must be non-negative")
 
 
 @dataclass

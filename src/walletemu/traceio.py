@@ -8,7 +8,12 @@ non-negative and durations positive.  In memory a trace is a
 
 The synthetic generator stands in for production traces: Zipf-distributed
 function popularity, Poisson arrivals, log-normal durations clipped to
->= 1 ms; deterministic for a fixed seed.
+>= 1 ms; deterministic for a fixed seed.  Function ids are drawn by
+inverse CDF over the normalized Zipf weights: one uniform per invocation,
+a bucket table giving each uniform a start index at or below its answer,
+then forward steps to the first CDF entry above it.  The draw returns the
+same ids as ``Generator.choice(n_functions, p=weights)`` and leaves the
+generator at the same stream position.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def as_trace(events: Trace | Iterable[TraceEvent]) -> Trace:
 @dataclass
 class GeneratorSpec:
     """Synthetic-trace parameters; counts positive integers, seed a
-    non-negative integer, sigma >= 0, every real parameter finite."""
+    non-negative integer, sigma >= 0, every real parameter finite, and
+    Zipf weights ``rank ** -popularity_zipf_s`` whose sum is finite."""
 
     n_functions: int = 4000
     n_apps: int = 200
@@ -138,6 +144,16 @@ class GeneratorSpec:
             raise InvariantError("duration and arrival rate must be positive")
         if self.duration_lognormal_sigma < 0:
             raise InvariantError("duration sigma must be non-negative")
+        with np.errstate(over="ignore"):
+            total = self._zipf_weights().sum()
+        if not np.isfinite(total):
+            raise InvariantError("Zipf weights overflow: popularity_zipf_s "
+                                 "too negative for n_functions")
+
+    def _zipf_weights(self) -> np.ndarray:
+        """Unnormalized weights ``rank ** -s`` of ranks 1..n_functions."""
+        ranks = np.arange(1, self.n_functions + 1, dtype=np.float64)
+        return ranks ** (-self.popularity_zipf_s)
 
     @staticmethod
     def from_json(text: str) -> "GeneratorSpec":
@@ -230,6 +246,30 @@ def write_trace(trace: Trace | Iterable[TraceEvent], path) -> None:
                              map(repr, trace.duration_ms.tolist())))
 
 
+def _draw_ranks(rng: np.random.Generator, probs: np.ndarray,
+                count: int) -> np.ndarray:
+    """``count`` int64 indices drawn by ``probs``, equal to
+    ``rng.choice(len(probs), size=count, p=probs)`` and using the same
+    ``rng.random(count)``.
+
+    Each uniform ``u`` starts at ``table[floor(u * k)]``, the index of the
+    first CDF entry above ``floor(u * k) / k``; with ``k`` a power of two
+    both products are exact, so no start lies past the answer, and the
+    indices still at or below their ``u`` step forward together.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    k = 1 << max(12, (len(probs) - 1).bit_length())  # >= max(4096, n)
+    table = cdf.searchsorted(np.arange(k) / k, side="right")
+    u = rng.random(count)
+    idx = table[(u * k).astype(np.intp)]
+    behind = np.flatnonzero(cdf[idx] <= u)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cdf[idx[behind]] <= u[behind]]
+    return idx.astype(np.int64, copy=False)
+
+
 def generate_trace(spec: GeneratorSpec) -> Trace:
     """Seeded synthetic trace; see module docstring for the model."""
     spec.validate()
@@ -255,10 +295,9 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
         count += len(cum)
     arrival_ms = np.concatenate(arrivals) if arrivals else np.empty(0)
 
-    ranks = np.arange(1, spec.n_functions + 1, dtype=np.float64)
-    probs = ranks ** (-spec.popularity_zipf_s)
+    probs = spec._zipf_weights()
     probs /= probs.sum()
-    functions = rng.choice(spec.n_functions, size=count, p=probs)
+    functions = _draw_ranks(rng, probs, count)
     durations = rng.lognormal(spec.duration_lognormal_mu,
                               spec.duration_lognormal_sigma, size=count)
     durations = np.maximum(durations, 1.0)

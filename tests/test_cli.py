@@ -6,7 +6,14 @@ import json
 import pytest
 
 from walletemu.cli import build_sized_image, main
-from walletemu.errors import EXIT_CODES, InvariantError, ParseError, PolicyViolation
+from walletemu.errors import (
+    EXIT_CODES,
+    EmulatorError,
+    InvariantError,
+    ParseError,
+    PolicyViolation,
+    exit_code_for,
+)
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 
 MIB = 1048576
@@ -235,6 +242,26 @@ class TestSimulateAndGenTrace:
         assert main(["gen-trace", "--gen-spec", str(spec),
                      "--out", str(tmp_path / "t.csv")]) == \
             EXIT_CODES[ParseError]
+
+    def test_overflowing_zipf_spec_exits_with_parse_error(self, tmp_path,
+                                                          capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_functions": 50, "n_apps": 5,
+                                    "popularity_zipf_s": -200}))
+        out = tmp_path / "t.csv"
+        assert main(["gen-trace", "--gen-spec", str(spec),
+                     "--out", str(out)]) == EXIT_CODES[ParseError]
+        assert "Zipf weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_trace_without_out_fails_before_generating(
+            self, monkeypatch, capsys):
+        def no_generation(spec):
+            raise AssertionError("generated a trace it cannot write")
+
+        monkeypatch.setattr("walletemu.cli.generate_trace", no_generation)
+        assert main(["gen-trace"]) == exit_code_for(EmulatorError()) == 1
+        assert "requires --out" in capsys.readouterr().err
 
     def test_negative_seed_exits_with_invariant_error(self, tmp_path):
         assert main(["gen-trace", "--seed", "-1",

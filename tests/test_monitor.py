@@ -24,6 +24,7 @@ from walletemu import attestation as att
 from walletemu.cli import build_sized_image
 from walletemu.crypto import Rng, symmetric_encrypt
 from walletemu.errors import (
+    ConfigInvalid,
     DecryptFailed,
     FunctionError,
     InvocationAborted,
@@ -78,6 +79,17 @@ class TestBoot:
     def test_sixteen_gib_prealloc_boot_charge(self):
         monitor = Monitor(MonitorConfig(prealloc_bytes=16 * 1024**3, seed=1))
         assert monitor.boot_us == 4_194_304 * 24 == 100_663_296
+
+    @pytest.mark.parametrize("field,value", [
+        ("chain_capacity_bytes", 0), ("chain_capacity_bytes", -4096),
+        ("quota_objects", -1), ("quota_bytes", -1)])
+    def test_bad_object_sizes_refused_at_boot(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field.split("_")[0]):
+            Monitor(MonitorConfig(**{field: value}))
+
+    def test_zero_quotas_boot(self):
+        monitor = Monitor(MonitorConfig(quota_objects=0, quota_bytes=0))
+        assert monitor.objects.quota_objects == monitor.objects.quota_bytes == 0
 
     def test_zero_pool_runs_out_of_memory(self):
         monitor = Monitor(MonitorConfig(pool_frames=0, prealloc_bytes=0))

@@ -1,5 +1,6 @@
 """Trace ingestion, synthetic generation, and stats output tests."""
 
+import hashlib
 import json
 import math
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walletemu.errors import InvariantError, ParseError
+from walletemu import traceio
 from walletemu.traceio import (
+    TRACE_HEADER,
     GeneratorSpec,
     Trace,
     TraceEvent,
@@ -208,9 +211,114 @@ class TestGenerateTrace:
         with pytest.raises(ParseError):
             GeneratorSpec.from_json(text)
 
+    @pytest.mark.parametrize("n_functions,s", [
+        (50, -200.0),     # weights overflow to inf
+        (1000, -102.6),   # every weight finite, their sum not
+    ])
+    def test_overflowing_zipf_weights_refused_before_any_draw(
+            self, monkeypatch, n_functions, s):
+        def no_draw(*args):
+            raise AssertionError("drew from an invalid spec")
+
+        monkeypatch.setattr(traceio, "_draw_ranks", no_draw)
+        spec = GeneratorSpec(n_functions=n_functions, n_apps=5,
+                             duration_minutes=0.1, popularity_zipf_s=s)
+        with pytest.raises(InvariantError, match="Zipf weights"):
+            spec.validate()
+        with pytest.raises(InvariantError, match="Zipf weights"):
+            generate_trace(spec)
+        with pytest.raises(ParseError, match="Zipf weights"):
+            GeneratorSpec.from_json(json.dumps(
+                {"n_functions": n_functions, "popularity_zipf_s": s}))
+
     def test_missing_trace_file_is_parse_error(self):
         with pytest.raises(ParseError):
             load_trace("/definitely/not/there.csv")
+
+
+def zipf_probs(n_functions, s):
+    probs = np.arange(1, n_functions + 1, dtype=np.float64) ** -s
+    return probs / probs.sum()
+
+
+def generate_trace_by_choice(spec):
+    """``generate_trace`` as written with ``Generator.choice``: the
+    reference the inverse-CDF draw must reproduce."""
+    rng = np.random.default_rng(spec.seed)
+    horizon_ms = spec.duration_minutes * 60_000.0
+    rate_per_ms = spec.arrival_rate_per_s / 1000.0
+    expected = int(horizon_ms * rate_per_ms)
+    arrivals = []
+    total = 0.0
+    count = 0
+    while True:
+        batch = rng.exponential(1.0 / rate_per_ms,
+                                size=max(1024, expected // 4 + 1))
+        cum = total + np.cumsum(batch)
+        if cum[-1] >= horizon_ms:
+            keep = cum[cum < horizon_ms]
+            arrivals.append(keep)
+            count += len(keep)
+            break
+        arrivals.append(cum)
+        total = float(cum[-1])
+        count += len(cum)
+    arrival_ms = np.concatenate(arrivals)
+    probs = zipf_probs(spec.n_functions, spec.popularity_zipf_s)
+    functions = rng.choice(spec.n_functions, size=count, p=probs)
+    durations = rng.lognormal(spec.duration_lognormal_mu,
+                              spec.duration_lognormal_sigma, size=count)
+    durations = np.maximum(durations, 1.0)
+    return Trace(np.arange(count), functions % spec.n_apps, functions,
+                 arrival_ms, durations)
+
+
+def paper_spec(seed):
+    """The scale-out shape: 4000 functions, 200 apps, 5 min at 600/s."""
+    return GeneratorSpec(n_functions=4000, n_apps=200, duration_minutes=5.0,
+                         arrival_rate_per_s=600.0, popularity_zipf_s=1.1,
+                         seed=seed)
+
+
+class TestFunctionDraw:
+    @pytest.mark.parametrize("n_functions,s", [
+        (4000, 1.1), (4000, 0.0), (50_000, 0.0), (50_000, 1.1), (200, 1.1),
+        (1, 1.1)])
+    @pytest.mark.parametrize("size", [0, 1, 180_000])
+    def test_draw_equals_generator_choice(self, n_functions, s, size):
+        probs = zipf_probs(n_functions, s)
+        for seed in (0, 1, 7):
+            ref_rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            expected = ref_rng.choice(n_functions, size=size, p=probs)
+            drawn = traceio._draw_ranks(rng, probs, size)
+            assert drawn.dtype == np.int64
+            assert np.array_equal(drawn, expected)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("spec", [
+        paper_spec(0),
+        # Weights past rank 1 are tiny or underflow to zero.
+        GeneratorSpec(n_functions=300, n_apps=7, duration_minutes=0.5,
+                      arrival_rate_per_s=200.0, popularity_zipf_s=400.0,
+                      seed=3),
+    ])
+    def test_trace_equals_choice_reference(self, spec):
+        assert generate_trace(spec) == generate_trace_by_choice(spec)
+
+    @pytest.mark.parametrize("seed,count,digest", [
+        (0, 180_453,
+         "e8b2baaa97cbd13276192744b548ee9bff79a8366ac23a1334c26d224642af3d"),
+        (1, 180_817,
+         "7c94426d8a039f75b4e6fe4069f290d031a8d55b9ad97ae03a0cb3d4571d6e67"),
+    ])
+    def test_paper_shape_trace_pinned(self, seed, count, digest):
+        trace = generate_trace(paper_spec(seed))
+        h = hashlib.sha256()
+        for name in TRACE_HEADER:
+            h.update(getattr(trace, name).tobytes())
+        assert len(trace) == count
+        assert h.hexdigest() == digest
 
 
 class TestTrace:
