@@ -470,6 +470,17 @@ def cmd_attest_demo(args) -> dict:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its refusals
+    return parse
+
+
 def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walletemu",
@@ -500,15 +511,15 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emulate)
 
     p = command("chain", "function-chain communication benchmark")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--payload-size", type=int, default=4096)
+    p.add_argument("--k", type=_int_at_least(1), default=2)
+    p.add_argument("--payload-size", type=_int_at_least(0), default=4096)
     p.add_argument("--prealloc", type=int, default=None)
     p.add_argument("--dump-objects", help="write the object table JSON here")
     p.set_defaults(func=cmd_chain)
 
     p = command("density", "function-density memory accounting")
-    p.add_argument("--n-functions", type=int, default=500)
-    p.add_argument("--zygote-mib", type=int, default=147)
+    p.add_argument("--n-functions", type=_int_at_least(1), default=500)
+    p.add_argument("--zygote-mib", type=_int_at_least(1), default=147)
     p.add_argument("--no-cow", action="store_true")
     p.add_argument("--prealloc", type=int, default=None)
     p.set_defaults(func=cmd_density)

@@ -59,7 +59,6 @@ from .memory import (
 from .objects import MONITOR_PID, ObjectStore, ObjectType
 from .pipeline import NestedFs, run_pipeline
 
-NONCE_LEN = 16
 RESPONSE_KEY_LEN = 32
 
 
@@ -99,7 +98,6 @@ class ProcessDescriptor:
     pid: int
     kind: ProcKind
     page_table: PageTable
-    level: PrivilegeLevel = PrivilegeLevel.PL1_PROCESS
     state: ProcState = ProcState.CREATED
     base_zygote: Optional[int] = None
     output_obj: Optional[int] = None  # the newest output; the next retires it
@@ -188,7 +186,8 @@ class InvocationRequest:
         r = wire.Reader(data)
         try:  # keywords in wire order: digest, nonce, key, payload
             request = InvocationRequest(
-                function_digest=r.take(att.DIGEST_LEN), nonce=r.take(NONCE_LEN),
+                function_digest=r.take(att.DIGEST_LEN),
+                nonce=r.take(att.NONCE_LEN),
                 response_key=r.take(RESPONSE_KEY_LEN), input_bytes=r.lp())
             r.finish("request")
         except ParseError as exc:
@@ -212,7 +211,6 @@ class MonitorConfig:
     cow_enabled: bool = True
     descriptor_clone_us: int = 50
     trustlet_exclusive_bytes: int = 60 * 1024
-    chain_capacity_bytes: int = 1048576
     quota_objects: int = 64
     quota_bytes: int = 256 * 1048576
     seed: int = 0
@@ -240,8 +238,6 @@ class MonitorConfig:
             raise ConfigInvalid("descriptor_clone_us must be non-negative")
         if self.trustlet_exclusive_bytes < 0:
             raise ConfigInvalid("trustlet_exclusive_bytes must be non-negative")
-        if self.chain_capacity_bytes <= 0:
-            raise ConfigInvalid("chain_capacity_bytes must be positive")
         if self.quota_objects < 0 or self.quota_bytes < 0:
             raise ConfigInvalid("object quotas must be non-negative")
 
@@ -371,7 +367,6 @@ class Monitor:
         self.monitor_digest, charge = self.cache.measure(
             att.SubjectKind.MONITOR, "monitor", monitor_bytes, self.model)
         self.clock_us += charge
-        self._monitor_bytes = monitor_bytes
         self.boot_report = att.asp_gen(self.machine_key, self.monitor_digest,
                                        att.sha512(monitor_bytes))
 
@@ -389,8 +384,8 @@ class Monitor:
         self._active: dict[int, _Ticket] = {}  # pid -> in-flight ticket
         self._next_seq = 0
         # Chain state is keyed by trustlet handle, which survives recreation.
-        # producer handle -> (consumer handle, chain obj id)
-        self._chain_edges: dict[int, tuple[int, int]] = {}
+        # producer handle -> consumer handle
+        self._chain_edges: dict[int, int] = {}
         # consumer handle -> (input obj id, chain measurements, response_key,
         #                     nonce, consumer recreated at handoff)
         self._chain_inbox: dict[int, tuple] = {}
@@ -435,7 +430,7 @@ class Monitor:
         The report's user data is SHA-512(DH public || nonce), binding the
         key exchange to the attested monitor.
         """
-        if len(provider_nonce) != NONCE_LEN:
+        if len(provider_nonce) != att.NONCE_LEN:
             raise ConfigInvalid("provider nonce must be 16 bytes")
         if provider_nonce in self._seen_nonces:
             raise StaleNonce("provider nonce was already used")
@@ -520,17 +515,11 @@ class Monitor:
         return terminated + 1
 
     def _terminate(self, handle: int, proc: ProcessDescriptor) -> None:
-        """Delete a process: drop its chain state, then tear it down.
-
-        Its pending outgoing link, links into it, and a handed-off input it
-        has not run are forgotten, and their chain objects retired.
-        """
-        edge = self._chain_edges.pop(handle, None)
-        if edge is not None:
-            self.objects.retire(edge[1])
-        for producer in [p for p, (consumer, _obj) in self._chain_edges.items()
-                         if consumer == handle]:
-            self.objects.retire(self._chain_edges.pop(producer)[1])
+        """Delete a process: forget its pending links, retire a handed-off
+        input it has not run, then tear it down."""
+        for producer in [p for p, c in self._chain_edges.items()
+                         if handle in (p, c)]:
+            del self._chain_edges[producer]
         inbox = self._chain_inbox.pop(handle, None)
         if inbox is not None:
             self.objects.retire(inbox[0])
@@ -760,26 +749,18 @@ class Monitor:
 
         Resets any residual state from the previous user's invocations.
         Recreation is not a deletion, and chain state is keyed by handle,
-        so the trustlet's pending links stay: its outgoing link gets a fresh
-        chain object, written by the new descriptor (the old one is retired
-        with the old descriptor), and links into it need nothing, as their
-        objects are written by the producers.  A handed-off input is never
+        so the trustlet's pending links stay as they are: a link holds no
+        object until its producer completes.  A handed-off input is never
         pending here: ``_claim`` does not recreate a trustlet holding one.
         """
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
         zygote = self._procs[proc.base_zygote]
-        edge = self._chain_edges.get(handle)
-        if edge is not None:
-            self.objects.retire(edge[1])
         self._teardown(handle, proc)
         pid, _clone_us, _load_us = self._spawn_trustlet(
             zygote, proc.fn, proc.measurement)
         self._handles[handle] = pid
-        fresh = self._procs[pid]
-        if edge is not None:
-            self._chain_edges[handle] = (edge[0], self._chain_object(fresh))
-        return fresh
+        return self._procs[pid]
 
     # -- scheduler ------------------------------------------------------------------
 
@@ -876,16 +857,16 @@ class Monitor:
 
     def _complete(self, ticket: _Ticket, proc: ProcessDescriptor,
                   output: bytes, exec_us: int) -> None:
-        """Charge the run's execution, write the output object, then hand it
-        off along a pending link or answer the user with the report and the
-        encrypted response."""
+        """Charge the run's execution, create and write the output object,
+        then hand it off along a pending link as a chain object or answer
+        the user with the report and the encrypted response."""
         charges = ticket.charges
         charges.exec_us += self._charge(exec_us)
 
-        edge = self._chain_edges.get(ticket.handle)
+        consumer_handle = self._chain_edges.get(ticket.handle)
+        otype = ObjectType.OUTPUT
         try:
-            if edge is not None:
-                consumer_handle, obj_id = edge
+            if consumer_handle is not None:
                 # One input slot: a second handoff would lose the first.
                 if consumer_handle in self._chain_inbox:
                     raise TrustletBusy(
@@ -893,28 +874,22 @@ class Monitor:
                         f"input it has not run")
                 self._must_recreate(consumer_handle,
                                     _user_of(ticket.response_key))
-                charge = self.objects.ensure_capacity(obj_id, len(output))
-            else:
-                obj_id, charge = self.objects.create(
-                    proc.pid, proc.page_table, max(1, len(output)),
-                    ObjectType.OUTPUT)
+                otype = ObjectType.CHAIN
+            obj_id, charge = self.objects.create(
+                proc.pid, proc.page_table, max(1, len(output)), otype)
         except (TrustletBusy, QuotaExceeded, OutOfMemory) as exc:
             # A pending link stays pending; its consumer is left as it was.
             self._settle(ticket, proc, error=exc)
             return
-        if edge is not None:
-            del self._chain_edges[ticket.handle]
-            consumer, consumer_recreated = self._claim(
-                consumer_handle, ticket.response_key)
         charges.output_us += self._charge(charge)
         charges.output_us += self._charge(self.objects.write_through(
             proc.pid, proc.page_table, obj_id, output))
-        if edge is None:  # a chain object supersedes no output
-            self.objects.retire(proc.output_obj)
-            proc.output_obj = obj_id
         self.objects.seal(obj_id)
 
-        if edge is not None:
+        if consumer_handle is not None:
+            del self._chain_edges[ticket.handle]
+            consumer, consumer_recreated = self._claim(
+                consumer_handle, ticket.response_key)
             self.objects.attach_reader(consumer.pid, consumer.page_table,
                                        obj_id)
             measurements = ticket.chain_prefix + [self._measurements_for(
@@ -927,6 +902,9 @@ class Monitor:
                                   handoff=consumer_handle,
                                   output_obj_id=obj_id)
         else:
+            # Only a user-facing output supersedes the previous one.
+            self.objects.retire(proc.output_obj)
+            proc.output_obj = obj_id
             # Retrieve the result from the output object, not the run state.
             retrieved = self.objects.read_monitor(obj_id)
 
@@ -959,8 +937,9 @@ class Monitor:
 
     # -- chaining ---------------------------------------------------------------------
 
-    def link_chain(self, producer_handle: int, consumer_handle: int) -> int:
-        """Bind producer output to consumer input via a chain object."""
+    def link_chain(self, producer_handle: int, consumer_handle: int) -> None:
+        """Record that producer's next output becomes consumer's input, as
+        a chain object ``_complete`` creates; allocates nothing."""
         producer = self._proc(producer_handle)
         consumer = self._proc(consumer_handle)
         for proc in (producer, consumer):
@@ -979,20 +958,8 @@ class Monitor:
             if cursor in seen:
                 raise PolicyViolation("circular chain rejected")
             seen.add(cursor)
-            nxt = self._chain_edges.get(cursor)
-            cursor = nxt[0] if nxt is not None else None
-
-        obj_id = self._chain_object(producer)
-        self._chain_edges[producer_handle] = (consumer_handle, obj_id)
-        return obj_id
-
-    def _chain_object(self, producer: ProcessDescriptor) -> int:
-        """A chain object written by producer; only the monitor retires it."""
-        obj_id, charge = self.objects.create(
-            producer.pid, producer.page_table,
-            self.config.chain_capacity_bytes, ObjectType.CHAIN)
-        self._charge(charge)
-        return obj_id
+            cursor = self._chain_edges.get(cursor)
+        self._chain_edges[producer_handle] = consumer_handle
 
     # Wire-API aliases matching the documented monitor system-call names.
     createZygote = create_zygote

@@ -3,10 +3,11 @@
 A data object is a run of frames with at most one writer and one reader
 attachment.  The writer streams bytes through write-only page mappings
 while solely attached; attaching the reader downgrades the writer's
-mappings, so no frame is ever PL1-writable while shared.  Chain objects
-bind a producer's output directly to a consumer's input with zero payload
-copies; when functions are not co-located the copy-and-encrypt fallback
-path models the conventional network route.
+mappings, so no frame is ever PL1-writable while shared.  A chain object
+is an output object the monitor creates when a linked producer completes,
+sized by that output, and hands to the consumer as its input: the payload
+is never copied.  When functions are not co-located the copy-and-encrypt
+fallback path models the conventional network route.
 
 The store owns an object from ``create`` to its release.  Detaching a
 party unmaps that party's grant from its table, and the store gives an
@@ -190,24 +191,6 @@ class ObjectStore:
                                                      PagePerms.PROCESS_RO)
             obj.reader_table = caller_table
         return obj
-
-    def ensure_capacity(self, obj_id: int, length: int) -> int:
-        """Grow an object, the writer's grants and its quota use to hold
-        length bytes; returns charge_us.  Growth past the writer's byte
-        quota is refused with QuotaExceeded before anything changes."""
-        obj = self.get(obj_id)
-        needed = pages_for(max(1, length)) - len(obj.frames)
-        if needed <= 0:
-            return 0
-        self._check_quota(obj.writer, 0, needed * PAGE_SIZE)
-        fids, charge = alloc_frames(self.pool, needed, self.model,
-                                    owner_level=PrivilegeLevel.PL1_PROCESS)
-        if obj.writer_table is not None and obj.writer_vpns:
-            obj.writer_vpns += obj.writer_table.map_range(
-                fids, PagePerms.PROCESS_WO)
-        obj.frames.extend(fids)
-        obj.charged_bytes += needed * PAGE_SIZE
-        return charge
 
     def seal(self, obj_id: int) -> None:
         self.get(obj_id).sealed = True

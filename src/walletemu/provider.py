@@ -24,8 +24,6 @@ from .crypto import (
 from .errors import VerifFailed
 from .monitor import InvocationRequest, Monitor, ProviderPolicy
 
-NONCE_LEN = 16
-
 
 class FunctionProvider:
     """Holds the function key and provisions monitors over attested sessions."""
@@ -47,7 +45,7 @@ class FunctionProvider:
 
     def begin_handshake(self) -> bytes:
         """Fresh anti-replay nonce for the monitor."""
-        self._pending_nonce = self.rng.bytes(NONCE_LEN)
+        self._pending_nonce = self.rng.bytes(att.NONCE_LEN)
         return self._pending_nonce
 
     def complete_handshake(self, report: att.PlatformReport,
@@ -117,7 +115,7 @@ class UserAgent:
 
     def make_request(self, function_digest: bytes,
                      input_bytes: bytes) -> PreparedRequest:
-        nonce = self.rng.bytes(NONCE_LEN)
+        nonce = self.rng.bytes(att.NONCE_LEN)
         ciphertext = InvocationRequest.encrypt(
             self.function_public, function_digest, input_bytes,
             self.response_key, nonce, self.rng)

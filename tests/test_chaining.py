@@ -15,7 +15,7 @@ from walletemu.errors import (
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 from walletemu.memory import PAGE_SIZE, pages_for
-from walletemu.monitor import MonitorConfig, ProcState
+from walletemu.monitor import ProcState
 from walletemu.objects import fallback_transfer
 from walletemu.provider import UserAgent
 
@@ -129,6 +129,28 @@ class TestLinkChain:
         with pytest.raises(NotCoLocated):
             rig.monitor.link_chain(rig.zygote.handle, handles[0])
 
+    def test_linking_allocates_nothing(self):
+        rig, functions, handles = relay_chain_rig(2)
+        m = rig.monitor
+        free, objects = m.pool.free_count, dict(m.objects.objects)
+        entries = m._proc(handles[0]).page_table.n_entries()
+        assert m.link_chain(handles[0], handles[1]) is None
+        assert m.pool.free_count == free
+        assert m.objects.objects == objects
+        assert m._proc(handles[0]).page_table.n_entries() == entries
+
+    @pytest.mark.parametrize("size", [64, 100_000])
+    def test_chain_object_is_sized_by_the_output(self, size):
+        from walletemu.objects import ObjectType
+        rig, functions, handles = relay_chain_rig(2)
+        m = rig.monitor
+        m.link_chain(handles[0], handles[1])
+        request = rig.user.make_request(functions[0].digest(), b"s" * size)
+        result = m.invoke_trustlet(handles[0], request.ciphertext)
+        obj = m.objects.get(result.output_obj_id)
+        assert obj.otype is ObjectType.CHAIN
+        assert len(obj.frames) == pages_for(size + 1)  # the relay appends "+"
+
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_counters_scale_linearly_in_k(self, k):
         from walletemu.objects import ObjectType
@@ -136,8 +158,9 @@ class TestLinkChain:
         m = rig.monitor
         for producer, consumer in zip(handles, handles[1:]):
             m.link_chain(producer, consumer)
-        assert sum(1 for o in m.objects.objects.values()
-                   if o.otype is ObjectType.CHAIN) == k - 1
+        # Linking allocates nothing: each hop creates its chain object.
+        assert not any(o.otype is ObjectType.CHAIN
+                       for o in m.objects.objects.values())
         payload = b"p" * 64
         request = rig.user.make_request(functions[0].digest(), payload)
         base = m.objects.counter.snapshot()
@@ -176,9 +199,9 @@ class TestChainSecrecy:
 
 class TestChainLifecycle:
     def test_repeated_chain_runs_do_not_exhaust_quotas(self):
-        # A byte quota of a few chain objects: a per-run drift shows early.
+        # A byte quota of a few small objects: a per-run drift shows early.
         rig, functions, handles = relay_chain_rig(
-            2, quota_bytes=4 * MonitorConfig().chain_capacity_bytes)
+            2, quota_bytes=4 * PAGE_SIZE)
         m = rig.monitor
         for round_no in range(3 * m.objects.quota_objects):
             m.link_chain(handles[0], handles[1])
@@ -193,16 +216,16 @@ class TestChainLifecycle:
     def test_chain_object_growth_is_charged(self):
         # An unvalidated pool: every fresh frame costs a validation charge.
         rig, functions, handles = relay_chain_rig(
-            2, prealloc=0, pool_frames=4096, chain_capacity_bytes=PAGE_SIZE)
+            2, prealloc=0, pool_frames=4096)
         m = rig.monitor
         m.link_chain(handles[0], handles[1])
         payload = b"g" * (2 * PAGE_SIZE)
         request = rig.user.make_request(functions[0].digest(), payload)
         clock_before = m.clock_us
         result = m.invoke_trustlet(handles[0], request.ciphertext)
-        # The 3-page output grows the 1-page chain object by 2 fresh frames.
+        # The 3-page output's chain object is made of 3 fresh frames.
         assert result.charges.output_us == (
-            m.model.validation_us(2) + m.model.transfer_us(len(payload) + 1))
+            m.model.validation_us(3) + m.model.transfer_us(len(payload) + 1))
         assert m.clock_us - clock_before == result.charges.total_us
         final = m.invoke_chained(result.handoff)
         assert rig.user.decrypt_response(request, final.output_ciphertext) \
@@ -241,9 +264,37 @@ class TestChainLifecycle:
         assert not m.objects.objects
         assert m.pool.free_count == free_after_zygote
 
+    @pytest.mark.parametrize("end", ["recreate", "delete"])
+    def test_producer_gone_while_linked_leaks_no_frame(self, end):
+        rig, functions = relay_rig(2)
+        m = rig.monitor
+        free_after_zygote = m.pool.free_count
+        producer, consumer = [m.create_trustlet(rig.zygote.handle, fn).handle
+                              for fn in functions]
+        first = rig.user.make_request(functions[0].digest(), b"first")
+        m.invoke_trustlet(producer, first.ciphertext)
+        m.link_chain(producer, consumer)
+        if end == "recreate":
+            # Another user's request recreates the producer, link pending.
+            user = other_user(rig)
+            request = user.make_request(functions[0].digest(), b"other")
+            result = m.invoke_trustlet(producer, request.ciphertext)
+            assert result.recreated and result.handoff == consumer
+            final = m.invoke_chained(consumer)
+            assert user.decrypt_response(request, final.output_ciphertext) \
+                == b"other++"
+        else:
+            m.delete_trustlet(producer)
+            assert not m._chain_edges
+        assert_refs_conserved(m)
+        for handle in (producer, consumer)[end == "delete":]:
+            m.delete_trustlet(handle)
+        assert_refs_conserved(m)
+        assert not m.objects.objects
+        assert m.pool.free_count == free_after_zygote
+
     def test_failed_chain_growth_keeps_the_link_and_the_consumer(self):
-        rig, functions, handles = relay_chain_rig(
-            2, chain_capacity_bytes=PAGE_SIZE)
+        rig, functions, handles = relay_chain_rig(2)
         m = rig.monitor
         producer, consumer = handles
         # The consumer last served another user, so a handoff recreates it.
@@ -252,7 +303,7 @@ class TestChainLifecycle:
         consumer_pid = m._handles[consumer]
         m.link_chain(producer, consumer)
         payload = b"g" * (2 * PAGE_SIZE)
-        # Frames for the input object, none to grow the 1-page chain object.
+        # Frames for the input object, none for the 3-page chain object.
         drained = m.pool.take(m.pool.free_count - pages_for(len(payload)))
         request = rig.user.make_request(functions[0].digest(), payload)
         with pytest.raises(OutOfMemory):
@@ -271,7 +322,7 @@ class TestChainLifecycle:
 
     def test_chain_growth_past_the_byte_quota_is_refused(self):
         rig, functions, handles = relay_chain_rig(
-            2, chain_capacity_bytes=PAGE_SIZE, quota_bytes=4 * PAGE_SIZE)
+            2, quota_bytes=4 * PAGE_SIZE)
         m = rig.monitor
         producer, consumer = handles
         # The consumer last served another user, so a handoff recreates it.
@@ -279,7 +330,7 @@ class TestChainLifecycle:
         m.invoke_with_input(consumer, b"warm+", warm.response_key, warm.nonce)
         consumer_pid = m._handles[consumer]
         m.link_chain(producer, consumer)
-        # A 9-page output would grow the 1-page chain object past 4 pages.
+        # A 9-page output's chain object would exceed the 4-page quota.
         request = rig.user.make_request(functions[0].digest(),
                                         b"g" * (8 * PAGE_SIZE))
         with pytest.raises(QuotaExceeded):
@@ -291,7 +342,7 @@ class TestChainLifecycle:
         producer_pid = m._handles[producer]
         charged = sum(obj.charged_bytes for obj in m.objects.objects.values()
                       if obj.writer == producer_pid)
-        assert charged == PAGE_SIZE <= m.objects.quota_bytes
+        assert charged == 0  # a pending link holds no object
         request = rig.user.make_request(functions[0].digest(), b"fits")
         result = m.invoke_trustlet(producer, request.ciphertext)
         final = m.invoke_chained(result.handoff)

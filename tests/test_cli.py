@@ -225,6 +225,27 @@ class TestSimulateAndGenTrace:
             main([command, "--format", "csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("chain", "k", 0),
+        ("chain", "payload-size", -5),
+        ("density", "n-functions", -3),
+        ("density", "zygote-mib", 0),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_sizes_are_refused(self, tmp_path, capsys, command,
+                                            flag, value, source):
+        argv = [command, f"--{flag}={value}"]
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({flag: value}))
+            argv = [command, "--config", str(config)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: walletemu {command}")
+        assert f"argument --{flag}: must be at least" in err
+
     def test_no_cow_is_refused_by_chain(self):
         # A chain run's output does not depend on how trustlets are forked.
         with pytest.raises(SystemExit) as exc:

@@ -81,7 +81,6 @@ class TestBoot:
         assert monitor.boot_us == 4_194_304 * 24 == 100_663_296
 
     @pytest.mark.parametrize("field,value", [
-        ("chain_capacity_bytes", 0), ("chain_capacity_bytes", -4096),
         ("quota_objects", -1), ("quota_bytes", -1)])
     def test_bad_object_sizes_refused_at_boot(self, field, value):
         with pytest.raises(ConfigInvalid, match=field.split("_")[0]):

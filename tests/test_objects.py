@@ -73,20 +73,6 @@ class TestCreate:
         with pytest.raises(QuotaExceeded):
             objects.create(1, writer, 8192)
 
-    def test_growth_past_the_byte_quota_is_refused(self, env):
-        objects, writer, _ = env
-        objects.quota_bytes = 4 * PAGE_SIZE
-        obj_id, _ = objects.create(1, writer, PAGE_SIZE, ObjectType.CHAIN)
-        free_before = objects.pool.free_count
-        with pytest.raises(QuotaExceeded):
-            objects.ensure_capacity(obj_id, 4 * PAGE_SIZE + 1)
-        obj = objects.get(obj_id)
-        assert len(obj.frames) == len(obj.writer_vpns) == 1
-        assert obj.charged_bytes == PAGE_SIZE
-        assert objects.pool.free_count == free_before
-        objects.ensure_capacity(obj_id, 4 * PAGE_SIZE)  # exactly the quota
-        assert obj.charged_bytes == 4 * PAGE_SIZE
-
 
 class TestAttachments:
     def test_reader_sees_writer_bytes_without_copies(self, env):

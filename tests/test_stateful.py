@@ -372,10 +372,9 @@ class MonitorMachine(RuleBasedStateMachine):
     @invariant()
     def every_live_object_has_an_owner(self):
         # Being attached to a live process is not enough: a superseded
-        # output stays attached to its writer.
+        # output stays attached to its writer.  A pending link owns none.
         m = self.m
-        owned = {obj_id for _consumer, obj_id in m._chain_edges.values()}
-        owned |= {inbox[0] for inbox in m._chain_inbox.values()}
+        owned = {inbox[0] for inbox in m._chain_inbox.values()}
         owned |= {ticket.input_obj for ticket in m._active.values()}
         owned |= {p.output_obj for p in m.descriptors()}
         assert set(m.objects.objects) <= owned

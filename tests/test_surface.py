@@ -9,6 +9,7 @@ from walletemu.cli import main
 from walletemu.errors import ConfigInvalid
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
 from walletemu.monitor import Monitor, ProcState
+from walletemu.objects import ObjectType
 
 
 class TestSyscallAliases:
@@ -62,10 +63,11 @@ class TestDescriptorObjects:
         assert m.objects.attached_view(proc.pid) == {second.output_obj_id} \
             == {proc.output_obj}
         # A chain object supersedes nothing: the output stays current.
-        chain_obj = m.link_chain(t.handle, consumer.handle)
+        m.link_chain(t.handle, consumer.handle)
         handoff = m.invoke_trustlet(t.handle, rig.user.make_request(
             echo.digest(), b"hand me off").ciphertext)
-        assert handoff.output_obj_id == chain_obj
+        chain_obj = handoff.output_obj_id
+        assert m.objects.get(chain_obj).otype is ObjectType.CHAIN
         assert m.objects.attached_view(proc.pid) == {second.output_obj_id,
                                                      chain_obj}
         assert proc.output_obj == second.output_obj_id
