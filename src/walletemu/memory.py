@@ -1,7 +1,7 @@
 """Emulated CVM private memory: frames, privilege-aware page tables, CoW forks.
 
 The emulator models a 4 KiB-paged address space with per-privilege-level
-read/write permissions, a prevalidated frame pool, and a cost model that
+read/write permissions, a free-frame pool, and a cost model that
 charges simulated microseconds for page validation, copy-on-write copies,
 hashing, and data transfers.  Simulated time is an explicit integer
 accumulator; nothing here touches the wall clock, so all timing assertions
@@ -161,6 +161,8 @@ def _grown(col, n: int, fill: object = 0):
 # Owner-column values besides the levels: a frame in a pool's free list,
 # and a handed-out frame that no level owns.
 FREE, NO_OWNER = -2, -1
+# One-item owner columns per value, repeated to fill a run.
+_FILL = {v: array("b", [v]) for v in (FREE, NO_OWNER, *PrivilegeLevel)}
 
 
 class FrameStore:
@@ -236,37 +238,34 @@ class FrameStore:
         """Number of frame ids reserved so far; every id is below it."""
         return self._next_fid
 
-    def hand_out(self, fids: Iterable[int]) -> None:
-        """Mark free frames as handed out by a pool."""
-        owner = self._owner
-        for fid in fids:
-            owner[fid] = NO_OWNER
-
-    def claim(self, fids: Sequence[int],
+    def claim(self, lo: int, hi: int,
               owner_level: Optional[PrivilegeLevel]) -> int:
-        """Validate fids and record their owner; returns how many were
-        not validated before."""
-        validated, owner = self._validated, self._owner
-        level = NO_OWNER if owner_level is None else owner_level
-        fresh = len(fids) - sum(map(validated.__getitem__, fids))
+        """Hand out the free frames lo..hi-1: validate them and record
+        their owner; returns how many were not validated before."""
+        validated, n = self._validated, hi - lo
+        fresh = validated.count(0, lo, hi)
         if fresh:
-            for fid in fids:
-                validated[fid] = 1
-        for fid in fids:
-            owner[fid] = level
+            validated[lo:hi] = b"\1" * n
+        self._owner[lo:hi] = _FILL[NO_OWNER if owner_level is None
+                                   else owner_level] * n
         return fresh
 
-    def take_back(self, fids: Sequence[int]) -> None:
-        """Return distinct, handed-out fids to the free state and drop their
-        bytes; a mapped frame fails an assertion."""
-        owner, src = self._owner, self._src
-        if FREE in map(owner.__getitem__, fids):
-            raise AssertionError("frame released while free")
-        if any(self.refs_of(fids)):
-            raise AssertionError("frame released while mapped")
-        for fid in fids:
-            src[fid] = None
-            owner[fid] = FREE
+    def take_back(self, runs: Sequence[tuple[int, int]]) -> None:
+        """Return disjoint runs of handed-out frames to the free state and
+        drop their bytes: all of them, or, if a frame is free or still
+        mapped, none, failing an assertion."""
+        owner, ref, base_of = self._owner, self._ref, self._base_of
+        for lo, hi in runs:
+            if FREE in owner[lo:hi]:
+                raise AssertionError("frame released while free")
+            # A frame with explicit references is mapped, and so is one of
+            # a base, which its sealed table maps.
+            if any(ref[lo:hi]) or any(base_of[lo:hi]):
+                raise AssertionError("frame released while mapped")
+        src, free = self._src, _FILL[FREE]
+        for lo, hi in runs:
+            src[lo:hi] = [None] * (hi - lo)
+            owner[lo:hi] = free * (hi - lo)
 
     def validated_of(self, fids: Sequence[int]) -> np.ndarray:
         return np.frombuffer(self._validated, dtype=bool)[fids]
@@ -581,8 +580,7 @@ class PageTable:
         if i < 0:
             return self.base.lookup(vpn) if self._lo else None
         if i < len(self._fid) and self._fid[i] >= 0:
-            # tuple.__new__ skips the NamedTuple constructor's argument parsing.
-            return tuple.__new__(PageEntry, (self._fid[i], _PERMS[self._perm[i]]))
+            return PageEntry(self._fid[i], _PERMS[self._perm[i]])
         return None
 
     def mapped_vpns(self) -> Iterator[int]:
@@ -847,21 +845,20 @@ class PageTable:
 
 
 class MemoryPool:
-    """Free-frame pool, optionally prevalidated at boot.
+    """Free-frame pool.
 
     Free frames are id runs in a deque, taken from the front and given back
     at the end, where a run that starts at the last run's end joins it.
     Frames are so handed out in the order they became free, the rest of
     the boot range first, and a take costs O(frames taken) however many
-    runs the list holds.  On a pool that is not prevalidated, that order
-    decides which frames pay validation.  The store's owner column marks
-    free frames ``FREE``.  Host memory grows with the frame columns, and
-    with page bytes only as frames are written.
+    runs the list holds; that order decides which frames pay validation.
+    The store claims each run a take pops, and takes a release's runs back,
+    in one call each.  Host memory grows with the frame columns, and with
+    page bytes only as frames are written.
     """
 
-    def __init__(self, store: FrameStore, prevalidated: bool = False):
+    def __init__(self, store: FrameStore):
         self.store = store
-        self.prevalidated = prevalidated
         self._ranges: deque[tuple[int, int]] = deque()
         self.free_count = 0
 
@@ -871,25 +868,28 @@ class MemoryPool:
         self._give_back([self.store.reserve(n_frames, validated=validated)])
         self.free_count += n_frames
 
-    def take(self, n: int) -> list[int]:
+    def take(self, n: int, owner_level: Optional[PrivilegeLevel] = None
+             ) -> tuple[list[int], int]:
+        """Claim n frames for owner_level; returns them and how many of
+        them were not validated before."""
         if n > self.free_count:
             raise OutOfMemory(f"requested {n} frames, {self.free_count} free")
         out: list[int] = []
-        ranges, left = self._ranges, n
+        ranges, left, claim, fresh = self._ranges, n, self.store.claim, 0
         while left:
             lo, hi = ranges.popleft()
             if hi - lo > left:
                 ranges.appendleft((lo + left, hi))
                 hi = lo + left
+            fresh += claim(lo, hi, owner_level)
             out += range(lo, hi)
             left -= hi - lo
-        self.store.hand_out(out)
         self.free_count -= n
-        return out
+        return out, fresh
 
     def release(self, fids: Sequence[int]) -> None:
-        """Give back distinct frames that are handed out and unmapped; a
-        frame that is free or still mapped fails an assertion."""
+        """Give back distinct frames that are handed out and unmapped; if
+        any is not, none is given back and an assertion fails."""
         if not len(fids):
             return
         ordered = sorted(fids)
@@ -903,7 +903,7 @@ class MemoryPool:
                 lo = fid
             last = fid
         runs.append((lo, last + 1))
-        self.store.take_back(ordered)
+        self.store.take_back(runs)
         self._give_back(runs)
         self.free_count += len(ordered)
 
@@ -920,13 +920,11 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
                  owner_level: Optional[PrivilegeLevel] = None) -> tuple[list[int], int]:
     """Allocate n frames; returns (frame ids, simulated validation charge).
 
-    A prevalidated pool charges nothing; otherwise every not-yet-validated
-    frame is validated now at validation_us_per_page.
+    Every frame not yet validated is validated now at
+    validation_us_per_page, so a pool grown validated charges nothing.
     """
-    fids = pool.take(n)
-    fresh = pool.store.claim(fids, owner_level)
-    charge = 0 if pool.prevalidated else model.validation_us(fresh)
-    return fids, charge
+    fids, fresh = pool.take(n, owner_level)
+    return fids, model.validation_us(fresh)
 
 
 def preallocate(pool: MemoryPool, nbytes: int, model: CostModel) -> int:
@@ -940,7 +938,6 @@ def preallocate(pool: MemoryPool, nbytes: int, model: CostModel) -> int:
         pool.grow(pages, validated=True)
     except MemoryError as exc:  # pragma: no cover - host-dependent
         raise OutOfHostMemory(str(exc)) from exc
-    pool.prevalidated = True
     return model.validation_us(pages)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Generator, Optional
 
@@ -219,12 +219,7 @@ class MonitorConfig:
         doc = {
             "pool_frames": self.pool_frames,
             "prealloc_bytes": self.prealloc_bytes,
-            "cost_model": {
-                "validation_us_per_page": self.cost_model.validation_us_per_page,
-                "hash_mb_per_s": self.cost_model.hash_mb_per_s,
-                "cow_copy_us_per_page": self.cost_model.cow_copy_us_per_page,
-                "transfer_us_per_mb": self.cost_model.transfer_us_per_mb,
-            },
+            "cost_model": asdict(self.cost_model),
             "cow_enabled": self.cow_enabled,
             "descriptor_clone_us": self.descriptor_clone_us,
             "trustlet_exclusive_bytes": self.trustlet_exclusive_bytes,
@@ -348,8 +343,8 @@ class Monitor:
         self.boot_us = 0
 
         if config.prealloc_bytes > 0:
-            # A preallocated pool is the whole pool: mixing in unvalidated
-            # frames would break its prevalidation invariant.
+            # A preallocated pool is the whole pool, validated at boot, so
+            # that no allocation pays validation.
             self.boot_us += preallocate(self.pool, config.prealloc_bytes,
                                         self.model)
         elif config.pool_frames > 0:

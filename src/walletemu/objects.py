@@ -30,6 +30,7 @@ from .errors import (
     AlreadyAttached,
     NoRoute,
     NotWriter,
+    PermissionDenied,
     QuotaExceeded,
     UnknownObject,
 )
@@ -201,12 +202,15 @@ class ObjectStore:
                       obj_id: int, data: bytes) -> int:
         """Writer streams bytes through its PL1 mappings; returns charge_us.
 
-        Counts toward payload_bytes_copied (a producer's own write).
+        Counts toward payload_bytes_copied (a producer's own write).  A
+        sealed object refuses every write with ``PermissionDenied``.
         """
         obj = self.get(obj_id)
         if obj.writer != caller_pid:
             raise NotWriter(
                 f"process {caller_pid} is not the writer of object {obj_id}")
+        if obj.sealed:
+            raise PermissionDenied(f"object {obj_id} is sealed")
         if len(data) > len(obj.frames) * PAGE_SIZE:
             raise ValueError("data exceeds object capacity")
         fault = caller_table.write_run(

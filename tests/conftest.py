@@ -102,7 +102,7 @@ def pool(store):
 
 @pytest.fixture
 def warm_pool(store):
-    p = MemoryPool(store, prevalidated=True)
+    p = MemoryPool(store)
     p.grow(65536, validated=True)
     return p
 

@@ -377,7 +377,7 @@ def test_criterion_10_memory_property_suites():
 
     # CoW isolation: 10^4 random trustlet writes never alter zygote frames.
     store = FrameStore()
-    pool = MemoryPool(store, prevalidated=True)
+    pool = MemoryPool(store)
     pool.grow(65536, validated=True)
     rng = random.Random(10_001)
     zygote = PageTable(store, 1)
@@ -404,7 +404,7 @@ def test_criterion_10_memory_property_suites():
 
     # Ref-count conservation after every one of 10^4 random operations.
     store = FrameStore()
-    pool = MemoryPool(store, prevalidated=True)
+    pool = MemoryPool(store)
     pool.grow(131072, validated=True)
     rng = random.Random(10_002)
     zygote = PageTable(store, 1)
@@ -436,7 +436,7 @@ def test_criterion_10_memory_property_suites():
     # Permission monotonicity: 10^4 random PL1/PL2-issued operations can
     # never grant the guest access to a PL0/PL1-owned frame.
     store = FrameStore()
-    pool = MemoryPool(store, prevalidated=True)
+    pool = MemoryPool(store)
     pool.grow(65536, validated=True)
     rng = random.Random(10_003)
     process_fids, _ = alloc_frames(pool, 32, model, owner_level=PL1)
@@ -477,7 +477,7 @@ def test_criterion_10_memory_property_suites():
     # Guest opacity: object frames are never guest-visible and sentinel
     # payloads never appear in the tap, across 10^4 random object ops.
     store = FrameStore()
-    pool = MemoryPool(store, prevalidated=True)
+    pool = MemoryPool(store)
     pool.grow(65536, validated=True)
     objects = ObjectStore(pool, model, quota_objects=10_000,
                           quota_bytes=1 << 30)

@@ -304,7 +304,7 @@ class TestChainLifecycle:
         m.link_chain(producer, consumer)
         payload = b"g" * (2 * PAGE_SIZE)
         # Frames for the input object, none for the 3-page chain object.
-        drained = m.pool.take(m.pool.free_count - pages_for(len(payload)))
+        drained, _ = m.pool.take(m.pool.free_count - pages_for(len(payload)))
         request = rig.user.make_request(functions[0].digest(), payload)
         with pytest.raises(OutOfMemory):
             m.invoke_trustlet(producer, request.ciphertext)

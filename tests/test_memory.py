@@ -48,7 +48,7 @@ from walletemu.memory import (
 
 
 def make_pool(store, frames=4096, prevalidated=False):
-    pool = MemoryPool(store, prevalidated=prevalidated)
+    pool = MemoryPool(store)
     pool.grow(frames, validated=prevalidated)
     return pool
 
@@ -136,6 +136,56 @@ class TestAllocFrames:
         assert alloc_frames(pool, 10, model)[1] == 240
 
 
+class TestReleaseRefusals:
+    """A refused release changes nothing: not the free list, the owner
+    column or any frame's bytes, also in runs before the offending frame."""
+
+    @pytest.fixture
+    def held(self, store, model):
+        # Frames 0..9 handed out to PL1 and written; 10..15 free.
+        pool = make_pool(store, frames=16)
+        fids, _ = alloc_frames(pool, 10, model, owner_level=PL1)
+        store.write_range(fids, bytes(range(10)) * (len(fids) * PAGE_SIZE // 10))
+        return pool, fids
+
+    @staticmethod
+    def _state(pool):
+        every = np.arange(pool.store.n_frames())
+        return (pool.free_count, list(pool._ranges),
+                pool.store.owners_of(every).tolist(),
+                [pool.store.read_bytes(f) for f in every])
+
+    def _refused(self, pool, fids, message):
+        before = self._state(pool)
+        with pytest.raises(AssertionError, match=message):
+            pool.release(fids)
+        assert self._state(pool) == before
+
+    def test_frame_twice_in_one_call(self, held):
+        pool, fids = held
+        self._refused(pool, [fids[0], fids[1], fids[4], fids[1]], "released twice")
+
+    def test_free_frame_in_the_middle_of_a_handed_out_run(self, held):
+        pool, fids = held
+        pool.release([fids[5]])
+        self._refused(pool, fids[0:2] + fids[3:8], "released while free")
+
+    def test_mapped_frame(self, store, held):
+        pool, fids = held
+        PageTable(store, 1).map_page(0, fids[6], PagePerms.PROCESS_RW)
+        self._refused(pool, fids[0:2] + fids[5:8], "released while mapped")
+
+    def test_base_frame_that_a_view_unmapped(self, store, held):
+        # The base still maps the frame, though its explicit count is 0.
+        pool, fids = held
+        zygote = PageTable(store, 1)
+        vpns = zygote.map_range(fids[6:8], PagePerms.PROCESS_RO)
+        zygote.seal()
+        zygote.fork_cow(2).unmap_range(vpns[:1])
+        assert store.ref(fids[6]) == 1
+        self._refused(pool, fids[5:7], "released while mapped")
+
+
 class _ListPool:
     """The reference free list: runs in a plain list, taken from the front
     with pop(0)/insert(0), and each released or grown run appended with no
@@ -180,7 +230,7 @@ class TestFreeListOrder:
         # validation; a final drain compares the whole free list.
         model = CostModel()
         store = FrameStore()
-        pool, ref = MemoryPool(store, prevalidated=prevalidated), _ListPool()
+        pool, ref = MemoryPool(store), _ListPool()
         validated, held = set(), []
         for kind, n, rnd in [("grow", 32, None), *ops, ("drain", 0, None)]:
             if kind == "grow":
@@ -208,12 +258,12 @@ class TestFreeListOrder:
 
     def test_released_run_joins_an_adjacent_last_run(self, store):
         pool = make_pool(store, frames=8, prevalidated=True)
-        fids = pool.take(8)
+        fids, _ = pool.take(8)
         pool.release(fids[2:4])
         pool.release(fids[4:6])  # starts where the last run ends: one run
         pool.release(fids[0:2])  # ends where the last run starts: its own
         assert list(pool._ranges) == [(2, 6), (0, 2)]
-        assert pool.take(6) == [2, 3, 4, 5, 0, 1]
+        assert pool.take(6) == ([2, 3, 4, 5, 0, 1], 0)
 
 
 class TestPreallocate:
@@ -231,8 +281,8 @@ class TestPreallocate:
         pool = MemoryPool(store)
         charge = preallocate(pool, 16 * 1024**3, model)
         assert charge == 4_194_304 * 24 == 100_663_296
-        assert pool.prevalidated
         assert pool.free_count == 4_194_304
+        assert alloc_frames(pool, 1, model)[1] == 0
 
     def test_reserved_frame_retains_at_most_34_host_bytes(self, store, model):
         # A frame's facts are fixed-width columns: 8 B each for its count,

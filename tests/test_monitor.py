@@ -45,6 +45,7 @@ from walletemu.memory import (
     PL2,
     AccessKind,
     PageFault,
+    alloc_frames,
     pages_for,
     preallocate,
 )
@@ -66,7 +67,8 @@ class TestBoot:
     def test_default_boot_has_no_validation_charge(self):
         monitor = Monitor(MonitorConfig(seed=1))
         assert monitor.boot_us == 0
-        assert not monitor.pool.prevalidated
+        # The pool validates its frames as they are first handed out.
+        assert alloc_frames(monitor.pool, 1, monitor.model)[1] == 24
 
     def test_prealloc_boot_charge_matches_preallocate_oracle(self):
         from walletemu.memory import FrameStore, MemoryPool

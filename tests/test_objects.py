@@ -8,6 +8,7 @@ from walletemu.errors import (
     AlreadyAttached,
     NoRoute,
     NotWriter,
+    PermissionDenied,
     QuotaExceeded,
     UnknownObject,
 )
@@ -38,7 +39,7 @@ MIB = 1048576
 @pytest.fixture
 def env():
     store = FrameStore()
-    pool = MemoryPool(store, prevalidated=True)
+    pool = MemoryPool(store)
     pool.grow(65536, validated=True)
     objects = ObjectStore(pool, CostModel())
     writer_table = PageTable(store, 1)
@@ -119,6 +120,15 @@ class TestAttachments:
         obj_id, _ = objects.create(1, writer, 8)
         with pytest.raises(NotWriter):
             objects.write_through(2, reader, obj_id, b"payload!")
+
+    def test_sealed_object_refuses_its_writer(self, env):
+        objects, writer, _ = env
+        obj_id, _ = objects.create(1, writer, 16)
+        objects.write_through(1, writer, obj_id, b"first-data")
+        objects.seal(obj_id)
+        with pytest.raises(PermissionDenied):
+            objects.write_through(1, writer, obj_id, b"evil")
+        assert objects.read_monitor(obj_id) == b"first-data"
 
     def test_reader_write_through_grant_faults(self, env):
         objects, writer, reader = env
