@@ -12,25 +12,31 @@ trace that is not sorted by (arrival_ms, invocation_id); ``load_trace``
 and ``generate_trace`` produce that order.
 
 Each variant runs as one event loop over locals (``_VariantRun._loop``),
-with the node sets it intersects held as Python-int bitmasks.  The loop
-indexes the trace's columns by position and writes each dispatch into
-per-position lists; :class:`SimStats` holds the outcomes as numpy columns
-in invocation-id order.
+with the node sets it intersects held as Python-int bitmasks.  Every
+per-invocation value lives in typed storage, about 8 bytes per value: the
+loop indexes ``array.array`` copies of the trace's columns by position and
+writes each dispatch into per-position typed arrays; :class:`SimStats`
+holds the outcomes as numpy columns in invocation-id order.  Row objects
+(:class:`InvocationOutcome`) are built only by the ``outcomes`` view, a
+chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import EmptyTrace, InvariantError
-from ..traceio import Trace, TraceEvent, as_trace
+from ..traceio import Trace, TraceEvent, as_trace, chunked_rows
 from .profiles import BootType, VariantProfile, default_profiles
 
 
@@ -68,8 +74,9 @@ class SimStats:
     invocation-id order; delay = queue wait + boot,
     slowdown = (delay + adjusted duration) / duration.
 
-    ``boot_code`` indexes :data:`BOOT_TIERS`.  ``outcomes`` is a row view
-    built on each access.
+    ``boot_code`` indexes :data:`BOOT_TIERS`.  ``outcomes`` is a fresh
+    read-only row view (:class:`OutcomeRows`) on each access; it builds
+    rows only as they are read.
     """
 
     variant: str
@@ -100,12 +107,13 @@ class SimStats:
                    column("finish_ms", np.float64), makespan_ms)
 
     @property
-    def outcomes(self) -> list[InvocationOutcome]:
-        tiers = map(BOOT_TIERS.__getitem__, self.boot_code.tolist())
-        return list(map(InvocationOutcome, self.invocation_id.tolist(),
-                        self.node_id.tolist(), tiers, self.delay_ms.tolist(),
-                        self.slowdown.tolist(), self.start_ms.tolist(),
-                        self.finish_ms.tolist()))
+    def outcomes(self) -> "OutcomeRows":
+        return OutcomeRows(self)
+
+    def row_columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in :class:`InvocationOutcome` field order."""
+        return (self.invocation_id, self.node_id, self.boot_code,
+                self.delay_ms, self.slowdown, self.start_ms, self.finish_ms)
 
     def boot_counts(self) -> dict[str, int]:
         counts = np.bincount(self.boot_code, minlength=len(BOOT_TIERS))
@@ -129,6 +137,57 @@ class SimStats:
         }
 
 
+def _outcome(invocation_id: int, node_id: int, boot_code: int,
+             *floats: float) -> InvocationOutcome:
+    """The row of one invocation's values, in ``row_columns`` order."""
+    return InvocationOutcome(invocation_id, node_id, BOOT_TIERS[boot_code],
+                             *floats)
+
+
+class OutcomeRows(Sequence):
+    """A read-only sequence of :class:`InvocationOutcome` rows over a
+    :class:`SimStats`' columns.
+
+    ``len`` builds no row; iteration and slices build them a chunk at a
+    time (:func:`~walletemu.traceio.chunked_rows`).  It equals any
+    sequence of equal rows, a list included.
+    """
+
+    __slots__ = ("_stats",)
+
+    def __init__(self, stats: SimStats):
+        self._stats = stats
+
+    def __len__(self) -> int:
+        return len(self._stats.invocation_id)
+
+    def _rows(self, start: int, stop: int) -> Iterator[InvocationOutcome]:
+        return chunked_rows(_outcome, self._stats.row_columns(), start, stop)
+
+    def __iter__(self) -> Iterator[InvocationOutcome]:
+        return self._rows(0, len(self))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            span = range(len(self))[index]
+            if span.step == 1:
+                return list(self._rows(span.start, span.stop))
+            return [self[i] for i in span]
+        i = operator.index(index)
+        return _outcome(*(c[i].item() for c in self._stats.row_columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"OutcomeRows({self._stats.variant}, {len(self)} invocations)"
+
+
 def nearest_rank(sorted_values: Sequence[float] | np.ndarray,
                  q: float) -> float:
     """Nearest-rank percentile: the ceil(q*n)-th order statistic."""
@@ -138,20 +197,30 @@ def nearest_rank(sorted_values: Sequence[float] | np.ndarray,
     return float(sorted_values[idx - 1])
 
 
+def _typed(typecode: str, column: np.ndarray) -> array:
+    """An ``array.array`` copy of a numpy column, made from its buffer."""
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(column, dtype=np.dtype(typecode))
+                  .view(np.uint8))
+    return out
+
+
 @dataclass(frozen=True)
 class _LoopColumns:
-    """A trace as the plain lists the loop indexes, built once per
-    :func:`simulate` call and shared by its variants.
+    """A trace as the typed arrays the loop indexes, built once per
+    :func:`simulate` call and shared by its variants.  Indexing an
+    ``array.array`` gives a Python int or float, as the loop needs,
+    while storing 8 bytes per value.
 
     ``key[pos]`` is a dense code for the (app, function) pair at trace
     position ``pos`` and ``key_app[key]`` a dense code for its app.
     """
 
-    invocation_id: list[int]
-    arrival_ms: list[float]
-    duration_ms: list[float]
-    key: list[int]
-    key_app: list[int]
+    invocation_id: array
+    arrival_ms: array
+    duration_ms: array
+    key: array
+    key_app: array
     n_apps: int
 
     @classmethod
@@ -160,9 +229,10 @@ class _LoopColumns:
         fns, fn_code = np.unique(trace.function_id, return_inverse=True)
         pairs, key = np.unique(app_code * len(fns) + fn_code,
                                return_inverse=True)
-        return cls(trace.invocation_id.tolist(), trace.arrival_ms.tolist(),
-                   trace.duration_ms.tolist(), key.tolist(),
-                   (pairs // len(fns)).tolist(), len(apps))
+        return cls(_typed("q", trace.invocation_id),
+                   _typed("d", trace.arrival_ms),
+                   _typed("d", trace.duration_ms), _typed("q", key),
+                   _typed("q", pairs // len(fns)), len(apps))
 
 
 class _VariantRun:
@@ -173,8 +243,9 @@ class _VariantRun:
     :meth:`run` drains it, so stepwise and whole runs share every line.
     ``queue`` (trace positions), ``completions``, ``busy``, ``caches``
     and ``makespan`` stay current between steps, and so do the
-    per-position outcome lists ``out_node``, ``out_code``, ``out_start``
-    and ``out_boot`` (``out_node`` is -1 until dispatch).
+    per-position outcome arrays: ``out_node`` (``array('q')``, -1 until
+    dispatch), ``out_code`` (a ``bytearray`` of boot-tier codes),
+    ``out_start`` and ``out_boot`` (``array('d')``).
     """
 
     def __init__(self, trace: Trace, profile: VariantProfile,
@@ -192,10 +263,10 @@ class _VariantRun:
         # (finish, invocation_id, node_id, key); ids break time ties
         self.completions: list[tuple[float, int, int, int]] = []
         n = len(trace)
-        self.out_node = [-1] * n
-        self.out_code = [0] * n
-        self.out_start = [0.0] * n
-        self.out_boot = [0.0] * n
+        self.out_node = array("q", [-1]) * n
+        self.out_code = bytearray(n)
+        self.out_start = array("d", [0.0]) * n
+        self.out_boot = array("d", [0.0]) * n
         self.makespan = 0.0
         self._events = self._loop()
 
@@ -259,13 +330,13 @@ class _VariantRun:
                     makespan = self.makespan = now
             elif ai < n_arrivals:
                 pos = ai
+                now = next_arrival
                 ai += 1
                 next_arrival = arrival[ai] if ai < n_arrivals else math.inf
                 queue.append(pos)
                 if len(queue) > 1:  # FIFO: it waits behind the queue
                     yield True
                     continue
-                now = arrival[pos]
                 node_id = -1
             else:
                 return
@@ -347,25 +418,35 @@ class _VariantRun:
         Finish, delay and slowdown are derived from each dispatch's start
         and boot with the float operations the loop uses for the finish
         time it queues: adjusted = duration + boot, finish = start +
-        adjusted, delay = start - arrival + boot.
+        adjusted, delay = start - arrival + boot.  They are computed in
+        place, so only two columns' worth of temporaries is alive at once.
         """
         trace = self.trace
-        node = np.array(self.out_node, dtype=np.int64)
+        node = np.frombuffer(self.out_node, dtype=np.int64)
         done = np.flatnonzero(node >= 0)
         pos = done[np.argsort(trace.invocation_id[done], kind="stable")]
-        start = np.array(self.out_start, dtype=np.float64)[pos]
-        boot = np.array(self.out_boot, dtype=np.float64)[pos]
+        del done
+        start = np.frombuffer(self.out_start, dtype=np.float64)[pos]
+        boot = np.frombuffer(self.out_boot, dtype=np.float64)[pos]
+        delay = trace.arrival_ms[pos]
+        np.subtract(start, delay, out=delay)
+        delay += boot
         duration = trace.duration_ms[pos]
-        adjusted = duration + boot
-        delay = start - trace.arrival_ms[pos] + boot
+        adjusted = boot  # becomes duration + boot in place
+        adjusted += duration
+        slowdown = delay + adjusted
+        slowdown /= duration
+        del duration
+        finish = adjusted
+        finish += start
         return SimStats(self.profile.name, trace.invocation_id[pos],
-                        node[pos], np.array(self.out_code, dtype=np.int8)[pos],
-                        delay, (delay + adjusted) / duration, start,
-                        start + adjusted, self.makespan)
+                        node[pos],
+                        np.frombuffer(self.out_code, dtype=np.int8)[pos],
+                        delay, slowdown, start, finish, self.makespan)
 
     @property
-    def outcomes(self) -> list[InvocationOutcome]:
-        """Row view of the outcomes so far, built on each access."""
+    def outcomes(self) -> "OutcomeRows":
+        """Row view of the outcomes so far, on a fresh :meth:`stats`."""
         return self.stats().outcomes
 
     def run(self) -> SimStats:

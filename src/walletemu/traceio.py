@@ -4,7 +4,9 @@ Trace CSV format (UTF-8, header required):
     invocation_id,app_id,function_id,arrival_ms,duration_ms
 with arrival/duration as finite decimals in milliseconds, arrivals
 non-negative and durations positive.  In memory a trace is a
-:class:`Trace` of five numpy columns.
+:class:`Trace` of five numpy columns.  Row views and CSV writers read the
+columns through :func:`chunked_rows`, ``ROW_CHUNK`` rows at a time, so
+no whole column ever exists as Python objects.
 
 The synthetic generator stands in for production traces: Zipf-distributed
 function popularity, Poisson arrivals, log-normal durations clipped to
@@ -22,9 +24,10 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +35,19 @@ from .errors import InvariantError, ParseError
 
 TRACE_HEADER = ["invocation_id", "app_id", "function_id",
                 "arrival_ms", "duration_ms"]
+ROW_CHUNK = 4096
+
+
+def chunked_rows(make: Callable, columns: Sequence[np.ndarray],
+                 start: int = 0, stop: int | None = None) -> Iterator:
+    """``make(*values)`` for each of rows ``start:stop`` of equal-length
+    numpy columns.  Values become Python objects ``ROW_CHUNK`` rows at a
+    time, and a chunk is dropped before the next is built."""
+    if stop is None:
+        stop = len(columns[0])
+    for lo in range(start, stop, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, stop)
+        yield from map(make, *[c[lo:hi].tolist() for c in columns])
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +68,7 @@ class Trace:
     ``arrival_ms`` and ``duration_ms`` are float64, finite, with arrivals
     non-negative and durations positive (else :class:`InvariantError`).
     Iterating or indexing yields :class:`TraceEvent` row views, built on
-    each access.
+    each access; iteration builds them a chunk at a time.
     """
 
     __slots__ = tuple(TRACE_HEADER)
@@ -86,8 +102,8 @@ class Trace:
     def __len__(self) -> int:
         return len(self.invocation_id)
 
-    def __iter__(self):
-        return map(TraceEvent, *(c.tolist() for c in self.columns()))
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return chunked_rows(TraceEvent, self.columns())
 
     def __getitem__(self, index: int) -> TraceEvent:
         return TraceEvent(*(c[index].item() for c in self.columns()))
@@ -177,11 +193,8 @@ def load_trace(path) -> Trace:
     duplicate id is a ``ParseError``; a negative arrival or a non-positive
     duration an ``InvariantError``.
     """
-    ids: list[int] = []
-    apps: list[int] = []
-    fns: list[int] = []
-    arrivals: list[float] = []
-    durations: list[float] = []
+    ids, apps, fns = array("q"), array("q"), array("q")
+    arrivals, durations = array("d"), array("d")
     seen: set[int] = set()
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -226,12 +239,13 @@ def load_trace(path) -> Trace:
             fns.append(fn)
             arrivals.append(arrival)
             durations.append(duration)
-    id_col = np.array(ids, dtype=np.int64)
-    arrival_col = np.array(arrivals, dtype=np.float64)
+    id_col = np.frombuffer(ids, dtype=np.int64)
+    arrival_col = np.frombuffer(arrivals, dtype=np.float64)
     order = np.lexsort((id_col, arrival_col))
-    return Trace(id_col[order], np.array(apps, dtype=np.int64)[order],
-                 np.array(fns, dtype=np.int64)[order], arrival_col[order],
-                 np.array(durations, dtype=np.float64)[order])
+    return Trace(id_col[order], np.frombuffer(apps, dtype=np.int64)[order],
+                 np.frombuffer(fns, dtype=np.int64)[order],
+                 arrival_col[order],
+                 np.frombuffer(durations, dtype=np.float64)[order])
 
 
 def write_trace(trace: Trace | Iterable[TraceEvent], path) -> None:
@@ -239,11 +253,13 @@ def write_trace(trace: Trace | Iterable[TraceEvent], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        writer.writerows(zip(trace.invocation_id.tolist(),
-                             trace.app_id.tolist(),
-                             trace.function_id.tolist(),
-                             map(repr, trace.arrival_ms.tolist()),
-                             map(repr, trace.duration_ms.tolist())))
+        writer.writerows(chunked_rows(_csv_row, trace.columns()))
+
+
+def _csv_row(inv: int, app: int, fn: int, arrival: float,
+             duration: float) -> tuple:
+    """One trace CSV row; ``repr`` writes each float exactly."""
+    return inv, app, fn, repr(arrival), repr(duration)
 
 
 def _draw_ranks(rng: np.random.Generator, probs: np.ndarray,

@@ -1,0 +1,121 @@
+"""The pair runner's parsing and summary arithmetic on canned run.py output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "benchpair.py"
+spec = importlib.util.spec_from_file_location("benchpair", PATH)
+benchpair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpair)
+
+
+def canned_run(rate, rss, digest="eb80f08d", correct=True):
+    result = {"correct": correct, "attempted": 3, "failed": 0, "metrics": {
+        "sim_inv_per_s": {"value": rate, "unit": "inv/s"},
+        "peak_rss_mib": {"value": rss, "unit": "MiB"},
+        "trace_overhead_pct": {"value": 1.0, "unit": "%"}}}
+    return "\n".join([
+        'machine: {"nproc": 2}',
+        "untraced: attempted 3, failed 0",
+        f'untraced: unscaled {{"sim_inv_per_s": {rate / 2}}}',
+        'untraced: info {"rounds": 3}',
+        f"digest: {digest}",
+        f"digest matches the recorded default-seed digest {digest}",
+        f"  sim_inv_per_s = {rate} inv/s",
+        json.dumps(result)])
+
+
+def test_parse_run_reads_result_digest_and_unscaled():
+    run = benchpair.parse_run(canned_run(300.0, 200.0))
+    assert run == {"correct": True, "attempted": 3, "failed": 0,
+                   "digests": ["eb80f08d"],
+                   "metrics": {"sim_inv_per_s": 300.0, "peak_rss_mib": 200.0,
+                               "trace_overhead_pct": 1.0},
+                   "unscaled": {"sim_inv_per_s": 150.0}}
+
+
+def test_inclusive_quartiles():
+    assert benchpair.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [2.0, 3.0, 4.0]
+    assert benchpair.quartiles([4.0, 1.0, 3.0, 2.0]) == [1.75, 2.5, 3.25]
+    assert benchpair.quartiles([7.0]) == [7.0, 7.0, 7.0]
+
+
+def test_summary_claims_a_gain_only_past_the_parent_quartile_range():
+    parent = [200.0, 202.0, 204.0, 206.0, 208.0]  # quartile range 4
+    clear = benchpair.summarise(parent, [110.0, 111.0, 112.0, 113.0, 114.0],
+                                "lower", 0.1)
+    assert clear["parent_median"] == 204.0 and clear["parent_iqr"] == 4.0
+    assert clear["change_median"] == 112.0
+    assert clear["change_quartiles"] == [111.0, 112.0, 113.0]
+    assert clear["delta_pct"] == pytest.approx(-45.1, abs=0.01)
+    assert clear["change_wins"] == "5/5" and clear["verdict"] == "gain"
+    # A large median move that loses one pair in five is not a gain.
+    one_loss = benchpair.summarise(
+        parent, [110.0, 111.0, 112.0, 113.0, 250.0], "lower", 0.1)
+    assert one_loss["change_wins"] == "4/5"
+    assert one_loss["verdict"] == "within bound"
+    # Wins every pair, but moves the median by less than the range.
+    small = benchpair.summarise(parent, [p - 1.0 for p in parent], "lower",
+                                0.1)
+    assert small["change_wins"] == "5/5"
+    assert small["verdict"] == "within bound"
+    # Ties count for neither side.
+    assert benchpair.summarise(parent, parent, "lower", 0.1)["change_wins"] \
+        == "0/5"
+    higher = benchpair.summarise(parent, [300.0] * 5, "higher", 0.25)
+    assert higher["verdict"] == "gain" and higher["delta_pct"] > 0
+    assert benchpair.summarise(parent, [100.0] * 5, "higher", 0.25)[
+        "verdict"] == "regression"
+
+
+def test_summary_checks_the_bound_without_a_majority_of_losses():
+    parent = [100.0 + i for i in range(10)]  # median 104.5, range 4.5
+    # 20 % slower in the median, yet two of ten pairs win: still worse
+    # than the 10 % bound.
+    change = [p * 1.2 for p in parent]
+    change[0], change[1] = 99.0, 100.0
+    worse = benchpair.summarise(parent, change, "lower", 0.1)
+    assert worse["change_wins"] == "2/10"
+    assert worse["delta_pct"] == pytest.approx(20.0)
+    assert worse["verdict"] == "regression"
+    # The same median move inside a 25 % bound passes the bound.
+    assert benchpair.summarise(parent, change, "lower", 0.25)["verdict"] \
+        == "within bound"
+    # A parent range wider than the bound leaves the metric unresolved...
+    wide = [50.0, 80.0, 100.0, 120.0, 150.0]  # range 40 of median 100
+    assert benchpair.summarise(wide, [99.0] * 5, "lower", 0.25)[
+        "verdict"] == "unresolved"
+    # ...unless every change run beats every parent run.
+    assert benchpair.summarise(wide, [49.0] * 5, "lower", 0.25)[
+        "verdict"] == "gain"
+    assert benchpair.summarise(wide, [49.0, 49.0, 49.0, 49.0, 160.0],
+                               "lower", 0.25)["verdict"] == "unresolved"
+    skewed = [90.0, 95.0, 100.0, 130.0, 131.0]  # range 35 of median 100
+    beats = benchpair.summarise(skewed, [132.0] * 5, "higher", 0.25)
+    assert beats["change_wins"] == "5/5" and beats["verdict"] == "within bound"
+
+
+def test_workload_summary_over_canned_pairs():
+    pairs = [{"pair": i, "first": benchpair.order(i)[0],
+              "parent": benchpair.parse_run(canned_run(300.0 + i, 203.0)),
+              "change": benchpair.parse_run(canned_run(
+                  310.0 + i, 116.0, correct=i != 2))}
+             for i in (1, 2, 3)]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
+    out = benchpair.summarise_workload(
+        pairs, {"sim_inv_per_s": {"better": "higher", "bound": 0.25},
+                "peak_rss_mib": {"better": "lower", "bound": 0.1}})
+    assert out["correct"] == {"parent": "3/3", "change": "2/3"}
+    assert out["digests"] == {"parent": ["eb80f08d"],
+                              "change": ["eb80f08d"]}
+    assert set(out["summary"]) == {"sim_inv_per_s", "peak_rss_mib"}
+    rss = out["summary"]["peak_rss_mib"]
+    assert rss["change_wins"] == "3/3" and rss["verdict"] == "gain"
+    assert rss["bound"] == 0.1
+    assert rss["delta_pct"] == pytest.approx(-42.86, abs=0.01)
+    rate = out["unscaled_summary"]["sim_inv_per_s"]
+    assert rate["parent_median"] == 151.0 and rate["change_median"] == 156.0
+    assert rate["verdict"] == "gain"  # 5 > the parent's range of 1

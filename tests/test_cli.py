@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from walletemu import traceio
 from walletemu.cli import build_sized_image, main
 from walletemu.errors import (
     EXIT_CODES,
@@ -397,6 +398,11 @@ class TestPinnedSimulatorOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in self.PINS}
         assert digests == self.PINS
+
+    def test_artifacts_do_not_depend_on_the_row_chunk(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(traceio, "ROW_CHUNK", 7)
+        self.test_gen_trace_and_simulate_artifacts(tmp_path)
 
 
 class TestPinnedEmulatorOutputs:

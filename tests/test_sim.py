@@ -5,11 +5,13 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from walletemu import traceio
 from walletemu.errors import EmptyTrace, InvariantError
 from walletemu.sim import (
     BootDist,
@@ -385,24 +387,53 @@ class TestColumns:
             config = SimConfig(**self.CONFIG, jitter_sigma=jitter)
             for stats in simulate(loaded, config).values():
                 assert stats.to_row()["cold"] > 0
-        # The row views themselves are what the patch refuses.
+        # A row view and its length build no row; reading a row does.
+        outcomes = stats.outcomes
+        assert len(outcomes) == len(loaded)
         with pytest.raises(AssertionError, match="row object"):
             loaded[0]
         with pytest.raises(AssertionError, match="row object"):
-            stats.outcomes
+            next(iter(loaded))
+        with pytest.raises(AssertionError, match="row object"):
+            outcomes[0]
+        with pytest.raises(AssertionError, match="row object"):
+            next(iter(outcomes))
 
     def test_event_list_equals_trace(self, trace):
         config = SimConfig(**self.CONFIG)
         assert outputs_sha256(simulate(list(trace), config)) == \
             outputs_sha256(simulate(trace, config))
 
-    def test_outcomes_is_a_fresh_list_per_access(self, trace):
+    def test_outcomes_is_a_fresh_read_only_view_per_access(self, trace):
         stats = simulate(trace, SimConfig(**self.CONFIG))["Wallet"]
         first = stats.outcomes
         assert first is not stats.outcomes
         assert first == stats.outcomes
-        first.clear()
-        assert len(stats.outcomes) == len(trace)
+        rows = list(first)
+        assert len(rows) == len(trace)
+        assert rows == first and first == rows
+        assert first != rows[:-1]
+        for mutator in ("append", "clear", "extend", "insert", "pop",
+                        "remove", "sort", "__setitem__", "__delitem__"):
+            assert not hasattr(first, mutator), mutator
+
+    def test_row_views_read_across_chunks(self, trace, monkeypatch):
+        monkeypatch.setattr(traceio, "ROW_CHUNK", 5)
+        stats = simulate(trace, SimConfig(**self.CONFIG))["Wallet"]
+        view = stats.outcomes
+        rows = list(view)
+        n = len(trace)
+        assert n > 20
+        assert rows == [view[i] for i in range(n)]
+        assert view[-1] == rows[-1] and view[np.int64(3)] == rows[3]
+        for cut in (slice(3, 17), slice(None, None, -4), slice(n - 2, n + 9),
+                    slice(7, 2)):
+            assert view[cut] == rows[cut]
+        assert stats.invocation_id.tolist() == \
+            [o.invocation_id for o in rows]
+        assert list(trace) == [trace[i] for i in range(n)]
+        with pytest.raises(IndexError):
+            view[n]
 
     def test_columns_match_row_views(self, trace):
         stats = simulate(trace, SimConfig(**self.CONFIG))["CVM"]
@@ -422,6 +453,35 @@ class TestColumns:
         for bad in (ev(1, 0, 0, math.nan, 1), ev(1, 0, 0, 1, math.inf)):
             with pytest.raises(InvariantError):
                 simulate([ev(0, 0, 0, 0, 1), bad], config)
+
+
+class TestWorkingMemory:
+    """The simulator keeps about 8 bytes per value; row views stream."""
+
+    def test_simulate_and_row_view_peaks(self):
+        trace = generate_trace(GeneratorSpec(
+            n_functions=4000, n_apps=200, duration_minutes=0.5,
+            arrival_rate_per_s=600.0, seed=7))
+        n = len(trace)
+        config = SimConfig(nodes=100, slots=32, cache_size=32, seed=7,
+                           profiles={"Wallet": default_profiles()["Wallet"]})
+        tracemalloc.start()
+        try:
+            stats = simulate(trace, config)["Wallet"]
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            outcomes = stats.outcomes
+            delays = np.fromiter((o.delay_ms for o in outcomes), np.float64,
+                                 count=len(outcomes))
+            view_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(delays, stats.delay_ms)
+        assert simulate_peak / n < 200, f"{simulate_peak / n:.0f} B/inv"
+        assert view_peak < 2_000_000, f"{view_peak / 1e6:.2f} MB"
 
 
 class TestPinnedOutputs:

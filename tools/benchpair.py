@@ -1,0 +1,317 @@
+"""Alternating parent/change pairs of perfbench runs, summarised as one
+``BENCH_<pr>.json``.
+
+The parent tree is ``git archive`` of a commit; the change tree is the
+working tree's tracked and new (not ignored) files.  Each of ``PAIRS``
+pairs runs
+
+    python3 perfbench/run.py --workload W --seed 0 --seconds T --trace 0
+
+once in each tree, as a subprocess from a fresh copy, with T the
+``run_seconds`` of BENCHMARK.json; odd-numbered pairs run the parent
+first.  The runner reads run.py's final JSON line, its ``digest:`` line
+and its ``untraced: unscaled`` line.
+
+Decision rule, per metric, with ``better`` and ``bound`` from
+BENCHMARK.json:
+
+- "gain": the change is better in at least nine tenths of the pairs
+  (ties count for neither) and its median is better than the parent's by
+  more than the parent's inclusive quartile range;
+- "regression": the change's median is worse than the parent's by more
+  than the bound (a fraction of the parent's median);
+- "unresolved": the parent's quartile range is wider than the bound,
+  unless every run of the change is better than every run of the parent;
+- "within bound": otherwise.
+
+``--sim-memory`` adds acceptance criterion 7 on both trees: the
+tracemalloc peak of each variant's ``simulate`` on the criterion's trace
+and cluster, and the wall time and max RSS of ``pytest -k criterion_7``
+over three alternating runs.
+
+Usage, from the repository root:
+
+    python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("sim-paper", "emu-serve", "emu-churn")
+SIDES = ("parent", "change")
+PAIRS = 10
+WIN_SHARE = 0.9  # of the pairs, for a gain
+SEED = 0  # run.py checks its digests against the recorded ones at seed 0
+SIM_REPEATS = 3
+CRITERION_7 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "tests/test_acceptance.py", "-k", "criterion_7"]
+
+# Runs criterion 7's own body up to its simulate call, so the trace and
+# config come from the test, then traces each variant's simulate alone.
+SIM_MEMORY_PROBE = """
+import dataclasses, json, sys, tracemalloc
+sys.path.insert(0, "tests")
+import test_acceptance
+from walletemu.sim import simulate
+
+class Captured(Exception):
+    pass
+
+def capture(trace, config):
+    raise Captured(trace, config)
+
+test_acceptance.simulate = capture
+try:
+    test_acceptance.test_criterion_7_simulator_ordering_and_magnitude \
+        .__wrapped__()
+except Captured as got:
+    trace, config = got.args
+out = {"invocations": len(trace)}
+for name, profile in config.profiles.items():
+    tracemalloc.start()
+    simulate(trace, dataclasses.replace(config, profiles={name: profile}))
+    out[name] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+# -- parsing and summary arithmetic (no subprocess) --------------------------
+
+
+def parse_run(stdout: str) -> dict:
+    """One run.py output: its final JSON result, digests and unscaled
+    figures."""
+    lines = stdout.splitlines()
+    result = next(json.loads(line) for line in reversed(lines)
+                  if line.startswith("{"))
+    digests, unscaled = [], {}
+    for line in lines:
+        if line.startswith("digest: "):
+            digests = line[len("digest: "):].split()
+        elif line.startswith("untraced: unscaled "):
+            unscaled = json.loads(line[len("untraced: unscaled "):])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "digests": digests,
+            "metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()},
+            "unscaled": unscaled}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """Inclusive quartiles [q1, median, q3]."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarise(parent: list[float], change: list[float], better: str,
+              bound: float) -> dict:
+    """Medians, quartiles, delta, wins and verdict over pairs
+    (parent[i], change[i]) of one metric whose ``better`` is "higher" or
+    "lower" and whose ``bound`` is the fraction of the parent's median by
+    which it may worsen."""
+    sign = 1 if better == "higher" else -1
+    p_q, c_q = quartiles(parent), quartiles(change)
+    p_med, c_med = p_q[1], c_q[1]
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    iqr = p_q[2] - p_q[0]
+    gain = sign * (c_med - p_med)
+    allowed = bound * abs(p_med)
+    if wins >= WIN_SHARE * len(parent) and gain > iqr:
+        verdict = "gain"
+    elif -gain > allowed:
+        verdict = "regression"
+    elif iqr > allowed and (min(sign * c for c in change)
+                            <= max(sign * p for p in parent)):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {"better": better, "bound": bound, "parent_median": p_med,
+            "parent_quartiles": p_q, "parent_iqr": iqr,
+            "change_median": c_med, "change_quartiles": c_q,
+            "delta_pct": round(100.0 * (c_med - p_med) / p_med, 2)
+            if p_med else None,
+            "change_wins": f"{wins}/{len(parent)}", "verdict": verdict}
+
+
+def summarise_workload(pairs: list[dict], specs: dict) -> dict:
+    """Per-metric summaries of a workload's pairs, for the metrics named
+    in ``specs`` (name -> BENCHMARK.json entry with ``better`` and
+    ``bound``); unscaled figures use the entry of the same name."""
+    def table(field):
+        names = [n for n in pairs[0]["parent"][field] if n in specs]
+        return {n: summarise([p["parent"][field][n] for p in pairs],
+                             [p["change"][field][n] for p in pairs],
+                             specs[n]["better"], specs[n]["bound"])
+                for n in names}
+
+    return {
+        "correct": {s: f"{sum(p[s]['correct'] for p in pairs)}/{len(pairs)}"
+                    for s in SIDES},
+        "digests": {s: sorted({d for p in pairs for d in p[s]["digests"]})
+                    for s in SIDES},
+        "summary": table("metrics"),
+        "unscaled_summary": table("unscaled"),
+    }
+
+
+# -- trees and runs -----------------------------------------------------------
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def build_trees(parent: str, work: Path) -> dict[str, Path]:
+    trees = {s: work / s for s in SIDES}
+    trees["parent"].mkdir()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", parent))) as tar:
+        tar.extractall(trees["parent"], filter="data")
+    files = git("ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").split(b"\0")
+    for name in filter(None, files):
+        src = ROOT / os.fsdecode(name)
+        if src.is_file():
+            dst = trees["change"] / os.fsdecode(name)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
+    return trees
+
+
+def tree_env(tree: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def run_python(tree: Path, argv: list[str]) -> str:
+    done = subprocess.run([sys.executable, *argv], cwd=tree,
+                          env=tree_env(tree), capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"{argv} in {tree.name} exited {done.returncode}:"
+                           f"\n{done.stderr[-2000:]}")
+    return done.stdout
+
+
+def timed_python(tree: Path, argv: list[str]) -> dict:
+    """Wall time and the child's own max RSS of one run."""
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=tree,
+                            env=tree_env(tree), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise RuntimeError(f"{argv} in {tree.name} exited {proc.returncode}")
+    return {"wall_s": wall, "max_rss_mib": usage.ru_maxrss / 1024}
+
+
+def order(pair: int) -> tuple[str, str]:
+    """Odd-numbered pairs run the parent first."""
+    return SIDES if pair % 2 else SIDES[::-1]
+
+
+def run_pairs(trees, workload, seconds) -> tuple[list, dict]:
+    pairs, machine = [], {}
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(seconds), "--trace", "0"]
+    for i in range(1, PAIRS + 1):
+        entry = {"pair": i, "first": order(i)[0]}
+        for side in order(i):
+            out = run_python(trees[side], argv)
+            entry[side] = parse_run(out)
+            machine = machine or json.loads(next(
+                line for line in out.splitlines()
+                if line.startswith("machine: "))[len("machine: "):])
+            print(f"{workload} pair {i} {side}: {entry[side]['metrics']}",
+                  file=sys.stderr)
+        pairs.append(entry)
+    return pairs, machine
+
+
+def sim_memory(trees) -> dict:
+    out = {side: {"tracemalloc_peak_mb": json.loads(run_python(
+        trees[side], ["-c", SIM_MEMORY_PROBE]))} for side in SIDES}
+    runs = {s: [] for s in SIDES}
+    for i in range(1, SIM_REPEATS + 1):
+        for side in order(i):
+            runs[side].append(timed_python(trees[side], CRITERION_7))
+    for side in SIDES:
+        out[side]["criterion_7_wall_s"] = [r["wall_s"] for r in runs[side]]
+        out[side]["criterion_7_max_rss_mib"] = [r["max_rss_mib"]
+                                                for r in runs[side]]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
+    parser.add_argument("--parent", default="HEAD",
+                        help="parent commit (default HEAD)")
+    parser.add_argument("--title", default="")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated workload names")
+    parser.add_argument("--sim-memory", action="store_true")
+    args = parser.parse_args(argv)
+    workloads = args.workloads.split(",")
+    if not set(workloads) <= set(WORKLOADS):
+        parser.error(f"workloads are among {', '.join(WORKLOADS)}")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    command = (f"python3 perfbench/run.py --workload <w> --seed {SEED} "
+               f"--seconds {seconds} --trace 0")
+    doc = {"title": args.title,
+           "parent_commit": git("rev-parse", "--short", args.parent)
+           .decode().strip(),
+           "command": command,
+           "method": f"{PAIRS} alternating parent/change pairs per "
+                     "workload, odd pairs parent first; each side runs from "
+                     "its own copy of the tree (parent: git archive of the "
+                     "parent commit; change: the working tree's tracked and "
+                     "new files). Metrics are run.py's (host times scaled to "
+                     "its reference machine); unscaled_summary reads its "
+                     "unscaled figures. Quartiles are inclusive; "
+                     "change_wins counts pairs in which the change is better.",
+           "decision_rule": "gain if the change wins at least nine tenths "
+                            "of the pairs and its median is better by more "
+                            "than the parent's quartile range; regression if "
+                            "its median is worse by more than the metric's "
+                            "bound (a fraction of the parent's median); "
+                            "unresolved if the parent's quartile range is "
+                            "wider than the bound, unless every change run "
+                            "beats every parent run; otherwise within bound.",
+           "machine": {}, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
+        trees = build_trees(args.parent, Path(tmp))
+        for workload in workloads:
+            pairs, machine = run_pairs(trees, workload, seconds)
+            doc["machine"] = doc["machine"] or machine
+            doc["workloads"][workload] = {
+                **summarise_workload(pairs, specs), "pairs": pairs}
+        if args.sim_memory:
+            doc["acceptance_7_sim_memory"] = sim_memory(trees)
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
