@@ -682,7 +682,7 @@ class PageTable:
                     caller: PrivilegeLevel = PL0) -> list[int]:
         """Remove the mappings at vpns: all of them, or, if any is not
         mapped, none.  Returns the frames left unmapped."""
-        if not vpns:  # the common case of an invocation that staged no files
+        if not vpns:  # an empty run changes nothing, whoever asks
             return []
         self._require_mutable(caller, "unmap pages")
         if len(set(vpns)) != len(vpns):

@@ -317,7 +317,7 @@ class _Ticket:
         self.run: Optional[Generator] = None
         self.resume: Optional[bytes] = None
         self.input_bytes: bytes = b""
-        self.file_vpns: list[int] = []  # pages of the external files read
+        self.file_objs: list[int] = []  # input objects of the files read
         self.result: Optional[InvokeResult] = None
         self.error: Optional[Exception] = None
 
@@ -397,9 +397,6 @@ class Monitor:
         if pid is None:
             raise UnknownHandle(f"no live process for handle {handle}")
         return self._procs[pid]
-
-    def _busy(self, pid: int) -> bool:
-        return pid in self._active  # settled tickets leave it
 
     def _require_policy(self) -> ProviderPolicy:
         if self.policy is None:
@@ -521,15 +518,12 @@ class Monitor:
         self._teardown(handle, proc)
 
     def _teardown(self, handle: int, proc: ProcessDescriptor) -> None:
-        """Abort the process's invocation, free its memory, forget it.
-
-        The scheduler skips the aborted ticket wherever it is still queued.
-        """
-        ticket = self._active.pop(proc.pid, None)
+        """Abort the process's invocation through ``_settle`` (the scheduler
+        skips the ticket wherever it is queued), free its memory, forget it."""
+        ticket = self._active.get(proc.pid)
         if ticket is not None:
-            ticket.error = InvocationAborted(
-                f"process {proc.pid} terminated mid-invocation")
-            self.objects.retire(ticket.input_obj)
+            self._settle(ticket, proc, error=InvocationAborted(
+                f"process {proc.pid} terminated mid-invocation"))
         self.objects.reclaim(proc.pid)
         self.pool.release(proc.page_table.release_all())
         proc.transition(ProcState.TERMINATED)
@@ -669,7 +663,7 @@ class Monitor:
         proc = self._proc(handle)
         if proc.kind is not ProcKind.TRUSTLET:
             raise UnknownHandle(f"handle {handle} is not a trustlet")
-        if self._busy(proc.pid):
+        if proc.pid in self._active:  # settled tickets leave it
             raise TrustletBusy(f"trustlet {handle} is mid-invocation")
         policy = self._require_policy()
         charges = InvokeCharges()
@@ -734,7 +728,7 @@ class Monitor:
         proc = self._proc(handle)
         if proc.last_user is None or proc.last_user == user:
             return False
-        if self._busy(proc.pid) or handle in self._chain_inbox:
+        if proc.pid in self._active or handle in self._chain_inbox:
             raise TrustletBusy(
                 f"trustlet {handle} is still serving another user")
         return True
@@ -747,6 +741,8 @@ class Monitor:
         so the trustlet's pending links stay as they are: a link holds no
         object until its producer completes.  A handed-off input is never
         pending here: ``_claim`` does not recreate a trustlet holding one.
+        The teardown frees at least the frames the new descriptor takes, so
+        a recreation never runs out of memory.
         """
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
@@ -765,11 +761,9 @@ class Monitor:
         idle."""
         while self._ready:
             seq, ticket = heapq.heappop(self._ready)
-            if ticket.finished:
+            if ticket.finished:  # also when its process was terminated
                 continue
-            proc = self._procs.get(ticket.pid)
-            if proc is None:  # terminated
-                continue
+            proc = self._procs[ticket.pid]
             self._run_ticket(ticket, proc)
             return proc.pid
         return None
@@ -806,13 +800,16 @@ class Monitor:
     def _settle(self, ticket: _Ticket, proc: ProcessDescriptor,
                 result: Optional[InvokeResult] = None,
                 error: Optional[Exception] = None) -> None:
-        """End an invocation with its result or error: the one place that
-        consumes a handed-off input, which a failed hop keeps for a retry,
-        and releases the pages its external files were copied into."""
-        proc.transition(ProcState.READY)
+        """The one end of every invocation, whether it succeeds, fails, is
+        refused its output object or a file's memory, or is aborted: retires
+        its file objects, then its input, unless a failed hop keeps the
+        input handed off to it for a retry."""
+        if proc.state is ProcState.RUNNING:
+            proc.transition(ProcState.READY)
         ticket.result, ticket.error = result, error
         self._active.pop(proc.pid, None)
-        self.pool.release(proc.page_table.unmap_range(ticket.file_vpns))
+        for obj_id in ticket.file_objs:
+            self.objects.retire(obj_id)
         if ticket.chained and error is not None:
             return
         if ticket.chained:
@@ -829,24 +826,26 @@ class Monitor:
                                          ticket.input_obj)
 
     def _deliver_one_io(self) -> None:
-        """Complete one suspended external file read, FIFO."""
+        """Complete one suspended external file read, FIFO: copy the file
+        into an input object the reader is attached to, before the LibOS
+        sees it, or end the invocation if memory runs out for it."""
         ticket, path = self._pending_io.pop(0)
-        proc = self._procs.get(ticket.pid)
-        if ticket.finished or proc is None:
+        if ticket.finished:  # aborted while suspended
             return
+        proc = self._procs[ticket.pid]
         raw = self.guest.read_file(path)
         if raw is not None:
-            # Copy the file into trustlet memory before the LibOS sees it;
-            # ``_settle`` releases these pages.
-            n_pages = pages_for(len(raw)) or 1
-            fids, alloc_us = alloc_frames(self.pool, n_pages, self.model,
-                                          owner_level=PrivilegeLevel.PL1_PROCESS)
+            try:
+                obj_id, alloc_us = self.objects.create(
+                    MONITOR_PID, None, max(1, len(raw)), ObjectType.INPUT)
+            except OutOfMemory as exc:
+                self._settle(ticket, proc, error=exc)
+                return
             self._charge(alloc_us)
-            ticket.file_vpns += proc.page_table.map_range(
-                fids, PagePerms.PROCESS_RW)
-            self.store.write_range(fids, raw)
+            ticket.file_objs.append(obj_id)
             ticket.charges.input_us += self._charge(
-                self.model.transfer_us(len(raw)))
+                self.objects.write_monitor(obj_id, raw))
+            self.objects.attach_reader(proc.pid, proc.page_table, obj_id)
         ticket.resume = raw
         heapq.heappush(self._ready, (ticket.seq, ticket))
 

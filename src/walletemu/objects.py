@@ -14,8 +14,9 @@ party unmaps that party's grant from its table, and the store gives an
 object's frames back to the pool when its last attached process exits or
 the monitor retires it, so a page table only ever frees its own process's
 frames.  A writer's quota use is derived from the live objects it
-writes.  Which object is an invocation's input or a process's current
-output is the monitor's to know; it retires each when done with it.
+writes.  An invocation's input and its copies of the external files it
+reads are input objects the monitor writes; which object is which, or a
+process's current output, is the monitor's to know, and it retires each.
 """
 
 from __future__ import annotations

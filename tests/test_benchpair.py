@@ -119,3 +119,26 @@ def test_workload_summary_over_canned_pairs():
     rate = out["unscaled_summary"]["sim_inv_per_s"]
     assert rate["parent_median"] == 151.0 and rate["change_median"] == 156.0
     assert rate["verdict"] == "gain"  # 5 > the parent's range of 1
+
+
+def test_cli_summary_takes_each_sides_best_run():
+    def runs(*pairs):
+        return [{"wall_s": w, "max_rss_mib": r} for w, r in pairs]
+
+    out = benchpair.summarise_cli({"emulate": {
+        "parent": runs((2.0, 80.0), (1.6, 82.0), (1.8, 81.0)),
+        "change": runs((1.7, 84.0), (2.2, 79.0), (1.9, 80.0))}})
+    emulate = out["emulate"]
+    assert emulate["parent"]["wall_s"] == 1.6
+    assert emulate["parent"]["max_rss_mib"] == 80.0
+    assert emulate["change"]["wall_s"] == 1.7
+    assert emulate["change"]["max_rss_mib"] == 79.0
+    assert len(emulate["change"]["runs"]) == 3
+    assert emulate["delta_pct"] == {"wall_s": 6.25, "max_rss_mib": -1.25}
+
+
+def test_cli_runs_name_the_three_commands():
+    assert set(benchpair.CLI_RUNS) == {
+        "chain --k 32", "density --n-functions 500", "emulate"}
+    emulate = [arg.format(dir="/d") for arg in benchpair.CLI_RUNS["emulate"]]
+    assert emulate[:3] == ["emulate", "--zygote", "/d/zygote.wzyg"]

@@ -44,7 +44,9 @@ from walletemu.memory import (
     PL1,
     PL2,
     AccessKind,
+    FaultKind,
     PageFault,
+    accounting,
     alloc_frames,
     pages_for,
     preallocate,
@@ -55,7 +57,7 @@ from walletemu.monitor import (
     ProcKind,
     ProcState,
 )
-from walletemu.objects import MONITOR_PID, fallback_transfer
+from walletemu.objects import MONITOR_PID, ObjectType, fallback_transfer
 from walletemu.provider import FunctionProvider, UserAgent
 
 SHA512_EMPTY = bytes.fromhex(
@@ -491,6 +493,34 @@ class TestInvocation:
         assert rig.user.decrypt_response(
             request, result.output_ciphertext) == b"small"
 
+    def test_staging_out_of_memory_after_a_recreation(self):
+        rig = make_rig(prealloc=0, pool_frames=20000)
+        m = rig.monitor
+        fn = rig.functions[3]  # reader
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        del m.guest.files["/ext/blob"]  # the failed run leaves no output
+        with pytest.raises(FunctionError):
+            m.invoke_trustlet(t.handle, rig.user.make_request(
+                fn.digest(), b"").ciphertext)
+        m.guest.put_file("/ext/blob", EXTERNAL_CONTENT)
+        other = UserAgent(Rng(99), rig.provider.public_key())
+        pid = m._proc(t.handle).pid
+        # The recreation frees as many frames as it takes, so staging the
+        # input is what finds the pool empty.
+        held, _ = m.pool.take(m.pool.free_count)
+        with pytest.raises(OutOfMemory):
+            m.invoke_trustlet(t.handle, other.make_request(
+                fn.digest(), b"").ciphertext)
+        assert m._proc(t.handle).pid != pid and not m._active
+        assert m.store.total_refs() == sum(
+            table.n_entries() for table in m.live_tables())
+        m.pool.release(held)
+        request = other.make_request(fn.digest(), b"")
+        result = m.invoke_trustlet(t.handle, request.ciphertext)
+        assert not result.recreated  # already the new user's
+        assert other.decrypt_response(
+            request, result.output_ciphertext) == EXTERNAL_CONTENT
+
     def test_long_warm_trustlet_stays_within_object_quota(self, rig):
         fn = rig.functions[0]
         t = rig.monitor.create_trustlet(rig.zygote.handle, fn)
@@ -534,16 +564,48 @@ class TestTraps:
         request = rig.user.make_request(fn.digest(), b"")
         ticket = m.submit_invocation(t.handle, request.ciphertext)
         assert m.schedule() == ticket.pid  # suspends on the external read
-        assert ticket.file_vpns == [] and not ticket.finished
-        m._deliver_one_io()
+        assert ticket.file_objs == [] and not ticket.finished
         table = m._proc(t.handle).page_table
+        exclusive = accounting([table]).exclusive_bytes
+        m._deliver_one_io()
+        [obj_id] = ticket.file_objs
+        obj = m.objects.get(obj_id)
+        assert (obj.otype, obj.writer, obj.reader) == (
+            ObjectType.INPUT, MONITOR_PID, ticket.pid)
         pages = [table.access(PL1, vpn, AccessKind.READ)
-                 for vpn in ticket.file_vpns]
+                 for vpn in obj.reader_vpns]
         assert b"".join(pages)[:len(EXTERNAL_CONTENT)] == EXTERNAL_CONTENT
+        # The grant is read-only, and the pages are the reader's alone.
+        fault = table.access(PL1, obj.reader_vpns[0], AccessKind.WRITE, b"x")
+        assert fault.kind is FaultKind.PERMISSION_VIOLATION
+        assert accounting([table]).exclusive_bytes == exclusive + \
+            pages_for(len(EXTERNAL_CONTENT)) * PAGE_SIZE
         m.run_pending()
         out = rig.user.decrypt_response(request,
                                         ticket.result.output_ciphertext)
         assert out == EXTERNAL_CONTENT
+        assert obj_id not in m.objects.objects
+
+    def test_file_out_of_memory_settles_and_the_reader_runs_again(self):
+        rig = make_rig(prealloc=0, pool_frames=20000)
+        m = rig.monitor
+        fn = rig.functions[3]  # reader
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        held, _ = m.pool.take(m.pool.free_count - 1)  # room for the input
+        ticket = m.submit_invocation(
+            t.handle, rig.user.make_request(fn.digest(), b"").ciphertext)
+        with pytest.raises(OutOfMemory):
+            m._drive(ticket)
+        assert not m._active and not m._pending_io
+        assert not {ticket.input_obj, *ticket.file_objs} & set(
+            m.objects.objects)
+        assert m.store.total_refs() == sum(
+            table.n_entries() for table in m.live_tables())
+        m.pool.release(held)
+        request = rig.user.make_request(fn.digest(), b"")
+        result = m.invoke_trustlet(t.handle, request.ciphertext)
+        assert rig.user.decrypt_response(
+            request, result.output_ciphertext) == EXTERNAL_CONTENT
 
 
 FILE_A = b"first external file, three pages long\n" * 300
@@ -583,42 +645,43 @@ class TestTwoExternalReads:
 
     def deliver_both(self, m, tka, tkb):
         """Suspend on /ext/a, let the quick ticket finish, deliver /ext/a,
-        suspend on /ext/b and deliver it; returns the files' frame ids."""
+        suspend on /ext/b and deliver it; returns each file object's
+        reader vpns and frame ids."""
         assert m.schedule() == tka.pid  # suspends on /ext/a
         assert m.schedule() == tkb.pid  # the quick ticket runs meanwhile
         assert tkb.result is not None and not tka.finished
         m._deliver_one_io()
         assert m.schedule() == tka.pid  # suspends on /ext/b
         assert not tka.finished
-        assert len(tka.file_vpns) == pages_for(len(FILE_A))
+        assert len(tka.file_objs) == 1
         m._deliver_one_io()
-        assert len(tka.file_vpns) == pages_for(len(FILE_A)) + \
-            pages_for(len(FILE_B))
+        objs = [m.objects.get(obj_id) for obj_id in tka.file_objs]
+        assert [len(obj.frames) for obj in objs] == [
+            pages_for(len(FILE_A)), pages_for(len(FILE_B))]
         assert m.guest.file_reads == ["/ext/a", "/ext/b"]
-        table = m._proc(tka.handle).page_table
-        return [table.lookup(vpn).frame_id for vpn in tka.file_vpns]
+        return [(list(obj.reader_vpns), list(obj.frames)) for obj in objs]
 
-    def assert_files_released(self, m, tka, fids):
+    def assert_files_released(self, m, tka, files):
+        assert not set(tka.file_objs) & set(m.objects.objects)
         table = m._proc(tka.handle).page_table
-        for vpn in tka.file_vpns:
-            assert isinstance(table.access(PL1, vpn, AccessKind.READ),
-                              PageFault)
-        assert (m.store.owners_of(np.array(fids)) == FREE).all()
+        for vpns, fids in files:
+            for vpn in vpns:
+                assert isinstance(table.access(PL1, vpn, AccessKind.READ),
+                                  PageFault)
+            assert (m.store.owners_of(np.array(fids)) == FREE).all()
 
     def test_each_resume_gets_its_own_file(self):
         rig = two_reads_rig()
         m = rig.monitor
         ta, request, tka, tkb = self.submit_both(rig)
         submitted_input_us = tka.charges.input_us
-        fids = self.deliver_both(m, tka, tkb)
-        # Both files stay mapped, each in its own pages, until settle.
+        files = self.deliver_both(m, tka, tkb)
+        # Both files stay mapped, each in its own object, until settle.
         table = m._proc(ta.handle).page_table
-        pages = [table.access(PL1, vpn, AccessKind.READ)
-                 for vpn in tka.file_vpns]
-        n_a = pages_for(len(FILE_A))
-        assert b"".join(pages[:n_a])[:len(FILE_A)] == FILE_A
-        assert b"".join(pages[n_a:])[:len(FILE_B)] == FILE_B
-        assert not (m.store.owners_of(np.array(fids)) == FREE).any()
+        for content, (vpns, fids) in zip((FILE_A, FILE_B), files):
+            pages = [table.access(PL1, vpn, AccessKind.READ) for vpn in vpns]
+            assert b"".join(pages)[:len(content)] == content
+            assert not (m.store.owners_of(np.array(fids)) == FREE).any()
 
         assert m.schedule() == tka.pid  # completes
         assert m.completion_log == [tkb.pid, tka.pid]
@@ -629,20 +692,20 @@ class TestTwoExternalReads:
         assert all(transfers)  # each file's copy is charged a nonzero time
         assert tka.result.charges.input_us == submitted_input_us + \
             sum(transfers)
-        self.assert_files_released(m, tka, fids)
+        self.assert_files_released(m, tka, files)
 
     def test_tampered_second_file_fails_after_the_first_was_delivered(self):
         rig = two_reads_rig()
         m = rig.monitor
         m.guest.tamper_file("/ext/b", lambda c: b"X" + c[1:])
         ta, _request, tka, tkb = self.submit_both(rig)
-        fids = self.deliver_both(m, tka, tkb)
+        files = self.deliver_both(m, tka, tkb)
         assert m.schedule() == tka.pid  # the digest check fails the run
         assert isinstance(tka.error, FunctionError)
         assert "digest mismatch for external file /ext/b" in str(tka.error)
         assert m._proc(ta.handle).state is ProcState.READY
         assert m.completion_log == [tkb.pid]
-        self.assert_files_released(m, tka, fids)
+        self.assert_files_released(m, tka, files)
 
 
 class TestScheduling:

@@ -11,6 +11,14 @@ for a completed chain the report's stages.  The monitor's global
 invariants are checked after every step: among them, no payload reaches
 the guest, no PL1-writable frame is shared, and every live object has an
 owner.  At the end every frame must be back in the pool.
+
+A second machine runs the same rules on a small on-demand pool with low
+object quotas, and also holds and frees pool frames, so that memory runs
+out while a trustlet is created, a request is staged, an external file is
+delivered or an output or chain object is created, and a producer
+exceeds its object quota.  Each refusal must leave nothing running and
+conserve refs and the object table; a trustlet refused memory runs again
+once the held frames are back.
 """
 
 import hashlib
@@ -34,7 +42,9 @@ from walletemu.errors import (
     FunctionError,
     InvocationAborted,
     NoInput,
+    OutOfMemory,
     PolicyViolation,
+    QuotaExceeded,
     TrustletBusy,
 )
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
@@ -59,6 +69,9 @@ payloads = st.binary(max_size=32)
 
 
 class MonitorMachine(RuleBasedStateMachine):
+    RIG = {"prealloc": 16 * MIB}  # a pool that never runs out
+    TIGHT = False  # whether refusals for memory or quota are expected
+
     def __init__(self):
         super().__init__()
         self.functions = [FunctionSpec(f"stage-{i}",
@@ -70,8 +83,8 @@ class MonitorMachine(RuleBasedStateMachine):
         image = ZygoteImage(
             "model-rt", 0, [("/noop", b"-")],
             manifest=[manifest_entry("/ext/blob", EXTERNAL_CONTENT)])
-        self.rig = make_rig(seed=7, prealloc=16 * MIB, image=image,
-                            functions=self.functions, chains=(chain,))
+        self.rig = make_rig(seed=7, image=image, functions=self.functions,
+                            chains=(chain,), **self.RIG)
         self.m = self.rig.monitor
         self.users = [self.rig.user] + [
             UserAgent(Rng(100 + i), self.rig.provider.public_key())
@@ -95,6 +108,7 @@ class MonitorMachine(RuleBasedStateMachine):
         self.sentinels: list[bytes] = []
         self.tap_seen = 0
         self.transport_key = Rng(2000).bytes(32)
+        self.held: list[int] = []  # pool frames taken away from the monitor
         for f in range(len(self.functions)):
             self.create_trustlet(f)
 
@@ -183,12 +197,17 @@ class MonitorMachine(RuleBasedStateMachine):
             return None
         last = self.last_user.get(handle)
         self.last_user[handle] = u
-        if error is not None:
-            with pytest.raises(error):
-                call()
-            return None
-        return self._hop(handle, u, call, payload, payload, (), request,
-                         last is not None and last != u)
+        try:
+            if error is not None:
+                with pytest.raises(error):
+                    call()
+                return None
+            return self._hop(handle, u, call, payload, payload, (), request,
+                             last is not None and last != u)
+        except (OutOfMemory, QuotaExceeded) as exc:
+            if not self._retry_after(exc):
+                return None
+            return self._run(handle, u, call, payload, request, error)
 
     def _invoke(self, handle, u, payload, error=None):
         """Invoke as user u on payload behind a fresh sentinel, with a
@@ -221,16 +240,43 @@ class MonitorMachine(RuleBasedStateMachine):
     def _run_chained(self, handle) -> None:
         """A refused hop keeps its handed-off input for a retry."""
         u, request, chained, payload, stages, recreated = self.pending[handle]
-        if self._hop(handle, u, lambda: self.m.invoke_chained(handle),
-                     chained, payload, stages, request, recreated) is not None:
+        try:
+            result = self._hop(handle, u,
+                               lambda: self.m.invoke_chained(handle), chained,
+                               payload, stages, request, recreated)
+        except (OutOfMemory, QuotaExceeded) as exc:
+            if self._retry_after(exc):
+                self._run_chained(handle)
+            return
+        if result is not None:
             del self.pending[handle]
+
+    def _retry_after(self, exc) -> bool:
+        """Check a refusal for memory or quota, which leaves the trustlet
+        ready and its links and handed-off inputs as they were; after
+        OutOfMemory, give the held frames back and say to run it again."""
+        assert self.TIGHT
+        assert self.held or not isinstance(exc, OutOfMemory)
+        self.nothing_running_between_commands()
+        self.refs_conserved()
+        self.every_live_object_has_an_owner()
+        self.handed_out_frames_are_mapped_or_an_objects()
+        if isinstance(exc, QuotaExceeded):
+            return False
+        self.free_frames()
+        return True
 
     # -- rules ----------------------------------------------------------------
 
     @precondition(lambda self: len(self.trustlets) < MAX_TRUSTLETS)
     @rule(f=st.integers(0, READER))
     def create_trustlet(self, f):
-        handle = self.m.create_trustlet(self.zygote, self.functions[f]).handle
+        try:
+            handle = self.m.create_trustlet(self.zygote,
+                                            self.functions[f]).handle
+        except OutOfMemory:
+            assert self.held
+            return
         self.trustlets[handle] = f
 
     @precondition(lambda self: self.trustlets)
@@ -245,6 +291,8 @@ class MonitorMachine(RuleBasedStateMachine):
             and READER in self.trustlets.values()
         handle = self._pick(data, READER if at_read else None)
         ticket = None
+        if mid_invocation:  # the doomed run is to get as far as its read
+            self.free_frames()
         if mid_invocation and not self._refused_at_claim(handle, u):
             fn = self.functions[self.trustlets[handle]]
             ticket = self.m.submit_invocation(handle, self.users[u].make_request(
@@ -254,7 +302,7 @@ class MonitorMachine(RuleBasedStateMachine):
                 assert not ticket.finished
             if at_read and mid_invocation == "delivered":
                 self.m._deliver_one_io()
-                assert ticket.file_vpns
+                assert ticket.file_objs
         self.m.delete_trustlet(handle)
         self._forget(handle)
         if ticket is not None:
@@ -330,6 +378,7 @@ class MonitorMachine(RuleBasedStateMachine):
 
     @rule()
     def recreate_zygote(self):
+        self.free_frames()
         self.m.delete_zygote(self.zygote)
         for handle in list(self.trustlets):
             self._forget(handle)
@@ -346,10 +395,15 @@ class MonitorMachine(RuleBasedStateMachine):
         assert self.m.store.total_refs() == sum(
             t.page_table.n_entries() for t in self.m.descriptors())
 
+    def free_frames(self):
+        self.m.pool.release(self.held)
+        self.held = []
+
     @invariant()
     def nothing_running_between_commands(self):
         assert all(p.state is not ProcState.RUNNING
                    for p in self.m.descriptors())
+        assert not self.m._active and not self.m._pending_io
 
     @invariant()
     def guest_cannot_read_process_pages(self):
@@ -372,10 +426,10 @@ class MonitorMachine(RuleBasedStateMachine):
     @invariant()
     def every_live_object_has_an_owner(self):
         # Being attached to a live process is not enough: a superseded
-        # output stays attached to its writer.  A pending link owns none.
+        # output stays attached to its writer.  A pending link owns none,
+        # and no invocation is in flight between commands.
         m = self.m
         owned = {inbox[0] for inbox in m._chain_inbox.values()}
-        owned |= {ticket.input_obj for ticket in m._active.values()}
         owned |= {p.output_obj for p in m.descriptors()}
         assert set(m.objects.objects) <= owned
 
@@ -432,10 +486,12 @@ class MonitorMachine(RuleBasedStateMachine):
              for fid in obj.frames], dtype=np.int64)
         assert not (store.owners_of(object_frames) == FREE).any()
         held[object_frames] = True
+        held[self.held] = True
         owners = store.owners_of(np.arange(store.n_frames()))
         assert not ((owners != FREE) & ~held).any()
 
     def teardown(self):
+        self.free_frames()
         self.m.delete_zygote(self.zygote)
         assert not self.m.objects.objects
         assert self.m.store.total_refs() == 0
@@ -444,3 +500,62 @@ class MonitorMachine(RuleBasedStateMachine):
 
 TestMonitorModel = MonitorMachine.TestCase
 TestMonitorModel.settings = settings(max_examples=50, stateful_step_count=30)
+
+
+class TightMonitorMachine(MonitorMachine):
+    """The machine on a pool of 256 on-demand frames, where a trustlet
+    may write two live objects: its newest output and one more."""
+
+    RIG = {"prealloc": 0, "pool_frames": 256, "quota_objects": 2,
+           "quota_bytes": 1024}
+    TIGHT = True
+
+    @rule(leave=st.integers(0, 16))
+    def hold_frames(self, leave):
+        """Take all but leave free frames away from the monitor."""
+        if self.m.pool.free_count > leave:
+            fids, _fresh = self.m.pool.take(self.m.pool.free_count - leave)
+            self.held += fids
+
+    @rule()
+    def release_frames(self):
+        self.free_frames()
+
+    # Staging a request, delivering a file and creating an output take one
+    # frame each; recreating a trustlet frees as many frames as it takes.
+    @precondition(lambda self: self.trustlets)
+    @rule(data=st.data(), payload=payloads, short_at=st.sampled_from(
+        ["staging", "recreation", "file", "output", "chain"]))
+    def invoke_short_of_memory(self, data, payload, short_at):
+        """Hold all frames but those an invocation needs before short_at,
+        then run it as its trustlet's last user, or as another user to have
+        the trustlet recreated first, or as a chain's producer."""
+        if short_at == "file" and READER in self.trustlets.values():
+            handle = self._pick(data, READER)
+        elif short_at == "chain" and self._adjacent_pairs():
+            handle, consumer = data.draw(
+                st.sampled_from(self._adjacent_pairs()))
+            self._link(handle, consumer)
+        else:
+            handle = self._pick(data)
+        u = self.last_user.get(handle, 0)
+        if short_at == "recreation":
+            u = (u + 1) % 3
+        self.hold_frames(0 if short_at in ("staging", "recreation") else 1)
+        self._invoke(handle, u, payload)
+
+    @precondition(lambda self: self._adjacent_pairs())
+    @rule(data=st.data(), u=users, payload=payloads)
+    def rerun_a_producer(self, data, u, payload):
+        """Run a producer three times while its chain object may still wait
+        at the consumer: with that object and its newest output, a run
+        needs a third object, over the quota."""
+        producer, consumer = data.draw(st.sampled_from(self._adjacent_pairs()))
+        self._link(producer, consumer)
+        for _ in range(3):
+            self._invoke(producer, u, payload)
+
+
+TestTightMonitorModel = TightMonitorMachine.TestCase
+TestTightMonitorModel.settings = settings(max_examples=25,
+                                          stateful_step_count=30)

@@ -29,9 +29,18 @@ tracemalloc peak of each variant's ``simulate`` on the criterion's trace
 and cluster, and the wall time and max RSS of ``pytest -k criterion_7``
 over three alternating runs.
 
+``--cli`` adds the command-line runs ``walletemu chain --k 32``,
+``density --n-functions 500`` and ``emulate`` (a small zygote, two
+functions, three invocations, its files written into a temporary
+directory by each tree's own code first) on both trees: the best wall
+time and the best max RSS of three alternating runs each.  The max RSS
+is the child's own, from ``wait4``: ``getrusage(RUSAGE_CHILDREN)`` keeps
+the largest of all children so far, which cannot tell the trees apart.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
+    python3 tools/benchpair.py --pr cli --workloads "" --cli
 """
 
 from __future__ import annotations
@@ -56,6 +65,27 @@ PAIRS = 10
 WIN_SHARE = 0.9  # of the pairs, for a gain
 SEED = 0  # run.py checks its digests against the recorded ones at seed 0
 SIM_REPEATS = 3
+CLI_REPEATS = 3
+CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))"]
+CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
+    "chain --k 32": ["chain", "--k", "32"],
+    "density --n-functions 500": ["density", "--n-functions", "500"],
+    "emulate": ["emulate", "--zygote", "{dir}/zygote.wzyg",
+                "--function", "{dir}/echo.json",
+                "--function", "{dir}/shout.json", "-n", "3"],
+}
+CLI_FILES = """
+import sys
+from pathlib import Path
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
+out = Path(sys.argv[1])
+image = ZygoteImage("cli-rt", 20, [("/data/x", b"42")])
+(out / "zygote.wzyg").write_bytes(image.canonical_bytes)
+for name, op in (("echo", PipelineOp.identity()),
+                 ("shout", PipelineOp.uppercase())):
+    (out / f"{name}.json").write_text(FunctionSpec(name, [op], 1.0).to_json())
+"""
 CRITERION_7 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
                "tests/test_acceptance.py", "-k", "criterion_7"]
 
@@ -169,6 +199,24 @@ def summarise_workload(pairs: list[dict], specs: dict) -> dict:
     }
 
 
+def summarise_cli(runs: dict) -> dict:
+    """Per command (name -> side -> list of ``timed_python`` results):
+    each side's best wall time and best max RSS, with the runs, and the
+    change's delta against the parent in per cent."""
+    out = {}
+    for name, sides in runs.items():
+        best = {side: {key: min(r[key] for r in sides[side])
+                       for key in ("wall_s", "max_rss_mib")}
+                for side in SIDES}
+        out[name] = {
+            **{side: {**best[side], "runs": sides[side]} for side in SIDES},
+            "delta_pct": {key: round(100.0 * (best["change"][key]
+                                              - best["parent"][key])
+                                     / best["parent"][key], 2)
+                          for key in ("wall_s", "max_rss_mib")}}
+    return out
+
+
 # -- trees and runs -----------------------------------------------------------
 
 
@@ -259,6 +307,22 @@ def sim_memory(trees) -> dict:
     return out
 
 
+def cli_runs(trees, work: Path) -> dict:
+    dirs = {}
+    for side in SIDES:
+        dirs[side] = work / f"{side}-cli"
+        dirs[side].mkdir()
+        run_python(trees[side], ["-c", CLI_FILES, str(dirs[side])])
+    runs = {name: {side: [] for side in SIDES} for name in CLI_RUNS}
+    for i in range(1, CLI_REPEATS + 1):
+        for name, argv in CLI_RUNS.items():
+            for side in order(i):
+                runs[name][side].append(timed_python(trees[side], CLI_MAIN + [
+                    arg.format(dir=dirs[side]) for arg in argv]
+                    + ["--seed", str(SEED)]))
+    return summarise_cli(runs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
@@ -266,10 +330,11 @@ def main(argv=None) -> int:
                         help="parent commit (default HEAD)")
     parser.add_argument("--title", default="")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma-separated workload names")
+                        help="comma-separated workload names, or none")
     parser.add_argument("--sim-memory", action="store_true")
+    parser.add_argument("--cli", action="store_true")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w for w in args.workloads.split(",") if w]
     if not set(workloads) <= set(WORKLOADS):
         parser.error(f"workloads are among {', '.join(WORKLOADS)}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -307,6 +372,8 @@ def main(argv=None) -> int:
                 **summarise_workload(pairs, specs), "pairs": pairs}
         if args.sim_memory:
             doc["acceptance_7_sim_memory"] = sim_memory(trees)
+        if args.cli:
+            doc["cli"] = cli_runs(trees, Path(tmp))
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
