@@ -26,7 +26,7 @@ from .objects import fallback_transfer
 from .provider import FunctionProvider, UserAgent
 from .sim import SimConfig, default_profiles, simulate
 from .sim.engine import BOOT_TIERS
-from .traceio import (GeneratorSpec, chunked_rows, generate_trace,
+from .traceio import (GeneratorSpec, derived_rows, generate_trace,
                       load_trace, write_stats, write_trace)
 
 MIB = 1048576
@@ -375,16 +375,15 @@ def cmd_simulate(args) -> dict | None:
                              "boot_type", "delay_ms", "slowdown"])
             tier_names = [tier.value for tier in BOOT_TIERS]
 
-            def csv_row(name, inv, node, code, delay, slowdown):
+            def csv_row(name, inv, node, code, delay, slowdown, *_times):
                 return (name, inv, node, tier_names[code], repr(delay),
                         repr(slowdown))
 
             for name in sorted(results):
                 stats = results[name]
-                writer.writerows(chunked_rows(
-                    partial(csv_row, name),
-                    (stats.invocation_id, stats.node_id, stats.boot_code,
-                     stats.delay_ms, stats.slowdown)))
+                writer.writerows(derived_rows(
+                    partial(csv_row, name), stats.row_columns, 0,
+                    len(stats)))
     rows = sorted(rows, key=lambda r: r["variant"])
     for row in rows:
         _note(f"  {row['variant']:10s} p50 delay {row['p50_delay_ms']:.1f} ms  "

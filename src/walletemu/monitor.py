@@ -858,7 +858,7 @@ class Monitor:
         charges.exec_us += self._charge(exec_us)
 
         consumer_handle = self._chain_edges.get(ticket.handle)
-        otype = ObjectType.OUTPUT
+        otype, supersedes = ObjectType.OUTPUT, proc.output_obj
         try:
             if consumer_handle is not None:
                 # One input slot: a second handoff would lose the first.
@@ -868,9 +868,12 @@ class Monitor:
                         f"input it has not run")
                 self._must_recreate(consumer_handle,
                                     _user_of(ticket.response_key))
-                otype = ObjectType.CHAIN
+                otype, supersedes = ObjectType.CHAIN, None
+            # A user-facing output is retired only after its successor
+            # exists, so a refused create leaves it in place.
             obj_id, charge = self.objects.create(
-                proc.pid, proc.page_table, max(1, len(output)), otype)
+                proc.pid, proc.page_table, max(1, len(output)), otype,
+                supersedes)
         except (TrustletBusy, QuotaExceeded, OutOfMemory) as exc:
             # A pending link stays pending; its consumer is left as it was.
             self._settle(ticket, proc, error=exc)

@@ -124,12 +124,14 @@ class ObjectStore:
                 if obj.writer == pid]
 
     def _check_quota(self, pid: Optional[int], more_objects: int,
-                     more_bytes: int) -> None:
+                     more_bytes: int, supersedes: Optional[int] = None) -> None:
         """Refuse with QuotaExceeded a writer's growth past its quota,
-        counted over the live objects it writes; the monitor has none."""
+        counted over the live objects it writes other than ``supersedes``;
+        the monitor has none."""
         if pid in (None, MONITOR_PID):
             return
-        owned = self._written_by(pid)
+        owned = [obj for obj in self._written_by(pid)
+                 if obj.obj_id != supersedes]
         if len(owned) + more_objects > self.quota_objects:
             raise QuotaExceeded(
                 f"process {pid} exceeds {self.quota_objects} objects")
@@ -139,15 +141,18 @@ class ObjectStore:
     # -- creation ---------------------------------------------------------------
 
     def create(self, caller_pid: int, caller_table: Optional[PageTable],
-               length: int, otype: ObjectType = ObjectType.PLAIN) -> tuple[int, int]:
+               length: int, otype: ObjectType = ObjectType.PLAIN,
+               supersedes: Optional[int] = None) -> tuple[int, int]:
         """Create an object with the caller attached as writer.
 
         Grants write-only mappings in the caller's table (monitor callers
-        access frames directly at PL0).  Returns (obj_id, charge_us).
+        access frames directly at PL0).  ``supersedes`` names an object
+        the caller retires once this one exists; the quota leaves it out.
+        Returns (obj_id, charge_us).
         """
         if length <= 0:
             raise ValueError("object length must be positive")
-        self._check_quota(caller_pid, 1, length)
+        self._check_quota(caller_pid, 1, length, supersedes)
         pages = pages_for(length)
         fids, charge = alloc_frames(self.pool, pages, self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)

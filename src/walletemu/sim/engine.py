@@ -15,10 +15,10 @@ Each variant runs as one event loop over locals (``_VariantRun._loop``),
 with the node sets it intersects held as Python-int bitmasks.  Every
 per-invocation value lives in typed storage, about 8 bytes per value: the
 loop indexes ``array.array`` copies of the trace's columns by position and
-writes each dispatch into per-position typed arrays; :class:`SimStats`
-holds the outcomes as numpy columns in invocation-id order.  Row objects
-(:class:`InvocationOutcome`) are built only by the ``outcomes`` view, a
-chunk of rows at a time.
+writes each dispatch into per-position typed arrays.  A run's
+:class:`SimStats` shares those arrays and derives its other columns on
+each read.  Row objects (:class:`InvocationOutcome`) are built only by
+the ``outcomes`` view, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import EmptyTrace, InvariantError
-from ..traceio import Trace, TraceEvent, as_trace, chunked_rows
+from ..traceio import Trace, TraceEvent, as_trace, derived_rows
 from .profiles import BootType, VariantProfile, default_profiles
 
 
@@ -68,61 +68,133 @@ BOOT_TIERS = (BootType.COLD, BootType.LUKEWARM, BootType.WARM)
 COLD, LUKEWARM, WARM = range(3)
 
 
-@dataclass(eq=False)
 class SimStats:
-    """Per-variant results as numpy columns, one entry per invocation in
-    invocation-id order; delay = queue wait + boot,
-    slowdown = (delay + adjusted duration) / duration.
+    """Per-variant results, one row per dispatched invocation in
+    invocation-id order.
+
+    It keeps what the event loop wrote, per trace position: node, boot
+    code, start and boot (25 bytes per invocation), plus the trace and,
+    only when trace positions are not already in id order, the
+    permutation that puts them there.  The columns are read-only
+    properties of the same names and dtypes as the row fields; delay,
+    slowdown and finish are derived on each read with the float
+    operations the loop uses for the finish time it queues:
+    delay = (start - arrival) + boot, adjusted = boot + duration,
+    slowdown = (delay + adjusted) / duration, finish = adjusted + start.
 
     ``boot_code`` indexes :data:`BOOT_TIERS`.  ``outcomes`` is a fresh
-    read-only row view (:class:`OutcomeRows`) on each access; it builds
-    rows only as they are read.
+    read-only row view (:class:`OutcomeRows`) on each access; it derives
+    rows a chunk at a time, as they are read.
     """
 
-    variant: str
-    invocation_id: np.ndarray
-    node_id: np.ndarray
-    boot_code: np.ndarray
-    delay_ms: np.ndarray
-    slowdown: np.ndarray
-    start_ms: np.ndarray
-    finish_ms: np.ndarray
-    makespan_ms: float
+    __slots__ = ("variant", "trace", "makespan_ms", "_node", "_code",
+                 "_start", "_boot", "_dispatched", "_order")
 
-    @classmethod
-    def from_outcomes(cls, variant: str,
-                      outcomes: Sequence[InvocationOutcome],
-                      makespan_ms: float) -> "SimStats":
-        """Columns of row outcomes, already in invocation-id order."""
-        def column(attr, dtype):
-            return np.array([getattr(o, attr) for o in outcomes], dtype=dtype)
+    def __init__(self, variant: str, trace: Trace, node: np.ndarray,
+                 code: np.ndarray, start: np.ndarray, boot: np.ndarray,
+                 makespan_ms: float):
+        self.variant, self.trace, self.makespan_ms = variant, trace, makespan_ms
+        for column in (node, code, start, boot):
+            column.flags.writeable = False
+        self._node, self._code, self._start, self._boot = (node, code,
+                                                           start, boot)
+        ids = trace.invocation_id
+        done = node >= 0
+        if done.all():
+            # Positions to read, in position order; _order is None while
+            # positions are already in id order.
+            self._dispatched = slice(None)
+            self._order = (None if (ids[1:] > ids[:-1]).all()
+                           else np.argsort(ids, kind="stable"))
+        else:
+            pos = self._dispatched = np.flatnonzero(done)
+            self._order = pos[np.argsort(ids[pos], kind="stable")]
 
-        return cls(variant, column("invocation_id", np.int64),
-                   column("node_id", np.int64),
-                   np.array([BOOT_TIERS.index(o.boot_type) for o in outcomes],
-                            dtype=np.int8),
-                   column("delay_ms", np.float64),
-                   column("slowdown", np.float64),
-                   column("start_ms", np.float64),
-                   column("finish_ms", np.float64), makespan_ms)
+    def __len__(self) -> int:
+        return len(self.trace if self._order is None else self._order)
+
+    def _positions(self, start: int = 0, stop: int | None = None):
+        """The trace positions of id-order rows ``start:stop``."""
+        if self._order is None:
+            return slice(start, stop)
+        return self._order[start:stop]
+
+    def _delay(self, pos) -> np.ndarray:
+        delay = self._start[pos] - self.trace.arrival_ms[pos]
+        delay += self._boot[pos]
+        return delay
+
+    def _adjusted(self, pos) -> np.ndarray:
+        return self._boot[pos] + self.trace.duration_ms[pos]
+
+    def _slowdown(self, pos, delay: np.ndarray) -> np.ndarray:
+        slowdown = self._adjusted(pos)
+        slowdown += delay  # delay + adjusted: the sum commutes exactly
+        slowdown /= self.trace.duration_ms[pos]
+        return slowdown
+
+    def _finish(self, pos) -> np.ndarray:
+        finish = self._adjusted(pos)
+        finish += self._start[pos]
+        return finish
+
+    @property
+    def invocation_id(self) -> np.ndarray:
+        ids = self.trace.invocation_id[self._positions()]
+        ids.flags.writeable = False
+        return ids
+
+    @property
+    def node_id(self) -> np.ndarray:
+        return self._node[self._positions()]
+
+    @property
+    def boot_code(self) -> np.ndarray:
+        return self._code[self._positions()]
+
+    @property
+    def start_ms(self) -> np.ndarray:
+        return self._start[self._positions()]
+
+    @property
+    def delay_ms(self) -> np.ndarray:
+        return self._delay(self._positions())
+
+    @property
+    def slowdown(self) -> np.ndarray:
+        pos = self._positions()
+        return self._slowdown(pos, self._delay(pos))
+
+    @property
+    def finish_ms(self) -> np.ndarray:
+        return self._finish(self._positions())
 
     @property
     def outcomes(self) -> "OutcomeRows":
         return OutcomeRows(self)
 
-    def row_columns(self) -> tuple[np.ndarray, ...]:
-        """The columns in :class:`InvocationOutcome` field order."""
-        return (self.invocation_id, self.node_id, self.boot_code,
-                self.delay_ms, self.slowdown, self.start_ms, self.finish_ms)
+    def row_columns(self, start: int = 0,
+                    stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """The columns of rows ``start:stop``, in :class:`InvocationOutcome`
+        field order."""
+        pos = self._positions(start, stop)
+        delay = self._delay(pos)
+        return (self.trace.invocation_id[pos], self._node[pos],
+                self._code[pos], delay, self._slowdown(pos, delay),
+                self._start[pos], self._finish(pos))
 
     def boot_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.boot_code, minlength=len(BOOT_TIERS))
+        counts = np.bincount(self._code[self._dispatched],
+                             minlength=len(BOOT_TIERS))
         return {tier.value: int(counts[code])
                 for code, tier in enumerate(BOOT_TIERS)}
 
     def to_row(self) -> dict:
-        delays = np.sort(self.delay_ms)
-        slowdowns = np.sort(self.slowdown)
+        pos = self._dispatched
+        delays = self._delay(pos)
+        slowdowns = self._slowdown(pos, delays)
+        delays.sort()
+        slowdowns.sort()
         counts = self.boot_counts()
         return {
             "variant": self.variant,
@@ -146,11 +218,11 @@ def _outcome(invocation_id: int, node_id: int, boot_code: int,
 
 class OutcomeRows(Sequence):
     """A read-only sequence of :class:`InvocationOutcome` rows over a
-    :class:`SimStats`' columns.
+    :class:`SimStats`.
 
-    ``len`` builds no row; iteration and slices build them a chunk at a
-    time (:func:`~walletemu.traceio.chunked_rows`).  It equals any
-    sequence of equal rows, a list included.
+    ``len`` builds no row; iteration and slices derive and build them a
+    chunk at a time (:func:`~walletemu.traceio.derived_rows`).  It equals
+    any sequence of equal rows, a list included.
     """
 
     __slots__ = ("_stats",)
@@ -159,10 +231,10 @@ class OutcomeRows(Sequence):
         self._stats = stats
 
     def __len__(self) -> int:
-        return len(self._stats.invocation_id)
+        return len(self._stats)
 
     def _rows(self, start: int, stop: int) -> Iterator[InvocationOutcome]:
-        return chunked_rows(_outcome, self._stats.row_columns(), start, stop)
+        return derived_rows(_outcome, self._stats.row_columns, start, stop)
 
     def __iter__(self) -> Iterator[InvocationOutcome]:
         return self._rows(0, len(self))
@@ -173,8 +245,8 @@ class OutcomeRows(Sequence):
             if span.step == 1:
                 return list(self._rows(span.start, span.stop))
             return [self[i] for i in span]
-        i = operator.index(index)
-        return _outcome(*(c[i].item() for c in self._stats.row_columns()))
+        i = range(len(self))[operator.index(index)]
+        return next(self._rows(i, i + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -413,36 +485,19 @@ class _VariantRun:
         return next(self._events, False)
 
     def stats(self) -> SimStats:
-        """The outcomes of the invocations dispatched so far, as columns.
+        """The outcomes of the invocations dispatched so far.
 
-        Finish, delay and slowdown are derived from each dispatch's start
-        and boot with the float operations the loop uses for the finish
-        time it queues: adjusted = duration + boot, finish = start +
-        adjusted, delay = start - arrival + boot.  They are computed in
-        place, so only two columns' worth of temporaries is alive at once.
+        They share the loop's output arrays: the loop writes each position
+        once, at its dispatch, and a stats reads only the positions
+        dispatched when it was taken, so one taken mid-run stays a
+        snapshot.
         """
-        trace = self.trace
-        node = np.frombuffer(self.out_node, dtype=np.int64)
-        done = np.flatnonzero(node >= 0)
-        pos = done[np.argsort(trace.invocation_id[done], kind="stable")]
-        del done
-        start = np.frombuffer(self.out_start, dtype=np.float64)[pos]
-        boot = np.frombuffer(self.out_boot, dtype=np.float64)[pos]
-        delay = trace.arrival_ms[pos]
-        np.subtract(start, delay, out=delay)
-        delay += boot
-        duration = trace.duration_ms[pos]
-        adjusted = boot  # becomes duration + boot in place
-        adjusted += duration
-        slowdown = delay + adjusted
-        slowdown /= duration
-        del duration
-        finish = adjusted
-        finish += start
-        return SimStats(self.profile.name, trace.invocation_id[pos],
-                        node[pos],
-                        np.frombuffer(self.out_code, dtype=np.int8)[pos],
-                        delay, slowdown, start, finish, self.makespan)
+        return SimStats(self.profile.name, self.trace,
+                        np.frombuffer(self.out_node, dtype=np.int64),
+                        np.frombuffer(self.out_code, dtype=np.int8),
+                        np.frombuffer(self.out_start, dtype=np.float64),
+                        np.frombuffer(self.out_boot, dtype=np.float64),
+                        self.makespan)
 
     @property
     def outcomes(self) -> "OutcomeRows":

@@ -12,12 +12,22 @@ Intentionally shares no code with engine.py beyond the profile dataclass.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import EmptyTrace
 from ..traceio import TraceEvent
-from .engine import InvocationOutcome, SimConfig, SimStats
+from .engine import InvocationOutcome, SimConfig
 from .profiles import BootType, VariantProfile
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """One variant's rows, in invocation-id order, and its makespan."""
+
+    variant: str
+    outcomes: list[InvocationOutcome]
+    makespan_ms: float
 
 
 class _OracleNode:
@@ -86,7 +96,7 @@ def _pick(nodes: list[_OracleNode], event: TraceEvent,
 
 
 def _oracle_variant(trace: Sequence[TraceEvent], profile: VariantProfile,
-                    config: SimConfig) -> SimStats:
+                    config: SimConfig) -> OracleResult:
     rng = random.Random(config.seed)
     cap = profile.per_node_instance_cap
     nodes = [_OracleNode(i, config.slots, config.cache_size)
@@ -156,11 +166,11 @@ def _oracle_variant(trace: Sequence[TraceEvent], profile: VariantProfile,
         t += 1
 
     outcomes.sort(key=lambda o: o.invocation_id)
-    return SimStats.from_outcomes(profile.name, outcomes, float(makespan))
+    return OracleResult(profile.name, outcomes, float(makespan))
 
 
 def oracle_simulate(trace: Sequence[TraceEvent],
-                    config: SimConfig) -> dict[str, SimStats]:
+                    config: SimConfig) -> dict[str, OracleResult]:
     """Time-stepped reference results for every configured variant.
 
     Restricted to small traces (<= 1000 invocations); times are quantized

@@ -6,7 +6,8 @@ with arrival/duration as finite decimals in milliseconds, arrivals
 non-negative and durations positive.  In memory a trace is a
 :class:`Trace` of five numpy columns.  Row views and CSV writers read the
 columns through :func:`chunked_rows`, ``ROW_CHUNK`` rows at a time, so
-no whole column ever exists as Python objects.
+no whole column ever exists as Python objects; :func:`derived_rows` does
+the same for columns computed per chunk.
 
 The synthetic generator stands in for production traces: Zipf-distributed
 function popularity, Poisson arrivals, log-normal durations clipped to
@@ -45,9 +46,18 @@ def chunked_rows(make: Callable, columns: Sequence[np.ndarray],
     time, and a chunk is dropped before the next is built."""
     if stop is None:
         stop = len(columns[0])
+    return derived_rows(make, lambda lo, hi: [c[lo:hi] for c in columns],
+                        start, stop)
+
+
+def derived_rows(make: Callable, columns_of: Callable, start: int,
+                 stop: int) -> Iterator:
+    """``make(*values)`` for each of rows ``start:stop``, where
+    ``columns_of(lo, hi)`` gives the numpy columns of rows ``lo:hi``; it is
+    called once per chunk of ``ROW_CHUNK`` rows."""
     for lo in range(start, stop, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, stop)
-        yield from map(make, *[c[lo:hi].tolist() for c in columns])
+        columns = columns_of(lo, min(lo + ROW_CHUNK, stop))
+        yield from map(make, *[c.tolist() for c in columns])
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,14 +198,16 @@ _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 def load_trace(path) -> Trace:
     """Parse and validate a trace CSV; rows sorted by (arrival, id).
 
-    Each row is checked as it is read, and a failure names its line: a
-    malformed field, a non-finite time, an id outside 64 bits or a
-    duplicate id is a ``ParseError``; a negative arrival or a non-positive
-    duration an ``InvariantError``.
+    A failure names the first bad line: a malformed field, a non-finite
+    time, an id outside 64 bits or a duplicate id is a ``ParseError``; a
+    negative arrival or a non-positive duration an ``InvariantError``.
+    Duplicate ids are looked for on the id column, once parsing ends or
+    when a line fails for another reason; a line whose id repeats an
+    earlier one fails before its times are checked.
     """
-    ids, apps, fns = array("q"), array("q"), array("q")
-    arrivals, durations = array("d"), array("d")
-    seen: set[int] = set()
+    columns = ids, apps, fns, arrivals, durations = (
+        array("q"), array("q"), array("q"), array("d"), array("d"))
+    blank_lines = array("q")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -208,44 +220,67 @@ def load_trace(path) -> Trace:
             raise ParseError(f"{path}: empty file") from None
         if header != TRACE_HEADER:
             raise ParseError(f"{path}:1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 columns")
-            try:
-                inv, app, fn = int(row[0]), int(row[1]), int(row[2])
-                arrival, duration = float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(arrival) and math.isfinite(duration)):
-                raise ParseError(f"{path}:{lineno}: non-finite time")
-            if not (_INT64_MIN <= inv <= _INT64_MAX
-                    and _INT64_MIN <= app <= _INT64_MAX
-                    and _INT64_MIN <= fn <= _INT64_MAX):
-                raise ParseError(f"{path}:{lineno}: id outside 64 bits")
-            if inv in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate invocation_id {inv}")
-            seen.add(inv)
-            if arrival < 0:
-                raise InvariantError(
-                    f"{path}:{lineno}: invocation {inv}: negative arrival")
-            if duration <= 0:
-                raise InvariantError(f"{path}:{lineno}: invocation {inv}: "
-                                     "duration must be positive")
-            ids.append(inv)
-            apps.append(app)
-            fns.append(fn)
-            arrivals.append(arrival)
-            durations.append(duration)
-    id_col = np.frombuffer(ids, dtype=np.int64)
-    arrival_col = np.frombuffer(arrivals, dtype=np.float64)
-    order = np.lexsort((id_col, arrival_col))
-    return Trace(id_col[order], np.frombuffer(apps, dtype=np.int64)[order],
-                 np.frombuffer(fns, dtype=np.int64)[order],
-                 arrival_col[order],
-                 np.frombuffer(durations, dtype=np.float64)[order])
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    blank_lines.append(lineno)
+                    continue
+                if len(row) != 5:
+                    raise ParseError(f"{path}:{lineno}: expected 5 columns")
+                try:
+                    inv, app, fn = int(row[0]), int(row[1]), int(row[2])
+                    arrival, duration = float(row[3]), float(row[4])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                if not (math.isfinite(arrival) and math.isfinite(duration)):
+                    raise ParseError(f"{path}:{lineno}: non-finite time")
+                if not (_INT64_MIN <= inv <= _INT64_MAX
+                        and _INT64_MIN <= app <= _INT64_MAX
+                        and _INT64_MIN <= fn <= _INT64_MAX):
+                    raise ParseError(f"{path}:{lineno}: id outside 64 bits")
+                ids.append(inv)
+                apps.append(app)
+                fns.append(fn)
+                arrivals.append(arrival)
+                durations.append(duration)
+                if arrival < 0:
+                    raise InvariantError(f"{path}:{lineno}: invocation {inv}: "
+                                         "negative arrival")
+                if duration <= 0:
+                    raise InvariantError(f"{path}:{lineno}: invocation {inv}: "
+                                         "duration must be positive")
+        except (ParseError, InvariantError):
+            _refuse_duplicate(path, ids, blank_lines)
+            raise
+    _refuse_duplicate(path, ids, blank_lines)
+    del ids, apps, fns, arrivals, durations
+    order = np.lexsort((np.frombuffer(columns[0], dtype=np.int64),
+                        np.frombuffer(columns[3], dtype=np.float64)))
+    # Each typed column is dropped as soon as its sorted copy exists.
+    columns = list(columns)
+    for i, column in enumerate(columns):
+        columns[i] = np.frombuffer(column, dtype=column.typecode)[order]
+    del column
+    return Trace(*columns)
+
+
+def _refuse_duplicate(path, ids: array, blank_lines: array) -> None:
+    """Raise for the first row, in file order, whose id repeats an earlier
+    row's; ``blank_lines`` are the skipped lines, in order."""
+    column = np.frombuffer(ids, dtype=np.int64)
+    by_id = np.argsort(column, kind="stable")
+    ordered = column[by_id]
+    repeats = by_id[1:][ordered[1:] == ordered[:-1]]
+    if not repeats.size:
+        return
+    row = int(repeats.min())
+    lineno = row + 2
+    for blank in blank_lines:
+        if blank > lineno:
+            break
+        lineno += 1
+    raise ParseError(
+        f"{path}:{lineno}: duplicate invocation_id {ids[row]}") from None
 
 
 def write_trace(trace: Trace | Iterable[TraceEvent], path) -> None:

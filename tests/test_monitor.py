@@ -493,6 +493,27 @@ class TestInvocation:
         assert rig.user.decrypt_response(
             request, result.output_ciphertext) == b"small"
 
+    def test_object_quota_leaves_out_the_output_being_superseded(self):
+        # The newest output counted against the quota while its successor
+        # was created, so a one-object quota refused every second run.
+        rig = make_rig(quota_objects=1, quota_bytes=4096)
+        m = rig.monitor
+        fn = rig.functions[0]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        for payload in (b"one", b"two", b"three"):
+            request = rig.user.make_request(fn.digest(), payload)
+            result = m.invoke_trustlet(t.handle, request.ciphertext)
+            assert rig.user.decrypt_response(
+                request, result.output_ciphertext) == payload
+        newest = m._proc(t.handle).output_obj
+        assert list(m.objects.objects) == [newest]
+        # A refused create leaves the output it would supersede in place.
+        big = rig.user.make_request(fn.digest(), b"x" * 5000)
+        with pytest.raises(QuotaExceeded):
+            m.invoke_trustlet(t.handle, big.ciphertext)
+        assert m._proc(t.handle).output_obj == newest
+        assert m.objects.read_monitor(newest) == b"three"
+
     def test_staging_out_of_memory_after_a_recreation(self):
         rig = make_rig(prealloc=0, pool_frames=20000)
         m = rig.monitor

@@ -447,6 +447,74 @@ class TestColumns:
             tier.value: sum(o.boot_type is tier for o in rows)
             for tier in BootType}
 
+    def test_columns_are_read_only(self, trace):
+        stats = simulate(trace, SimConfig(**self.CONFIG))["VM"]
+        for name in ("invocation_id", "node_id", "boot_code", "start_ms"):
+            with pytest.raises(ValueError):
+                getattr(stats, name)[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(stats, name, None)
+        assert trace.invocation_id.flags.writeable
+
+    def test_ids_out_of_position_order_read_by_id(self, tmp_path):
+        # load_trace sorts by arrival, so shuffled ids leave the trace's
+        # positions out of id order and the rows need a permutation.
+        rng = random.Random(5)
+        ids = list(range(300))
+        rng.shuffle(ids)
+        events = [ev(i, rng.randrange(3), rng.randrange(8),
+                     rng.randint(0, 4000), rng.randint(1, 300))
+                  for i in ids]
+        path = tmp_path / "shuffled.csv"
+        write_trace(sorted(events,
+                           key=lambda e: (e.arrival_ms, e.invocation_id)),
+                    path)
+        trace = load_trace(path)
+        assert (np.diff(trace.invocation_id) < 0).any()
+        profiles = {"Wallet": wallet_profile(), "CVM": cvm_profile(cap=3)}
+        config = SimConfig(nodes=3, slots=2, cache_size=2,
+                           profiles=profiles, seed=0)
+        engine = simulate(trace, config)
+        oracle = oracle_simulate(list(trace), config)
+        fields = attrgetter("invocation_id", "node_id", "boot_type",
+                            "delay_ms")
+        for name, stats in engine.items():
+            rows = list(stats.outcomes)
+            assert [fields(o) for o in rows] == \
+                [fields(o) for o in oracle[name].outcomes]
+            assert stats.invocation_id.tolist() == list(range(300))
+            for column in ("node_id", "delay_ms", "slowdown", "start_ms",
+                           "finish_ms"):
+                assert getattr(stats, column).tolist() == \
+                    [getattr(o, column) for o in rows], column
+            delays = sorted(o.delay_ms for o in rows)
+            slowdowns = sorted(o.slowdown for o in rows)
+            row = stats.to_row()
+            assert row["p99_delay_ms"] == nearest_rank(delays, 0.99)
+            assert row["p50_slowdown"] == nearest_rank(slowdowns, 0.5)
+            assert stats.boot_counts() == {
+                tier.value: sum(o.boot_type is tier for o in rows)
+                for tier in BootType}
+
+    def test_mid_run_stats_stay_a_snapshot(self, trace):
+        config = SimConfig(**self.CONFIG)
+        profile = config.profiles["CVM"]
+        run = make_run(trace, profile, config)
+        for _ in range(len(trace)):
+            advance(run)
+        snapshot = run.stats()
+        rows, row = list(snapshot.outcomes), snapshot.to_row()
+        assert 0 < len(rows) < len(trace)
+        while advance(run):
+            pass
+        assert len(snapshot) == len(rows)
+        assert list(snapshot.outcomes) == rows
+        assert snapshot.to_row() == row
+        assert sum(snapshot.boot_counts().values()) == len(rows)
+        whole = simulate(trace, dataclasses.replace(
+            config, profiles={"CVM": profile}))["CVM"]
+        assert run.stats().outcomes == whole.outcomes
+
     def test_non_finite_event_times_refused(self):
         config = SimConfig(nodes=1, slots=1, cache_size=2,
                            profiles={"CVM": cvm_profile(cold=0.0)}, seed=0)
@@ -480,8 +548,28 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
         assert np.array_equal(delays, stats.delay_ms)
-        assert simulate_peak / n < 200, f"{simulate_peak / n:.0f} B/inv"
+        assert simulate_peak / n < 100, f"{simulate_peak / n:.0f} B/inv"
         assert view_peak < 2_000_000, f"{view_peak / 1e6:.2f} MB"
+
+    def test_three_variants_stats_retained(self):
+        # Each SimStats keeps node, boot code, start and boot: 25 B per
+        # invocation.  With seven stored columns each, three held 152 B.
+        trace = generate_trace(GeneratorSpec(
+            n_functions=4000, n_apps=200, duration_minutes=0.5,
+            arrival_rate_per_s=600.0, seed=7))
+        profiles = default_profiles()
+        tracemalloc.start()
+        try:
+            held = [simulate(trace, SimConfig(
+                nodes=100, slots=32, cache_size=32, seed=7,
+                profiles={name: profiles[name]}))[name]
+                for name in ("Wallet", "VM", "CVM")]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(len(stats) == len(trace) for stats in held)
+        assert retained / len(trace) < 90, \
+            f"{retained / len(trace):.0f} B/inv"
 
 
 class TestPinnedOutputs:

@@ -546,14 +546,20 @@ class TightMonitorMachine(MonitorMachine):
 
     @precondition(lambda self: self._adjacent_pairs())
     @rule(data=st.data(), u=users, payload=payloads)
-    def rerun_a_producer(self, data, u, payload):
-        """Run a producer three times while its chain object may still wait
-        at the consumer: with that object and its newest output, a run
-        needs a third object, over the quota."""
+    def fan_out_a_producer(self, data, u, payload):
+        """Hand a producer's output to each consumer it may link to, a
+        second consumer created if there is room, then run it once more:
+        with two chain objects still waiting at consumers, that run needs
+        a third object, over the quota."""
         producer, consumer = data.draw(st.sampled_from(self._adjacent_pairs()))
-        self._link(producer, consumer)
-        for _ in range(3):
-            self._invoke(producer, u, payload)
+        if (sum(p == producer for p, _ in self._adjacent_pairs()) < 2
+                and len(self.trustlets) < MAX_TRUSTLETS):
+            self.create_trustlet(self.trustlets[consumer])
+        for p, consumer in self._adjacent_pairs():
+            if p == producer:
+                self._link(producer, consumer)
+                self._invoke(producer, u, payload)
+        self._invoke(producer, u, payload)
 
 
 TestTightMonitorModel = TightMonitorMachine.TestCase

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,59 @@ class TestLoadTrace:
         ])
         with pytest.raises(ParseError, match="duplicate"):
             load_trace(path)
+
+    def test_duplicate_before_a_malformed_line_is_reported(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "4,0,0,1.0,1.0",
+            "",
+            "4,0,1,2.0,1.0",
+            "x,y,z,a,b",
+            "5,0,0,-1.0,1.0",
+        ])
+        with pytest.raises(ParseError,
+                           match=r":4: duplicate invocation_id 4$"):
+            load_trace(path)
+
+    def test_malformed_line_before_a_duplicate_is_reported(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "4,0,0,1.0,1.0",
+            "x,y,z,a,b",
+            "4,0,1,2.0,1.0",
+        ])
+        with pytest.raises(ParseError, match=r":3: invalid literal"):
+            load_trace(path)
+
+    def test_duplicate_id_fails_before_its_times_are_checked(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [
+            "invocation_id,app_id,function_id,arrival_ms,duration_ms",
+            "7,0,0,1.0,1.0",
+            "8,0,0,1.0,1.0",
+            "7,0,1,-2.0,1.0",
+        ])
+        with pytest.raises(ParseError, match=r":4: duplicate"):
+            load_trace(path)
+
+    def test_peak_memory_per_invocation(self, tmp_path):
+        # A per-id set for the duplicate check made the peak about 150 B
+        # per invocation; the returned trace keeps 40.
+        trace = generate_trace(GeneratorSpec(
+            n_functions=4000, n_apps=200, duration_minutes=0.5,
+            arrival_rate_per_s=600.0, seed=7))
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        tracemalloc.start()
+        try:
+            loaded = load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == trace
+        assert peak / len(trace) < 80, f"{peak / len(trace):.0f} B/inv"
 
     def test_unsorted_input_is_stably_sorted(self, tmp_path):
         path = tmp_path / "t.csv"
