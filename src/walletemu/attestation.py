@@ -61,6 +61,9 @@ class MeasurementCache:
         self.hits = 0
         self.misses = 0
         self.bytes_hashed = 0
+        # The content measure_transient last hashed, and its digest.
+        self._last: object = None
+        self._last_digest = b""
 
     def measure(self, kind: SubjectKind, content_id: str, content: bytes,
                 model: CostModel) -> tuple[bytes, int]:
@@ -96,10 +99,19 @@ class MeasurementCache:
 
     def measure_transient(self, content: bytes,
                           model: CostModel) -> tuple[bytes, int]:
-        """Measure mutable content (input/output); never served from cache."""
+        """Measure mutable content (input/output); never served from cache.
+
+        The charge and the bytes counted are those of a full hash every
+        time, but the host hashes one ``bytes`` object only once in a row:
+        an object hands its reader the writer's own bytes, so a chain hop's
+        input is the object its producer's output was, and an identity
+        function's output is its input.
+        """
         self.misses += 1
         self.bytes_hashed += len(content)
-        return sha512(content), model.hash_us(len(content))
+        if content is not self._last or type(content) is not bytes:
+            self._last, self._last_digest = content, sha512(content)
+        return self._last_digest, model.hash_us(len(content))
 
 
 # -- simulated platform root of trust ------------------------------------------

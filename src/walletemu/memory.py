@@ -8,15 +8,19 @@ accumulator; nothing here touches the wall clock, so all timing assertions
 are deterministic.
 
 Per-frame facts are typed columns in ``FrameStore`` (``array.array``,
-``bytearray`` and a list), which the run operations of an invocation index
-frame by frame without numpy's per-call cost; a page table is two
-plain lists, frame id and grants code per vpn, and a copy-on-write view
-reads its sealed base's lists until it first changes a base vpn.  Tables
-map, unmap, check and move data a run of pages at a time.  Frame contents
-are real bytes, so that measurement digests are genuine, yet a multi-GiB
-pool stays cheap to reserve: every page is a slice of an immutable
-``bytes`` that two more ``FrameStore`` columns name, and a page never
-written reads as zeros.
+``bytearray`` and a list); a page table is two plain lists, frame id and
+grants code per vpn, and a copy-on-write view reads its sealed base's
+lists until it first changes a base vpn.  The unit that the store, the
+tables and the pool pass around is a *run* of consecutive frame ids,
+``(lo, hi)``: the pool hands frames out and takes them back as runs, a
+table maps a list of runs at one range of vpns and checks a range of
+vpns with list slices, and the store counts references and moves bytes
+a run at a time with slice assignments and C-level scans.  An operation
+on n pages in r runs so takes O(r) Python steps, and a one-page run no
+numpy call.  Frame contents are real bytes, so that measurement digests
+are genuine, yet a multi-GiB pool stays cheap to reserve: every page is
+a slice of an immutable ``bytes`` that two more ``FrameStore`` columns
+name, and a page never written reads as zeros.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from itertools import chain, compress, repeat, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,6 +55,53 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 def pages_for(nbytes: int) -> int:
     """Number of 4 KiB pages needed to hold nbytes."""
     return max(0, math.ceil(nbytes / PAGE_SIZE))
+
+
+# A run of frames: the ids lo, lo + 1, ..., hi - 1, as the pair (lo, hi).
+Run = tuple[int, int]
+
+
+def runs_of(fids: Sequence[int]) -> list[Run]:
+    """fids as runs of consecutive ascending ids, in fids' order; a frame
+    that fids holds twice is in two runs.  A list that is one run, the
+    usual case, is found with one C-level comparison."""
+    if type(fids) is range and fids.step == 1:
+        return [(fids.start, fids.stop)] if fids else []
+    if type(fids) is not list:
+        fids = (fids.tolist() if isinstance(fids, (array, np.ndarray))
+                else list(fids))
+    n = len(fids)
+    if not n:
+        return []
+    lo = last = fids[0]
+    if n == 1 or last + n - 1 == fids[-1] and fids == list(range(lo, lo + n)):
+        return [(lo, lo + n)]
+    runs = []
+    for fid in itertools.islice(fids, 1, None):
+        if fid != last + 1:
+            runs.append((lo, last + 1))
+            lo = fid
+        last = fid
+    runs.append((lo, last + 1))
+    return runs
+
+
+def frames_of(runs: Sequence[Run]) -> list[int]:
+    """The frame ids of runs, in order."""
+    return list(chain.from_iterable(starmap(range, runs)))
+
+
+def _zero(seg: array) -> bool:
+    """Whether every item of a typed slice is zero: a C-level byte count,
+    where ``any`` makes a Python int of each item."""
+    raw = seg.tobytes()
+    return raw.count(0) == len(raw)
+
+
+def _n_frames(runs: Sequence[Run]) -> int:
+    if len(runs) == 1:
+        return runs[0][1] - runs[0][0]
+    return sum(hi - lo for lo, hi in runs)
 
 
 class PrivilegeLevel(IntEnum):
@@ -169,16 +221,26 @@ class FrameStore:
     """Owns every frame: its facts, its bytes and the copy counter.
 
     Each per-frame fact is a column indexed by frame id, grown by
-    ``reserve``: reference count, base id and offset (``array.array``),
-    validated and base-grants-PL1 flags (``bytearray``), owner level
-    (signed bytes: ``FREE`` while in a pool, ``NO_OWNER`` for none), and
-    the immutable ``bytes`` holding the frame's page (a list; ``None``
-    reads as zeros).  Python indexes these at list speed, so a run
-    operation loops over its frames and pays no per-call numpy cost; the
-    few whole-column computations read them through ``np.frombuffer``
-    views made and dropped within one call.  Pages are never changed in
-    place: a write points the frame at new bytes, a copy points two frames
-    at the same ones, and a buffer lives while any frame refers to it.
+    ``reserve``: reference count, base id and relative offset
+    (``array.array``), validated and base-grants-PL1 flags
+    (``bytearray``), owner level (signed bytes: ``FREE`` while in a pool,
+    ``NO_OWNER`` for none), and the immutable ``bytes`` holding the
+    frame's page (a list; ``None`` reads as zeros).  A frame's page starts
+    at its relative offset plus ``fid * PAGE_SIZE`` in those bytes, so the
+    frames of a run written from one buffer hold one offset value.
+
+    The unit of work is a *run*, frame ids ``lo..hi-1`` as the pair
+    ``(lo, hi)``: the run calls (``claim``, ``take_back``,
+    ``incref_runs``, ``decref_runs``, ``any_shared``, ``read_runs``,
+    ``write_runs``) take a list of runs and touch each with slice reads,
+    slice assignments and C-level scans, so their Python steps grow with
+    the runs, not the frames, and no numpy call is made.  The
+    ``*_range`` and ``bulk_*`` forms take frame ids and split them into
+    runs with ``runs_of``.  The few whole-column computations read the
+    columns through ``np.frombuffer`` views made and dropped within one
+    call.  Pages are never changed in place: a write points the frame at
+    new bytes, a copy points two frames at the same ones, and a buffer
+    lives while any frame refers to it.
 
     A frame's reference count is the number of page-table entries, CoW view
     entries included, that map it, in two parts.  Explicit counts move with
@@ -203,7 +265,8 @@ class FrameStore:
         self._owner = array("b", [FREE]) * 1024
         self._base_pl1 = bytearray(1024)  # its base grants PL1
         self._src: list[Optional[bytes]] = [None] * 1024
-        self._off = array("q", [0]) * 1024
+        # The page's offset in _src's bytes, less fid * PAGE_SIZE.
+        self._rel = array("q", [0]) * 1024
         # Per base id: live view count, registered frame count and how many
         # of those its table grants PL1 access.  Slot 0 stays zero so frames
         # of no base add nothing; the next base id is the lists' length.
@@ -229,7 +292,7 @@ class FrameStore:
             self._owner = _grown(self._owner, new_len, FREE)
             self._base_pl1 = _grown(self._base_pl1, new_len)
             self._src = _grown(self._src, new_len, None)
-            self._off = _grown(self._off, new_len)
+            self._rel = _grown(self._rel, new_len)
         if validated:
             self._validated[start : self._next_fid] = b"\1" * n
         return start, self._next_fid
@@ -250,17 +313,23 @@ class FrameStore:
                                    else owner_level] * n
         return fresh
 
-    def take_back(self, runs: Sequence[tuple[int, int]]) -> None:
+    def take_back(self, runs: Sequence[Run]) -> None:
         """Return disjoint runs of handed-out frames to the free state and
         drop their bytes: all of them, or, if a frame is free or still
         mapped, none, failing an assertion."""
         owner, ref, base_of = self._owner, self._ref, self._base_of
+        free_byte = _FILL[FREE].tobytes()
         for lo, hi in runs:
-            if FREE in owner[lo:hi]:
+            if hi - lo == 1:
+                free, mapped = owner[lo] == FREE, ref[lo] or base_of[lo]
+            else:
+                free = free_byte in owner[lo:hi].tobytes()
+                mapped = not (_zero(ref[lo:hi]) and _zero(base_of[lo:hi]))
+            if free:
                 raise AssertionError("frame released while free")
             # A frame with explicit references is mapped, and so is one of
             # a base, which its sealed table maps.
-            if any(ref[lo:hi]) or any(base_of[lo:hi]):
+            if mapped:
                 raise AssertionError("frame released while mapped")
         src, free = self._src, _FILL[FREE]
         for lo, hi in runs:
@@ -272,6 +341,16 @@ class FrameStore:
 
     def owners_of(self, fids: Sequence[int]) -> np.ndarray:
         return np.frombuffer(self._owner, dtype=np.int8)[fids]
+
+    def held_frame(self, runs: Sequence[Run]) -> Optional[int]:
+        """The first frame of runs that PL0 or PL1 owns, or None."""
+        for lo, hi in runs:
+            owners = self._owner[lo:hi]
+            at = [owners.index(level) for level in (PL0, PL1)
+                  if level in owners]
+            if at:
+                return lo + min(at)
+        return None
 
     # -- shared bases --
 
@@ -321,37 +400,94 @@ class FrameStore:
         return self._ref[fid] + self._views[self._base_of[fid]]
 
     def bulk_incref(self, fids: Sequence[int]) -> None:
-        ref = self._ref
-        for fid in fids:
-            ref[fid] += 1
-        self._ref_sum += len(fids)
-        if any(map(self._base_of.__getitem__, fids)):
-            self._note_odd(fids)
+        self.incref_runs(runs_of(fids))
 
     def bulk_decref(self, fids: Sequence[int]) -> list[int]:
         """Drop one reference per entry of fids; returns the frames this
         left unmapped, distinct and in ascending order."""
-        ref, base_of, views = self._ref, self._base_of, self._views
-        for fid in fids:
-            ref[fid] -= 1
-        self._ref_sum -= len(fids)
-        freed = []
-        for fid in fids:
-            count = ref[fid] + views[base_of[fid]]
-            if count <= 0:
-                if count:
-                    raise AssertionError(f"ref underflow on frames {list(fids)}")
-                freed.append(fid)
-        if any(map(base_of.__getitem__, fids)):
-            self._note_odd(fids)
-        # A frame that fids holds twice is in freed twice.
-        return sorted(set(freed)) if len(freed) > 1 else freed
+        return self.decref_runs(runs_of(fids))
 
-    def _note_odd(self, fids: Iterable[int]) -> None:
-        """Bring the odd sets of fids' bases up to date after a change to
-        fids' explicit counts."""
+    def incref_runs(self, runs: Sequence[Run]) -> None:
+        self._add(runs, 1)
+
+    def decref_runs(self, runs: Sequence[Run]) -> list[int]:
+        """Drop one reference per frame of each run; returns the frames
+        this left unmapped, distinct and in ascending order."""
+        self._add(runs, -1)
+        ref, base_of, views = self._ref, self._base_of, self._views
+        freed: list[int] = []
+        for lo, hi in runs:
+            if hi - lo == 1:
+                count = ref[lo] + views[base_of[lo]]
+                if count <= 0:
+                    if count:
+                        raise AssertionError(f"ref underflow on frame {lo}")
+                    freed.append(lo)
+                continue
+            counts = self._counts(lo, hi)
+            zeros = counts.count(0)
+            if zeros == hi - lo:
+                freed += range(lo, hi)
+                continue
+            if min(counts) < 0:
+                raise AssertionError(f"ref underflow on frames {lo}..{hi - 1}")
+            if zeros:
+                freed += compress(range(lo, hi), map(operator.not_, counts))
+        # Runs out of id order, or a frame that two runs hold, need sorting.
+        return sorted(set(freed)) if len(runs) > 1 and freed else freed
+
+    def _add(self, runs: Sequence[Run], delta: int) -> None:
+        """Add delta to the explicit count of each frame of each run, then
+        bring the odd sets of the runs that hold base frames up to date."""
+        ref, base_of = self._ref, self._base_of
+        total, based = 0, []
+        for lo, hi in runs:
+            n = hi - lo
+            total += n
+            if n == 1:
+                ref[lo] += delta
+                if base_of[lo]:
+                    based.append((lo, hi))
+                continue
+            seg = ref[lo:hi]
+            unit = seg[:1]
+            if seg == unit * n:  # the usual case: one count for the whole run
+                unit[0] += delta
+                ref[lo:hi] = unit * n
+            else:
+                ref[lo:hi] = array("q", map(operator.add, seg, repeat(delta)))
+            if not _zero(base_of[lo:hi]):
+                based.append((lo, hi))
+        self._ref_sum += delta * total
+        if based:
+            self._note_odd(based)
+
+    def _counts(self, lo: int, hi: int) -> array:
+        """The reference counts of the run lo..hi-1."""
+        seg, bases = self._ref[lo:hi], self._base_of[lo:hi]
+        if _zero(bases):
+            return seg
+        return array("q", map(operator.add, seg,
+                              map(self._views.__getitem__, bases)))
+
+    def any_shared(self, runs: Sequence[Run]) -> bool:
+        """Whether a frame of runs, each of them mapped, has a reference
+        count above one."""
+        for lo, hi in runs:
+            if hi - lo == 1:
+                if self.ref(lo) > 1:
+                    return True
+                continue
+            counts = self._counts(lo, hi)
+            if counts.count(1) != hi - lo and max(counts) > 1:
+                return True
+        return False
+
+    def _note_odd(self, runs: Iterable[Run]) -> None:
+        """Bring the odd sets of the runs' bases up to date after a change
+        to the runs' explicit counts."""
         ref, base_of, odd = self._ref, self._base_of, self._odd
-        for fid in fids:
+        for fid in chain.from_iterable(starmap(range, runs)):
             base = base_of[fid]
             if not base:
                 continue
@@ -413,64 +549,167 @@ class FrameStore:
         src = self._src[fid]
         if src is None:
             return _ZERO_PAGE
-        off = self._off[fid]
-        return memoryview(src)[off : off + PAGE_SIZE]
+        off = self._rel[fid] + fid * PAGE_SIZE
+        page = memoryview(src)[off : off + PAGE_SIZE]
+        if len(page) < PAGE_SIZE:  # a buffer's last page: zeros past its end
+            return bytes(page) + bytes(PAGE_SIZE - len(page))
+        return page
+
+    def _in_range(self, runs: Sequence[Run]) -> None:
+        for lo, hi in runs:
+            if lo < 0 or hi > self._next_fid:
+                raise KeyError(f"unknown frame in {lo}..{hi - 1}")
+
+    def _view(self, fid: int, chunk: bytes, at: int) -> None:
+        """Point fid's page at chunk from offset at."""
+        self._src[fid] = chunk
+        self._rel[fid] = at - fid * PAGE_SIZE
 
     def write_bytes(self, fid: int, offset: int, data: bytes) -> None:
         page = self._page(fid)
-        self._src[fid] = b"".join(
-            (page[:offset], data, page[offset + len(data) :]))
-        self._off[fid] = 0
+        self._view(fid, b"".join(
+            (page[:offset], data, page[offset + len(data) :])), 0)
 
     def write_range(self, fids: Sequence[int], *chunks: bytes) -> None:
-        """Write the chunks end to end across fids, one page per frame from
-        its start; a single buffer is one chunk.
+        self.write_runs(runs_of(fids), *chunks)
+
+    def write_runs(self, runs: Sequence[Run], *chunks: bytes) -> None:
+        """Write the chunks end to end across the runs' frames, one page
+        per frame from its start; a single buffer is one chunk.
 
         A ``bytes`` chunk is referred to as it is, and any other chunk,
-        which its owner may change later, is first copied into one.  A
-        page that straddles two chunks is joined into new bytes, and so is
-        a partial last page, which keeps the bytes past the data.
+        which its owner may change later, is first copied into one.  The
+        full pages a chunk fills in a run take one slice assignment per
+        column.  A partial last page keeps the bytes past the data: a page
+        never written, all zeros, refers to the chunk's last bytes, which
+        read as the chunk's end and zeros; any other is joined into new
+        bytes, as is a page that straddles two chunks.
         """
         size = sum(map(len, chunks))
-        if size > len(fids) * PAGE_SIZE:
+        if size > _n_frames(runs) * PAGE_SIZE:
             raise ValueError("data exceeds the frames' capacity")
-        if size and (min(fids) < 0 or max(fids) >= self._next_fid):
-            raise KeyError(f"unknown frame in {min(fids)}..{max(fids)}")
-        src, off = self._src, self._off
-        i, head = 0, []  # the next page's index in fids; its pieces so far
+        if not size:
+            return
+        self._in_range(runs)
+        src, rel = self._src, self._rel
+        if size < PAGE_SIZE and len(chunks) == 1:  # part of one page
+            fid, chunk = runs[0][0], chunks[0]
+            if src[fid] is None:
+                self._view(fid, bytes(chunk) if type(chunk) is not bytes
+                           else chunk, 0)
+            else:
+                self.write_bytes(fid, 0, chunk)
+            return
+        left = iter(runs)
+        lo = hi = 0  # the frames of the current run not yet written
+        head = []  # the pieces so far of the page straddling chunks
         for chunk in chunks:
+            if not chunk:
+                continue
             if type(chunk) is not bytes:
                 chunk = bytes(chunk)
-            start = 0
-            if head:  # the page straddling the chunks before this one
-                start = PAGE_SIZE - sum(map(len, head))
-                head.append(memoryview(chunk)[:start])
-                if len(chunk) < start:
+            at = 0
+            if head:
+                at = PAGE_SIZE - sum(map(len, head))
+                head.append(memoryview(chunk)[:at])
+                if len(chunk) < at:
                     continue
-                self.write_bytes(fids[i], 0, b"".join(head))
-                i, head = i + 1, []
-            full = (len(chunk) - start) // PAGE_SIZE
-            end = start + full * PAGE_SIZE
-            for fid, at in zip(fids[i : i + full], range(start, end, PAGE_SIZE)):
-                src[fid] = chunk
-                off[fid] = at
-            i += full
-            if end < len(chunk):
-                head = [memoryview(chunk)[end:]]
+                while lo == hi:
+                    lo, hi = next(left)
+                self.write_bytes(lo, 0, b"".join(head))
+                lo, head = lo + 1, []
+            full = (len(chunk) - at) // PAGE_SIZE
+            while full:
+                while lo == hi:
+                    lo, hi = next(left)
+                n = min(full, hi - lo)
+                src[lo : lo + n] = [chunk] * n
+                unit = rel[:1]
+                unit[0] = at - lo * PAGE_SIZE
+                rel[lo : lo + n] = unit * n
+                lo, at, full = lo + n, at + n * PAGE_SIZE, full - n
+            if at < len(chunk):
+                head, tail = [memoryview(chunk)[at:]], (chunk, at)
         if head:
-            self.write_bytes(fids[i], 0, b"".join(head))
+            while lo == hi:
+                lo, hi = next(left)
+            if len(head) == 1 and src[lo] is None:
+                self._view(lo, *tail)
+            else:
+                self.write_bytes(lo, 0, b"".join(head))
 
     def read_bytes(self, fid: int) -> bytes:
         return bytes(self._page(fid))
 
     def read_range(self, fids: Sequence[int], nbytes: int) -> bytes:
-        """The first nbytes held by fids, one page per frame from its start."""
-        if nbytes > len(fids) * PAGE_SIZE:
+        return self.read_runs(runs_of(fids), nbytes)
+
+    def read_runs(self, runs: Sequence[Run], nbytes: int) -> bytes:
+        """The first nbytes held by the runs' frames, one page per frame
+        from its start.
+
+        A *stretch* is pages that continue one another's bytes: the same
+        source, each page just past the last (pages never written continue
+        one another as zeros).  Each stretch is read as one slice of its
+        source, and the source itself when it is exactly the data.  A run
+        that is one stretch is found with two C-level comparisons, and the
+        stretches of any other run with two C-level scans.
+        """
+        if nbytes > _n_frames(runs) * PAGE_SIZE:
             raise ValueError("nbytes exceeds the frames' capacity")
-        pages = [self._page(fid) for fid in fids[: pages_for(nbytes)]]
-        if nbytes % PAGE_SIZE:
-            pages[-1] = pages[-1][: nbytes % PAGE_SIZE]
-        return b"".join(pages)
+        src, rel = self._src, self._rel
+        if 0 < nbytes <= PAGE_SIZE:  # one page
+            fid = runs[0][0]
+            if not 0 <= fid < self._next_fid:
+                raise KeyError(f"unknown frame {fid}")
+            source, start = src[fid], rel[fid] + fid * PAGE_SIZE
+            if source is None:
+                return bytes(nbytes)
+            if start == 0 and len(source) == nbytes:
+                return source
+            return bytes(self._page(fid)[:nbytes])
+        pages = left = pages_for(nbytes)
+        pieces: list[list] = []  # [source, start, end] per stretch
+        for lo, hi in runs:
+            if not left:
+                break
+            n = min(hi - lo, left)
+            left -= n
+            if lo < 0 or lo + n > self._next_fid:
+                raise KeyError(f"unknown frame in {lo}..{lo + n - 1}")
+            srcs, rels = src[lo : lo + n], rel[lo : lo + n]
+            if srcs.count(srcs[0]) == n and (
+                    srcs[0] is None or rels == rels[:1] * n):
+                cuts = (0, n)
+            else:
+                cuts = sorted({0, n, *compress(range(1, n), map(
+                    operator.is_not, srcs[1:], srcs)), *compress(
+                        range(1, n), map(operator.ne, rels[1:], rels))})
+            for a, b in zip(cuts, cuts[1:]):
+                source, start = srcs[a], rels[a] + (lo + a) * PAGE_SIZE
+                last = pieces[-1] if pieces else None
+                if last and last[0] is source and (
+                        source is None or last[2] == start):
+                    last[2] += (b - a) * PAGE_SIZE
+                else:
+                    pieces.append([source, start,
+                                   start + (b - a) * PAGE_SIZE])
+        if not pieces:
+            return b""
+        pieces[-1][2] -= pages * PAGE_SIZE - nbytes
+        source, start, end = pieces[0]
+        if len(pieces) == 1 and source is not None and end <= len(source):
+            return source if start == 0 and end == len(source) \
+                else source[start:end]
+        parts = []
+        for source, start, end in pieces:
+            if source is None:
+                parts.append(bytes(end - start))
+                continue
+            parts.append(memoryview(source)[start:end])
+            if end > len(source):  # a buffer's last page: zeros past its end
+                parts.append(bytes(end - len(source)))
+        return b"".join(parts)
 
     def copy_frame(self, src_fids: int | Sequence[int],
                    dst_fids: int | Sequence[int]) -> None:
@@ -478,10 +717,10 @@ class FrameStore:
         same bytes, since a write gives its frame new ones."""
         if isinstance(dst_fids, int):
             src_fids, dst_fids = (src_fids,), (dst_fids,)
-        src, off = self._src, self._off
+        src, rel = self._src, self._rel
         for s, d in zip(src_fids, dst_fids):
             src[d] = src[s]
-            off[d] = off[s]
+            rel[d] = rel[s] + (s - d) * PAGE_SIZE
         self.copied_bytes_total += PAGE_SIZE * len(dst_fids)
 
 
@@ -537,9 +776,14 @@ class PageTable:
     store counts a base's views once (see ``FrameStore``); releasing a view
     that copied its base gives each base frame back its reference.
 
-    ``read_run`` and ``write_run`` check every page of a run first, then
-    make one ``FrameStore`` call; ``access`` is the one-page case.  A
-    sealed table refuses every mutation.
+    Frame runs are the unit a table takes and gives: ``map_runs`` maps a
+    list of runs at fresh consecutive vpns and returns them as a
+    ``range``, and a ``range`` of vpns within the own lists is unmapped,
+    re-granted and checked with list slices; the frames it holds go to the
+    store as runs (``runs_of``).  Other vpn sequences take the page by
+    page path.  ``read_run`` and ``write_run`` check every page of a run
+    first, then make one ``FrameStore`` call; ``access`` is the one-page
+    case.  A sealed table refuses every mutation.
     """
 
     def __init__(self, store: FrameStore, owner: int,
@@ -568,7 +812,19 @@ class PageTable:
             return self.base._slot(vpn)
         return -1, 0
 
+    def _span(self, vpns: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The slice i:j of the own lists that holds vpns, if vpns is a
+        ``range`` of consecutive vpns all within them; else None."""
+        if type(vpns) is range:
+            i, j = vpns.start - self._lo, vpns.stop - self._lo
+            if 0 <= i and j <= len(self._fid) and vpns.step == 1:
+                return i, j
+        return None
+
     def _slots(self, vpns: Sequence[int]) -> tuple[list[int], list[int]]:
+        span = self._span(vpns)
+        if span is not None:
+            return self._fid[span[0] : span[1]], self._perm[span[0] : span[1]]
         lo, fid, perm = self._lo, self._fid, self._perm
         if vpns and lo <= min(vpns) and max(vpns) < lo + len(fid):
             return [fid[v - lo] for v in vpns], [perm[v - lo] for v in vpns]
@@ -636,47 +892,60 @@ class PageTable:
     def map_page(self, vpn: int, frame_id: int, perms: PagePerms,
                  caller: PrivilegeLevel = PL0) -> None:
         """Install a mapping. Only the monitor manages page tables."""
-        self._map_run(vpn, [frame_id], perms, caller)
+        self._map_run(vpn, [(frame_id, frame_id + 1)], perms, caller)
 
     def map_range(self, fids: Sequence[int], perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> list[int]:
         """Map fids at fresh consecutive vpns, all with perms; returns the
         vpns."""
-        vpn = self._next_vpn
-        self._map_run(vpn, fids, perms, caller)
-        return list(range(vpn, vpn + len(fids)))
+        return list(self.map_runs(runs_of(fids), perms, caller))
 
-    def _map_run(self, vpn: int, fids: Sequence[int], perms: PagePerms,
-                 caller: PrivilegeLevel) -> None:
-        """Map fids at vpn, vpn + 1, ...: all of them, or, if any check
-        fails, none."""
+    def map_runs(self, runs: Sequence[Run], perms: PagePerms,
+                 caller: PrivilegeLevel = PL0) -> range:
+        """Map the runs' frames, in order, at fresh consecutive vpns, all
+        with perms; returns the vpns."""
+        vpn = self._next_vpn
+        return range(vpn, vpn + self._map_run(vpn, runs, perms, caller))
+
+    def _map_run(self, vpn: int, runs: Sequence[Run], perms: PagePerms,
+                 caller: PrivilegeLevel) -> int:
+        """Map the runs' frames at vpn, vpn + 1, ...: all of them, or, if
+        any check fails, none.  Returns how many were mapped."""
         self._require_mutable(caller, "map pages")
         code = _code(perms)
-        if vpn < 0 or len(fids) and (min(fids) < 0
-                                     or max(fids) >= self.store.n_frames()):
+        n, limit, bad = 0, self.store.n_frames(), vpn < 0
+        for lo, hi in runs:
+            bad = bad or lo < 0 or hi > limit
+            n += hi - lo
+        if bad:
             raise KeyError(f"vpn {vpn} or a frame is out of range")
         if code in _GUEST_CODES:
-            held = [fid for fid, owner in zip(fids, self.store.owners_of(fids))
-                    if owner in (PL0, PL1)]
-            if held:
-                raise PermissionDenied(f"frame {held[0]} is owned by PL0 or "
+            held = self.store.held_frame(runs)
+            if held is not None:
+                raise PermissionDenied(f"frame {held} is owned by PL0 or "
                                        "PL1 and cannot be exposed to the guest")
-        stop, end = vpn + len(fids), self._lo + len(self._fid)
+        stop, end = vpn + n, self._lo + len(self._fid)
         if vpn < end:
             taken = [v for v in range(vpn, min(stop, end)) if self._slot(v)[0] >= 0]
             if taken:
                 raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
         i = self._own(vpn)
-        j = i + len(fids)
-        if j > len(self._fid):
-            self._fid += [-1] * (j - len(self._fid))
-            self._perm += [0] * (j - len(self._perm))
-        self._fid[i:j] = fids
-        self._perm[i:j] = [code] * len(fids)
-        self.store.bulk_incref(fids)
-        self._n += len(fids)
+        fids = range(*runs[0]) if len(runs) == 1 else frames_of(runs)
+        if i == len(self._fid):  # the usual case: fresh vpns past the lists
+            self._fid += fids
+            self._perm += [code] * n
+        else:
+            j = i + n
+            if j > len(self._fid):
+                self._fid += [-1] * (j - len(self._fid))
+                self._perm += [0] * (j - len(self._perm))
+            self._fid[i:j] = fids
+            self._perm[i:j] = [code] * n
+        self.store.incref_runs(runs)
+        self._n += n
         if stop > self._next_vpn:
             self._next_vpn = stop
+        return n
 
     def unmap_range(self, vpns: Sequence[int],
                     caller: PrivilegeLevel = PL0) -> list[int]:
@@ -685,19 +954,30 @@ class PageTable:
         if not vpns:  # an empty run changes nothing, whoever asks
             return []
         self._require_mutable(caller, "unmap pages")
-        if len(set(vpns)) != len(vpns):
-            raise KeyError("a vpn is unmapped twice")
-        fids = self._mapped_or_refuse(vpns)
-        for vpn in vpns:
-            self._fid[vpn - self._lo] = -1
+        span = self._span(vpns)
+        if span is None:
+            if len(set(vpns)) != len(vpns):
+                raise KeyError("a vpn is unmapped twice")
+            fids = self._mapped_or_refuse(vpns)
+            for vpn in vpns:
+                self._fid[vpn - self._lo] = -1
+        else:
+            i, j = span
+            fids = self._fid[i:j]
+            self._refuse_unmapped(vpns, fids)
+            self._fid[i:j] = [-1] * (j - i)
         self._n -= len(vpns)
         return self.store.bulk_decref(fids)
+
+    @staticmethod
+    def _refuse_unmapped(vpns: Sequence[int], fids: list[int]) -> None:
+        if -1 in fids:
+            raise KeyError(f"vpn {vpns[fids.index(-1)]} not mapped")
 
     def _mapped_or_refuse(self, vpns: Sequence[int]) -> list[int]:
         """The frames at vpns; KeyError if one is not mapped."""
         fids, _ = self._slots(vpns)
-        if -1 in fids:
-            raise KeyError(f"vpn {vpns[fids.index(-1)]} not mapped")
+        self._refuse_unmapped(vpns, fids)
         if vpns:
             self._own(min(vpns))
         return fids
@@ -708,9 +988,15 @@ class PageTable:
         mapped, none."""
         self._require_mutable(caller, "change permissions")
         code = _code(perms)
-        self._mapped_or_refuse(vpns)
-        for vpn in vpns:
-            self._perm[vpn - self._lo] = code
+        span = self._span(vpns)
+        if span is None:
+            self._mapped_or_refuse(vpns)
+            for vpn in vpns:
+                self._perm[vpn - self._lo] = code
+        else:
+            i, j = span
+            self._refuse_unmapped(vpns, self._fid[i:j])
+            self._perm[i:j] = [code] * (j - i)
 
     def seal(self, caller: PrivilegeLevel = PL0) -> None:
         """Strip PL1 write everywhere and freeze the table for forking.
@@ -738,45 +1024,47 @@ class PageTable:
         """Read or write one page, checked as a page of a run is: returns
         page bytes for a read, None for a write, or the PageFault."""
         kind = AccessKind(kind)
-        fids = self._checked(level, [vpn], kind)
-        if isinstance(fids, PageFault):
-            return fids
+        runs = self._checked(level, [vpn], kind)
+        if isinstance(runs, PageFault):
+            return runs
+        fid = runs[0][0]
         if kind is AccessKind.READ:
-            return self.store.read_bytes(fids[0])
+            return self.store.read_bytes(fid)
         if data is None or len(data) > PAGE_SIZE:
             raise ValueError("a page write needs data of at most one page")
-        self.store.write_bytes(fids[0], 0, data)
+        self.store.write_bytes(fid, 0, data)
         return None
 
     def read_run(self, level: PrivilegeLevel, vpns: Sequence[int],
                  nbytes: int):
         """Read the first nbytes held by the pages at vpns, after checking
         every page: returns the bytes, or the first page's PageFault."""
-        fids = self._checked(level, vpns, AccessKind.READ)
-        return (fids if isinstance(fids, PageFault)
-                else self.store.read_range(fids, nbytes))
+        runs = self._checked(level, vpns, AccessKind.READ)
+        return (runs if isinstance(runs, PageFault)
+                else self.store.read_runs(runs, nbytes))
 
     def write_run(self, level: PrivilegeLevel, vpns: Sequence[int],
                   data: bytes) -> Optional[PageFault]:
         """Write data from the start of the pages at vpns, after checking
         every page: returns None, or the first page's PageFault having
         written nothing.  A write to a shared frame is a COW_FAULT."""
-        fids = self._checked(level, vpns, AccessKind.WRITE)
-        if isinstance(fids, PageFault):
-            return fids
-        self.store.write_range(fids, data)
+        runs = self._checked(level, vpns, AccessKind.WRITE)
+        if isinstance(runs, PageFault):
+            return runs
+        self.store.write_runs(runs, data)
         return None
 
     def _checked(self, level: PrivilegeLevel, vpns: Sequence[int],
                  kind: AccessKind):
-        """The frames at vpns if every page allows the access, else the
-        first failing page's fault."""
+        """The frames at vpns, as runs, if every page allows the access,
+        else the first failing page's fault."""
         write = kind is AccessKind.WRITE
         allowed = (_WRITABLE if write else _READABLE)[level]
         fids, codes = self._slots(vpns)
-        if -1 not in fids and allowed.issuperset(codes) and (
-                not write or max(map(self.store.ref, fids), default=0) <= 1):
-            return fids
+        if -1 not in fids and allowed.issuperset(codes):
+            runs = runs_of(fids)
+            if not write or not self.store.any_shared(runs):
+                return runs
         for vpn, fid, code in zip(vpns, fids, codes):
             if fid < 0:
                 return PageFault(FaultKind.NOT_MAPPED, vpn, level)
@@ -829,7 +1117,7 @@ class PageTable:
         live views is refused with ``BaseInUse``; release them first.
         """
         local = (self._sealed_fids if self.sealed
-                 else [fid for fid in self._fid if fid >= 0])
+                 else list(filter((-1).__lt__, self._fid)))  # fid >= 0
         if self._base_id is not None:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
@@ -850,16 +1138,18 @@ class MemoryPool:
     Free frames are id runs in a deque, taken from the front and given back
     at the end, where a run that starts at the last run's end joins it.
     Frames are so handed out in the order they became free, the rest of
-    the boot range first, and a take costs O(frames taken) however many
-    runs the list holds; that order decides which frames pay validation.
-    The store claims each run a take pops, and takes a release's runs back,
-    in one call each.  Host memory grows with the frame columns, and with
-    page bytes only as frames are written.
+    the boot range first; that order decides which frames pay validation.
+    Runs are also what the pool hands out and takes back: ``take_runs``
+    returns the runs it popped, each claimed in one store call, and
+    ``release_runs`` takes an object's runs as they are, so both cost
+    O(runs), however many frames the runs hold.  ``take`` and ``release``
+    are the same over frame ids.  Host memory grows with the frame
+    columns, and with page bytes only as frames are written.
     """
 
     def __init__(self, store: FrameStore):
         self.store = store
-        self._ranges: deque[tuple[int, int]] = deque()
+        self._ranges: deque[Run] = deque()
         self.free_count = 0
 
     def grow(self, n_frames: int, validated: bool) -> None:
@@ -872,9 +1162,15 @@ class MemoryPool:
              ) -> tuple[list[int], int]:
         """Claim n frames for owner_level; returns them and how many of
         them were not validated before."""
+        runs, fresh = self.take_runs(n, owner_level)
+        return frames_of(runs), fresh
+
+    def take_runs(self, n: int, owner_level: Optional[PrivilegeLevel] = None
+                  ) -> tuple[list[Run], int]:
+        """``take``, returning the frames as the runs they were taken in."""
         if n > self.free_count:
             raise OutOfMemory(f"requested {n} frames, {self.free_count} free")
-        out: list[int] = []
+        runs: list[Run] = []
         ranges, left, claim, fresh = self._ranges, n, self.store.claim, 0
         while left:
             lo, hi = ranges.popleft()
@@ -882,32 +1178,38 @@ class MemoryPool:
                 ranges.appendleft((lo + left, hi))
                 hi = lo + left
             fresh += claim(lo, hi, owner_level)
-            out += range(lo, hi)
+            runs.append((lo, hi))
             left -= hi - lo
         self.free_count -= n
-        return out, fresh
+        return runs, fresh
 
     def release(self, fids: Sequence[int]) -> None:
         """Give back distinct frames that are handed out and unmapped; if
         any is not, none is given back and an assertion fails."""
-        if not len(fids):
-            return
-        ordered = sorted(fids)
-        runs = []  # of consecutive ids
-        lo = last = ordered[0]
-        for fid in itertools.islice(ordered, 1, None):
-            if fid != last + 1:
-                if fid == last:
-                    raise AssertionError("frame released twice")
-                runs.append((lo, last + 1))
-                lo = fid
-            last = fid
-        runs.append((lo, last + 1))
-        self.store.take_back(runs)
-        self._give_back(runs)
-        self.free_count += len(ordered)
+        self._release_ordered(runs_of(sorted(fids)))
 
-    def _give_back(self, runs: list[tuple[int, int]]) -> None:
+    def release_runs(self, runs: Sequence[Run]) -> None:
+        """``release`` of the runs' frames, which are given back in id
+        order."""
+        self._release_ordered(sorted(runs))
+
+    def _release_ordered(self, runs: list[Run]) -> None:
+        """``release`` of runs in ascending order, adjacent ones joined."""
+        if not runs:
+            return
+        joined = runs[:1]
+        for lo, hi in itertools.islice(runs, 1, None):
+            if lo < joined[-1][1]:
+                raise AssertionError("frame released twice")
+            if lo == joined[-1][1]:
+                joined[-1] = (joined[-1][0], hi)
+            else:
+                joined.append((lo, hi))
+        self.store.take_back(joined)
+        self.free_count += _n_frames(joined)
+        self._give_back(joined)
+
+    def _give_back(self, runs: list[Run]) -> None:
         """Append free runs, the first joining the last run if that ends
         where it starts."""
         ranges = self._ranges
@@ -925,6 +1227,14 @@ def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
     """
     fids, fresh = pool.take(n, owner_level)
     return fids, model.validation_us(fresh)
+
+
+def alloc_runs(pool: MemoryPool, n: int, model: CostModel,
+               owner_level: Optional[PrivilegeLevel] = None
+               ) -> tuple[list[Run], int]:
+    """``alloc_frames``, returning the frames as runs."""
+    runs, fresh = pool.take_runs(n, owner_level)
+    return runs, model.validation_us(fresh)
 
 
 def preallocate(pool: MemoryPool, nbytes: int, model: CostModel) -> int:

@@ -53,6 +53,7 @@ from .memory import (
     PageTable,
     PrivilegeLevel,
     alloc_frames,
+    alloc_runs,
     pages_for,
     preallocate,
 )
@@ -466,11 +467,11 @@ class Monitor:
         proc = ProcessDescriptor(pid, ProcKind.ZYGOTE, table,
                                  measurement=digest, image=image)
         size = image.size_bytes()
-        fids, alloc_us = alloc_frames(self.pool, pages_for(size), self.model,
-                                      owner_level=PrivilegeLevel.PL1_PROCESS)
+        runs, alloc_us = alloc_runs(self.pool, pages_for(size), self.model,
+                                    owner_level=PrivilegeLevel.PL1_PROCESS)
         self._charge(alloc_us)
-        table.map_range(fids, PagePerms.PROCESS_RW)
-        self.store.write_range(fids, *image.canonical_parts)
+        table.map_runs(runs, PagePerms.PROCESS_RW)
+        self.store.write_runs(runs, *image.canonical_parts)
         populate_us = self._charge(self.model.transfer_us(size))
 
         proc.transition(ProcState.INITIALIZED)
@@ -583,7 +584,7 @@ class Monitor:
         excl_pages = max(pages_for(self.config.trustlet_exclusive_bytes),
                          fn_pages)
         try:
-            fids, excl_alloc_us = alloc_frames(
+            runs, excl_alloc_us = alloc_runs(
                 self.pool, excl_pages, self.model,
                 owner_level=PrivilegeLevel.PL1_PROCESS)
         except OutOfMemory:
@@ -591,8 +592,8 @@ class Monitor:
             self.pool.release(table.release_all())
             raise
         self._charge(excl_alloc_us)
-        table.map_range(fids, PagePerms.PROCESS_RW)
-        self.store.write_range(fids, fn_bytes)
+        table.map_runs(runs, PagePerms.PROCESS_RW)
+        self.store.write_runs(runs, fn_bytes)
         setup_us = self._charge(self.model.copy_us(excl_pages))
         load_us = self._charge(self.model.transfer_us(len(fn_bytes)))
         page_load_us = zygote_copy_us + excl_alloc_us + setup_us + load_us

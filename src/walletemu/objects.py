@@ -22,7 +22,7 @@ process's current output, is the monitor's to know, and it retires each.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -44,11 +44,14 @@ from .memory import (
     PagePerms,
     PageTable,
     PrivilegeLevel,
-    alloc_frames,
+    Run,
+    alloc_runs,
+    frames_of,
     pages_for,
 )
 
 MONITOR_PID = 0
+_NO_VPNS = range(0)
 
 
 class ObjectType(str, Enum):
@@ -81,25 +84,46 @@ class CopyCounter:
 
 @dataclass
 class DataObject:
+    """One object: its frames as the runs the pool handed out, and each
+    party's grant as the range of consecutive vpns it is mapped at."""
+
     obj_id: int
     length: int
     otype: ObjectType
-    frames: list[int]
+    runs: list[Run]
     writer: Optional[int] = None
     reader: Optional[int] = None
     sealed: bool = False
     charged_bytes: int = 0  # counted against the writer's byte quota
-    writer_vpns: list[int] = field(default_factory=list)
-    reader_vpns: list[int] = field(default_factory=list)
+    writer_vpns: range = _NO_VPNS
+    reader_vpns: range = _NO_VPNS
     writer_table: Optional[PageTable] = None
     reader_table: Optional[PageTable] = None
+
+    @property
+    def frames(self) -> list[int]:
+        """The frame ids, in page order."""
+        return frames_of(self.runs)
+
+    @property
+    def pages(self) -> int:
+        return sum(hi - lo for lo, hi in self.runs)
 
     def attachments(self) -> set[int]:
         return {pid for pid in (self.writer, self.reader) if pid is not None}
 
 
 class ObjectStore:
-    """All live data objects of one monitor instance."""
+    """All live data objects of one monitor instance.
+
+    An object's frame runs are the unit it passes to the memory layer:
+    the pool hands them out and takes them back as runs, each grant maps
+    them at one range of vpns, and reads and writes check and move a
+    grant's pages a run at a time.  Creating, writing, attaching,
+    reading, detaching and releasing an object of n pages in r runs so
+    takes O(r) Python steps, with the per-page work in slice assignments
+    and C-level scans.
+    """
 
     def __init__(self, pool: MemoryPool, model: CostModel,
                  quota_objects: int = 64,
@@ -153,14 +177,13 @@ class ObjectStore:
         if length <= 0:
             raise ValueError("object length must be positive")
         self._check_quota(caller_pid, 1, length, supersedes)
-        pages = pages_for(length)
-        fids, charge = alloc_frames(self.pool, pages, self.model,
-                                    owner_level=PrivilegeLevel.PL1_PROCESS)
-        obj = DataObject(self._next_id, length, otype, fids, writer=caller_pid,
-                         charged_bytes=length)
+        runs, charge = alloc_runs(self.pool, pages_for(length), self.model,
+                                  owner_level=PrivilegeLevel.PL1_PROCESS)
+        obj = DataObject(self._next_id, length, otype, runs,
+                         writer=caller_pid, charged_bytes=length)
         self._next_id += 1
         if caller_table is not None and caller_pid != MONITOR_PID:
-            obj.writer_vpns = caller_table.map_range(fids, PagePerms.PROCESS_WO)
+            obj.writer_vpns = caller_table.map_runs(runs, PagePerms.PROCESS_WO)
             obj.writer_table = caller_table
         self.objects[obj.obj_id] = obj
         self.attached_view(caller_pid).add(obj.obj_id)
@@ -194,8 +217,8 @@ class ObjectStore:
         obj.reader = caller_pid
         self.attached_view(caller_pid).add(obj.obj_id)
         if caller_table is not None and caller_pid != MONITOR_PID:
-            obj.reader_vpns = caller_table.map_range(obj.frames,
-                                                     PagePerms.PROCESS_RO)
+            obj.reader_vpns = caller_table.map_runs(obj.runs,
+                                                    PagePerms.PROCESS_RO)
             obj.reader_table = caller_table
         return obj
 
@@ -217,7 +240,7 @@ class ObjectStore:
                 f"process {caller_pid} is not the writer of object {obj_id}")
         if obj.sealed:
             raise PermissionDenied(f"object {obj_id} is sealed")
-        if len(data) > len(obj.frames) * PAGE_SIZE:
+        if len(data) > obj.pages * PAGE_SIZE:
             raise ValueError("data exceeds object capacity")
         fault = caller_table.write_run(
             PrivilegeLevel.PL1_PROCESS,
@@ -245,14 +268,14 @@ class ObjectStore:
     def write_monitor(self, obj_id: int, data: bytes) -> int:
         """Monitor (PL0) populates an object directly; charged, not counted."""
         obj = self.get(obj_id)
-        self.pool.store.write_range(obj.frames, data)
+        self.pool.store.write_runs(obj.runs, data)
         obj.length = len(data)
         return self.model.transfer_us(len(data))
 
     def read_monitor(self, obj_id: int) -> bytes:
         """Monitor (PL0) reads an object's content directly."""
         obj = self.get(obj_id)
-        return self.pool.store.read_range(obj.frames, obj.length)
+        return self.pool.store.read_runs(obj.runs, obj.length)
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -264,11 +287,13 @@ class ObjectStore:
         if obj.writer == pid:
             if obj.writer_table is not None:
                 obj.writer_table.unmap_range(obj.writer_vpns)
-            obj.writer, obj.writer_vpns, obj.writer_table = None, [], None
+            obj.writer, obj.writer_table = None, None
+            obj.writer_vpns = _NO_VPNS
         if obj.reader == pid:
             if obj.reader_table is not None:
                 obj.reader_table.unmap_range(obj.reader_vpns)
-            obj.reader, obj.reader_vpns, obj.reader_table = None, [], None
+            obj.reader, obj.reader_table = None, None
+            obj.reader_vpns = _NO_VPNS
 
     def retire(self, obj_id: Optional[int]) -> None:
         """Fully release one object: detach every party, then give back its
@@ -299,7 +324,7 @@ class ObjectStore:
 
     def _release_object(self, obj: DataObject) -> None:
         """Give back the frames of an object no party is attached to."""
-        self.pool.release(obj.frames)
+        self.pool.release_runs(obj.runs)
         del self.objects[obj.obj_id]
 
     def dump(self) -> list[dict]:
@@ -309,7 +334,7 @@ class ObjectStore:
                 "obj_id": obj.obj_id,
                 "otype": obj.otype.value,
                 "length": obj.length,
-                "pages": len(obj.frames),
+                "pages": obj.pages,
                 "writer": obj.writer,
                 "reader": obj.reader,
                 "sealed": obj.sealed,

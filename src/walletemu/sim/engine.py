@@ -269,6 +269,25 @@ def nearest_rank(sorted_values: Sequence[float] | np.ndarray,
     return float(sorted_values[idx - 1])
 
 
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values, and each value's index among them: what
+    ``np.unique(values, return_inverse=True)`` returns, with about 25
+    bytes of scratch per value where it takes about 40."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)  # first of its value
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    del ordered
+    rank = np.cumsum(first, dtype=np.int64)
+    rank -= 1
+    del first
+    codes = np.empty_like(rank)
+    codes[order] = rank
+    return distinct, codes
+
+
 def _typed(typecode: str, column: np.ndarray) -> array:
     """An ``array.array`` copy of a numpy column, made from its buffer."""
     out = array(typecode)
@@ -297,13 +316,18 @@ class _LoopColumns:
 
     @classmethod
     def of(cls, trace: Trace) -> "_LoopColumns":
-        apps, app_code = np.unique(trace.app_id, return_inverse=True)
-        fns, fn_code = np.unique(trace.function_id, return_inverse=True)
-        pairs, key = np.unique(app_code * len(fns) + fn_code,
-                               return_inverse=True)
+        # At most two code columns are alive at once, and none once the
+        # loop's copy of the key is made.
+        apps, key = _dense_codes(trace.app_id)
+        fns, fn_code = _dense_codes(trace.function_id)
+        key *= len(fns)
+        key += fn_code
+        del fn_code
+        pairs, key = _dense_codes(key)
+        key = _typed("q", key)
         return cls(_typed("q", trace.invocation_id),
                    _typed("d", trace.arrival_ms),
-                   _typed("d", trace.duration_ms), _typed("q", key),
+                   _typed("d", trace.duration_ms), key,
                    _typed("q", pairs // len(fns)), len(apps))
 
 

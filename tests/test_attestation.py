@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counting_verifies, make_rig
+from conftest import counting_sha512, counting_verifies, make_rig
 from walletemu import attestation as att
 from walletemu.crypto import Rng, SigningKey, verify_signature
 from walletemu.errors import NoPolicyKey
@@ -65,6 +65,26 @@ class TestMeasurementCache:
             assert charge == model.hash_us(5)
         assert (cache.hits, cache.misses, cache.bytes_hashed) == (0, 2, 10)
         assert cache.entries == {}
+
+    def test_one_bytes_object_is_hashed_once_in_a_row(self, model,
+                                                     monkeypatch):
+        # Counted and charged every time; the host hashes one bytes object
+        # once in a row, and a mutable buffer every time.
+        lengths = counting_sha512(monkeypatch)
+        cache = att.MeasurementCache()
+        payload, other = b"p" * 1000, b"q" * 10
+        buffer = bytearray(b"b" * 100)
+        got = [cache.measure_transient(c, model)
+               for c in (payload, payload, other, payload, buffer)]
+        buffer[0] = 0
+        got.append(cache.measure_transient(buffer, model))
+        assert lengths == [1000, 10, 1000, 100, 100]
+        assert [d for d, _ in got] == [
+            hashlib.sha512(bytes(c)).digest()
+            for c in (payload, payload, other, payload, b"b" * 100, buffer)]
+        assert [c for _, c in got] == [model.hash_us(n) for n in
+                                       (1000, 1000, 10, 1000, 100, 100)]
+        assert (cache.misses, cache.bytes_hashed) == (6, 3210)
 
 
 class TestPlatformReportAlgebra:

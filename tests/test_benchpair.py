@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,29 @@ def test_cli_runs_name_the_three_commands():
         "chain --k 32", "density --n-functions 500", "emulate"}
     emulate = [arg.format(dir="/d") for arg in benchpair.CLI_RUNS["emulate"]]
     assert emulate[:3] == ["emulate", "--zygote", "/d/zygote.wzyg"]
+
+
+def test_layer_summary_takes_each_sides_best_cycle():
+    out = benchpair.summarise_layers({
+        "1": {"parent": [60.0, 55.0, 58.0], "change": [44.0, 50.0, 41.0]},
+        "64": {"parent": [300.0, 280.0, 290.0],
+               "change": [100.0, 140.0, 112.0]}})
+    one, big = out["1"], out["64"]
+    assert one["parent"]["best_us"] == 55.0
+    assert one["change"]["best_us"] == 41.0
+    assert one["change"]["runs_us"] == [44.0, 50.0, 41.0]
+    assert one["change_over_parent"] == 0.745
+    assert one["delta_pct"] == pytest.approx(-25.45, abs=0.01)
+    assert big["change_over_parent"] == pytest.approx(100 / 280, abs=1e-3)
+    assert big["delta_pct"] == pytest.approx(-64.29, abs=0.01)
+
+
+def test_layer_probe_runs_on_this_tree():
+    # Three cycles each at 1 and 2 pages, with the probe's own check that
+    # both objects read back the payload.
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.LAYER_PROBE, "3", "1", "2"],
+        capture_output=True, text=True, check=True,
+        env=benchpair.tree_env(benchpair.ROOT))
+    best = json.loads(done.stdout)
+    assert set(best) == {"1", "2"} and min(best.values()) > 0

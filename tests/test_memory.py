@@ -43,7 +43,9 @@ from walletemu.memory import (
     PageTable,
     accounting,
     alloc_frames,
+    pages_for,
     preallocate,
+    runs_of,
 )
 
 
@@ -968,6 +970,7 @@ class MemoryMachine(RuleBasedStateMachine):
         self.owner: dict[int, object] = {}
         self.validated: set[int] = set()
         self.viewing: dict[int, int] = {}  # frame -> index into sources
+        self.blank: set[int] = set()  # held frames never written: zeros
         self.sources: list[tuple] = []  # (written object, its bytes)
         self.copied = 0
         self.tables = [_ModelTable(PageTable(self.store, 1))]
@@ -1058,7 +1061,15 @@ class MemoryMachine(RuleBasedStateMachine):
         if len(raw) > full * PAGE_SIZE:
             fid, tail = fids[full], raw[full * PAGE_SIZE :]
             self.content[fid] = tail + self.content[fid][len(tail):]
-            self.viewing.pop(fid, None)
+            # A blank page views the one bytes chunk that holds the tail.
+            source_index = next((index for start, end, index in spans or ()
+                                 if start <= full * PAGE_SIZE
+                                 and len(raw) <= end), None)
+            if fid in self.blank and source_index is not None:
+                self.viewing[fid] = source_index
+            else:
+                self.viewing.pop(fid, None)
+        self.blank.difference_update(fids[: pages_for(len(raw))])
 
     @initialize(pages=st.integers(1, 4), perms=st.sampled_from(PERMS),
                 seed=st.integers(0, 255))
@@ -1087,6 +1098,7 @@ class MemoryMachine(RuleBasedStateMachine):
         self.free -= set(fids)
         self.validated |= set(fids)
         self.held += fids
+        self.blank |= set(fids)
         for fid in fids:
             self.content[fid] = ZERO_PAGE
             self.owner[fid] = owner
@@ -1132,6 +1144,7 @@ class MemoryMachine(RuleBasedStateMachine):
         old = self.content[fid]
         self.content[fid] = old[:offset] + data + old[offset + len(data):]
         self.viewing.pop(fid, None)
+        self.blank.discard(fid)
 
     @precondition(lambda self: self.held)
     @rule(i=picks, j=picks)
@@ -1144,6 +1157,28 @@ class MemoryMachine(RuleBasedStateMachine):
             self.viewing[dst] = self.viewing[src]
         else:
             self.viewing.pop(dst, None)
+        if src in self.blank:
+            self.blank.add(dst)
+        else:
+            self.blank.discard(dst)
+
+    @precondition(lambda self: self.held)
+    @rule(i=picks, n=st.integers(1, 8),
+          order=st.sampled_from(["held", "sorted", "reversed"]),
+          short=st.integers(0, 2 * PAGE_SIZE))
+    def read_frames(self, i, n, order, short):
+        # Handed-out frames, over one run or several and holding zero,
+        # viewed, copied or partly rewritten pages, read as any prefix of
+        # their pages joined one by one.
+        fids = self._held_run(i, n)
+        if order == "sorted":
+            fids.sort()
+        elif order == "reversed":
+            fids.reverse()
+        nbytes = max(0, len(fids) * PAGE_SIZE - short)
+        want = b"".join(self.content[f] for f in fids)[:nbytes]
+        assert self.store.read_range(fids, nbytes) == want
+        assert self.store.read_runs(runs_of(fids), nbytes) == want
 
     @precondition(lambda self: self.held)
     @rule(i=picks, n=st.integers(1, 3),
@@ -1165,6 +1200,7 @@ class MemoryMachine(RuleBasedStateMachine):
             self.free.add(fid)
             self.content.pop(fid)
             self.viewing.pop(fid, None)
+            self.blank.discard(fid)
 
     # -- tables --
 
@@ -1321,6 +1357,8 @@ class MemoryMachine(RuleBasedStateMachine):
         self.content[new] = self.content[old]
         if old in self.viewing:
             self.viewing[new] = self.viewing[old]
+        if old in self.blank:
+            self.blank.add(new)
         self.copied += PAGE_SIZE
         table.pages[vpn] = (new, PagePerms.PROCESS_RW, False)
 

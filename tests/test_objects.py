@@ -25,6 +25,8 @@ from walletemu.memory import (
     MemoryPool,
     PageFault,
     PageTable,
+    frames_of,
+    pages_for,
 )
 from walletemu.objects import (
     MONITOR_PID,
@@ -75,6 +77,41 @@ class TestCreate:
             objects.create(1, writer, 8192)
 
 
+class TestFragmentedObject:
+    def test_object_over_many_runs_round_trips_and_frees_every_frame(self):
+        # Free frames left as runs of 2, 3, 1, 2 and 1 frames: a 9-page
+        # object takes all five, moves its bytes through both grants and
+        # the monitor, and gives every frame back when retired.
+        store = FrameStore()
+        pool = MemoryPool(store)
+        pool.grow(16, validated=True)
+        held, _ = pool.take(16)
+        for lo, hi in ((0, 2), (3, 6), (7, 8), (9, 11), (12, 13)):
+            pool.release(held[lo:hi])
+        objects = ObjectStore(pool, CostModel())
+        writer, reader = PageTable(store, 1), PageTable(store, 2)
+        data = bytes(range(251)) * (9 * PAGE_SIZE // 251)
+        assert pages_for(len(data)) == 9
+        obj_id, _ = objects.create(1, writer, len(data), ObjectType.OUTPUT)
+        obj = objects.get(obj_id)
+        assert obj.runs == [(0, 2), (3, 6), (7, 8), (9, 11), (12, 13)]
+        assert obj.frames == [0, 1, 3, 4, 5, 7, 9, 10, 12]
+        objects.write_through(1, writer, obj_id, data)
+        objects.attach_reader(2, reader, obj_id)
+        assert objects.read_through(2, reader, obj_id) == data
+        assert objects.read_monitor(obj_id) == data
+        assert [store.read_bytes(f) for f in obj.frames] == [
+            data[p * PAGE_SIZE : (p + 1) * PAGE_SIZE].ljust(PAGE_SIZE, b"\0")
+            for p in range(9)]
+        objects.retire(obj_id)
+        assert pool.free_count == 9
+        assert (store.owners_of(np.arange(16)) == FREE).sum() == 9
+        assert store.refs_of(range(16)).tolist() == [0] * 16
+        assert writer.n_entries() == reader.n_entries() == 0
+        assert pool.take_runs(9)[0] == [
+            (0, 2), (3, 6), (7, 8), (9, 11), (12, 13)]
+
+
 class TestAttachments:
     def test_reader_sees_writer_bytes_without_copies(self, env):
         objects, writer, reader = env
@@ -96,13 +133,13 @@ class TestAttachments:
         obj = objects.attach_reader(2, reader, obj_id)
         assert len(obj.frames) == 256
         touched: list[int] = []
-        read_range = store.read_range
+        read_runs = store.read_runs
 
-        def recording(fids, nbytes):
-            touched.extend(fids)
-            return read_range(fids, nbytes)
+        def recording(runs, nbytes):
+            touched.extend(frames_of(runs))
+            return read_runs(runs, nbytes)
 
-        monkeypatch.setattr(store, "read_range", recording)
+        monkeypatch.setattr(store, "read_runs", recording)
         assert objects.read_through(2, reader, obj_id) == b"c" * 100
         assert touched == obj.frames[:1]
 

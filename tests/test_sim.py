@@ -25,6 +25,7 @@ from walletemu.sim import (
 from walletemu.sim.engine import (
     BOOT_TIERS,
     InvocationOutcome,
+    _LoopColumns,
     advance,
     make_run,
     nearest_rank,
@@ -550,6 +551,29 @@ class TestWorkingMemory:
         assert np.array_equal(delays, stats.delay_ms)
         assert simulate_peak / n < 100, f"{simulate_peak / n:.0f} B/inv"
         assert view_peak < 2_000_000, f"{view_peak / 1e6:.2f} MB"
+
+    def test_loop_columns_peak(self):
+        # The loop's columns keep about 35 B per invocation; coding the
+        # (app, function) pairs adds little on top of them, where three
+        # np.unique(return_inverse=True) calls peaked at 67 B.
+        trace = generate_trace(GeneratorSpec(
+            n_functions=4000, n_apps=200, duration_minutes=0.5,
+            arrival_rate_per_s=600.0, seed=7))
+        _LoopColumns.of(trace)  # any first-call imports, untraced
+        tracemalloc.start()
+        try:
+            columns = _LoopColumns.of(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) < 50, f"{peak / len(trace):.0f} B/inv"
+        apps, app_code = np.unique(trace.app_id, return_inverse=True)
+        fns, fn_code = np.unique(trace.function_id, return_inverse=True)
+        pairs, key = np.unique(app_code * len(fns) + fn_code,
+                               return_inverse=True)
+        assert columns.key.tolist() == key.tolist()
+        assert columns.key_app.tolist() == (pairs // len(fns)).tolist()
+        assert columns.n_apps == len(apps)
 
     def test_three_variants_stats_retained(self):
         # Each SimStats keeps node, boot code, start and boot: 25 B per

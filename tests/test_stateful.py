@@ -562,6 +562,42 @@ class TightMonitorMachine(MonitorMachine):
         self._invoke(producer, u, payload)
 
 
+def test_tight_machine_reaches_the_quota_refusal():
+    """The quota refusal reached on purpose, not by the machine's draws: a
+    producer hands its output to two consumers, whose chain objects wait
+    unrun, so its next run needs a third live object and is refused with
+    QuotaExceeded, leaving every invariant and the teardown intact."""
+    machine = TightMonitorMachine()
+    refused = []
+    check_quota = machine.m.objects._check_quota
+
+    def counting(*args, **kwargs):
+        try:
+            check_quota(*args, **kwargs)
+        except QuotaExceeded:
+            refused.append(args[0])
+            raise
+
+    machine.m.objects._check_quota = counting
+    by_function = {f: h for h, f in machine.trustlets.items()}
+    producer, first = by_function[0], by_function[1]
+    machine.create_trustlet(1)
+    second = max(machine.trustlets)
+    for consumer, payload in ((first, b"a"), (second, b"b")):
+        machine._link(producer, consumer)
+        assert machine._invoke(producer, 0, payload).handoff == consumer
+    assert refused == []
+    assert machine._invoke(producer, 0, b"c") is None
+    assert refused == [machine.m._proc(producer).pid]
+    assert set(machine.pending) == {first, second}
+    machine.live_writers_stay_within_their_quotas()
+    machine.handed_out_frames_are_mapped_or_an_objects()
+    for consumer in (first, second):
+        machine._run_chained(consumer)
+    assert machine._invoke(producer, 0, b"d").handoff is None
+    machine.teardown()
+
+
 TestTightMonitorModel = TightMonitorMachine.TestCase
 TestTightMonitorModel.settings = settings(max_examples=25,
                                           stateful_step_count=30)

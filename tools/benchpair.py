@@ -37,10 +37,20 @@ time and the best max RSS of three alternating runs each.  The max RSS
 is the child's own, from ``wait4``: ``getrusage(RUSAGE_CHILDREN)`` keeps
 the largest of all children so far, which cannot tell the trees apart.
 
+``--layers`` times the object layer alone on both trees: the best of
+``LAYER_CYCLES`` input-plus-output object cycles at 1, 16 and 64 pages,
+each in a fresh process, ``LAYER_REPEATS`` alternating runs per tree.  A
+cycle is the object work of one warm invocation: the monitor creates,
+writes and retires an input object that the process attaches to and
+reads, and the process creates and writes an output object that the
+monitor reads and retires.  The payload fills all but 100 bytes of its
+pages.  Each side's figure is its best run.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
     python3 tools/benchpair.py --pr cli --workloads "" --cli
+    python3 tools/benchpair.py --pr layers --workloads "" --layers
 """
 
 from __future__ import annotations
@@ -66,6 +76,9 @@ WIN_SHARE = 0.9  # of the pairs, for a gain
 SEED = 0  # run.py checks its digests against the recorded ones at seed 0
 SIM_REPEATS = 3
 CLI_REPEATS = 3
+LAYER_PAGES = (1, 16, 64)
+LAYER_REPEATS = 5
+LAYER_CYCLES = 1500
 CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
                   "sys.exit(main(sys.argv[1:]))"]
 CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
@@ -116,6 +129,43 @@ for name, profile in config.profiles.items():
     out[name] = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
 print(json.dumps(out))
+"""
+
+# Times LAYER_CYCLES object cycles per page count with the API that every
+# tree has; prints each page count's best cycle in microseconds.
+LAYER_PROBE = """
+import json, sys, time
+from walletemu.memory import (
+    PAGE_SIZE, CostModel, FrameStore, MemoryPool, PageTable)
+from walletemu.objects import MONITOR_PID, ObjectStore, ObjectType
+
+def best_cycle_us(pages, cycles):
+    store = FrameStore()
+    pool = MemoryPool(store)
+    pool.grow(4096, validated=True)
+    objects = ObjectStore(pool, CostModel())
+    table = PageTable(store, 1)
+    data = bytes(range(256)) * (pages * PAGE_SIZE // 256)
+    data = data[:-100]
+    clock, best = time.perf_counter, float("inf")
+    for _ in range(cycles):
+        started = clock()
+        obj, _ = objects.create(MONITOR_PID, None, len(data), ObjectType.INPUT)
+        objects.write_monitor(obj, data)
+        objects.attach_reader(1, table, obj)
+        read_in = objects.read_through(1, table, obj)
+        objects.retire(obj)
+        obj, _ = objects.create(1, table, len(data), ObjectType.OUTPUT)
+        objects.write_through(1, table, obj, data)
+        objects.seal(obj)
+        read_out = objects.read_monitor(obj)
+        objects.retire(obj)
+        best = min(best, clock() - started)
+        assert read_in == read_out == data
+    return best * 1e6
+
+cycles = int(sys.argv[1])
+print(json.dumps({p: best_cycle_us(int(p), cycles) for p in sys.argv[2:]}))
 """
 
 
@@ -214,6 +264,23 @@ def summarise_cli(runs: dict) -> dict:
                                               - best["parent"][key])
                                      / best["parent"][key], 2)
                           for key in ("wall_s", "max_rss_mib")}}
+    return out
+
+
+def summarise_layers(runs: dict) -> dict:
+    """Per page count (name -> side -> list of per-run best cycles in
+    microseconds): each side's best, the change's time as a fraction of
+    the parent's, and its delta in per cent."""
+    out = {}
+    for pages, sides in runs.items():
+        best = {side: min(sides[side]) for side in SIDES}
+        out[pages] = {
+            **{side: {"best_us": round(best[side], 2),
+                      "runs_us": [round(r, 2) for r in sides[side]]}
+               for side in SIDES},
+            "change_over_parent": round(best["change"] / best["parent"], 3),
+            "delta_pct": round(100.0 * (best["change"] - best["parent"])
+                               / best["parent"], 2)}
     return out
 
 
@@ -323,6 +390,17 @@ def cli_runs(trees, work: Path) -> dict:
     return summarise_cli(runs)
 
 
+def layer_runs(trees) -> dict:
+    argv = ["-c", LAYER_PROBE, str(LAYER_CYCLES), *map(str, LAYER_PAGES)]
+    runs = {str(p): {side: [] for side in SIDES} for p in LAYER_PAGES}
+    for i in range(1, LAYER_REPEATS + 1):
+        for side in order(i):
+            for pages, us in json.loads(run_python(trees[side], argv)).items():
+                runs[pages][side].append(us)
+    return {"cycles_per_run": LAYER_CYCLES, "runs_per_side": LAYER_REPEATS,
+            "pages": summarise_layers(runs)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
@@ -333,6 +411,7 @@ def main(argv=None) -> int:
                         help="comma-separated workload names, or none")
     parser.add_argument("--sim-memory", action="store_true")
     parser.add_argument("--cli", action="store_true")
+    parser.add_argument("--layers", action="store_true")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
     if not set(workloads) <= set(WORKLOADS):
@@ -374,6 +453,8 @@ def main(argv=None) -> int:
             doc["acceptance_7_sim_memory"] = sim_memory(trees)
         if args.cli:
             doc["cli"] = cli_runs(trees, Path(tmp))
+        if args.layers:
+            doc["object_layer"] = layer_runs(trees)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
