@@ -141,6 +141,12 @@ class MachineKey:
 
 def machine_id_of(public: bytes) -> bytes:
     """Fingerprint identifying a machine key."""
+    return _machine_id(bytes(public))
+
+
+# A verifier sees few vendor keys, and checks one on every report.
+@functools.lru_cache(maxsize=64)
+def _machine_id(public: bytes) -> bytes:
     return hashlib.sha256(public).digest()[:16]
 
 
@@ -154,20 +160,36 @@ def load_cert(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class PlatformReport:
-    """Signed launch measurement: gen(m, d, u)."""
+    """Signed launch measurement: gen(m, d, u).
+
+    Every field is made immutable ``bytes`` on construction (a parsed
+    report may hold ``bytearray`` slices), so the encoding, which every
+    differential report embeds, is built once and kept.
+    """
 
     machine_id: bytes
     monitor_measurement: bytes
     user_data: bytes
     signature: bytes
 
+    def __post_init__(self) -> None:
+        for name in ("machine_id", "monitor_measurement", "user_data",
+                     "signature"):
+            value = getattr(self, name)
+            if type(value) is not bytes:
+                object.__setattr__(self, name, bytes(value))
+
     def signed_message(self) -> bytes:
         return self.machine_id + self.monitor_measurement + self.user_data
 
-    def to_bytes(self) -> bytes:
+    @functools.cached_property
+    def _encoded(self) -> bytes:
         return b"".join((*wire.lp(self.machine_id),
                          *wire.lp(self.monitor_measurement),
                          *wire.lp(self.user_data), *wire.lp(self.signature)))
+
+    def to_bytes(self) -> bytes:
+        return self._encoded
 
     @staticmethod
     def from_bytes(data: bytes) -> "PlatformReport":
@@ -182,8 +204,8 @@ def asp_gen(machine_key: MachineKey, monitor_measurement: bytes,
     """gen(m, d, u): deterministic signed platform report."""
     if len(user_data) != DIGEST_LEN:
         raise ValueError("user_data must be 64 bytes")
-    report = PlatformReport(machine_key.machine_id, bytes(monitor_measurement),
-                            bytes(user_data), b"")
+    report = PlatformReport(machine_key.machine_id, monitor_measurement,
+                            user_data, b"")
     signature = machine_key.signer.sign(report.signed_message())
     return PlatformReport(report.machine_id, report.monitor_measurement,
                           report.user_data, signature)
@@ -212,11 +234,10 @@ def asp_verif(report: PlatformReport, machine_id: bytes,
         return False
     if report.monitor_measurement != expected_measurement:
         return False
-    # bytes() keys the memo on values: a report parsed from a bytearray
-    # holds unhashable fields.  On bytes it returns the same object.
+    # A report's fields are bytes (see ``PlatformReport``); bytes() keys
+    # the memo on the value of a vendor key given as a bytearray.
     return _platform_signature_ok(bytes(vendor_public),
-                                  bytes(report.signed_message()),
-                                  bytes(report.signature))
+                                  report.signed_message(), report.signature)
 
 
 def asp_get_user_data(report: PlatformReport) -> bytes:

@@ -55,6 +55,8 @@ class SigningKey:
 
     def __init__(self, private: ed25519.Ed25519PrivateKey):
         self._private = private
+        self._public = private.public_key().public_bytes(
+            Encoding.Raw, PublicFormat.Raw)
 
     @staticmethod
     def generate(rng: Rng) -> "SigningKey":
@@ -70,8 +72,7 @@ class SigningKey:
             Encoding.Raw, PrivateFormat.Raw, NoEncryption())
 
     def public_bytes(self) -> bytes:
-        return self._private.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw)
+        return self._public
 
     def sign(self, message: bytes) -> bytes:
         return self._private.sign(message)
@@ -106,10 +107,13 @@ def symmetric_decrypt(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
 # -- sealed-box ECIES ---------------------------------------------------------
 
 class BoxKey:
-    """X25519 keypair for sealed-box request encryption."""
+    """X25519 keypair for sealed-box request encryption; the public key
+    is derived once, as ``seal_open`` needs it for every request."""
 
     def __init__(self, private: x25519.X25519PrivateKey):
         self._private = private
+        self._public = private.public_key().public_bytes(
+            Encoding.Raw, PublicFormat.Raw)
 
     @staticmethod
     def generate(rng: Rng) -> "BoxKey":
@@ -124,8 +128,7 @@ class BoxKey:
             Encoding.Raw, PrivateFormat.Raw, NoEncryption())
 
     def public_bytes(self) -> bytes:
-        return self._private.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw)
+        return self._public
 
     def decrypt(self, blob: bytes) -> bytes:
         return seal_open(self, blob)

@@ -98,7 +98,22 @@ def _zero(seg: array) -> bool:
     return raw.count(0) == len(raw)
 
 
-def _n_frames(runs: Sequence[Run]) -> int:
+def _union(runs: list[Run]) -> list[Run]:
+    """The frames of runs, each once, as disjoint runs in ascending
+    order; runs that overlap or touch are joined."""
+    runs = sorted(runs)
+    out = runs[:1]
+    for lo, hi in itertools.islice(runs, 1, None):
+        last_lo, last_hi = out[-1]
+        if lo <= last_hi:
+            out[-1] = (last_lo, max(hi, last_hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def n_frames_of(runs: Sequence[Run]) -> int:
+    """How many frames runs hold."""
     if len(runs) == 1:
         return runs[0][1] - runs[0][0]
     return sum(hi - lo for lo, hi in runs)
@@ -231,12 +246,12 @@ class FrameStore:
 
     The unit of work is a *run*, frame ids ``lo..hi-1`` as the pair
     ``(lo, hi)``: the run calls (``claim``, ``take_back``,
-    ``incref_runs``, ``decref_runs``, ``any_shared``, ``read_runs``,
-    ``write_runs``) take a list of runs and touch each with slice reads,
-    slice assignments and C-level scans, so their Python steps grow with
-    the runs, not the frames, and no numpy call is made.  The
-    ``*_range`` and ``bulk_*`` forms take frame ids and split them into
-    runs with ``runs_of``.  The few whole-column computations read the
+    ``clear_runs``, ``incref_runs``, ``decref_runs``, ``any_shared``,
+    ``read_runs``, ``write_runs``) take a list of runs and touch each with
+    slice reads, slice assignments and C-level scans, so their Python
+    steps grow with the runs, not the frames, and no numpy call is made.  The
+    ``*_range`` forms take frame ids and split them into runs with
+    ``runs_of``.  The few whole-column computations read the
     columns through ``np.frombuffer`` views made and dropped within one
     call.  Pages are never changed in place: a write points the frame at
     new bytes, a copy points two frames at the same ones, and a buffer
@@ -252,13 +267,13 @@ class FrameStore:
     Per base the store also keeps what ``resident_split`` needs to count
     the base's frames without visiting each: its PL1-granted frame count,
     a column marking those frames, and its *odd* frames, those whose
-    explicit count is not one, which the bulk calls keep current.  Every
+    explicit count is not one, which the run calls keep current.  Every
     other frame of a base counts ``1 + views``.
     """
 
     def __init__(self) -> None:
         self._ref = array("q", [0]) * 1024
-        self._ref_sum = 0  # of _ref, which only the bulk calls change
+        self._ref_sum = 0  # of _ref, which only the run calls change
         # Base id of each frame; 0 means the frame belongs to no base.
         self._base_of = array("i", [0]) * 1024
         self._validated = bytearray(1024)
@@ -331,10 +346,16 @@ class FrameStore:
             # a base, which its sealed table maps.
             if mapped:
                 raise AssertionError("frame released while mapped")
-        src, free = self._src, _FILL[FREE]
+        self.clear_runs(runs)
+        free = _FILL[FREE]
+        for lo, hi in runs:
+            owner[lo:hi] = free * (hi - lo)
+
+    def clear_runs(self, runs: Sequence[Run]) -> None:
+        """Drop the runs' bytes: their pages read as zeros again."""
+        src = self._src
         for lo, hi in runs:
             src[lo:hi] = [None] * (hi - lo)
-            owner[lo:hi] = free * (hi - lo)
 
     def validated_of(self, fids: Sequence[int]) -> np.ndarray:
         return np.frombuffer(self._validated, dtype=bool)[fids]
@@ -399,42 +420,35 @@ class FrameStore:
     def ref(self, fid: int) -> int:
         return self._ref[fid] + self._views[self._base_of[fid]]
 
-    def bulk_incref(self, fids: Sequence[int]) -> None:
-        self.incref_runs(runs_of(fids))
-
-    def bulk_decref(self, fids: Sequence[int]) -> list[int]:
-        """Drop one reference per entry of fids; returns the frames this
-        left unmapped, distinct and in ascending order."""
-        return self.decref_runs(runs_of(fids))
-
     def incref_runs(self, runs: Sequence[Run]) -> None:
         self._add(runs, 1)
 
-    def decref_runs(self, runs: Sequence[Run]) -> list[int]:
+    def decref_runs(self, runs: Sequence[Run]) -> list[Run]:
         """Drop one reference per frame of each run; returns the frames
-        this left unmapped, distinct and in ascending order."""
+        this left unmapped as disjoint runs in ascending order."""
         self._add(runs, -1)
         ref, base_of, views = self._ref, self._base_of, self._views
-        freed: list[int] = []
+        freed: list[Run] = []
         for lo, hi in runs:
             if hi - lo == 1:
                 count = ref[lo] + views[base_of[lo]]
                 if count <= 0:
                     if count:
                         raise AssertionError(f"ref underflow on frame {lo}")
-                    freed.append(lo)
+                    freed.append((lo, hi))
                 continue
             counts = self._counts(lo, hi)
             zeros = counts.count(0)
             if zeros == hi - lo:
-                freed += range(lo, hi)
+                freed.append((lo, hi))
                 continue
             if min(counts) < 0:
                 raise AssertionError(f"ref underflow on frames {lo}..{hi - 1}")
             if zeros:
-                freed += compress(range(lo, hi), map(operator.not_, counts))
-        # Runs out of id order, or a frame that two runs hold, need sorting.
-        return sorted(set(freed)) if len(runs) > 1 and freed else freed
+                freed += runs_of(list(compress(range(lo, hi),
+                                               map(operator.not_, counts))))
+        # Runs out of id order, or a frame that two runs hold, need joining.
+        return _union(freed) if len(runs) > 1 and freed else freed
 
     def _add(self, runs: Sequence[Run], delta: int) -> None:
         """Add delta to the explicit count of each frame of each run, then
@@ -586,7 +600,7 @@ class FrameStore:
         bytes, as is a page that straddles two chunks.
         """
         size = sum(map(len, chunks))
-        if size > _n_frames(runs) * PAGE_SIZE:
+        if size > n_frames_of(runs) * PAGE_SIZE:
             raise ValueError("data exceeds the frames' capacity")
         if not size:
             return
@@ -655,7 +669,7 @@ class FrameStore:
         that is one stretch is found with two C-level comparisons, and the
         stretches of any other run with two C-level scans.
         """
-        if nbytes > _n_frames(runs) * PAGE_SIZE:
+        if nbytes > n_frames_of(runs) * PAGE_SIZE:
             raise ValueError("nbytes exceeds the frames' capacity")
         src, rel = self._src, self._rel
         if 0 < nbytes <= PAGE_SIZE:  # one page
@@ -948,9 +962,10 @@ class PageTable:
         return n
 
     def unmap_range(self, vpns: Sequence[int],
-                    caller: PrivilegeLevel = PL0) -> list[int]:
+                    caller: PrivilegeLevel = PL0) -> list[Run]:
         """Remove the mappings at vpns: all of them, or, if any is not
-        mapped, none.  Returns the frames left unmapped."""
+        mapped, none.  Returns the frames left unmapped as disjoint runs
+        in ascending order."""
         if not vpns:  # an empty run changes nothing, whoever asks
             return []
         self._require_mutable(caller, "unmap pages")
@@ -967,7 +982,7 @@ class PageTable:
             self._refuse_unmapped(vpns, fids)
             self._fid[i:j] = [-1] * (j - i)
         self._n -= len(vpns)
-        return self.store.bulk_decref(fids)
+        return self.store.decref_runs(runs_of(fids))
 
     @staticmethod
     def _refuse_unmapped(vpns: Sequence[int], fids: list[int]) -> None:
@@ -1106,26 +1121,45 @@ class PageTable:
         self.store.copy_frame(old_fid, new_fids[0])
         i = self._own(vpn)
         self._fid[i], self._perm[i] = new_fids[0], _code(PagePerms.PROCESS_RW)
-        self.store.bulk_incref(new_fids)
-        self.store.bulk_decref([old_fid])
+        self.store.incref_runs(runs_of(new_fids))
+        self.store.decref_runs([(old_fid, old_fid + 1)])
         return new_fids[0], charge + model.copy_us(1)
 
-    def release_all(self) -> list[int]:
-        """Unmap everything; returns frame ids whose ref_count reached 0.
+    def truncate(self, stop: int, caller: PrivilegeLevel = PL0) -> None:
+        """Forget the vpns from stop on, none of them mapped, so that the
+        next ``map_runs`` maps at stop again.  A view that still reads its
+        base keeps reading it below stop."""
+        self._require_mutable(caller, "truncate")
+        i = stop - self._lo
+        if i < 0 or max(self._fid[i:], default=-1) >= 0:
+            raise ValueError(f"vpn {stop} is below the own lists, or it or "
+                             f"a later vpn is mapped in process {self.owner}")
+        del self._fid[i:], self._perm[i:]
+        self._next_vpn = stop
+
+    @property
+    def diverged(self) -> bool:
+        """Whether this view changed a vpn of its base (a resolved CoW
+        fault, say), so that it no longer reads the base's lists."""
+        return self.base is not None and not self._lo
+
+    def release_all(self) -> list[Run]:
+        """Unmap everything; returns the frames whose ref_count reached 0,
+        as disjoint runs in ascending order, for ``MemoryPool.release_runs``.
 
         Costs O(own list entries), not O(base pages).  A sealed table with
         live views is refused with ``BaseInUse``; release them first.
         """
         local = (self._sealed_fids if self.sealed
-                 else list(filter((-1).__lt__, self._fid)))  # fid >= 0
+                 else [fid for fid in self._fid if fid >= 0])
         if self._base_id is not None:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
             self._sealed_fids = array("q")
-        freed = self.store.bulk_decref(local)
+        freed = self.store.decref_runs(runs_of(local))
         if self.base is not None:
             if not self._lo:
-                self.store.bulk_incref(self.base.local_frame_ids())
+                self.store.incref_runs(runs_of(self.base.local_frame_ids()))
             self.store.drop_view(self.base._base_id)
             self.base = None
         self._fid, self._perm, self._n, self._lo = [], [], 0, 0
@@ -1141,10 +1175,10 @@ class MemoryPool:
     the boot range first; that order decides which frames pay validation.
     Runs are also what the pool hands out and takes back: ``take_runs``
     returns the runs it popped, each claimed in one store call, and
-    ``release_runs`` takes an object's runs as they are, so both cost
-    O(runs), however many frames the runs hold.  ``take`` and ``release``
-    are the same over frame ids.  Host memory grows with the frame
-    columns, and with page bytes only as frames are written.
+    ``release_runs`` takes an object's runs, or a released table's, as
+    they are, so both cost O(runs), however many frames the runs hold.
+    ``take`` is ``take_runs`` over frame ids.  Host memory grows with the
+    frame columns, and with page bytes only as frames are written.
     """
 
     def __init__(self, store: FrameStore):
@@ -1183,20 +1217,13 @@ class MemoryPool:
         self.free_count -= n
         return runs, fresh
 
-    def release(self, fids: Sequence[int]) -> None:
-        """Give back distinct frames that are handed out and unmapped; if
-        any is not, none is given back and an assertion fails."""
-        self._release_ordered(runs_of(sorted(fids)))
-
     def release_runs(self, runs: Sequence[Run]) -> None:
-        """``release`` of the runs' frames, which are given back in id
-        order."""
-        self._release_ordered(sorted(runs))
-
-    def _release_ordered(self, runs: list[Run]) -> None:
-        """``release`` of runs in ascending order, adjacent ones joined."""
+        """Give back the runs' frames, distinct, handed out and unmapped,
+        in id order; if any is not, none is given back and an assertion
+        fails."""
         if not runs:
             return
+        runs = sorted(runs)
         joined = runs[:1]
         for lo, hi in itertools.islice(runs, 1, None):
             if lo < joined[-1][1]:
@@ -1206,7 +1233,7 @@ class MemoryPool:
             else:
                 joined.append((lo, hi))
         self.store.take_back(joined)
-        self.free_count += _n_frames(joined)
+        self.free_count += n_frames_of(joined)
         self._give_back(joined)
 
     def _give_back(self, runs: list[Run]) -> None:

@@ -52,8 +52,10 @@ from .memory import (
     PagePerms,
     PageTable,
     PrivilegeLevel,
+    Run,
     alloc_frames,
     alloc_runs,
+    n_frames_of,
     pages_for,
     preallocate,
 )
@@ -107,6 +109,8 @@ class ProcessDescriptor:
     fn: Optional[FunctionSpec] = None
     fs: Optional[NestedFs] = None
     last_user: Optional[bytes] = None
+    # A trustlet's exclusive frames: its function image, then zeros.
+    exclusive: list[Run] = field(default_factory=list)
 
     def transition(self, new_state: ProcState) -> None:
         if new_state not in _TRANSITIONS[self.state]:
@@ -520,13 +524,15 @@ class Monitor:
 
     def _teardown(self, handle: int, proc: ProcessDescriptor) -> None:
         """Abort the process's invocation through ``_settle`` (the scheduler
-        skips the ticket wherever it is queued), free its memory, forget it."""
+        skips the ticket wherever it is queued), give the frames of its
+        retired objects and those its page table frees back to the pool as
+        runs, in one call, and forget it."""
         ticket = self._active.get(proc.pid)
         if ticket is not None:
             self._settle(ticket, proc, error=InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation"))
-        self.objects.reclaim(proc.pid)
-        self.pool.release(proc.page_table.release_all())
+        freed = self.objects.reclaim(proc.pid)
+        self.pool.release_runs(freed + proc.page_table.release_all())
         proc.transition(ProcState.TERMINATED)
         self._procs.pop(proc.pid, None)
         self._handles.pop(handle, None)
@@ -589,7 +595,7 @@ class Monitor:
                 owner_level=PrivilegeLevel.PL1_PROCESS)
         except OutOfMemory:
             # Give back the fork, or the zygote could never be deleted.
-            self.pool.release(table.release_all())
+            self.pool.release_runs(table.release_all())
             raise
         self._charge(excl_alloc_us)
         table.map_runs(runs, PagePerms.PROCESS_RW)
@@ -601,7 +607,8 @@ class Monitor:
         proc = ProcessDescriptor(pid, ProcKind.TRUSTLET, table,
                                  base_zygote=zygote.pid,
                                  measurement=fn_digest, fn=fn,
-                                 fs=zygote.fs, image=zygote.image)
+                                 fs=zygote.fs, image=zygote.image,
+                                 exclusive=runs)
         proc.transition(ProcState.INITIALIZED)
         proc.transition(ProcState.READY)
         self._procs[pid] = proc
@@ -735,24 +742,66 @@ class Monitor:
         return True
 
     def _recreate(self, handle: int, proc: ProcessDescriptor) -> ProcessDescriptor:
-        """Per-user trustlet recreation: fresh descriptor, same handle.
+        """Per-user trustlet recreation, in place: a fresh descriptor and
+        pid under the same handle, over the same page table and exclusive
+        frames.
 
-        Resets any residual state from the previous user's invocations.
+        The previous user's objects are retired (``ObjectStore.reclaim``),
+        which leaves the table mapping the zygote and the exclusive region
+        only; the vpns past that region are forgotten, the exclusive frames
+        cleared and the function image written into them again, so they
+        read as the image followed by zeros.  Under ``cow_enabled=False``
+        the zygote copy, read-only to PL1, is kept as well.  A view that
+        changed a vpn of its base (a resolved CoW fault) is replaced by a
+        fresh ``fork_cow`` view mapping the same exclusive frames, and the
+        frames only the old view mapped go back to the pool.  The clock is
+        charged what ``_spawn_trustlet`` charges, by the cost model: the
+        descriptor clone, the full-copy fork's copy, allocation (kept
+        frames are validated, so none), set-up and load.  Nothing is
+        allocated, so a recreation never runs out of memory.
+
         Recreation is not a deletion, and chain state is keyed by handle,
         so the trustlet's pending links stay as they are: a link holds no
         object until its producer completes.  A handed-off input is never
         pending here: ``_claim`` does not recreate a trustlet holding one.
-        The teardown frees at least the frames the new descriptor takes, so
-        a recreation never runs out of memory.
         """
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
         zygote = self._procs[proc.base_zygote]
-        self._teardown(handle, proc)
-        pid, _clone_us, _load_us = self._spawn_trustlet(
-            zygote, proc.fn, proc.measurement)
+        freed = self.objects.reclaim(proc.pid)
+        pid = self._next_pid
+        self._next_pid += 1
+        self._charge(self.config.descriptor_clone_us)
+        table, runs = proc.page_table, proc.exclusive
+        excl_pages = n_frames_of(runs)
+        if table.diverged:
+            table = zygote.page_table.fork_cow(pid)
+            table.map_runs(runs, PagePerms.PROCESS_RW)
+            freed += proc.page_table.release_all()
+        else:
+            table.owner = pid
+            table.truncate(zygote.page_table.next_unused_vpn() + excl_pages)
+        self.pool.release_runs(freed)
+        if not self.config.cow_enabled:
+            self._charge(self.model.copy_us(zygote.page_table.n_entries()))
+        fn_bytes = proc.fn.canonical_bytes
+        self.store.clear_runs(runs)
+        self.store.write_runs(runs, fn_bytes)
+        self._charge(self.model.copy_us(excl_pages))
+        self._charge(self.model.transfer_us(len(fn_bytes)))
+
+        fresh = ProcessDescriptor(pid, ProcKind.TRUSTLET, table,
+                                  base_zygote=zygote.pid,
+                                  measurement=proc.measurement, fn=proc.fn,
+                                  fs=zygote.fs, image=zygote.image,
+                                  exclusive=runs)
+        fresh.transition(ProcState.INITIALIZED)
+        fresh.transition(ProcState.READY)
+        proc.transition(ProcState.TERMINATED)
+        del self._procs[proc.pid]
+        self._procs[pid] = fresh
         self._handles[handle] = pid
-        return self._procs[pid]
+        return fresh
 
     # -- scheduler ------------------------------------------------------------------
 

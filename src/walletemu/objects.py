@@ -10,13 +10,14 @@ is never copied.  When functions are not co-located the copy-and-encrypt
 fallback path models the conventional network route.
 
 The store owns an object from ``create`` to its release.  Detaching a
-party unmaps that party's grant from its table, and the store gives an
-object's frames back to the pool when its last attached process exits or
-the monitor retires it, so a page table only ever frees its own process's
-frames.  A writer's quota use is derived from the live objects it
-writes.  An invocation's input and its copies of the external files it
-reads are input objects the monitor writes; which object is which, or a
-process's current output, is the monitor's to know, and it retires each.
+party unmaps that party's grant from its table, and an object's frames go
+back to the pool when the monitor retires it, or with its last attached
+process's frames when that exits (``reclaim`` hands them to the
+teardown), so a page table only ever frees its own process's frames.  A
+writer's quota use is derived from the live objects it writes.  An
+invocation's input and its copies of the external files it reads are
+input objects the monitor writes; which object is which, or a process's
+current output, is the monitor's to know, and it retires each.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .memory import (
     Run,
     alloc_runs,
     frames_of,
+    n_frames_of,
     pages_for,
 )
 
@@ -107,7 +109,7 @@ class DataObject:
 
     @property
     def pages(self) -> int:
-        return sum(hi - lo for lo, hi in self.runs)
+        return n_frames_of(self.runs)
 
     def attachments(self) -> set[int]:
         return {pid for pid in (self.writer, self.reader) if pid is not None}
@@ -282,7 +284,8 @@ class ObjectStore:
     def detach(self, pid: int, obj: DataObject) -> None:
         """Drop pid's attachment to obj and unmap its grant from its table.
 
-        The frames stay the object's; it alone gives them back."""
+        The frames stay the object's until ``retire`` gives them back or
+        ``reclaim`` hands them to the process's teardown."""
         self._attached.get(pid, set()).discard(obj.obj_id)
         if obj.writer == pid:
             if obj.writer_table is not None:
@@ -305,27 +308,28 @@ class ObjectStore:
             return
         for pid in obj.attachments():
             self.detach(pid, obj)
-        self._release_object(obj)
+        self.pool.release_runs(obj.runs)
+        del self.objects[obj.obj_id]
 
-    def reclaim(self, pid: int) -> None:
+    def reclaim(self, pid: int) -> list[Run]:
         """Detach pid from its objects, forget every per-pid entry, and
-        release the objects nobody is still attached to.
+        forget the objects nobody is still attached to; returns their
+        frames as runs, which the caller gives back to the pool together
+        with those pid's page table frees (``MemoryPool.release_runs``).
 
         Runs before pid's page table is released, so it leaves no object
         grant mapped there.  Visits only the objects attached to pid, in
         creation order.  An object with a surviving attachment persists
         until that party exits or the monitor retires it.  Idempotent.
         """
-        for obj_id in sorted(self._attached.pop(pid, set())):
+        freed: list[Run] = []
+        for obj_id in sorted(self._attached.pop(pid, ())):
             obj = self.objects[obj_id]
             self.detach(pid, obj)
             if not obj.attachments():
-                self._release_object(obj)
-
-    def _release_object(self, obj: DataObject) -> None:
-        """Give back the frames of an object no party is attached to."""
-        self.pool.release_runs(obj.runs)
-        del self.objects[obj.obj_id]
+                freed += obj.runs
+                del self.objects[obj_id]
+        return freed
 
     def dump(self) -> list[dict]:
         """Debug view of the live object table (JSON-serializable)."""

@@ -17,6 +17,7 @@ from walletemu.memory import (
     FrameStore,
     MemoryAccounting,
     MemoryPool,
+    runs_of,
 )
 from walletemu.monitor import Monitor, MonitorConfig
 from walletemu.provider import FunctionProvider, UserAgent
@@ -65,6 +66,12 @@ def counting_verifies(monkeypatch) -> list:
 
     monkeypatch.setattr(att, "verify_signature", verify_signature)
     return signatures
+
+
+def release_frames(pool: MemoryPool, fids) -> None:
+    """Give back frames by id through ``MemoryPool.release_runs``: sorted
+    and cut into runs, so that a frame given twice is refused."""
+    pool.release_runs(runs_of(sorted(fids)))
 
 
 def reference_accounting(tables) -> MemoryAccounting:

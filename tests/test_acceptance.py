@@ -430,7 +430,7 @@ def test_criterion_10_memory_property_suites():
                 table.resolve_cow(rng.choice(shared), pool, model)
         elif op == 3 and len(tables) > 2:
             table = tables.pop(rng.randrange(1, len(tables)))
-            pool.release(table.release_all())
+            pool.release_runs(table.release_all())
         assert store.total_refs() == sum(t.n_entries() for t in tables)
 
     # Permission monotonicity: 10^4 random PL1/PL2-issued operations can

@@ -121,6 +121,34 @@ class TestPlatformReportAlgebra:
         assert not att.asp_verif(forged, machine.machine_id, d,
                                  machine.public_bytes())
 
+    def test_altered_report_is_refused_after_the_original_was_encoded(
+            self, machine):
+        # The encoding is kept per report, over fields that are bytes: a
+        # report altered with dataclasses.replace, or one built from a
+        # buffer that is changed afterwards, is checked by its own content.
+        d, u = Rng(13).bytes(64), Rng(14).bytes(64)
+        key, mid = machine.public_bytes(), machine.machine_id
+        good = att.asp_gen(machine, d, u)
+        assert att.asp_verif(good, mid, d, key)
+        encoded = good.to_bytes()
+        forged = dataclasses.replace(good, user_data=bytes(64))
+        assert forged.to_bytes() != encoded
+        assert not att.asp_verif(forged, mid, d, key)
+        buf = bytearray(u)
+        parsed = att.PlatformReport.from_bytes(bytearray(encoded))
+        built = att.PlatformReport(bytearray(mid), bytearray(d), buf,
+                                   bytearray(good.signature))
+        for report in (parsed, built):
+            assert all(type(getattr(report, f.name)) is bytes
+                       for f in dataclasses.fields(report))
+            assert report == good and report.to_bytes() == encoded
+            assert att.asp_verif(report, mid, d, key)
+        buf[0] ^= 1  # the report keeps the bytes it was built from
+        assert built.user_data == u and built.to_bytes() == encoded
+        mutated = att.PlatformReport(mid, d, buf, good.signature)
+        assert not att.asp_verif(mutated, mid, d, key)
+        assert mutated.to_bytes() != encoded
+
     def test_algebra_over_random_triples(self):
         rng = Rng(12)
         for _ in range(50):

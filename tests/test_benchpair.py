@@ -170,3 +170,35 @@ def test_layer_probe_runs_on_this_tree():
         env=benchpair.tree_env(benchpair.ROOT))
     best = json.loads(done.stdout)
     assert set(best) == {"1", "2"} and min(best.values()) > 0
+
+
+def test_lifecycle_summary_derives_the_recreation():
+    out = benchpair.summarise_lifecycle({
+        "create_trustlet": {"parent": [24.0, 23.0], "change": [23.5, 25.0]},
+        "delete_trustlet": {"parent": [30.0, 29.0], "change": [20.0, 21.0]},
+        "invoke_one_user": {"parent": [210.0, 200.0],
+                            "change": [205.0, 201.0]},
+        "invoke_alternating_users": {"parent": [245.0, 240.0],
+                                     "change": [212.0, 215.0]}})
+    assert out["delete_trustlet"]["change_over_parent"] == pytest.approx(
+        20 / 29, abs=1e-3)
+    assert out["create_trustlet"]["delta_pct"] == pytest.approx(2.17,
+                                                                abs=0.01)
+    recreation = out["recreation"]
+    # Best alternating less best one-user invocation, per side.
+    assert recreation["parent"] == {"best_us": 40.0}
+    assert recreation["change"] == {"best_us": 11.0}
+    assert recreation["change_over_parent"] == 0.275
+    assert recreation["delta_pct"] == -72.5
+
+
+def test_lifecycle_probe_runs_on_this_tree():
+    # Three rounds, with the probe's own check of every response.
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.LIFECYCLE_PROBE, "3"],
+        capture_output=True, text=True, check=True,
+        env=benchpair.tree_env(benchpair.ROOT))
+    best = json.loads(done.stdout)
+    assert set(best) == {"create_trustlet", "delete_trustlet",
+                         "invoke_one_user", "invoke_alternating_users"}
+    assert min(best.values()) > 0

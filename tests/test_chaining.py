@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_rig
+from conftest import make_rig, release_frames
 from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.errors import (
@@ -311,7 +311,7 @@ class TestChainLifecycle:
         assert m._proc(producer).state is ProcState.READY
         assert producer in m._chain_edges  # the link is still pending
         assert m._handles[consumer] == consumer_pid  # not recreated
-        m.pool.release(drained)
+        release_frames(m.pool, drained)
         request = rig.user.make_request(functions[0].digest(), payload)
         result = m.invoke_trustlet(producer, request.ciphertext)
         final = m.invoke_chained(result.handoff)

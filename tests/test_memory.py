@@ -18,7 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import reference_accounting
+from conftest import reference_accounting, release_frames
 from walletemu.errors import (
     BaseInUse,
     ConfigInvalid,
@@ -43,6 +43,8 @@ from walletemu.memory import (
     PageTable,
     accounting,
     alloc_frames,
+    frames_of,
+    n_frames_of,
     pages_for,
     preallocate,
     runs_of,
@@ -105,7 +107,7 @@ class TestAllocFrames:
         pool = make_pool(store, frames=4)
         fids, first = alloc_frames(pool, 4, model)
         assert first == 96
-        pool.release(fids)
+        release_frames(pool, fids)
         refids, second = alloc_frames(pool, 4, model)
         assert sorted(refids) == sorted(fids)
         assert second == 0  # frames stay validated across release
@@ -113,11 +115,11 @@ class TestAllocFrames:
     def test_double_release_refused(self, store, model):
         pool = make_pool(store, frames=16)
         fids, _ = alloc_frames(pool, 2, model)
-        pool.release(fids)
+        release_frames(pool, fids)
         with pytest.raises(AssertionError):
-            pool.release(fids)
+            release_frames(pool, fids)
         with pytest.raises(AssertionError):
-            pool.release([fids[0], fids[0]])
+            release_frames(pool, [fids[0], fids[0]])
         assert pool.free_count == 16
 
     def test_release_of_a_mapped_frame_refused(self, store, model):
@@ -125,7 +127,7 @@ class TestAllocFrames:
         fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
         PageTable(store, 1).map_range(fids, PagePerms.PROCESS_RW)
         with pytest.raises(AssertionError):
-            pool.release(fids)
+            release_frames(pool, fids)
         assert pool.free_count == 14
 
     def test_out_of_memory(self, store, model):
@@ -160,7 +162,7 @@ class TestReleaseRefusals:
     def _refused(self, pool, fids, message):
         before = self._state(pool)
         with pytest.raises(AssertionError, match=message):
-            pool.release(fids)
+            release_frames(pool, fids)
         assert self._state(pool) == before
 
     def test_frame_twice_in_one_call(self, held):
@@ -169,7 +171,7 @@ class TestReleaseRefusals:
 
     def test_free_frame_in_the_middle_of_a_handed_out_run(self, held):
         pool, fids = held
-        pool.release([fids[5]])
+        release_frames(pool, [fids[5]])
         self._refused(pool, fids[0:2] + fids[3:8], "released while free")
 
     def test_mapped_frame(self, store, held):
@@ -244,7 +246,7 @@ class TestFreeListOrder:
                 continue
             if kind == "release":
                 gone = rnd.sample(held, min(n, len(held)))
-                pool.release(gone)
+                release_frames(pool, gone)
                 ref.release(gone)
                 held = [f for f in held if f not in gone]
                 continue
@@ -261,9 +263,11 @@ class TestFreeListOrder:
     def test_released_run_joins_an_adjacent_last_run(self, store):
         pool = make_pool(store, frames=8, prevalidated=True)
         fids, _ = pool.take(8)
-        pool.release(fids[2:4])
-        pool.release(fids[4:6])  # starts where the last run ends: one run
-        pool.release(fids[0:2])  # ends where the last run starts: its own
+        release_frames(pool, fids[2:4])
+        # Starting where the last run ends, it joins it; ending where the
+        # last run starts, it is a run of its own.
+        release_frames(pool, fids[4:6])
+        release_frames(pool, fids[0:2])
         assert list(pool._ranges) == [(2, 6), (0, 2)]
         assert pool.take(6) == ([2, 3, 4, 5, 0, 1], 0)
 
@@ -426,7 +430,7 @@ class TestMapRange:
         table, other = PageTable(store, 1), PageTable(store, 2)
         vpns = table.map_range(fids, PagePerms.PROCESS_RW)
         other.map_page(0, fids[1], PagePerms.PROCESS_RO)
-        assert table.unmap_range(vpns) == [fids[0]]
+        assert table.unmap_range(vpns) == [(fids[0], fids[0] + 1)]
         assert table.n_entries() == 0 and store.ref(fids[1]) == 1
 
 
@@ -462,9 +466,9 @@ class TestWriteRange:
         baseline = sys.getrefcount(data)
         store.write_range(fids, data)
         assert sys.getrefcount(data) > baseline
-        pool.release(fids[:1])
+        release_frames(pool, fids[:1])
         assert sys.getrefcount(data) > baseline
-        pool.release(fids[1:])
+        release_frames(pool, fids[1:])
         assert sys.getrefcount(data) == baseline
         assert all(store.read_bytes(fid) == bytes(PAGE_SIZE) for fid in fids)
 
@@ -625,12 +629,13 @@ class TestForkCow:
         passed: list[int] = []
 
         def recording(method):
-            def wrapper(ids):
-                passed.extend(np.atleast_1d(ids).tolist())
-                return method(ids)
+            def wrapper(runs):
+                passed.extend(frames_of(runs))
+                return method(runs)
             return wrapper
 
-        for name in ("bulk_incref", "bulk_decref"):
+        # Every reference count change goes through the run forms.
+        for name in ("incref_runs", "decref_runs"):
             monkeypatch.setattr(store, name, recording(getattr(store, name)))
         child = zygote.fork_cow(2)
         assert store.ref(zygote.lookup(0).frame_id) == 2
@@ -720,7 +725,7 @@ def _copied_view_alone(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     view = zygote.fork_cow(2)
     view.set_perms([0], PagePerms.PROCESS_RW)  # copies the base's lists
-    pool.release(view.unmap_range([3]))
+    pool.release_runs(view.unmap_range([3]))
     return [view]
 
 
@@ -740,7 +745,7 @@ def _zygote_after_its_last_view(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     view = zygote.fork_cow(2)
     view.resolve_cow(0, pool, model)
-    pool.release(view.release_all())
+    pool.release_runs(view.release_all())
     return [zygote]
 
 
@@ -813,7 +818,7 @@ class TestSealedTables:
         assert zygote.n_entries() == 4
         assert store.total_refs() == 8
         child.release_all()
-        assert len(zygote.release_all()) == 4
+        assert n_frames_of(zygote.release_all()) == 4
         assert store.total_refs() == 0
         with pytest.raises(NotSealed):
             zygote.fork_cow(3)
@@ -853,7 +858,7 @@ class TestInvariants:
                     t.resolve_cow(rng.choice(shared), pool, model)
             elif op == 3 and len(tables) > 1:
                 t = tables.pop(rng.randrange(1, len(tables)))
-                pool.release(t.release_all())
+                pool.release_runs(t.release_all())
             assert store.total_refs() == total_entries()
 
     def test_refcounts_match_brute_force_mapping_count(self, store, model):
@@ -899,16 +904,16 @@ class TestInvariants:
             elif op == 4:
                 mapped = list(view.mapped_vpns())
                 if mapped:
-                    pool.release(view.unmap_range([rng.choice(mapped)]))
+                    pool.release_runs(view.unmap_range([rng.choice(mapped)]))
             elif op == 5:
                 views.remove(view)
                 freed = view.release_all()
-                assert all(store.ref(f) == 0 for f in freed)
-                pool.release(freed)
+                assert all(store.ref(f) == 0 for f in frames_of(freed))
+                pool.release_runs(freed)
             check()
         for view in views:
-            pool.release(view.release_all())
-        pool.release(zygote.release_all())
+            pool.release_runs(view.release_all())
+        pool.release_runs(zygote.release_all())
         assert store.total_refs() == 0
         assert pool.free_count == 4096
 
@@ -1192,9 +1197,9 @@ class MemoryMachine(RuleBasedStateMachine):
         counts = self._counts()
         if (len(set(fids)) < len(fids) or not set(fids) <= set(self.held)
                 or any(counts[f] for f in fids)):
-            self._refused(AssertionError, self.pool.release, fids)
+            self._refused(AssertionError, release_frames, self.pool, fids)
             return
-        self.pool.release(fids)
+        release_frames(self.pool, fids)
         for fid in fids:
             self.held.remove(fid)
             self.free.add(fid)
@@ -1264,7 +1269,7 @@ class MemoryMachine(RuleBasedStateMachine):
             return
         fids = [table.pages.pop(v)[0] for v in vpns]
         counts = self._counts()
-        assert table.real.unmap_range(vpns) == sorted(
+        assert frames_of(table.real.unmap_range(vpns)) == sorted(
             {f for f in fids if not counts[f]})
 
     @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
@@ -1373,7 +1378,7 @@ class MemoryMachine(RuleBasedStateMachine):
             table.base.views -= 1
         counts = self._counts()
         local = {f for f, _, inherited in table.pages.values() if not inherited}
-        assert table.real.release_all() == sorted(
+        assert frames_of(table.real.release_all()) == sorted(
             f for f in local if not counts[f])
         if not self.tables:
             self.tables.append(_ModelTable(PageTable(self.store,

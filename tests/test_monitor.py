@@ -17,6 +17,7 @@ from conftest import (
     hash_fn,
     make_rig,
     reader_fn,
+    release_frames,
     shout_fn,
     small_image,
 )
@@ -526,8 +527,8 @@ class TestInvocation:
         m.guest.put_file("/ext/blob", EXTERNAL_CONTENT)
         other = UserAgent(Rng(99), rig.provider.public_key())
         pid = m._proc(t.handle).pid
-        # The recreation frees as many frames as it takes, so staging the
-        # input is what finds the pool empty.
+        # The recreation takes no frame, so staging the input is what
+        # finds the pool empty.
         held, _ = m.pool.take(m.pool.free_count)
         with pytest.raises(OutOfMemory):
             m.invoke_trustlet(t.handle, other.make_request(
@@ -535,7 +536,7 @@ class TestInvocation:
         assert m._proc(t.handle).pid != pid and not m._active
         assert m.store.total_refs() == sum(
             table.n_entries() for table in m.live_tables())
-        m.pool.release(held)
+        release_frames(m.pool, held)
         request = other.make_request(fn.digest(), b"")
         result = m.invoke_trustlet(t.handle, request.ciphertext)
         assert not result.recreated  # already the new user's
@@ -572,6 +573,137 @@ class TestInvocation:
         request = rig.user.make_request(fn.digest(), b"warm input 123")
         result = rig.monitor.invoke_trustlet(t.handle, request.ciphertext)
         assert result.bytes_hashed == len(b"warm input 123") * 2  # echo
+
+
+class TestRecreationInPlace:
+    """Per-user recreation keeps the trustlet's page table and exclusive
+    frames, and leaves them as a fresh fork would: the function image
+    followed by zeros, and no object of the previous user."""
+
+    @staticmethod
+    def scratch(rig, handle):
+        """A trustlet's exclusive vpns, just past the zygote's, the frames
+        mapped there and the bytes they should read: image, then zeros."""
+        m = rig.monitor
+        fn = m._proc(handle).fn
+        start = m._proc(rig.zygote.handle).page_table.next_unused_vpn()
+        pages = max(pages_for(m.config.trustlet_exclusive_bytes),
+                    pages_for(len(fn.canonical_bytes)))
+        vpns = range(start, start + pages)
+        table = m._proc(handle).page_table
+        image = fn.canonical_bytes
+        return (vpns, [table.lookup(v).frame_id for v in vpns],
+                image + bytes(pages * PAGE_SIZE - len(image)))
+
+    @staticmethod
+    def invoke(rig, handle, user, payload=b"x"):
+        fn = rig.monitor._proc(handle).fn
+        return rig.monitor.invoke_trustlet(
+            handle, user.make_request(fn.digest(), payload).ciphertext)
+
+    @pytest.mark.parametrize("cow", [True, False])
+    def test_same_table_and_frames_with_the_scratch_reset(self, cow):
+        rig = make_rig(cow=cow)
+        m = rig.monitor
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[1])
+        first = self.invoke(rig, t.handle, rig.user)
+        table = m._proc(t.handle).page_table
+        vpns, frames, fresh = self.scratch(rig, t.handle)
+        below = [table.lookup(v) for v in range(vpns.start)]
+        assert table.read_run(PL1, vpns, len(fresh)) == fresh
+        # The function leaves data in its scratch pages for the next user.
+        assert table.access(PL1, vpns[-1], AccessKind.WRITE,
+                            b"left by the last user") is None
+        free, next_vpn = m.pool.free_count, table.next_unused_vpn()
+        second = self.invoke(rig, t.handle, bob)
+        assert second.recreated
+        assert second.descriptor_id != first.descriptor_id
+        proc = m._proc(t.handle)
+        assert proc.page_table is table and table.owner == proc.pid
+        assert self.scratch(rig, t.handle)[1] == frames
+        assert table.read_run(PL1, vpns, len(fresh)) == fresh
+        # The zygote's pages, or under full copy the trustlet's copy of
+        # them, are mapped as before.
+        assert [table.lookup(v) for v in range(vpns.start)] == below
+        assert table.base is (m._proc(rig.zygote.handle).page_table
+                              if cow else None)
+        assert m.pool.free_count == free
+        assert table.next_unused_vpn() == next_vpn
+        assert m.store.total_refs() == sum(
+            t.n_entries() for t in m.live_tables())
+
+    def test_alternating_users_leave_the_pool_as_it_was(self, rig):
+        m = rig.monitor
+        users = [rig.user, UserAgent(Rng(77), rig.provider.public_key())]
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        self.invoke(rig, t.handle, users[0])
+        table = m._proc(t.handle).page_table
+        free, next_vpn = m.pool.free_count, table.next_unused_vpn()
+        for i in range(1, 101):
+            assert self.invoke(rig, t.handle, users[i % 2]).recreated
+            assert m.pool.free_count == free
+            assert m._proc(t.handle).page_table is table
+            assert table.next_unused_vpn() == next_vpn
+
+    def test_a_resolved_cow_fault_is_reset_to_a_clean_view(self, rig):
+        m = rig.monitor
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        self.invoke(rig, t.handle, rig.user)
+        zygote = m._proc(rig.zygote.handle).page_table
+        table = m._proc(t.handle).page_table
+        vpns, frames, fresh = self.scratch(rig, t.handle)
+        copied, _charge = table.resolve_cow(0, m.pool, m.model)
+        assert table.diverged and table.lookup(0).frame_id == copied
+        free = m.pool.free_count
+        assert self.invoke(rig, t.handle, bob).recreated
+        view = m._proc(t.handle).page_table
+        assert view is not table and view.base is zygote
+        assert not view.diverged
+        assert view.lookup(0) == zygote.lookup(0) != table.lookup(0)
+        assert self.scratch(rig, t.handle)[1] == frames
+        assert view.read_run(PL1, vpns, len(fresh)) == fresh
+        assert m.store.owners_of([copied])[0] == FREE
+        assert m.pool.free_count == free + 1
+        assert m.store.total_refs() == sum(
+            t.n_entries() for t in m.live_tables())
+
+    def test_kept_frames_are_not_validated_again(self):
+        # On an on-demand pool, a recreation charges the clock the
+        # descriptor clone, the set-up of the exclusive pages and the load
+        # of the image, and no validation: its frames were validated when
+        # the trustlet was forked.
+        rig = make_rig(prealloc=0, pool_frames=65536)
+        m = rig.monitor
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        self.invoke(rig, t.handle, rig.user)
+        clock = m.clock_us
+        self.invoke(rig, t.handle, rig.user)
+        same_user = m.clock_us - clock
+        clock = m.clock_us
+        assert self.invoke(rig, t.handle, bob).recreated
+        vpns, _, _ = self.scratch(rig, t.handle)
+        fn = rig.functions[0]
+        assert m.clock_us - clock - same_user == (
+            m.config.descriptor_clone_us + m.model.copy_us(len(vpns))
+            + m.model.transfer_us(len(fn.canonical_bytes)))
+
+    def test_recreation_takes_no_frame(self, rig):
+        m = rig.monitor
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        self.invoke(rig, t.handle, rig.user)
+        pid = m._proc(t.handle).pid
+        held, _ = m.pool.take(m.pool.free_count)
+        # The recreation succeeds; staging bob's input finds the pool empty.
+        with pytest.raises(OutOfMemory):
+            self.invoke(rig, t.handle, bob)
+        assert m._proc(t.handle).pid != pid
+        release_frames(m.pool, held)
+        result = self.invoke(rig, t.handle, bob, b"again")
+        assert not result.recreated
 
 
 class TestTraps:
@@ -622,7 +754,7 @@ class TestTraps:
             m.objects.objects)
         assert m.store.total_refs() == sum(
             table.n_entries() for table in m.live_tables())
-        m.pool.release(held)
+        release_frames(m.pool, held)
         request = rig.user.make_request(fn.digest(), b"")
         result = m.invoke_trustlet(t.handle, request.ciphertext)
         assert rig.user.decrypt_response(
@@ -917,8 +1049,10 @@ class TestPinnedOutputs:
             "8642fc329f3fadc9231aae439048dddc2bc0cc59575b26c9863c91b2397cafe6")
 
     def test_without_prealloc(self):
+        # Each of the four recreations charges no validation: it keeps
+        # its trustlet's frames, validated when the trustlet was forked.
         assert self.digest(prealloc=0, pool_frames=65536) == (
-            "dc894f23297807c33375752ef329a612f6db8eaac7ebfb3f7339372bce677a67")
+            "4b95a05207b78c8948bd8f6149c7245c7fb36d48c7958b84656bbdb86f73283d")
 
     def test_without_cow(self):
         assert self.digest(cow=False) == (

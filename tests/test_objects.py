@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import release_frames
 from walletemu.crypto import Rng
 from walletemu.errors import (
     AlreadyAttached,
@@ -87,7 +88,7 @@ class TestFragmentedObject:
         pool.grow(16, validated=True)
         held, _ = pool.take(16)
         for lo, hi in ((0, 2), (3, 6), (7, 8), (9, 11), (12, 13)):
-            pool.release(held[lo:hi])
+            release_frames(pool, held[lo:hi])
         objects = ObjectStore(pool, CostModel())
         writer, reader = PageTable(store, 1), PageTable(store, 2)
         data = bytes(range(251)) * (9 * PAGE_SIZE // 251)
@@ -242,11 +243,11 @@ class TestReclaim:
         obj_id, _ = objects.create(1, writer, 8)
         objects.write_through(1, writer, obj_id, b"chained!")
         objects.attach_reader(2, reader, obj_id)
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         assert obj_id in objects.objects  # reader still attached
         assert objects.read_through(2, reader, obj_id) == b"chained!"
         writer.release_all()
-        objects.reclaim(2)
+        objects.pool.release_runs(objects.reclaim(2))
         reader.release_all()
         assert obj_id not in objects.objects
 
@@ -254,7 +255,7 @@ class TestReclaim:
         objects, writer, _ = env
         obj_id, _ = objects.create(1, writer, 8)
         free_before = objects.pool.free_count
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         writer.release_all()
         assert obj_id not in objects.objects
         assert objects.pool.free_count == free_before + 1
@@ -262,9 +263,9 @@ class TestReclaim:
     def test_reclaim_idempotent(self, env):
         objects, writer, _ = env
         objects.create(1, writer, 8)
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         writer.release_all()
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         assert not objects.objects
 
     def test_reclaim_forgets_every_entry_of_the_pid(self, env):
@@ -272,7 +273,7 @@ class TestReclaim:
         objects.create(1, writer, 8)
         input_id, _ = objects.create(MONITOR_PID, None, 8, ObjectType.INPUT)
         objects.attach_reader(1, writer, input_id)
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         writer.release_all()
         assert 1 not in objects._attached
         assert objects.get(input_id).reader is None  # the monitor retires it
@@ -284,10 +285,10 @@ class TestReclaim:
         obj_id, _ = objects.create(1, writer, 2 * PAGE_SIZE)
         frames = np.array(objects.attach_reader(2, reader, obj_id).frames)
         free_before = objects.pool.free_count
-        objects.reclaim(2)
+        objects.pool.release_runs(objects.reclaim(2))
         assert reader.n_entries() == 0
         assert obj_id in objects.objects  # the writer is still attached
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         assert writer.n_entries() == 0
         assert objects.pool.free_count == free_before + 2
         assert (objects.pool.store.owners_of(frames) == FREE).all()
@@ -302,7 +303,7 @@ class TestReclaim:
         detach = objects.detach
         monkeypatch.setattr(objects, "detach", lambda pid, obj: (
             visited.append(obj.obj_id), detach(pid, obj)))
-        objects.reclaim(1)
+        objects.pool.release_runs(objects.reclaim(1))
         assert visited == [mine]
 
 

@@ -34,7 +34,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import EXTERNAL_CONTENT, MIB, make_rig, reference_accounting
+from conftest import (
+    EXTERNAL_CONTENT,
+    MIB,
+    make_rig,
+    reference_accounting,
+    release_frames,
+)
 from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.errors import (
@@ -50,11 +56,13 @@ from walletemu.errors import (
 from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage, manifest_entry
 from walletemu.memory import (
     FREE,
+    PAGE_SIZE,
     PL1,
     PL2,
     AccessKind,
     PageFault,
     accounting,
+    pages_for,
 )
 from walletemu.monitor import ProcState
 from walletemu.objects import MONITOR_PID, fallback_transfer
@@ -109,6 +117,18 @@ class MonitorMachine(RuleBasedStateMachine):
         self.tap_seen = 0
         self.transport_key = Rng(2000).bytes(32)
         self.held: list[int] = []  # pool frames taken away from the monitor
+        # The user each object was made for: the one whose invocation
+        # was being run when the monitor created it.
+        self.made_for: dict[int, int] = {}
+        self.serving = None
+        create = self.m.objects.create
+
+        def create_for_the_user_served(*args, **kwargs):
+            obj_id, charge = create(*args, **kwargs)
+            self.made_for[obj_id] = self.serving
+            return obj_id, charge
+
+        self.m.objects.create = create_for_the_user_served
         for f in range(len(self.functions)):
             self.create_trustlet(f)
 
@@ -197,6 +217,7 @@ class MonitorMachine(RuleBasedStateMachine):
             return None
         last = self.last_user.get(handle)
         self.last_user[handle] = u
+        self.serving = u
         try:
             if error is not None:
                 with pytest.raises(error):
@@ -240,6 +261,7 @@ class MonitorMachine(RuleBasedStateMachine):
     def _run_chained(self, handle) -> None:
         """A refused hop keeps its handed-off input for a retry."""
         u, request, chained, payload, stages, recreated = self.pending[handle]
+        self.serving = u
         try:
             result = self._hop(handle, u,
                                lambda: self.m.invoke_chained(handle), chained,
@@ -294,6 +316,7 @@ class MonitorMachine(RuleBasedStateMachine):
         if mid_invocation:  # the doomed run is to get as far as its read
             self.free_frames()
         if mid_invocation and not self._refused_at_claim(handle, u):
+            self.serving = u
             fn = self.functions[self.trustlets[handle]]
             ticket = self.m.submit_invocation(handle, self.users[u].make_request(
                 fn.digest(), b"doomed").ciphertext)
@@ -376,6 +399,29 @@ class MonitorMachine(RuleBasedStateMachine):
             with pytest.raises(NoInput):
                 self.m.invoke_chained(handle)
 
+    def _scratch(self, handle) -> range:
+        """The vpns of a trustlet's exclusive pages, just past the
+        zygote's."""
+        start = self.m._proc(self.zygote).page_table.next_unused_vpn()
+        image = self.functions[self.trustlets[handle]].canonical_bytes
+        return range(start, start + max(
+            pages_for(self.m.config.trustlet_exclusive_bytes),
+            pages_for(len(image))))
+
+    @precondition(lambda self: any(h not in self.pending
+                                   for h in self.last_user))
+    @rule(data=st.data(), payload=payloads, page=st.integers(0, 64))
+    def dirty_scratch_then_switch_user(self, data, payload, page):
+        """The trustlet's function leaves data in its scratch pages; the
+        next user's invocation recreates it, and must find them reset."""
+        handle = data.draw(st.sampled_from(sorted(
+            h for h in self.last_user if h not in self.pending)))
+        scratch = self._scratch(handle)
+        table = self.m._proc(handle).page_table
+        assert table.access(PL1, scratch[page % len(scratch)],
+                            AccessKind.WRITE, b"left by the last user") is None
+        self._invoke(handle, (self.last_user[handle] + 1) % 3, payload)
+
     @rule()
     def recreate_zygote(self):
         self.free_frames()
@@ -387,6 +433,29 @@ class MonitorMachine(RuleBasedStateMachine):
     # -- invariants -------------------------------------------------------------
 
     @invariant()
+    def trustlets_hold_only_their_users_state(self):
+        """Per-user isolation: a trustlet maps no object made for another
+        user's invocation than the one it last served, and no other page
+        past its exclusive ones; those read as its function image followed
+        by zeros."""
+        objects = self.m.objects.objects.values()
+        for handle, f in self.trustlets.items():
+            proc = self.m._proc(handle)
+            table = proc.page_table
+            scratch = self._scratch(handle)
+            image = self.functions[f].canonical_bytes
+            size = len(scratch) * PAGE_SIZE
+            assert table.read_run(PL1, scratch, size) == (
+                image + bytes(size - len(image)))
+            attached = [obj for obj in objects
+                        if proc.pid in obj.attachments()]
+            assert {self.made_for[obj.obj_id] for obj in attached} <= {
+                self.last_user.get(handle)}
+            mapped = {table.lookup(vpn).frame_id
+                      for vpn in table.mapped_vpns() if vpn >= scratch.stop}
+            assert mapped <= {fid for obj in attached for fid in obj.frames}
+
+    @invariant()
     def descriptors_match_the_model(self):
         assert len(self.m.descriptors()) == len(self.trustlets) + 1
 
@@ -396,7 +465,7 @@ class MonitorMachine(RuleBasedStateMachine):
             t.page_table.n_entries() for t in self.m.descriptors())
 
     def free_frames(self):
-        self.m.pool.release(self.held)
+        release_frames(self.m.pool, self.held)
         self.held = []
 
     @invariant()

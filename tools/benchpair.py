@@ -46,6 +46,15 @@ reads, and the process creates and writes an output object that the
 monitor reads and retires.  The payload fills all but 100 bytes of its
 pages.  Each side's figure is its best run.
 
+``--layers`` also times the trustlet lifecycle on both trees, in the
+same schema: over ``LIFECYCLE_ROUNDS`` rounds per run, each run in a
+fresh process with a 1 MiB zygote, the best ``create_trustlet``, the
+best ``delete_trustlet`` of a trustlet that served one invocation, and
+the best warm invocation of a trustlet that one user calls against one
+that two users call in turn, interleaved in each round.  The last two
+differ by the per-user recreation, recorded as ``recreation``: per side,
+its best alternating-user invocation less its best one-user invocation.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
@@ -79,6 +88,7 @@ CLI_REPEATS = 3
 LAYER_PAGES = (1, 16, 64)
 LAYER_REPEATS = 5
 LAYER_CYCLES = 1500
+LIFECYCLE_ROUNDS = 2000
 CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
                   "sys.exit(main(sys.argv[1:]))"]
 CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
@@ -166,6 +176,51 @@ def best_cycle_us(pages, cycles):
 
 cycles = int(sys.argv[1])
 print(json.dumps({p: best_cycle_us(int(p), cycles) for p in sys.argv[2:]}))
+"""
+
+# Times the trustlet lifecycle with the API that every tree has; prints each
+# call's best in microseconds.  One round creates, invokes once and deletes
+# a trustlet, then invokes a trustlet that one user calls and one that two
+# users call in turn.
+LIFECYCLE_PROBE = """
+import json, sys, time
+from walletemu.crypto import Rng
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
+from walletemu.monitor import Monitor, MonitorConfig
+from walletemu.provider import FunctionProvider, UserAgent
+
+image = ZygoteImage("probe-rt", 5, [("/blob", bytes(1 << 20))])
+fn = FunctionSpec("echo", [PipelineOp.identity()], 0.5)
+monitor = Monitor(MonitorConfig(prealloc_bytes=64 << 20, pool_frames=0))
+provider = FunctionProvider(Rng(1), [image.digest()], [fn.digest()])
+provider.provision(monitor)
+users = [UserAgent(Rng(10 + u), provider.public_key()) for u in range(2)]
+zygote = monitor.create_zygote(image).handle
+clock, best = time.perf_counter, {}
+
+def timed(name, call, *args):
+    started = clock()
+    out = call(*args)
+    best[name] = min(best.get(name, float("inf")), clock() - started)
+    return out
+
+def invoke(name, handle, user):
+    payload = b"x" * 100
+    request = user.make_request(fn.digest(), payload)
+    result = timed(name, monitor.invoke_trustlet, handle, request.ciphertext)
+    assert user.decrypt_response(request, result.output_ciphertext) == payload
+
+steady, switching = (monitor.create_trustlet(zygote, fn).handle
+                     for _ in range(2))
+for i in range(int(sys.argv[1])):
+    handle = timed("create_trustlet", monitor.create_trustlet, zygote,
+                   fn).handle
+    invoke("warm", handle, users[0])
+    timed("delete_trustlet", monitor.delete_trustlet, handle)
+    invoke("invoke_one_user", steady, users[0])
+    invoke("invoke_alternating_users", switching, users[i % 2])
+del best["warm"]
+print(json.dumps({name: s * 1e6 for name, s in best.items()}))
 """
 
 
@@ -281,6 +336,23 @@ def summarise_layers(runs: dict) -> dict:
             "change_over_parent": round(best["change"] / best["parent"], 3),
             "delta_pct": round(100.0 * (best["change"] - best["parent"])
                                / best["parent"], 2)}
+    return out
+
+
+def summarise_lifecycle(runs: dict) -> dict:
+    """``summarise_layers`` of the lifecycle probe's calls (name -> side ->
+    per-run bests in microseconds), plus "recreation": per side, its best
+    alternating-user invocation less its best one-user invocation."""
+    out = summarise_layers(runs)
+    alternating, one = (out["invoke_alternating_users"],
+                        out["invoke_one_user"])
+    best = {side: alternating[side]["best_us"] - one[side]["best_us"]
+            for side in SIDES}
+    out["recreation"] = {
+        **{side: {"best_us": round(best[side], 2)} for side in SIDES},
+        "change_over_parent": round(best["change"] / best["parent"], 3),
+        "delta_pct": round(100.0 * (best["change"] - best["parent"])
+                           / best["parent"], 2)}
     return out
 
 
@@ -401,6 +473,18 @@ def layer_runs(trees) -> dict:
             "pages": summarise_layers(runs)}
 
 
+def lifecycle_runs(trees) -> dict:
+    argv = ["-c", LIFECYCLE_PROBE, str(LIFECYCLE_ROUNDS)]
+    runs: dict = {}
+    for i in range(1, LAYER_REPEATS + 1):
+        for side in order(i):
+            for name, us in json.loads(run_python(trees[side], argv)).items():
+                runs.setdefault(name, {s: [] for s in SIDES})[side].append(us)
+    return {"rounds_per_run": LIFECYCLE_ROUNDS,
+            "runs_per_side": LAYER_REPEATS,
+            "calls": summarise_lifecycle(runs)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
@@ -455,6 +539,7 @@ def main(argv=None) -> int:
             doc["cli"] = cli_runs(trees, Path(tmp))
         if args.layers:
             doc["object_layer"] = layer_runs(trees)
+            doc["lifecycle"] = lifecycle_runs(trees)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
