@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -162,8 +162,8 @@ def load_cert(text: str) -> bytes:
 class PlatformReport:
     """Signed launch measurement: gen(m, d, u).
 
-    Every field is made immutable ``bytes`` on construction (a parsed
-    report may hold ``bytearray`` slices), so the encoding, which every
+    Every field is made immutable ``bytes`` on construction (a report
+    may be built from any buffer), so the encoding, which every
     differential report embeds, is built once and kept.
     """
 
@@ -264,23 +264,33 @@ class ChainEntry:
 
 @dataclass(frozen=True)
 class AttestationReport:
-    """Nonce-bound, doubly-signed composition of all execution measurements."""
+    """Nonce-bound, doubly-signed composition of all execution measurements.
+
+    Its fields are immutable ``bytes`` (the parser hands out nothing
+    else), so the signed message is joined once, as the report is made,
+    and kept: ``build_report`` signs the message it keeps, and a report
+    altered with ``dataclasses.replace`` joins its own.
+    """
 
     platform: PlatformReport
     nonce: bytes
     chain_entries: tuple[ChainEntry, ...]
     signature: bytes
+    _message: bytes = field(init=False, repr=False, compare=False)
 
-    def signed_message(self) -> bytes:
+    def __post_init__(self) -> None:
         parts = [*wire.lp(self.platform.to_bytes()), *wire.lp(self.nonce),
                  wire.u32(len(self.chain_entries))]
         for e in self.chain_entries:
             parts += (e.zygote_digest, e.function_digest, e.input_digest,
                       e.output_digest)
-        return b"".join(parts)
+        object.__setattr__(self, "_message", b"".join(parts))
+
+    def signed_message(self) -> bytes:
+        return self._message
 
     def to_bytes(self) -> bytes:
-        return b"".join((self.signed_message(), *wire.lp(self.signature)))
+        return b"".join((self._message, *wire.lp(self.signature)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "AttestationReport":
@@ -358,9 +368,11 @@ def build_report(cache: MeasurementCache, nonce: bytes,
         out, c = cache.measure_transient(link.output_bytes, model)
         charge += c
         entries.append(ChainEntry(zygote, function, inp, out))
-    unsigned = AttestationReport(platform, bytes(nonce), tuple(entries), b"")
-    signature = signer.sign(unsigned.signed_message())
-    report = AttestationReport(platform, bytes(nonce), tuple(entries), signature)
+    report = AttestationReport(platform, bytes(nonce), tuple(entries), b"")
+    # The message leaves the signature out: the report keeps the one it
+    # is signed over and takes its signature in place.
+    object.__setattr__(report, "signature",
+                       signer.sign(report.signed_message()))
     return report, charge
 
 

@@ -14,6 +14,7 @@ emulator runs are bit-reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from typing import Optional
@@ -78,10 +79,22 @@ class SigningKey:
         return self._private.sign(message)
 
 
+# The public keys that a process sees again and again, a function's and a
+# vendor's, are parsed once each.  Only public material is kept so: no
+# cache is keyed by a secret.
+@functools.lru_cache(maxsize=64)
+def _ed25519_public(raw: bytes) -> ed25519.Ed25519PublicKey:
+    return ed25519.Ed25519PublicKey.from_public_bytes(raw)
+
+
+@functools.lru_cache(maxsize=64)
+def _x25519_public(raw: bytes) -> x25519.X25519PublicKey:
+    return x25519.X25519PublicKey.from_public_bytes(raw)
+
+
 def verify_signature(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        key = ed25519.Ed25519PublicKey.from_public_bytes(public)
-        key.verify(signature, message)
+        _ed25519_public(bytes(public)).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -142,8 +155,7 @@ def seal(recipient_public: bytes, plaintext: bytes, rng: Rng) -> bytes:
     """
     eph = x25519.X25519PrivateKey.from_private_bytes(rng.bytes(32))
     eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    shared = eph.exchange(
-        x25519.X25519PublicKey.from_public_bytes(recipient_public))
+    shared = eph.exchange(_x25519_public(bytes(recipient_public)))
     key = _hkdf(shared, b"walletemu-seal")
     nonce = hashlib.sha256(eph_pub + recipient_public).digest()[:12]
     return eph_pub + AESGCM(key).encrypt(nonce, plaintext, eph_pub)

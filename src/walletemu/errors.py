@@ -80,10 +80,6 @@ class AlreadyAttached(EmulatorError):
     """The object already has both a writer and a reader."""
 
 
-class NotWriter(EmulatorError):
-    """Only the attached writer may set an object as output."""
-
-
 class NoInput(EmulatorError):
     """No input object exists for the current invocation."""
 

@@ -116,7 +116,7 @@ def n_frames_of(runs: Sequence[Run]) -> int:
     """How many frames runs hold."""
     if len(runs) == 1:
         return runs[0][1] - runs[0][0]
-    return sum(hi - lo for lo, hi in runs)
+    return -sum(starmap(operator.sub, runs))  # of lo - hi, at C level
 
 
 class PrivilegeLevel(IntEnum):
@@ -212,8 +212,7 @@ class CostModel:
     def transfer_us(self, nbytes: int) -> int:
         return int(round(nbytes / 1048576 * self.transfer_us_per_mb))
 
-    def crypto_us(self, nbytes: int) -> int:
-        return self.hash_us(nbytes)
+    crypto_us = hash_us
 
 
 def _grown(col, n: int, fill: object = 0):
@@ -228,8 +227,10 @@ def _grown(col, n: int, fill: object = 0):
 # Owner-column values besides the levels: a frame in a pool's free list,
 # and a handed-out frame that no level owns.
 FREE, NO_OWNER = -2, -1
-# One-item owner columns per value, repeated to fill a run.
+# One-item owner columns per value, and a zero count, repeated to fill a run.
 _FILL = {v: array("b", [v]) for v in (FREE, NO_OWNER, *PrivilegeLevel)}
+_NO_REFS = array("q", [0])
+_FREE_BYTE = _FILL[FREE].tobytes()
 
 
 class FrameStore:
@@ -328,28 +329,38 @@ class FrameStore:
                                    else owner_level] * n
         return fresh
 
-    def take_back(self, runs: Sequence[Run]) -> None:
-        """Return disjoint runs of handed-out frames to the free state and
-        drop their bytes: all of them, or, if a frame is free or still
-        mapped, none, failing an assertion."""
-        owner, ref, base_of = self._owner, self._ref, self._base_of
-        free_byte = _FILL[FREE].tobytes()
+    def take_back(self, runs: Sequence[Run], refs: int = 0) -> None:
+        """Free disjoint runs of handed-out frames, each mapped refs times
+        by the grants unmapped with them and by nothing else, in one pass:
+        all of them, or, if one is free or mapped otherwise, none, failing
+        an assertion."""
         for lo, hi in runs:
-            if hi - lo == 1:
-                free, mapped = owner[lo] == FREE, ref[lo] or base_of[lo]
-            else:
-                free = free_byte in owner[lo:hi].tobytes()
-                mapped = not (_zero(ref[lo:hi]) and _zero(base_of[lo:hi]))
-            if free:
-                raise AssertionError("frame released while free")
-            # A frame with explicit references is mapped, and so is one of
-            # a base, which its sealed table maps.
-            if mapped:
+            if not self._mapped_only(lo, hi, refs):
                 raise AssertionError("frame released while mapped")
-        self.clear_runs(runs)
-        free = _FILL[FREE]
+        self._free(runs)
         for lo, hi in runs:
-            owner[lo:hi] = free * (hi - lo)
+            self._ref[lo:hi] = _NO_REFS * (hi - lo)
+            self._ref_sum -= refs * (hi - lo)
+
+    def _mapped_only(self, lo: int, hi: int, refs: int) -> bool:
+        """Whether each frame of the run lo..hi-1 is mapped refs times,
+        none by a sealed table (a frame of a base)."""
+        ref, base_of = self._ref, self._base_of
+        if hi - lo == 1:
+            return ref[lo] == refs and not base_of[lo]
+        return ref[lo:hi].count(refs) == hi - lo and _zero(base_of[lo:hi])
+
+    def _free(self, runs: Sequence[Run]) -> None:
+        """Mark the runs' unmapped frames free and drop their bytes: all of
+        them, or, if one is free already, none, failing an assertion."""
+        owner, src, fill = self._owner, self._src, _FILL[FREE]
+        for lo, hi in runs:
+            if (owner[lo] == FREE if hi - lo == 1
+                    else _FREE_BYTE in owner[lo:hi].tobytes()):
+                raise AssertionError("frame released while free")
+        for lo, hi in runs:
+            src[lo:hi] = [None] * (hi - lo)
+            owner[lo:hi] = fill * (hi - lo)
 
     def clear_runs(self, runs: Sequence[Run]) -> None:
         """Drop the runs' bytes: their pages read as zeros again."""
@@ -425,11 +436,24 @@ class FrameStore:
 
     def decref_runs(self, runs: Sequence[Run]) -> list[Run]:
         """Drop one reference per frame of each run; returns the frames
-        this left unmapped as disjoint runs in ascending order."""
-        self._add(runs, -1)
+        this left unmapped as disjoint runs in ascending order.  A run
+        whose frames each had just this reference, the usual case, is
+        checked and cleared with two C-level scans."""
         ref, base_of, views = self._ref, self._base_of, self._views
         freed: list[Run] = []
+        rest: list[Run] = []
+        apart = True  # freed so far ascending, no two touching
         for lo, hi in runs:
+            if self._mapped_only(lo, hi, 1):
+                ref[lo:hi] = _NO_REFS * (hi - lo)
+                self._ref_sum -= hi - lo
+                apart = apart and (not freed or freed[-1][1] < lo)
+                freed.append((lo, hi))
+            else:
+                rest.append((lo, hi))
+        if rest:
+            self._add(rest, -1)
+        for lo, hi in rest:
             if hi - lo == 1:
                 count = ref[lo] + views[base_of[lo]]
                 if count <= 0:
@@ -447,8 +471,10 @@ class FrameStore:
             if zeros:
                 freed += runs_of(list(compress(range(lo, hi),
                                                map(operator.not_, counts))))
-        # Runs out of id order, or a frame that two runs hold, need joining.
-        return _union(freed) if len(runs) > 1 and freed else freed
+        # Runs out of order, touching or holding a frame twice need joining.
+        if len(freed) > 1 and (rest or not apart):
+            freed = _union(freed)
+        return freed
 
     def _add(self, runs: Sequence[Run], delta: int) -> None:
         """Add delta to the explicit count of each frame of each run, then
@@ -609,8 +635,8 @@ class FrameStore:
         if size < PAGE_SIZE and len(chunks) == 1:  # part of one page
             fid, chunk = runs[0][0], chunks[0]
             if src[fid] is None:
-                self._view(fid, bytes(chunk) if type(chunk) is not bytes
-                           else chunk, 0)
+                src[fid] = bytes(chunk) if type(chunk) is not bytes else chunk
+                rel[fid] = -fid * PAGE_SIZE
             else:
                 self.write_bytes(fid, 0, chunk)
             return
@@ -927,7 +953,7 @@ class PageTable:
         any check fails, none.  Returns how many were mapped."""
         self._require_mutable(caller, "map pages")
         code = _code(perms)
-        n, limit, bad = 0, self.store.n_frames(), vpn < 0
+        n, limit, bad = 0, self.store._next_fid, vpn < 0
         for lo, hi in runs:
             bad = bad or lo < 0 or hi > limit
             n += hi - lo
@@ -943,7 +969,7 @@ class PageTable:
             taken = [v for v in range(vpn, min(stop, end)) if self._slot(v)[0] >= 0]
             if taken:
                 raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
-        i = self._own(vpn)
+        i = vpn - self._lo if vpn >= self._lo else self._own(vpn)
         fids = range(*runs[0]) if len(runs) == 1 else frames_of(runs)
         if i == len(self._fid):  # the usual case: fresh vpns past the lists
             self._fid += fids
@@ -983,6 +1009,16 @@ class PageTable:
             self._fid[i:j] = [-1] * (j - i)
         self._n -= len(vpns)
         return self.store.decref_runs(runs_of(fids))
+
+    def _grant(self, vpns: range, runs: Sequence[Run]) -> tuple[int, int]:
+        """The slice i:j of the own lists at which vpns map the runs'
+        frames in order (``MemoryPool.release_runs``), or AssertionError."""
+        i, j = vpns.start - self._lo, vpns.stop - self._lo
+        frames = list(range(*runs[0])) if len(runs) == 1 else frames_of(runs)
+        if self.sealed or i < 0 or self._fid[i:j] != frames:
+            raise AssertionError(f"vpns {vpns} of process {self.owner} do "
+                                 "not map the frames released")
+        return i, j
 
     @staticmethod
     def _refuse_unmapped(vpns: Sequence[int], fids: list[int]) -> None:
@@ -1125,17 +1161,29 @@ class PageTable:
         self.store.decref_runs([(old_fid, old_fid + 1)])
         return new_fids[0], charge + model.copy_us(1)
 
-    def truncate(self, stop: int, caller: PrivilegeLevel = PL0) -> None:
-        """Forget the vpns from stop on, none of them mapped, so that the
-        next ``map_runs`` maps at stop again.  A view that still reads its
-        base keeps reading it below stop."""
+    def truncate(self, stop: int, pool: "MemoryPool",
+                 caller: PrivilegeLevel = PL0) -> None:
+        """Unmap and forget the vpns from stop on, so that the next
+        ``map_runs`` maps at stop again, and give the frames this left
+        unmapped back to pool, as ``release_all`` does.  A view that
+        still reads its base keeps reading it below stop."""
         self._require_mutable(caller, "truncate")
         i = stop - self._lo
-        if i < 0 or max(self._fid[i:], default=-1) >= 0:
-            raise ValueError(f"vpn {stop} is below the own lists, or it or "
-                             f"a later vpn is mapped in process {self.owner}")
+        if i < 0:
+            raise ValueError(f"vpn {stop} is below the own lists")
+        fids = list(filter((-1).__lt__, self._fid[i:]))  # fid >= 0
         del self._fid[i:], self._perm[i:]
+        self._n -= len(fids)
         self._next_vpn = stop
+        self._drop(fids, pool)
+
+    def _drop(self, fids: Sequence[int], pool: "MemoryPool") -> list[Run]:
+        """Unmap fids and give back the frames this frees, found in that
+        one pass, to pool; returns them."""
+        freed = self.store.decref_runs(runs_of(fids))
+        self.store._free(freed)
+        pool._give_back(freed)
+        return freed
 
     @property
     def diverged(self) -> bool:
@@ -1143,20 +1191,20 @@ class PageTable:
         fault, say), so that it no longer reads the base's lists."""
         return self.base is not None and not self._lo
 
-    def release_all(self) -> list[Run]:
-        """Unmap everything; returns the frames whose ref_count reached 0,
-        as disjoint runs in ascending order, for ``MemoryPool.release_runs``.
+    def release_all(self, pool: "MemoryPool") -> list[Run]:
+        """Unmap everything and give the frames whose ref_count reached 0
+        back to pool; returns them as disjoint runs in ascending order.
 
         Costs O(own list entries), not O(base pages).  A sealed table with
         live views is refused with ``BaseInUse``; release them first.
         """
         local = (self._sealed_fids if self.sealed
-                 else [fid for fid in self._fid if fid >= 0])
+                 else list(filter((-1).__lt__, self._fid)))  # fid >= 0
         if self._base_id is not None:
             self.store.unregister_base(self._base_id, local)
             self._base_id = None
             self._sealed_fids = array("q")
-        freed = self.store.decref_runs(runs_of(local))
+        freed = self._drop(local, pool)
         if self.base is not None:
             if not self._lo:
                 self.store.incref_runs(runs_of(self.base.local_frame_ids()))
@@ -1174,9 +1222,10 @@ class MemoryPool:
     Frames are so handed out in the order they became free, the rest of
     the boot range first; that order decides which frames pay validation.
     Runs are also what the pool hands out and takes back: ``take_runs``
-    returns the runs it popped, each claimed in one store call, and
-    ``release_runs`` takes an object's runs, or a released table's, as
-    they are, so both cost O(runs), however many frames the runs hold.
+    returns the runs it popped, each claimed in one store call;
+    ``release_runs`` takes an object's runs and unmaps its grants, and a
+    released table gives back what it frees, in the pass that finds it,
+    so each costs O(runs), however many frames the runs hold.
     ``take`` is ``take_runs`` over frame ids.  Host memory grows with the
     frame columns, and with page bytes only as frames are written.
     """
@@ -1190,7 +1239,6 @@ class MemoryPool:
         if n_frames <= 0:
             return
         self._give_back([self.store.reserve(n_frames, validated=validated)])
-        self.free_count += n_frames
 
     def take(self, n: int, owner_level: Optional[PrivilegeLevel] = None
              ) -> tuple[list[int], int]:
@@ -1217,31 +1265,40 @@ class MemoryPool:
         self.free_count -= n
         return runs, fresh
 
-    def release_runs(self, runs: Sequence[Run]) -> None:
-        """Give back the runs' frames, distinct, handed out and unmapped,
-        in id order; if any is not, none is given back and an assertion
-        fails."""
+    def release_runs(self, runs: Sequence[Run],
+                     grants: Sequence[tuple["PageTable", range]] = ()) -> None:
+        """Give back the runs' frames, in id order, and unmap the grants:
+        each a table and the range of vpns at which it maps the frames in
+        the runs' order.  One pass checks that the frames are distinct,
+        handed out and mapped by the grants alone, and frees them
+        (``FrameStore.take_back``); if not, an assertion fails."""
         if not runs:
             return
-        runs = sorted(runs)
-        joined = runs[:1]
-        for lo, hi in itertools.islice(runs, 1, None):
-            if lo < joined[-1][1]:
+        spans = []
+        for table, vpns in grants:
+            spans.append((table, *table._grant(vpns, runs)))
+        if len(runs) > 1:
+            joined = _union(runs)
+            if n_frames_of(joined) != n_frames_of(runs):
                 raise AssertionError("frame released twice")
-            if lo == joined[-1][1]:
-                joined[-1] = (joined[-1][0], hi)
-            else:
-                joined.append((lo, hi))
-        self.store.take_back(joined)
-        self.free_count += n_frames_of(joined)
-        self._give_back(joined)
+            runs = joined
+        self.store.take_back(runs, len(spans))
+        for table, i, j in spans:
+            table._fid[i:j] = [-1] * (j - i)
+            table._n -= j - i
+        self._give_back(runs)
 
-    def _give_back(self, runs: list[Run]) -> None:
-        """Append free runs, the first joining the last run if that ends
+    def _give_back(self, runs: Sequence[Run]) -> None:
+        """Count and append the runs of frames the store freed, disjoint
+        and in id order, the first joining the last run if that ends
         where it starts."""
+        if not runs:
+            return
+        self.free_count += n_frames_of(runs)
         ranges = self._ranges
         if ranges and ranges[-1][1] == runs[0][0]:
-            ranges[-1] = (ranges[-1][0], runs.pop(0)[1])
+            ranges[-1] = (ranges[-1][0], runs[0][1])
+            runs = itertools.islice(runs, 1, None)
         ranges.extend(runs)
 
 

@@ -59,7 +59,7 @@ from .memory import (
     pages_for,
     preallocate,
 )
-from .objects import MONITOR_PID, ObjectStore, ObjectType
+from .objects import ObjectStore, ObjectType
 from .pipeline import NestedFs, run_pipeline
 
 RESPONSE_KEY_LEN = 32
@@ -103,7 +103,7 @@ class ProcessDescriptor:
     page_table: PageTable
     state: ProcState = ProcState.CREATED
     base_zygote: Optional[int] = None
-    output_obj: Optional[int] = None  # the newest output; the next retires it
+    output_obj: Optional[int] = None  # the newest output; the next ends it
     measurement: Optional[bytes] = None
     image: Optional[ZygoteImage] = None
     fn: Optional[FunctionSpec] = None
@@ -512,27 +512,26 @@ class Monitor:
         return terminated + 1
 
     def _terminate(self, handle: int, proc: ProcessDescriptor) -> None:
-        """Delete a process: forget its pending links, retire a handed-off
+        """Delete a process: forget its pending links, end a handed-off
         input it has not run, then tear it down."""
         for producer in [p for p, c in self._chain_edges.items()
                          if handle in (p, c)]:
             del self._chain_edges[producer]
         inbox = self._chain_inbox.pop(handle, None)
         if inbox is not None:
-            self.objects.retire(inbox[0])
+            self.objects.end(inbox[0])
         self._teardown(handle, proc)
 
     def _teardown(self, handle: int, proc: ProcessDescriptor) -> None:
         """Abort the process's invocation through ``_settle`` (the scheduler
-        skips the ticket wherever it is queued), give the frames of its
-        retired objects and those its page table frees back to the pool as
-        runs, in one call, and forget it."""
+        skips the ticket wherever it is queued), leave its objects, release
+        its page table, which frees theirs with its own, and forget it."""
         ticket = self._active.get(proc.pid)
         if ticket is not None:
             self._settle(ticket, proc, error=InvocationAborted(
                 f"process {proc.pid} terminated mid-invocation"))
-        freed = self.objects.reclaim(proc.pid)
-        self.pool.release_runs(freed + proc.page_table.release_all())
+        self.objects.leave(proc.pid)
+        proc.page_table.release_all(self.pool)
         proc.transition(ProcState.TERMINATED)
         self._procs.pop(proc.pid, None)
         self._handles.pop(handle, None)
@@ -595,7 +594,7 @@ class Monitor:
                 owner_level=PrivilegeLevel.PL1_PROCESS)
         except OutOfMemory:
             # Give back the fork, or the zygote could never be deleted.
-            self.pool.release_runs(table.release_all())
+            table.release_all(self.pool)
             raise
         self._charge(excl_alloc_us)
         table.map_runs(runs, PagePerms.PROCESS_RW)
@@ -697,12 +696,9 @@ class Monitor:
             input_bytes, response_key, nonce = source
         proc, claimed = self._claim(handle, response_key)
         if source is not None:
-            obj_id, charge = self.objects.create(MONITOR_PID, None,
-                                                 max(1, len(input_bytes)),
-                                                 ObjectType.INPUT)
-            charges.input_us += self._charge(charge)
-            charges.input_us += self._charge(
-                self.objects.write_monitor(obj_id, input_bytes))
+            obj_id, alloc_us, write_us = self.objects.make(
+                input_bytes, ObjectType.INPUT, reader=proc.page_table)
+            charges.input_us += self._charge(alloc_us + write_us)
 
         ticket = _Ticket(self._next_seq, handle, proc.pid, obj_id,
                          response_key, nonce, list(prefix), charges,
@@ -746,11 +742,11 @@ class Monitor:
         pid under the same handle, over the same page table and exclusive
         frames.
 
-        The previous user's objects are retired (``ObjectStore.reclaim``),
-        which leaves the table mapping the zygote and the exclusive region
-        only; the vpns past that region are forgotten, the exclusive frames
-        cleared and the function image written into them again, so they
-        read as the image followed by zeros.  Under ``cow_enabled=False``
+        The previous user's objects are left (``ObjectStore.leave``) and
+        the vpns past the exclusive region unmapped (``truncate``), which
+        frees those objects and leaves the zygote and the exclusive
+        region mapped; the exclusive frames are cleared and the function
+        image written into them again: the image followed by zeros.  Under ``cow_enabled=False``
         the zygote copy, read-only to PL1, is kept as well.  A view that
         changed a vpn of its base (a resolved CoW fault) is replaced by a
         fresh ``fork_cow`` view mapping the same exclusive frames, and the
@@ -768,7 +764,7 @@ class Monitor:
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
         zygote = self._procs[proc.base_zygote]
-        freed = self.objects.reclaim(proc.pid)
+        self.objects.leave(proc.pid)
         pid = self._next_pid
         self._next_pid += 1
         self._charge(self.config.descriptor_clone_us)
@@ -777,11 +773,11 @@ class Monitor:
         if table.diverged:
             table = zygote.page_table.fork_cow(pid)
             table.map_runs(runs, PagePerms.PROCESS_RW)
-            freed += proc.page_table.release_all()
+            proc.page_table.release_all(self.pool)
         else:
             table.owner = pid
-            table.truncate(zygote.page_table.next_unused_vpn() + excl_pages)
-        self.pool.release_runs(freed)
+            table.truncate(zygote.page_table.next_unused_vpn() + excl_pages,
+                           self.pool)
         if not self.config.cow_enabled:
             self._charge(self.model.copy_us(zygote.page_table.n_entries()))
         fn_bytes = proc.fn.canonical_bytes
@@ -832,7 +828,10 @@ class Monitor:
         """Resume the ticket's pipeline once: it suspends on an external
         file, completes, or fails."""
         if ticket.run is None:
-            ticket.input_bytes = self._read_input(ticket, proc)
+            # Runtime prologue: getInputObject and page reads through the
+            # grant the input was made, or handed off, with.
+            ticket.input_bytes = self.objects.read_through(
+                proc.page_table, ticket.input_obj)
             ticket.run = run_pipeline(proc.fn, proc.fs, ticket.input_bytes)
         proc.transition(ProcState.RUNNING)
         sent, ticket.resume = ticket.resume, None
@@ -851,7 +850,7 @@ class Monitor:
                 result: Optional[InvokeResult] = None,
                 error: Optional[Exception] = None) -> None:
         """The one end of every invocation, whether it succeeds, fails, is
-        refused its output object or a file's memory, or is aborted: retires
+        refused its output object or a file's memory, or is aborted: ends
         its file objects, then its input, unless a failed hop keeps the
         input handed off to it for a retry."""
         if proc.state is ProcState.RUNNING:
@@ -859,26 +858,19 @@ class Monitor:
         ticket.result, ticket.error = result, error
         self._active.pop(proc.pid, None)
         for obj_id in ticket.file_objs:
-            self.objects.retire(obj_id)
+            self.objects.end(obj_id)
         if ticket.chained and error is not None:
             return
         if ticket.chained:
             del self._chain_inbox[ticket.handle]
-        self.objects.retire(ticket.input_obj)
+        self.objects.end(ticket.input_obj)
         if result is not None:
             self.completion_log.append(proc.pid)
 
-    def _read_input(self, ticket: _Ticket, proc: ProcessDescriptor) -> bytes:
-        """Runtime prologue: getInputObject + page reads via the grant; a
-        handed-off chain object already has this reader attached."""
-        self.objects.attach_reader(proc.pid, proc.page_table, ticket.input_obj)
-        return self.objects.read_through(proc.pid, proc.page_table,
-                                         ticket.input_obj)
-
     def _deliver_one_io(self) -> None:
         """Complete one suspended external file read, FIFO: copy the file
-        into an input object the reader is attached to, before the LibOS
-        sees it, or end the invocation if memory runs out for it."""
+        into an input object made with the reader's grant, before the
+        LibOS sees it, or end the invocation if memory runs out for it."""
         ticket, path = self._pending_io.pop(0)
         if ticket.finished:  # aborted while suspended
             return
@@ -886,23 +878,21 @@ class Monitor:
         raw = self.guest.read_file(path)
         if raw is not None:
             try:
-                obj_id, alloc_us = self.objects.create(
-                    MONITOR_PID, None, max(1, len(raw)), ObjectType.INPUT)
+                obj_id, alloc_us, write_us = self.objects.make(
+                    raw, ObjectType.INPUT, reader=proc.page_table)
             except OutOfMemory as exc:
                 self._settle(ticket, proc, error=exc)
                 return
             self._charge(alloc_us)
             ticket.file_objs.append(obj_id)
-            ticket.charges.input_us += self._charge(
-                self.objects.write_monitor(obj_id, raw))
-            self.objects.attach_reader(proc.pid, proc.page_table, obj_id)
+            ticket.charges.input_us += self._charge(write_us)
         ticket.resume = raw
         heapq.heappush(self._ready, (ticket.seq, ticket))
 
     def _complete(self, ticket: _Ticket, proc: ProcessDescriptor,
                   output: bytes, exec_us: int) -> None:
-        """Charge the run's execution, create and write the output object,
-        then hand it off along a pending link as a chain object or answer
+        """Charge the run's execution, make the output object, then hand
+        it off along a pending link as a chain object or answer
         the user with the report and the encrypted response."""
         charges = ticket.charges
         charges.exec_us += self._charge(exec_us)
@@ -919,26 +909,21 @@ class Monitor:
                 self._must_recreate(consumer_handle,
                                     _user_of(ticket.response_key))
                 otype, supersedes = ObjectType.CHAIN, None
-            # A user-facing output is retired only after its successor
-            # exists, so a refused create leaves it in place.
-            obj_id, charge = self.objects.create(
-                proc.pid, proc.page_table, max(1, len(output)), otype,
-                supersedes)
+            # A user-facing output is ended only after its successor
+            # exists, so a refused make leaves it in place.
+            obj_id, alloc_us, write_us = self.objects.make(
+                output, otype, writer=proc.page_table, supersedes=supersedes)
         except (TrustletBusy, QuotaExceeded, OutOfMemory) as exc:
             # A pending link stays pending; its consumer is left as it was.
             self._settle(ticket, proc, error=exc)
             return
-        charges.output_us += self._charge(charge)
-        charges.output_us += self._charge(self.objects.write_through(
-            proc.pid, proc.page_table, obj_id, output))
-        self.objects.seal(obj_id)
+        charges.output_us += self._charge(alloc_us + write_us)
 
         if consumer_handle is not None:
             del self._chain_edges[ticket.handle]
             consumer, consumer_recreated = self._claim(
                 consumer_handle, ticket.response_key)
-            self.objects.attach_reader(consumer.pid, consumer.page_table,
-                                       obj_id)
+            self.objects.attach_reader(consumer.page_table, obj_id)
             measurements = ticket.chain_prefix + [self._measurements_for(
                 proc, ticket.input_bytes, output)]
             self._chain_inbox[consumer_handle] = (
@@ -950,7 +935,7 @@ class Monitor:
                                   output_obj_id=obj_id)
         else:
             # Only a user-facing output supersedes the previous one.
-            self.objects.retire(proc.output_obj)
+            self.objects.end(proc.output_obj)
             proc.output_obj = obj_id
             # Retrieve the result from the output object, not the run state.
             retrieved = self.objects.read_monitor(obj_id)
@@ -986,7 +971,7 @@ class Monitor:
 
     def link_chain(self, producer_handle: int, consumer_handle: int) -> None:
         """Record that producer's next output becomes consumer's input, as
-        a chain object ``_complete`` creates; allocates nothing."""
+        a chain object ``_complete`` makes; allocates nothing."""
         producer = self._proc(producer_handle)
         consumer = self._proc(consumer_handle)
         for proc in (producer, consumer):

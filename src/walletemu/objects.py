@@ -1,23 +1,23 @@
 """Monitor-owned data objects: the inter-function communication path.
 
 A data object is a run of frames with at most one writer and one reader
-attachment.  The writer streams bytes through write-only page mappings
-while solely attached; attaching the reader downgrades the writer's
-mappings, so no frame is ever PL1-writable while shared.  A chain object
-is an output object the monitor creates when a linked producer completes,
-sized by that output, and hands to the consumer as its input: the payload
-is never copied.  When functions are not co-located the copy-and-encrypt
-fallback path models the conventional network route.
+attachment.  The writer's bytes go through a write-only grant that it
+alone maps; attaching the reader downgrades the writer's mappings, so no
+frame is ever PL1-writable while shared.  A chain object is an output
+object the monitor makes when a linked producer completes, sized by that
+output, and hands to the consumer as its input: the payload is never
+copied.  When functions are not co-located the copy-and-encrypt fallback
+path models the conventional network route.
 
-The store owns an object from ``create`` to its release.  Detaching a
-party unmaps that party's grant from its table, and an object's frames go
-back to the pool when the monitor retires it, or with its last attached
-process's frames when that exits (``reclaim`` hands them to the
-teardown), so a page table only ever frees its own process's frames.  A
-writer's quota use is derived from the live objects it writes.  An
-invocation's input and its copies of the external files it reads are
-input objects the monitor writes; which object is which, or a process's
-current output, is the monitor's to know, and it retires each.
+An object lives from one call to one call.  ``make`` allocates its
+frames, writes its bytes and maps its parties' grants; ``end`` unmaps
+every grant and gives the frames back in one pass.  A process that exits
+or is recreated ``leave``s its objects, and each that nobody else holds
+goes with its table's pages, the only ones mapping it.  A writer's
+quota use is derived from the live objects it writes.  An invocation's
+input and its copies of the external files it reads are input objects
+the monitor writes; which object is which, or a process's current
+output, is the monitor's to know, and it ends each.
 """
 
 from __future__ import annotations
@@ -31,22 +31,18 @@ from .crypto import Rng, symmetric_decrypt, symmetric_encrypt
 from .errors import (
     AlreadyAttached,
     NoRoute,
-    NotWriter,
-    PermissionDenied,
     QuotaExceeded,
     UnknownObject,
 )
 from .guest import GuestBroker
 from .memory import (
-    PAGE_SIZE,
+    PL1,
     CostModel,
     MemoryPool,
     PageFault,
     PagePerms,
     PageTable,
-    PrivilegeLevel,
     Run,
-    alloc_runs,
     frames_of,
     n_frames_of,
     pages_for,
@@ -120,11 +116,10 @@ class ObjectStore:
 
     An object's frame runs are the unit it passes to the memory layer:
     the pool hands them out and takes them back as runs, each grant maps
-    them at one range of vpns, and reads and writes check and move a
-    grant's pages a run at a time.  Creating, writing, attaching,
-    reading, detaching and releasing an object of n pages in r runs so
-    takes O(r) Python steps, with the per-page work in slice assignments
-    and C-level scans.
+    them at one range of vpns, and reads check and move a grant's pages
+    a run at a time.  Making, attaching, reading and ending an object of
+    n pages in r runs so takes O(r) Python steps, with the per-page work
+    in slice assignments and C-level scans.
     """
 
     def __init__(self, pool: MemoryPool, model: CostModel,
@@ -143,53 +138,87 @@ class ObjectStore:
         """Live set of object ids attached to pid (descriptor's view)."""
         return self._attached.setdefault(pid, set())
 
-    def _written_by(self, pid: int) -> list[DataObject]:
-        """pid's live objects as writer: at most quota_objects."""
-        return [obj for obj in map(self.objects.__getitem__,
-                                   self._attached.get(pid, ()))
-                if obj.writer == pid]
-
-    def _check_quota(self, pid: Optional[int], more_objects: int,
-                     more_bytes: int, supersedes: Optional[int] = None) -> None:
+    def _check_quota(self, pid: int, more_objects: int, more_bytes: int,
+                     supersedes: Optional[int] = None) -> None:
         """Refuse with QuotaExceeded a writer's growth past its quota,
-        counted over the live objects it writes other than ``supersedes``;
-        the monitor has none."""
-        if pid in (None, MONITOR_PID):
-            return
-        owned = [obj for obj in self._written_by(pid)
-                 if obj.obj_id != supersedes]
-        if len(owned) + more_objects > self.quota_objects:
+        counted over the live objects it writes other than ``supersedes``
+        (at most quota_objects)."""
+        count = size = 0
+        for obj_id in self._attached.get(pid, ()):
+            obj = self.objects[obj_id]
+            if obj.writer == pid and obj_id != supersedes:
+                count += 1
+                size += obj.charged_bytes
+        if count + more_objects > self.quota_objects:
             raise QuotaExceeded(
                 f"process {pid} exceeds {self.quota_objects} objects")
-        if sum(obj.charged_bytes for obj in owned) + more_bytes > self.quota_bytes:
+        if size + more_bytes > self.quota_bytes:
             raise QuotaExceeded(f"process {pid} exceeds object byte quota")
 
-    # -- creation ---------------------------------------------------------------
+    # -- making and ending ----------------------------------------------------------
 
-    def create(self, caller_pid: int, caller_table: Optional[PageTable],
-               length: int, otype: ObjectType = ObjectType.PLAIN,
-               supersedes: Optional[int] = None) -> tuple[int, int]:
-        """Create an object with the caller attached as writer.
+    def make(self, data: bytes, otype: ObjectType = ObjectType.PLAIN,
+             writer: Optional[PageTable] = None,
+             reader: Optional[PageTable] = None,
+             supersedes: Optional[int] = None) -> tuple[int, int, int]:
+        """Make an object holding data, in one call: check the writer's
+        quota, allocate the frames, write data and map each party's grant.
 
-        Grants write-only mappings in the caller's table (monitor callers
-        access frames directly at PL0).  ``supersedes`` names an object
-        the caller retires once this one exists; the quota leaves it out.
-        Returns (obj_id, charge_us).
+        A party is a process, named by its page table (``owner`` is its
+        pid), or the monitor (None), which writes at PL0 and is mapped
+        nothing.  A writer's grant is write-only (read-only if a reader
+        shares it), a reader's read-only.  A process's object is sealed:
+        its bytes went to frames its fresh grant alone maps, so the write
+        cannot fault, and none follows; it counts toward
+        payload_bytes_copied, the monitor's write does not.  The quota
+        leaves out ``supersedes``, an object the caller ends once this
+        one exists.  Returns (obj_id, allocation and write charge_us).
         """
-        if length <= 0:
-            raise ValueError("object length must be positive")
-        self._check_quota(caller_pid, 1, length, supersedes)
-        runs, charge = alloc_runs(self.pool, pages_for(length), self.model,
-                                  owner_level=PrivilegeLevel.PL1_PROCESS)
-        obj = DataObject(self._next_id, length, otype, runs,
-                         writer=caller_pid, charged_bytes=length)
+        size = max(1, len(data))
+        wpid = MONITOR_PID if writer is None else writer.owner
+        if writer is not None:
+            self._check_quota(wpid, 1, size, supersedes)
+        if reader is not None and reader.owner == wpid:
+            raise AlreadyAttached(f"process {wpid} already attached as writer")
+        runs, fresh = self.pool.take_runs(pages_for(size), PL1)
+        self.pool.store.write_runs(runs, data)
+        obj = DataObject(self._next_id, len(data), otype, runs, writer=wpid,
+                         sealed=writer is not None, charged_bytes=size)
         self._next_id += 1
-        if caller_table is not None and caller_pid != MONITOR_PID:
-            obj.writer_vpns = caller_table.map_runs(runs, PagePerms.PROCESS_WO)
-            obj.writer_table = caller_table
         self.objects[obj.obj_id] = obj
-        self.attached_view(caller_pid).add(obj.obj_id)
-        return obj.obj_id, charge
+        attached = self._attached
+        attached.setdefault(wpid, set()).add(obj.obj_id)
+        if writer is not None:
+            obj.writer_table = writer
+            obj.writer_vpns = writer.map_runs(runs, PagePerms.PROCESS_WO
+                                              if reader is None
+                                              else PagePerms.PROCESS_RO)
+            self.counter.payload_bytes_copied += len(data)
+        if reader is not None:
+            obj.reader, obj.reader_table = reader.owner, reader
+            obj.reader_vpns = reader.map_runs(runs, PagePerms.PROCESS_RO)
+            attached.setdefault(reader.owner, set()).add(obj.obj_id)
+        return (obj.obj_id, self.model.validation_us(fresh),
+                self.model.transfer_us(len(data)))
+
+    def end(self, obj_id: Optional[int]) -> None:
+        """End one object in one pass: unmap every party's grant and give
+        its frames back (``MemoryPool.release_runs``; an assertion fails,
+        changing nothing, if anything else maps one).  The writer's quota
+        use drops with it.  An id no longer live, or None, is ignored."""
+        obj = self.objects.get(obj_id)
+        if obj is None:
+            return
+        grants = []
+        if obj.writer_table is not None:
+            grants.append((obj.writer_table, obj.writer_vpns))
+        if obj.reader_table is not None:
+            grants.append((obj.reader_table, obj.reader_vpns))
+        self.pool.release_runs(obj.runs, grants)
+        del self.objects[obj_id]
+        for pid in (obj.writer, obj.reader):
+            if pid is not None:
+                self._attached[pid].discard(obj_id)
 
     def get(self, obj_id: int) -> DataObject:
         obj = self.objects.get(obj_id)
@@ -197,139 +226,68 @@ class ObjectStore:
             raise UnknownObject(f"no object {obj_id}")
         return obj
 
-    # -- attachment ---------------------------------------------------------------
+    def attach_reader(self, table: PageTable, obj_id: int) -> DataObject:
+        """Grant the process of table read-only mappings; a second reader
+        is rejected.
 
-    def attach_reader(self, caller_pid: int, caller_table: Optional[PageTable],
-                      obj_id: int) -> DataObject:
-        """Grant the caller read-only mappings; second reader is rejected.
-
-        The writer's write grants (if any) are downgraded to read-only
+        The writer's write grant (if any) is downgraded to read-only
         first, so shared frames are never PL1-writable.
         """
-        obj = self.get(obj_id)
+        obj, pid = self.get(obj_id), table.owner
         if obj.reader is not None:
-            if obj.reader == caller_pid:
+            if obj.reader == pid:
                 return obj  # idempotent re-attach
             raise AlreadyAttached(f"object {obj_id} already has a reader")
-        if obj.writer == caller_pid:
-            raise AlreadyAttached(
-                f"process {caller_pid} already attached as writer")
+        if obj.writer == pid:
+            raise AlreadyAttached(f"process {pid} already attached as writer")
         if obj.writer_vpns:
             obj.writer_table.set_perms(obj.writer_vpns, PagePerms.PROCESS_RO)
-        obj.reader = caller_pid
-        self.attached_view(caller_pid).add(obj.obj_id)
-        if caller_table is not None and caller_pid != MONITOR_PID:
-            obj.reader_vpns = caller_table.map_runs(obj.runs,
-                                                    PagePerms.PROCESS_RO)
-            obj.reader_table = caller_table
+        obj.reader, obj.reader_table = pid, table
+        obj.reader_vpns = table.map_runs(obj.runs, PagePerms.PROCESS_RO)
+        self._attached.setdefault(pid, set()).add(obj_id)
         return obj
 
-    def seal(self, obj_id: int) -> None:
-        self.get(obj_id).sealed = True
+    def leave(self, pid: int) -> None:
+        """pid leaves the objects it is attached to, as its process exits
+        or is recreated, and an object nobody else holds goes with it.
 
-    # -- data movement -------------------------------------------------------------
-
-    def write_through(self, caller_pid: int, caller_table: PageTable,
-                      obj_id: int, data: bytes) -> int:
-        """Writer streams bytes through its PL1 mappings; returns charge_us.
-
-        Counts toward payload_bytes_copied (a producer's own write).  A
-        sealed object refuses every write with ``PermissionDenied``.
+        The caller then unmaps pid's grants with its page table
+        (``release_all``, or ``truncate`` past the pages it keeps), whose
+        one pass frees the gone objects' frames with the table's.  An
+        object the monitor also holds (an input) keeps its frames: pid's
+        grant on it is unmapped here.  Visits only pid's objects.
         """
-        obj = self.get(obj_id)
-        if obj.writer != caller_pid:
-            raise NotWriter(
-                f"process {caller_pid} is not the writer of object {obj_id}")
-        if obj.sealed:
-            raise PermissionDenied(f"object {obj_id} is sealed")
-        if len(data) > obj.pages * PAGE_SIZE:
-            raise ValueError("data exceeds object capacity")
-        fault = caller_table.write_run(
-            PrivilegeLevel.PL1_PROCESS,
-            obj.writer_vpns[: pages_for(len(data))], data)
-        if fault is not None:
-            raise PermissionError(f"object write faulted: {fault.kind.value}")
-        obj.length = len(data)
-        self.counter.payload_bytes_copied += len(data)
-        return self.model.transfer_us(len(data))
+        objects = self.objects
+        for obj_id in self._attached.pop(pid, ()):
+            obj = objects[obj_id]
+            if obj.writer == pid:
+                obj.writer, obj.writer_table = None, None
+                obj.writer_vpns = _NO_VPNS
+            else:
+                if obj.writer == MONITOR_PID:
+                    obj.reader_table.unmap_range(obj.reader_vpns)
+                obj.reader, obj.reader_table = None, None
+                obj.reader_vpns = _NO_VPNS
+            if obj.writer is None and obj.reader is None:
+                del objects[obj_id]
 
-    def read_through(self, caller_pid: int, caller_table: PageTable,
-                     obj_id: int) -> bytes:
-        """Reader pulls bytes through its PL1 read-only mappings."""
+    # -- reading ----------------------------------------------------------------------
+
+    def read_through(self, table: PageTable, obj_id: int) -> bytes:
+        """The reader pulls bytes through its PL1 read-only mappings."""
         obj = self.get(obj_id)
-        if obj.reader != caller_pid:
-            raise UnknownObject(
-                f"process {caller_pid} has no read grant on object {obj_id}")
-        data = caller_table.read_run(
-            PrivilegeLevel.PL1_PROCESS,
-            obj.reader_vpns[: pages_for(obj.length)], obj.length)
+        if obj.reader_table is not table:
+            raise UnknownObject(f"process {table.owner} has no read grant "
+                                f"on object {obj_id}")
+        data = table.read_run(PL1, obj.reader_vpns, obj.length)
         if isinstance(data, PageFault):
             raise PermissionError(f"object read faulted: {data.kind.value}")
         return data
-
-    def write_monitor(self, obj_id: int, data: bytes) -> int:
-        """Monitor (PL0) populates an object directly; charged, not counted."""
-        obj = self.get(obj_id)
-        self.pool.store.write_runs(obj.runs, data)
-        obj.length = len(data)
-        return self.model.transfer_us(len(data))
 
     def read_monitor(self, obj_id: int) -> bytes:
         """Monitor (PL0) reads an object's content directly."""
         obj = self.get(obj_id)
         return self.pool.store.read_runs(obj.runs, obj.length)
-
-    # -- lifecycle -------------------------------------------------------------------
-
-    def detach(self, pid: int, obj: DataObject) -> None:
-        """Drop pid's attachment to obj and unmap its grant from its table.
-
-        The frames stay the object's until ``retire`` gives them back or
-        ``reclaim`` hands them to the process's teardown."""
-        self._attached.get(pid, set()).discard(obj.obj_id)
-        if obj.writer == pid:
-            if obj.writer_table is not None:
-                obj.writer_table.unmap_range(obj.writer_vpns)
-            obj.writer, obj.writer_table = None, None
-            obj.writer_vpns = _NO_VPNS
-        if obj.reader == pid:
-            if obj.reader_table is not None:
-                obj.reader_table.unmap_range(obj.reader_vpns)
-            obj.reader, obj.reader_table = None, None
-            obj.reader_vpns = _NO_VPNS
-
-    def retire(self, obj_id: Optional[int]) -> None:
-        """Fully release one object: detach every party, then give back its
-        frames.  Used for consumed inputs, superseded outputs and chain
-        objects; the writer's quota use drops with the object.  An id that
-        is no longer live, or None, is ignored."""
-        obj = self.objects.get(obj_id)
-        if obj is None:
-            return
-        for pid in obj.attachments():
-            self.detach(pid, obj)
-        self.pool.release_runs(obj.runs)
-        del self.objects[obj.obj_id]
-
-    def reclaim(self, pid: int) -> list[Run]:
-        """Detach pid from its objects, forget every per-pid entry, and
-        forget the objects nobody is still attached to; returns their
-        frames as runs, which the caller gives back to the pool together
-        with those pid's page table frees (``MemoryPool.release_runs``).
-
-        Runs before pid's page table is released, so it leaves no object
-        grant mapped there.  Visits only the objects attached to pid, in
-        creation order.  An object with a surviving attachment persists
-        until that party exits or the monitor retires it.  Idempotent.
-        """
-        freed: list[Run] = []
-        for obj_id in sorted(self._attached.pop(pid, ())):
-            obj = self.objects[obj_id]
-            self.detach(pid, obj)
-            if not obj.attachments():
-                freed += obj.runs
-                del self.objects[obj_id]
-        return freed
 
     def dump(self) -> list[dict]:
         """Debug view of the live object table (JSON-serializable)."""

@@ -31,13 +31,16 @@ def checked(make, *args):
 
 
 class Reader:
-    """A cursor over one ``bytes`` input, which each field is sliced from;
-    the input itself is never copied."""
+    """A cursor over one ``bytes`` input, which each field is sliced from,
+    so that every field is immutable ``bytes``.  Any other buffer (a
+    ``bytearray``, a ``memoryview``) is copied into one on entry, once;
+    a ``bytes`` input is never copied."""
 
     __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes):
-        self._data, self._pos = data, 0
+        self._data = data if type(data) is bytes else bytes(data)
+        self._pos = 0
 
     def take(self, n: int) -> bytes:
         pos, end = self._pos, self._pos + n

@@ -430,7 +430,7 @@ def test_criterion_10_memory_property_suites():
                 table.resolve_cow(rng.choice(shared), pool, model)
         elif op == 3 and len(tables) > 2:
             table = tables.pop(rng.randrange(1, len(tables)))
-            pool.release_runs(table.release_all())
+            table.release_all(pool)
         assert store.total_refs() == sum(t.n_entries() for t in tables)
 
     # Permission monotonicity: 10^4 random PL1/PL2-issued operations can
@@ -492,24 +492,23 @@ def test_criterion_10_memory_property_suites():
         action = rng.randrange(4)
         if action == 0:
             pid = rng.randint(1, 4)
-            obj_id, _ = objects.create(pid, writer_tables[pid],
-                                       rng.randint(1, 3 * PAGE_SIZE))
+            sentinel = rng.randbytes(24)
+            sentinels.append(sentinel)
+            length = rng.randint(1, 3 * PAGE_SIZE)
+            obj_id, _, _ = objects.make(
+                (sentinel * (length // 24 + 1))[:length],
+                writer=writer_tables[pid])
             live.append(obj_id)
         elif action == 1 and live:
             obj_id = rng.choice(live)
-            obj = objects.get(obj_id)
-            if obj.writer in writer_tables and obj.reader is None:
-                sentinel = rng.randbytes(24)
-                sentinels.append(sentinel)
-                data = sentinel * (obj.length // 24 + 1)
-                objects.write_through(obj.writer, writer_tables[obj.writer],
-                                      obj_id, data[: obj.length])
+            live.remove(obj_id)
+            objects.end(obj_id)
         elif action == 2 and live:
             obj_id = rng.choice(live)
             obj = objects.get(obj_id)
             if obj.reader is None and obj.writer in writer_tables:
                 pid = rng.randint(5, 8)
-                objects.attach_reader(pid, reader_tables[pid], obj_id)
+                objects.attach_reader(reader_tables[pid], obj_id)
         elif action == 3 and live:
             obj_id = rng.choice(live)
             obj = objects.get(obj_id)

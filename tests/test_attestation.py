@@ -316,6 +316,48 @@ def flip_signature_bit(report: att.PlatformReport) -> att.PlatformReport:
         report, signature=bytes([report.signature[0] ^ 1]) + report.signature[1:])
 
 
+class TestReportEncodedOnce:
+    """A report joins its signed message once: ``build_report`` signs the
+    message it keeps, and the encoding and every check reuse it."""
+
+    setup_method = TestVerifyReport.setup_method
+    expectations = TestVerifyReport.expectations
+
+    def test_build_encode_and_verify_join_the_message_once(self,
+                                                           monkeypatch):
+        # Each join length-prefixes the embedded platform report.
+        prefixed = []
+        u32 = att.wire.u32
+        monkeypatch.setattr(att.wire, "u32",
+                            lambda n: prefixed.append(n) or u32(n))
+        report, _ = att.build_report(att.MeasurementCache(), self.nonce,
+                                     [self.link], self.platform, self.signer,
+                                     self.model)
+        report.to_bytes()
+        assert att.verify_report(report, self.expectations())
+        assert prefixed.count(len(self.platform.to_bytes())) == 1
+
+    def test_report_altered_after_encoding_is_refused(self):
+        encoded = self.report.to_bytes()
+        assert att.verify_report(self.report, self.expectations())
+        entry = self.report.chain_entries[0]
+        for forged in (
+                dataclasses.replace(self.report, nonce=Rng(34).bytes(16)),
+                dataclasses.replace(self.report, chain_entries=(
+                    dataclasses.replace(entry, output_digest=att.sha512(
+                        b"forged output")),))):
+            assert forged.to_bytes() != encoded
+            exp = self.expectations(nonce=forged.nonce)
+            assert not att.verify_report(forged, exp)
+
+    def test_parse_of_the_encoding_encodes_the_same(self):
+        encoded = self.report.to_bytes()
+        parsed = att.AttestationReport.from_bytes(encoded)
+        assert parsed.to_bytes() == encoded
+        assert parsed.signed_message() == self.report.signed_message()
+        assert att.verify_report(parsed, self.expectations())
+
+
 class TestPlatformVerdictMemo:
     def test_r_reports_from_one_monitor_cost_r_plus_one_verifies(
             self, monkeypatch):

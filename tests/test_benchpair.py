@@ -202,3 +202,66 @@ def test_lifecycle_probe_runs_on_this_tree():
     assert set(best) == {"create_trustlet", "delete_trustlet",
                          "invoke_one_user", "invoke_alternating_users"}
     assert min(best.values()) > 0
+
+
+def test_report_accounting_summary_takes_each_sides_best_call():
+    out = benchpair.summarise_layers({
+        "report_build_sign": {"parent": [80.0, 76.0, 79.0],
+                              "change": [72.0, 75.0, 71.0]},
+        "accounting": {"parent": [120.0, 118.0], "change": [121.0, 119.5]}})
+    report, acct = out["report_build_sign"], out["accounting"]
+    assert report["parent"]["best_us"] == 76.0
+    assert report["change"]["best_us"] == 71.0
+    assert report["change_over_parent"] == pytest.approx(71 / 76, abs=1e-3)
+    assert report["delta_pct"] == pytest.approx(-6.58, abs=0.01)
+    assert acct["change"]["runs_us"] == [121.0, 119.5]
+    assert acct["change_over_parent"] == pytest.approx(119.5 / 118,
+                                                       abs=1e-3)
+    assert acct["delta_pct"] == pytest.approx(1.27, abs=0.01)
+
+
+def test_report_accounting_probe_runs_on_this_tree():
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.REPORT_ACCOUNTING_PROBE, "3"],
+        capture_output=True, text=True, check=True,
+        env=benchpair.tree_env(benchpair.ROOT))
+    best = json.loads(done.stdout)
+    assert set(best) == {"report_build_sign", "accounting"}
+    assert min(best.values()) > 0
+
+
+def test_layer_probe_runs_on_the_parent_object_calls(tmp_path):
+    # A tree whose store has the ten calls that make and end replaced is
+    # timed through those: here a stand-in package that has only them.
+    fake = tmp_path / "walletemu"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "memory.py").write_text(
+        "PAGE_SIZE = 4096\n"
+        "class CostModel: pass\n"
+        "class FrameStore: pass\n"
+        "class MemoryPool:\n"
+        "    def __init__(self, store): pass\n"
+        "    def grow(self, n, validated): pass\n"
+        "class PageTable:\n"
+        "    def __init__(self, store, owner): pass\n")
+    (fake / "objects.py").write_text(
+        "MONITOR_PID = 0\n"
+        "class ObjectType:\n"
+        "    INPUT = OUTPUT = None\n"
+        "class ObjectStore:\n"
+        "    def __init__(self, pool, model): self.data = {}\n"
+        "    def create(self, pid, table, n, otype): return 1, 0\n"
+        "    def write_monitor(self, obj, data): self.data[obj] = data\n"
+        "    def write_through(self, pid, table, obj, data):\n"
+        "        self.data[obj] = data\n"
+        "    def attach_reader(self, pid, table, obj): pass\n"
+        "    def read_through(self, pid, table, obj): return self.data[obj]\n"
+        "    def read_monitor(self, obj): return self.data[obj]\n"
+        "    def seal(self, obj): pass\n"
+        "    def retire(self, obj): pass\n")
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.LAYER_PROBE, "2", "1"],
+        capture_output=True, text=True, check=True,
+        env=dict(benchpair.tree_env(tmp_path), PYTHONPATH=str(tmp_path)))
+    assert set(json.loads(done.stdout)) == {"1"}

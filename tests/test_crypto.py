@@ -1,7 +1,9 @@
 """Concrete-crypto layer tests: sealing, sessions, signatures, determinism."""
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519, x25519
 
+from walletemu import crypto
 from walletemu.crypto import (
     BoxKey,
     DhKey,
@@ -92,3 +94,34 @@ class TestDeterminism:
         blob1 = seal(k1.public().box_public, b"req", Rng(7))
         blob2 = seal(k2.public().box_public, b"req", Rng(7))
         assert blob1 == blob2
+
+
+class TestPublicKeysParsedOnce:
+    def test_seal_and_verify_parse_each_public_key_once(self, monkeypatch):
+        crypto._x25519_public.cache_clear()
+        crypto._ed25519_public.cache_clear()
+        parsed = []
+        for module, name in ((x25519, "X25519PublicKey"),
+                             (ed25519, "Ed25519PublicKey")):
+            cls = getattr(module, name)
+            real = cls.from_public_bytes
+            monkeypatch.setattr(cls, "from_public_bytes", staticmethod(
+                lambda raw, real=real: parsed.append(bytes(raw)) or real(raw)))
+        rng = Rng(40)
+        box, signer = BoxKey.generate(rng), SigningKey.generate(rng)
+        for _ in range(3):
+            blob = seal(box.public_bytes(), b"request", rng)
+            assert seal_open(box, blob) == b"request"
+            assert verify_signature(bytearray(signer.public_bytes()), b"m",
+                                    signer.sign(b"m"))
+        # The recipient's and the signer's keys once each; the sealed
+        # boxes' ephemeral keys, which differ, every time.
+        assert parsed.count(box.public_bytes()) == 1
+        assert parsed.count(signer.public_bytes()) == 1
+        assert len(parsed) == 2 + 3
+
+    def test_a_malformed_public_key_is_refused_every_time(self):
+        for _ in range(2):
+            assert not verify_signature(b"short", b"m", bytes(64))
+            with pytest.raises(ValueError):
+                seal(b"short", b"request", Rng(41))

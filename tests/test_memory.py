@@ -639,7 +639,7 @@ class TestForkCow:
             monkeypatch.setattr(store, name, recording(getattr(store, name)))
         child = zygote.fork_cow(2)
         assert store.ref(zygote.lookup(0).frame_id) == 2
-        assert child.release_all() == []
+        assert child.release_all(pool) == []
         assert not base_fids.intersection(passed)
         assert store.ref(zygote.lookup(0).frame_id) == 1
         assert store.total_refs() == zygote.n_entries() == 4096
@@ -745,7 +745,7 @@ def _zygote_after_its_last_view(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     view = zygote.fork_cow(2)
     view.resolve_cow(0, pool, model)
-    pool.release_runs(view.release_all())
+    view.release_all(pool)
     return [zygote]
 
 
@@ -814,11 +814,13 @@ class TestSealedTables:
         zygote = build_zygote_table(store, pool, model, pages=4)
         child = zygote.fork_cow(2)
         with pytest.raises(BaseInUse):
-            zygote.release_all()
+            zygote.release_all(pool)
         assert zygote.n_entries() == 4
         assert store.total_refs() == 8
-        child.release_all()
-        assert n_frames_of(zygote.release_all()) == 4
+        child.release_all(pool)
+        free = pool.free_count
+        assert n_frames_of(zygote.release_all(pool)) == 4
+        assert pool.free_count == free + 4
         assert store.total_refs() == 0
         with pytest.raises(NotSealed):
             zygote.fork_cow(3)
@@ -858,7 +860,7 @@ class TestInvariants:
                     t.resolve_cow(rng.choice(shared), pool, model)
             elif op == 3 and len(tables) > 1:
                 t = tables.pop(rng.randrange(1, len(tables)))
-                pool.release_runs(t.release_all())
+                t.release_all(pool)
             assert store.total_refs() == total_entries()
 
     def test_refcounts_match_brute_force_mapping_count(self, store, model):
@@ -907,13 +909,14 @@ class TestInvariants:
                     pool.release_runs(view.unmap_range([rng.choice(mapped)]))
             elif op == 5:
                 views.remove(view)
-                freed = view.release_all()
+                free = pool.free_count
+                freed = view.release_all(pool)
                 assert all(store.ref(f) == 0 for f in frames_of(freed))
-                pool.release_runs(freed)
+                assert pool.free_count == free + n_frames_of(freed)
             check()
         for view in views:
-            pool.release_runs(view.release_all())
-        pool.release_runs(zygote.release_all())
+            view.release_all(pool)
+        zygote.release_all(pool)
         assert store.total_refs() == 0
         assert pool.free_count == 4096
 
@@ -1200,6 +1203,9 @@ class MemoryMachine(RuleBasedStateMachine):
             self._refused(AssertionError, release_frames, self.pool, fids)
             return
         release_frames(self.pool, fids)
+        self._freed(fids)
+
+    def _freed(self, fids):
         for fid in fids:
             self.held.remove(fid)
             self.free.add(fid)
@@ -1371,15 +1377,16 @@ class MemoryMachine(RuleBasedStateMachine):
     def release_all(self, t):
         table = self._pick(self.tables, t)
         if table.views:
-            self._refused(BaseInUse, table.real.release_all)
+            self._refused(BaseInUse, table.real.release_all, self.pool)
             return
         self.tables.remove(table)
         if table.base is not None:
             table.base.views -= 1
         counts = self._counts()
         local = {f for f, _, inherited in table.pages.values() if not inherited}
-        assert frames_of(table.real.release_all()) == sorted(
-            f for f in local if not counts[f])
+        freed = sorted(f for f in local if not counts[f])
+        assert frames_of(table.real.release_all(self.pool)) == freed
+        self._freed(freed)
         if not self.tables:
             self.tables.append(_ModelTable(PageTable(self.store,
                                                      self.next_owner)))

@@ -121,14 +121,14 @@ class MonitorMachine(RuleBasedStateMachine):
         # was being run when the monitor created it.
         self.made_for: dict[int, int] = {}
         self.serving = None
-        create = self.m.objects.create
+        make = self.m.objects.make
 
-        def create_for_the_user_served(*args, **kwargs):
-            obj_id, charge = create(*args, **kwargs)
-            self.made_for[obj_id] = self.serving
-            return obj_id, charge
+        def make_for_the_user_served(*args, **kwargs):
+            made = make(*args, **kwargs)
+            self.made_for[made[0]] = self.serving
+            return made
 
-        self.m.objects.create = create_for_the_user_served
+        self.m.objects.make = make_for_the_user_served
         for f in range(len(self.functions)):
             self.create_trustlet(f)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_rig
 from walletemu import attestation as att
 from walletemu import wire
 from walletemu.crypto import FunctionKey, Rng
@@ -266,3 +267,54 @@ class TestInvocationRequest:
                                     b"n" * 16)
         with pytest.raises(DecryptFailed, match="trailing"):
             InvocationRequest.from_bytes(request.to_bytes() + b"junk")
+
+
+# -- every parser over any buffer ----------------------------------------------
+
+
+def _buffers(data: bytes):
+    """data as a bytearray and as a memoryview of a writable buffer."""
+    return bytearray(data), memoryview(bytearray(data))
+
+
+class TestParsersTakeAnyBuffer:
+    """Each parser hands out ``bytes`` fields whatever buffer it is given,
+    so that a parsed value hashes, compares and verifies as the one it
+    encodes."""
+
+    def test_every_parser_over_a_bytearray_and_a_memoryview(self):
+        rig = make_rig()
+        m, fn = rig.monitor, rig.functions[0]
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        request = rig.user.make_request(fn.digest(), b"any buffer")
+        report = m.invoke_trustlet(t.handle, request.ciphertext).report
+        exp = rig.expectations(request)
+        policy = ProviderPolicy(frozenset([rig.image.digest()]),
+                                frozenset([fn.digest()]),
+                                FunctionKey.generate(Rng(3)),
+                                ((fn.digest(), fn.digest()),))
+        key = FunctionKey.generate(Rng(4))
+        plain = InvocationRequest(fn.digest(), b"payload", b"k" * 32,
+                                  b"n" * 16)
+        for buf in _buffers(report.platform.to_bytes()):
+            platform = att.PlatformReport.from_bytes(buf)
+            assert platform == report.platform and hash(platform)
+        for buf in _buffers(report.to_bytes()):
+            parsed = att.AttestationReport.from_bytes(buf)
+            assert hash(parsed) and parsed.to_bytes() == report.to_bytes()
+            assert att.verify_report(parsed, exp)
+        for buf in _buffers(policy.to_bytes()):
+            got = ProviderPolicy.from_bytes(buf)
+            assert got.to_bytes() == policy.to_bytes()
+            assert got.chain_adjacent(fn.digest(), fn.digest())
+        for buf in _buffers(plain.to_bytes()):
+            assert InvocationRequest.from_bytes(buf) == plain
+        for buf in _buffers(rig.image.canonical_bytes):
+            image = ZygoteImage.from_bytes(buf)
+            assert image.digest() == rig.image.digest()
+            assert dict(image.manifest) == dict(rig.image.manifest)
+        for buf in _buffers(fn.canonical_bytes):
+            assert FunctionSpec.from_canonical(buf).digest() == fn.digest()
+        for buf in _buffers(key.private_bytes()):
+            assert FunctionKey.from_bytes(buf).private_bytes() == \
+                key.private_bytes()

@@ -55,6 +55,11 @@ that two users call in turn, interleaved in each round.  The last two
 differ by the per-user recreation, recorded as ``recreation``: per side,
 its best alternating-user invocation less its best one-user invocation.
 
+``--layers`` also records, as "report_and_accounting" in the same
+schema, the best of ``REPORT_ACCOUNTING_ROUNDS`` report builds (build,
+sign and encode one link) and ``accounting()`` calls over a 1 MiB zygote
+and 16 trustlets, each run in a fresh process.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
@@ -89,6 +94,7 @@ LAYER_PAGES = (1, 16, 64)
 LAYER_REPEATS = 5
 LAYER_CYCLES = 1500
 LIFECYCLE_ROUNDS = 2000
+REPORT_ACCOUNTING_ROUNDS = 1000
 CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
                   "sys.exit(main(sys.argv[1:]))"]
 CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
@@ -141,13 +147,38 @@ for name, profile in config.profiles.items():
 print(json.dumps(out))
 """
 
-# Times LAYER_CYCLES object cycles per page count with the API that every
-# tree has; prints each page count's best cycle in microseconds.
+# Times LAYER_CYCLES object cycles per page count, each tree through the
+# object calls it has: ``make`` and ``end``, or the ten calls they replaced;
+# prints each page count's best cycle in microseconds.
 LAYER_PROBE = """
 import json, sys, time
 from walletemu.memory import (
     PAGE_SIZE, CostModel, FrameStore, MemoryPool, PageTable)
 from walletemu.objects import MONITOR_PID, ObjectStore, ObjectType
+
+def made_and_ended(objects, table, data):
+    obj, _, _ = objects.make(data, ObjectType.INPUT, reader=table)
+    read_in = objects.read_through(table, obj)
+    objects.end(obj)
+    obj, _, _ = objects.make(data, ObjectType.OUTPUT, writer=table)
+    read_out = objects.read_monitor(obj)
+    objects.end(obj)
+    return read_in, read_out
+
+def created_and_retired(objects, table, data):
+    obj, _ = objects.create(MONITOR_PID, None, len(data), ObjectType.INPUT)
+    objects.write_monitor(obj, data)
+    objects.attach_reader(1, table, obj)
+    read_in = objects.read_through(1, table, obj)
+    objects.retire(obj)
+    obj, _ = objects.create(1, table, len(data), ObjectType.OUTPUT)
+    objects.write_through(1, table, obj, data)
+    objects.seal(obj)
+    read_out = objects.read_monitor(obj)
+    objects.retire(obj)
+    return read_in, read_out
+
+cycle = made_and_ended if hasattr(ObjectStore, "make") else created_and_retired
 
 def best_cycle_us(pages, cycles):
     store = FrameStore()
@@ -160,16 +191,7 @@ def best_cycle_us(pages, cycles):
     clock, best = time.perf_counter, float("inf")
     for _ in range(cycles):
         started = clock()
-        obj, _ = objects.create(MONITOR_PID, None, len(data), ObjectType.INPUT)
-        objects.write_monitor(obj, data)
-        objects.attach_reader(1, table, obj)
-        read_in = objects.read_through(1, table, obj)
-        objects.retire(obj)
-        obj, _ = objects.create(1, table, len(data), ObjectType.OUTPUT)
-        objects.write_through(1, table, obj, data)
-        objects.seal(obj)
-        read_out = objects.read_monitor(obj)
-        objects.retire(obj)
+        read_in, read_out = cycle(objects, table, data)
         best = min(best, clock() - started)
         assert read_in == read_out == data
     return best * 1e6
@@ -220,6 +242,57 @@ for i in range(int(sys.argv[1])):
     invoke("invoke_one_user", steady, users[0])
     invoke("invoke_alternating_users", switching, users[i % 2])
 del best["warm"]
+print(json.dumps({name: s * 1e6 for name, s in best.items()}))
+"""
+
+# Times two layers with calls that every tree has; prints each one's best
+# in microseconds over its rounds: a one-link report built, signed and
+# encoded, its zygote and function digests cached and its input and output
+# hashed fresh; and ``accounting()`` over a 1 MiB zygote and 16 trustlets
+# that each served one invocation.
+REPORT_ACCOUNTING_PROBE = """
+import json, sys, time
+from walletemu import attestation as att
+from walletemu.crypto import Rng, SigningKey
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
+from walletemu.memory import CostModel, accounting
+from walletemu.monitor import Monitor, MonitorConfig
+from walletemu.provider import FunctionProvider, UserAgent
+
+rounds = int(sys.argv[1])
+image = ZygoteImage("probe-rt", 5, [("/blob", bytes(1 << 20))])
+fn = FunctionSpec("echo", [PipelineOp.identity()], 0.5)
+clock, best = time.perf_counter, {}
+
+def timed(name, call, *args):
+    started = clock()
+    out = call(*args)
+    best[name] = min(best.get(name, float("inf")), clock() - started)
+    return out
+
+model, cache = CostModel(), att.MeasurementCache()
+platform = att.asp_gen(att.MachineKey.generate(Rng(1)), bytes(64), bytes(64))
+signer = SigningKey.generate(Rng(2))
+rng = Rng(3)
+
+def report(nonce, link):
+    built, _ = att.build_report(cache, nonce, [link], platform, signer, model)
+    return built.to_bytes()
+
+monitor = Monitor(MonitorConfig(prealloc_bytes=64 << 20, pool_frames=0))
+provider = FunctionProvider(Rng(4), [image.digest()], [fn.digest()])
+provider.provision(monitor)
+user = UserAgent(Rng(5), provider.public_key())
+zygote = monitor.create_zygote(image).handle
+for _ in range(16):
+    handle = monitor.create_trustlet(zygote, fn).handle
+    monitor.invoke_trustlet(handle, user.make_request(
+        fn.digest(), b"x" * 100).ciphertext)
+tables = monitor.live_tables()
+for _ in range(rounds):
+    link = att.InvocationMeasurements(image, fn, rng.bytes(100), rng.bytes(100))
+    timed("report_build_sign", report, rng.bytes(16), link)
+    timed("accounting", accounting, tables)
 print(json.dumps({name: s * 1e6 for name, s in best.items()}))
 """
 
@@ -473,16 +546,30 @@ def layer_runs(trees) -> dict:
             "pages": summarise_layers(runs)}
 
 
-def lifecycle_runs(trees) -> dict:
-    argv = ["-c", LIFECYCLE_PROBE, str(LIFECYCLE_ROUNDS)]
+def probe_runs(trees, probe: str, rounds: int) -> dict:
+    """LAYER_REPEATS alternating runs of a probe on each tree, each run
+    printing a best time per name: name -> side -> list of bests."""
+    argv = ["-c", probe, str(rounds)]
     runs: dict = {}
     for i in range(1, LAYER_REPEATS + 1):
         for side in order(i):
             for name, us in json.loads(run_python(trees[side], argv)).items():
                 runs.setdefault(name, {s: [] for s in SIDES})[side].append(us)
+    return runs
+
+
+def lifecycle_runs(trees) -> dict:
     return {"rounds_per_run": LIFECYCLE_ROUNDS,
             "runs_per_side": LAYER_REPEATS,
-            "calls": summarise_lifecycle(runs)}
+            "calls": summarise_lifecycle(probe_runs(
+                trees, LIFECYCLE_PROBE, LIFECYCLE_ROUNDS))}
+
+
+def report_accounting_runs(trees) -> dict:
+    return {"rounds_per_run": REPORT_ACCOUNTING_ROUNDS,
+            "runs_per_side": LAYER_REPEATS,
+            "calls": summarise_layers(probe_runs(
+                trees, REPORT_ACCOUNTING_PROBE, REPORT_ACCOUNTING_ROUNDS))}
 
 
 def main(argv=None) -> int:
@@ -540,6 +627,7 @@ def main(argv=None) -> int:
         if args.layers:
             doc["object_layer"] = layer_runs(trees)
             doc["lifecycle"] = lifecycle_runs(trees)
+            doc["report_and_accounting"] = report_accounting_runs(trees)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
