@@ -79,8 +79,13 @@ class MeasurementCache:
         A miss takes the digest the object keeps over its own canonical
         form, so the measurement binds exactly the bytes that are mapped
         and the host hashes them at most once.  The charge and the bytes
-        counted are those of a full hash of size_bytes() all the same.
+        counted are those of a full hash of size_bytes() all the same.  A
+        hit reads neither.
         """
+        cached = self.entries.get((kind, image.uid))
+        if cached is not None:
+            self.hits += 1
+            return cached, 0
         return self._measure(kind, image.uid, image.size_bytes(),
                              image.digest, model)
 

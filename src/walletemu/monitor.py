@@ -694,7 +694,7 @@ class Monitor:
                 source = (request.input_bytes, request.response_key,
                           request.nonce)
             input_bytes, response_key, nonce = source
-        proc, claimed = self._claim(handle, response_key)
+        proc, claimed = self._claim(handle, proc, response_key)
         if source is not None:
             obj_id, alloc_us, write_us = self.objects.make(
                 input_bytes, ObjectType.INPUT, reader=proc.page_table)
@@ -708,9 +708,10 @@ class Monitor:
         heapq.heappush(self._ready, (ticket.seq, ticket))
         return ticket
 
-    def _claim(self, handle: int,
+    def _claim(self, handle: int, proc: ProcessDescriptor,
                response_key: bytes) -> tuple[ProcessDescriptor, bool]:
-        """The per-user rule, for every input source and at chain handoff.
+        """The per-user rule, for every input source and at chain handoff,
+        on proc, the live descriptor of handle.
 
         A trustlet last used by another user is recreated before it takes
         this user's input.  While it is mid-invocation or holds a chained
@@ -719,17 +720,16 @@ class Monitor:
         it.  Returns the trustlet's descriptor and whether it was recreated.
         """
         user = _user_of(response_key)
-        recreated = self._must_recreate(handle, user)
-        proc = self._proc(handle)
+        recreated = self._must_recreate(handle, proc, user)
         if recreated:
             proc = self._recreate(handle, proc)
         proc.last_user = user
         return proc, recreated
 
-    def _must_recreate(self, handle: int, user: bytes) -> bool:
+    def _must_recreate(self, handle: int, proc: ProcessDescriptor,
+                       user: bytes) -> bool:
         """Whether ``_claim`` recreates the trustlet for user; raises
         TrustletBusy where it would refuse, and changes nothing."""
-        proc = self._proc(handle)
         if proc.last_user is None or proc.last_user == user:
             return False
         if proc.pid in self._active or handle in self._chain_inbox:
@@ -906,7 +906,8 @@ class Monitor:
                     raise TrustletBusy(
                         f"chain consumer {consumer_handle} holds a handed-off "
                         f"input it has not run")
-                self._must_recreate(consumer_handle,
+                consumer = self._proc(consumer_handle)
+                self._must_recreate(consumer_handle, consumer,
                                     _user_of(ticket.response_key))
                 otype, supersedes = ObjectType.CHAIN, None
             # A user-facing output is ended only after its successor
@@ -922,7 +923,7 @@ class Monitor:
         if consumer_handle is not None:
             del self._chain_edges[ticket.handle]
             consumer, consumer_recreated = self._claim(
-                consumer_handle, ticket.response_key)
+                consumer_handle, consumer, ticket.response_key)
             self.objects.attach_reader(consumer.page_table, obj_id)
             measurements = ticket.chain_prefix + [self._measurements_for(
                 proc, ticket.input_bytes, output)]

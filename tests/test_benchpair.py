@@ -265,3 +265,44 @@ def test_layer_probe_runs_on_the_parent_object_calls(tmp_path):
         capture_output=True, text=True, check=True,
         env=dict(benchpair.tree_env(tmp_path), PYTHONPATH=str(tmp_path)))
     assert set(json.loads(done.stdout)) == {"1"}
+
+
+def test_user_round_trip_summary_over_canned_alternating_runs(tmp_path):
+    # A stand-in probe, run in each side's directory, logs its side and
+    # prints canned bests keyed by KiB: 100 us plus 2 us per KiB on the
+    # parent and 1.5 on the change.
+    canned = (
+        "import json, os, sys\n"
+        "side = os.path.basename(os.getcwd())\n"
+        "with open('../order', 'a') as log: log.write(side + ' ')\n"
+        "per_kib = {'parent': 2.0, 'change': 1.5}[side]\n"
+        "print(json.dumps({k: 100.0 + per_kib * int(k) "
+        "for k in sys.argv[2:]}))\n")
+    trees = {side: tmp_path / side for side in benchpair.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+    out = benchpair.summarise_layers(benchpair.probe_runs(
+        trees, canned, 3, *map(str, benchpair.ROUND_TRIP_KIB)))
+    # Odd-numbered runs start with the parent.
+    assert (tmp_path / "order").read_text().split()[:4] == [
+        "parent", "change", "change", "parent"]
+    assert set(out) == {"1", "64", "256"}
+    assert out["1"]["parent"]["best_us"] == 102.0
+    assert out["1"]["change"]["best_us"] == 101.5
+    big = out["256"]
+    assert big["parent"]["best_us"] == 612.0
+    assert big["change"]["best_us"] == 484.0
+    assert big["change"]["runs_us"] == [484.0] * benchpair.LAYER_REPEATS
+    assert big["change_over_parent"] == pytest.approx(484 / 612, abs=1e-3)
+    assert big["delta_pct"] == pytest.approx(-20.92, abs=0.01)
+
+
+def test_user_round_trip_probe_runs_on_this_tree():
+    # Two rounds at 1 and 64 KiB, with the probe's own check of each
+    # response and report.
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.USER_ROUND_TRIP_PROBE, "2", "1",
+         "64"], capture_output=True, text=True, check=True,
+        env=benchpair.tree_env(benchpair.ROOT))
+    best = json.loads(done.stdout)
+    assert set(best) == {"1", "64"} and min(best.values()) > 0

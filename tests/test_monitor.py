@@ -370,7 +370,10 @@ class TestCallBudget:
     def test_warm_same_user_echo_invocation(self):
         # The memory layer is reached through one call that makes each
         # data object and one that ends it.  Before that, this invocation
-        # made 206 calls, 118 of them in memory.py and objects.py.
+        # made 206 calls, 118 of them in memory.py and objects.py.  The
+        # trustlet's descriptor is looked up once per submission, and a
+        # cached image measurement reads neither its size nor its digest:
+        # 145 calls before that.
         rig = make_rig()
         m, fn = rig.monitor, rig.functions[0]
         t = m.create_trustlet(rig.zygote.handle, fn)
@@ -378,7 +381,7 @@ class TestCallBudget:
             fn.digest(), b"hello").ciphertext)
         request = rig.user.make_request(fn.digest(), b"hello")
         calls = python_calls(m.invoke_trustlet, t.handle, request.ciphertext)
-        assert sum(calls.values()) <= 170
+        assert sum(calls.values()) <= 140
         assert calls["memory.py"] + calls["objects.py"] <= 80
 
 

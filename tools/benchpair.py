@@ -60,6 +60,12 @@ schema, the best of ``REPORT_ACCOUNTING_ROUNDS`` report builds (build,
 sign and encode one link) and ``accounting()`` calls over a 1 MiB zygote
 and 16 trustlets, each run in a fresh process.
 
+``--layers`` also records, as "user_round_trip" in the same schema, the
+best of ``ROUND_TRIP_ROUNDS`` round trips of one user at each of
+``ROUND_TRIP_KIB`` KiB of input, each run in a fresh process: the request
+made and sealed, the warm invocation of an identity trustlet over a 1 MiB
+zygote, and the response decrypted and its report verified.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
@@ -95,6 +101,8 @@ LAYER_REPEATS = 5
 LAYER_CYCLES = 1500
 LIFECYCLE_ROUNDS = 2000
 REPORT_ACCOUNTING_ROUNDS = 1000
+ROUND_TRIP_KIB = (1, 64, 256)
+ROUND_TRIP_ROUNDS = 400
 CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
                   "sys.exit(main(sys.argv[1:]))"]
 CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
@@ -294,6 +302,48 @@ for _ in range(rounds):
     timed("report_build_sign", report, rng.bytes(16), link)
     timed("accounting", accounting, tables)
 print(json.dumps({name: s * 1e6 for name, s in best.items()}))
+"""
+
+# Times one user's round trip with calls that every tree has: make_request,
+# the warm invocation, decrypt_response and verify_report, interleaving the
+# sizes in each round; prints each size's best in microseconds, keyed by
+# its KiB.
+USER_ROUND_TRIP_PROBE = """
+import json, sys, time
+from walletemu import attestation as att
+from walletemu.crypto import Rng
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
+from walletemu.monitor import Monitor, MonitorConfig
+from walletemu.provider import FunctionProvider, UserAgent
+
+image = ZygoteImage("probe-rt", 5, [("/blob", bytes(1 << 20))])
+fn = FunctionSpec("echo", [PipelineOp.identity()], 0.5)
+monitor = Monitor(MonitorConfig(prealloc_bytes=64 << 20, pool_frames=0))
+provider = FunctionProvider(Rng(1), [image.digest()], [fn.digest()])
+provider.provision(monitor)
+user = UserAgent(Rng(2), provider.public_key())
+handle = monitor.create_trustlet(monitor.create_zygote(image).handle,
+                                 fn).handle
+vendor = monitor.machine_key.public_bytes()
+clock, best = time.perf_counter, {}
+
+def round_trip(payload):
+    started = clock()
+    request = user.make_request(fn.digest(), payload)
+    result = monitor.invoke_trustlet(handle, request.ciphertext)
+    output = user.decrypt_response(request, result.output_ciphertext)
+    verified = att.verify_report(result.report, user.expectations(
+        request, vendor, monitor.monitor_digest, [image.digest()],
+        [fn.digest()]))
+    took = clock() - started
+    assert verified and output == payload
+    return took
+
+payloads = {kib: Rng(3).bytes(int(kib) << 10) for kib in sys.argv[2:]}
+for _ in range(int(sys.argv[1])):
+    for kib, payload in payloads.items():
+        best[kib] = min(best.get(kib, float("inf")), round_trip(payload))
+print(json.dumps({kib: s * 1e6 for kib, s in best.items()}))
 """
 
 
@@ -546,10 +596,11 @@ def layer_runs(trees) -> dict:
             "pages": summarise_layers(runs)}
 
 
-def probe_runs(trees, probe: str, rounds: int) -> dict:
-    """LAYER_REPEATS alternating runs of a probe on each tree, each run
-    printing a best time per name: name -> side -> list of bests."""
-    argv = ["-c", probe, str(rounds)]
+def probe_runs(trees, probe: str, rounds: int, *args: str) -> dict:
+    """LAYER_REPEATS alternating runs of a probe, given rounds and args, on
+    each tree, each run printing a best time per name: name -> side ->
+    list of bests."""
+    argv = ["-c", probe, str(rounds), *args]
     runs: dict = {}
     for i in range(1, LAYER_REPEATS + 1):
         for side in order(i):
@@ -570,6 +621,14 @@ def report_accounting_runs(trees) -> dict:
             "runs_per_side": LAYER_REPEATS,
             "calls": summarise_layers(probe_runs(
                 trees, REPORT_ACCOUNTING_PROBE, REPORT_ACCOUNTING_ROUNDS))}
+
+
+def user_round_trip_runs(trees) -> dict:
+    return {"rounds_per_run": ROUND_TRIP_ROUNDS,
+            "runs_per_side": LAYER_REPEATS,
+            "input_kib": summarise_layers(probe_runs(
+                trees, USER_ROUND_TRIP_PROBE, ROUND_TRIP_ROUNDS,
+                *map(str, ROUND_TRIP_KIB)))}
 
 
 def main(argv=None) -> int:
@@ -628,6 +687,7 @@ def main(argv=None) -> int:
             doc["object_layer"] = layer_runs(trees)
             doc["lifecycle"] = lifecycle_runs(trees)
             doc["report_and_accounting"] = report_accounting_runs(trees)
+            doc["user_round_trip"] = user_round_trip_runs(trees)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
