@@ -10,17 +10,17 @@ are deterministic.
 Per-frame facts are typed columns in ``FrameStore`` (``array.array``,
 ``bytearray`` and a list); a page table is two plain lists, frame id and
 grants code per vpn, and a copy-on-write view reads its sealed base's
-lists until it first changes a base vpn.  The unit that the store, the
-tables and the pool pass around is a *run* of consecutive frame ids,
-``(lo, hi)``: the pool hands frames out and takes them back as runs, a
-table maps a list of runs at one range of vpns and checks a range of
-vpns with list slices, and the store counts references and moves bytes
-a run at a time with slice assignments and C-level scans.  An operation
-on n pages in r runs so takes O(r) Python steps, and a one-page run no
-numpy call.  Frame contents are real bytes, so that measurement digests
-are genuine, yet a multi-GiB pool stays cheap to reserve: every page is
-a slice of an immutable ``bytes`` that two more ``FrameStore`` columns
-name, and a page never written reads as zeros.
+lists until it first changes a base vpn.  Each call has one form: frames
+go in and out as *runs* of consecutive frame ids, ``(lo, hi)``, and vpns
+as a ``range``.  The pool hands frames out and takes them back as runs,
+a table maps a list of runs at fresh vpns and checks a range of vpns
+with list slices, and the store counts references and moves and copies
+bytes a run at a time with slice assignments and C-level scans.  An
+operation on n pages in r runs so takes O(r) Python steps, and a
+one-page run no numpy call.  Frame contents are real bytes, so that
+measurement digests are genuine, yet a multi-GiB pool stays cheap to
+reserve: every page is a slice of an immutable ``bytes`` that two more
+``FrameStore`` columns name, and a page never written reads as zeros.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ def runs_of(fids: Sequence[int]) -> list[Run]:
     """fids as runs of consecutive ascending ids, in fids' order; a frame
     that fids holds twice is in two runs.  A list that is one run, the
     usual case, is found with one C-level comparison."""
-    if type(fids) is range and fids.step == 1:
-        return [(fids.start, fids.stop)] if fids else []
     if type(fids) is not list:
         fids = (fids.tolist() if isinstance(fids, (array, np.ndarray))
                 else list(fids))
@@ -248,11 +246,10 @@ class FrameStore:
     The unit of work is a *run*, frame ids ``lo..hi-1`` as the pair
     ``(lo, hi)``: the run calls (``claim``, ``take_back``,
     ``clear_runs``, ``incref_runs``, ``decref_runs``, ``any_shared``,
-    ``read_runs``, ``write_runs``) take a list of runs and touch each with
-    slice reads, slice assignments and C-level scans, so their Python
-    steps grow with the runs, not the frames, and no numpy call is made.  The
-    ``*_range`` forms take frame ids and split them into runs with
-    ``runs_of``.  The few whole-column computations read the
+    ``read_runs``, ``write_runs``, ``copy_runs``) take a list of runs and
+    touch each with slice reads, slice assignments and C-level scans, so
+    their Python steps grow with the runs, not the frames, and no numpy
+    call is made.  The few whole-column computations read the
     columns through ``np.frombuffer`` views made and dropped within one
     call.  Pages are never changed in place: a write points the frame at
     new bytes, a copy points two frames at the same ones, and a buffer
@@ -610,9 +607,6 @@ class FrameStore:
         self._view(fid, b"".join(
             (page[:offset], data, page[offset + len(data) :])), 0)
 
-    def write_range(self, fids: Sequence[int], *chunks: bytes) -> None:
-        self.write_runs(runs_of(fids), *chunks)
-
     def write_runs(self, runs: Sequence[Run], *chunks: bytes) -> None:
         """Write the chunks end to end across the runs' frames, one page
         per frame from its start; a single buffer is one chunk.
@@ -681,9 +675,6 @@ class FrameStore:
     def read_bytes(self, fid: int) -> bytes:
         return bytes(self._page(fid))
 
-    def read_range(self, fids: Sequence[int], nbytes: int) -> bytes:
-        return self.read_runs(runs_of(fids), nbytes)
-
     def read_runs(self, runs: Sequence[Run], nbytes: int) -> bytes:
         """The first nbytes held by the runs' frames, one page per frame
         from its start.
@@ -751,17 +742,27 @@ class FrameStore:
                 parts.append(bytes(end - len(source)))
         return b"".join(parts)
 
-    def copy_frame(self, src_fids: int | Sequence[int],
-                   dst_fids: int | Sequence[int]) -> None:
-        """Copy a frame's page, or a run's pages: the copies refer to the
-        same bytes, since a write gives its frame new ones."""
-        if isinstance(dst_fids, int):
-            src_fids, dst_fids = (src_fids,), (dst_fids,)
-        src, rel = self._src, self._rel
-        for s, d in zip(src_fids, dst_fids):
-            src[d] = src[s]
-            rel[d] = rel[s] + (s - d) * PAGE_SIZE
-        self.copied_bytes_total += PAGE_SIZE * len(dst_fids)
+    def copy_runs(self, from_runs: Sequence[Run],
+                  to_runs: Sequence[Run]) -> None:
+        """Copy the pages of from_runs' frames, in order, to to_runs'
+        frames, a slice assignment per column for each stretch the two
+        have in common: the copies refer to the same bytes, since a write
+        gives its frame new ones."""
+        n = n_frames_of(from_runs)
+        if n != n_frames_of(to_runs):
+            raise ValueError("copy between runs of unequal frame counts")
+        src, rel, to = self._src, self._rel, iter(to_runs)
+        d = d_hi = 0
+        for s, s_hi in from_runs:
+            while s < s_hi:
+                if d == d_hi:
+                    d, d_hi = next(to)
+                k = min(s_hi - s, d_hi - d)
+                src[d : d + k] = src[s : s + k]
+                rel[d : d + k] = array("q", map(operator.add, rel[s : s + k],
+                                                repeat((s - d) * PAGE_SIZE)))
+                s, d = s + k, d + k
+        self.copied_bytes_total += PAGE_SIZE * n
 
 
 class PageEntry(NamedTuple):
@@ -816,14 +817,17 @@ class PageTable:
     store counts a base's views once (see ``FrameStore``); releasing a view
     that copied its base gives each base frame back its reference.
 
-    Frame runs are the unit a table takes and gives: ``map_runs`` maps a
-    list of runs at fresh consecutive vpns and returns them as a
-    ``range``, and a ``range`` of vpns within the own lists is unmapped,
-    re-granted and checked with list slices; the frames it holds go to the
-    store as runs (``runs_of``).  Other vpn sequences take the page by
-    page path.  ``read_run`` and ``write_run`` check every page of a run
-    first, then make one ``FrameStore`` call; ``access`` is the one-page
-    case.  A sealed table refuses every mutation.
+    Frame runs are the unit a table takes and gives, and a ``range`` the
+    one form of a vpn argument (any other sequence is a ``TypeError``):
+    ``map_runs`` maps a list of runs at fresh consecutive vpns past the
+    lists and returns them as a ``range``, and a range of vpns is
+    unmapped, re-granted and checked with list slices, those below a
+    view's own lists read from (or, to change them, first copied from)
+    its base's; the frames it holds go to the store as runs
+    (``runs_of``).  ``read_run`` and ``write_run`` check every page of a
+    run first, then make one ``FrameStore`` call; ``access`` and
+    ``resolve_cow`` are the one-page case.  A sealed table refuses every
+    mutation.
     """
 
     def __init__(self, store: FrameStore, owner: int,
@@ -836,40 +840,41 @@ class PageTable:
         self.sealed = False
         self._base_id: Optional[int] = None  # set while forkable
         self._sealed_fids = array("q")
-        self._next_vpn = base.next_unused_vpn() if base is not None else 0
-        self._lo = self._next_vpn  # nonzero only in a view that reads its base
+        # Nonzero only in a view that reads its base: the base's length.
+        self._lo = base.next_unused_vpn() if base is not None else 0
         self._fid, self._perm = [], []  # frame id and grants code per vpn
         self._n = 0  # mapped entries in the two lists
 
     # -- lookup helpers --
 
-    def _slot(self, vpn: int) -> tuple[int, int]:
-        """(frame id, grants code) at vpn; frame id -1 if unmapped."""
-        i = vpn - self._lo
-        if 0 <= i < len(self._fid):
-            return self._fid[i], self._perm[i]
-        if i < 0 and self._lo:
-            return self.base._slot(vpn)
-        return -1, 0
+    def _slots(self, vpns: range) -> tuple[list[int], list[int]]:
+        """(frame ids, grants codes) at the range of vpns, frame id -1
+        where unmapped; vpns below a view's own lists read its base's.
+        Any other sequence of vpns is refused with TypeError."""
+        if type(vpns) is not range or vpns.step != 1:
+            raise TypeError(f"vpns must be a range of step 1, not {vpns!r}")
+        start, stop, lo = vpns.start, max(vpns.start, vpns.stop), self._lo
+        if start < lo:  # below the own lists: the base's, or negative vpns
+            mid = min(stop, lo)
+            fids, codes = (self.base._slots(range(start, mid)) if lo
+                           else ([-1] * (mid - start), [0] * (mid - start)))
+            if mid == stop:
+                return fids, codes
+            own = self._slots(range(mid, stop))
+            return fids + own[0], codes + own[1]
+        i, j = start - lo, stop - lo
+        fids, codes = self._fid[i:j], self._perm[i:j]
+        if len(fids) < j - i:  # past the own lists: unmapped
+            fids += [-1] * (j - i - len(fids))
+            codes += [0] * (j - i - len(codes))
+        return fids, codes
 
-    def _span(self, vpns: Sequence[int]) -> Optional[tuple[int, int]]:
-        """The slice i:j of the own lists that holds vpns, if vpns is a
-        ``range`` of consecutive vpns all within them; else None."""
-        if type(vpns) is range:
-            i, j = vpns.start - self._lo, vpns.stop - self._lo
-            if 0 <= i and j <= len(self._fid) and vpns.step == 1:
-                return i, j
-        return None
-
-    def _slots(self, vpns: Sequence[int]) -> tuple[list[int], list[int]]:
-        span = self._span(vpns)
-        if span is not None:
-            return self._fid[span[0] : span[1]], self._perm[span[0] : span[1]]
-        lo, fid, perm = self._lo, self._fid, self._perm
-        if vpns and lo <= min(vpns) and max(vpns) < lo + len(fid):
-            return [fid[v - lo] for v in vpns], [perm[v - lo] for v in vpns]
-        slots = [self._slot(v) for v in vpns]
-        return [f for f, _ in slots], [c for _, c in slots]
+    def _frames_at(self, vpns: range) -> list[int]:
+        """The frames at vpns; KeyError if one is not mapped."""
+        fids, _ = self._slots(vpns)
+        if -1 in fids:
+            raise KeyError(f"vpn {vpns[fids.index(-1)]} not mapped")
+        return fids
 
     def lookup(self, vpn: int) -> Optional[PageEntry]:
         i = vpn - self._lo
@@ -888,13 +893,7 @@ class PageTable:
         return self._n + (self.base.n_entries() if self._lo else 0)
 
     def next_unused_vpn(self) -> int:
-        return self._next_vpn
-
-    def take_vpns(self, n: int) -> list[int]:
-        """Hand out n fresh virtual page numbers (bump allocation)."""
-        vpns = list(range(self._next_vpn, self._next_vpn + n))
-        self._next_vpn += n
-        return vpns
+        return self._lo + len(self._fid)
 
     def local_frame_ids(self) -> array:
         """Frames in this table's own lists, in vpn order (cached if sealed)."""
@@ -922,72 +921,38 @@ class PageTable:
         """vpn's index in the lists, first copying a view's base lists under
         its own if vpn is below them (the view count covers their frames)."""
         if vpn < self._lo:
-            base, gap = self.base, self._lo - len(self.base._fid)
-            self._fid = base._fid + [-1] * gap + self._fid
-            self._perm = base._perm + [0] * gap + self._perm
-            self._n += base._n
+            self._fid = self.base._fid + self._fid
+            self._perm = self.base._perm + self._perm
+            self._n += self.base._n
             self._lo = 0
         return vpn - self._lo
-
-    def map_page(self, vpn: int, frame_id: int, perms: PagePerms,
-                 caller: PrivilegeLevel = PL0) -> None:
-        """Install a mapping. Only the monitor manages page tables."""
-        self._map_run(vpn, [(frame_id, frame_id + 1)], perms, caller)
-
-    def map_range(self, fids: Sequence[int], perms: PagePerms,
-                  caller: PrivilegeLevel = PL0) -> list[int]:
-        """Map fids at fresh consecutive vpns, all with perms; returns the
-        vpns."""
-        return list(self.map_runs(runs_of(fids), perms, caller))
 
     def map_runs(self, runs: Sequence[Run], perms: PagePerms,
                  caller: PrivilegeLevel = PL0) -> range:
         """Map the runs' frames, in order, at fresh consecutive vpns, all
-        with perms; returns the vpns."""
-        vpn = self._next_vpn
-        return range(vpn, vpn + self._map_run(vpn, runs, perms, caller))
-
-    def _map_run(self, vpn: int, runs: Sequence[Run], perms: PagePerms,
-                 caller: PrivilegeLevel) -> int:
-        """Map the runs' frames at vpn, vpn + 1, ...: all of them, or, if
-        any check fails, none.  Returns how many were mapped."""
+        with perms: all of them, or, if any check fails, none.  Returns
+        the vpns."""
         self._require_mutable(caller, "map pages")
         code = _code(perms)
-        n, limit, bad = 0, self.store._next_fid, vpn < 0
+        n, limit, bad = 0, self.store._next_fid, False
         for lo, hi in runs:
             bad = bad or lo < 0 or hi > limit
             n += hi - lo
         if bad:
-            raise KeyError(f"vpn {vpn} or a frame is out of range")
+            raise KeyError("a frame is out of range")
         if code in _GUEST_CODES:
             held = self.store.held_frame(runs)
             if held is not None:
                 raise PermissionDenied(f"frame {held} is owned by PL0 or "
                                        "PL1 and cannot be exposed to the guest")
-        stop, end = vpn + n, self._lo + len(self._fid)
-        if vpn < end:
-            taken = [v for v in range(vpn, min(stop, end)) if self._slot(v)[0] >= 0]
-            if taken:
-                raise DoubleMap(f"vpn {taken[0]} already mapped in process {self.owner}")
-        i = vpn - self._lo if vpn >= self._lo else self._own(vpn)
-        fids = range(*runs[0]) if len(runs) == 1 else frames_of(runs)
-        if i == len(self._fid):  # the usual case: fresh vpns past the lists
-            self._fid += fids
-            self._perm += [code] * n
-        else:
-            j = i + n
-            if j > len(self._fid):
-                self._fid += [-1] * (j - len(self._fid))
-                self._perm += [0] * (j - len(self._perm))
-            self._fid[i:j] = fids
-            self._perm[i:j] = [code] * n
+        vpn = self.next_unused_vpn()
+        self._fid += range(*runs[0]) if len(runs) == 1 else frames_of(runs)
+        self._perm += [code] * n
         self.store.incref_runs(runs)
         self._n += n
-        if stop > self._next_vpn:
-            self._next_vpn = stop
-        return n
+        return range(vpn, vpn + n)
 
-    def unmap_range(self, vpns: Sequence[int],
+    def unmap_range(self, vpns: range,
                     caller: PrivilegeLevel = PL0) -> list[Run]:
         """Remove the mappings at vpns: all of them, or, if any is not
         mapped, none.  Returns the frames left unmapped as disjoint runs
@@ -995,19 +960,10 @@ class PageTable:
         if not vpns:  # an empty run changes nothing, whoever asks
             return []
         self._require_mutable(caller, "unmap pages")
-        span = self._span(vpns)
-        if span is None:
-            if len(set(vpns)) != len(vpns):
-                raise KeyError("a vpn is unmapped twice")
-            fids = self._mapped_or_refuse(vpns)
-            for vpn in vpns:
-                self._fid[vpn - self._lo] = -1
-        else:
-            i, j = span
-            fids = self._fid[i:j]
-            self._refuse_unmapped(vpns, fids)
-            self._fid[i:j] = [-1] * (j - i)
-        self._n -= len(vpns)
+        fids = self._frames_at(vpns)
+        i = self._own(vpns.start)
+        self._fid[i : i + len(fids)] = [-1] * len(fids)
+        self._n -= len(fids)
         return self.store.decref_runs(runs_of(fids))
 
     def _grant(self, vpns: range, runs: Sequence[Run]) -> tuple[int, int]:
@@ -1020,34 +976,16 @@ class PageTable:
                                  "not map the frames released")
         return i, j
 
-    @staticmethod
-    def _refuse_unmapped(vpns: Sequence[int], fids: list[int]) -> None:
-        if -1 in fids:
-            raise KeyError(f"vpn {vpns[fids.index(-1)]} not mapped")
-
-    def _mapped_or_refuse(self, vpns: Sequence[int]) -> list[int]:
-        """The frames at vpns; KeyError if one is not mapped."""
-        fids, _ = self._slots(vpns)
-        self._refuse_unmapped(vpns, fids)
-        if vpns:
-            self._own(min(vpns))
-        return fids
-
-    def set_perms(self, vpns: Sequence[int], perms: PagePerms,
+    def set_perms(self, vpns: range, perms: PagePerms,
                   caller: PrivilegeLevel = PL0) -> None:
         """Give the mappings at vpns perms: all of them, or, if any is not
         mapped, none."""
         self._require_mutable(caller, "change permissions")
         code = _code(perms)
-        span = self._span(vpns)
-        if span is None:
-            self._mapped_or_refuse(vpns)
-            for vpn in vpns:
-                self._perm[vpn - self._lo] = code
-        else:
-            i, j = span
-            self._refuse_unmapped(vpns, self._fid[i:j])
-            self._perm[i:j] = [code] * (j - i)
+        n = len(self._frames_at(vpns))
+        if n:
+            i = self._own(vpns.start)
+            self._perm[i : i + n] = [code] * n
 
     def seal(self, caller: PrivilegeLevel = PL0) -> None:
         """Strip PL1 write everywhere and freeze the table for forking.
@@ -1075,7 +1013,7 @@ class PageTable:
         """Read or write one page, checked as a page of a run is: returns
         page bytes for a read, None for a write, or the PageFault."""
         kind = AccessKind(kind)
-        runs = self._checked(level, [vpn], kind)
+        runs = self._checked(level, range(vpn, vpn + 1), kind)
         if isinstance(runs, PageFault):
             return runs
         fid = runs[0][0]
@@ -1086,15 +1024,14 @@ class PageTable:
         self.store.write_bytes(fid, 0, data)
         return None
 
-    def read_run(self, level: PrivilegeLevel, vpns: Sequence[int],
-                 nbytes: int):
+    def read_run(self, level: PrivilegeLevel, vpns: range, nbytes: int):
         """Read the first nbytes held by the pages at vpns, after checking
         every page: returns the bytes, or the first page's PageFault."""
         runs = self._checked(level, vpns, AccessKind.READ)
         return (runs if isinstance(runs, PageFault)
                 else self.store.read_runs(runs, nbytes))
 
-    def write_run(self, level: PrivilegeLevel, vpns: Sequence[int],
+    def write_run(self, level: PrivilegeLevel, vpns: range,
                   data: bytes) -> Optional[PageFault]:
         """Write data from the start of the pages at vpns, after checking
         every page: returns None, or the first page's PageFault having
@@ -1105,8 +1042,7 @@ class PageTable:
         self.store.write_runs(runs, data)
         return None
 
-    def _checked(self, level: PrivilegeLevel, vpns: Sequence[int],
-                 kind: AccessKind):
+    def _checked(self, level: PrivilegeLevel, vpns: range, kind: AccessKind):
         """The frames at vpns, as runs, if every page allows the access,
         else the first failing page's fault."""
         write = kind is AccessKind.WRITE
@@ -1148,18 +1084,17 @@ class PageTable:
         Returns (new frame id, simulated charge in microseconds).
         """
         self._require_mutable(PL0, "resolve faults")
-        old_fid, _ = self._slot(vpn)
-        if old_fid < 0:
-            raise KeyError(f"vpn {vpn} not mapped")
-        if self.store.ref(old_fid) <= 1:
+        (old,) = self._frames_at(range(vpn, vpn + 1))
+        if self.store.ref(old) <= 1:
             raise ValueError(f"vpn {vpn} is not shared; nothing to resolve")
-        new_fids, charge = alloc_frames(pool, 1, model, owner_level=PL1)
-        self.store.copy_frame(old_fid, new_fids[0])
+        runs, charge = alloc_runs(pool, 1, model, owner_level=PL1)
+        new = runs[0][0]
+        self.store.copy_runs([(old, old + 1)], runs)
         i = self._own(vpn)
-        self._fid[i], self._perm[i] = new_fids[0], _code(PagePerms.PROCESS_RW)
-        self.store.incref_runs(runs_of(new_fids))
-        self.store.decref_runs([(old_fid, old_fid + 1)])
-        return new_fids[0], charge + model.copy_us(1)
+        self._fid[i], self._perm[i] = new, _code(PagePerms.PROCESS_RW)
+        self.store.incref_runs(runs)
+        self.store.decref_runs([(old, old + 1)])
+        return new, charge + model.copy_us(1)
 
     def truncate(self, stop: int, pool: "MemoryPool",
                  caller: PrivilegeLevel = PL0) -> None:
@@ -1169,12 +1104,11 @@ class PageTable:
         still reads its base keeps reading it below stop."""
         self._require_mutable(caller, "truncate")
         i = stop - self._lo
-        if i < 0:
-            raise ValueError(f"vpn {stop} is below the own lists")
+        if not 0 <= i <= len(self._fid):
+            raise ValueError(f"vpn {stop} is outside the own lists")
         fids = list(filter((-1).__lt__, self._fid[i:]))  # fid >= 0
         del self._fid[i:], self._perm[i:]
         self._n -= len(fids)
-        self._next_vpn = stop
         self._drop(fids, pool)
 
     def _drop(self, fids: Sequence[int], pool: "MemoryPool") -> list[Run]:
@@ -1221,13 +1155,16 @@ class MemoryPool:
     at the end, where a run that starts at the last run's end joins it.
     Frames are so handed out in the order they became free, the rest of
     the boot range first; that order decides which frames pay validation.
-    Runs are also what the pool hands out and takes back: ``take_runs``
-    returns the runs it popped, each claimed in one store call;
-    ``release_runs`` takes an object's runs and unmaps its grants, and a
-    released table gives back what it frees, in the pass that finds it,
-    so each costs O(runs), however many frames the runs hold.
-    ``take`` is ``take_runs`` over frame ids.  Host memory grows with the
-    frame columns, and with page bytes only as frames are written.
+    The list stays FIFO, fragmented as it gets on long churn: an
+    address-ordered, coalescing list halved create+delete in isolation
+    but moved no end-to-end workload, and it would change which frames
+    pay validation.  Runs are what the pool hands out and takes back:
+    ``take_runs`` returns the runs it popped, each claimed in one store
+    call; ``release_runs`` takes an object's runs and unmaps its grants,
+    and a released table gives back what it frees, in the pass that finds
+    it, so each costs O(runs), however many frames the runs hold.  Host
+    memory grows with the frame columns, and with page bytes only as
+    frames are written.
     """
 
     def __init__(self, store: FrameStore):
@@ -1240,16 +1177,10 @@ class MemoryPool:
             return
         self._give_back([self.store.reserve(n_frames, validated=validated)])
 
-    def take(self, n: int, owner_level: Optional[PrivilegeLevel] = None
-             ) -> tuple[list[int], int]:
-        """Claim n frames for owner_level; returns them and how many of
-        them were not validated before."""
-        runs, fresh = self.take_runs(n, owner_level)
-        return frames_of(runs), fresh
-
     def take_runs(self, n: int, owner_level: Optional[PrivilegeLevel] = None
                   ) -> tuple[list[Run], int]:
-        """``take``, returning the frames as the runs they were taken in."""
+        """Claim n frames for owner_level; returns them, as the runs they
+        were taken in, and how many of them were not validated before."""
         if n > self.free_count:
             raise OutOfMemory(f"requested {n} frames, {self.free_count} free")
         runs: list[Run] = []
@@ -1302,21 +1233,14 @@ class MemoryPool:
         ranges.extend(runs)
 
 
-def alloc_frames(pool: MemoryPool, n: int, model: CostModel,
-                 owner_level: Optional[PrivilegeLevel] = None) -> tuple[list[int], int]:
-    """Allocate n frames; returns (frame ids, simulated validation charge).
+def alloc_runs(pool: MemoryPool, n: int, model: CostModel,
+               owner_level: Optional[PrivilegeLevel] = None
+               ) -> tuple[list[Run], int]:
+    """Allocate n frames; returns (their runs, simulated validation charge).
 
     Every frame not yet validated is validated now at
     validation_us_per_page, so a pool grown validated charges nothing.
     """
-    fids, fresh = pool.take(n, owner_level)
-    return fids, model.validation_us(fresh)
-
-
-def alloc_runs(pool: MemoryPool, n: int, model: CostModel,
-               owner_level: Optional[PrivilegeLevel] = None
-               ) -> tuple[list[Run], int]:
-    """``alloc_frames``, returning the frames as runs."""
     runs, fresh = pool.take_runs(n, owner_level)
     return runs, model.validation_us(fresh)
 

@@ -53,11 +53,11 @@ from .memory import (
     PageTable,
     PrivilegeLevel,
     Run,
-    alloc_frames,
     alloc_runs,
     n_frames_of,
     pages_for,
     preallocate,
+    runs_of,
 )
 from .objects import ObjectStore, ObjectType
 from .pipeline import NestedFs, run_pipeline
@@ -572,14 +572,14 @@ class Monitor:
             table = PageTable(self.store, pid)
             src_table = zygote.page_table
             n = src_table.n_entries()
-            fids, zc_alloc_us = alloc_frames(
+            copy, zc_alloc_us = alloc_runs(
                 self.pool, n, self.model,
                 owner_level=PrivilegeLevel.PL1_PROCESS)
             self._charge(zc_alloc_us)
-            # create_zygote maps a zygote at vpns 0..n-1, so one run on the
-            # fresh table puts every copy at its page's vpn.
-            self.store.copy_frame(src_table.local_frame_ids(), fids)
-            table.map_range(fids, PagePerms.PROCESS_RO)
+            # create_zygote maps a zygote at vpns 0..n-1, so mapping the
+            # copy on the fresh table puts every page at its own vpn.
+            self.store.copy_runs(runs_of(src_table.local_frame_ids()), copy)
+            table.map_runs(copy, PagePerms.PROCESS_RO)
             zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
 
         # The trustlet's exclusive region holds the function image plus

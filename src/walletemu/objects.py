@@ -92,7 +92,6 @@ class DataObject:
     writer: Optional[int] = None
     reader: Optional[int] = None
     sealed: bool = False
-    charged_bytes: int = 0  # counted against the writer's byte quota
     writer_vpns: range = _NO_VPNS
     reader_vpns: range = _NO_VPNS
     writer_table: Optional[PageTable] = None
@@ -142,13 +141,13 @@ class ObjectStore:
                      supersedes: Optional[int] = None) -> None:
         """Refuse with QuotaExceeded a writer's growth past its quota,
         counted over the live objects it writes other than ``supersedes``
-        (at most quota_objects)."""
+        (at most quota_objects) and their payload bytes (``length``)."""
         count = size = 0
         for obj_id in self._attached.get(pid, ()):
             obj = self.objects[obj_id]
             if obj.writer == pid and obj_id != supersedes:
                 count += 1
-                size += obj.charged_bytes
+                size += obj.length
         if count + more_objects > self.quota_objects:
             raise QuotaExceeded(
                 f"process {pid} exceeds {self.quota_objects} objects")
@@ -174,16 +173,15 @@ class ObjectStore:
         leaves out ``supersedes``, an object the caller ends once this
         one exists.  Returns (obj_id, allocation and write charge_us).
         """
-        size = max(1, len(data))
         wpid = MONITOR_PID if writer is None else writer.owner
         if writer is not None:
-            self._check_quota(wpid, 1, size, supersedes)
+            self._check_quota(wpid, 1, len(data), supersedes)
         if reader is not None and reader.owner == wpid:
             raise AlreadyAttached(f"process {wpid} already attached as writer")
-        runs, fresh = self.pool.take_runs(pages_for(size), PL1)
+        runs, fresh = self.pool.take_runs(pages_for(max(1, len(data))), PL1)
         self.pool.store.write_runs(runs, data)
         obj = DataObject(self._next_id, len(data), otype, runs, writer=wpid,
-                         sealed=writer is not None, charged_bytes=size)
+                         sealed=writer is not None)
         self._next_id += 1
         self.objects[obj.obj_id] = obj
         attached = self._attached

@@ -17,6 +17,7 @@ from walletemu.memory import (
     FrameStore,
     MemoryAccounting,
     MemoryPool,
+    frames_of,
     runs_of,
 )
 from walletemu.monitor import Monitor, MonitorConfig
@@ -66,6 +67,12 @@ def counting_verifies(monkeypatch) -> list:
 
     monkeypatch.setattr(att, "verify_signature", verify_signature)
     return signatures
+
+
+def take_frames(pool: MemoryPool, n: int, owner_level=None) -> list[int]:
+    """n frames from pool, by id: the runs ``MemoryPool.take_runs`` hands
+    out, cut into frames, for tests that pick frames one by one."""
+    return frames_of(pool.take_runs(n, owner_level)[0])
 
 
 def release_frames(pool: MemoryPool, fids) -> None:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import MIB, echo_fn, make_rig
+from conftest import MIB, echo_fn, make_rig, take_frames
 from walletemu import attestation as att
 from walletemu.cli import build_sized_image, main as cli_main
 from walletemu.crypto import FunctionKey, Rng, seal_open
@@ -34,7 +34,8 @@ from walletemu.memory import (
     PageFault,
     PagePerms,
     PageTable,
-    alloc_frames,
+    alloc_runs,
+    runs_of,
 )
 from walletemu.monitor import Monitor, MonitorConfig
 from walletemu.objects import MONITOR_PID, ObjectStore, ObjectType
@@ -66,7 +67,7 @@ def test_criterion_1_cost_model_page_validation():
     store = FrameStore()
     pool = MemoryPool(store)
     pool.grow(15360, validated=False)
-    _, charge = alloc_frames(pool, 15360, CostModel())
+    _, charge = alloc_runs(pool, 15360, CostModel())
     assert charge == 368_640
     # Cross-check against the quoted per-MB rate: 24 us x 256 pages/MiB.
     assert charge == 60 * int(24 * 256)
@@ -381,9 +382,9 @@ def test_criterion_10_memory_property_suites():
     pool.grow(65536, validated=True)
     rng = random.Random(10_001)
     zygote = PageTable(store, 1)
-    fids, _ = alloc_frames(pool, 64, model, owner_level=PL1)
-    for vpn, fid in enumerate(fids):
-        zygote.map_page(vpn, fid, PagePerms.PROCESS_RW)
+    fids = take_frames(pool, 64, PL1)
+    zygote.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
+    for fid in fids:
         store.write_bytes(fid, 0, rng.randbytes(PAGE_SIZE))
     zygote.seal()
     snapshot = [store.read_bytes(zygote.lookup(v).frame_id)
@@ -408,9 +409,8 @@ def test_criterion_10_memory_property_suites():
     pool.grow(131072, validated=True)
     rng = random.Random(10_002)
     zygote = PageTable(store, 1)
-    fids, _ = alloc_frames(pool, 16, model, owner_level=PL1)
-    for vpn, fid in enumerate(fids):
-        zygote.map_page(vpn, fid, PagePerms.PROCESS_RW)
+    zygote.map_runs(alloc_runs(pool, 16, model, owner_level=PL1)[0],
+                    PagePerms.PROCESS_RW)
     zygote.seal()
     tables = [zygote]
     for step in range(10_000):
@@ -419,8 +419,7 @@ def test_criterion_10_memory_property_suites():
             tables.append(zygote.fork_cow(100 + step))
         elif op == 1 and len(tables) > 1:
             table = rng.choice(tables[1:])
-            new_fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
-            table.map_page(table.take_vpns(1)[0], new_fids[0],
+            table.map_runs(alloc_runs(pool, 1, model, owner_level=PL1)[0],
                            PagePerms.PROCESS_RW)
         elif op == 2 and len(tables) > 1:
             table = rng.choice(tables[1:])
@@ -439,15 +438,13 @@ def test_criterion_10_memory_property_suites():
     pool = MemoryPool(store)
     pool.grow(65536, validated=True)
     rng = random.Random(10_003)
-    process_fids, _ = alloc_frames(pool, 32, model, owner_level=PL1)
-    monitor_fids, _ = alloc_frames(pool, 8, model, owner_level=PL0)
-    guest_fids, _ = alloc_frames(pool, 8, model, owner_level=PL2)
+    process_fids = take_frames(pool, 32, PL1)
+    monitor_fids = take_frames(pool, 8, PL0)
+    guest_fids = take_frames(pool, 8, PL2)
     process_table = PageTable(store, 1)
     guest_table = PageTable(store, 99)
-    for vpn, fid in enumerate(process_fids):
-        process_table.map_page(vpn, fid, PagePerms.PROCESS_RW)
-    for vpn, fid in enumerate(guest_fids):
-        guest_table.map_page(vpn, fid, PagePerms.GUEST_RW)
+    process_table.map_runs(runs_of(process_fids), PagePerms.PROCESS_RW)
+    guest_table.map_runs(runs_of(guest_fids), PagePerms.GUEST_RW)
     protected = set(process_fids) | set(monitor_fids)
     denials = 0
     for _ in range(10_000):
@@ -456,11 +453,12 @@ def test_criterion_10_memory_property_suites():
         action = rng.randrange(3)
         try:
             if action == 0:
-                table.map_page(table.take_vpns(1)[0],
-                               rng.choice(list(protected)),
-                               PagePerms.GUEST_RW, caller=level)
+                fid = rng.choice(list(protected))
+                table.map_runs([(fid, fid + 1)], PagePerms.GUEST_RW,
+                               caller=level)
             elif action == 1:
-                table.set_perms([rng.randrange(8)], PagePerms.GUEST_RW,
+                vpn = rng.randrange(8)
+                table.set_perms(range(vpn, vpn + 1), PagePerms.GUEST_RW,
                                 caller=level)
             else:
                 table.access(level, rng.randrange(40), AccessKind.READ)

@@ -306,3 +306,44 @@ def test_user_round_trip_probe_runs_on_this_tree():
         env=benchpair.tree_env(benchpair.ROOT))
     best = json.loads(done.stdout)
     assert set(best) == {"1", "64"} and min(best.values()) > 0
+
+
+def test_zygote_create_summary_over_canned_alternating_runs(tmp_path):
+    # A stand-in probe prints canned bests per case, the same on every
+    # run of a side: measuring costs 8000 us on both sides and populating
+    # 900 us on the parent against 850 on the change.
+    canned = (
+        "import json, os\n"
+        "side = os.path.basename(os.getcwd())\n"
+        "populate = {'parent': 900.0, 'change': 850.0}[side]\n"
+        "print(json.dumps({'fresh_image': 8000.0 + populate, "
+        "'kept_digest': populate}))\n")
+    trees = {side: tmp_path / side for side in benchpair.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+    out = benchpair.summarise_zygote_create(benchpair.probe_runs(
+        trees, canned, 3))
+    assert set(out) == {"fresh_image", "kept_digest", "measure"}
+    kept = out["kept_digest"]
+    assert kept["parent"]["best_us"] == 900.0
+    assert kept["change"]["runs_us"] == [850.0] * benchpair.LAYER_REPEATS
+    assert kept["change_over_parent"] == pytest.approx(850 / 900, abs=1e-3)
+    assert kept["delta_pct"] == pytest.approx(-5.56, abs=0.01)
+    assert out["fresh_image"]["change"]["best_us"] == 8850.0
+    assert out["fresh_image"]["change_over_parent"] == pytest.approx(
+        8850 / 8900, abs=1e-3)
+    measure = out["measure"]
+    assert measure["parent"] == measure["change"] == {"best_us": 8000.0}
+    assert measure["change_over_parent"] == 1.0
+    assert measure["delta_pct"] == 0.0
+
+
+def test_zygote_create_probe_runs_on_this_tree():
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.ZYGOTE_CREATE_PROBE, "2"],
+        capture_output=True, text=True, check=True,
+        env=benchpair.tree_env(benchpair.ROOT))
+    best = json.loads(done.stdout)
+    assert set(best) == {"fresh_image", "kept_digest"}
+    # A fresh image is measured as well as populated.
+    assert best["fresh_image"] > best["kept_digest"] > 0

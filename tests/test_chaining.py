@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_rig, release_frames
+from conftest import make_rig, release_frames, take_frames
 from walletemu import attestation as att
 from walletemu.crypto import Rng
 from walletemu.errors import (
@@ -304,7 +304,8 @@ class TestChainLifecycle:
         m.link_chain(producer, consumer)
         payload = b"g" * (2 * PAGE_SIZE)
         # Frames for the input object, none for the 3-page chain object.
-        drained, _ = m.pool.take(m.pool.free_count - pages_for(len(payload)))
+        drained = take_frames(m.pool,
+                              m.pool.free_count - pages_for(len(payload)))
         request = rig.user.make_request(functions[0].digest(), payload)
         with pytest.raises(OutOfMemory):
             m.invoke_trustlet(producer, request.ciphertext)
@@ -340,7 +341,7 @@ class TestChainLifecycle:
         assert m._handles[consumer] == consumer_pid  # not recreated
         assert consumer not in m._chain_inbox
         producer_pid = m._handles[producer]
-        charged = sum(obj.charged_bytes for obj in m.objects.objects.values()
+        charged = sum(obj.length for obj in m.objects.objects.values()
                       if obj.writer == producer_pid)
         assert charged == 0  # a pending link holds no object
         request = rig.user.make_request(functions[0].digest(), b"fits")

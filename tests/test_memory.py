@@ -18,7 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import reference_accounting, release_frames
+from conftest import reference_accounting, release_frames, take_frames
 from walletemu.errors import (
     BaseInUse,
     ConfigInvalid,
@@ -42,7 +42,7 @@ from walletemu.memory import (
     PagePerms,
     PageTable,
     accounting,
-    alloc_frames,
+    alloc_runs,
     frames_of,
     n_frames_of,
     pages_for,
@@ -60,11 +60,10 @@ def make_pool(store, frames=4096, prevalidated=False):
 def build_zygote_table(store, pool, model, pages, owner=1, fill=b"\xAB"):
     # Populated from one immutable bytes object, as the monitor populates a
     # zygote, so its pages refer to that object until written.
-    fids, _ = alloc_frames(pool, pages, model, owner_level=PL1)
+    runs, _ = alloc_runs(pool, pages, model, owner_level=PL1)
     table = PageTable(store, owner)
-    for vpn, fid in enumerate(fids):
-        table.map_page(vpn, fid, PagePerms.PROCESS_RW)
-    store.write_range(fids, fill * (pages * PAGE_SIZE))
+    table.map_runs(runs, PagePerms.PROCESS_RW)
+    store.write_runs(runs, fill * (pages * PAGE_SIZE))
     table.seal()
     return table
 
@@ -86,12 +85,12 @@ class TestCostModel:
 class TestAllocFrames:
     def test_prevalidated_pool_charges_nothing(self, store, model):
         pool = make_pool(store, prevalidated=True)
-        _, charge = alloc_frames(pool, 1, model)
+        _, charge = alloc_runs(pool, 1, model)
         assert charge == 0
 
     def test_unvalidated_frame_costs_one_validation(self, store, model):
         pool = make_pool(store)
-        _, charge = alloc_frames(pool, 1, model)
+        _, charge = alloc_runs(pool, 1, model)
         assert charge == 24
 
     def test_sixty_mib_costs_368640_us(self, model):
@@ -99,22 +98,22 @@ class TestAllocFrames:
         # rate: 60 * 6.144 ms = 368.64 ms.
         store = FrameStore()
         pool = make_pool(store, frames=15360)
-        _, charge = alloc_frames(pool, 15360, model)
+        _, charge = alloc_runs(pool, 15360, model)
         assert charge == 15360 * 24 == 368_640
         assert charge == pytest.approx(60 * 6.144e3)
 
     def test_revalidation_not_charged_after_release(self, store, model):
         pool = make_pool(store, frames=4)
-        fids, first = alloc_frames(pool, 4, model)
+        runs, first = alloc_runs(pool, 4, model)
         assert first == 96
-        release_frames(pool, fids)
-        refids, second = alloc_frames(pool, 4, model)
-        assert sorted(refids) == sorted(fids)
+        pool.release_runs(runs)
+        reruns, second = alloc_runs(pool, 4, model)
+        assert reruns == runs
         assert second == 0  # frames stay validated across release
 
     def test_double_release_refused(self, store, model):
         pool = make_pool(store, frames=16)
-        fids, _ = alloc_frames(pool, 2, model)
+        fids = take_frames(pool, 2)
         release_frames(pool, fids)
         with pytest.raises(AssertionError):
             release_frames(pool, fids)
@@ -124,8 +123,8 @@ class TestAllocFrames:
 
     def test_release_of_a_mapped_frame_refused(self, store, model):
         pool = make_pool(store, frames=16)
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
-        PageTable(store, 1).map_range(fids, PagePerms.PROCESS_RW)
+        fids = take_frames(pool, 2, PL1)
+        PageTable(store, 1).map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         with pytest.raises(AssertionError):
             release_frames(pool, fids)
         assert pool.free_count == 14
@@ -133,11 +132,11 @@ class TestAllocFrames:
     def test_out_of_memory(self, store, model):
         pool = make_pool(store, frames=2)
         with pytest.raises(OutOfMemory):
-            alloc_frames(pool, 3, model)
+            alloc_runs(pool, 3, model)
 
     def test_charge_is_returned(self, store, model):
         pool = make_pool(store)
-        assert alloc_frames(pool, 10, model)[1] == 240
+        assert alloc_runs(pool, 10, model)[1] == 240
 
 
 class TestReleaseRefusals:
@@ -148,8 +147,8 @@ class TestReleaseRefusals:
     def held(self, store, model):
         # Frames 0..9 handed out to PL1 and written; 10..15 free.
         pool = make_pool(store, frames=16)
-        fids, _ = alloc_frames(pool, 10, model, owner_level=PL1)
-        store.write_range(fids, bytes(range(10)) * (len(fids) * PAGE_SIZE // 10))
+        fids = take_frames(pool, 10, PL1)
+        store.write_runs(runs_of(fids), bytes(range(10)) * PAGE_SIZE)
         return pool, fids
 
     @staticmethod
@@ -176,14 +175,14 @@ class TestReleaseRefusals:
 
     def test_mapped_frame(self, store, held):
         pool, fids = held
-        PageTable(store, 1).map_page(0, fids[6], PagePerms.PROCESS_RW)
+        PageTable(store, 1).map_runs(runs_of(fids[6:7]), PagePerms.PROCESS_RW)
         self._refused(pool, fids[0:2] + fids[5:8], "released while mapped")
 
     def test_base_frame_that_a_view_unmapped(self, store, held):
         # The base still maps the frame, though its explicit count is 0.
         pool, fids = held
         zygote = PageTable(store, 1)
-        vpns = zygote.map_range(fids[6:8], PagePerms.PROCESS_RO)
+        vpns = zygote.map_runs(runs_of(fids[6:8]), PagePerms.PROCESS_RO)
         zygote.seal()
         zygote.fork_cow(2).unmap_range(vpns[:1])
         assert store.ref(fids[6]) == 1
@@ -251,7 +250,8 @@ class TestFreeListOrder:
                 held = [f for f in held if f not in gone]
                 continue
             n = pool.free_count if kind == "drain" else min(n, pool.free_count)
-            fids, charge = alloc_frames(pool, n, model)
+            runs, charge = alloc_runs(pool, n, model)
+            fids = frames_of(runs)
             assert fids == ref.take(n)
             assert charge == (0 if prevalidated else
                               model.validation_us(len(set(fids) - validated)))
@@ -262,14 +262,14 @@ class TestFreeListOrder:
 
     def test_released_run_joins_an_adjacent_last_run(self, store):
         pool = make_pool(store, frames=8, prevalidated=True)
-        fids, _ = pool.take(8)
+        fids = take_frames(pool, 8)
         release_frames(pool, fids[2:4])
         # Starting where the last run ends, it joins it; ending where the
         # last run starts, it is a run of its own.
         release_frames(pool, fids[4:6])
         release_frames(pool, fids[0:2])
         assert list(pool._ranges) == [(2, 6), (0, 2)]
-        assert pool.take(6) == ([2, 3, 4, 5, 0, 1], 0)
+        assert pool.take_runs(6) == ([(2, 6), (0, 2)], 0)
 
 
 class TestPreallocate:
@@ -288,7 +288,7 @@ class TestPreallocate:
         charge = preallocate(pool, 16 * 1024**3, model)
         assert charge == 4_194_304 * 24 == 100_663_296
         assert pool.free_count == 4_194_304
-        assert alloc_frames(pool, 1, model)[1] == 0
+        assert alloc_runs(pool, 1, model)[1] == 0
 
     def test_reserved_frame_retains_at_most_34_host_bytes(self, store, model):
         # A frame's facts are fixed-width columns: 8 B each for its count,
@@ -309,60 +309,55 @@ class TestPreallocate:
     def test_prevalidated_frames_are_validated(self, store, model):
         pool = MemoryPool(store)
         preallocate(pool, 8192, model)
-        fids, charge = alloc_frames(pool, 2, model)
+        runs, charge = alloc_runs(pool, 2, model)
         assert charge == 0
-        assert store.validated_of(np.array(fids)).all()
+        assert store.validated_of(frames_of(runs)).all()
 
 
 class TestMapPage:
+    """A one-page run."""
+
     def test_monitor_maps_page(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 7)
-        table.map_page(10, fids[0], PagePerms.PROCESS_RW)
-        assert table.lookup(10).frame_id == fids[0]
-        assert store.ref(fids[0]) == 1
+        assert table.map_runs(runs, PagePerms.PROCESS_RW) == range(0, 1)
+        assert table.lookup(0).frame_id == runs[0][0]
+        assert store.ref(runs[0][0]) == 1
 
     @pytest.mark.parametrize("level", [PL1, PL2])
     def test_lower_levels_may_not_map(self, store, pool, model, level):
-        fids, _ = alloc_frames(pool, 1, model)
+        runs, _ = alloc_runs(pool, 1, model)
         table = PageTable(store, 7)
         with pytest.raises(PermissionDenied):
-            table.map_page(0, fids[0], PagePerms.PROCESS_RW, caller=level)
-
-    def test_double_map_rejected(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 2, model)
-        table = PageTable(store, 7)
-        table.map_page(0, fids[0], PagePerms.PROCESS_RO)
-        with pytest.raises(DoubleMap):
-            table.map_page(0, fids[1], PagePerms.PROCESS_RO)
+            table.map_runs(runs, PagePerms.PROCESS_RW, caller=level)
 
     def test_shared_read_only_mapping_sees_same_bytes(self, store, pool, model):
         # CoW sharing oracle: both readers observe identical frame content.
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
-        store.write_bytes(fids[0], 0, b"shared-bytes")
+        runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
+        store.write_bytes(runs[0][0], 0, b"shared-bytes")
         t1, t2 = PageTable(store, 1), PageTable(store, 2)
-        t1.map_page(0, fids[0], PagePerms.PROCESS_RO)
-        t2.map_page(0, fids[0], PagePerms.PROCESS_RO)
-        assert store.ref(fids[0]) == 2
+        t1.map_runs(runs, PagePerms.PROCESS_RO)
+        t2.map_runs(runs, PagePerms.PROCESS_RO)
+        assert store.ref(runs[0][0]) == 2
         r1 = t1.access(PL1, 0, AccessKind.READ)
         r2 = t2.access(PL1, 0, AccessKind.READ)
         assert r1 == r2 and r1[:12] == b"shared-bytes"
 
     def test_pl1_frame_cannot_be_exposed_to_guest(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 9)
         with pytest.raises(PermissionDenied):
-            table.map_page(0, fids[0], PagePerms.GUEST_RW)
+            table.map_runs(runs, PagePerms.GUEST_RW)
 
 
 class TestMapRange:
     def test_maps_fresh_vpns_writable_by_the_process(self, store, pool,
                                                       model):
-        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        fids = take_frames(pool, 3, PL1)
         table = PageTable(store, 7)
-        table.map_page(4, fids[0], PagePerms.PROCESS_RO)
-        vpns = table.map_range(fids[1:], PagePerms.PROCESS_RW)
-        assert vpns == [5, 6]
+        table.map_runs(runs_of(fids[:1]), PagePerms.PROCESS_RO)
+        vpns = table.map_runs(runs_of(fids[1:]), PagePerms.PROCESS_RW)
+        assert vpns == range(1, 3)
         for vpn, fid in zip(vpns, fids[1:]):
             assert table.lookup(vpn).frame_id == fid
             assert store.ref(fid) == 1
@@ -370,37 +365,37 @@ class TestMapRange:
 
     @pytest.mark.parametrize("level", [PL1, PL2])
     def test_lower_levels_may_not_map(self, store, pool, model, level):
-        fids, _ = alloc_frames(pool, 2, model)
+        fids = take_frames(pool, 2)
         table = PageTable(store, 7)
         with pytest.raises(PermissionDenied):
-            table.map_range(fids, PagePerms.PROCESS_RW, caller=level)
+            table.map_runs(runs_of(fids), PagePerms.PROCESS_RW, caller=level)
         assert table.n_entries() == 0 and table.next_unused_vpn() == 0
 
     def test_sealed_table_refuses(self, store, pool, model):
         zygote = build_zygote_table(store, pool, model, pages=2)
-        fids, _ = alloc_frames(pool, 1, model)
+        fids = take_frames(pool, 1)
         with pytest.raises(NotSealed):
-            zygote.map_range(fids, PagePerms.PROCESS_RO)
+            zygote.map_runs(runs_of(fids), PagePerms.PROCESS_RO)
 
     def test_unknown_frame_rejected(self, store):
         with pytest.raises(KeyError):
-            PageTable(store, 7).map_range([123], PagePerms.PROCESS_RO)
+            PageTable(store, 7).map_runs(runs_of([123]), PagePerms.PROCESS_RO)
 
     def test_pl1_frames_cannot_be_exposed_to_guest(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        fids = take_frames(pool, 2, PL1)
         with pytest.raises(PermissionDenied):
-            PageTable(store, 9).map_range(fids, PagePerms.GUEST_RW)
+            PageTable(store, 9).map_runs(runs_of(fids), PagePerms.GUEST_RW)
 
     def test_grants_equal_to_a_constant_map_as_that_constant(self, store,
                                                              pool, model):
         # Tables find a constant's code by identity; an equal object made
         # apart from the constants takes the same code, and grants that
         # are none of them are refused.
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        fids = take_frames(pool, 2, PL1)
         table = PageTable(store, 9)
         ro = PagePerms(frozenset({PL0, PL1}), frozenset({PL0}))
         assert ro == PagePerms.PROCESS_RO and ro is not PagePerms.PROCESS_RO
-        vpns = table.map_range(fids, ro)
+        vpns = table.map_runs(runs_of(fids), ro)
         assert table.lookup(vpns[0]).perms is PagePerms.PROCESS_RO
         table.set_perms(vpns, PagePerms(frozenset({PL0, PL1}), frozenset({PL0, PL1})))
         assert table.lookup(vpns[1]).perms is PagePerms.PROCESS_RW
@@ -408,63 +403,63 @@ class TestMapRange:
             table.set_perms(vpns, PagePerms(frozenset({PL1}), frozenset()))
 
     def test_refused_run_maps_nothing(self, store, pool, model):
-        guest_fids, _ = alloc_frames(pool, 2, model, owner_level=PL2)
-        pl1_fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        guest_fids = take_frames(pool, 2, PL2)
+        pl1_fids = take_frames(pool, 1, PL1)
         table = PageTable(store, 9)
         with pytest.raises(PermissionDenied):
-            table.map_range(guest_fids + pl1_fids, PagePerms.GUEST_RW)
+            table.map_runs(runs_of(guest_fids + pl1_fids), PagePerms.GUEST_RW)
         assert table.n_entries() == 0 and store.total_refs() == 0
         assert table.next_unused_vpn() == 0
 
     def test_refused_unmap_run_unmaps_nothing(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        fids = take_frames(pool, 2, PL1)
         table = PageTable(store, 1)
-        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        vpns = table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         with pytest.raises(KeyError):
-            table.unmap_range(vpns + [vpns[-1] + 1])
+            table.unmap_range(range(vpns.start, vpns.stop + 1))
         assert table.n_entries() == 2 and store.total_refs() == 2
 
     def test_unmap_range_returns_the_frames_left_unmapped(self, store, pool,
                                                           model):
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        fids = take_frames(pool, 2, PL1)
         table, other = PageTable(store, 1), PageTable(store, 2)
-        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
-        other.map_page(0, fids[1], PagePerms.PROCESS_RO)
+        vpns = table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
+        other.map_runs(runs_of(fids[1:]), PagePerms.PROCESS_RO)
         assert table.unmap_range(vpns) == [(fids[0], fids[0] + 1)]
         assert table.n_entries() == 0 and store.ref(fids[1]) == 1
 
 
 class TestWriteRange:
     def test_data_spans_frames_from_their_start(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 3, model)
+        fids = take_frames(pool, 3)
         data = bytes(range(256)) * 40  # 10240 bytes: two full pages and a bit
-        store.write_range(fids, data)
+        store.write_runs(runs_of(fids), data)
         out = b"".join(store.read_bytes(fid) for fid in fids)
         assert out[: len(data)] == data
         assert out[len(data):] == bytes(3 * PAGE_SIZE - len(data))
 
     def test_data_beyond_the_frames_rejected(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model)
+        fids = take_frames(pool, 1)
         with pytest.raises(ValueError):
-            store.write_range(fids, bytes(PAGE_SIZE + 1))
+            store.write_runs(runs_of(fids), bytes(PAGE_SIZE + 1))
 
     def test_unknown_frame_rejected(self, store):
         with pytest.raises(KeyError):
-            store.write_range([123], b"x")
+            store.write_runs(runs_of([123]), b"x")
         for fid in (-1, 123):  # -1 must not read a frame from the end
             with pytest.raises(KeyError):
                 store.read_bytes(fid)
             with pytest.raises(KeyError):
-                store.read_range([fid], 1)
+                store.read_runs(runs_of([fid]), 1)
 
     def test_bytes_are_viewed_until_a_frame_is_released(self, store, pool,
                                                          model):
         # Full pages of an immutable bytes object refer to it, not to
         # copies: the frames hold the object until the last one goes.
-        fids, _ = alloc_frames(pool, 3, model)
+        fids = take_frames(pool, 3)
         data = bytes(range(256)) * 40  # two full pages and a partial one
         baseline = sys.getrefcount(data)
-        store.write_range(fids, data)
+        store.write_runs(runs_of(fids), data)
         assert sys.getrefcount(data) > baseline
         release_frames(pool, fids[:1])
         assert sys.getrefcount(data) > baseline
@@ -474,10 +469,10 @@ class TestWriteRange:
 
     def test_write_after_populate_touches_no_other_frame(self, store, pool,
                                                          model):
-        fids, _ = alloc_frames(pool, 3, model)
+        fids = take_frames(pool, 3)
         data = bytes(range(256)) * 32  # two full pages
-        store.write_range(fids[:2], data)
-        store.copy_frame(fids[0], fids[2])  # a sibling sharing the bytes
+        store.write_runs(runs_of(fids[:2]), data)
+        store.copy_runs(runs_of(fids[:1]), runs_of(fids[2:]))  # a sibling
         store.write_bytes(fids[0], 10, b"zz")
         store.write_bytes(fids[2], 0, b"yy")
         assert data == bytes(range(256)) * 32
@@ -487,9 +482,9 @@ class TestWriteRange:
 
     @pytest.mark.parametrize("kind", [bytearray, memoryview])
     def test_mutable_source_is_copied(self, store, pool, model, kind):
-        fids, _ = alloc_frames(pool, 2, model)
+        fids = take_frames(pool, 2)
         source = bytearray(b"\x11" * (PAGE_SIZE + 100))
-        store.write_range(fids, kind(source))
+        store.write_runs(runs_of(fids), kind(source))
         source[:] = b"\x22" * len(source)
         assert store.read_bytes(fids[0]) == b"\x11" * PAGE_SIZE
         assert store.read_bytes(fids[1]) == b"\x11" * 100 + bytes(PAGE_SIZE - 100)
@@ -498,13 +493,13 @@ class TestWriteRange:
         # A page inside one bytes chunk refers to that chunk; a page
         # straddling chunks, one inside a bytearray, and the partial last
         # page are new bytes, and the last keeps the bytes past the data.
-        fids, _ = alloc_frames(pool, 6, model)
+        fids = take_frames(pool, 6)
         store.write_bytes(fids[5], 0, b"\x77" * PAGE_SIZE)
         chunks = (b"a" * (PAGE_SIZE + 10), b"b" * 20, b"",
                   bytearray(b"c" * 2 * PAGE_SIZE), b"d" * (2 * PAGE_SIZE - 25))
-        store.write_range(fids, *chunks)
+        store.write_runs(runs_of(fids), *chunks)
         data = b"".join(chunks)
-        assert store.read_range(fids, len(data)) == data
+        assert store.read_runs(runs_of(fids), len(data)) == data
         assert store.read_bytes(fids[5]) == b"d" * 5 + b"\x77" * (PAGE_SIZE - 5)
         assert store._src[fids[0]] is chunks[0]
         assert store._src[fids[4]] is chunks[4]
@@ -512,25 +507,25 @@ class TestWriteRange:
                        for p in (1, 2, 3, 5) for chunk in chunks)
 
     def test_copy_of_a_viewed_page_is_counted(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 2, model)
-        store.write_range(fids[:1], b"\x33" * PAGE_SIZE)
-        store.copy_frame(fids[0], fids[1])
+        fids = take_frames(pool, 2)
+        store.write_runs(runs_of(fids[:1]), b"\x33" * PAGE_SIZE)
+        store.copy_runs(runs_of(fids[:1]), runs_of(fids[1:]))
         assert store.copied_bytes_total == PAGE_SIZE
         assert store.read_bytes(fids[1]) == b"\x33" * PAGE_SIZE
 
 
 class TestAccess:
     def test_write_to_exclusive_writable_page(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        fids = take_frames(pool, 1, PL1)
         table = PageTable(store, 3)
-        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
+        table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         assert table.access(PL1, 0, AccessKind.WRITE, b"data") is None
         assert table.access(PL1, 0, AccessKind.READ)[:4] == b"data"
 
     def test_guest_read_of_process_frame_faults(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        fids = take_frames(pool, 1, PL1)
         table = PageTable(store, 3)
-        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
+        table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         fault = table.access(PL2, 0, AccessKind.READ)
         assert isinstance(fault, PageFault)
         assert fault.kind is FaultKind.PERMISSION_VIOLATION
@@ -554,7 +549,7 @@ class TestAccess:
         # PL1 write is a plain permission error.
         zygote = build_zygote_table(store, pool, model, pages=4)
         child = zygote.fork_cow(2)
-        child.set_perms([0], PagePerms.PROCESS_RO)
+        child.set_perms(range(0, 1), PagePerms.PROCESS_RO)
         assert child.lookup(0) == zygote.lookup(0)
         fault = child.access(PL1, 0, AccessKind.WRITE, b"x")
         assert fault.kind is FaultKind.PERMISSION_VIOLATION
@@ -564,9 +559,9 @@ class TestAccess:
 
 class TestRuns:
     def test_run_reads_and_writes_across_pages(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        fids = take_frames(pool, 3, PL1)
         table = PageTable(store, 3)
-        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        vpns = table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         data = bytes(range(256)) * 40  # two full pages and a bit
         assert table.write_run(PL1, vpns, data) is None
         assert table.read_run(PL1, vpns, len(data)) == data
@@ -575,22 +570,65 @@ class TestRuns:
     def test_refused_write_writes_nothing(self, store, pool, model):
         # The first page that fails decides the fault, and no page of the
         # run is written, not even the ones before it.
-        fids, _ = alloc_frames(pool, 3, model, owner_level=PL1)
+        fids = take_frames(pool, 3, PL1)
         table, other = PageTable(store, 3), PageTable(store, 4)
-        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        vpns = table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         table.set_perms(vpns[2:], PagePerms.PROCESS_RO)
-        other.map_page(0, fids[1], PagePerms.PROCESS_RO)
+        other.map_runs(runs_of(fids[1:2]), PagePerms.PROCESS_RO)
         fault = table.write_run(PL1, vpns, b"\x77" * (3 * PAGE_SIZE))
         assert fault == PageFault(FaultKind.COW_FAULT, vpns[1], PL1)
         assert table.read_run(PL0, vpns, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
-        fault = table.write_run(PL1, vpns[2:] + [99], b"x")
+        fault = table.write_run(PL1, range(vpns[2], vpns[2] + 2), b"x")
         assert fault.kind is FaultKind.PERMISSION_VIOLATION
-        assert table.write_run(PL1, [99] + vpns, b"x").kind is FaultKind.NOT_MAPPED
+        fault = table.write_run(PL1, range(vpns.stop, vpns.stop + 1), b"x")
+        assert fault.kind is FaultKind.NOT_MAPPED
+
+    def test_a_vpn_argument_is_a_range(self, store, pool, model):
+        # A list of vpns is refused, not walked page by page, and so is a
+        # range that skips vpns; the refusals change nothing.
+        runs, _ = alloc_runs(pool, 2, model, owner_level=PL1)
+        table = PageTable(store, 3)
+        vpns = table.map_runs(runs, PagePerms.PROCESS_RW)
+        calls = (lambda v: table.unmap_range(v),
+                 lambda v: table.set_perms(v, PagePerms.PROCESS_RO),
+                 lambda v: table.read_run(PL1, v, 10),
+                 lambda v: table.write_run(PL1, v, b"x"))
+        for call in calls:
+            for wrong in (list(vpns), range(0, 2, 2)):
+                with pytest.raises(TypeError):
+                    call(wrong)
+        assert table.n_entries() == 2 and store.total_refs() == 2
+        assert table.lookup(1).perms is PagePerms.PROCESS_RW
+        assert table.read_run(PL1, vpns, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+
+    def test_a_range_across_a_views_base_reads_then_copies_it(self, store,
+                                                                pool, model):
+        # vpns 0-1 are the base's and 2 the view's own: a check reads both
+        # lists, and a change first copies the base's lists under the view's.
+        zygote = build_zygote_table(store, pool, model, pages=2, fill=b"\x11")
+        view = zygote.fork_cow(2)
+        runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
+        assert view.map_runs(runs, PagePerms.PROCESS_RW) == range(2, 3)
+        assert view.write_run(PL1, range(2, 3), b"\x22" * PAGE_SIZE) is None
+        both = range(1, 3)
+        assert view.read_run(PL1, both, 2 * PAGE_SIZE) == (
+            b"\x11" * PAGE_SIZE + b"\x22" * PAGE_SIZE)
+        assert view.write_run(PL1, both, b"x") == PageFault(
+            FaultKind.COW_FAULT, 1, PL1)
+        assert not view.diverged
+        view.set_perms(both, PagePerms.PROCESS_RO)
+        assert view.diverged
+        assert view.lookup(0) == zygote.lookup(0)
+        assert {view.lookup(1).perms, view.lookup(2).perms} == {
+            PagePerms.PROCESS_RO}
+        assert view.unmap_range(both) == runs  # the zygote keeps its frame
+        assert list(view.mapped_vpns()) == [0]
+        assert store.total_refs() == zygote.n_entries() + view.n_entries() == 3
 
     def test_read_checks_every_page_of_the_run(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
+        fids = take_frames(pool, 2, PL1)
         table = PageTable(store, 3)
-        vpns = table.map_range(fids, PagePerms.PROCESS_RW)
+        vpns = table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         table.set_perms(vpns[1:], PagePerms.MONITOR_PRIVATE)
         fault = table.read_run(PL1, vpns, 10)
         assert fault == PageFault(FaultKind.PERMISSION_VIOLATION, vpns[1], PL1)
@@ -613,9 +651,9 @@ class TestForkCow:
         assert store.ref(fid) == 3
 
     def test_fork_of_unsealed_table_rejected(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        fids = take_frames(pool, 1, PL1)
         table = PageTable(store, 1)
-        table.map_page(0, fids[0], PagePerms.PROCESS_RW)
+        table.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
         with pytest.raises(NotSealed):
             table.fork_cow(2)
 
@@ -708,7 +746,8 @@ def _view_resolved_a_cow_fault(store, pool, model):
 def _base_frame_mapped_explicitly(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     table = PageTable(store, 2)
-    table.map_range([zygote.lookup(2).frame_id], PagePerms.PROCESS_RO)
+    fid = zygote.lookup(2).frame_id
+    table.map_runs([(fid, fid + 1)], PagePerms.PROCESS_RO)
     return [zygote, table]
 
 
@@ -716,27 +755,27 @@ def _views_without_their_zygote(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     views = [zygote.fork_cow(2), zygote.fork_cow(3)]
     for view in views:
-        fids, _ = alloc_frames(pool, 2, model, owner_level=PL1)
-        view.map_range(fids, PagePerms.PROCESS_RW)
+        fids = take_frames(pool, 2, PL1)
+        view.map_runs(runs_of(fids), PagePerms.PROCESS_RW)
     return views
 
 
 def _copied_view_alone(store, pool, model):
     zygote = build_zygote_table(store, pool, model, pages=4)
     view = zygote.fork_cow(2)
-    view.set_perms([0], PagePerms.PROCESS_RW)  # copies the base's lists
-    pool.release_runs(view.unmap_range([3]))
+    view.set_perms(range(0, 1), PagePerms.PROCESS_RW)  # copies the base lists
+    pool.release_runs(view.unmap_range(range(3, 4)))
     return [view]
 
 
 def _base_page_granted_pl1_elsewhere(store, pool, model):
     # The other table maps the page before the zygote is sealed.
-    fids, _ = alloc_frames(pool, 3, model, owner_level=PL0)
+    fids = take_frames(pool, 3, PL0)
     table = PageTable(store, 2)
-    table.map_range(fids[:1], PagePerms.PROCESS_RW)
+    table.map_runs(runs_of(fids[:1]), PagePerms.PROCESS_RW)
     zygote = PageTable(store, 1)
-    zygote.map_range(fids[:1], PagePerms.MONITOR_PRIVATE)
-    zygote.map_range(fids[1:], PagePerms.PROCESS_RO)
+    zygote.map_runs(runs_of(fids[:1]), PagePerms.MONITOR_PRIVATE)
+    zygote.map_runs(runs_of(fids[1:]), PagePerms.PROCESS_RO)
     zygote.seal()
     return [zygote, table]
 
@@ -770,9 +809,8 @@ class TestAccounting:
         pool = make_pool(store, frames=8192, prevalidated=True)
         zygote = build_zygote_table(store, pool, model, pages=64)
         child = zygote.fork_cow(2)
-        fids, _ = alloc_frames(pool, 15, model, owner_level=PL1)
-        for vpn, fid in zip(child.take_vpns(15), fids):
-            child.map_page(vpn, fid, PagePerms.PROCESS_RW)
+        runs, _ = alloc_runs(pool, 15, model, owner_level=PL1)
+        child.map_runs(runs, PagePerms.PROCESS_RW)
         usage = accounting([zygote, child])
         assert usage.shared_bytes == 64 * PAGE_SIZE
         assert usage.exclusive_bytes == 15 * PAGE_SIZE
@@ -789,9 +827,8 @@ class TestAccounting:
         tables = [zygote]
         for owner in range(2, 502):
             child = zygote.fork_cow(owner)
-            fids, _ = alloc_frames(pool, 15, model, owner_level=PL1)
-            for vpn, fid in zip(child.take_vpns(15), fids):
-                child.map_page(vpn, fid, PagePerms.PROCESS_RW)
+            runs, _ = alloc_runs(pool, 15, model, owner_level=PL1)
+            child.map_runs(runs, PagePerms.PROCESS_RW)
             tables.append(child)
         usage = accounting(tables)
         assert usage.shared_bytes == 128 * PAGE_SIZE
@@ -804,7 +841,7 @@ class TestSealedTables:
         zygote = build_zygote_table(store, pool, model, pages=4)
         zygote.fork_cow(2)
         with pytest.raises(NotSealed):
-            zygote.unmap_range([0])
+            zygote.unmap_range(range(0, 1))
         with pytest.raises(NotSealed):
             zygote.resolve_cow(0, pool, model)
         assert zygote.n_entries() == 4
@@ -826,10 +863,9 @@ class TestSealedTables:
             zygote.fork_cow(3)
 
     def test_sealed_frames_must_be_distinct(self, store, pool, model):
-        fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
+        runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
         table = PageTable(store, 1)
-        table.map_page(0, fids[0], PagePerms.PROCESS_RO)
-        table.map_page(1, fids[0], PagePerms.PROCESS_RO)
+        table.map_runs(runs + runs, PagePerms.PROCESS_RO)
         with pytest.raises(DoubleMap):
             table.seal()
 
@@ -850,8 +886,8 @@ class TestInvariants:
                 tables.append(zygote.fork_cow(10 + step))
             elif op == 1 and len(tables) > 1:
                 t = rng.choice(tables[1:])  # sealed templates are frozen
-                fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
-                t.map_page(t.take_vpns(1)[0], fids[0], PagePerms.PROCESS_RW)
+                runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
+                t.map_runs(runs, PagePerms.PROCESS_RW)
             elif op == 2 and len(tables) > 1:
                 t = rng.choice(tables[1:])
                 shared = [v for v in t.mapped_vpns()
@@ -893,20 +929,21 @@ class TestInvariants:
             aliased = [v for v in view.mapped_vpns()
                        if view.lookup(v) == zygote.lookup(v)]
             if op == 1:
-                fids, _ = alloc_frames(pool, 1, model, owner_level=PL1)
-                view.map_page(view.take_vpns(1)[0], fids[0],
-                              PagePerms.PROCESS_RW)
+                runs, _ = alloc_runs(pool, 1, model, owner_level=PL1)
+                view.map_runs(runs, PagePerms.PROCESS_RW)
             elif op == 2:
                 shared = [v for v in view.mapped_vpns()
                           if store.ref(view.lookup(v).frame_id) > 1]
                 if shared:
                     view.resolve_cow(rng.choice(shared), pool, model)
             elif op == 3 and aliased:
-                view.set_perms([rng.choice(aliased)], PagePerms.PROCESS_RO)
+                vpn = rng.choice(aliased)
+                view.set_perms(range(vpn, vpn + 1), PagePerms.PROCESS_RO)
             elif op == 4:
                 mapped = list(view.mapped_vpns())
                 if mapped:
-                    pool.release_runs(view.unmap_range([rng.choice(mapped)]))
+                    vpn = rng.choice(mapped)
+                    pool.release_runs(view.unmap_range(range(vpn, vpn + 1)))
             elif op == 5:
                 views.remove(view)
                 free = pool.free_count
@@ -926,7 +963,7 @@ class TestInvariants:
             pool = make_pool(store, frames=2048)
             zygote = build_zygote_table(store, pool, model, pages=64)
             child = zygote.fork_cow(2)
-            charges = [alloc_frames(pool, 3, model)[1]]
+            charges = [alloc_runs(pool, 3, model)[1]]
             charges.extend(child.resolve_cow(v, pool, model)[1]
                            for v in range(8))
             charges.append(preallocate(MemoryPool(FrameStore()), 1 << 20, model))
@@ -1085,8 +1122,8 @@ class MemoryMachine(RuleBasedStateMachine):
         # Start as the monitor does, from a populated, sealed table that
         # views can be forked from, next to an empty table.
         self.alloc(pages, None)
-        self.write_range(0, pages, pages * PAGE_SIZE - 100, [bytes], [], seed)
-        self.map_range(0, 0, pages, perms, PL0)
+        self.write_runs(0, pages, pages * PAGE_SIZE - 100, [bytes], [], seed)
+        self.map_runs(0, 0, pages, perms, PL0)
         self.seal(0, PL0)
         assert self.tables[0].sealed
         self.new_table()
@@ -1096,10 +1133,11 @@ class MemoryMachine(RuleBasedStateMachine):
     @rule(n=st.integers(1, 6), owner=st.sampled_from([None, PL0, PL1, PL2]))
     def alloc(self, n, owner):
         if n > len(self.free):
-            self._refused(OutOfMemory, alloc_frames, self.pool, n, self.cost,
+            self._refused(OutOfMemory, alloc_runs, self.pool, n, self.cost,
                           owner_level=owner)
             return
-        fids, charge = alloc_frames(self.pool, n, self.cost, owner_level=owner)
+        runs, charge = alloc_runs(self.pool, n, self.cost, owner_level=owner)
+        fids = frames_of(runs)
         assert len(set(fids)) == n and set(fids) <= self.free
         assert charge == self.cost.validation_us(
             len(set(fids) - self.validated))
@@ -1117,7 +1155,7 @@ class MemoryMachine(RuleBasedStateMachine):
                          min_size=1, max_size=3),
           cuts=st.lists(st.integers(0, 3 * PAGE_SIZE + 1), max_size=3),
           seed=st.integers(0, 255))
-    def write_range(self, i, n, size, kinds, cuts, seed):
+    def write_runs(self, i, n, size, kinds, cuts, seed):
         # The data goes in as chunks split at the cuts, of kinds in turn.
         fids = self._held_run(i, n)
         raw = (bytes(range(seed, 256)) + bytes(range(seed))) * (size // 256 + 1)
@@ -1137,9 +1175,10 @@ class MemoryMachine(RuleBasedStateMachine):
                 spans.append((lo, hi, len(self.sources) - 1
                               if kind is bytes else None))
         if size > len(fids) * PAGE_SIZE:
-            self._refused(ValueError, self.store.write_range, fids, *chunks)
+            self._refused(ValueError, self.store.write_runs, runs_of(fids),
+                          *chunks)
             return
-        self.store.write_range(fids, *chunks)
+        self.store.write_runs(runs_of(fids), *chunks)
         self._write_model(fids, raw, spans)
 
     @precondition(lambda self: self.held)
@@ -1156,9 +1195,9 @@ class MemoryMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.held)
     @rule(i=picks, j=picks)
-    def copy_frame(self, i, j):
+    def copy_runs(self, i, j):
         src, dst = self._pick(self.held, i), self._pick(self.held, j)
-        self.store.copy_frame(src, dst)
+        self.store.copy_runs([(src, src + 1)], [(dst, dst + 1)])
         self.copied += PAGE_SIZE
         self.content[dst] = self.content[src]
         if src in self.viewing:
@@ -1185,7 +1224,6 @@ class MemoryMachine(RuleBasedStateMachine):
             fids.reverse()
         nbytes = max(0, len(fids) * PAGE_SIZE - short)
         want = b"".join(self.content[f] for f in fids)[:nbytes]
-        assert self.store.read_range(fids, nbytes) == want
         assert self.store.read_runs(runs_of(fids), nbytes) == want
 
     @precondition(lambda self: self.held)
@@ -1218,7 +1256,7 @@ class MemoryMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.held)
     @rule(t=picks, i=picks, n=st.integers(1, 3),
           perms=st.sampled_from(PERMS), caller=st.sampled_from(LEVELS))
-    def map_range(self, t, i, n, perms, caller):
+    def map_runs(self, t, i, n, perms, caller):
         table = self._pick(self.tables, t)
         fids = self._held_run(i, n)
         refusal = self._mutation_refusal(table, caller)
@@ -1226,49 +1264,24 @@ class MemoryMachine(RuleBasedStateMachine):
                 self.owner[f] in (PL0, PL1) for f in fids):
             refusal = PermissionDenied
         if refusal is not None:
-            self._refused(refusal, table.real.map_range, fids, perms,
+            self._refused(refusal, table.real.map_runs, runs_of(fids), perms,
                           caller=caller)
             return
         first = table.real.next_unused_vpn()
-        vpns = table.real.map_range(fids, perms, caller=caller)
-        assert vpns == list(range(first, first + len(fids)))
+        vpns = table.real.map_runs(runs_of(fids), perms, caller=caller)
+        assert vpns == range(first, first + len(fids))
         table.pages.update((v, (f, perms, False)) for v, f in zip(vpns, fids))
 
-    @precondition(lambda self: self.held)
-    @rule(t=picks, i=picks, vpn=picks, perms=st.sampled_from(PERMS))
-    def map_page(self, t, i, vpn, perms):
-        table = self._pick(self.tables, t)
-        vpn %= table.real.next_unused_vpn() + 2
-        fid = self._pick(self.held, i)
-        refusal = self._mutation_refusal(table, PL0)
-        if refusal is None and PL2 in perms.read | perms.write and \
-                self.owner[fid] in (PL0, PL1):
-            refusal = PermissionDenied
-        if refusal is None and vpn in table.pages:
-            refusal = DoubleMap
-        if refusal is not None:
-            self._refused(refusal, table.real.map_page, vpn, fid, perms)
-            return
-        table.real.map_page(vpn, fid, perms)
-        table.pages[vpn] = (fid, perms, False)
-
-    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
-          extra=st.sampled_from([None, "twice", "unmapped"]),
+    @rule(t=picks, chosen=picks, unmapped=st.booleans(), n=st.integers(0, 3),
           caller=st.sampled_from([PL0, PL0, PL1]))
-    def unmap_range(self, t, chosen, extra, caller):
+    def unmap_range(self, t, chosen, unmapped, n, caller):
         table = self._pick(self.tables, t)
-        mapped = sorted(table.pages)
-        vpns = sorted({self._pick(mapped, c) for c in chosen}) if mapped else []
-        if extra == "twice" and vpns:
-            vpns.append(vpns[0])
-        elif extra == "unmapped":
-            vpns.append(table.real.next_unused_vpn() + 1)
+        vpns = self._run(table, chosen, unmapped, n)
         if not vpns:  # an empty run is no change, whoever asks
             assert table.real.unmap_range(vpns, caller=caller) == []
             return
         refusal = self._mutation_refusal(table, caller)
-        if refusal is None and (len(set(vpns)) < len(vpns)
-                                or not set(vpns) <= set(table.pages)):
+        if refusal is None and not set(vpns) <= set(table.pages):
             refusal = KeyError
         if refusal is not None:
             self._refused(refusal, table.real.unmap_range, vpns, caller=caller)
@@ -1278,12 +1291,12 @@ class MemoryMachine(RuleBasedStateMachine):
         assert frames_of(table.real.unmap_range(vpns)) == sorted(
             {f for f in fids if not counts[f]})
 
-    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
-          unmapped_at=st.none() | picks, perms=st.sampled_from(PERMS),
+    @rule(t=picks, chosen=picks, unmapped=st.booleans(), n=st.integers(0, 3),
+          perms=st.sampled_from(PERMS),
           caller=st.sampled_from([PL0, PL0, PL1]))
-    def set_perms(self, t, chosen, unmapped_at, perms, caller):
+    def set_perms(self, t, chosen, unmapped, n, perms, caller):
         table = self._pick(self.tables, t)
-        vpns = self._run(table, chosen, unmapped_at)
+        vpns = self._run(table, chosen, unmapped, n)
         refusal = self._mutation_refusal(table, caller)
         if refusal is None and not set(vpns) <= set(table.pages):
             refusal = KeyError
@@ -1422,26 +1435,22 @@ class MemoryMachine(RuleBasedStateMachine):
         assert table.real.access(level, vpn, AccessKind.WRITE, data) is None
         self._write_model([table.pages[vpn][0]], data, None)
 
-    def _run(self, table, chosen, unmapped_at):
-        """Distinct mapped vpns of table, with an unmapped one inserted at
-        a picked place if unmapped_at is not None."""
-        mapped = sorted(table.pages)
-        vpns = sorted({self._pick(mapped, c) for c in chosen}) if mapped else []
-        if unmapped_at is not None:
-            vpns.insert(unmapped_at % (len(vpns) + 1),
-                        table.real.next_unused_vpn())
-        return vpns
+    def _run(self, table, chosen, unmapped, n):
+        """n consecutive vpns of table from a picked vpn, mapped or not: a
+        range that may hold unmapped vpns or reach below a view's own
+        lists."""
+        start = self._vpn(table, chosen, unmapped)
+        return range(start, start + n)
 
     def _run_fault(self, table, vpns, level, kind):
         return next(filter(None, (self._fault(table, v, level, kind)
                                   for v in vpns)), None)
 
-    @rule(t=picks, chosen=st.lists(picks, max_size=3),
-          unmapped_at=st.none() | picks, level=st.sampled_from(LEVELS),
-          short=st.integers(0, PAGE_SIZE))
-    def read_run(self, t, chosen, unmapped_at, level, short):
+    @rule(t=picks, chosen=picks, unmapped=st.booleans(), n=st.integers(0, 3),
+          level=st.sampled_from(LEVELS), short=st.integers(0, PAGE_SIZE))
+    def read_run(self, t, chosen, unmapped, n, level, short):
         table = self._pick(self.tables, t)
-        vpns = self._run(table, chosen, unmapped_at)
+        vpns = self._run(table, chosen, unmapped, n)
         nbytes = max(0, len(vpns) * PAGE_SIZE - short)
         fault = self._run_fault(table, vpns, level, AccessKind.READ)
         got = table.real.read_run(level, vpns, nbytes)
@@ -1451,14 +1460,12 @@ class MemoryMachine(RuleBasedStateMachine):
         assert got == b"".join(self.content[table.pages[v][0]]
                                for v in vpns)[:nbytes]
 
-    @rule(t=picks, chosen=st.lists(picks, min_size=1, max_size=3),
-          unmapped_at=st.none() | picks, level=st.sampled_from(LEVELS),
-          short=st.integers(0, PAGE_SIZE - 1), seed=st.integers(0, 255))
-    def write_run(self, t, chosen, unmapped_at, level, short, seed):
+    @rule(t=picks, chosen=picks, unmapped=st.booleans(), n=st.integers(1, 3),
+          level=st.sampled_from(LEVELS), short=st.integers(0, PAGE_SIZE - 1),
+          seed=st.integers(0, 255))
+    def write_run(self, t, chosen, unmapped, n, level, short, seed):
         table = self._pick(self.tables, t)
-        vpns = self._run(table, chosen, unmapped_at)
-        if not vpns:
-            return
+        vpns = self._run(table, chosen, unmapped, n)
         size = len(vpns) * PAGE_SIZE - short
         raw = ((bytes(range(seed, 256)) + bytes(range(seed)))
                * (size // 256 + 1))[:size]
@@ -1501,7 +1508,7 @@ class MemoryMachine(RuleBasedStateMachine):
                     assert got == (self._fault(t, vpn, level, AccessKind.READ)
                                    or self.content[fid])
                     # An empty write checks the page and changes nothing.
-                    got = t.real.write_run(level, [vpn], b"")
+                    got = t.real.write_run(level, range(vpn, vpn + 1), b"")
                     assert got == self._fault(t, vpn, level, AccessKind.WRITE)
 
     @invariant()

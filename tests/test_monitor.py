@@ -23,6 +23,7 @@ from conftest import (
     release_frames,
     shout_fn,
     small_image,
+    take_frames,
 )
 from walletemu import attestation as att
 from walletemu.cli import build_sized_image
@@ -51,9 +52,11 @@ from walletemu.memory import (
     FaultKind,
     PageFault,
     accounting,
-    alloc_frames,
+    alloc_runs,
+    frames_of,
     pages_for,
     preallocate,
+    runs_of,
 )
 from walletemu.monitor import (
     Monitor,
@@ -74,7 +77,7 @@ class TestBoot:
         monitor = Monitor(MonitorConfig(seed=1))
         assert monitor.boot_us == 0
         # The pool validates its frames as they are first handed out.
-        assert alloc_frames(monitor.pool, 1, monitor.model)[1] == 24
+        assert alloc_runs(monitor.pool, 1, monitor.model)[1] == 24
 
     def test_prealloc_boot_charge_matches_preallocate_oracle(self):
         from walletemu.memory import FrameStore, MemoryPool
@@ -218,7 +221,7 @@ class TestZygoteLifecycle:
         assert len(fids) == 32 * MIB // PAGE_SIZE
         monitor.delete_zygote(zygote.handle)
         assert all(store._src[fid] is None for fid in fids)
-        assert store.read_range(fids.tolist(), 32 * MIB) == bytes(32 * MIB)
+        assert store.read_runs(runs_of(fids), 32 * MIB) == bytes(32 * MIB)
 
     def test_zygote_frames_hold_the_canonical_bytes(self):
         # Files whose boundaries fall mid-page: a page wholly inside a file
@@ -234,7 +237,7 @@ class TestZygoteLifecycle:
             .local_frame_ids().tolist()
         data = image.canonical_bytes
         assert len(fids) == pages_for(len(data)) and len(data) % PAGE_SIZE
-        assert store.read_range(fids, len(data)) == data
+        assert store.read_runs(runs_of(fids), len(data)) == data
         ends = list(itertools.accumulate(map(len, image.canonical_parts)))
         straddling = [p for p in range(len(fids))
                       if any(p * PAGE_SIZE < end < (p + 1) * PAGE_SIZE
@@ -338,6 +341,48 @@ class TestTrustletCreation:
         pages = warm.monitor._procs[
             warm.monitor._handles[warm.zygote.handle]].page_table.n_entries()
         assert slow.creation_us - fast.creation_us >= 2 * pages  # 2 us/page
+
+    def test_full_copy_over_a_fragmented_pool_moves_by_run(self, monkeypatch):
+        # Objects made and every other one ended leave the free list in
+        # two-frame fragments, so the zygote copy spans many runs.
+        content = bytes(range(256)) * 160  # 40 KiB, no page all zeros
+        image = ZygoteImage("rt", embedded_fs=[("/big", content)])
+        rig = make_rig(cow=False, prealloc=0, pool_frames=200, image=image,
+                       functions=[echo_fn()])
+        m = rig.monitor
+        made = [m.objects.make(b"o" * (PAGE_SIZE + 1))[0]
+                for _ in range(m.pool.free_count // 2)]
+        for obj_id in made[::2]:
+            m.objects.end(obj_id)
+        free_before = sorted(m.pool._ranges)
+        copies, given = [], []
+        copy_runs, give_back = m.store.copy_runs, m.pool._give_back
+
+        def recording_copy(from_runs, to_runs):
+            copies.append((from_runs, to_runs))
+            copy_runs(from_runs, to_runs)
+
+        def recording_give_back(runs):
+            given.extend(runs)
+            give_back(runs)
+
+        monkeypatch.setattr(m.store, "copy_runs", recording_copy)
+        monkeypatch.setattr(m.pool, "_give_back", recording_give_back)
+        t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
+        zygote = m._proc(rig.zygote.handle).page_table
+        proc = m._proc(t.handle)
+        [(from_runs, copy)] = copies
+        n = zygote.n_entries()
+        assert from_runs == runs_of(zygote.local_frame_ids())
+        assert len(copy) == (n + 1) // 2 > 5
+        assert all(run in free_before for run in copy[:-1])
+        assert [proc.page_table.lookup(v).frame_id
+                for v in range(n)] == frames_of(copy)
+        data = image.canonical_bytes
+        assert proc.page_table.read_run(PL1, range(n), len(data)) == data
+        m.delete_trustlet(t.handle)
+        assert sorted(given) == sorted(copy + proc.exclusive)
+        assert sorted(frames_of(m.pool._ranges)) == frames_of(free_before)
 
     def test_state_is_ready_after_creation(self, rig):
         creation = rig.monitor.create_trustlet(rig.zygote.handle,
@@ -569,7 +614,7 @@ class TestInvocation:
         pid = m._proc(t.handle).pid
         # The recreation takes no frame, so staging the input is what
         # finds the pool empty.
-        held, _ = m.pool.take(m.pool.free_count)
+        held = take_frames(m.pool, m.pool.free_count)
         with pytest.raises(OutOfMemory):
             m.invoke_trustlet(t.handle, other.make_request(
                 fn.digest(), b"").ciphertext)
@@ -736,7 +781,7 @@ class TestRecreationInPlace:
         t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
         self.invoke(rig, t.handle, rig.user)
         pid = m._proc(t.handle).pid
-        held, _ = m.pool.take(m.pool.free_count)
+        held = take_frames(m.pool, m.pool.free_count)
         # The recreation succeeds; staging bob's input finds the pool empty.
         with pytest.raises(OutOfMemory):
             self.invoke(rig, t.handle, bob)
@@ -784,7 +829,7 @@ class TestTraps:
         m = rig.monitor
         fn = rig.functions[3]  # reader
         t = m.create_trustlet(rig.zygote.handle, fn)
-        held, _ = m.pool.take(m.pool.free_count - 1)  # room for the input
+        held = take_frames(m.pool, m.pool.free_count - 1)  # room for input
         ticket = m.submit_invocation(
             t.handle, rig.user.make_request(fn.digest(), b"").ciphertext)
         with pytest.raises(OutOfMemory):

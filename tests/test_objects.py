@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import release_frames
+from conftest import release_frames, take_frames
 from walletemu.crypto import Rng
 from walletemu.errors import (
     AlreadyAttached,
@@ -87,7 +87,7 @@ class TestFragmentedObject:
         store = FrameStore()
         pool = MemoryPool(store)
         pool.grow(16, validated=True)
-        held, _ = pool.take(16)
+        held = take_frames(pool, 16)
         for lo, hi in ((0, 2), (3, 6), (7, 8), (9, 11), (12, 13)):
             release_frames(pool, held[lo:hi])
         objects = ObjectStore(pool, CostModel())

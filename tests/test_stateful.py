@@ -40,6 +40,7 @@ from conftest import (
     make_rig,
     reference_accounting,
     release_frames,
+    take_frames,
 )
 from walletemu import attestation as att
 from walletemu.crypto import Rng
@@ -537,7 +538,7 @@ class MonitorMachine(RuleBasedStateMachine):
             if obj.writer not in (None, MONITOR_PID):
                 counts[obj.writer] = counts.get(obj.writer, 0) + 1
                 charged[obj.writer] = charged.get(obj.writer, 0) \
-                    + obj.charged_bytes
+                    + obj.length
         assert all(n <= store.quota_objects for n in counts.values())
         assert all(n <= store.quota_bytes for n in charged.values())
 
@@ -583,7 +584,7 @@ class TightMonitorMachine(MonitorMachine):
     def hold_frames(self, leave):
         """Take all but leave free frames away from the monitor."""
         if self.m.pool.free_count > leave:
-            fids, _fresh = self.m.pool.take(self.m.pool.free_count - leave)
+            fids = take_frames(self.m.pool, self.m.pool.free_count - leave)
             self.held += fids
 
     @rule()

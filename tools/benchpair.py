@@ -66,6 +66,13 @@ best of ``ROUND_TRIP_ROUNDS`` round trips of one user at each of
 made and sealed, the warm invocation of an identity trustlet over a 1 MiB
 zygote, and the response decrypted and its report verified.
 
+``--layers`` also records, as "zygote_create" in the same schema, the
+best of ``ZYGOTE_CREATE_ROUNDS`` ``create_zygote`` calls of a 4 MiB image
+in each of two cases, interleaved in each round and each run in a fresh
+process: a fresh image object, which is measured and populated, and an
+image whose digest the monitor already keeps, which is only populated.
+Their difference, per side, is recorded as ``measure``.
+
 Usage, from the repository root:
 
     python3 tools/benchpair.py --pr 26 --parent HEAD~1 --sim-memory
@@ -103,6 +110,7 @@ LIFECYCLE_ROUNDS = 2000
 REPORT_ACCOUNTING_ROUNDS = 1000
 ROUND_TRIP_KIB = (1, 64, 256)
 ROUND_TRIP_ROUNDS = 400
+ZYGOTE_CREATE_ROUNDS = 100
 CLI_MAIN = ["-c", "import sys; from walletemu.cli import main; "
                   "sys.exit(main(sys.argv[1:]))"]
 CLI_RUNS = {  # "{dir}" is the tree's directory of emulate's files
@@ -346,6 +354,36 @@ for _ in range(int(sys.argv[1])):
 print(json.dumps({kib: s * 1e6 for kib, s in best.items()}))
 """
 
+# Times ``create_zygote`` of a 4 MiB image with calls that every tree has,
+# the two cases interleaved in each round, each zygote deleted untimed;
+# prints each case's best in microseconds.
+ZYGOTE_CREATE_PROBE = """
+import json, sys, time
+from walletemu.crypto import Rng
+from walletemu.images import FunctionSpec, PipelineOp, ZygoteImage
+from walletemu.monitor import Monitor, MonitorConfig
+from walletemu.provider import FunctionProvider
+
+blob = bytes(4 << 20)
+kept = ZygoteImage("probe-rt", 5, [("/blob", blob)])
+fn = FunctionSpec("echo", [PipelineOp.identity()], 0.5)
+monitor = Monitor(MonitorConfig(prealloc_bytes=64 << 20, pool_frames=0))
+FunctionProvider(Rng(1), [kept.digest()], [fn.digest()]).provision(monitor)
+monitor.delete_zygote(monitor.create_zygote(kept).handle)
+clock, best = time.perf_counter, {}
+
+def timed(name, image):
+    started = clock()
+    handle = monitor.create_zygote(image).handle
+    best[name] = min(best.get(name, float("inf")), clock() - started)
+    monitor.delete_zygote(handle)
+
+for _ in range(int(sys.argv[1])):
+    timed("fresh_image", ZygoteImage("probe-rt", 5, [("/blob", blob)]))
+    timed("kept_digest", kept)
+print(json.dumps({name: s * 1e6 for name, s in best.items()}))
+"""
+
 
 # -- parsing and summary arithmetic (no subprocess) --------------------------
 
@@ -462,21 +500,33 @@ def summarise_layers(runs: dict) -> dict:
     return out
 
 
-def summarise_lifecycle(runs: dict) -> dict:
-    """``summarise_layers`` of the lifecycle probe's calls (name -> side ->
-    per-run bests in microseconds), plus "recreation": per side, its best
-    alternating-user invocation less its best one-user invocation."""
-    out = summarise_layers(runs)
-    alternating, one = (out["invoke_alternating_users"],
-                        out["invoke_one_user"])
-    best = {side: alternating[side]["best_us"] - one[side]["best_us"]
+def with_difference(out: dict, name: str, more: str, less: str) -> dict:
+    """A ``summarise_layers`` result with name added: per side, the best
+    of more less the best of less."""
+    best = {side: out[more][side]["best_us"] - out[less][side]["best_us"]
             for side in SIDES}
-    out["recreation"] = {
+    out[name] = {
         **{side: {"best_us": round(best[side], 2)} for side in SIDES},
         "change_over_parent": round(best["change"] / best["parent"], 3),
         "delta_pct": round(100.0 * (best["change"] - best["parent"])
                            / best["parent"], 2)}
     return out
+
+
+def summarise_lifecycle(runs: dict) -> dict:
+    """``summarise_layers`` of the lifecycle probe's calls (name -> side ->
+    per-run bests in microseconds), plus "recreation": per side, its best
+    alternating-user invocation less its best one-user invocation."""
+    return with_difference(summarise_layers(runs), "recreation",
+                           "invoke_alternating_users", "invoke_one_user")
+
+
+def summarise_zygote_create(runs: dict) -> dict:
+    """``summarise_layers`` of the zygote_create probe's two cases, plus
+    "measure": per side, its best fresh-image creation less its best
+    kept-digest one."""
+    return with_difference(summarise_layers(runs), "measure",
+                           "fresh_image", "kept_digest")
 
 
 # -- trees and runs -----------------------------------------------------------
@@ -631,6 +681,13 @@ def user_round_trip_runs(trees) -> dict:
                 *map(str, ROUND_TRIP_KIB)))}
 
 
+def zygote_create_runs(trees) -> dict:
+    return {"rounds_per_run": ZYGOTE_CREATE_ROUNDS,
+            "runs_per_side": LAYER_REPEATS, "image_mib": 4,
+            "cases": summarise_zygote_create(probe_runs(
+                trees, ZYGOTE_CREATE_PROBE, ZYGOTE_CREATE_ROUNDS))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
@@ -688,6 +745,7 @@ def main(argv=None) -> int:
             doc["lifecycle"] = lifecycle_runs(trees)
             doc["report_and_accounting"] = report_accounting_runs(trees)
             doc["user_round_trip"] = user_round_trip_runs(trees)
+            doc["zygote_create"] = zygote_create_runs(trees)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
