@@ -3,8 +3,20 @@ and run-to-completion scheduling.
 
 All state mutation flows through this object's methods (the serialized
 command queue of the design); execution is deterministic given identical
-call order.  Simulated time is an integer microsecond accumulator charged
-through the cost model.
+call order.  Simulated time is an integer microsecond accumulator,
+``clock_us``, charged through the cost model.  After boot only
+``Monitor._charge(ledger, phase, us)`` moves it, by us, which it also adds
+to one phase of the ledger that reports it:
+
+- ``ZygoteCreation``: measurement, allocation, population, runtime init;
+- ``TrustletCreation``: measurement, descriptor clone, page load (zygote
+  copy under ``cow_enabled=False``, allocation, set-up, image load);
+- a ticket's ``InvokeCharges``: decryption, input staging and file writes,
+  execution, output, report, response;
+- ``Monitor.unreported``, reported by no result yet: per-user recreation's
+  clone and page load, and delivered file objects' allocation.
+
+A failed invocation's charges stay in a ticket no result carries.
 """
 
 from __future__ import annotations
@@ -84,7 +96,8 @@ class ProcState(str, Enum):
 
 
 # created -> initialized -> ready -> running -> (ready | terminated);
-# ready -> terminated is additionally needed for cascade deletion.
+# ready -> terminated is additionally needed for cascade deletion.  A
+# trustlet's descriptor starts ready: it has no runtime init of its own.
 _TRANSITIONS = {
     ProcState.CREATED: {ProcState.INITIALIZED},
     ProcState.INITIALIZED: {ProcState.READY},
@@ -242,25 +255,30 @@ class MonitorConfig:
             raise ConfigInvalid("object quotas must be non-negative")
 
 
-@dataclass
-class ZygoteCreation:
-    handle: int
-    measure_us: int
-    alloc_us: int
-    populate_us: int
-    init_us: int
+class _Ledger:
+    """What ``Monitor._charge`` charges: one ``*_us`` field per phase."""
 
     @property
     def total_us(self) -> int:
-        return self.measure_us + self.alloc_us + self.populate_us + self.init_us
+        return sum(us for name, us in vars(self).items()
+                   if name.endswith("_us"))
 
 
 @dataclass
-class TrustletCreation:
-    handle: int
-    clone_us: int
-    page_load_us: int
-    measure_us: int  # function measurement; cached separately from creation
+class ZygoteCreation(_Ledger):
+    handle: int = 0
+    measure_us: int = 0
+    alloc_us: int = 0
+    populate_us: int = 0
+    init_us: int = 0
+
+
+@dataclass
+class TrustletCreation(_Ledger):
+    handle: int = 0
+    clone_us: int = 0
+    page_load_us: int = 0
+    measure_us: int = 0  # function measurement; cached separately from creation
 
     @property
     def creation_us(self) -> int:
@@ -269,7 +287,7 @@ class TrustletCreation:
 
 
 @dataclass
-class InvokeCharges:
+class InvokeCharges(_Ledger):
     decrypt_us: int = 0
     input_us: int = 0
     exec_us: int = 0
@@ -278,14 +296,19 @@ class InvokeCharges:
     response_us: int = 0
 
     @property
-    def total_us(self) -> int:
-        return (self.decrypt_us + self.input_us + self.exec_us
-                + self.output_us + self.report_us + self.response_us)
-
-    @property
     def setup_us(self) -> int:
         """Invocation overhead excluding function execution time."""
         return self.total_us - self.exec_us
+
+
+@dataclass
+class Unreported(_Ledger):
+    """Charges no result reports yet: per-user recreation's, in a fork's
+    phases, and delivered file objects' allocation."""
+
+    clone_us: int = 0
+    page_load_us: int = 0
+    file_alloc_us: int = 0
 
 
 @dataclass
@@ -344,7 +367,6 @@ class Monitor:
         self.guest = guest if guest is not None else GuestBroker()
         self.store = FrameStore()
         self.pool = MemoryPool(self.store)
-        self.clock_us = 0
         self.boot_us = 0
 
         if config.prealloc_bytes > 0:
@@ -354,7 +376,6 @@ class Monitor:
                                         self.model)
         elif config.pool_frames > 0:
             self.pool.grow(config.pool_frames, validated=False)
-        self.clock_us += self.boot_us
 
         self.objects = ObjectStore(self.pool, self.model,
                                    quota_objects=config.quota_objects,
@@ -364,9 +385,10 @@ class Monitor:
             else att.MachineKey.generate(self.rng)
 
         monitor_bytes = config.canonical_bytes()
-        self.monitor_digest, charge = self.cache.measure(
+        self.monitor_digest, measure_us = self.cache.measure(
             att.SubjectKind.MONITOR, "monitor", monitor_bytes, self.model)
-        self.clock_us += charge
+        self.clock_us = self.boot_us + measure_us
+        self.unreported = Unreported()
         self.boot_report = att.asp_gen(self.machine_key, self.monitor_digest,
                                        att.sha512(monitor_bytes))
 
@@ -393,9 +415,10 @@ class Monitor:
 
     # -- small helpers ---------------------------------------------------------
 
-    def _charge(self, us: int) -> int:
+    def _charge(self, ledger, phase: str, us: int) -> None:
+        """us to the clock and to ledger's phase: see the module docstring."""
+        setattr(ledger, phase, getattr(ledger, phase) + us)
         self.clock_us += us
-        return us
 
     def _proc(self, handle: int) -> ProcessDescriptor:
         pid = self._handles.get(handle)
@@ -461,7 +484,8 @@ class Monitor:
         self.guest.observe(*image.canonical_parts)
         digest, measure_us = self.cache.measure_image(
             att.SubjectKind.ZYGOTE, image, self.model)
-        self._charge(measure_us)
+        creation = ZygoteCreation()
+        self._charge(creation, "measure_us", measure_us)
         if digest not in policy.allowed_zygotes:
             raise PolicyViolation("zygote digest is not in the provider policy")
 
@@ -473,22 +497,22 @@ class Monitor:
         size = image.size_bytes()
         runs, alloc_us = alloc_runs(self.pool, pages_for(size), self.model,
                                     owner_level=PrivilegeLevel.PL1_PROCESS)
-        self._charge(alloc_us)
+        self._charge(creation, "alloc_us", alloc_us)
         table.map_runs(runs, PagePerms.PROCESS_RW)
         self.store.write_runs(runs, *image.canonical_parts)
-        populate_us = self._charge(self.model.transfer_us(size))
+        self._charge(creation, "populate_us", self.model.transfer_us(size))
 
         proc.transition(ProcState.INITIALIZED)
-        init_us = self._charge(self._runtime_init(proc))
+        self._charge(creation, "init_us", self._runtime_init(proc))
         table.seal()
         proc.transition(ProcState.READY)
 
         proc.fs = NestedFs(dict(image.embedded_fs), dict(image.manifest))
         self._procs[pid] = proc
-        handle = self._next_handle
+        creation.handle = self._next_handle
         self._next_handle += 1
-        self._handles[handle] = pid
-        return ZygoteCreation(handle, measure_us, alloc_us, populate_us, init_us)
+        self._handles[creation.handle] = pid
+        return creation
 
     def _runtime_init(self, proc: ProcessDescriptor) -> int:
         """Simulated runtime preloading; once per zygote, never per trustlet."""
@@ -547,71 +571,90 @@ class Monitor:
             raise PolicyViolation("zygote must be sealed and ready")
         digest, measure_us = self.cache.measure_image(
             att.SubjectKind.FUNCTION, fn, self.model)
-        self._charge(measure_us)
+        creation = TrustletCreation()
+        self._charge(creation, "measure_us", measure_us)
         if digest not in policy.allowed_functions:
             raise PolicyViolation("function digest is not in the provider policy")
 
-        handle = self._next_handle
+        creation.handle = self._next_handle
         self._next_handle += 1
-        pid, clone_us, page_load_us = self._spawn_trustlet(
-            zygote, fn, digest)
-        self._handles[handle] = pid
-        return TrustletCreation(handle, clone_us, page_load_us, measure_us)
+        self._handles[creation.handle] = self._load(
+            creation, zygote, fn, digest, None).pid
+        return creation
 
-    def _spawn_trustlet(self, zygote: ProcessDescriptor, fn: FunctionSpec,
-                        fn_digest: bytes) -> tuple[int, int, int]:
+    def _load(self, ledger, zygote: ProcessDescriptor, fn: FunctionSpec,
+              fn_digest: bytes, kept: Optional[ProcessDescriptor]
+              ) -> ProcessDescriptor:
+        """A trustlet's one load path: a fork of zygote, or, given kept,
+        kept's recreation over its own page table and exclusive frames,
+        which allocates nothing, so it cannot run out of memory and pays
+        no validation.  Charges ledger's clone_us the descriptor clone and
+        its page_load_us the rest: the zygote copy under
+        ``cow_enabled=False``, a fork's allocations, and the set-up and
+        load of the function image, which the exclusive frames hold
+        followed by zeros.  A refused allocation leaves the pid used and
+        what was charged before it."""
         pid = self._next_pid
         self._next_pid += 1
-        clone_us = self._charge(self.config.descriptor_clone_us)
-
-        if self.config.cow_enabled:
-            table = zygote.page_table.fork_cow(pid)
-            zygote_copy_us = 0
+        self._charge(ledger, "clone_us", self.config.descriptor_clone_us)
+        base, fn_bytes = zygote.page_table, fn.canonical_bytes
+        if kept is not None:
+            # The zygote, any copy of it and the exclusive region stay
+            # mapped; truncate frees the objects kept's user left.  A view
+            # that changed a vpn of its base (a resolved CoW fault) gives
+            # way to a fresh one over the same exclusive frames.
+            table, runs = kept.page_table, kept.exclusive
+            excl_pages = n_frames_of(runs)
+            if table.diverged:
+                table = base.fork_cow(pid)
+                table.map_runs(runs, PagePerms.PROCESS_RW)
+                kept.page_table.release_all(self.pool)
+            else:
+                table.owner = pid
+                table.truncate(base.next_unused_vpn() + excl_pages, self.pool)
+            self.store.clear_runs(runs)
+        elif self.config.cow_enabled:
+            table = base.fork_cow(pid)
         else:
             # Full-copy fallback: duplicate every zygote page eagerly.
             table = PageTable(self.store, pid)
-            src_table = zygote.page_table
-            n = src_table.n_entries()
-            copy, zc_alloc_us = alloc_runs(
-                self.pool, n, self.model,
+            copy, alloc_us = alloc_runs(
+                self.pool, base.n_entries(), self.model,
                 owner_level=PrivilegeLevel.PL1_PROCESS)
-            self._charge(zc_alloc_us)
+            self._charge(ledger, "page_load_us", alloc_us)
             # create_zygote maps a zygote at vpns 0..n-1, so mapping the
             # copy on the fresh table puts every page at its own vpn.
-            self.store.copy_runs(runs_of(src_table.local_frame_ids()), copy)
+            self.store.copy_runs(runs_of(base.local_frame_ids()), copy)
             table.map_runs(copy, PagePerms.PROCESS_RO)
-            zygote_copy_us = self._charge(self.model.copy_us(n)) + zc_alloc_us
-
-        # The trustlet's exclusive region holds the function image plus
-        # scratch space; the function never dirties zygote pages for code.
-        fn_bytes = fn.canonical_bytes
-        fn_pages = pages_for(len(fn_bytes))
-        excl_pages = max(pages_for(self.config.trustlet_exclusive_bytes),
-                         fn_pages)
-        try:
-            runs, excl_alloc_us = alloc_runs(
-                self.pool, excl_pages, self.model,
-                owner_level=PrivilegeLevel.PL1_PROCESS)
-        except OutOfMemory:
-            # Give back the fork, or the zygote could never be deleted.
-            table.release_all(self.pool)
-            raise
-        self._charge(excl_alloc_us)
-        table.map_runs(runs, PagePerms.PROCESS_RW)
+        if not self.config.cow_enabled:
+            self._charge(ledger, "page_load_us",
+                         self.model.copy_us(base.n_entries()))
+        if kept is None:
+            # The function image plus scratch space: the function never
+            # dirties zygote pages for code.
+            excl_pages = max(pages_for(self.config.trustlet_exclusive_bytes),
+                             pages_for(len(fn_bytes)))
+            try:
+                runs, alloc_us = alloc_runs(
+                    self.pool, excl_pages, self.model,
+                    owner_level=PrivilegeLevel.PL1_PROCESS)
+            except OutOfMemory:
+                # Give back the fork, or the zygote could never be deleted.
+                table.release_all(self.pool)
+                raise
+            self._charge(ledger, "page_load_us", alloc_us)
+            table.map_runs(runs, PagePerms.PROCESS_RW)
         self.store.write_runs(runs, fn_bytes)
-        setup_us = self._charge(self.model.copy_us(excl_pages))
-        load_us = self._charge(self.model.transfer_us(len(fn_bytes)))
-        page_load_us = zygote_copy_us + excl_alloc_us + setup_us + load_us
+        self._charge(ledger, "page_load_us", self.model.copy_us(excl_pages)
+                     + self.model.transfer_us(len(fn_bytes)))
 
         proc = ProcessDescriptor(pid, ProcKind.TRUSTLET, table,
                                  base_zygote=zygote.pid,
                                  measurement=fn_digest, fn=fn,
                                  fs=zygote.fs, image=zygote.image,
-                                 exclusive=runs)
-        proc.transition(ProcState.INITIALIZED)
-        proc.transition(ProcState.READY)
+                                 exclusive=runs, state=ProcState.READY)
         self._procs[pid] = proc
-        return pid, clone_us, page_load_us
+        return proc
 
     def delete_trustlet(self, handle: int) -> None:
         proc = self._proc(handle)
@@ -685,8 +728,8 @@ class Monitor:
                 self.guest.observe(source)
                 request = InvocationRequest.from_bytes(
                     policy.function_key.box.decrypt(source))
-                charges.decrypt_us = self._charge(
-                    self.model.crypto_us(len(source)))
+                self._charge(charges, "decrypt_us",
+                             self.model.crypto_us(len(source)))
                 if request.function_digest != proc.measurement:
                     raise PolicyViolation(
                         f"request is sealed for another function than "
@@ -698,7 +741,7 @@ class Monitor:
         if source is not None:
             obj_id, alloc_us, write_us = self.objects.make(
                 input_bytes, ObjectType.INPUT, reader=proc.page_table)
-            charges.input_us += self._charge(alloc_us + write_us)
+            self._charge(charges, "input_us", alloc_us + write_us)
 
         ticket = _Ticket(self._next_seq, handle, proc.pid, obj_id,
                          response_key, nonce, list(prefix), charges,
@@ -738,65 +781,20 @@ class Monitor:
         return True
 
     def _recreate(self, handle: int, proc: ProcessDescriptor) -> ProcessDescriptor:
-        """Per-user trustlet recreation, in place: a fresh descriptor and
-        pid under the same handle, over the same page table and exclusive
-        frames.
-
-        The previous user's objects are left (``ObjectStore.leave``) and
-        the vpns past the exclusive region unmapped (``truncate``), which
-        frees those objects and leaves the zygote and the exclusive
-        region mapped; the exclusive frames are cleared and the function
-        image written into them again: the image followed by zeros.  Under ``cow_enabled=False``
-        the zygote copy, read-only to PL1, is kept as well.  A view that
-        changed a vpn of its base (a resolved CoW fault) is replaced by a
-        fresh ``fork_cow`` view mapping the same exclusive frames, and the
-        frames only the old view mapped go back to the pool.  The clock is
-        charged what ``_spawn_trustlet`` charges, by the cost model: the
-        descriptor clone, the full-copy fork's copy, allocation (kept
-        frames are validated, so none), set-up and load.  Nothing is
-        allocated, so a recreation never runs out of memory.
-
-        Recreation is not a deletion, and chain state is keyed by handle,
-        so the trustlet's pending links stay as they are: a link holds no
-        object until its producer completes.  A handed-off input is never
-        pending here: ``_claim`` does not recreate a trustlet holding one.
+        """Per-user recreation in place: the previous user's objects are
+        left, and the fork's load path runs over the trustlet's own table and
+        frames, charging ``unreported``, for a fresh descriptor and pid under
+        the same handle.  Pending links stay: chain state is keyed by handle,
+        and ``_claim`` never recreates a trustlet holding a handed-off input.
         """
         assert proc.fn is not None and proc.measurement is not None
         assert handle not in self._chain_inbox
-        zygote = self._procs[proc.base_zygote]
         self.objects.leave(proc.pid)
-        pid = self._next_pid
-        self._next_pid += 1
-        self._charge(self.config.descriptor_clone_us)
-        table, runs = proc.page_table, proc.exclusive
-        excl_pages = n_frames_of(runs)
-        if table.diverged:
-            table = zygote.page_table.fork_cow(pid)
-            table.map_runs(runs, PagePerms.PROCESS_RW)
-            proc.page_table.release_all(self.pool)
-        else:
-            table.owner = pid
-            table.truncate(zygote.page_table.next_unused_vpn() + excl_pages,
-                           self.pool)
-        if not self.config.cow_enabled:
-            self._charge(self.model.copy_us(zygote.page_table.n_entries()))
-        fn_bytes = proc.fn.canonical_bytes
-        self.store.clear_runs(runs)
-        self.store.write_runs(runs, fn_bytes)
-        self._charge(self.model.copy_us(excl_pages))
-        self._charge(self.model.transfer_us(len(fn_bytes)))
-
-        fresh = ProcessDescriptor(pid, ProcKind.TRUSTLET, table,
-                                  base_zygote=zygote.pid,
-                                  measurement=proc.measurement, fn=proc.fn,
-                                  fs=zygote.fs, image=zygote.image,
-                                  exclusive=runs)
-        fresh.transition(ProcState.INITIALIZED)
-        fresh.transition(ProcState.READY)
+        fresh = self._load(self.unreported, self._procs[proc.base_zygote],
+                           proc.fn, proc.measurement, proc)
         proc.transition(ProcState.TERMINATED)
         del self._procs[proc.pid]
-        self._procs[pid] = fresh
-        self._handles[handle] = pid
+        self._handles[handle] = fresh.pid
         return fresh
 
     # -- scheduler ------------------------------------------------------------------
@@ -883,9 +881,9 @@ class Monitor:
             except OutOfMemory as exc:
                 self._settle(ticket, proc, error=exc)
                 return
-            self._charge(alloc_us)
+            self._charge(self.unreported, "file_alloc_us", alloc_us)
             ticket.file_objs.append(obj_id)
-            ticket.charges.input_us += self._charge(write_us)
+            self._charge(ticket.charges, "input_us", write_us)
         ticket.resume = raw
         heapq.heappush(self._ready, (ticket.seq, ticket))
 
@@ -895,7 +893,7 @@ class Monitor:
         it off along a pending link as a chain object or answer
         the user with the report and the encrypted response."""
         charges = ticket.charges
-        charges.exec_us += self._charge(exec_us)
+        self._charge(charges, "exec_us", exec_us)
 
         consumer_handle = self._chain_edges.get(ticket.handle)
         otype, supersedes = ObjectType.OUTPUT, proc.output_obj
@@ -918,7 +916,7 @@ class Monitor:
             # A pending link stays pending; its consumer is left as it was.
             self._settle(ticket, proc, error=exc)
             return
-        charges.output_us += self._charge(alloc_us + write_us)
+        self._charge(charges, "output_us", alloc_us + write_us)
 
         if consumer_handle is not None:
             del self._chain_edges[ticket.handle]
@@ -948,12 +946,12 @@ class Monitor:
                 self.cache, ticket.nonce, measurements,
                 self.boot_report, self._require_policy().function_key.signer,
                 self.model)
-            charges.report_us += self._charge(report_us)
+            self._charge(charges, "report_us", report_us)
 
             ciphertext = symmetric_encrypt(ticket.response_key,
                                            retrieved, self.rng)
-            charges.response_us += self._charge(
-                self.model.crypto_us(len(retrieved)))
+            self._charge(charges, "response_us",
+                         self.model.crypto_us(len(retrieved)))
             self.guest.observe(ciphertext)
             self.guest.observe(report.to_bytes())
             result = InvokeResult(ticket.handle, proc.pid, ciphertext, report,

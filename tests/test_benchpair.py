@@ -172,24 +172,26 @@ def test_layer_probe_runs_on_this_tree():
     assert set(best) == {"1", "2"} and min(best.values()) > 0
 
 
-def test_lifecycle_summary_derives_the_recreation():
-    out = benchpair.summarise_lifecycle({
+def test_lifecycle_summary_takes_each_calls_best():
+    # The recreation is timed per call, like the other calls, rather than
+    # derived from two invocations' bests.
+    out = benchpair.summarise_layers({
         "create_trustlet": {"parent": [24.0, 23.0], "change": [23.5, 25.0]},
         "delete_trustlet": {"parent": [30.0, 29.0], "change": [20.0, 21.0]},
         "invoke_one_user": {"parent": [210.0, 200.0],
                             "change": [205.0, 201.0]},
         "invoke_alternating_users": {"parent": [245.0, 240.0],
-                                     "change": [212.0, 215.0]}})
+                                     "change": [212.0, 215.0]},
+        "recreation": {"parent": [5.0, 4.0], "change": [5.5, 6.0]}})
     assert out["delete_trustlet"]["change_over_parent"] == pytest.approx(
         20 / 29, abs=1e-3)
     assert out["create_trustlet"]["delta_pct"] == pytest.approx(2.17,
                                                                 abs=0.01)
     recreation = out["recreation"]
-    # Best alternating less best one-user invocation, per side.
-    assert recreation["parent"] == {"best_us": 40.0}
-    assert recreation["change"] == {"best_us": 11.0}
-    assert recreation["change_over_parent"] == 0.275
-    assert recreation["delta_pct"] == -72.5
+    assert recreation["parent"] == {"best_us": 4.0, "runs_us": [5.0, 4.0]}
+    assert recreation["change"]["best_us"] == 5.5
+    assert recreation["change_over_parent"] == 1.375
+    assert recreation["delta_pct"] == 37.5
 
 
 def test_lifecycle_probe_runs_on_this_tree():
@@ -200,8 +202,10 @@ def test_lifecycle_probe_runs_on_this_tree():
         env=benchpair.tree_env(benchpair.ROOT))
     best = json.loads(done.stdout)
     assert set(best) == {"create_trustlet", "delete_trustlet",
-                         "invoke_one_user", "invoke_alternating_users"}
+                         "invoke_one_user", "invoke_alternating_users",
+                         "recreation"}
     assert min(best.values()) > 0
+    assert best["recreation"] < best["invoke_alternating_users"]
 
 
 def test_report_accounting_summary_takes_each_sides_best_call():
@@ -317,12 +321,11 @@ def test_zygote_create_summary_over_canned_alternating_runs(tmp_path):
         "side = os.path.basename(os.getcwd())\n"
         "populate = {'parent': 900.0, 'change': 850.0}[side]\n"
         "print(json.dumps({'fresh_image': 8000.0 + populate, "
-        "'kept_digest': populate}))\n")
+        "'kept_digest': populate, 'measure': 8000.0}))\n")
     trees = {side: tmp_path / side for side in benchpair.SIDES}
     for tree in trees.values():
         tree.mkdir()
-    out = benchpair.summarise_zygote_create(benchpair.probe_runs(
-        trees, canned, 3))
+    out = benchpair.summarise_layers(benchpair.probe_runs(trees, canned, 3))
     assert set(out) == {"fresh_image", "kept_digest", "measure"}
     kept = out["kept_digest"]
     assert kept["parent"]["best_us"] == 900.0
@@ -333,7 +336,8 @@ def test_zygote_create_summary_over_canned_alternating_runs(tmp_path):
     assert out["fresh_image"]["change_over_parent"] == pytest.approx(
         8850 / 8900, abs=1e-3)
     measure = out["measure"]
-    assert measure["parent"] == measure["change"] == {"best_us": 8000.0}
+    assert measure["parent"]["best_us"] == measure["change"]["best_us"] \
+        == 8000.0
     assert measure["change_over_parent"] == 1.0
     assert measure["delta_pct"] == 0.0
 
@@ -344,6 +348,7 @@ def test_zygote_create_probe_runs_on_this_tree():
         capture_output=True, text=True, check=True,
         env=benchpair.tree_env(benchpair.ROOT))
     best = json.loads(done.stdout)
-    assert set(best) == {"fresh_image", "kept_digest"}
+    assert set(best) == {"fresh_image", "kept_digest", "measure"}
     # A fresh image is measured as well as populated.
     assert best["fresh_image"] > best["kept_digest"] > 0
+    assert best["fresh_image"] > best["measure"] > 0

@@ -754,26 +754,27 @@ class TestRecreationInPlace:
         assert m.store.total_refs() == sum(
             t.n_entries() for t in m.live_tables())
 
-    def test_kept_frames_are_not_validated_again(self):
-        # On an on-demand pool, a recreation charges the clock the
-        # descriptor clone, the set-up of the exclusive pages and the load
-        # of the image, and no validation: its frames were validated when
-        # the trustlet was forked.
-        rig = make_rig(prealloc=0, pool_frames=65536)
+    @pytest.mark.parametrize("cow", [True, False])
+    def test_kept_frames_are_not_validated_again(self, cow):
+        # On an on-demand pool, a recreation charges the descriptor clone,
+        # under full copy the copy of the zygote's pages, the set-up of
+        # the exclusive pages and the load of the image, and no
+        # validation: its frames were validated when the trustlet was
+        # forked.  No result reports it yet.
+        rig = make_rig(cow=cow, prealloc=0, pool_frames=65536)
         m = rig.monitor
         bob = UserAgent(Rng(77), rig.provider.public_key())
         t = m.create_trustlet(rig.zygote.handle, rig.functions[0])
         self.invoke(rig, t.handle, rig.user)
-        clock = m.clock_us
-        self.invoke(rig, t.handle, rig.user)
-        same_user = m.clock_us - clock
-        clock = m.clock_us
+        unreported = m.unreported.total_us
         assert self.invoke(rig, t.handle, bob).recreated
         vpns, _, _ = self.scratch(rig, t.handle)
         fn = rig.functions[0]
-        assert m.clock_us - clock - same_user == (
+        zygote_pages = m._proc(rig.zygote.handle).page_table.n_entries()
+        assert m.unreported.total_us - unreported == (
             m.config.descriptor_clone_us + m.model.copy_us(len(vpns))
-            + m.model.transfer_us(len(fn.canonical_bytes)))
+            + m.model.transfer_us(len(fn.canonical_bytes))
+            + (0 if cow else m.model.copy_us(zygote_pages)))
 
     def test_recreation_takes_no_frame(self, rig):
         m = rig.monitor
@@ -1173,3 +1174,82 @@ class TestPinnedOutputs:
                                        request.response_key, request.nonce))
         assert h.hexdigest() == (
             "56735c7361c1e3a7d04b0b9e18b6c783b805ed51256a1ae4ef4bdb5516bc09b0")
+
+
+class TestPinnedRefusals:
+    """The clock and the next pid and handle after each kind of refused
+    call, pinned so that a refactor of the charges keeps them: a refusal
+    charges what the monitor did before it refused, and numbers nothing
+    more than it numbered before."""
+
+    @staticmethod
+    def after(m) -> tuple[int, int, int]:
+        return m.clock_us, m._next_pid, m._next_handle
+
+    @pytest.mark.parametrize("stage", ["copy", "exclusive"])
+    def test_full_copy_refused_at_each_allocation(self, stage):
+        # A fork on an on-demand pool one frame short of the zygote copy,
+        # or of the exclusive pages after it: the latter has charged the
+        # clone, the copy's allocation and the copy.
+        rig = make_rig(cow=False, prealloc=0, pool_frames=4096)
+        m = rig.monitor
+        fn = rig.functions[0]
+        need = m._proc(rig.zygote.handle).page_table.n_entries()
+        if stage == "exclusive":
+            need += max(pages_for(m.config.trustlet_exclusive_bytes),
+                        pages_for(len(fn.canonical_bytes)))
+        take_frames(m.pool, m.pool.free_count - need + 1)
+        copied = m.store.copied_bytes_total
+        with pytest.raises(OutOfMemory):
+            m.create_trustlet(rig.zygote.handle, fn)
+        assert (m.store.copied_bytes_total > copied) == (stage == "exclusive")
+        assert self.after(m) == PINNED_REFUSALS[f"full copy, {stage}"]
+
+    @pytest.mark.parametrize("cow", [True, False])
+    def test_staging_refused_right_after_a_recreation(self, cow):
+        rig = make_rig(cow=cow, prealloc=0, pool_frames=4096)
+        m = rig.monitor
+        fn = rig.functions[0]
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        m.invoke_trustlet(t.handle, rig.user.make_request(
+            fn.digest(), b"x").ciphertext)
+        take_frames(m.pool, m.pool.free_count)
+        with pytest.raises(OutOfMemory):
+            m.invoke_trustlet(t.handle, bob.make_request(
+                fn.digest(), b"x").ciphertext)
+        assert self.after(m) == PINNED_REFUSALS[f"staging, cow={cow}"]
+
+    def test_busy_after_decrypt(self, rig):
+        m = rig.monitor
+        fn = rig.functions[0]
+        bob = UserAgent(Rng(77), rig.provider.public_key())
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        m.submit_invocation(t.handle, rig.user.make_request(
+            fn.digest(), b"x").ciphertext)
+        with pytest.raises(TrustletBusy):
+            m.invoke_trustlet(t.handle, bob.make_request(
+                fn.digest(), b"x").ciphertext)
+        assert self.after(m) == PINNED_REFUSALS["busy"]
+        m.run_pending()
+
+    def test_tampered_external_file(self, rig):
+        m = rig.monitor
+        fn = rig.functions[3]  # reader
+        m.guest.tamper_file("/ext/blob", lambda c: b"X" + c[1:])
+        t = m.create_trustlet(rig.zygote.handle, fn)
+        with pytest.raises(FunctionError):
+            m.invoke_trustlet(t.handle, rig.user.make_request(
+                fn.digest(), b"").ciphertext)
+        assert self.after(m) == PINNED_REFUSALS["tampered"]
+
+
+# (clock_us, next pid, next handle) after each refusal.
+PINNED_REFUSALS = {
+    "full copy, copy": (5081, 3, 3),
+    "full copy, exclusive": (5107, 3, 3),
+    "staging, cow=True": (7605, 4, 3),
+    "staging, cow=False": (7633, 4, 3),
+    "busy": (398307, 3, 3),
+    "tampered": (398308, 3, 3),
+}

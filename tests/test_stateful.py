@@ -10,7 +10,10 @@ recreates the trustlet, hands off to a chain consumer or is refused, and
 for a completed chain the report's stages.  The monitor's global
 invariants are checked after every step: among them, no payload reaches
 the guest, no PL1-writable frame is shared, and every live object has an
-owner.  At the end every frame must be back in the pool.
+owner.  At the end every frame must be back in the pool.  Simulated time
+is conserved: after every step the clock has moved since boot by the
+charges of the results the machine received, plus what the monitor keeps
+as reported by no result yet, plus what each refused call charged.
 
 A second machine runs the same rules on a small on-demand pool with low
 object quotas, and also holds and frees pool frames, so that memory runs
@@ -19,6 +22,9 @@ delivered or an output or chain object is created, and a producer
 exceeds its object quota.  Each refusal must leave nothing running and
 conserve refs and the object table; a trustlet refused memory runs again
 once the held frames are back.
+
+A third machine runs the first one's rules with copy-on-write off, so that
+every fork copies the zygote and every recreation keeps that copy.
 """
 
 import hashlib
@@ -95,6 +101,17 @@ class MonitorMachine(RuleBasedStateMachine):
         self.rig = make_rig(seed=7, image=image, functions=self.functions,
                             chains=(chain,), **self.RIG)
         self.m = self.rig.monitor
+        # The clock at boot: the pool's validation and the monitor's own
+        # measurement; the rig then made one zygote.
+        self.boot_clock = self.m.boot_us + att.MeasurementCache().measure(
+            att.SubjectKind.MONITOR, "monitor",
+            self.m.config.canonical_bytes(), self.m.model)[1]
+        self.ledgers = {id(self.rig.zygote): self.rig.zygote}
+        self.refused_us = 0
+        self.in_call = False
+        for name in ("create_zygote", "create_trustlet", "submit_invocation",
+                     "invoke_trustlet", "invoke_chained", "invoke_with_input"):
+            setattr(self.m, name, self._conserving(getattr(self.m, name)))
         self.users = [self.rig.user] + [
             UserAgent(Rng(100 + i), self.rig.provider.public_key())
             for i in range(2)]
@@ -134,6 +151,33 @@ class MonitorMachine(RuleBasedStateMachine):
             self.create_trustlet(f)
 
     # -- helpers ------------------------------------------------------------
+
+    def _conserving(self, call):
+        """call, keeping the charges of the result it returns (a creation,
+        or an invocation's ``InvokeCharges`` by way of its result or
+        ticket), or, if it is refused, adding to refused_us how far it
+        moved the clock less what it added to ``unreported``.  A call made
+        inside another (``invoke_trustlet`` submits) counts as the outer
+        one's."""
+        def conserving(*args):
+            if self.in_call:
+                return call(*args)
+            m = self.m
+            clock, unreported = m.clock_us, m.unreported.total_us
+            self.in_call = True
+            try:
+                made = call(*args)
+            except Exception:
+                self.refused_us += (m.clock_us - clock) - (
+                    m.unreported.total_us - unreported)
+                raise
+            finally:
+                self.in_call = False
+            ledger = getattr(made, "charges", made)
+            self.ledgers[id(ledger)] = ledger
+            return made
+
+        return conserving
 
     def _pick(self, data, which=None) -> int:
         handles = sorted(h for h, f in self.trustlets.items()
@@ -413,7 +457,8 @@ class MonitorMachine(RuleBasedStateMachine):
                                    for h in self.last_user))
     @rule(data=st.data(), payload=payloads, page=st.integers(0, 64))
     def dirty_scratch_then_switch_user(self, data, payload, page):
-        """The trustlet's function leaves data in its scratch pages; the
+        """The trustlet's function leaves data in its scratch pages, and
+        fails to leave any in the zygote's pages (or its copy of them); the
         next user's invocation recreates it, and must find them reset."""
         handle = data.draw(st.sampled_from(sorted(
             h for h in self.last_user if h not in self.pending)))
@@ -421,6 +466,8 @@ class MonitorMachine(RuleBasedStateMachine):
         table = self.m._proc(handle).page_table
         assert table.access(PL1, scratch[page % len(scratch)],
                             AccessKind.WRITE, b"left by the last user") is None
+        assert isinstance(table.access(PL1, page % scratch.start,
+                                       AccessKind.WRITE, b"left"), PageFault)
         self._invoke(handle, (self.last_user[handle] + 1) % 3, payload)
 
     @rule()
@@ -455,6 +502,13 @@ class MonitorMachine(RuleBasedStateMachine):
             mapped = {table.lookup(vpn).frame_id
                       for vpn in table.mapped_vpns() if vpn >= scratch.stop}
             assert mapped <= {fid for obj in attached for fid in obj.frames}
+
+    @invariant()
+    def every_charge_is_accounted_for(self):
+        m = self.m
+        assert m.clock_us - self.boot_clock == sum(
+            ledger.total_us for ledger in self.ledgers.values()) \
+            + m.unreported.total_us + self.refused_us
 
     @invariant()
     def descriptors_match_the_model(self):
@@ -671,3 +725,15 @@ def test_tight_machine_reaches_the_quota_refusal():
 TestTightMonitorModel = TightMonitorMachine.TestCase
 TestTightMonitorModel.settings = settings(max_examples=25,
                                           stateful_step_count=30)
+
+
+class FullCopyMonitorMachine(MonitorMachine):
+    """The first machine with copy-on-write off: each fork copies the
+    zygote, read-only to PL1, and each recreation keeps the copy."""
+
+    RIG = {**MonitorMachine.RIG, "cow": False}
+
+
+TestFullCopyMonitorModel = FullCopyMonitorMachine.TestCase
+TestFullCopyMonitorModel.settings = settings(max_examples=30,
+                                             stateful_step_count=30)

@@ -51,9 +51,9 @@ same schema: over ``LIFECYCLE_ROUNDS`` rounds per run, each run in a
 fresh process with a 1 MiB zygote, the best ``create_trustlet``, the
 best ``delete_trustlet`` of a trustlet that served one invocation, and
 the best warm invocation of a trustlet that one user calls against one
-that two users call in turn, interleaved in each round.  The last two
-differ by the per-user recreation, recorded as ``recreation``: per side,
-its best alternating-user invocation less its best one-user invocation.
+that two users call in turn, interleaved in each round.  The per-user
+recreation inside the latter is timed per call, as ``recreation``, by
+wrapping ``Monitor._recreate(handle, proc)``.
 
 ``--layers`` also records, as "report_and_accounting" in the same
 schema, the best of ``REPORT_ACCOUNTING_ROUNDS`` report builds (build,
@@ -71,7 +71,8 @@ best of ``ZYGOTE_CREATE_ROUNDS`` ``create_zygote`` calls of a 4 MiB image
 in each of two cases, interleaved in each round and each run in a fresh
 process: a fresh image object, which is measured and populated, and an
 image whose digest the monitor already keeps, which is only populated.
-Their difference, per side, is recorded as ``measure``.
+The fresh image's measurement is timed per call, as ``measure``, by
+wrapping ``MeasurementCache.measure_image``.
 
 Usage, from the repository root:
 
@@ -219,7 +220,7 @@ print(json.dumps({p: best_cycle_us(int(p), cycles) for p in sys.argv[2:]}))
 # Times the trustlet lifecycle with the API that every tree has; prints each
 # call's best in microseconds.  One round creates, invokes once and deletes
 # a trustlet, then invokes a trustlet that one user calls and one that two
-# users call in turn.
+# users call in turn, whose recreation is timed on its own.
 LIFECYCLE_PROBE = """
 import json, sys, time
 from walletemu.crypto import Rng
@@ -250,6 +251,8 @@ def invoke(name, handle, user):
 
 steady, switching = (monitor.create_trustlet(zygote, fn).handle
                      for _ in range(2))
+recreate = monitor._recreate
+monitor._recreate = lambda *args: timed("recreation", recreate, *args)
 for i in range(int(sys.argv[1])):
     handle = timed("create_trustlet", monitor.create_trustlet, zygote,
                    fn).handle
@@ -355,8 +358,9 @@ print(json.dumps({kib: s * 1e6 for kib, s in best.items()}))
 """
 
 # Times ``create_zygote`` of a 4 MiB image with calls that every tree has,
-# the two cases interleaved in each round, each zygote deleted untimed;
-# prints each case's best in microseconds.
+# the two cases interleaved in each round, each zygote deleted untimed, and
+# the fresh image's measurement on its own; prints each best in
+# microseconds.
 ZYGOTE_CREATE_PROBE = """
 import json, sys, time
 from walletemu.crypto import Rng
@@ -372,15 +376,22 @@ FunctionProvider(Rng(1), [kept.digest()], [fn.digest()]).provision(monitor)
 monitor.delete_zygote(monitor.create_zygote(kept).handle)
 clock, best = time.perf_counter, {}
 
-def timed(name, image):
+def timed(name, call, *args):
     started = clock()
-    handle = monitor.create_zygote(image).handle
+    out = call(*args)
     best[name] = min(best.get(name, float("inf")), clock() - started)
-    monitor.delete_zygote(handle)
+    return out
 
+measure_image = monitor.cache.measure_image
 for _ in range(int(sys.argv[1])):
-    timed("fresh_image", ZygoteImage("probe-rt", 5, [("/blob", blob)]))
-    timed("kept_digest", kept)
+    monitor.cache.measure_image = lambda *args: timed(
+        "measure", measure_image, *args)
+    monitor.delete_zygote(timed("fresh_image", monitor.create_zygote,
+                                ZygoteImage("probe-rt", 5, [("/blob", blob)])
+                                ).handle)
+    monitor.cache.measure_image = measure_image
+    monitor.delete_zygote(timed("kept_digest", monitor.create_zygote,
+                                kept).handle)
 print(json.dumps({name: s * 1e6 for name, s in best.items()}))
 """
 
@@ -498,35 +509,6 @@ def summarise_layers(runs: dict) -> dict:
             "delta_pct": round(100.0 * (best["change"] - best["parent"])
                                / best["parent"], 2)}
     return out
-
-
-def with_difference(out: dict, name: str, more: str, less: str) -> dict:
-    """A ``summarise_layers`` result with name added: per side, the best
-    of more less the best of less."""
-    best = {side: out[more][side]["best_us"] - out[less][side]["best_us"]
-            for side in SIDES}
-    out[name] = {
-        **{side: {"best_us": round(best[side], 2)} for side in SIDES},
-        "change_over_parent": round(best["change"] / best["parent"], 3),
-        "delta_pct": round(100.0 * (best["change"] - best["parent"])
-                           / best["parent"], 2)}
-    return out
-
-
-def summarise_lifecycle(runs: dict) -> dict:
-    """``summarise_layers`` of the lifecycle probe's calls (name -> side ->
-    per-run bests in microseconds), plus "recreation": per side, its best
-    alternating-user invocation less its best one-user invocation."""
-    return with_difference(summarise_layers(runs), "recreation",
-                           "invoke_alternating_users", "invoke_one_user")
-
-
-def summarise_zygote_create(runs: dict) -> dict:
-    """``summarise_layers`` of the zygote_create probe's two cases, plus
-    "measure": per side, its best fresh-image creation less its best
-    kept-digest one."""
-    return with_difference(summarise_layers(runs), "measure",
-                           "fresh_image", "kept_digest")
 
 
 # -- trees and runs -----------------------------------------------------------
@@ -662,7 +644,7 @@ def probe_runs(trees, probe: str, rounds: int, *args: str) -> dict:
 def lifecycle_runs(trees) -> dict:
     return {"rounds_per_run": LIFECYCLE_ROUNDS,
             "runs_per_side": LAYER_REPEATS,
-            "calls": summarise_lifecycle(probe_runs(
+            "calls": summarise_layers(probe_runs(
                 trees, LIFECYCLE_PROBE, LIFECYCLE_ROUNDS))}
 
 
@@ -684,7 +666,7 @@ def user_round_trip_runs(trees) -> dict:
 def zygote_create_runs(trees) -> dict:
     return {"rounds_per_run": ZYGOTE_CREATE_ROUNDS,
             "runs_per_side": LAYER_REPEATS, "image_mib": 4,
-            "cases": summarise_zygote_create(probe_runs(
+            "cases": summarise_layers(probe_runs(
                 trees, ZYGOTE_CREATE_PROBE, ZYGOTE_CREATE_ROUNDS))}
 
 
