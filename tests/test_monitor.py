@@ -754,8 +754,13 @@ class TestRecreationInPlace:
         assert m.store.total_refs() == sum(
             t.n_entries() for t in m.live_tables())
 
-    @pytest.mark.parametrize("cow", [True, False])
-    def test_kept_frames_are_not_validated_again(self, cow):
+    def test_kept_frames_are_not_validated_again(self):
+        self.check_recreation_charge(cow=True)
+
+    def test_kept_frames_are_not_validated_again_under_full_copy(self):
+        self.check_recreation_charge(cow=False)
+
+    def check_recreation_charge(self, cow):
         # On an on-demand pool, a recreation charges the descriptor clone,
         # under full copy the copy of the zygote's pages, the set-up of
         # the exclusive pages and the load of the image, and no
