@@ -576,10 +576,12 @@ class Monitor:
         if digest not in policy.allowed_functions:
             raise PolicyViolation("function digest is not in the provider policy")
 
+        # A handle is numbered only for a load that succeeded, as for a
+        # zygote; a refused one has used its pid.
+        proc = self._load(creation, zygote, fn, digest, None)
         creation.handle = self._next_handle
         self._next_handle += 1
-        self._handles[creation.handle] = self._load(
-            creation, zygote, fn, digest, None).pid
+        self._handles[creation.handle] = proc.pid
         return creation
 
     def _load(self, ledger, zygote: ProcessDescriptor, fn: FunctionSpec,

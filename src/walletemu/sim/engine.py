@@ -13,12 +13,13 @@ and ``generate_trace`` produce that order.
 
 Each variant runs as one event loop over locals (``_VariantRun._loop``),
 with the node sets it intersects held as Python-int bitmasks.  Every
-per-invocation value lives in typed storage, about 8 bytes per value: the
-loop indexes ``array.array`` copies of the trace's columns by position and
-writes each dispatch into per-position typed arrays.  A run's
-:class:`SimStats` shares those arrays and derives its other columns on
-each read.  Row objects (:class:`InvocationOutcome`) are built only by
-the ``outcomes`` view, a chunk of rows at a time.
+per-invocation value lives in typed storage: the loop indexes
+``array.array`` copies of the trace's columns by position and writes each
+dispatch into per-position typed arrays, 13 bytes per invocation (node 4,
+boot code 1, start 8) plus 8 for the boot time when boots are jittered.
+A run's :class:`SimStats` shares those arrays and derives its other
+columns on each read.  Row objects (:class:`InvocationOutcome`) are built
+only by the ``outcomes`` view, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ class SimStats:
     """Per-variant results, one row per dispatched invocation in
     invocation-id order.
 
-    It keeps what the event loop wrote, per trace position: node, boot
-    code, start and boot (25 bytes per invocation), plus the trace and,
+    It keeps what the event loop wrote, per trace position: node (int32),
+    boot code and start, 13 bytes per invocation, plus the trace and,
     only when trace positions are not already in id order, the
-    permutation that puts them there.  The columns are read-only
-    properties of the same names and dtypes as the row fields; delay,
+    permutation that puts them there.  ``boot`` is a per-position column
+    (8 bytes more per invocation) when ``boot_per_position`` is true,
+    as in a jittered run; otherwise it is the three tier means in
+    :data:`BOOT_TIERS` order, read through the boot code.  The columns
+    are read-only properties of the same names as the row fields; delay,
     slowdown and finish are derived on each read with the float
     operations the loop uses for the finish time it queues:
     delay = (start - arrival) + boot, adjusted = boot + duration,
@@ -88,16 +92,18 @@ class SimStats:
     """
 
     __slots__ = ("variant", "trace", "makespan_ms", "_node", "_code",
-                 "_start", "_boot", "_dispatched", "_order")
+                 "_start", "_boot", "_boot_per_position", "_dispatched",
+                 "_order")
 
     def __init__(self, variant: str, trace: Trace, node: np.ndarray,
                  code: np.ndarray, start: np.ndarray, boot: np.ndarray,
-                 makespan_ms: float):
+                 makespan_ms: float, boot_per_position: bool):
         self.variant, self.trace, self.makespan_ms = variant, trace, makespan_ms
         for column in (node, code, start, boot):
             column.flags.writeable = False
         self._node, self._code, self._start, self._boot = (node, code,
                                                            start, boot)
+        self._boot_per_position = boot_per_position
         ids = trace.invocation_id
         done = node >= 0
         if done.all():
@@ -119,13 +125,19 @@ class SimStats:
             return slice(start, stop)
         return self._order[start:stop]
 
+    def _boot_at(self, pos) -> np.ndarray:
+        """The boot times of positions ``pos``."""
+        if self._boot_per_position:
+            return self._boot[pos]
+        return self._boot[self._code[pos]]
+
     def _delay(self, pos) -> np.ndarray:
         delay = self._start[pos] - self.trace.arrival_ms[pos]
-        delay += self._boot[pos]
+        delay += self._boot_at(pos)
         return delay
 
     def _adjusted(self, pos) -> np.ndarray:
-        return self._boot[pos] + self.trace.duration_ms[pos]
+        return self._boot_at(pos) + self.trace.duration_ms[pos]
 
     def _slowdown(self, pos, delay: np.ndarray) -> np.ndarray:
         slowdown = self._adjusted(pos)
@@ -339,9 +351,11 @@ class _VariantRun:
     :meth:`run` drains it, so stepwise and whole runs share every line.
     ``queue`` (trace positions), ``completions``, ``busy``, ``caches``
     and ``makespan`` stay current between steps, and so do the
-    per-position outcome arrays: ``out_node`` (``array('q')``, -1 until
+    per-position outcome arrays: ``out_node`` (``array('i')``, -1 until
     dispatch), ``out_code`` (a ``bytearray`` of boot-tier codes),
-    ``out_start`` and ``out_boot`` (``array('d')``).
+    ``out_start`` (``array('d')``) and, only when ``jittered`` (some boot
+    tier is not a point mass), ``out_boot`` (``array('d')``; None
+    otherwise, as each tier's boot is its entry in ``boot_means``).
     """
 
     def __init__(self, trace: Trace, profile: VariantProfile,
@@ -358,11 +372,18 @@ class _VariantRun:
         self.queue: deque[int] = deque()
         # (finish, invocation_id, node_id, key); ids break time ties
         self.completions: list[tuple[float, int, int, int]] = []
+        # Jittered runs sample every dispatch in order, as the rng stream
+        # requires; point masses are constants, each tier's mean (in
+        # BOOT_TIERS order; 0.0 for an absent lukewarm tier).
+        tiers = (profile.cold_boot, profile.lukewarm_boot, profile.warm_boot)
+        self.jittered = not all(d.is_point_mass for d in tiers if d is not None)
+        self.boot_means = tuple(d.mean_ms if d is not None else 0.0
+                                for d in tiers)
         n = len(trace)
-        self.out_node = array("q", [-1]) * n
+        self.out_node = array("i", [-1]) * n
         self.out_code = bytearray(n)
         self.out_start = array("d", [0.0]) * n
-        self.out_boot = array("d", [0.0]) * n
+        self.out_boot = array("d", [0.0]) * n if self.jittered else None
         self.makespan = 0.0
         self._events = self._loop()
 
@@ -404,12 +425,8 @@ class _VariantRun:
         cold_dist, warm_dist = profile.cold_boot, profile.warm_boot
         luke_dist = profile.lukewarm_boot
         lukewarm = luke_dist is not None
-        tiers = [d for d in (cold_dist, warm_dist, luke_dist) if d is not None]
-        # Jittered runs sample every dispatch in order, as the rng stream
-        # requires; point masses are constants.
-        jittered = not all(d.is_point_mass for d in tiers)
-        cold_ms, warm_ms = cold_dist.mean_ms, warm_dist.mean_ms
-        luke_ms = luke_dist.mean_ms if lukewarm else 0.0
+        jittered = self.jittered
+        cold_ms, luke_ms, warm_ms = self.boot_means
         fn_nodes = [0] * len(key_app)
         app_nodes = [0] * columns.n_apps
         app_counts: list[dict[int, int]] = [{} for _ in busy_of]  # app -> fns
@@ -501,7 +518,8 @@ class _VariantRun:
                 out_node[pos] = node_id
                 out_code[pos] = code
                 out_start[pos] = now
-                out_boot[pos] = boot
+                if jittered:
+                    out_boot[pos] = boot
             yield True
 
     def step(self) -> bool:
@@ -514,14 +532,16 @@ class _VariantRun:
         They share the loop's output arrays: the loop writes each position
         once, at its dispatch, and a stats reads only the positions
         dispatched when it was taken, so one taken mid-run stays a
-        snapshot.
+        snapshot.  An un-jittered run passes the tier means in place of
+        a boot column.
         """
+        boot = (np.frombuffer(self.out_boot, dtype=np.float64)
+                if self.jittered else np.array(self.boot_means))
         return SimStats(self.profile.name, self.trace,
-                        np.frombuffer(self.out_node, dtype=np.int64),
+                        np.frombuffer(self.out_node, dtype=np.int32),
                         np.frombuffer(self.out_code, dtype=np.int8),
                         np.frombuffer(self.out_start, dtype=np.float64),
-                        np.frombuffer(self.out_boot, dtype=np.float64),
-                        self.makespan)
+                        boot, self.makespan, self.jittered)
 
     @property
     def outcomes(self) -> "OutcomeRows":

@@ -161,6 +161,66 @@ def test_layer_summary_takes_each_sides_best_cycle():
     assert big["delta_pct"] == pytest.approx(-64.29, abs=0.01)
 
 
+def test_layer_summary_reports_each_sides_median_and_quartiles():
+    # Five runs a side whose bests differ by 4 % while their medians and
+    # quartile ranges overlap: the spread shows the best's move is noise.
+    out = benchpair.summarise_layers({"delete_trustlet": {
+        "parent": [16.93, 16.61, 17.40, 16.81, 17.10],
+        "change": [17.03, 17.60, 15.95, 16.90, 17.20]}})
+    delete = out["delete_trustlet"]
+    assert delete["parent"]["best_us"] == 16.61
+    assert delete["parent"]["median_us"] == 16.93
+    assert delete["parent"]["quartiles_us"] == [16.81, 16.93, 17.1]
+    assert delete["change"]["best_us"] == 15.95
+    assert delete["change"]["median_us"] == 17.03
+    assert delete["change"]["quartiles_us"] == [16.9, 17.03, 17.2]
+    assert delete["change"]["runs_us"] == [17.03, 17.6, 15.95, 16.9, 17.2]
+    assert delete["delta_pct"] == pytest.approx(-3.97, abs=0.01)
+    one = benchpair.summarise_layers({"x": {"parent": [3.0],
+                                            "change": [2.0]}})["x"]
+    assert one["parent"]["quartiles_us"] == [3.0, 3.0, 3.0]
+    assert one["change"]["median_us"] == 2.0
+
+
+def test_sim_memory_probe_records_peak_and_retained_bytes(tmp_path):
+    # A stand-in criterion 7 that simulates a small trace: the probe
+    # reads its trace and config, and each variant's un-jittered results
+    # keep at least their 13 bytes per invocation.
+    tests_dir = tmp_path / "tests"
+    tests_dir.mkdir()
+    (tests_dir / "test_acceptance.py").write_text(
+        "import functools\n"
+        "from walletemu.sim import SimConfig, default_profiles, simulate\n"
+        "from walletemu.traceio import GeneratorSpec, generate_trace\n"
+        "def criterion(fn):\n"
+        "    @functools.wraps(fn)\n"
+        "    def wrapper():\n"
+        "        return fn()\n"
+        "    return wrapper\n"
+        "@criterion\n"
+        "def test_criterion_7_simulator_ordering_and_magnitude():\n"
+        "    trace = generate_trace(GeneratorSpec(\n"
+        "        n_functions=400, n_apps=40, duration_minutes=0.2,\n"
+        "        arrival_rate_per_s=400.0, seed=7))\n"
+        "    profiles = {n: p for n, p in default_profiles().items()\n"
+        "                if n in ('Wallet', 'CVM')}\n"
+        "    simulate(trace, SimConfig(nodes=10, slots=4, cache_size=4,\n"
+        "                              profiles=profiles, seed=7))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", benchpair.SIM_MEMORY_PROBE],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+        env=benchpair.tree_env(benchpair.ROOT))
+    out = json.loads(done.stdout)
+    peak, retained = out["peak_mb"], out["retained"]
+    n = peak["invocations"]
+    assert 4000 < n < 5600
+    assert set(peak) == {"invocations", "Wallet", "CVM"}
+    assert set(retained) == {"Wallet", "CVM"}
+    for name, per_invocation in retained.items():
+        assert 13 <= per_invocation < 40, name
+        assert peak[name] * 1e6 / n > per_invocation
+
+
 def test_layer_probe_runs_on_this_tree():
     # Three cycles each at 1 and 2 pages, with the probe's own check that
     # both objects read back the payload.
@@ -188,7 +248,9 @@ def test_lifecycle_summary_takes_each_calls_best():
     assert out["create_trustlet"]["delta_pct"] == pytest.approx(2.17,
                                                                 abs=0.01)
     recreation = out["recreation"]
-    assert recreation["parent"] == {"best_us": 4.0, "runs_us": [5.0, 4.0]}
+    assert recreation["parent"] == {"best_us": 4.0, "runs_us": [5.0, 4.0],
+                                    "median_us": 4.5,
+                                    "quartiles_us": [4.25, 4.5, 4.75]}
     assert recreation["change"]["best_us"] == 5.5
     assert recreation["change_over_parent"] == 1.375
     assert recreation["delta_pct"] == 37.5

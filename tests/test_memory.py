@@ -1117,16 +1117,19 @@ class MemoryMachine(RuleBasedStateMachine):
         self.blank.difference_update(fids[: pages_for(len(raw))])
 
     @initialize(pages=st.integers(1, 4), perms=st.sampled_from(PERMS),
-                seed=st.integers(0, 255))
-    def sealed_zygote(self, pages, perms, seed):
+                seed=st.integers(0, 255), own=st.integers(1, 3))
+    def sealed_zygote(self, pages, perms, seed, own):
         # Start as the monitor does, from a populated, sealed table that
-        # views can be forked from, next to an empty table.
+        # views can be forked from, a view of it that maps its own frames
+        # (a trustlet's exclusive pages), and an empty table.
         self.alloc(pages, None)
         self.write_runs(0, pages, pages * PAGE_SIZE - 100, [bytes], [], seed)
         self.map_runs(0, 0, pages, perms, PL0)
         self.seal(0, PL0)
         assert self.tables[0].sealed
         self.new_table()
+        self.alloc(own, PL1)
+        self.map_into_a_fresh_view(0, pages, own, PagePerms.PROCESS_RW)
 
     # -- frames --
 
@@ -1350,6 +1353,18 @@ class MemoryMachine(RuleBasedStateMachine):
         table.views += 1
         self.tables.append(_ModelTable(view, base=table))
 
+    @precondition(lambda self: self.held and len(self.tables) < 6
+                  and any(t.sealed for t in self.tables))
+    @rule(t=picks, i=picks, n=st.integers(1, 3), perms=st.sampled_from(PERMS))
+    def map_into_a_fresh_view(self, t, i, n, perms):
+        # A view with own pages right above its base's vpns, so that the
+        # range rules draw ranges that cross from the base into them.  It
+        # goes first among the tables, where the rules' small picks land.
+        sealed = [k for k, table in enumerate(self.tables) if table.sealed]
+        self.fork_cow(self._pick(sealed, t))
+        self.tables.insert(0, self.tables.pop())
+        self.map_runs(0, i, n, perms, PL0)
+
     @rule(t=picks, chosen=picks, unmapped=st.booleans())
     def resolve_cow(self, t, chosen, unmapped):
         table = self._pick(self.tables, t)
@@ -1436,10 +1451,11 @@ class MemoryMachine(RuleBasedStateMachine):
         self._write_model([table.pages[vpn][0]], data, None)
 
     def _run(self, table, chosen, unmapped, n):
-        """n consecutive vpns of table from a picked vpn, mapped or not: a
-        range that may hold unmapped vpns or reach below a view's own
-        lists."""
-        start = self._vpn(table, chosen, unmapped)
+        """n consecutive vpns of table around a picked vpn, mapped or not,
+        which is the range's middle one (or the upper of its two middle
+        ones): a range that may hold unmapped or negative vpns, or cross
+        from a view's base into its own lists."""
+        start = self._vpn(table, chosen, unmapped) - n // 2
         return range(start, start + n)
 
     def _run_fault(self, table, vpns, level, kind):

@@ -1251,8 +1251,8 @@ class TestPinnedRefusals:
 
 # (clock_us, next pid, next handle) after each refusal.
 PINNED_REFUSALS = {
-    "full copy, copy": (5081, 3, 3),
-    "full copy, exclusive": (5107, 3, 3),
+    "full copy, copy": (5081, 3, 2),
+    "full copy, exclusive": (5107, 3, 2),
     "staging, cow=True": (7605, 4, 3),
     "staging, cow=False": (7633, 4, 3),
     "busy": (398307, 3, 3),

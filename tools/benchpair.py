@@ -26,8 +26,9 @@ BENCHMARK.json:
 
 ``--sim-memory`` adds acceptance criterion 7 on both trees: the
 tracemalloc peak of each variant's ``simulate`` on the criterion's trace
-and cluster, and the wall time and max RSS of ``pytest -k criterion_7``
-over three alternating runs.
+and cluster, the bytes per invocation that tracemalloc still counts
+while the returned ``SimStats`` is held, and the wall time and max RSS of
+``pytest -k criterion_7`` over three alternating runs.
 
 ``--cli`` adds the command-line runs ``walletemu chain --k 32``,
 ``density --n-functions 500`` and ``emulate`` (a small zygote, two
@@ -44,7 +45,9 @@ cycle is the object work of one warm invocation: the monitor creates,
 writes and retires an input object that the process attaches to and
 reads, and the process creates and writes an output object that the
 monitor reads and retires.  The payload fills all but 100 bytes of its
-pages.  Each side's figure is its best run.
+pages.  Each side's figure is its best run; the median and inclusive
+quartiles of its runs' bests are reported beside it, so that a "no
+slower" reading can be set against the spread of the runs.
 
 ``--layers`` also times the trustlet lifecycle on both trees, in the
 same schema: over ``LIFECYCLE_ROUNDS`` rounds per run, each run in a
@@ -136,7 +139,8 @@ CRITERION_7 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
                "tests/test_acceptance.py", "-k", "criterion_7"]
 
 # Runs criterion 7's own body up to its simulate call, so the trace and
-# config come from the test, then traces each variant's simulate alone.
+# config come from the test, then traces each variant's simulate alone:
+# its peak, and what it retains while its result is held.
 SIM_MEMORY_PROBE = """
 import dataclasses, json, sys, tracemalloc
 sys.path.insert(0, "tests")
@@ -155,13 +159,17 @@ try:
         .__wrapped__()
 except Captured as got:
     trace, config = got.args
-out = {"invocations": len(trace)}
+peak_mb, retained = {"invocations": len(trace)}, {}
 for name, profile in config.profiles.items():
     tracemalloc.start()
-    simulate(trace, dataclasses.replace(config, profiles={name: profile}))
-    out[name] = tracemalloc.get_traced_memory()[1] / 1e6
+    held = simulate(trace, dataclasses.replace(config,
+                                               profiles={name: profile}))
+    current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-print(json.dumps(out))
+    del held
+    peak_mb[name] = peak / 1e6
+    retained[name] = current / len(trace)
+print(json.dumps({"peak_mb": peak_mb, "retained": retained}))
 """
 
 # Times LAYER_CYCLES object cycles per page count, each tree through the
@@ -496,14 +504,19 @@ def summarise_cli(runs: dict) -> dict:
 
 def summarise_layers(runs: dict) -> dict:
     """Per page count (name -> side -> list of per-run best cycles in
-    microseconds): each side's best, the change's time as a fraction of
-    the parent's, and its delta in per cent."""
+    microseconds): each side's best, the median and inclusive quartiles
+    of its runs, the change's best as a fraction of the parent's, and its
+    delta in per cent."""
     out = {}
     for pages, sides in runs.items():
         best = {side: min(sides[side]) for side in SIDES}
+        spread = {side: [round(q, 2) for q in quartiles(sides[side])]
+                  for side in SIDES}
         out[pages] = {
             **{side: {"best_us": round(best[side], 2),
-                      "runs_us": [round(r, 2) for r in sides[side]]}
+                      "runs_us": [round(r, 2) for r in sides[side]],
+                      "median_us": spread[side][1],
+                      "quartiles_us": spread[side]}
                for side in SIDES},
             "change_over_parent": round(best["change"] / best["parent"], 3),
             "delta_pct": round(100.0 * (best["change"] - best["parent"])
@@ -588,8 +601,11 @@ def run_pairs(trees, workload, seconds) -> tuple[list, dict]:
 
 
 def sim_memory(trees) -> dict:
-    out = {side: {"tracemalloc_peak_mb": json.loads(run_python(
-        trees[side], ["-c", SIM_MEMORY_PROBE]))} for side in SIDES}
+    out = {}
+    for side in SIDES:
+        probe = json.loads(run_python(trees[side], ["-c", SIM_MEMORY_PROBE]))
+        out[side] = {"tracemalloc_peak_mb": probe["peak_mb"],
+                     "retained_bytes_per_invocation": probe["retained"]}
     runs = {s: [] for s in SIDES}
     for i in range(1, SIM_REPEATS + 1):
         for side in order(i):
