@@ -22,21 +22,29 @@ class NestedFs:
     Lookup order: the embedded filesystem wins; otherwise the path must
     appear in the manifest and the fetched bytes must match its digest.
     The monitor fetches them while the run is suspended on the path.
+    A zygote's trustlets share its view, so the last bytes verified for
+    each path are kept, and a fetch equal to them is not hashed again.
     """
 
     def __init__(self, embedded: dict[str, bytes], manifest: dict[str, bytes]):
         self.embedded = dict(embedded)
         self.manifest = dict(manifest)
+        self._verified: dict[str, bytes] = {}  # path -> last bytes checked
 
     def verify_external(self, path: str, raw: bytes) -> bytes:
         """Digest-check fetched bytes, which may be guest-tainted
-        (``guest.TaintedBytes``); unwrap them only on success."""
+        (``guest.TaintedBytes``); unwrap them only on success.  Bytes equal
+        to the path's last verified bytes have its digest already."""
         expected = self.manifest.get(path)
         if expected is None:
             raise NotFound(f"{path} is not in the manifest")
+        verified = self._verified.get(path)
+        if verified is not None and raw == verified:
+            return verified
         if hashlib.sha512(raw).digest() != expected:
             raise IntegrityError(f"digest mismatch for external file {path}")
-        return bytes(raw)
+        verified = self._verified[path] = bytes(raw)
+        return verified
 
 
 def run_pipeline(fn: FunctionSpec, fs: NestedFs, input_bytes: bytes

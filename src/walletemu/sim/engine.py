@@ -13,13 +13,17 @@ and ``generate_trace`` produce that order.
 
 Each variant runs as one event loop over locals (``_VariantRun._loop``),
 with the node sets it intersects held as Python-int bitmasks.  Every
-per-invocation value lives in typed storage: the loop indexes
-``array.array`` copies of the trace's columns by position and writes each
-dispatch into per-position typed arrays, 13 bytes per invocation (node 4,
-boot code 1, start 8) plus 8 for the boot time when boots are jittered.
-A run's :class:`SimStats` shares those arrays and derives its other
-columns on each read.  Row objects (:class:`InvocationOutcome`) are built
-only by the ``outcomes`` view, a chunk of rows at a time.
+per-invocation value lives in typed storage: the loop reads the trace's
+own columns in place, through ``memoryview``s, and writes each dispatch
+into per-position typed arrays: node (the narrowest signed type that
+holds every node id, 1 byte up to 128 nodes), boot code (1 byte) and
+start (8 bytes), plus 8 for the boot time when boots are jittered.  A
+run's :class:`SimStats` shares those arrays and derives its other
+columns on each read; where no invocation waited, its start column is
+the trace's arrivals, so an un-jittered run keeps 2 bytes per invocation
+where nothing waited and 10 where something did.  Row objects
+(:class:`InvocationOutcome`) are built only by the ``outcomes`` view, a
+chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -73,12 +77,16 @@ class SimStats:
     """Per-variant results, one row per dispatched invocation in
     invocation-id order.
 
-    It keeps what the event loop wrote, per trace position: node (int32),
-    boot code and start, 13 bytes per invocation, plus the trace and,
-    only when trace positions are not already in id order, the
-    permutation that puts them there.  ``boot`` is a per-position column
-    (8 bytes more per invocation) when ``boot_per_position`` is true,
-    as in a jittered run; otherwise it is the three tier means in
+    It keeps what the event loop wrote, per trace position: node (the
+    run's narrowest signed integer type, int8 up to 128 nodes), boot code
+    and start, plus the trace and, only when trace positions are not
+    already in id order, the permutation that puts them there.  ``start``
+    is the loop's float64 column where some dispatched invocation waited,
+    and otherwise a read-only view of the trace's ``arrival_ms``, so an
+    un-jittered run keeps 10 or 2 bytes per invocation; a trace must not
+    be written while its results are in use.  ``boot`` is a per-position
+    column (8 bytes more per invocation) when ``boot_per_position`` is
+    true, as in a jittered run; otherwise it is the three tier means in
     :data:`BOOT_TIERS` order, read through the boot code.  The columns
     are read-only properties of the same names as the row fields; delay,
     slowdown and finish are derived on each read with the float
@@ -300,47 +308,46 @@ def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, codes
 
 
-def _typed(typecode: str, column: np.ndarray) -> array:
-    """An ``array.array`` copy of a numpy column, made from its buffer."""
-    out = array(typecode)
-    out.frombytes(np.ascontiguousarray(column, dtype=np.dtype(typecode))
-                  .view(np.uint8))
-    return out
+def _cells(column: np.ndarray, typecode: str) -> memoryview:
+    """A view of a contiguous int64 (``'q'``) or float64 (``'d'``)
+    column's own buffer, indexed to Python ints or floats."""
+    return memoryview(np.ascontiguousarray(column)).cast("B").cast(typecode)
 
 
 @dataclass(frozen=True)
 class _LoopColumns:
-    """A trace as the typed arrays the loop indexes, built once per
-    :func:`simulate` call and shared by its variants.  Indexing an
-    ``array.array`` gives a Python int or float, as the loop needs,
-    while storing 8 bytes per value.
+    """A trace as the views the loop indexes, built once per
+    :func:`simulate` call and shared by its variants.  Each is a
+    ``memoryview`` of a numpy buffer (:func:`_cells`): the trace's own
+    columns, read in place, and the two dense key columns.  Indexing one
+    gives a Python int or float, as the loop needs.  The views share the
+    trace's memory, so a trace must not be written while a run over it
+    or that run's results are in use.
 
     ``key[pos]`` is a dense code for the (app, function) pair at trace
     position ``pos`` and ``key_app[key]`` a dense code for its app.
     """
 
-    invocation_id: array
-    arrival_ms: array
-    duration_ms: array
-    key: array
-    key_app: array
+    invocation_id: memoryview
+    arrival_ms: memoryview
+    duration_ms: memoryview
+    key: memoryview
+    key_app: memoryview
     n_apps: int
 
     @classmethod
     def of(cls, trace: Trace) -> "_LoopColumns":
-        # At most two code columns are alive at once, and none once the
-        # loop's copy of the key is made.
+        # At most two code columns are alive at once.
         apps, key = _dense_codes(trace.app_id)
         fns, fn_code = _dense_codes(trace.function_id)
         key *= len(fns)
         key += fn_code
         del fn_code
         pairs, key = _dense_codes(key)
-        key = _typed("q", key)
-        return cls(_typed("q", trace.invocation_id),
-                   _typed("d", trace.arrival_ms),
-                   _typed("d", trace.duration_ms), key,
-                   _typed("q", pairs // len(fns)), len(apps))
+        return cls(_cells(trace.invocation_id, "q"),
+                   _cells(trace.arrival_ms, "d"),
+                   _cells(trace.duration_ms, "d"), _cells(key, "q"),
+                   _cells(pairs // len(fns), "q"), len(apps))
 
 
 class _VariantRun:
@@ -351,11 +358,14 @@ class _VariantRun:
     :meth:`run` drains it, so stepwise and whole runs share every line.
     ``queue`` (trace positions), ``completions``, ``busy``, ``caches``
     and ``makespan`` stay current between steps, and so do the
-    per-position outcome arrays: ``out_node`` (``array('i')``, -1 until
-    dispatch), ``out_code`` (a ``bytearray`` of boot-tier codes),
-    ``out_start`` (``array('d')``) and, only when ``jittered`` (some boot
-    tier is not a point mass), ``out_boot`` (``array('d')``; None
-    otherwise, as each tier's boot is its entry in ``boot_means``).
+    per-position outcome arrays: ``out_node`` (an ``array`` of the
+    narrowest signed typecode that holds ``config.nodes - 1``, ``'b'`` up
+    to 128 nodes; -1 until dispatch), ``out_code`` (a ``bytearray`` of
+    boot-tier codes), ``out_start`` (``array('d')``) and, only when
+    ``jittered`` (some boot tier is not a point mass), ``out_boot``
+    (``array('d')``; None otherwise, as each tier's boot is its entry in
+    ``boot_means``).  :meth:`stats` keeps ``out_start`` only when some
+    dispatched invocation waited.
     """
 
     def __init__(self, trace: Trace, profile: VariantProfile,
@@ -380,7 +390,10 @@ class _VariantRun:
         self.boot_means = tuple(d.mean_ms if d is not None else 0.0
                                 for d in tiers)
         n = len(trace)
-        self.out_node = array("i", [-1]) * n
+        # The narrowest signed type that holds every node id and the -1.
+        node_type = next(t for t in "bhiq"
+                         if config.nodes - 1 <= np.iinfo(t).max)
+        self.out_node = array(node_type, [-1]) * n
         self.out_code = bytearray(n)
         self.out_start = array("d", [0.0]) * n
         self.out_boot = array("d", [0.0]) * n if self.jittered else None
@@ -533,15 +546,23 @@ class _VariantRun:
         once, at its dispatch, and a stats reads only the positions
         dispatched when it was taken, so one taken mid-run stays a
         snapshot.  An un-jittered run passes the tier means in place of
-        a boot column.
+        a boot column.  When every dispatched position started exactly at
+        its arrival, as where nothing queued, the start column is a
+        read-only view of the trace's arrivals and ``out_start`` is not
+        kept.
         """
+        node = np.frombuffer(self.out_node, dtype=self.out_node.typecode)
+        start = np.frombuffer(self.out_start, dtype=np.float64)
+        arrival = self.trace.arrival_ms
+        waited = start != arrival
+        waited &= node >= 0
+        if not waited.any():
+            start = arrival.view()  # its own flags: the trace stays writable
         boot = (np.frombuffer(self.out_boot, dtype=np.float64)
                 if self.jittered else np.array(self.boot_means))
-        return SimStats(self.profile.name, self.trace,
-                        np.frombuffer(self.out_node, dtype=np.int32),
+        return SimStats(self.profile.name, self.trace, node,
                         np.frombuffer(self.out_code, dtype=np.int8),
-                        np.frombuffer(self.out_start, dtype=np.float64),
-                        boot, self.makespan, self.jittered)
+                        start, boot, self.makespan, self.jittered)
 
     @property
     def outcomes(self) -> "OutcomeRows":

@@ -78,7 +78,10 @@ class Trace:
     ``arrival_ms`` and ``duration_ms`` are float64, finite, with arrivals
     non-negative and durations positive (else :class:`InvariantError`).
     Iterating or indexing yields :class:`TraceEvent` row views, built on
-    each access; iteration builds them a chunk at a time.
+    each access; iteration builds them a chunk at a time.  The simulator
+    reads these columns in place and its results read them on every
+    access, so a trace must not be written while a run over it or that
+    run's results are in use.
     """
 
     __slots__ = tuple(TRACE_HEADER)

@@ -184,8 +184,10 @@ def test_layer_summary_reports_each_sides_median_and_quartiles():
 
 def test_sim_memory_probe_records_peak_and_retained_bytes(tmp_path):
     # A stand-in criterion 7 that simulates a small trace: the probe
-    # reads its trace and config, and each variant's un-jittered results
-    # keep at least their 13 bytes per invocation.
+    # reads its trace and config.  On this cluster Wallet never waits, so
+    # its un-jittered results keep node and boot code, 2 bytes per
+    # invocation; CVM waits and keeps its start too, 10 bytes.  Each
+    # also holds a few KB of fixed state.
     tests_dir = tmp_path / "tests"
     tests_dir.mkdir()
     (tests_dir / "test_acceptance.py").write_text(
@@ -204,7 +206,7 @@ def test_sim_memory_probe_records_peak_and_retained_bytes(tmp_path):
         "        arrival_rate_per_s=400.0, seed=7))\n"
         "    profiles = {n: p for n, p in default_profiles().items()\n"
         "                if n in ('Wallet', 'CVM')}\n"
-        "    simulate(trace, SimConfig(nodes=10, slots=4, cache_size=4,\n"
+        "    simulate(trace, SimConfig(nodes=20, slots=32, cache_size=32,\n"
         "                              profiles=profiles, seed=7))\n")
     done = subprocess.run(
         [sys.executable, "-c", benchpair.SIM_MEMORY_PROBE],
@@ -215,10 +217,37 @@ def test_sim_memory_probe_records_peak_and_retained_bytes(tmp_path):
     n = peak["invocations"]
     assert 4000 < n < 5600
     assert set(peak) == {"invocations", "Wallet", "CVM"}
-    assert set(retained) == {"Wallet", "CVM"}
-    for name, per_invocation in retained.items():
-        assert 13 <= per_invocation < 40, name
-        assert peak[name] * 1e6 / n > per_invocation
+    assert set(retained) == set(out["peak_per_invocation"]) == {"Wallet",
+                                                                "CVM"}
+    for name, columns in (("Wallet", 2), ("CVM", 10)):
+        assert columns <= retained[name] < columns + 8000 / n, name
+        assert out["peak_per_invocation"][name] == pytest.approx(
+            peak[name] * 1e6 / n)
+        assert out["peak_per_invocation"][name] > retained[name]
+
+
+def test_sim_memory_records_each_variants_peak_per_invocation(monkeypatch):
+    # Canned probe output and criterion-7 runs: each side's record keeps
+    # the peak in MB and in bytes per invocation beside the retained bytes.
+    probes = {"parent": {"peak_mb": {"invocations": 1000, "VM": 13.0},
+                         "peak_per_invocation": {"VM": 13000.0},
+                         "retained": {"VM": 13.0}},
+              "change": {"peak_mb": {"invocations": 1000, "VM": 8.0},
+                         "peak_per_invocation": {"VM": 8000.0},
+                         "retained": {"VM": 2.0}}}
+    monkeypatch.setattr(benchpair, "run_python",
+                        lambda tree, argv: json.dumps(probes[tree]))
+    monkeypatch.setattr(benchpair, "timed_python",
+                        lambda tree, argv: {"wall_s": 9.0,
+                                            "max_rss_mib": 180.0})
+    out = benchpair.sim_memory({side: side for side in benchpair.SIDES})
+    change = out["change"]
+    assert change["tracemalloc_peak_mb"] == {"invocations": 1000, "VM": 8.0}
+    assert change["tracemalloc_peak_bytes_per_invocation"] == {"VM": 8000.0}
+    assert change["retained_bytes_per_invocation"] == {"VM": 2.0}
+    assert out["parent"]["tracemalloc_peak_bytes_per_invocation"] == {
+        "VM": 13000.0}
+    assert change["criterion_7_wall_s"] == [9.0] * benchpair.SIM_REPEATS
 
 
 def test_layer_probe_runs_on_this_tree():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walletemu import pipeline
 from walletemu.errors import FunctionError
 from walletemu.guest import GuestBroker, TaintedBytes
 from walletemu.images import FunctionSpec, OpKind, PipelineOp, manifest_entry
@@ -182,6 +183,62 @@ class TestNestedFs:
         assert broker.file_reads == []
         for path in manifest:
             assert read_via_monitor_path(fs, path, broker) == external[path]
+
+
+class TestVerifiedBytesKept:
+    """A view keeps the last bytes it verified per path: an equal fetch is
+    not hashed again, and any other fetch is hashed and checked."""
+
+    CONTENT = bytes(range(256)) * 128  # 32 KiB
+
+    def fs_and_broker(self):
+        broker = GuestBroker()
+        broker.put_file("/ext/a", self.CONTENT)
+        return NestedFs({}, dict([manifest_entry("/ext/a", self.CONTENT)])), \
+            broker
+
+    def counted_sha512(self, monkeypatch) -> list:
+        """Wrap ``pipeline.hashlib.sha512``; returns the list of its calls."""
+        calls, sha512 = [], pipeline.hashlib.sha512
+
+        def counting(*args):
+            calls.append(args)
+            return sha512(*args)
+
+        monkeypatch.setattr(pipeline.hashlib, "sha512", counting)
+        return calls
+
+    def test_a_second_equal_fetch_is_not_hashed(self, monkeypatch):
+        fs, broker = self.fs_and_broker()
+        calls = self.counted_sha512(monkeypatch)
+        assert read_via_monitor_path(fs, "/ext/a", broker) == self.CONTENT
+        assert len(calls) == 1
+        again = read_via_monitor_path(fs, "/ext/a", broker)
+        assert again == self.CONTENT and type(again) is bytes
+        assert len(calls) == 1
+        assert broker.file_reads == ["/ext/a", "/ext/a"]
+
+    def test_a_tampered_fetch_after_a_verified_one_is_refused(self):
+        fs, broker = self.fs_and_broker()
+        assert read_via_monitor_path(fs, "/ext/a", broker) == self.CONTENT
+        for tamper in (lambda c: b"X" + c[1:], lambda c: c[:-1],
+                       lambda c: c + b"\0"):
+            broker.tamper_file("/ext/a", tamper)
+            with pytest.raises(FunctionError, match="digest mismatch"):
+                read_via_monitor_path(fs, "/ext/a", broker)
+        broker.tamper_file("/ext/a", lambda c: c)
+        assert read_via_monitor_path(fs, "/ext/a", broker) == self.CONTENT
+
+    def test_charges_are_unchanged(self):
+        fs, _ = self.fs_and_broker()
+        fn = FunctionSpec("r", [PipelineOp.read_file("/ext/a"),
+                                PipelineOp.sleep(1.5)], exec_time_ms=2.0)
+        for _ in range(2):
+            run = run_pipeline(fn, fs, b"")
+            assert next(run) == "/ext/a"
+            with pytest.raises(StopIteration) as stop:
+                run.send(TaintedBytes(self.CONTENT))
+            assert stop.value.value == (self.CONTENT, 2000 + 1500)
 
 
 class TestStepMachine:

@@ -1,6 +1,7 @@
 """Scale-out simulator tests: classification, scheduling, oracle agreement."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -33,6 +34,7 @@ from walletemu.sim.engine import (
 from walletemu.traceio import (
     GeneratorSpec,
     TraceEvent,
+    as_trace,
     generate_trace,
     load_trace,
     write_trace,
@@ -493,6 +495,49 @@ class TestColumns:
                 setattr(stats, name, None)
         assert trace.invocation_id.flags.writeable
 
+    def test_start_and_node_columns_take_the_narrowest_layout(self):
+        # Where no dispatched invocation waited, the start column is a
+        # read-only view of the trace's own arrivals; where one waited, it
+        # is the loop's column.  Node ids take the narrowest signed type.
+        # Ids follow positions, so each column read is a view.
+        rng = random.Random(43)
+        trace = as_trace([dataclasses.replace(e, invocation_id=i)
+                          for i, e in enumerate(random_trace(
+                              rng, 150, apps=3, fns=8, span=3000))])
+        profiles = {"Wallet": wallet_profile(), "CVM": cvm_profile(cap=3)}
+        for nodes, node_type, waits in ((2, np.int8, True),
+                                        (127, np.int8, False),
+                                        (200, np.int16, False)):
+            config = SimConfig(nodes=nodes, slots=2, cache_size=2,
+                               profiles=profiles, seed=0)
+            oracle = oracle_simulate(list(trace), config)
+            for name, stats in simulate(trace, config).items():
+                assert (stats.start_ms > trace.arrival_ms).any() == waits
+                assert np.shares_memory(stats.start_ms,
+                                        trace.arrival_ms) is not waits
+                assert stats.node_id.dtype == node_type
+                assert list(stats.outcomes) == oracle[name].outcomes
+                for column in ("invocation_id", "node_id", "boot_code",
+                               "start_ms"):
+                    with pytest.raises(ValueError):
+                        getattr(stats, column)[0] = 1
+                assert all(c.flags.writeable for c in trace.columns())
+        # A snapshot taken before anything waited reads the arrivals, and
+        # stays a snapshot once later dispatches wait.
+        config = SimConfig(nodes=2, slots=2, cache_size=2,
+                           profiles=profiles, seed=0)
+        run = make_run(trace, profiles["CVM"], config)
+        advance(run)
+        snapshot = run.stats()
+        rows = list(snapshot.outcomes)
+        assert len(rows) == 1
+        assert np.shares_memory(snapshot._start, trace.arrival_ms)
+        while advance(run):
+            pass
+        assert list(snapshot.outcomes) == rows
+        assert not np.shares_memory(run.stats()._start, trace.arrival_ms)
+        assert run.stats().outcomes == simulate(trace, config)["CVM"].outcomes
+
     def test_ids_out_of_position_order_read_by_id(self, tmp_path):
         # load_trace sorts by arrival, so shuffled ids leave the trace's
         # positions out of id order and the rows need a permutation.
@@ -560,23 +605,57 @@ class TestColumns:
                 simulate([ev(0, 0, 0, 0, 1), bad], config)
 
 
-class TestWorkingMemory:
-    """The simulator keeps typed columns, 13 bytes per invocation in an
-    un-jittered run's results; row views stream."""
+def paper_shaped_trace(minutes: float):
+    return generate_trace(GeneratorSpec(
+        n_functions=4000, n_apps=200, duration_minutes=minutes,
+        arrival_rate_per_s=600.0, seed=7))
 
-    def test_simulate_and_row_view_peaks(self):
-        trace = generate_trace(GeneratorSpec(
-            n_functions=4000, n_apps=200, duration_minutes=0.5,
-            arrival_rate_per_s=600.0, seed=7))
-        n = len(trace)
-        config = SimConfig(nodes=100, slots=32, cache_size=32, seed=7,
+
+def per_invocation_slope(measure, traces) -> float:
+    """The bytes per invocation that ``measure(trace)`` adds between two
+    trace lengths, so that fixed state cancels: the key masks, caches
+    and heap, and whatever ran earlier in the process.  The longer trace
+    is measured first, after an untraced warm-up, so that a first-call
+    cost can only raise the slope."""
+    short, long = sorted(traces, key=len)
+    simulate(short, SimConfig(profiles={"VM": default_profiles()["VM"]}))
+    grown = measure(long) - measure(short)
+    return grown / (len(long) - len(short))
+
+
+def traced(call, figure: int) -> int:
+    """tracemalloc's current (0) or peak (1) bytes over ``call()``, read
+    while its result is held.  A full collection empties the interpreter's
+    free lists, before the call so that every call starts alike and after
+    it so that freed objects do not count as current."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = call()  # noqa: F841 -- held while the figure is read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[figure]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """The simulator reads the trace in place and keeps typed columns: an
+    un-jittered run's results hold 2 bytes per invocation where nothing
+    waited and 10 where something did; row views stream.  Memory bounds
+    are per-invocation slopes between two trace lengths."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return [paper_shaped_trace(0.125), paper_shaped_trace(0.25)]
+
+    CLUSTER = dict(nodes=100, slots=32, cache_size=32, seed=7)
+
+    def test_simulate_and_row_view_peaks(self, traces):
+        config = SimConfig(**self.CLUSTER,
                            profiles={"Wallet": default_profiles()["Wallet"]})
-        tracemalloc.start()
-        try:
-            stats = simulate(trace, config)["Wallet"]
-            simulate_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        slope = per_invocation_slope(
+            lambda trace: traced(lambda: simulate(trace, config), 1), traces)
+        stats = simulate(traces[1], config)["Wallet"]
         tracemalloc.start()
         try:
             outcomes = stats.outcomes
@@ -586,18 +665,18 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
         assert np.array_equal(delays, stats.delay_ms)
-        # One variant's simulate peaks at about 66 B per invocation; it
-        # was 78 B while its results kept a per-position boot column.
-        assert simulate_peak / n < 72, f"{simulate_peak / n:.0f} B/inv"
+        # One variant's simulate grows by about 19 B per invocation over
+        # these lengths; it grew by 48 B while the loop indexed array
+        # copies of the trace and the results kept a start column.
+        assert slope < 26, f"{slope:.1f} B/inv"
         assert view_peak < 2_000_000, f"{view_peak / 1e6:.2f} MB"
 
     def test_loop_columns_peak(self):
-        # The loop's columns keep about 35 B per invocation; coding the
-        # (app, function) pairs adds little on top of them, where three
+        # The loop reads the trace in place and keeps only the dense key
+        # codes, 8 B per invocation; coding the (app, function) pairs
+        # peaks at about 35 B, where three
         # np.unique(return_inverse=True) calls peaked at 67 B.
-        trace = generate_trace(GeneratorSpec(
-            n_functions=4000, n_apps=200, duration_minutes=0.5,
-            arrival_rate_per_s=600.0, seed=7))
+        trace = paper_shaped_trace(0.5)
         _LoopColumns.of(trace)  # any first-call imports, untraced
         tracemalloc.start()
         try:
@@ -614,27 +693,21 @@ class TestWorkingMemory:
         assert columns.key_app.tolist() == (pairs // len(fns)).tolist()
         assert columns.n_apps == len(apps)
 
-    def test_three_variants_stats_retained(self):
-        # Each un-jittered SimStats keeps node, boot code and start: 13 B
-        # per invocation, and three retain about 48 B with what else
-        # simulate leaves.  With a boot column and an 8-byte node each,
-        # three retained 84 B; with seven stored columns, 152 B.
-        trace = generate_trace(GeneratorSpec(
-            n_functions=4000, n_apps=200, duration_minutes=0.5,
-            arrival_rate_per_s=600.0, seed=7))
+    def test_three_variants_stats_retained(self, traces):
+        # Wallet and VM never queue here and keep node and boot code, 2 B
+        # per invocation each; CVM queues and keeps its start too, 10 B.
+        # Each kept 13 B with a 4-byte node and a start column (three: a
+        # slope of 39 B), and 25 B with a boot column and an 8-byte node.
         profiles = default_profiles()
-        tracemalloc.start()
-        try:
-            held = [simulate(trace, SimConfig(
-                nodes=100, slots=32, cache_size=32, seed=7,
-                profiles={name: profiles[name]}))[name]
+
+        def three_variants(trace):
+            return [simulate(trace, SimConfig(
+                **self.CLUSTER, profiles={name: profiles[name]}))[name]
                 for name in ("Wallet", "VM", "CVM")]
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert all(len(stats) == len(trace) for stats in held)
-        assert retained / len(trace) < 55, \
-            f"{retained / len(trace):.0f} B/inv"
+
+        slope = per_invocation_slope(
+            lambda trace: traced(lambda: three_variants(trace), 0), traces)
+        assert slope < 16, f"{slope:.1f} B/inv"
 
 
 class TestPinnedOutputs:

@@ -81,6 +81,8 @@ MAX_TRUSTLETS = 8
 
 users = st.integers(0, 2)
 payloads = st.binary(max_size=32)
+# The stages at which TightMonitorMachine.invoke_short_of_memory runs short.
+SHORT_AT = ("staging", "recreation", "file", "output", "chain")
 
 
 class MonitorMachine(RuleBasedStateMachine):
@@ -648,25 +650,26 @@ class TightMonitorMachine(MonitorMachine):
     # Staging a request, delivering a file and creating an output take one
     # frame each; recreating a trustlet frees as many frames as it takes.
     @precondition(lambda self: self.trustlets)
-    @rule(data=st.data(), payload=payloads, short_at=st.sampled_from(
-        ["staging", "recreation", "file", "output", "chain"]))
-    def invoke_short_of_memory(self, data, payload, short_at):
-        """Hold all frames but those an invocation needs before short_at,
-        then run it as its trustlet's last user, or as another user to have
-        the trustlet recreated first, or as a chain's producer."""
-        if short_at == "file" and READER in self.trustlets.values():
-            handle = self._pick(data, READER)
-        elif short_at == "chain" and self._adjacent_pairs():
-            handle, consumer = data.draw(
-                st.sampled_from(self._adjacent_pairs()))
-            self._link(handle, consumer)
-        else:
-            handle = self._pick(data)
-        u = self.last_user.get(handle, 0)
-        if short_at == "recreation":
-            u = (u + 1) % 3
-        self.hold_frames(0 if short_at in ("staging", "recreation") else 1)
-        self._invoke(handle, u, payload)
+    @rule(data=st.data(), payload=payloads)
+    def invoke_short_of_memory(self, data, payload):
+        """For each stage short_at in turn, hold all frames but those an
+        invocation needs before it, then run the invocation as its
+        trustlet's last user, or as another user to have the trustlet
+        recreated first, or as a chain's producer."""
+        for short_at in SHORT_AT:
+            if short_at == "file" and READER in self.trustlets.values():
+                handle = self._pick(data, READER)
+            elif short_at == "chain" and self._adjacent_pairs():
+                handle, consumer = data.draw(
+                    st.sampled_from(self._adjacent_pairs()))
+                self._link(handle, consumer)
+            else:
+                handle = self._pick(data)
+            u = self.last_user.get(handle, 0)
+            if short_at == "recreation":
+                u = (u + 1) % 3
+            self.hold_frames(0 if short_at in ("staging", "recreation") else 1)
+            self._invoke(handle, u, payload)
 
     @precondition(lambda self: self._adjacent_pairs())
     @rule(data=st.data(), u=users, payload=payloads)

@@ -26,9 +26,10 @@ BENCHMARK.json:
 
 ``--sim-memory`` adds acceptance criterion 7 on both trees: the
 tracemalloc peak of each variant's ``simulate`` on the criterion's trace
-and cluster, the bytes per invocation that tracemalloc still counts
-while the returned ``SimStats`` is held, and the wall time and max RSS of
-``pytest -k criterion_7`` over three alternating runs.
+and cluster, in MB and in bytes per invocation, the bytes per invocation
+that tracemalloc still counts while the returned ``SimStats`` is held,
+and the wall time and max RSS of ``pytest -k criterion_7`` over three
+alternating runs.
 
 ``--cli`` adds the command-line runs ``walletemu chain --k 32``,
 ``density --n-functions 500`` and ``emulate`` (a small zygote, two
@@ -142,7 +143,7 @@ CRITERION_7 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
 # config come from the test, then traces each variant's simulate alone:
 # its peak, and what it retains while its result is held.
 SIM_MEMORY_PROBE = """
-import dataclasses, json, sys, tracemalloc
+import dataclasses, gc, json, sys, tracemalloc
 sys.path.insert(0, "tests")
 import test_acceptance
 from walletemu.sim import simulate
@@ -159,17 +160,22 @@ try:
         .__wrapped__()
 except Captured as got:
     trace, config = got.args
-peak_mb, retained = {"invocations": len(trace)}, {}
+peak_mb, peak_per_invocation, retained = {"invocations": len(trace)}, {}, {}
 for name, profile in config.profiles.items():
+    gc.collect()  # empties the free lists, so each variant starts alike
     tracemalloc.start()
     held = simulate(trace, dataclasses.replace(config,
                                                profiles={name: profile}))
-    current, peak = tracemalloc.get_traced_memory()
+    peak = tracemalloc.get_traced_memory()[1]
+    gc.collect()  # objects freed into the free lists are not held
+    current = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     del held
     peak_mb[name] = peak / 1e6
+    peak_per_invocation[name] = peak / len(trace)
     retained[name] = current / len(trace)
-print(json.dumps({"peak_mb": peak_mb, "retained": retained}))
+print(json.dumps({"peak_mb": peak_mb, "retained": retained,
+                  "peak_per_invocation": peak_per_invocation}))
 """
 
 # Times LAYER_CYCLES object cycles per page count, each tree through the
@@ -605,6 +611,8 @@ def sim_memory(trees) -> dict:
     for side in SIDES:
         probe = json.loads(run_python(trees[side], ["-c", SIM_MEMORY_PROBE]))
         out[side] = {"tracemalloc_peak_mb": probe["peak_mb"],
+                     "tracemalloc_peak_bytes_per_invocation":
+                         probe["peak_per_invocation"],
                      "retained_bytes_per_invocation": probe["retained"]}
     runs = {s: [] for s in SIDES}
     for i in range(1, SIM_REPEATS + 1):
