@@ -290,9 +290,10 @@ def nearest_rank(sorted_values: Sequence[float] | np.ndarray,
 
 
 def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values, and each value's index among them: what
-    ``np.unique(values, return_inverse=True)`` returns, with about 25
-    bytes of scratch per value where it takes about 40."""
+    """The sorted distinct values, and each value's index among them as
+    int32: what ``np.unique(values, return_inverse=True)`` returns, for
+    fewer than 2**31 values, with about 17 bytes of scratch per int64
+    value (13 per int32) where it takes about 40."""
     order = np.argsort(values)
     ordered = values[order]
     first = np.empty(len(values), dtype=bool)  # first of its value
@@ -300,17 +301,17 @@ def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     distinct = ordered[first]
     del ordered
-    rank = np.cumsum(first, dtype=np.int64)
-    rank -= 1
+    rank = np.cumsum(first, dtype=np.int32)
     del first
+    rank -= 1
     codes = np.empty_like(rank)
     codes[order] = rank
     return distinct, codes
 
 
 def _cells(column: np.ndarray, typecode: str) -> memoryview:
-    """A view of a contiguous int64 (``'q'``) or float64 (``'d'``)
-    column's own buffer, indexed to Python ints or floats."""
+    """A view of a contiguous int64 (``'q'``), int32 (``'i'``) or float64
+    (``'d'``) column's own buffer, indexed to Python ints or floats."""
     return memoryview(np.ascontiguousarray(column)).cast("B").cast(typecode)
 
 
@@ -319,10 +320,10 @@ class _LoopColumns:
     """A trace as the views the loop indexes, built once per
     :func:`simulate` call and shared by its variants.  Each is a
     ``memoryview`` of a numpy buffer (:func:`_cells`): the trace's own
-    columns, read in place, and the two dense key columns.  Indexing one
-    gives a Python int or float, as the loop needs.  The views share the
-    trace's memory, so a trace must not be written while a run over it
-    or that run's results are in use.
+    columns, read in place, and the two dense int32 key columns.
+    Indexing one gives a Python int or float, as the loop needs.  The
+    views share the trace's memory, so a trace must not be written while
+    a run over it or that run's results are in use.
 
     ``key[pos]`` is a dense code for the (app, function) pair at trace
     position ``pos`` and ``key_app[key]`` a dense code for its app.
@@ -337,17 +338,21 @@ class _LoopColumns:
 
     @classmethod
     def of(cls, trace: Trace) -> "_LoopColumns":
-        # At most two code columns are alive at once.
+        # At most two code columns are alive at once.  A pair's code
+        # app * len(fns) + fn is int64 where it could pass int32.
         apps, key = _dense_codes(trace.app_id)
         fns, fn_code = _dense_codes(trace.function_id)
+        if len(apps) * len(fns) > np.iinfo(np.int32).max:
+            key = key.astype(np.int64)
         key *= len(fns)
         key += fn_code
         del fn_code
         pairs, key = _dense_codes(key)
+        key_app = (pairs // len(fns)).astype(np.int32)
         return cls(_cells(trace.invocation_id, "q"),
                    _cells(trace.arrival_ms, "d"),
-                   _cells(trace.duration_ms, "d"), _cells(key, "q"),
-                   _cells(pairs // len(fns), "q"), len(apps))
+                   _cells(trace.duration_ms, "d"), _cells(key, "i"),
+                   _cells(key_app, "i"), len(apps))
 
 
 class _VariantRun:

@@ -13,10 +13,10 @@ The synthetic generator stands in for production traces: Zipf-distributed
 function popularity, Poisson arrivals, log-normal durations clipped to
 >= 1 ms; deterministic for a fixed seed.  Function ids are drawn by
 inverse CDF over the normalized Zipf weights: one uniform per invocation,
-a bucket table giving each uniform a start index at or below its answer,
-then forward steps to the first CDF entry above it.  The draw returns the
-same ids as ``Generator.choice(n_functions, p=weights)`` and leaves the
-generator at the same stream position.
+a table of at least 65536 buckets giving each uniform a start index at or
+below its answer, then forward steps to the first CDF entry above it.
+The draw returns the same ids as ``Generator.choice(n_functions,
+p=weights)`` and leaves the generator at the same stream position.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ class Trace:
             raise InvariantError(
                 "trace columns must be one-dimensional and equally long")
         arrival, duration = self.arrival_ms, self.duration_ms
+        # Min/max reductions accept a valid trace, and NaN fails them.  A
+        # trace they refuse is checked element by element, to name its
+        # first bad invocation.
+        if not len(arrival) or (
+                0 <= arrival.min() and arrival.max() < math.inf
+                and 0 < duration.min() and duration.max() < math.inf):
+            return
         for bad, what in ((~(np.isfinite(arrival) & np.isfinite(duration)),
                            "non-finite time"),
                           (arrival < 0, "negative arrival"),
@@ -307,14 +314,18 @@ def _draw_ranks(rng: np.random.Generator, probs: np.ndarray,
     ``rng.random(count)``.
 
     Each uniform ``u`` starts at ``table[floor(u * k)]``, the index of the
-    first CDF entry above ``floor(u * k) / k``; with ``k`` a power of two
-    both products are exact, so no start lies past the answer, and the
-    indices still at or below their ``u`` step forward together.
+    first CDF entry above ``floor(u * k) / k``, for ``k`` the least power
+    of two >= max(65536, n).  With ``k`` a power of two every product by
+    it is exact, so ``cdf <= j / k`` exactly when ``ceil(cdf * k) <= j``:
+    ``table[j]`` counts those entries, no start lies past the answer, and
+    the indices still at or below their ``u`` step forward together.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    k = 1 << max(12, (len(probs) - 1).bit_length())  # >= max(4096, n)
-    table = cdf.searchsorted(np.arange(k) / k, side="right")
+    k = 1 << max(16, (len(probs) - 1).bit_length())
+    buckets = np.ceil(cdf * k).astype(np.intp)  # 0..k, as 0 <= cdf <= 1
+    table = np.bincount(buckets, minlength=k + 1)
+    np.cumsum(table, out=table)
     u = rng.random(count)
     idx = table[(u * k).astype(np.intp)]
     behind = np.flatnonzero(cdf[idx] <= u)
@@ -330,32 +341,32 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
     rng = np.random.default_rng(spec.seed)
     horizon_ms = spec.duration_minutes * 60_000.0
     rate_per_ms = spec.arrival_rate_per_s / 1000.0
-    expected = int(horizon_ms * rate_per_ms)
+    batch = max(1024, int(horizon_ms * rate_per_ms) // 4 + 1)
 
+    # Each batch becomes its arrival times in place.  They never
+    # decrease, so those below the horizon are a prefix.
     arrivals: list[np.ndarray] = []
     total = 0.0
-    count = 0
     while True:
-        batch = rng.exponential(1.0 / rate_per_ms,
-                                size=max(1024, expected // 4 + 1))
-        cum = total + np.cumsum(batch)
+        cum = rng.exponential(1.0 / rate_per_ms, size=batch)
+        np.cumsum(cum, out=cum)
+        cum += total
         if cum[-1] >= horizon_ms:
-            keep = cum[cum < horizon_ms]
-            arrivals.append(keep)
-            count += len(keep)
+            arrivals.append(cum[:cum.searchsorted(horizon_ms)])
             break
         arrivals.append(cum)
         total = float(cum[-1])
-        count += len(cum)
-    arrival_ms = np.concatenate(arrivals) if arrivals else np.empty(0)
+    arrival_ms = np.concatenate(arrivals)
+    count = len(arrival_ms)
 
     probs = spec._zipf_weights()
     probs /= probs.sum()
     functions = _draw_ranks(rng, probs, count)
     durations = rng.lognormal(spec.duration_lognormal_mu,
                               spec.duration_lognormal_sigma, size=count)
-    durations = np.maximum(durations, 1.0)
-    return Trace(np.arange(count), functions % spec.n_apps, functions,
+    np.maximum(durations, 1.0, out=durations)
+    app_of = np.arange(spec.n_functions) % spec.n_apps
+    return Trace(np.arange(count), app_of[functions], functions,
                  arrival_ms, durations)
 
 

@@ -219,22 +219,30 @@ def test_sim_memory_probe_records_peak_and_retained_bytes(tmp_path):
     assert set(peak) == {"invocations", "Wallet", "CVM"}
     assert set(retained) == set(out["peak_per_invocation"]) == {"Wallet",
                                                                 "CVM"}
+    coding = out["key_coding_peak_per_invocation"]
+    assert set(coding) == {"Wallet", "CVM"}
     for name, columns in (("Wallet", 2), ("CVM", 10)):
         assert columns <= retained[name] < columns + 8000 / n, name
         assert out["peak_per_invocation"][name] == pytest.approx(
             peak[name] * 1e6 / n)
         assert out["peak_per_invocation"][name] > retained[name]
+        # Coding the keys sorts each id column: at least its 8-byte
+        # order, and never more than simulate's whole peak.
+        assert 8 < coding[name] <= out["peak_per_invocation"][name], name
 
 
 def test_sim_memory_records_each_variants_peak_per_invocation(monkeypatch):
     # Canned probe output and criterion-7 runs: each side's record keeps
-    # the peak in MB and in bytes per invocation beside the retained bytes.
+    # the peak in MB and in bytes per invocation beside the retained bytes
+    # and the key coding's own peak.
     probes = {"parent": {"peak_mb": {"invocations": 1000, "VM": 13.0},
                          "peak_per_invocation": {"VM": 13000.0},
-                         "retained": {"VM": 13.0}},
+                         "retained": {"VM": 13.0},
+                         "key_coding_peak_per_invocation": {"VM": 33.0}},
               "change": {"peak_mb": {"invocations": 1000, "VM": 8.0},
                          "peak_per_invocation": {"VM": 8000.0},
-                         "retained": {"VM": 2.0}}}
+                         "retained": {"VM": 2.0},
+                         "key_coding_peak_per_invocation": {"VM": 21.0}}}
     monkeypatch.setattr(benchpair, "run_python",
                         lambda tree, argv: json.dumps(probes[tree]))
     monkeypatch.setattr(benchpair, "timed_python",
@@ -245,6 +253,9 @@ def test_sim_memory_records_each_variants_peak_per_invocation(monkeypatch):
     assert change["tracemalloc_peak_mb"] == {"invocations": 1000, "VM": 8.0}
     assert change["tracemalloc_peak_bytes_per_invocation"] == {"VM": 8000.0}
     assert change["retained_bytes_per_invocation"] == {"VM": 2.0}
+    assert change["key_coding_peak_bytes_per_invocation"] == {"VM": 21.0}
+    assert out["parent"]["key_coding_peak_bytes_per_invocation"] == {
+        "VM": 33.0}
     assert out["parent"]["tracemalloc_peak_bytes_per_invocation"] == {
         "VM": 13000.0}
     assert change["criterion_7_wall_s"] == [9.0] * benchpair.SIM_REPEATS

@@ -33,6 +33,7 @@ from walletemu.sim.engine import (
 )
 from walletemu.traceio import (
     GeneratorSpec,
+    Trace,
     TraceEvent,
     as_trace,
     generate_trace,
@@ -673,9 +674,9 @@ class TestWorkingMemory:
 
     def test_loop_columns_peak(self):
         # The loop reads the trace in place and keeps only the dense key
-        # codes, 8 B per invocation; coding the (app, function) pairs
-        # peaks at about 35 B, where three
-        # np.unique(return_inverse=True) calls peaked at 67 B.
+        # codes, 4 B per invocation; coding the (app, function) pairs
+        # peaks at about 21 B.  It peaked at 33 B with int64 codes, and
+        # at 67 B as three np.unique(return_inverse=True) calls.
         trace = paper_shaped_trace(0.5)
         _LoopColumns.of(trace)  # any first-call imports, untraced
         tracemalloc.start()
@@ -684,7 +685,7 @@ class TestWorkingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(trace) < 50, f"{peak / len(trace):.0f} B/inv"
+        assert peak / len(trace) < 26, f"{peak / len(trace):.0f} B/inv"
         apps, app_code = np.unique(trace.app_id, return_inverse=True)
         fns, fn_code = np.unique(trace.function_id, return_inverse=True)
         pairs, key = np.unique(app_code * len(fns) + fn_code,
@@ -692,6 +693,18 @@ class TestWorkingMemory:
         assert columns.key.tolist() == key.tolist()
         assert columns.key_app.tolist() == (pairs // len(fns)).tolist()
         assert columns.n_apps == len(apps)
+
+    def test_loop_columns_code_pairs_past_int32(self):
+        # 50 001 apps by 50 001 functions: pair codes app * 50 001 + fn
+        # pass 2**31, so they are formed in int64; the codes stay int32.
+        n = 50_001
+        ids = np.arange(n)
+        trace = Trace(ids, ids, ids[::-1].copy(), ids * 1.0, np.ones(n))
+        columns = _LoopColumns.of(trace)
+        assert columns.key.format == columns.key_app.format == "i"
+        assert columns.key.tolist() == ids.tolist()
+        assert columns.key_app.tolist() == ids.tolist()
+        assert columns.n_apps == n
 
     def test_three_variants_stats_retained(self, traces):
         # Wallet and VM never queue here and keep node and boot code, 2 B

@@ -19,9 +19,10 @@ A second machine runs the same rules on a small on-demand pool with low
 object quotas, and also holds and frees pool frames, so that memory runs
 out while a trustlet is created, a request is staged, an external file is
 delivered or an output or chain object is created, and a producer
-exceeds its object quota.  Each refusal must leave nothing running and
-conserve refs and the object table; a trustlet refused memory runs again
-once the held frames are back.
+exceeds its object quota, which every example also makes happen once in
+its set-up.  Each refusal must leave nothing running and conserve refs
+and the object table; a trustlet refused memory runs again once the held
+frames are back.
 
 A third machine runs the first one's rules with copy-on-write off, so that
 every fork copies the zygote and every recreation keeps that copy.
@@ -72,7 +73,7 @@ from walletemu.memory import (
     pages_for,
 )
 from walletemu.monitor import ProcState
-from walletemu.objects import MONITOR_PID, fallback_transfer
+from walletemu.objects import MONITOR_PID, ObjectStore, fallback_transfer
 from walletemu.provider import UserAgent
 
 STAGES = 3  # stage-0 -> stage-1 -> stage-2 is the policy's one chain
@@ -636,6 +637,37 @@ class TightMonitorMachine(MonitorMachine):
            "quota_bytes": 1024}
     TIGHT = True
 
+    def __init__(self):
+        super().__init__()
+        # Made in set-up, which draws nothing: a rule or an initialize
+        # step would change every derandomized example.
+        self.exceed_the_object_quota()
+
+    def exceed_the_object_quota(self) -> None:
+        """The quota refusal on purpose: a fresh producer hands its output
+        to two fresh consumers, whose chain objects wait unrun, so its
+        next run needs a third live object and is refused with
+        QuotaExceeded, with every invariant intact.  The consumers then
+        run, the producer runs again, and the three are deleted."""
+        fresh = []
+        for f in (0, 1, 1):
+            self.create_trustlet(f)
+            fresh.append(max(self.trustlets))
+        producer, *consumers = fresh
+        for consumer, payload in zip(consumers, (b"a", b"b")):
+            self._link(producer, consumer)
+            assert self._invoke(producer, 0, payload).handoff == consumer
+        self._invoke(producer, 0, b"c", error=QuotaExceeded)
+        assert set(self.pending) == set(consumers)
+        self.live_writers_stay_within_their_quotas()
+        self.handed_out_frames_are_mapped_or_an_objects()
+        for consumer in consumers:
+            self._run_chained(consumer)
+        assert self._invoke(producer, 0, b"d").handoff is None
+        for handle in fresh:
+            self.m.delete_trustlet(handle)
+            self._forget(handle)
+
     @rule(leave=st.integers(0, 16))
     def hold_frames(self, leave):
         """Take all but leave free frames away from the monitor."""
@@ -689,39 +721,36 @@ class TightMonitorMachine(MonitorMachine):
         self._invoke(producer, u, payload)
 
 
-def test_tight_machine_reaches_the_quota_refusal():
-    """The quota refusal reached on purpose, not by the machine's draws: a
-    producer hands its output to two consumers, whose chain objects wait
-    unrun, so its next run needs a third live object and is refused with
-    QuotaExceeded, leaving every invariant and the teardown intact."""
-    machine = TightMonitorMachine()
-    refused = []
-    check_quota = machine.m.objects._check_quota
+def test_tight_machine_reaches_the_quota_refusal(monkeypatch):
+    """Each example of the tight machine reaches the quota refusal once,
+    in its set-up, whatever its draws, charged to the quota of the
+    producer it invokes, and leaves the teardown intact.  The producer is
+    read through a wrapper: Hypothesis seeds the machine's derandomized
+    examples with a digest of its class source, so an edit there would
+    change them."""
+    refused, producers = [], []
+    check_quota = ObjectStore._check_quota
+    invoke = TightMonitorMachine._invoke
 
-    def counting(*args, **kwargs):
+    def counting(store, pid, *args, **kwargs):
         try:
-            check_quota(*args, **kwargs)
+            check_quota(store, pid, *args, **kwargs)
         except QuotaExceeded:
-            refused.append(args[0])
+            refused.append(pid)
             raise
 
-    machine.m.objects._check_quota = counting
-    by_function = {f: h for h, f in machine.trustlets.items()}
-    producer, first = by_function[0], by_function[1]
-    machine.create_trustlet(1)
-    second = max(machine.trustlets)
-    for consumer, payload in ((first, b"a"), (second, b"b")):
-        machine._link(producer, consumer)
-        assert machine._invoke(producer, 0, payload).handoff == consumer
-    assert refused == []
-    assert machine._invoke(producer, 0, b"c") is None
-    assert refused == [machine.m._proc(producer).pid]
-    assert set(machine.pending) == {first, second}
-    machine.live_writers_stay_within_their_quotas()
-    machine.handed_out_frames_are_mapped_or_an_objects()
-    for consumer in (first, second):
-        machine._run_chained(consumer)
-    assert machine._invoke(producer, 0, b"d").handoff is None
+    def invoking(machine, handle, u, payload, error=None):
+        result = invoke(machine, handle, u, payload, error)
+        if error is QuotaExceeded:
+            producers.append(machine.m._proc(handle).pid)
+        return result
+
+    monkeypatch.setattr(ObjectStore, "_check_quota", counting)
+    monkeypatch.setattr(TightMonitorMachine, "_invoke", invoking)
+    machine = TightMonitorMachine()
+    assert len(producers) == 1
+    assert refused == producers
+    assert sorted(machine.trustlets.values()) == list(range(READER + 1))
     machine.teardown()
 
 

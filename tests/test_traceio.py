@@ -350,12 +350,42 @@ class TestFunctionDraw:
             assert np.array_equal(drawn, expected)
             assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("n_functions,s", [(4000, 1.1), (50_000, 0.0),
+                                               (1, 1.1)])
+    def test_boundary_uniforms_find_the_first_entry_above(self, n_functions,
+                                                           s):
+        # Uniforms at the bucket edges j / k around each CDF step, at each
+        # CDF entry and one ulp to either side, and at both ends of [0, 1).
+        probs = zipf_probs(n_functions, s)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        k = 1 << 16
+        edges = np.floor(cdf * k)
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            (edges - 1) / k, edges / k, (edges + 1) / k,
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+        class Uniforms:
+            def random(self, count):
+                assert count == len(u)
+                return u.copy()
+
+        drawn = traceio._draw_ranks(Uniforms(), probs, len(u))
+        assert np.array_equal(drawn, cdf.searchsorted(u, side="right"))
+
     @pytest.mark.parametrize("spec", [
         paper_spec(0),
         # Weights past rank 1 are tiny or underflow to zero.
         GeneratorSpec(n_functions=300, n_apps=7, duration_minutes=0.5,
                       arrival_rate_per_s=200.0, popularity_zipf_s=400.0,
                       seed=3),
+        GeneratorSpec(n_functions=1, n_apps=1, duration_minutes=0.5,
+                      arrival_rate_per_s=200.0, seed=4),
+        GeneratorSpec(n_functions=50_000, n_apps=301, duration_minutes=0.5,
+                      arrival_rate_per_s=400.0, popularity_zipf_s=0.9,
+                      seed=5),
     ])
     def test_trace_equals_choice_reference(self, spec):
         assert generate_trace(spec) == generate_trace_by_choice(spec)
@@ -406,6 +436,33 @@ class TestTrace:
         events = self.EVENTS + [TraceEvent(9, 0, 0, arrival, duration)]
         with pytest.raises(InvariantError, match="invocation 9"):
             as_trace(events)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["arrival_ms", "duration_ms"])
+    def test_first_non_finite_time_is_named(self, column, value):
+        # Invocation 12's negative arrival is checked only after every
+        # time is found finite.
+        times = {"arrival_ms": [0.0, 1.0, -1.0, 3.0],
+                 "duration_ms": [1.0, 1.0, 1.0, 1.0]}
+        times[column][1] = times[column][3] = value
+        with pytest.raises(InvariantError,
+                           match="^invocation 11: non-finite time$"):
+            Trace([10, 11, 12, 13], [0] * 4, [0] * 4, **times)
+
+    @pytest.mark.parametrize("arrival,duration,message", [
+        ([0.0, -0.0, -1.0, -2.0], [1.0, 0.0, 0.0, 1.0],
+         "invocation 12: negative arrival"),
+        ([0.0, -0.0, 1.0, 2.0], [1.0, 5e-324, 0.0, -1.0],
+         "invocation 12: duration must be positive"),
+    ])
+    def test_first_bad_time_is_named(self, arrival, duration, message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            Trace([10, 11, 12, 13], [0] * 4, [0] * 4, arrival, duration)
+
+    def test_negative_zero_arrival_and_empty_trace_accepted(self):
+        trace = Trace([0, 1], [0, 0], [0, 0], [-0.0, 0.0], [1.0, 2.0])
+        assert math.copysign(1.0, trace.arrival_ms[0]) == -1.0
+        assert len(Trace([], [], [], [], [])) == 0
 
     def test_unequal_columns_refused(self):
         with pytest.raises(InvariantError):

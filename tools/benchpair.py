@@ -28,6 +28,7 @@ BENCHMARK.json:
 tracemalloc peak of each variant's ``simulate`` on the criterion's trace
 and cluster, in MB and in bytes per invocation, the bytes per invocation
 that tracemalloc still counts while the returned ``SimStats`` is held,
+the peak per invocation of its key coding (``_LoopColumns.of``) alone,
 and the wall time and max RSS of ``pytest -k criterion_7`` over three
 alternating runs.
 
@@ -141,12 +142,27 @@ CRITERION_7 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
 
 # Runs criterion 7's own body up to its simulate call, so the trace and
 # config come from the test, then traces each variant's simulate alone:
-# its peak, and what it retains while its result is held.
+# its peak, what it retains while its result is held, and the peak of its
+# key coding (``_LoopColumns.of``) above what was traced when it began.
+# The peak is reset around the key coding, so simulate's own peak is the
+# larger of the peaks before and after the reset.
 SIM_MEMORY_PROBE = """
 import dataclasses, gc, json, sys, tracemalloc
 sys.path.insert(0, "tests")
 import test_acceptance
-from walletemu.sim import simulate
+from walletemu.sim import engine, simulate
+
+coding = {}
+columns_of = engine._LoopColumns.of
+
+def traced_columns_of(trace):
+    current, coding["before"] = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    columns = columns_of(trace)
+    coding["peak"] = tracemalloc.get_traced_memory()[1] - current
+    return columns
+
+engine._LoopColumns.of = staticmethod(traced_columns_of)
 
 class Captured(Exception):
     pass
@@ -161,12 +177,13 @@ try:
 except Captured as got:
     trace, config = got.args
 peak_mb, peak_per_invocation, retained = {"invocations": len(trace)}, {}, {}
+key_coding = {}
 for name, profile in config.profiles.items():
     gc.collect()  # empties the free lists, so each variant starts alike
     tracemalloc.start()
     held = simulate(trace, dataclasses.replace(config,
                                                profiles={name: profile}))
-    peak = tracemalloc.get_traced_memory()[1]
+    peak = max(tracemalloc.get_traced_memory()[1], coding["before"])
     gc.collect()  # objects freed into the free lists are not held
     current = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
@@ -174,8 +191,10 @@ for name, profile in config.profiles.items():
     peak_mb[name] = peak / 1e6
     peak_per_invocation[name] = peak / len(trace)
     retained[name] = current / len(trace)
+    key_coding[name] = coding["peak"] / len(trace)
 print(json.dumps({"peak_mb": peak_mb, "retained": retained,
-                  "peak_per_invocation": peak_per_invocation}))
+                  "peak_per_invocation": peak_per_invocation,
+                  "key_coding_peak_per_invocation": key_coding}))
 """
 
 # Times LAYER_CYCLES object cycles per page count, each tree through the
@@ -613,6 +632,8 @@ def sim_memory(trees) -> dict:
         out[side] = {"tracemalloc_peak_mb": probe["peak_mb"],
                      "tracemalloc_peak_bytes_per_invocation":
                          probe["peak_per_invocation"],
+                     "key_coding_peak_bytes_per_invocation":
+                         probe["key_coding_peak_per_invocation"],
                      "retained_bytes_per_invocation": probe["retained"]}
     runs = {s: [] for s in SIDES}
     for i in range(1, SIM_REPEATS + 1):
